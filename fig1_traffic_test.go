@@ -4,6 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"github.com/unify-repro/escape/internal/dataplane"
+	"github.com/unify-repro/escape/internal/domain/emunet"
 )
 
 // TestFig1BidirectionalChains deploys forward and reverse chains between the
@@ -188,5 +191,44 @@ func TestFig1TransparentMdOView(t *testing.T) {
 	sys.Engine.RunToIdle()
 	if len(sap2.Received()) != 1 {
 		t.Fatal("traffic failed under transparent MdO view")
+	}
+}
+
+// TestFig1ChainAfterNFChurn is the regression for NF switch ports running past
+// OpenFlow's 16 bits: after 40 000 NFs have come and gone on every switch of
+// the three domains that run NFs, a Figure-1 chain still carries its packet.
+func TestFig1ChainAfterNFChurn(t *testing.T) {
+	sys := newSys(t)
+	for _, n := range []*emunet.Net{sys.Mininet.Net(), sys.OpenStack.Cloud().Net(), sys.UN.Net()} {
+		for _, sw := range n.SwitchIDs() {
+			for i := 0; i < 40000; i++ {
+				if _, err := n.StartNF("churn", sw, []string{"1", "2"}, dataplane.NewPipe(0, "churn")); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.StopNF("churn"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	chain, err := sys.DemoChain("demo", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Service.Submit(context.Background(), chain); err != nil {
+		t.Fatal(err)
+	}
+	sap1, _ := sys.SAP1()
+	sap2, _ := sys.SAP2()
+	p := sap1.Send("sap2", 1000)
+	sys.Engine.RunToIdle()
+	got := sap2.Received()
+	if len(got) != 1 {
+		t.Fatalf("delivery failed (dropped: %q)", p.Dropped)
+	}
+	for _, nf := range []string{"demo-fw", "demo-dpi", "demo-comp"} {
+		if trace := strings.Join(got[0].Trace, ","); !strings.Contains(trace, nf) {
+			t.Fatalf("trace missing %s: %s", nf, trace)
+		}
 	}
 }

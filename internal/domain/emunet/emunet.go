@@ -13,6 +13,7 @@ package emunet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,6 +44,11 @@ type Net struct {
 	nfs map[nffg.ID]*nfInstance
 	// nextPort allocates dynamic (NF) ports per switch, above static ones.
 	nextPort map[nffg.ID]int
+	// freePorts holds, per switch and ascending, the dynamic ports stopped NFs
+	// gave back. They go out again lowest first, before nextPort grows:
+	// OpenFlow port numbers are 16 bits, and a counter that only climbs runs
+	// out of them after 32 768 two-port NFs.
+	freePorts map[nffg.ID][]int
 }
 
 // Attachment names a concrete switch port.
@@ -68,6 +74,7 @@ func Build(eng *dataplane.Engine, substrate *nffg.NFFG, borders map[nffg.ID]bool
 		borderPorts: map[nffg.ID]Attachment{},
 		nfs:         map[nffg.ID]*nfInstance{},
 		nextPort:    map[nffg.ID]int{},
+		freePorts:   map[nffg.ID][]int{},
 	}
 	for _, id := range substrate.InfraIDs() {
 		n.switches[id] = dataplane.NewSwitch(eng, string(id))
@@ -220,8 +227,13 @@ func (n *Net) StartNF(id nffg.ID, host nffg.ID, ports []string, proc dataplane.P
 		ports: map[string]int{},
 	}
 	for i, portID := range ports {
-		swPort := n.nextPort[host]
-		n.nextPort[host]++
+		var swPort int
+		if free := n.freePorts[host]; len(free) > 0 {
+			swPort, n.freePorts[host] = free[0], free[1:]
+		} else {
+			swPort = n.nextPort[host]
+			n.nextPort[host]++
+		}
 		nfPort, err := strconv.Atoi(portID)
 		if err != nil {
 			nfPort = i + 1
@@ -247,6 +259,9 @@ func (n *Net) StopNF(id nffg.ID) error {
 	sw := n.switches[inst.sw]
 	for nfPortID, swPort := range inst.ports {
 		dataplane.Detach(sw, swPort)
+		free := n.freePorts[inst.sw]
+		at, _ := slices.BinarySearch(free, swPort)
+		n.freePorts[inst.sw] = slices.Insert(free, at, swPort)
 		if p, err := strconv.Atoi(nfPortID); err == nil {
 			dataplane.Detach(inst.host, p)
 		}

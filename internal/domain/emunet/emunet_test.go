@@ -2,6 +2,7 @@ package emunet
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/unify-repro/escape/internal/dataplane"
@@ -83,10 +84,58 @@ func TestNFLifecycleAndPortAllocation(t *testing.T) {
 	if _, err := n.NFPorts("fw1"); !errors.Is(err, ErrUnknownNF) {
 		t.Fatalf("after stop: %v", err)
 	}
-	// Port numbers are not reused immediately (monotonic allocator), but a
-	// new NF can start on the same switch.
-	if _, err := n.StartNF("fw2", "s1", []string{"1", "2"}, dataplane.NewPipe(0, "fw2")); err != nil {
+	// A new NF on the same switch takes over the ports fw1 gave back.
+	again, err := n.StartNF("fw2", "s1", []string{"1", "2"}, dataplane.NewPipe(0, "fw2"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if again["1"] != 5 || again["2"] != 6 {
+		t.Fatalf("freed ports should go out again lowest first, got %v", again)
+	}
+}
+
+// OpenFlow port numbers are 16 bits: however many NFs a switch has seen come
+// and go, its dynamic ports stay just above the static ones.
+func TestNFPortsAreRecycled(t *testing.T) {
+	n, err := Build(dataplane.NewEngine(), substrate(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const static, resident = 4, 3 // s1's static ports; NFs that stay
+	live := 0
+	start := func(id nffg.ID, ports ...string) {
+		t.Helper()
+		got, err := n.StartNF(id, "s1", ports, dataplane.NewPipe(0, string(id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live += len(ports)
+		for _, p := range got {
+			if p <= static || p > static+live {
+				t.Fatalf("NF %s got switch port %d with %d NF ports live above %d static ones", id, p, live, static)
+			}
+		}
+	}
+	stop := func(id nffg.ID, ports int) {
+		t.Helper()
+		if err := n.StopNF(id); err != nil {
+			t.Fatal(err)
+		}
+		live -= ports
+	}
+	for i := 0; i < resident; i++ {
+		start(nffg.ID(fmt.Sprint("resident", i)), "1", "2")
+	}
+	for i := 0; i < 40000; i++ {
+		id := nffg.ID(fmt.Sprint("nf", i))
+		start(id, "1", "2", "3")
+		if i%7 == 0 { // now and then two overlap, so ports come back out of order
+			start(id+"b", "1")
+			stop(id, 3)
+			stop(id+"b", 1)
+		} else {
+			stop(id, 3)
+		}
 	}
 }
 

@@ -239,6 +239,16 @@ type state struct {
 	sub   *nffg.NFFG
 	req   *nffg.NFFG
 	graph *topo.Graph // working copy with bandwidth reservations
+	// saved stacks what Reserve took from graph, for the exact Restore of a
+	// retracted path.
+	saved []float64
+	// infraIDs is the substrate's infra IDs, sorted: the candidate order.
+	infraIDs []nffg.ID
+	// avoid is the SAPs the request's hops end at. They are terminals and must
+	// not carry transit traffic; other SAPs in the substrate are inter-domain
+	// border stitch points and may relay (that is how merged domain views
+	// connect). A search exempts its own two endpoints.
+	avoid map[topo.NodeID]bool
 	free  map[nffg.ID]nffg.Resources
 	host  map[nffg.ID]nffg.ID
 	paths map[string]topo.Path
@@ -251,21 +261,42 @@ type state struct {
 
 func (m *Mapper) mapOne(sub, req *nffg.NFFG, scope map[nffg.ID]map[nffg.ID]bool) (*Mapping, error) {
 	st := &state{
-		sub:    sub,
-		req:    req,
-		graph:  sub.InfraTopo(),
-		free:   map[nffg.ID]nffg.Resources{},
-		host:   map[nffg.ID]nffg.ID{},
-		paths:  map[string]topo.Path{},
-		scope:  scope,
-		budget: m.opts.MaxBacktrack,
+		sub:      sub,
+		req:      req,
+		graph:    sub.InfraTopo(),
+		infraIDs: sub.InfraIDs(),
+		avoid:    map[topo.NodeID]bool{},
+		free:     make(map[nffg.ID]nffg.Resources, len(sub.Infras)),
+		host:     map[nffg.ID]nffg.ID{},
+		paths:    map[string]topo.Path{},
+		scope:    scope,
+		budget:   m.opts.MaxBacktrack,
 	}
-	for _, id := range sub.InfraIDs() {
-		avail, err := sub.AvailableResources(id)
-		if err != nil {
-			return nil, err
+	for _, h := range req.Hops {
+		for _, end := range []nffg.ID{h.SrcNode, h.DstNode} {
+			if _, ok := req.SAPs[end]; ok {
+				st.avoid[topo.NodeID(end)] = true
+			}
 		}
-		st.free[id] = avail
+	}
+	// Free capacity is what AvailableResources reports for every infra — the
+	// demands come off in NF-ID order, the lowest oversubscribed infra is the
+	// error — from one sort of the substrate's NFs instead of one per infra.
+	for id, infra := range sub.Infras {
+		st.free[id] = infra.Capacity
+	}
+	var over nffg.ID
+	for _, id := range sub.NFIDs() {
+		nf := sub.NFs[id]
+		if avail, hosted := st.free[nf.Host]; hosted {
+			var fits bool
+			if st.free[nf.Host], fits = avail.Sub(nf.Demand); !fits && (over == "" || nf.Host < over) {
+				over = nf.Host
+			}
+		}
+	}
+	if over != "" {
+		return nil, fmt.Errorf("%w: infra %s oversubscribed", nffg.ErrInvalid, over)
 	}
 	// Account for NFs the request pins to specific hosts up front.
 	for _, id := range req.NFIDs() {
@@ -357,47 +388,34 @@ func (m *Mapper) routeAndContinue(st *state, hops []*nffg.SGHop, i int) error {
 		}
 		return err
 	}
-	// SAPs used as request endpoints are terminals and must not carry
-	// transit traffic; other SAPs in the substrate are inter-domain border
-	// stitch points and may relay (that is how merged domain views connect).
-	avoid := map[topo.NodeID]bool{}
-	for _, hh := range st.req.Hops {
-		if _, ok := st.req.SAPs[hh.SrcNode]; ok {
-			avoid[topo.NodeID(hh.SrcNode)] = true
-		}
-		if _, ok := st.req.SAPs[hh.DstNode]; ok {
-			avoid[topo.NodeID(hh.DstNode)] = true
-		}
-	}
-	delete(avoid, topo.NodeID(srcLoc))
-	delete(avoid, topo.NodeID(dstLoc))
-	opts := topo.PathOpts{MinBandwidth: h.Bandwidth, MaxDelay: h.Delay, Metric: topo.MetricDelay, Avoid: avoid}
-	cands, err := st.graph.KShortestPaths(topo.NodeID(srcLoc), topo.NodeID(dstLoc), m.opts.KPaths, opts)
+	opts := topo.PathOpts{MinBandwidth: h.Bandwidth, MaxDelay: h.Delay, Metric: topo.MetricDelay, Avoid: st.avoid}
+	paths, err := st.graph.Paths(topo.NodeID(srcLoc), topo.NodeID(dstLoc), opts)
 	if err != nil {
 		return fmt.Errorf("%w: hop %s (%s->%s): %v", ErrNoPath, h.ID, srcLoc, dstLoc, err)
 	}
+	// An alternative to the shortest path is searched for only once the path
+	// before it has failed, here or further down the chain.
 	var lastErr error
-	for pi, p := range cands {
-		if pi > 0 && st.budget <= 0 {
-			break
-		}
-		if pi > 0 {
+	tried := 0
+	for p := range paths {
+		if tried > 0 {
 			st.budget--
 			st.backtracks++
 		}
-		if err := m.reservePath(st, p, h.Bandwidth); err != nil {
-			lastErr = err
-			continue
-		}
-		st.paths[h.ID] = p
-		if err := m.place(st, hops, i+1); err == nil {
-			return nil
+		tried++
+		mark := len(st.saved)
+		if st.saved, err = st.graph.Reserve(p.Links, h.Bandwidth, st.saved); err != nil {
+			lastErr = fmt.Errorf("%w: %v", ErrNoPath, err)
 		} else {
-			lastErr = err
+			st.paths[h.ID] = p
+			if lastErr = m.place(st, hops, i+1); lastErr == nil {
+				return nil
+			}
+			delete(st.paths, h.ID)
+			st.graph.Restore(p.Links, st.saved[mark:])
+			st.saved = st.saved[:mark]
 		}
-		delete(st.paths, h.ID)
-		m.releasePath(st, p, h.Bandwidth)
-		if st.budget <= 0 {
+		if tried == m.opts.KPaths || st.budget <= 0 {
 			break
 		}
 	}
@@ -413,7 +431,7 @@ func (m *Mapper) routeAndContinue(st *state, hops []*nffg.SGHop, i int) error {
 func (m *Mapper) branchHosts(st *state, nf *nffg.NF, from *nffg.ID, cont func() error) error {
 	allowed := scopeFor(st.scope, nf.ID)
 	var cands []Candidate
-	for _, id := range st.sub.InfraIDs() {
+	for _, id := range st.infraIDs {
 		infra := st.sub.Infras[id]
 		if allowed != nil && !allowed[id] {
 			continue
@@ -504,24 +522,6 @@ func (m *Mapper) locate(st *state, node nffg.ID) (nffg.ID, bool) {
 	}
 	// Infra endpoint inside a request (unusual): maps to itself.
 	return node, true
-}
-
-func (m *Mapper) reservePath(st *state, p topo.Path, bw float64) error {
-	for i, lid := range p.Links {
-		if err := st.graph.AdjustLinkBandwidth(lid, -bw); err != nil {
-			for _, undo := range p.Links[:i] {
-				_ = st.graph.AdjustLinkBandwidth(undo, bw)
-			}
-			return fmt.Errorf("%w: %v", ErrNoPath, err)
-		}
-	}
-	return nil
-}
-
-func (m *Mapper) releasePath(st *state, p topo.Path, bw float64) {
-	for _, lid := range p.Links {
-		_ = st.graph.AdjustLinkBandwidth(lid, bw)
-	}
 }
 
 // orderHops sorts the request hops so every hop's source is locatable when

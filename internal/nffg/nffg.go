@@ -15,6 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
+
+	"github.com/unify-repro/escape/internal/topo"
 )
 
 // ID identifies nodes (BiS-BiS, NF, SAP) within one NFFG.
@@ -217,6 +220,29 @@ type NFFG struct {
 
 	// sealed marks the graph as a shared immutable snapshot (see Seal).
 	sealed bool
+	// shape is the compiled topology InfraTopo last derived (see there).
+	shape shapeRef
+}
+
+// shapeRef publishes a compiled topology among the goroutines that map on one
+// sealed graph at once. The atomic sits behind a pointer because graphs are
+// assigned by value when decoding; a graph no constructor made has none, and
+// keeps no shape.
+type shapeRef struct {
+	p *atomic.Pointer[topo.Structure]
+}
+
+func (r shapeRef) Load() *topo.Structure {
+	if r.p == nil {
+		return nil
+	}
+	return r.p.Load()
+}
+
+func (r shapeRef) Store(s *topo.Structure) {
+	if r.p != nil {
+		r.p.Store(s)
+	}
 }
 
 // Seal marks the graph as a shared read-only snapshot: orchestration caches
@@ -264,12 +290,14 @@ func NewSized(id string, infras, nfs, saps int) *NFFG {
 		Infras: make(map[ID]*Infra, infras),
 		NFs:    make(map[ID]*NF, nfs),
 		SAPs:   make(map[ID]*SAP, saps),
+		shape:  shapeRef{new(atomic.Pointer[topo.Structure])},
 	}
 }
 
 // AddInfra inserts a BiS-BiS node.
 func (g *NFFG) AddInfra(i *Infra) error {
 	g.mustMutable("AddInfra")
+	g.shape.Store(nil)
 	if g.hasNode(i.ID) {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, i.ID)
 	}
@@ -293,6 +321,7 @@ func (g *NFFG) AddNF(n *NF) error {
 // AddSAP inserts a service access point.
 func (g *NFFG) AddSAP(s *SAP) error {
 	g.mustMutable("AddSAP")
+	g.shape.Store(nil)
 	if g.hasNode(s.ID) {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, s.ID)
 	}
@@ -323,6 +352,7 @@ func (g *NFFG) RemoveNF(id ID) error {
 // AddLink inserts a static link after verifying its endpoints exist.
 func (g *NFFG) AddLink(l *Link) error {
 	g.mustMutable("AddLink")
+	g.shape.Store(nil)
 	for _, existing := range g.Links {
 		if existing.ID == l.ID {
 			return fmt.Errorf("%w: link %s", ErrDuplicateID, l.ID)

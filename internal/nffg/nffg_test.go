@@ -299,3 +299,17 @@ func TestResourcesArithmetic(t *testing.T) {
 		t.Fatal("fits misbehaving")
 	}
 }
+
+// A graph that carries its shape pays for a topology with the graph value and
+// its bandwidth vector; everything else is checked and reused in place.
+func TestInfraTopoAllocations(t *testing.T) {
+	if sealCheckEnabled {
+		t.Skip("allocation counts are pinned in plain builds only")
+	}
+	g := substrate()
+	g.InfraTopo()
+	next := g.Copy()
+	if n := testing.AllocsPerRun(100, func() { next.InfraTopo() }); n > 2 {
+		t.Errorf("InfraTopo on a copy that inherited the shape: %v allocations, want at most 2", n)
+	}
+}

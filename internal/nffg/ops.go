@@ -16,6 +16,7 @@ func (g *NFFG) Copy() *NFFG {
 	c := NewSized(g.ID, len(g.Infras), len(g.NFs), len(g.SAPs))
 	c.Name = g.Name
 	c.Version = g.Version
+	c.shape.Store(g.shape.Load())
 	for id, i := range g.Infras {
 		c.Infras[id] = copyInfra(i)
 	}
@@ -146,25 +147,74 @@ func (g *NFFG) Validate() error {
 
 // InfraTopo projects the static-link topology (infra + SAP nodes) into a
 // topo.Graph for path computation. Link IDs are preserved.
+//
+// The graph's shape is compiled once and kept: Copy hands it to the next
+// snapshot, so what a call normally costs is checking that the shape still
+// describes g and filling one bandwidth vector from g.Links. The check is
+// not optional — Links and the node maps are exported fields, and a caller
+// that renames a link on a copy must get the graph it now describes.
 func (g *NFFG) InfraTopo() *topo.Graph {
-	t := topo.New()
-	for _, id := range g.InfraIDs() {
-		t.EnsureNode(topo.NodeID(id))
+	if s := g.shape.Load(); s != nil && g.hasShape(s) {
+		bw := make([]float64, len(g.Links))
+		for i, l := range g.Links {
+			bw[i] = l.Bandwidth
+		}
+		return s.Graph(bw)
 	}
-	for _, id := range g.SAPIDs() {
-		t.EnsureNode(topo.NodeID(id))
+	nodes := make([]topo.NodeID, 0, len(g.Infras)+len(g.SAPs))
+	for id := range g.Infras {
+		nodes = append(nodes, topo.NodeID(id))
 	}
-	for _, l := range g.Links {
-		_ = t.AddLink(topo.Link{
-			ID:        topo.LinkID(l.ID),
-			Src:       topo.NodeID(l.SrcNode),
-			Dst:       topo.NodeID(l.DstNode),
-			Bandwidth: l.Bandwidth,
-			Delay:     l.Delay,
-			Cost:      1,
-		})
+	for id := range g.SAPs {
+		nodes = append(nodes, topo.NodeID(id))
+	}
+	links := make([]topo.Link, len(g.Links))
+	for i, l := range g.Links {
+		links[i] = topoLink(l)
+	}
+	t, dropped := topo.Compile(nodes, links)
+	if dropped == 0 {
+		// Only then does the shape's link i stand for g.Links[i].
+		g.shape.Store(t.Structure())
 	}
 	return t
+}
+
+// hasShape reports whether s is what compiling g now would produce: the same
+// nodes, and the same links in the same order. It allocates nothing.
+func (g *NFFG) hasShape(s *topo.Structure) bool {
+	if s.NumNodes() != len(g.Infras)+len(g.SAPs) || s.NumLinks() != len(g.Links) {
+		return false
+	}
+	for id := range g.Infras {
+		if !s.HasNode(topo.NodeID(id)) {
+			return false
+		}
+	}
+	for id := range g.SAPs {
+		if !s.HasNode(topo.NodeID(id)) {
+			return false
+		}
+	}
+	for i, l := range g.Links {
+		want := topoLink(l)
+		want.Bandwidth = 0 // not part of the shape
+		if s.LinkAt(i) != want {
+			return false
+		}
+	}
+	return true
+}
+
+func topoLink(l *Link) topo.Link {
+	return topo.Link{
+		ID:        topo.LinkID(l.ID),
+		Src:       topo.NodeID(l.SrcNode),
+		Dst:       topo.NodeID(l.DstNode),
+		Bandwidth: l.Bandwidth,
+		Delay:     l.Delay,
+		Cost:      1,
+	}
 }
 
 // Merge folds other into g: disjoint node sets are required except for SAPs,
@@ -173,6 +223,7 @@ func (g *NFFG) InfraTopo() *topo.Graph {
 // orchestrator to build the global domain view (DoV).
 func (g *NFFG) Merge(other *NFFG) error {
 	g.mustMutable("Merge")
+	g.shape.Store(nil)
 	for _, id := range other.InfraIDs() {
 		if g.hasNode(id) {
 			return fmt.Errorf("%w: infra %s present in both graphs", ErrDuplicateID, id)
@@ -297,8 +348,12 @@ func Diff(oldG, newG *NFFG) (*Delta, error) {
 	sort.Slice(d.DelNFs, func(i, j int) bool { return d.DelNFs[i] < d.DelNFs[j] })
 	// Flowtables, per infra, keyed by Match.
 	for _, id := range newG.InfraIDs() {
-		oldRules := indexRules(oldG.Infras[id].Flowrules)
-		newRules := indexRules(newG.Infras[id].Flowrules)
+		oldTable, newTable := changedRules(oldG.Infras[id].Flowrules, newG.Infras[id].Flowrules)
+		if len(oldTable)+len(newTable) == 0 {
+			continue
+		}
+		oldRules := indexRules(oldTable)
+		newRules := indexRules(newTable)
 		for k, nf := range newRules {
 			if of, ok := oldRules[k]; !ok || !of.Equal(nf) {
 				cf := *nf
@@ -398,6 +453,34 @@ func ruleIDExists(i *Infra, id string) bool {
 		}
 	}
 	return false
+}
+
+// changedRules narrows two flowtables to the part a Match-keyed diff can tell
+// apart. An install appends a few rules to a table and a remove takes a few
+// out, so most of a table reads the same rule for rule from the front and
+// from the back, and indexing that part (every table, both sides, on every
+// install and remove) finds nothing. It is cut off — unless a Match of what is
+// left also occurs in what would be cut, where the index lets the last rule
+// of a Match stand for the others and the whole tables have to be indexed.
+func changedRules(oldTable, newTable []*Flowrule) ([]*Flowrule, []*Flowrule) {
+	front := 0
+	for front < len(oldTable) && front < len(newTable) && oldTable[front].Equal(newTable[front]) {
+		front++
+	}
+	oldRest, newRest := oldTable[front:], newTable[front:]
+	back := 0
+	for back < len(oldRest) && back < len(newRest) && oldRest[len(oldRest)-1-back].Equal(newRest[len(newRest)-1-back]) {
+		back++
+	}
+	oldRest, newRest = oldRest[:len(oldRest)-back], newRest[:len(newRest)-back]
+	cutAlso := func(f *Flowrule) bool {
+		same := func(c *Flowrule) bool { return c.Match == f.Match }
+		return slices.ContainsFunc(oldTable[:front], same) || slices.ContainsFunc(oldTable[len(oldTable)-back:], same)
+	}
+	if slices.ContainsFunc(oldRest, cutAlso) || slices.ContainsFunc(newRest, cutAlso) {
+		return oldTable, newTable
+	}
+	return oldRest, newRest
 }
 
 func indexRules(rules []*Flowrule) map[Match]*Flowrule {

@@ -1,16 +1,20 @@
 // Package topo provides the weighted directed multigraph that underlies
 // resource views, domain topologies and the embedding algorithms.
 //
-// The graph is deliberately small and deterministic: nodes and links are
-// identified by string IDs, all iteration orders are sorted, and every
-// mutation is O(log n) or better. Links are directed; bidirectional physical
-// links are added as two directed links sharing a base ID (see AddDuplexLink).
+// A graph is compiled once into an immutable, index-based Structure — node
+// names, an edge table, adjacency as edge indices — plus a flat vector of
+// per-link available bandwidth, the only thing an embedding ever changes.
+// Many Graph values share one Structure; each owns its bandwidth vector.
+// Nodes and links are identified by string IDs and every iteration order is
+// sorted, so results are deterministic. Links are directed; a bidirectional
+// physical link is two directed links.
 package topo
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node in the graph.
@@ -29,301 +33,266 @@ type Link struct {
 	Cost      float64 // administrative cost used when Metric is MetricCost
 }
 
-// Errors returned by graph mutations and queries.
+// Errors returned by graph queries.
 var (
-	ErrNodeExists   = errors.New("topo: node already exists")
 	ErrNodeNotFound = errors.New("topo: node not found")
-	ErrLinkExists   = errors.New("topo: link already exists")
 	ErrLinkNotFound = errors.New("topo: link not found")
 	ErrNoPath       = errors.New("topo: no feasible path")
 )
 
-// Graph is a directed multigraph. The zero value is not usable; call New.
+// Structure is the immutable shape of a graph: everything but the links'
+// bandwidth. It is safe for concurrent use and meant to be shared.
+type Structure struct {
+	// names is sorted, so a node's index is its rank: ordering node indices
+	// orders node IDs.
+	names []NodeID
+	index map[NodeID]int32
+	// edges keeps the order Compile received the links in, which is how a
+	// bandwidth vector lines up with its source.
+	edges []edge
+	// out[outAt[n]:outAt[n+1]] are the edges leaving node n, sorted by link ID.
+	outAt []int32
+	out   []int32
+	// byID is every edge index, sorted by link ID.
+	byID []int32
+}
+
+type edge struct {
+	id          LinkID
+	src, dst    int32
+	delay, cost float64
+}
+
+// Graph is a directed multigraph: a shared Structure and this graph's own
+// available bandwidth per link.
 type Graph struct {
-	nodes map[NodeID]struct{}
-	links map[LinkID]Link
-	// out maps a node to the IDs of links leaving it.
-	out map[NodeID][]LinkID
-	// in maps a node to the IDs of links entering it.
-	in map[NodeID][]LinkID
+	s  *Structure
+	bw []float64
 }
 
-// New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		nodes: make(map[NodeID]struct{}),
-		links: make(map[LinkID]Link),
-		out:   make(map[NodeID][]LinkID),
-		in:    make(map[NodeID][]LinkID),
+// Compile builds a graph from its nodes and links. A link whose ID repeats an
+// earlier one or whose endpoint is not among the nodes is left out; dropped
+// counts them. When none is dropped, edge i of the structure is links[i].
+func Compile(nodes []NodeID, links []Link) (g *Graph, dropped int) {
+	s := &Structure{names: slices.Clone(nodes)}
+	slices.Sort(s.names)
+	s.names = slices.Compact(s.names)
+	s.index = make(map[NodeID]int32, len(s.names))
+	for i, n := range s.names {
+		s.index[n] = int32(i)
 	}
+	s.byID = orderByID(links)
+	valid := true
+	for i, l := range links {
+		if !s.HasNode(l.Src) || !s.HasNode(l.Dst) || (i > 0 && links[s.byID[i]].ID == links[s.byID[i-1]].ID) {
+			valid = false
+			break
+		}
+	}
+	if !valid {
+		seen := make(map[LinkID]bool, len(links))
+		kept := make([]Link, 0, len(links))
+		for _, l := range links {
+			if !seen[l.ID] && s.HasNode(l.Src) && s.HasNode(l.Dst) {
+				seen[l.ID] = true
+				kept = append(kept, l)
+			}
+		}
+		dropped = len(links) - len(kept)
+		links = kept
+		s.byID = orderByID(links)
+	}
+	s.edges = make([]edge, len(links))
+	bw := make([]float64, len(links))
+	s.outAt = make([]int32, len(s.names)+1)
+	for i, l := range links {
+		s.edges[i] = edge{id: l.ID, src: s.index[l.Src], dst: s.index[l.Dst], delay: l.Delay, cost: l.Cost}
+		bw[i] = l.Bandwidth
+		s.outAt[s.edges[i].src+1]++
+	}
+	for n := range s.names {
+		s.outAt[n+1] += s.outAt[n]
+	}
+	s.out = make([]int32, len(links))
+	next := slices.Clone(s.outAt[:len(s.names)])
+	for _, e := range s.byID {
+		src := s.edges[e].src
+		s.out[next[src]] = e
+		next[src]++
+	}
+	return &Graph{s: s, bw: bw}, dropped
 }
 
-// AddNode inserts a node. It fails if the node already exists.
-func (g *Graph) AddNode(id NodeID) error {
-	if _, ok := g.nodes[id]; ok {
-		return fmt.Errorf("%w: %s", ErrNodeExists, id)
+// orderByID returns the indices of links sorted by link ID, equal IDs in the
+// order given.
+func orderByID(links []Link) []int32 {
+	order := make([]int32, len(links))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	g.nodes[id] = struct{}{}
-	return nil
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(links[a].ID, links[b].ID), cmp.Compare(a, b))
+	})
+	return order
 }
 
-// EnsureNode inserts a node if absent.
-func (g *Graph) EnsureNode(id NodeID) {
-	g.nodes[id] = struct{}{}
-}
-
-// HasNode reports whether the node exists.
-func (g *Graph) HasNode(id NodeID) bool {
-	_, ok := g.nodes[id]
-	return ok
-}
-
-// RemoveNode deletes a node and every link touching it.
-func (g *Graph) RemoveNode(id NodeID) error {
-	if !g.HasNode(id) {
-		return fmt.Errorf("%w: %s", ErrNodeNotFound, id)
+// Graph returns a graph of this structure whose link i has bandwidth bw[i];
+// the graph takes ownership of bw, which must have NumLinks elements.
+func (s *Structure) Graph(bw []float64) *Graph {
+	if len(bw) != len(s.edges) {
+		panic(fmt.Sprintf("topo: %d bandwidths for %d links", len(bw), len(s.edges)))
 	}
-	for _, lid := range append(append([]LinkID{}, g.out[id]...), g.in[id]...) {
-		// RemoveLink is idempotent-safe here because a self-loop appears in
-		// both out and in; ignore the not-found on the second removal.
-		_ = g.RemoveLink(lid)
-	}
-	delete(g.nodes, id)
-	delete(g.out, id)
-	delete(g.in, id)
-	return nil
-}
-
-// AddLink inserts a directed link. Both endpoints must exist.
-func (g *Graph) AddLink(l Link) error {
-	if _, ok := g.links[l.ID]; ok {
-		return fmt.Errorf("%w: %s", ErrLinkExists, l.ID)
-	}
-	if !g.HasNode(l.Src) {
-		return fmt.Errorf("%w: src %s", ErrNodeNotFound, l.Src)
-	}
-	if !g.HasNode(l.Dst) {
-		return fmt.Errorf("%w: dst %s", ErrNodeNotFound, l.Dst)
-	}
-	g.links[l.ID] = l
-	g.out[l.Src] = insertSorted(g.out[l.Src], l.ID)
-	g.in[l.Dst] = insertSorted(g.in[l.Dst], l.ID)
-	return nil
-}
-
-// AddDuplexLink inserts a bidirectional link as two directed links with IDs
-// "<id>/fwd" and "<id>/rev" sharing the given capacity and delay.
-func (g *Graph) AddDuplexLink(id LinkID, a, b NodeID, bandwidth, delay, cost float64) error {
-	fwd := Link{ID: id + "/fwd", Src: a, Dst: b, Bandwidth: bandwidth, Delay: delay, Cost: cost}
-	rev := Link{ID: id + "/rev", Src: b, Dst: a, Bandwidth: bandwidth, Delay: delay, Cost: cost}
-	if err := g.AddLink(fwd); err != nil {
-		return err
-	}
-	if err := g.AddLink(rev); err != nil {
-		_ = g.RemoveLink(fwd.ID)
-		return err
-	}
-	return nil
-}
-
-// ReverseOf returns the LinkID of the opposite direction for a duplex link
-// created by AddDuplexLink, and whether the input follows that convention.
-func ReverseOf(id LinkID) (LinkID, bool) {
-	s := string(id)
-	switch {
-	case len(s) > 4 && s[len(s)-4:] == "/fwd":
-		return LinkID(s[:len(s)-4] + "/rev"), true
-	case len(s) > 4 && s[len(s)-4:] == "/rev":
-		return LinkID(s[:len(s)-4] + "/fwd"), true
-	}
-	return "", false
-}
-
-// RemoveLink deletes a link by ID.
-func (g *Graph) RemoveLink(id LinkID) error {
-	l, ok := g.links[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrLinkNotFound, id)
-	}
-	delete(g.links, id)
-	g.out[l.Src] = removeSorted(g.out[l.Src], id)
-	g.in[l.Dst] = removeSorted(g.in[l.Dst], id)
-	return nil
-}
-
-// Link returns the link with the given ID.
-func (g *Graph) Link(id LinkID) (Link, error) {
-	l, ok := g.links[id]
-	if !ok {
-		return Link{}, fmt.Errorf("%w: %s", ErrLinkNotFound, id)
-	}
-	return l, nil
-}
-
-// SetLinkBandwidth updates the available bandwidth of a link in place.
-func (g *Graph) SetLinkBandwidth(id LinkID, bw float64) error {
-	l, ok := g.links[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrLinkNotFound, id)
-	}
-	l.Bandwidth = bw
-	g.links[id] = l
-	return nil
-}
-
-// AdjustLinkBandwidth adds delta (may be negative) to the available bandwidth
-// of a link. It fails if the result would be negative.
-func (g *Graph) AdjustLinkBandwidth(id LinkID, delta float64) error {
-	l, ok := g.links[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrLinkNotFound, id)
-	}
-	if l.Bandwidth+delta < 0 {
-		return fmt.Errorf("topo: link %s bandwidth would become negative (%g%+g)", id, l.Bandwidth, delta)
-	}
-	l.Bandwidth += delta
-	g.links[id] = l
-	return nil
-}
-
-// Nodes returns all node IDs in sorted order.
-func (g *Graph) Nodes() []NodeID {
-	ids := make([]NodeID, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Links returns all links sorted by ID.
-func (g *Graph) Links() []Link {
-	out := make([]Link, 0, len(g.links))
-	for _, l := range g.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Out returns the links leaving a node, sorted by link ID.
-func (g *Graph) Out(id NodeID) []Link {
-	ids := g.out[id]
-	out := make([]Link, 0, len(ids))
-	for _, lid := range ids {
-		out = append(out, g.links[lid])
-	}
-	return out
-}
-
-// In returns the links entering a node, sorted by link ID.
-func (g *Graph) In(id NodeID) []Link {
-	ids := g.in[id]
-	out := make([]Link, 0, len(ids))
-	for _, lid := range ids {
-		out = append(out, g.links[lid])
-	}
-	return out
+	return &Graph{s: s, bw: bw}
 }
 
 // NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (s *Structure) NumNodes() int { return len(s.names) }
 
 // NumLinks returns the directed link count.
-func (g *Graph) NumLinks() int { return len(g.links) }
+func (s *Structure) NumLinks() int { return len(s.edges) }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for id := range g.nodes {
-		c.nodes[id] = struct{}{}
+// HasNode reports whether the node exists.
+func (s *Structure) HasNode(id NodeID) bool {
+	_, ok := s.index[id]
+	return ok
+}
+
+// LinkAt returns link i in the order the structure was compiled from, without
+// a bandwidth.
+func (s *Structure) LinkAt(i int) Link {
+	e := &s.edges[i]
+	return Link{ID: e.id, Src: s.names[e.src], Dst: s.names[e.dst], Delay: e.delay, Cost: e.cost}
+}
+
+// find returns the edge index of the link with the given ID.
+func (s *Structure) find(id LinkID) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(s.byID, id, func(e int32, id LinkID) int {
+		return cmp.Compare(s.edges[e].id, id)
+	})
+	if !ok {
+		return 0, false
 	}
-	for id, l := range g.links {
-		c.links[id] = l
+	return s.byID[i], true
+}
+
+// Structure returns the graph's shape, to build further graphs on.
+func (g *Graph) Structure() *Structure { return g.s }
+
+// NumNodes returns the node count.
+func (g *Graph) NumNodes() int { return g.s.NumNodes() }
+
+// NumLinks returns the directed link count.
+func (g *Graph) NumLinks() int { return g.s.NumLinks() }
+
+// Nodes returns all node IDs in sorted order.
+func (g *Graph) Nodes() []NodeID { return slices.Clone(g.s.names) }
+
+// Links returns all links sorted by ID.
+func (g *Graph) Links() []Link {
+	out := make([]Link, len(g.s.byID))
+	for i, e := range g.s.byID {
+		out[i] = g.s.LinkAt(int(e))
+		out[i].Bandwidth = g.bw[e]
 	}
-	for n, ids := range g.out {
-		c.out[n] = append([]LinkID(nil), ids...)
+	return out
+}
+
+// Reserve takes bw from the available bandwidth of every one of the links, or
+// of none when one is unknown or holds less. It appends what each link held
+// before to saved and returns it, for Restore.
+func (g *Graph) Reserve(links []LinkID, bw float64, saved []float64) ([]float64, error) {
+	mark := len(saved)
+	for i, id := range links {
+		e, ok := g.s.find(id)
+		var err error
+		switch {
+		case !ok:
+			err = fmt.Errorf("%w: %s", ErrLinkNotFound, id)
+		case g.bw[e]-bw < 0:
+			err = fmt.Errorf("topo: link %s bandwidth would become negative (%g%+g)", id, g.bw[e], -bw)
+		}
+		if err != nil {
+			g.Restore(links[:i], saved[mark:])
+			return saved[:mark], err
+		}
+		saved = append(saved, g.bw[e])
+		g.bw[e] -= bw
 	}
-	for n, ids := range g.in {
-		c.in[n] = append([]LinkID(nil), ids...)
+	return saved, nil
+}
+
+// Restore gives the links back the bandwidths a Reserve of them saved — the
+// values themselves, so reserving and restoring leaves no rounding behind.
+func (g *Graph) Restore(links []LinkID, saved []float64) {
+	for i, id := range links {
+		if e, ok := g.s.find(id); ok {
+			g.bw[e] = saved[i]
+		}
 	}
-	return c
 }
 
 // Components returns the weakly connected components, each sorted, the list
 // sorted by its first element.
 func (g *Graph) Components() [][]NodeID {
-	seen := make(map[NodeID]bool, len(g.nodes))
-	var comps [][]NodeID
-	for _, start := range g.Nodes() {
-		if seen[start] {
-			continue
-		}
-		var comp []NodeID
-		queue := []NodeID{start}
-		seen[start] = true
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			comp = append(comp, n)
-			for _, l := range g.Out(n) {
-				if !seen[l.Dst] {
-					seen[l.Dst] = true
-					queue = append(queue, l.Dst)
-				}
-			}
-			for _, l := range g.In(n) {
-				if !seen[l.Src] {
-					seen[l.Src] = true
-					queue = append(queue, l.Src)
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
+	root := make([]int32, len(g.s.names))
+	for i := range root {
+		root[i] = int32(i)
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
+	find := func(n int32) int32 {
+		for root[n] != n {
+			root[n] = root[root[n]]
+			n = root[n]
+		}
+		return n
+	}
+	for _, e := range g.s.edges {
+		// The smaller index becomes the root, so a component's root is its
+		// first node and roots come up in sorted order below.
+		a, b := find(e.src), find(e.dst)
+		root[max(a, b)] = min(a, b)
+	}
+	at := make(map[int32]int)
+	var comps [][]NodeID
+	for n, name := range g.s.names {
+		r := find(int32(n))
+		c, ok := at[r]
+		if !ok {
+			c = len(comps)
+			at[r] = c
+			comps = append(comps, nil)
+		}
+		comps[c] = append(comps[c], name)
+	}
 	return comps
 }
 
 // Connected reports whether dst is reachable from src following directed links.
 func (g *Graph) Connected(src, dst NodeID) bool {
-	if !g.HasNode(src) || !g.HasNode(dst) {
+	from, ok := g.s.index[src]
+	to, ok2 := g.s.index[dst]
+	if !ok || !ok2 {
 		return false
 	}
-	if src == dst {
+	if from == to {
 		return true
 	}
-	seen := map[NodeID]bool{src: true}
-	queue := []NodeID{src}
+	ws := getWorkspace(g.s)
+	defer putWorkspace(ws)
+	ws.seen[from] = ws.epoch
+	queue := append(ws.heap, from)
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, l := range g.Out(n) {
-			if l.Dst == dst {
+		for _, e := range g.s.out[g.s.outAt[n]:g.s.outAt[n+1]] {
+			v := g.s.edges[e].dst
+			if v == to {
 				return true
 			}
-			if !seen[l.Dst] {
-				seen[l.Dst] = true
-				queue = append(queue, l.Dst)
+			if ws.seen[v] != ws.epoch {
+				ws.seen[v] = ws.epoch
+				queue = append(queue, v)
 			}
 		}
 	}
 	return false
-}
-
-func insertSorted(s []LinkID, id LinkID) []LinkID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	s = append(s, "")
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-func removeSorted(s []LinkID, id LinkID) []LinkID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
 }

@@ -1,11 +1,13 @@
 package topo
 
 import (
-	"container/heap"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Metric selects the per-link weight used by the shortest-path algorithms.
@@ -21,14 +23,14 @@ const (
 	MetricCost
 )
 
-func (m Metric) weight(l Link) float64 {
+func (m Metric) weight(e *edge) float64 {
 	switch m {
 	case MetricHops:
 		return 1
 	case MetricCost:
-		return l.Cost
+		return e.cost
 	default:
-		return l.Delay
+		return e.delay
 	}
 }
 
@@ -106,266 +108,304 @@ func (p Path) String() string {
 	return fmt.Sprintf("%s (w=%.3g)", s, p.Weight)
 }
 
-type pqItem struct {
-	node NodeID
-	dist float64
-	idx  int
+// workspace is the scratch memory of one search: dense per-node and per-edge
+// arrays where a map per search used to be. An entry counts only while its
+// stamp equals epoch, so starting a search is an increment, not a clear.
+type workspace struct {
+	epoch             uint32
+	seen, done, avoid []uint32 // per node
+	banned            []uint32 // per edge
+	dist, delay       []float64
+	via               []int32 // the edge a node was reached over
+	pos               []int32 // a node's place in heap
+	heap              []int32 // nodes by (dist, index); the queue of a BFS
 }
 
-type priorityQueue []*pqItem
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-func (pq priorityQueue) Len() int { return len(pq) }
-func (pq priorityQueue) Less(i, j int) bool {
-	if pq[i].dist != pq[j].dist {
-		return pq[i].dist < pq[j].dist
+// getWorkspace returns a workspace with room for s and nothing stamped.
+func getWorkspace(s *Structure) *workspace {
+	ws := workspaces.Get().(*workspace)
+	if n := len(s.names); len(ws.seen) < n {
+		ws.seen, ws.done, ws.avoid = make([]uint32, n), make([]uint32, n), make([]uint32, n)
+		ws.dist, ws.delay = make([]float64, n), make([]float64, n)
+		ws.via, ws.pos, ws.heap = make([]int32, n), make([]int32, n), make([]int32, 0, n)
 	}
-	return pq[i].node < pq[j].node // deterministic tie-break
+	if m := len(s.edges); len(ws.banned) < m {
+		ws.banned = make([]uint32, m)
+	}
+	ws.epoch++
+	if ws.epoch == 0 { // wrapped: stamps of 2^32 searches ago would count again
+		clear(ws.seen)
+		clear(ws.done)
+		clear(ws.avoid)
+		clear(ws.banned)
+		ws.epoch = 1
+	}
+	ws.heap = ws.heap[:0]
+	return ws
 }
-func (pq priorityQueue) Swap(i, j int) {
-	pq[i], pq[j] = pq[j], pq[i]
-	pq[i].idx, pq[j].idx = i, j
+
+func putWorkspace(ws *workspace) { workspaces.Put(ws) }
+
+// avoidNode and banLink mark a node or link of s, if it has one of that name,
+// as off limits for this search.
+func (ws *workspace) avoidNode(s *Structure, id NodeID) {
+	if n, ok := s.index[id]; ok {
+		ws.avoid[n] = ws.epoch
+	}
 }
-func (pq *priorityQueue) Push(x any) {
-	it := x.(*pqItem)
-	it.idx = len(*pq)
-	*pq = append(*pq, it)
+
+func (ws *workspace) banLink(s *Structure, id LinkID) {
+	if e, ok := s.find(id); ok {
+		ws.banned[e] = ws.epoch
+	}
 }
-func (pq *priorityQueue) Pop() any {
-	old := *pq
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*pq = old[:n-1]
-	return it
+
+func (ws *workspace) less(a, b int32) bool {
+	if ws.dist[a] != ws.dist[b] {
+		return ws.dist[a] < ws.dist[b]
+	}
+	return a < b // deterministic tie-break: index order is NodeID order
+}
+
+func (ws *workspace) swap(i, j int) {
+	h := ws.heap
+	h[i], h[j] = h[j], h[i]
+	ws.pos[h[i]], ws.pos[h[j]] = int32(i), int32(j)
+}
+
+func (ws *workspace) push(v int32) {
+	ws.pos[v] = int32(len(ws.heap))
+	ws.heap = append(ws.heap, v)
+	ws.up(len(ws.heap) - 1)
+}
+
+func (ws *workspace) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ws.less(ws.heap[i], ws.heap[parent]) {
+			break
+		}
+		ws.swap(i, parent)
+		i = parent
+	}
+}
+
+func (ws *workspace) pop() int32 {
+	top, last := ws.heap[0], len(ws.heap)-1
+	ws.swap(0, last)
+	ws.heap = ws.heap[:last]
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < last; c++ {
+			if ws.less(ws.heap[c], ws.heap[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			return top
+		}
+		ws.swap(i, least)
+		i = least
+	}
 }
 
 // ShortestPath runs Dijkstra from src to dst under the given constraints.
 // It returns ErrNoPath when dst is unreachable under the constraints.
 func (g *Graph) ShortestPath(src, dst NodeID, opts PathOpts) (Path, error) {
-	if !g.HasNode(src) {
+	return g.shortest(src, dst, &opts, nil, nil)
+}
+
+// shortest is ShortestPath with further nodes and links to avoid, given as
+// slices so that Yen's spur searches need not build a map each.
+func (g *Graph) shortest(src, dst NodeID, opts *PathOpts, avoid []NodeID, ban []LinkID) (Path, error) {
+	s := g.s
+	from, ok := s.index[src]
+	if !ok {
 		return Path{}, fmt.Errorf("%w: src %s", ErrNodeNotFound, src)
 	}
-	if !g.HasNode(dst) {
+	to, ok := s.index[dst]
+	if !ok {
 		return Path{}, fmt.Errorf("%w: dst %s", ErrNodeNotFound, dst)
 	}
-	dist := map[NodeID]float64{src: 0}
-	delayTo := map[NodeID]float64{src: 0}
-	prevLink := map[NodeID]LinkID{}
-	prevNode := map[NodeID]NodeID{}
-	items := map[NodeID]*pqItem{}
-	pq := priorityQueue{}
-	heap.Init(&pq)
-	start := &pqItem{node: src, dist: 0}
-	heap.Push(&pq, start)
-	items[src] = start
-	done := map[NodeID]bool{}
-
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(*pqItem)
-		u := it.node
-		if done[u] {
-			continue
+	ws := getWorkspace(s)
+	defer putWorkspace(ws)
+	for n, on := range opts.Avoid {
+		if on {
+			ws.avoidNode(s, n)
 		}
-		done[u] = true
-		if u == dst {
+	}
+	for _, n := range avoid {
+		ws.avoidNode(s, n)
+	}
+	for id, on := range opts.AvoidLinks {
+		if on {
+			ws.banLink(s, id)
+		}
+	}
+	for _, id := range ban {
+		ws.banLink(s, id)
+	}
+
+	ws.seen[from], ws.dist[from], ws.delay[from] = ws.epoch, 0, 0
+	ws.push(from)
+	for len(ws.heap) > 0 {
+		u := ws.pop()
+		ws.done[u] = ws.epoch
+		if u == to {
 			break
 		}
-		for _, l := range g.Out(u) {
-			if l.Bandwidth < opts.MinBandwidth {
+		for _, ei := range s.out[s.outAt[u]:s.outAt[u+1]] {
+			e := &s.edges[ei]
+			if g.bw[ei] < opts.MinBandwidth || ws.banned[ei] == ws.epoch {
 				continue
 			}
-			if opts.AvoidLinks[l.ID] {
+			v := e.dst
+			if ws.avoid[v] == ws.epoch && v != to && v != from {
 				continue
 			}
-			v := l.Dst
-			if opts.Avoid[v] && v != dst && v != src {
+			if ws.done[v] == ws.epoch {
 				continue
 			}
-			if done[v] {
-				continue
-			}
-			nd := dist[u] + opts.Metric.weight(l)
-			ndelay := delayTo[u] + l.Delay
+			nd := ws.dist[u] + opts.Metric.weight(e)
+			ndelay := ws.delay[u] + e.delay
 			if opts.MaxDelay > 0 && ndelay > opts.MaxDelay {
 				continue
 			}
-			cur, seen := dist[v]
-			if !seen || nd < cur || (nd == cur && ndelay < delayTo[v]) {
-				dist[v] = nd
-				delayTo[v] = ndelay
-				prevLink[v] = l.ID
-				prevNode[v] = u
-				if item, ok := items[v]; ok && item.idx >= 0 && item.idx < len(pq) && pq[item.idx] == item {
-					item.dist = nd
-					heap.Fix(&pq, item.idx)
+			known := ws.seen[v] == ws.epoch
+			if !known || nd < ws.dist[v] || (nd == ws.dist[v] && ndelay < ws.delay[v]) {
+				ws.dist[v], ws.delay[v], ws.via[v] = nd, ndelay, ei
+				if known {
+					ws.up(int(ws.pos[v]))
 				} else {
-					ni := &pqItem{node: v, dist: nd}
-					heap.Push(&pq, ni)
-					items[v] = ni
+					ws.seen[v] = ws.epoch
+					ws.push(v)
 				}
 			}
 		}
 	}
-	if _, ok := dist[dst]; !ok || !done[dst] {
-		if src == dst {
-			return Path{Nodes: []NodeID{src}, MinBW: math.Inf(1)}, nil
-		}
+	if ws.done[to] != ws.epoch {
 		return Path{}, fmt.Errorf("%w: %s -> %s", ErrNoPath, src, dst)
 	}
-	return g.assemble(src, dst, dist[dst], prevNode, prevLink)
-}
 
-func (g *Graph) assemble(src, dst NodeID, weight float64, prevNode map[NodeID]NodeID, prevLink map[NodeID]LinkID) (Path, error) {
-	var nodes []NodeID
-	var links []LinkID
-	for at := dst; ; {
-		nodes = append(nodes, at)
-		if at == src {
-			break
-		}
-		lid, ok := prevLink[at]
-		if !ok {
-			return Path{}, fmt.Errorf("%w: broken predecessor chain at %s", ErrNoPath, at)
-		}
-		links = append(links, lid)
-		at = prevNode[at]
+	// The heap is spent; it holds the path's edges, last first.
+	trail := ws.heap[:0]
+	for at := to; at != from; at = s.edges[ws.via[at]].src {
+		trail = append(trail, ws.via[at])
 	}
-	// Reverse in place.
-	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-		nodes[i], nodes[j] = nodes[j], nodes[i]
+	p := Path{Nodes: make([]NodeID, 1, len(trail)+1), Weight: ws.dist[to], MinBW: math.Inf(1)}
+	p.Nodes[0] = s.names[from]
+	if len(trail) > 0 {
+		p.Links = make([]LinkID, 0, len(trail))
 	}
-	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
-		links[i], links[j] = links[j], links[i]
-	}
-	p := Path{Nodes: nodes, Links: links, Weight: weight, MinBW: math.Inf(1)}
-	for _, lid := range links {
-		l := g.links[lid]
-		p.Delay += l.Delay
-		if l.Bandwidth < p.MinBW {
-			p.MinBW = l.Bandwidth
-		}
+	// Delay is summed from src to dst: floats add up differently backwards.
+	for i := len(trail) - 1; i >= 0; i-- {
+		e := &s.edges[trail[i]]
+		p.Nodes = append(p.Nodes, s.names[e.dst])
+		p.Links = append(p.Links, e.id)
+		p.Delay += e.delay
+		p.MinBW = min(p.MinBW, g.bw[trail[i]])
 	}
 	return p, nil
 }
 
-// KShortestPaths returns up to k loopless paths in non-decreasing weight
-// order using Yen's algorithm. Constraints in opts apply to every path.
-func (g *Graph) KShortestPaths(src, dst NodeID, k int, opts PathOpts) ([]Path, error) {
-	if k <= 0 {
-		return nil, nil
-	}
+// Paths returns the loopless paths from src to dst in non-decreasing weight
+// order (Yen's algorithm); the constraints in opts apply to every path. The
+// shortest is computed now and its failure is the error; each further path is
+// computed only when the sequence is asked for it, on the graph as it is then.
+func (g *Graph) Paths(src, dst NodeID, opts PathOpts) (iter.Seq[Path], error) {
 	first, err := g.ShortestPath(src, dst, opts)
 	if err != nil {
 		return nil, err
 	}
-	paths := []Path{first}
-	var candidates []Path
-	for len(paths) < k {
-		prev := paths[len(paths)-1]
-		for i := 0; i < len(prev.Nodes)-1; i++ {
-			spurNode := prev.Nodes[i]
-			rootNodes := prev.Nodes[:i+1]
-			rootLinks := prev.Links[:i]
-
-			sub := opts
-			sub.Avoid = copyNodeSet(opts.Avoid)
-			sub.AvoidLinks = copyLinkSet(opts.AvoidLinks)
-			// Remove links that would recreate an already-found path that
-			// shares this root.
-			for _, p := range paths {
-				if len(p.Links) > i && equalPrefix(p.Nodes, rootNodes) {
-					sub.AvoidLinks[p.Links[i]] = true
+	return func(yield func(Path) bool) {
+		if !yield(first) {
+			return
+		}
+		paths := []Path{first}
+		var candidates []candidate
+		var ban []LinkID
+		for {
+			prev := paths[len(paths)-1]
+			for i := 0; i < len(prev.Nodes)-1; i++ {
+				rootNodes := prev.Nodes[:i+1]
+				// Ban the links that would recreate an already-found path
+				// sharing this root, and the root nodes before the spur node
+				// to keep paths loopless.
+				ban = ban[:0]
+				for _, p := range paths {
+					if len(p.Links) > i && slices.Equal(p.Nodes[:i+1], rootNodes) {
+						ban = append(ban, p.Links[i])
+					}
+				}
+				spur, err := g.shortest(prev.Nodes[i], dst, &opts, rootNodes[:i], ban)
+				if err != nil {
+					continue
+				}
+				cand := g.join(rootNodes, prev.Links[:i], spur, opts.Metric)
+				if opts.MaxDelay > 0 && cand.Delay > opts.MaxDelay {
+					continue
+				}
+				known := func(p Path) bool { return slices.Equal(p.Links, cand.Links) }
+				if !slices.ContainsFunc(paths, known) &&
+					!slices.ContainsFunc(candidates, func(c candidate) bool { return known(c.Path) }) {
+					candidates = append(candidates, candidate{cand, fmt.Sprint(cand.Nodes)})
 				}
 			}
-			// Remove root nodes other than the spur node to keep paths loopless.
-			for _, n := range rootNodes[:len(rootNodes)-1] {
-				sub.Avoid[n] = true
+			if len(candidates) == 0 {
+				return
 			}
-			spur, err := g.ShortestPath(spurNode, dst, sub)
-			if err != nil {
-				continue
-			}
-			cand := joinPaths(g, rootNodes, rootLinks, spur, opts.Metric)
-			if opts.MaxDelay > 0 && cand.Delay > opts.MaxDelay {
-				continue
-			}
-			if !containsPath(paths, cand) && !containsPath(candidates, cand) {
-				candidates = append(candidates, cand)
+			sort.Slice(candidates, func(a, b int) bool {
+				if candidates[a].Weight != candidates[b].Weight {
+					return candidates[a].Weight < candidates[b].Weight
+				}
+				return candidates[a].order < candidates[b].order
+			})
+			next := candidates[0].Path
+			candidates = candidates[1:]
+			paths = append(paths, next)
+			if !yield(next) {
+				return
 			}
 		}
-		if len(candidates) == 0 {
+	}, nil
+}
+
+// candidate is a spur path waiting its turn; order breaks weight ties.
+type candidate struct {
+	Path
+	order string
+}
+
+// KShortestPaths returns the first k of Paths.
+func (g *Graph) KShortestPaths(src, dst NodeID, k int, opts PathOpts) ([]Path, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	seq, err := g.Paths(src, dst, opts)
+	if err != nil {
+		return nil, err
+	}
+	var paths []Path
+	for p := range seq {
+		if paths = append(paths, p); len(paths) == k {
 			break
 		}
-		sort.Slice(candidates, func(a, b int) bool {
-			if candidates[a].Weight != candidates[b].Weight {
-				return candidates[a].Weight < candidates[b].Weight
-			}
-			return fmt.Sprint(candidates[a].Nodes) < fmt.Sprint(candidates[b].Nodes)
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
 	}
 	return paths, nil
 }
 
-func copyNodeSet(in map[NodeID]bool) map[NodeID]bool {
-	out := make(map[NodeID]bool, len(in)+4)
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-func copyLinkSet(in map[LinkID]bool) map[LinkID]bool {
-	out := make(map[LinkID]bool, len(in)+4)
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-func equalPrefix(nodes, prefix []NodeID) bool {
-	if len(nodes) < len(prefix) {
-		return false
-	}
-	for i := range prefix {
-		if nodes[i] != prefix[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func joinPaths(g *Graph, rootNodes []NodeID, rootLinks []LinkID, spur Path, m Metric) Path {
+// join glues a spur path onto the root it branched from.
+func (g *Graph) join(rootNodes []NodeID, rootLinks []LinkID, spur Path, m Metric) Path {
 	nodes := append(append([]NodeID{}, rootNodes...), spur.Nodes[1:]...)
 	links := append(append([]LinkID{}, rootLinks...), spur.Links...)
 	p := Path{Nodes: nodes, Links: links, MinBW: math.Inf(1)}
 	for _, lid := range links {
-		l := g.links[lid]
-		p.Delay += l.Delay
-		p.Weight += m.weight(l)
-		if l.Bandwidth < p.MinBW {
-			p.MinBW = l.Bandwidth
-		}
+		e, _ := g.s.find(lid)
+		p.Delay += g.s.edges[e].delay
+		p.Weight += m.weight(&g.s.edges[e])
+		p.MinBW = min(p.MinBW, g.bw[e])
 	}
 	return p
-}
-
-func containsPath(ps []Path, p Path) bool {
-	for _, q := range ps {
-		if len(q.Links) != len(p.Links) {
-			continue
-		}
-		same := true
-		for i := range q.Links {
-			if q.Links[i] != p.Links[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
 }

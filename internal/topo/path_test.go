@@ -22,16 +22,14 @@ import (
 // a-b-d is fast but thin, a-c-d is slow but fat.
 func diamond(t *testing.T) *Graph {
 	t.Helper()
-	g := New()
-	for _, n := range []NodeID{"a", "b", "c", "d", "e"} {
-		g.EnsureNode(n)
-	}
-	mustAdd(t, g.AddDuplexLink("ab", "a", "b", 10, 1, 1))
-	mustAdd(t, g.AddDuplexLink("bd", "b", "d", 10, 1, 1))
-	mustAdd(t, g.AddDuplexLink("ac", "a", "c", 100, 5, 1))
-	mustAdd(t, g.AddDuplexLink("cd", "c", "d", 100, 5, 1))
-	mustAdd(t, g.AddDuplexLink("de", "d", "e", 100, 1, 1))
-	return g
+	s := &spec{}
+	s.node("a", "b", "c", "d", "e")
+	s.duplex("ab", "a", "b", 10, 1, 1)
+	s.duplex("bd", "b", "d", 10, 1, 1)
+	s.duplex("ac", "a", "c", 100, 5, 1)
+	s.duplex("cd", "c", "d", 100, 5, 1)
+	s.duplex("de", "d", "e", 100, 1, 1)
+	return s.compile(t)
 }
 
 func TestShortestPathDelayMetric(t *testing.T) {
@@ -112,14 +110,13 @@ func TestShortestPathUnknownNodes(t *testing.T) {
 }
 
 func TestShortestPathHopsMetric(t *testing.T) {
-	g := New()
-	for _, n := range []NodeID{"a", "b", "c", "d"} {
-		g.EnsureNode(n)
-	}
+	s := &spec{}
+	s.node("a", "b", "c", "d")
 	// Direct link with huge delay vs two-hop with tiny delay.
-	mustAdd(t, g.AddLink(Link{ID: "ad", Src: "a", Dst: "d", Bandwidth: 10, Delay: 100}))
-	mustAdd(t, g.AddLink(Link{ID: "ab", Src: "a", Dst: "b", Bandwidth: 10, Delay: 1}))
-	mustAdd(t, g.AddLink(Link{ID: "bd", Src: "b", Dst: "d", Bandwidth: 10, Delay: 1}))
+	s.link(Link{ID: "ad", Src: "a", Dst: "d", Bandwidth: 10, Delay: 100})
+	s.link(Link{ID: "ab", Src: "a", Dst: "b", Bandwidth: 10, Delay: 1})
+	s.link(Link{ID: "bd", Src: "b", Dst: "d", Bandwidth: 10, Delay: 1})
+	g := s.compile(t)
 	p, err := g.ShortestPath("a", "d", PathOpts{Metric: MetricHops})
 	mustAdd(t, err)
 	if p.Hops() != 1 {
@@ -133,13 +130,12 @@ func TestShortestPathHopsMetric(t *testing.T) {
 }
 
 func TestShortestPathCostMetric(t *testing.T) {
-	g := New()
-	for _, n := range []NodeID{"a", "b", "c"} {
-		g.EnsureNode(n)
-	}
-	mustAdd(t, g.AddLink(Link{ID: "ac", Src: "a", Dst: "c", Delay: 1, Cost: 10}))
-	mustAdd(t, g.AddLink(Link{ID: "ab", Src: "a", Dst: "b", Delay: 5, Cost: 1}))
-	mustAdd(t, g.AddLink(Link{ID: "bc", Src: "b", Dst: "c", Delay: 5, Cost: 1}))
+	s := &spec{}
+	s.node("a", "b", "c")
+	s.link(Link{ID: "ac", Src: "a", Dst: "c", Delay: 1, Cost: 10})
+	s.link(Link{ID: "ab", Src: "a", Dst: "b", Delay: 5, Cost: 1})
+	s.link(Link{ID: "bc", Src: "b", Dst: "c", Delay: 5, Cost: 1})
+	g := s.compile(t)
 	p, err := g.ShortestPath("a", "c", PathOpts{Metric: MetricCost})
 	mustAdd(t, err)
 	if p.Hops() != 2 || p.Weight != 2 {
@@ -189,24 +185,22 @@ func TestKShortestPathsRespectsK(t *testing.T) {
 }
 
 func TestKShortestNoPath(t *testing.T) {
-	g := New()
-	g.EnsureNode("a")
-	g.EnsureNode("b")
+	g, _ := Compile([]NodeID{"a", "b"}, nil)
 	if _, err := g.KShortestPaths("a", "b", 2, PathOpts{}); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("want ErrNoPath, got %v", err)
 	}
 }
 
 func randomConnectedGraph(rng *rand.Rand, n int) *Graph {
-	g := New()
+	s := &spec{}
 	ids := make([]NodeID, n)
 	for i := range ids {
 		ids[i] = NodeID(fmt.Sprintf("n%02d", i))
-		g.EnsureNode(ids[i])
 	}
+	s.node(ids...)
 	// Spanning chain guarantees connectivity, then random extra links.
 	for i := 0; i < n-1; i++ {
-		_ = g.AddDuplexLink(LinkID(fmt.Sprintf("c%02d", i)), ids[i], ids[i+1],
+		s.duplex(LinkID(fmt.Sprintf("c%02d", i)), ids[i], ids[i+1],
 			1+rng.Float64()*99, 1+rng.Float64()*9, 1)
 	}
 	extra := rng.Intn(2 * n)
@@ -215,9 +209,10 @@ func randomConnectedGraph(rng *rand.Rand, n int) *Graph {
 		if a == b {
 			continue
 		}
-		_ = g.AddDuplexLink(LinkID(fmt.Sprintf("x%02d", i)), a, b,
+		s.duplex(LinkID(fmt.Sprintf("x%02d", i)), a, b,
 			1+rng.Float64()*99, 1+rng.Float64()*9, 1)
 	}
+	g, _ := Compile(s.nodes, s.links)
 	return g
 }
 
@@ -235,12 +230,16 @@ func TestShortestPathProperties(t *testing.T) {
 		if err != nil {
 			return false // connected graph: must always succeed
 		}
+		links := map[LinkID]Link{}
+		for _, l := range g.Links() {
+			links[l.ID] = l
+		}
 		// Recompute metrics from links.
 		var delay, minbw float64
 		minbw = 1 << 30
 		for _, lid := range p.Links {
-			l, err := g.Link(lid)
-			if err != nil {
+			l, ok := links[lid]
+			if !ok {
 				return false
 			}
 			delay += l.Delay
@@ -253,7 +252,7 @@ func TestShortestPathProperties(t *testing.T) {
 		}
 		// Path links must be consecutive.
 		for i, lid := range p.Links {
-			l, _ := g.Link(lid)
+			l := links[lid]
 			if l.Src != p.Nodes[i] || l.Dst != p.Nodes[i+1] {
 				return false
 			}
