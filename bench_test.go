@@ -833,7 +833,7 @@ func BenchmarkE7BatchedAdmission(b *testing.B) {
 				ro := benchE7RO(b, domains, slots)
 				install := ro.Install
 				if mode == "batched" {
-					q := admission.New(ro, admission.Options{Window: 500 * time.Microsecond, MaxBatch: clients})
+					q := admission.New(ro, admission.Options{MaxBatch: clients})
 					defer q.Close()
 					install = q.Install
 				}
@@ -1329,7 +1329,6 @@ func BenchmarkE10FairAdmission(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				layer := &benchE10Layer{delay: installLatency, services: map[string]bool{}}
 				q := admission.New(layer, admission.Options{
-					Window:            -1, // dispatch immediately
 					MaxBatch:          window,
 					TenantMaxInFlight: window,
 					DisableFairness:   mode == "fifo",
@@ -1661,7 +1660,6 @@ func BenchmarkE12ObsOverhead(b *testing.B) {
 		b.Helper()
 		ro := benchE7RO(b, domains, slots)
 		q := admission.New(ro, admission.Options{
-			Window:   500 * time.Microsecond,
 			MaxBatch: clients,
 			Tracer:   tracer,
 		})
@@ -1703,7 +1701,6 @@ func BenchmarkE12ObsOverhead(b *testing.B) {
 		mkStack := func(tr *obs.Tracer) (*core.ResourceOrchestrator, *admission.Queue) {
 			ro := benchE7RO(b, domains, slots)
 			q := admission.New(ro, admission.Options{
-				Window:   500 * time.Microsecond,
 				MaxBatch: clients,
 				Tracer:   tr,
 			})

@@ -91,7 +91,6 @@ func main() {
 		view      = flag.String("view", "single", "exported view: single | domain | transparent")
 		types     = flag.String("types", "firewall,dpi,nat,cache,compress,encrypt,lb,monitor", "leaf: supported NF types (generated substrate)")
 		admit     = flag.Bool("admission", true, "front the layer with a batching admission queue (enables the async jobs API)")
-		window    = flag.Duration("batch-window", 2*time.Millisecond, "admission: coalescing window after the first arrival")
 		maxBatch  = flag.Int("batch-max", 32, "admission: max requests per coalesced batch")
 		shard     = flag.String("shard", "domain", "orchestrator: DoV sharding: domain (one shard per child, disjoint installs commit concurrently) | single (one global generation counter)")
 
@@ -185,7 +184,6 @@ func main() {
 			tracer = obs.NewTracer(0)
 		}
 		opts := admission.Options{
-			Window:            *window,
 			MaxBatch:          *maxBatch,
 			TenantWeights:     tenantWeights.weights,
 			DefaultWeight:     *defWeight,

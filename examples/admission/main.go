@@ -9,7 +9,7 @@
 // multi-tenant fairness story: an "elephant" tenant parks a deep backlog and
 // a "mouse" tenant submits one job, first against the FIFO baseline (the
 // mouse waits out the whole backlog) and then under the weighted-fair
-// scheduler (the mouse rides the next window).
+// scheduler (the mouse rides the next batch).
 //
 //	go run ./examples/admission
 package main
@@ -130,7 +130,7 @@ func main() {
 
 	// Round 2: same burst through the admission queue.
 	ro := buildRO()
-	q := admission.New(ro, admission.Options{Window: 3 * time.Millisecond})
+	q := admission.New(ro, admission.Options{})
 	defer q.Close()
 	batchedTime := burst(q.Install, "batched", n)
 	bs := ro.PipelineStats()
@@ -189,7 +189,6 @@ func main() {
 		fro := buildRO()
 		fq := admission.New(fro, admission.Options{
 			MaxBatch:          4,
-			Window:            time.Millisecond,
 			TenantMaxInFlight: 4,
 			DisableFairness:   mode.fifo,
 		})

@@ -1,8 +1,10 @@
-// Package admission puts a batching admission queue in front of a
-// unify.Layer: concurrently-arriving install requests are coalesced into one
-// embedding pass over a single resource snapshot (one snapshot→map→commit
-// cycle per window, via unify.BatchInstaller when the layer supports it), and
-// every submission is tracked as a Job with an observable lifecycle —
+// Package admission puts a group-commit admission queue in front of a
+// unify.Layer: a request whose lane is idle dispatches at once, and requests
+// that arrive while their lane's previous batch is mapping or committing pile
+// up and leave together as the next batch — one embedding pass over a single
+// resource snapshot (one snapshot→map→commit cycle, via unify.BatchInstaller
+// when the layer supports it), the way the journal's background fsync batches
+// appends. Every submission is tracked as a Job with an observable lifecycle —
 //
 //	queued → mapping → deploying → deployed | failed
 //	queued → canceled
@@ -13,18 +15,18 @@
 // admission stage for any existing caller.
 //
 // When the layer also implements unify.Sharder (the sharded-DoV resource
-// orchestrator does), each coalescing window is partitioned by shard overlap
-// and disjoint groups dispatch concurrently on per-shard lanes — the global
-// FIFO queue is the degenerate single-lane case of the same machinery.
+// orchestrator does), each batch is partitioned by shard overlap and disjoint
+// groups dispatch concurrently on per-shard lanes — the global FIFO queue is
+// the degenerate single-lane case of the same machinery.
 //
 // Scheduling is multi-tenant and weighted-fair: every submission carries a
 // tenant identity (unify.RequestMeta via its context; absent = DefaultTenant)
-// and lands in that tenant's sub-queue. Each coalescing window is drawn from
+// and lands in that tenant's sub-queue. Each batch is drawn from
 // the sub-queues by deficit-weighted round-robin — a tenant with weight w
 // earns w slots of credit per round, unused credit carries over while the
 // tenant stays backlogged — so one tenant's elephant backlog cannot starve
 // another's requests: every tenant is guaranteed its weight share of each
-// window no matter how deep a competitor's queue is. Within one tenant's
+// batch no matter how deep a competitor's queue is. Within one tenant's
 // queue, priority classes (unify.Priority) order dispatch, with
 // starvation-free aging: a request queued longer than AgeAfter is promoted
 // one class per elapsed interval, so even low-priority work eventually drains.
@@ -54,7 +56,7 @@ type State string
 
 // Job states. Deployed, Failed and Canceled are terminal.
 const (
-	// StateQueued: accepted, waiting for a batch window.
+	// StateQueued: accepted, waiting for its lanes to go idle.
 	StateQueued State = "queued"
 	// StateMapping: picked up by the dispatcher; the batch is being planned
 	// against a resource snapshot.
@@ -105,7 +107,7 @@ type Job struct {
 	// Attempts is the number of mapping cycles the job's batch consumed.
 	Attempts int `json:"attempts,omitempty"`
 	// Batch is the size of the coalesced dispatch group the job rode in
-	// (after any per-shard-lane partitioning of its window).
+	// (after any per-shard-lane partitioning of its batch).
 	Batch   int            `json:"batch,omitempty"`
 	Receipt *unify.Receipt `json:"receipt,omitempty"`
 	// TraceID identifies the job's span trace (set when the queue has a
@@ -142,9 +144,10 @@ type Options struct {
 	// MaxBatch caps how many requests coalesce into one mapping pass
 	// (default 32).
 	MaxBatch int
-	// Window is how long the dispatcher waits after the first arrival for
-	// more requests to coalesce (0 selects the 2ms default; negative
-	// dispatches immediately).
+	// Window is ignored: requests coalesce only behind a busy lane, never
+	// behind a timer.
+	//
+	// Deprecated: kept so existing callers compile.
 	Window time.Duration
 	// QueueCap bounds the number of queued (not yet dispatched) jobs across
 	// all tenants; submissions beyond it fail with ErrQueueFull (default
@@ -201,11 +204,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.Window < 0 {
-		o.Window = 0
-	} else if o.Window == 0 {
-		o.Window = 2 * time.Millisecond
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 1024
@@ -342,15 +340,6 @@ type Queue struct {
 	inflight    sync.WaitGroup // deployments handed off by the dispatcher
 	dispatching sync.WaitGroup // shard-group dispatch goroutines in flight
 
-	// Shard lanes: a dispatch group locks its shards' lane mutexes (in key
-	// order, under a read-hold of gate) for the duration of its mapping
-	// phase; a global group takes gate exclusively. Same-shard groups thus
-	// serialize (preserving the zero-conflict guarantee batching gives the
-	// layer below) while disjoint groups map concurrently.
-	gate    sync.RWMutex
-	lanesMu sync.Mutex
-	lanes   map[string]*sync.Mutex
-
 	// Stage latency histograms: queue wait (submit→dispatch) and end-to-end
 	// admission-to-deployed. Lock-free; snapshot via StageHistograms.
 	histWait obs.Histogram
@@ -375,6 +364,12 @@ type Queue struct {
 	// the scheduler skips them in place — so a resume restores the original
 	// fairness order with no requeue churn.
 	paused map[string]bool
+	// busy marks shard lanes with a group mapping or committing (GlobalShard:
+	// a global group holds every lane). Queued jobs on a busy lane wait where
+	// paused ones do and leave together as the lane's next batch, so
+	// same-lane groups never overlap — the zero-conflict guarantee batching
+	// gives the layer below — while disjoint lanes map concurrently.
+	busy map[string]bool
 }
 
 // tenantQueue is one tenant's admission sub-queue: a FIFO per priority class
@@ -496,8 +491,8 @@ func (tq *tenantQueue) head() *job {
 }
 
 // popEligible is pop restricted to jobs the eligible predicate accepts,
-// leaving ineligible jobs queued in place (used while shard lanes are
-// paused). Within a class the first eligible job is still the oldest and
+// leaving ineligible jobs queued in place (used while shard lanes are busy
+// or paused). Within a class the first eligible job is still the oldest and
 // most-aged eligible one, so only that candidate per class needs comparing.
 func (tq *tenantQueue) popEligible(now time.Time, ageAfter time.Duration, eligible func(*job) bool) *job {
 	bestClass, bestIdx, bestRank := -1, -1, -1
@@ -529,8 +524,8 @@ func (tq *tenantQueue) popEligible(now time.Time, ageAfter time.Duration, eligib
 	return j
 }
 
-// headEligible is head restricted to eligible jobs (FIFO baseline under a
-// pause). Per class the first eligible job has the smallest sequence number
+// headEligible is head restricted to eligible jobs (FIFO baseline behind
+// busy or paused lanes). Per class the first eligible job has the smallest sequence number
 // among that class's eligible jobs, so one candidate per class suffices.
 func (tq *tenantQueue) headEligible(eligible func(*job) bool) *job {
 	var h *job
@@ -550,10 +545,10 @@ func (tq *tenantQueue) headEligible(eligible func(*job) bool) *job {
 
 // New builds a queue in front of layer and starts its dispatcher. When the
 // layer implements unify.BatchInstaller (core.ResourceOrchestrator does),
-// whole windows are admitted in one snapshot→map→commit cycle; otherwise
+// whole batches are admitted in one snapshot→map→commit cycle; otherwise
 // batch members are installed individually (still serialized through the
 // queue, which bounds concurrent mapping pressure on the layer). When the
-// layer also implements unify.Sharder, each window is partitioned by shard
+// layer also implements unify.Sharder, each batch is partitioned by shard
 // overlap and disjoint groups are dispatched concurrently — the global queue
 // is the single-shard degenerate case of the same machinery.
 func New(layer unify.Layer, opts Options) *Queue {
@@ -566,7 +561,7 @@ func New(layer unify.Layer, opts Options) *Queue {
 		cancel:  cancel,
 		wake:    make(chan struct{}, 1),
 		exited:  make(chan struct{}),
-		lanes:   map[string]*sync.Mutex{},
+		busy:    map[string]bool{},
 		jobs:    map[string]*job{},
 		tenants: map[string]*tenantQueue{},
 	}
@@ -598,10 +593,7 @@ func (q *Queue) Close() {
 	q.closed = true
 	q.mu.Unlock()
 	q.cancel()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
+	q.nudge()
 	<-q.exited
 }
 
@@ -735,10 +727,7 @@ func (q *Queue) Submit(ctx context.Context, req *nffg.NFFG) (Job, error) {
 	}
 	snap := j.snap
 	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
+	q.nudge()
 	return snap, nil
 }
 
@@ -952,12 +941,14 @@ func (q *Queue) Services() []string { return q.layer.Services() }
 
 // --- dispatcher --------------------------------------------------------------
 
-// run is the dispatcher: wait for an arrival, let the window fill, then admit
-// the batch. The window's jobs are partitioned by shard overlap: at most one
-// group per shard lane is MAPPING at a time — that per-lane serialization is
-// what collapses generation conflicts on the layer below — while groups on
-// disjoint lanes map concurrently, and deployments are handed off (see
-// process), so a slow child never blocks admission head-of-line.
+// run is the dispatcher: on every wake (an arrival, a lane going idle, a
+// freed in-flight slot, a lifted pause) it admits every queued job whose
+// lanes are idle. Each batch is partitioned by shard overlap and a group
+// holds its lanes busy while MAPPING — that per-lane serialization is what
+// collapses generation conflicts on the layer below, and what the lane's next
+// arrivals coalesce behind — while groups on disjoint lanes map concurrently,
+// and deployments are handed off (see process), so a slow child never blocks
+// admission head-of-line.
 func (q *Queue) run() {
 	defer close(q.exited)
 	for {
@@ -969,37 +960,31 @@ func (q *Queue) run() {
 			return
 		case <-q.wake:
 		}
-		for {
-			batch := q.take()
-			if len(batch) == 0 {
-				break
-			}
-			for _, g := range partitionByShards(batch) {
-				q.recordGroup(g)
+		for groups := q.take(); len(groups) > 0; groups = q.take() {
+			for _, g := range groups {
 				q.dispatching.Add(1)
 				go func(g jobGroup) {
 					defer q.dispatching.Done()
-					q.lockLanes(g.keys)
-					defer q.unlockLanes(g.keys)
 					q.process(g.jobs)
+					q.release(g.keys)
 				}(g)
 			}
 		}
 	}
 }
 
-// jobGroup is one shard-connected component of a dispatch window. keys is nil
-// for the global group (jobs whose shard set could not be narrowed, plus
-// everything they overlap — which is every shard).
+// jobGroup is one shard-connected component of a batch and the lanes it
+// holds: [GlobalShard] for the global group (jobs whose shard set could not
+// be narrowed, plus everything they overlap — which is every shard).
 type jobGroup struct {
 	jobs []*job
 	keys []string
 }
 
-// partitionByShards splits a window into connected components of overlapping
+// partitionByShards splits a batch into connected components of overlapping
 // shard sets via unify.GroupShardSets (the one union-find shared with the
 // orchestrator's batch partitioning). Jobs with a nil set are global: they
-// (and everything else in the window) collapse into one group, which is also
+// (and everything else in the batch) collapse into one group, which is also
 // the behavior for layers without sharding — the degenerate single-lane
 // queue.
 func partitionByShards(batch []*job) []jobGroup {
@@ -1014,105 +999,54 @@ func partitionByShards(batch []*job) []jobGroup {
 			out[gi].jobs = append(out[gi].jobs, batch[i])
 		}
 		out[gi].keys = keys[gi]
+		if len(out[gi].keys) == 0 {
+			out[gi].keys = []string{GlobalShard}
+		}
 	}
 	return out
 }
 
-// lockLanes serializes this group against others touching the same shards: a
-// global group takes the gate exclusively; a shard group holds the gate
-// shared plus its lanes' mutexes in key order (the deadlock-free global
-// order).
-func (q *Queue) lockLanes(keys []string) {
-	if len(keys) == 0 {
-		q.gate.Lock()
-		return
-	}
-	q.gate.RLock()
-	for _, k := range keys {
-		q.lane(k).Lock()
-	}
-}
-
-func (q *Queue) unlockLanes(keys []string) {
-	if len(keys) == 0 {
-		q.gate.Unlock()
-		return
-	}
-	for i := len(keys) - 1; i >= 0; i-- {
-		q.lane(keys[i]).Unlock()
-	}
-	q.gate.RUnlock()
-}
-
-func (q *Queue) lane(key string) *sync.Mutex {
-	q.lanesMu.Lock()
-	defer q.lanesMu.Unlock()
-	m, ok := q.lanes[key]
-	if !ok {
-		m = &sync.Mutex{}
-		q.lanes[key] = m
-	}
-	return m
-}
-
-// recordGroup attributes a dispatch group to its shards' gauges and stamps
-// each job with the size of the group it actually rides (the window may have
-// split into smaller per-lane groups).
-func (q *Queue) recordGroup(g jobGroup) {
+// release marks a group's lanes idle once its mapping committed and wakes
+// the dispatcher: whatever piled up behind them leaves as the next batch.
+func (q *Queue) release(keys []string) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, j := range g.jobs {
-		j.snap.Batch = len(g.jobs)
-	}
-	if q.stats.Shards == nil {
-		q.stats.Shards = map[string]ShardQueueStats{}
-	}
-	keys := g.keys
-	if len(keys) == 0 {
-		keys = []string{GlobalShard}
-	}
 	for _, k := range keys {
-		s := q.stats.Shards[k]
-		s.Batches++
-		s.Coalesced += uint64(len(g.jobs))
-		q.stats.Shards[k] = s
+		delete(q.busy, k)
 	}
-}
-
-// take waits out the coalescing window, then draws up to MaxBatch jobs from
-// the tenant sub-queues by deficit-weighted round-robin (popLocked).
-func (q *Queue) take() []*job {
-	q.mu.Lock()
-	n := q.depth
 	q.mu.Unlock()
-	if n == 0 {
-		return nil
+	q.nudge()
+}
+
+// nudge wakes the dispatcher (non-blocking; spurious wakes are cheap).
+func (q *Queue) nudge() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
 	}
-	if q.opts.Window > 0 && n < q.opts.MaxBatch {
-		t := time.NewTimer(q.opts.Window)
-		select {
-		case <-t.C:
-		case <-q.ctx.Done():
-			t.Stop()
-			// Fall through: drain() in run() handles the backlog.
-			return nil
-		}
-	}
+}
+
+// take draws the next batch — up to MaxBatch jobs whose lanes are idle, from
+// the tenant sub-queues by deficit-weighted round-robin (popLocked) — and
+// marks its groups' lanes busy. No timer: a job on an idle lane leaves at
+// once; one behind a busy lane stays queued (cancelable, its wait counting)
+// until that lane's release wakes the dispatcher.
+func (q *Queue) take() []jobGroup {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.closed {
+		return nil // drain() in run() handles the backlog
+	}
 	batch := q.popLocked(q.opts.MaxBatch)
 	if len(batch) == 0 {
-		// Everything queued was canceled during the window, or every
-		// backlogged tenant is at its in-flight cap (each finishing job wakes
-		// the dispatcher to retry); not a batch.
+		// Nothing eligible: its lanes are busy or paused, or every backlogged
+		// tenant is at its in-flight cap. Whatever frees them wakes the
+		// dispatcher to retry.
 		return nil
 	}
 	now := time.Now()
 	for _, j := range batch {
 		j.snap.State = StateMapping
 		j.snap.Started = now
-		// Batch is stamped per dispatch group (recordGroup): the window may
-		// split into smaller per-lane groups.
 		j.dispatched = true
 		tq := q.tenants[j.snap.Tenant]
 		tq.inFlight++
@@ -1131,26 +1065,68 @@ func (q *Queue) take() []*job {
 	if len(batch) > q.stats.MaxBatch {
 		q.stats.MaxBatch = len(batch)
 	}
-	return batch
-}
-
-// eligibleLocked reports whether a queued job may dispatch under the current
-// pause set: jobs whose estimated shard set intersects a paused lane stay
-// queued, and so do global jobs (nil set — they may touch any shard).
-// Callers hold q.mu.
-func (q *Queue) eligibleLocked(j *job) bool {
-	if len(q.paused) == 0 {
-		return true
+	if q.stats.Shards == nil {
+		q.stats.Shards = map[string]ShardQueueStats{}
 	}
-	if len(j.shards) == 0 {
-		return false
-	}
-	for _, k := range j.shards {
-		if q.paused[k] {
-			return false
+	groups := partitionByShards(batch)
+	for _, g := range groups {
+		// Stamp each job with the size of the group it actually rides (the
+		// batch may split into smaller per-lane groups), attribute the group
+		// to its shards' gauges, and hold its lanes.
+		for _, j := range g.jobs {
+			j.snap.Batch = len(g.jobs)
+		}
+		for _, k := range g.keys {
+			q.busy[k] = true
+			s := q.stats.Shards[k]
+			s.Batches++
+			s.Coalesced += uint64(len(g.jobs))
+			q.stats.Shards[k] = s
 		}
 	}
-	return true
+	return groups
+}
+
+// eligibleLocked returns which queued jobs may dispatch under the current
+// pause and busy sets, or nil when nothing restricts dispatch. A shard job
+// waits while any of its lanes is paused or busy; a global job (nil set — it
+// may touch any shard) needs every lane idle and nothing paused. While a
+// global job waits for busy lanes, no new shard group starts either, so a
+// stream of shard groups cannot starve it. Callers hold q.mu.
+func (q *Queue) eligibleLocked() func(*job) bool {
+	if len(q.paused) == 0 && len(q.busy) == 0 {
+		return nil
+	}
+	hold := q.busy[GlobalShard] || len(q.paused) == 0 && q.globalQueuedLocked()
+	return func(j *job) bool {
+		if len(j.shards) == 0 {
+			return len(q.paused) == 0 && len(q.busy) == 0
+		}
+		if hold {
+			return false
+		}
+		for _, k := range j.shards {
+			if q.paused[k] || q.busy[k] {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// globalQueuedLocked reports whether a global job is queued. Callers hold
+// q.mu.
+func (q *Queue) globalQueuedLocked() bool {
+	for _, tq := range q.tenants {
+		for _, cls := range tq.classes {
+			for _, j := range cls {
+				if len(j.shards) == 0 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // PauseShards stops dispatching queued jobs whose estimated shard set
@@ -1204,10 +1180,7 @@ func (q *Queue) ResumeShards(keys []string) {
 		}
 	}
 	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
+	q.nudge()
 }
 
 // atCapLocked reports whether a tenant has exhausted its in-flight budget,
@@ -1217,18 +1190,19 @@ func (q *Queue) atCapLocked(tq *tenantQueue, popped map[*tenantQueue]int) bool {
 		tq.inFlight+popped[tq] >= q.opts.TenantMaxInFlight
 }
 
-// popLocked draws up to max jobs from the tenant sub-queues. Callers hold
-// q.mu.
+// popLocked draws up to max jobs whose lanes are idle (eligibleLocked) from
+// the tenant sub-queues. Callers hold q.mu.
 //
 // Fair mode (the default) is deficit-weighted round-robin over the tenant
-// rotation: each round, every backlogged eligible tenant earns its weight in
+// rotation: each round, every tenant with an eligible job earns its weight in
 // credit and dequeues (priority-and-aging order, see tenantQueue.pop) while
 // it has credit; unspent credit carries over while the tenant stays
 // backlogged — the "deficit" that makes the long-run share converge to the
 // weight ratio even when MaxBatch is smaller than one full round — and resets
-// when its queue drains. Tenants at their in-flight cap are skipped (earning
-// nothing: a capped tenant is not entitled to a catch-up burst). The rotation
-// start advances once per call so the same tenant does not lead every window.
+// when its queue drains. Tenants at their in-flight cap, or whose jobs all
+// wait on busy or paused lanes, are skipped (earning nothing: a blocked
+// tenant is not entitled to a catch-up burst). The rotation start advances
+// once per batch so the same tenant does not lead every batch.
 //
 // FIFO mode (Options.DisableFairness) dispatches in strict global arrival
 // order; an over-cap tenant at the head of the line blocks everyone behind it
@@ -1236,6 +1210,7 @@ func (q *Queue) atCapLocked(tq *tenantQueue, popped map[*tenantQueue]int) bool {
 func (q *Queue) popLocked(max int) []*job {
 	var batch []*job
 	popped := map[*tenantQueue]int{}
+	eligible := q.eligibleLocked()
 	if q.opts.DisableFairness {
 		for len(batch) < max {
 			var best *tenantQueue
@@ -1243,8 +1218,8 @@ func (q *Queue) popLocked(max int) []*job {
 			for _, name := range q.order {
 				tq := q.tenants[name]
 				h := tq.head()
-				if len(q.paused) > 0 {
-					h = tq.headEligible(q.eligibleLocked)
+				if eligible != nil {
+					h = tq.headEligible(eligible)
 				}
 				if h != nil && (bestJob == nil || h.seq < bestJob.seq) {
 					best, bestJob = tq, h
@@ -1270,22 +1245,22 @@ func (q *Queue) popLocked(max int) []*job {
 				tq.deficit = 0
 				continue
 			}
-			if q.atCapLocked(tq, popped) {
+			if q.atCapLocked(tq, popped) || eligible != nil && tq.headEligible(eligible) == nil {
 				continue
 			}
 			tq.deficit += tq.weight
 			// Bound banked credit: a tenant starved of batch space for many
-			// windows may catch up, but never by more than one window plus
+			// batches may catch up, but never by more than one batch plus
 			// one round at once.
 			if limit := tq.weight + max; tq.deficit > limit {
 				tq.deficit = limit
 			}
 			for tq.deficit > 0 && tq.depth > 0 && len(batch) < max && !q.atCapLocked(tq, popped) {
 				var j *job
-				if len(q.paused) == 0 {
+				if eligible == nil {
 					j = tq.pop(now, q.opts.AgeAfter)
-				} else if j = tq.popEligible(now, q.opts.AgeAfter, q.eligibleLocked); j == nil {
-					break // only paused jobs left in this tenant's queue
+				} else if j = tq.popEligible(now, q.opts.AgeAfter, eligible); j == nil {
+					break // only jobs on busy or paused lanes left in this tenant's queue
 				}
 				tq.deficit--
 				q.depth--
@@ -1301,7 +1276,7 @@ func (q *Queue) popLocked(max int) []*job {
 			break
 		}
 	}
-	if n := len(q.order); n > 0 {
+	if n := len(q.order); n > 0 && len(batch) > 0 {
 		q.rrPos = (q.rrPos + 1) % n
 	}
 	return batch
@@ -1449,13 +1424,9 @@ func (q *Queue) terminateLocked(j *job, receipt *unify.Receipt, err error) {
 		}
 		if j.dispatched {
 			tq.inFlight--
-			// A freed in-flight slot may unblock a capped tenant's backlog:
-			// nudge the dispatcher (non-blocking; spurious wakes are cheap).
+			// A freed in-flight slot may unblock a capped tenant's backlog.
 			if q.opts.TenantMaxInFlight > 0 && q.depth > 0 {
-				select {
-				case q.wake <- struct{}{}:
-				default:
-				}
+				q.nudge()
 			}
 		}
 		q.reclaimTenantLocked(tq)

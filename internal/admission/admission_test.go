@@ -92,7 +92,7 @@ func req(id string) *nffg.NFFG { return nffg.New(id) }
 // — one InstallBatch call for all of them.
 func TestCoalescing(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	first, err := q.Submit(context.Background(), req("first"))
@@ -147,7 +147,7 @@ func TestCoalescing(t *testing.T) {
 func TestPartialFailureIsolation(t *testing.T) {
 	boom := fmt.Errorf("%w: induced", unify.ErrRejected)
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16), fail: map[string]error{"lemon": boom}}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	blocker, _ := q.Submit(context.Background(), req("blocker"))
@@ -182,7 +182,7 @@ func TestPartialFailureIsolation(t *testing.T) {
 // timestamps along the way.
 func TestJobStateTransitions(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	j, err := q.Submit(context.Background(), req("svc"))
@@ -219,7 +219,7 @@ func TestJobStateTransitions(t *testing.T) {
 // context returns the in-flight snapshot with the context error.
 func TestWatchWakeup(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	j, _ := q.Submit(context.Background(), req("svc"))
@@ -265,7 +265,7 @@ func TestWatchWakeup(t *testing.T) {
 // layer; a dispatched job cannot.
 func TestCancelQueued(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	running, _ := q.Submit(context.Background(), req("running"))
@@ -317,7 +317,7 @@ func TestCancelQueued(t *testing.T) {
 func TestSyncInstall(t *testing.T) {
 	boom := fmt.Errorf("%w: no fit", unify.ErrRejected)
 	stub := &stubLayer{fail: map[string]error{"lemon": boom}}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	receipt, err := q.Install(context.Background(), req("svc"))
@@ -334,7 +334,7 @@ func TestSyncInstall(t *testing.T) {
 func TestFallbackPlainLayer(t *testing.T) {
 	stub := &stubLayer{}
 	// Hide the BatchInstaller face behind a plain wrapper.
-	q := New(plainLayer{stub}, Options{Window: time.Millisecond})
+	q := New(plainLayer{stub}, Options{})
 	defer q.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -375,7 +375,7 @@ func (p plainLayer) Install(ctx context.Context, r *nffg.NFFG) (*unify.Receipt, 
 // backlog.
 func TestQueueFullAndClose(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond, QueueCap: 1})
+	q := New(stub, Options{QueueCap: 1})
 
 	_, _ = q.Submit(context.Background(), req("running"))
 	<-stub.entered
@@ -405,15 +405,19 @@ func TestQueueFullAndClose(t *testing.T) {
 }
 
 // TestCloseCancelRace covers the take/close/cancel interleaving the lifecycle
-// tests leave out: jobs sitting in the coalescing window while Cancel and
-// Close race each other. Every job must reach exactly one terminal state and
-// Close must return without deadlocking, no matter who wins.
+// tests leave out: jobs queued behind a busy lane while the lane's release,
+// Cancel and Close race each other. Every job must reach exactly one terminal
+// state and Close must return without deadlocking, no matter who wins.
 func TestCloseCancelRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		stub := &stubLayer{}
-		// A long window keeps the batch queued so close/cancel race take.
-		q := New(stub, Options{Window: 20 * time.Millisecond})
-		var jobs []Job
+		stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
+		q := New(stub, Options{})
+		blocker, err := q.Submit(context.Background(), req("blocker"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-stub.entered // the lane is busy: the jobs below queue behind it
+		jobs := []Job{blocker}
 		for i := 0; i < 6; i++ {
 			j, err := q.Submit(context.Background(), req(fmt.Sprintf("svc%d", i)))
 			if err != nil {
@@ -422,12 +426,16 @@ func TestCloseCancelRace(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 		var wg sync.WaitGroup
-		wg.Add(2)
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			close(stub.gate) // the lane's release races take against Close
+		}()
 		go func() {
 			defer wg.Done()
 			// Cancel whatever is still cancelable; ErrNotCancelable and
 			// ErrCanceled races are legitimate outcomes.
-			for _, j := range jobs[:3] {
+			for _, j := range jobs[1:4] {
 				if err := q.Cancel(j.ID); err != nil &&
 					!errors.Is(err, ErrNotCancelable) && !errors.Is(err, ErrUnknownJob) {
 					t.Errorf("cancel: %v", err)
@@ -525,7 +533,7 @@ func (s *shardedStub) InstallBatch(ctx context.Context, reqs []*nffg.NFFG, obs u
 // longer serializes admission head-of-line across shards.
 func TestShardLaneFairness(t *testing.T) {
 	stub := &shardedStub{gated: "a", gate: make(chan struct{}), entered: make(chan string, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer func() {
 		close(stub.gate)
 		q.Close()
@@ -570,10 +578,10 @@ func TestShardLaneFairness(t *testing.T) {
 
 // TestShardLaneSerialization: two batches bound for the SAME shard lane never
 // overlap inside the layer, even though the dispatcher hands groups off
-// concurrently — the per-lane locks preserve the zero-conflict guarantee.
+// concurrently — the busy-lane set preserves the zero-conflict guarantee.
 func TestShardLaneSerialization(t *testing.T) {
 	stub := &shardedStub{gated: "a", gate: make(chan struct{}), entered: make(chan string, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	first, _ := q.Submit(context.Background(), req("a-1"))
@@ -627,7 +635,7 @@ func TestQueueOverOrchestrator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := New(ro, Options{Window: 5 * time.Millisecond})
+	q := New(ro, Options{})
 	defer q.Close()
 
 	var wg sync.WaitGroup
@@ -678,7 +686,7 @@ func TestQueueOverOrchestrator(t *testing.T) {
 // tears it down once the job completes.
 func TestAbandonedSyncInstallRollsBack(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -85,19 +84,23 @@ func tenantCtx(tenant string) context.Context {
 }
 
 // TestDWRRWeightShare: with tenant weights 3:1 and both backlogged, every
-// scheduling window carries jobs in the weight ratio. The large window lets
-// all submissions land before the first pop, so the batch compositions are
-// deterministic.
+// batch carries jobs in the weight ratio. A blocker batch holds the queue's
+// one lane busy until every submission has landed, so the batches that
+// follow it are deterministic.
 func TestDWRRWeightShare(t *testing.T) {
-	stub := &stubLayer{}
+	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
 	q := New(stub, Options{
-		Window:        50 * time.Millisecond,
 		MaxBatch:      8,
 		TenantWeights: map[string]int{"heavy": 3, "light": 1},
 	})
 	defer q.Close()
 
-	var ids []string
+	blocker, err := q.Submit(context.Background(), req("blocker"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-stub.entered // the lane is busy: everything below queues behind it
+	ids := []string{blocker.ID}
 	submit := func(tenant, id string) {
 		t.Helper()
 		j, err := q.Submit(tenantCtx(tenant), req(id))
@@ -112,45 +115,39 @@ func TestDWRRWeightShare(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		submit("light", "l-"+string(rune('a'+i)))
 	}
+	close(stub.gate)
 	for _, id := range ids {
 		if j, err := q.Wait(context.Background(), id); err != nil || j.State != StateDeployed {
 			t.Fatalf("job %s: %v %v", id, j.State, err)
 		}
 	}
-	// Reconstruct the scheduling windows from the job snapshots: every job of
-	// one take() shares its Started stamp (dispatch-lane acquisition order is
-	// unordered, so the layer's own batch log cannot be used here).
-	byWindow := map[time.Time][]Job{}
-	for _, j := range q.Jobs() {
-		byWindow[j.Started] = append(byWindow[j.Started], j)
+	// One lane: batches enter the layer one after another, so its batch log
+	// is the scheduling order.
+	stub.mu.Lock()
+	batches := stub.batches
+	stub.mu.Unlock()
+	if len(batches) != 4 {
+		t.Fatalf("expected the blocker plus 3 batches, got %v", batches)
 	}
-	var starts []time.Time
-	for s := range byWindow {
-		starts = append(starts, s)
-	}
-	sort.Slice(starts, func(i, k int) bool { return starts[i].Before(starts[k]) })
-	if len(starts) != 3 {
-		t.Fatalf("expected 3 scheduling windows, got %d: %v", len(starts), byWindow)
-	}
-	count := func(window []Job, pfx string) int {
+	count := func(batch []string, pfx string) int {
 		n := 0
-		for _, j := range window {
-			if strings.HasPrefix(j.ServiceID, pfx) {
+		for _, id := range batch {
+			if strings.HasPrefix(id, pfx) {
 				n++
 			}
 		}
 		return n
 	}
-	// Both tenants backlogged: windows 1 and 2 must carry the 3:1 weight
+	// Both tenants backlogged: batches 1 and 2 must carry the 3:1 weight
 	// share (6 heavy + 2 light in a MaxBatch of 8).
-	for _, s := range starts[:2] {
-		if h, l := count(byWindow[s], "h-"), count(byWindow[s], "l-"); h != 6 || l != 2 {
-			t.Fatalf("window %v: want 6 heavy + 2 light, got %d+%d", byWindow[s], h, l)
+	for _, b := range batches[1:3] {
+		if h, l := count(b, "h-"), count(b, "l-"); h != 6 || l != 2 {
+			t.Fatalf("batch %v: want 6 heavy + 2 light, got %d+%d", b, h, l)
 		}
 	}
-	// The heavy backlog is drained after two windows; the rest is light's.
-	if h, l := count(byWindow[starts[2]], "h-"), count(byWindow[starts[2]], "l-"); h != 0 || l != 8 {
-		t.Fatalf("window 3 %v: want 0 heavy + 8 light, got %d+%d", byWindow[starts[2]], h, l)
+	// The heavy backlog is drained after two batches; the rest is light's.
+	if h, l := count(batches[3], "h-"), count(batches[3], "l-"); h != 0 || l != 8 {
+		t.Fatalf("batch 3 %v: want 0 heavy + 8 light, got %d+%d", batches[3], h, l)
 	}
 }
 
@@ -168,7 +165,6 @@ func TestNoStarvationUnderBacklog(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			layer := &slowLayer{delay: 5 * time.Millisecond}
 			q := New(layer, Options{
-				Window:            -1, // dispatch immediately
 				MaxBatch:          2,
 				TenantMaxInFlight: 2,
 				DisableFairness:   mode.fifo,
@@ -239,7 +235,6 @@ func TestPriorityAging(t *testing.T) {
 				entered: make(chan struct{}, 1),
 			}
 			q := New(layer, Options{
-				Window:            -1,
 				MaxBatch:          1,
 				TenantMaxInFlight: 1,
 				AgeAfter:          mode.ageAfter,
@@ -316,7 +311,6 @@ func TestPriorityAging(t *testing.T) {
 func TestTenantCaps(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
 	q := New(stub, Options{
-		Window:            -1,
 		TenantMaxInFlight: 1,
 		TenantQueueCap:    3,
 	})
@@ -364,7 +358,6 @@ func TestTenantCaps(t *testing.T) {
 func TestTenantReclamation(t *testing.T) {
 	stub := &stubLayer{}
 	q := New(stub, Options{
-		Window:        -1,
 		TenantWeights: map[string]int{"keeper": 2},
 	})
 	defer q.Close()

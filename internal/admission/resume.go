@@ -225,10 +225,7 @@ func (q *Queue) Resume(plans []ResumePlan) (requeued, completed int) {
 		}
 	}
 	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
+	q.nudge()
 	return requeued, completed
 }
 

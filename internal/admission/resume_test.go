@@ -28,7 +28,7 @@ func TestJournalResumeRoundtrip(t *testing.T) {
 	// The stub never opens its gate: every submission is on the log as an
 	// open record when the "crash" happens.
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond, Journal: st})
+	q := New(stub, Options{Journal: st})
 	metas := map[string]unify.RequestMeta{
 		"svcA": {Tenant: "acme", Priority: unify.PriorityHigh},
 		"svcB": {Tenant: "acme", Priority: unify.PriorityHigh},
@@ -63,7 +63,7 @@ func TestJournalResumeRoundtrip(t *testing.T) {
 	}
 
 	stub2 := &stubLayer{fail: map[string]error{"svcB": errors.New("no capacity")}}
-	q2 := New(stub2, Options{Window: time.Millisecond})
+	q2 := New(stub2, Options{})
 	defer q2.Close()
 	requeued, completed := q2.Resume(plans)
 	if requeued != 4 || completed != 0 {
@@ -124,7 +124,7 @@ func TestResumeReconciliation(t *testing.T) {
 		}
 	}
 
-	q := New(&stubLayer{}, Options{Window: time.Millisecond})
+	q := New(&stubLayer{}, Options{})
 	defer q.Close()
 	requeued, completed := q.Resume(plans)
 	if requeued != 0 || completed != 4 {
@@ -164,7 +164,7 @@ func TestResumeReconciliation(t *testing.T) {
 // back: every job terminal, every watcher woken, accounting consistent.
 func TestCloseDuringInFlightBatch(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 
 	const n = 8
 	var jobs []Job

@@ -159,7 +159,7 @@ func TestRemoteLayerAsDomain(t *testing.T) {
 // with the deployment receipt.
 func TestAsyncJobsOverHTTP(t *testing.T) {
 	lo := leaf(t, "remote")
-	q := admission.New(lo, admission.Options{Window: time.Millisecond})
+	q := admission.New(lo, admission.Options{})
 	t.Cleanup(q.Close)
 	srv := NewServer(lo, nil).WithAdmission(q)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -242,7 +242,7 @@ func TestAsyncJobsOverHTTP(t *testing.T) {
 // POSTs go through it too.
 func TestSyncInstallRidesAdmission(t *testing.T) {
 	lo := leaf(t, "remote")
-	q := admission.New(lo, admission.Options{Window: time.Millisecond})
+	q := admission.New(lo, admission.Options{})
 	t.Cleanup(q.Close)
 	srv := NewServer(lo, nil).WithAdmission(q)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -488,7 +488,7 @@ func TestPipelineStatsOverHTTP(t *testing.T) {
 // when absent.
 func TestTenantIdentityOverHTTP(t *testing.T) {
 	lo := leaf(t, "remote")
-	q := admission.New(lo, admission.Options{Window: time.Millisecond})
+	q := admission.New(lo, admission.Options{})
 	t.Cleanup(q.Close)
 	srv := NewServer(lo, nil).WithAdmission(q)
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -21,7 +21,7 @@ import (
 func startObsServer(t *testing.T) (*core.ResourceOrchestrator, *admission.Queue, *Server, *Client) {
 	t.Helper()
 	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})
-	q := admission.New(ro, admission.Options{Window: time.Millisecond, Tracer: obs.NewTracer(0)})
+	q := admission.New(ro, admission.Options{Tracer: obs.NewTracer(0)})
 	t.Cleanup(q.Close)
 	// A fleet controller adopts the attached leaves so unify_fleet joins the
 	// exposition the completeness test walks (the probe loop stays off).
@@ -117,7 +117,7 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	// Child layer: a leaf behind its own server + queue + tracer.
 	lo := leaf(t, "far")
 	childTracer := obs.NewTracer(0)
-	cq := admission.New(lo, admission.Options{Window: time.Millisecond, Tracer: childTracer})
+	cq := admission.New(lo, admission.Options{Tracer: childTracer})
 	t.Cleanup(cq.Close)
 	csrv := NewServer(lo, nil).WithAdmission(cq)
 	caddr, err := csrv.Listen("127.0.0.1:0")
@@ -135,7 +135,7 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	if err := ro.Attach(context.Background(), remote); err != nil {
 		t.Fatal(err)
 	}
-	tq := admission.New(ro, admission.Options{Window: time.Millisecond, Tracer: obs.NewTracer(0)})
+	tq := admission.New(ro, admission.Options{Tracer: obs.NewTracer(0)})
 	t.Cleanup(tq.Close)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -107,7 +107,10 @@ func (ro *ResourceOrchestrator) currentCut() (graphs []*nffg.NFFG, vec genVec) {
 // itself (a sealed shard snapshot) when there is exactly one. A merge
 // failure (colliding shard exports) is surfaced to the caller and counted in
 // PipelineStats.MergeErrors instead of silently serving an incomplete cut.
-func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG) (*nffg.NFFG, error) {
+// prev is the cached cut this merge replaces (nil if none): the fresh graph
+// adopts its compiled topology, which a commit that moved only reservations
+// leaves valid.
+func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG, prev *cutEntry) (*nffg.NFFG, error) {
 	var live []*nffg.NFFG
 	nInfras, nNFs, nSAPs := 0, 0, 0
 	for _, g := range graphs {
@@ -131,6 +134,9 @@ func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG) (*nffg.
 			return nil, fmt.Errorf("core %s: merging shard views: %w", ro.id, err)
 		}
 	}
+	if prev != nil {
+		m.AdoptShape(prev.graph)
+	}
 	// Sealed here, before the graph can escape to another goroutine: every
 	// return path of mergeCut hands out a sealed (or nil) graph, and re-
 	// sealing a shared snapshot later would be a racy write.
@@ -141,14 +147,13 @@ func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG) (*nffg.
 // cut cache when the generation vector still matches and rebuilt (then
 // sealed and cached) otherwise. Returns nil when no shard holds a view.
 func (ro *ResourceOrchestrator) mergedFromCut(graphs []*nffg.NFFG, vec genVec) (*nffg.NFFG, error) {
-	if !ro.noReadCache {
-		if e := ro.cutCache.Load(); e != nil && e.vec.equal(vec) {
-			ro.cutStats.hits.Add(1)
-			return e.graph, nil
-		}
+	e := ro.cutCache.Load()
+	if !ro.noReadCache && e != nil && e.vec.equal(vec) {
+		ro.cutStats.hits.Add(1)
+		return e.graph, nil
 	}
 	ro.cutStats.misses.Add(1)
-	merged, err := ro.mergeCut(ro.id+"-dov", graphs)
+	merged, err := ro.mergeCut(ro.id+"-dov", graphs, e)
 	if err != nil {
 		return nil, err
 	}
@@ -187,17 +192,15 @@ type scopedCutCache struct {
 // remerged — invalidation is implicit, exactly like the all-shard cache.
 func (ro *ResourceOrchestrator) mergedFromScopedCut(graphs []*nffg.NFFG, vec genVec) (*nffg.NFFG, error) {
 	key := strings.Join(vec.keys, "\x00")
-	if !ro.noReadCache {
-		ro.scopedCuts.mu.Lock()
-		e := ro.scopedCuts.entries[key]
-		ro.scopedCuts.mu.Unlock()
-		if e != nil && e.vec.equal(vec) {
-			ro.cutStats.hits.Add(1)
-			return e.graph, nil
-		}
+	ro.scopedCuts.mu.Lock()
+	e := ro.scopedCuts.entries[key]
+	ro.scopedCuts.mu.Unlock()
+	if !ro.noReadCache && e != nil && e.vec.equal(vec) {
+		ro.cutStats.hits.Add(1)
+		return e.graph, nil
 	}
 	ro.cutStats.misses.Add(1)
-	merged, err := ro.mergeCut(ro.id+"-plan", graphs)
+	merged, err := ro.mergeCut(ro.id+"-plan", graphs, e)
 	if err != nil {
 		return nil, err
 	}

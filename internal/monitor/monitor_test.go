@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/unify-repro/escape/internal/admission"
 	"github.com/unify-repro/escape/internal/core"
@@ -131,7 +130,7 @@ func TestOrchAndQueueSources(t *testing.T) {
 	if err := ro.Attach(context.Background(), lo); err != nil {
 		t.Fatal(err)
 	}
-	q := admission.New(ro, admission.Options{Window: time.Millisecond})
+	q := admission.New(ro, admission.Options{})
 	defer q.Close()
 
 	g := nffg.NewBuilder("svc").
@@ -202,7 +201,7 @@ func TestShardCountersFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := admission.New(ro, admission.Options{Window: time.Millisecond})
+	q := admission.New(ro, admission.Options{})
 	defer q.Close()
 	g := nffg.NewBuilder("svc").
 		SAP("east-in").SAP("east-out").

@@ -180,6 +180,17 @@ func (g *NFFG) InfraTopo() *topo.Graph {
 	return t
 }
 
+// AdoptShape hands g the compiled topology from carries, as Copy does for a
+// copy, so a graph rebuilt over the same infrastructure — a DoV cut merged
+// again after a commit moved only reservations — skips recompiling it.
+// InfraTopo still checks the adopted shape against g, so a stale one costs
+// only that check.
+func (g *NFFG) AdoptShape(from *NFFG) {
+	if from != nil {
+		g.shape.Store(from.shape.Load())
+	}
+}
+
 // hasShape reports whether s is what compiling g now would produce: the same
 // nodes, and the same links in the same order. It allocates nothing.
 func (g *NFFG) hasShape(s *topo.Structure) bool {

@@ -183,6 +183,43 @@ func TestInfraTopoCatchesDirectFieldEdits(t *testing.T) {
 	}
 }
 
+// A DoV cut merged again after a commit adopts the shape of the cut it
+// replaces: it then pays no compile, and a shape that no longer fits — a
+// shard gained a node — is recompiled, not trusted.
+func TestAdoptShapeOfAReplacedCut(t *testing.T) {
+	merge := func(parts ...*nffg.NFFG) *nffg.NFFG {
+		m := nffg.New("cut")
+		for _, p := range parts {
+			if err := m.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	a, b := ring("a", 4), ring("b", 3)
+	prev := merge(a, b)
+	checkTopo(t, "Merge", prev) // compiles and keeps prev's shape
+
+	next := merge(a, b)
+	for _, l := range next.Links {
+		l.Bandwidth /= 2 // a commit moves reservations only
+	}
+	next.AdoptShape(prev)
+	if n := testing.AllocsPerRun(10, func() { next.InfraTopo() }); n > 2 {
+		t.Errorf("InfraTopo on a cut that adopted a fitting shape: %v allocations, want at most 2", n)
+	}
+	checkTopo(t, "AdoptShape", next)
+
+	if err := a.AddSAP(&nffg.SAP{ID: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	grown := merge(a, b)
+	grown.AdoptShape(prev)
+	checkTopo(t, "AdoptShape of a stale shape", grown)
+	grown.AdoptShape(nil)
+	checkTopo(t, "AdoptShape(nil)", grown)
+}
+
 // One sealed snapshot is mapped on by many goroutines at once while the
 // commit path copies it and changes the copy.
 func TestInfraTopoOnASharedSnapshot(t *testing.T) {

@@ -240,21 +240,26 @@ func (c *Controller) request(ctx context.Context, dp *Datapath, m *Message, want
 	}
 	timer := time.NewTimer(c.timeout())
 	defer timer.Stop()
+	var reply *Message
 	select {
-	case reply := <-ch:
-		if reply.Type == TypeError {
-			e, _ := ParseError(reply)
-			return nil, fmt.Errorf("openflow: peer error %d: %s", e.Code, e.Reason)
-		}
-		if reply.Type != want {
-			return nil, fmt.Errorf("%w: got %s want %s", ErrBadType, reply.Type, want)
-		}
-		return reply, nil
+	case reply = <-ch:
 	case <-ctx.Done():
-		return nil, ctx.Err()
 	case <-timer.C:
 		return nil, fmt.Errorf("%w: %s from %s after %v", ErrTimeout, want, dp.ID, c.timeout())
 	}
+	// select picks at random among ready cases: a reply that raced a
+	// canceled context must not report success to the canceled caller.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if reply.Type == TypeError {
+		e, _ := ParseError(reply)
+		return nil, fmt.Errorf("openflow: peer error %d: %s", e.Code, e.Reason)
+	}
+	if reply.Type != want {
+		return nil, fmt.Errorf("%w: got %s want %s", ErrBadType, reply.Type, want)
+	}
+	return reply, nil
 }
 
 func (c *Controller) acceptLoop() {

@@ -304,6 +304,60 @@ func TestPipelineCancelMidStream(t *testing.T) {
 	}
 }
 
+// replyReadyCtx is a canceled context whose Done waits until a reply sits in
+// one of the datapath's pending channels, so the reply-versus-cancel select
+// of a request sees both cases ready — the race a switch answering at once
+// makes possible.
+type replyReadyCtx struct {
+	context.Context
+	dp *Datapath
+}
+
+func (c replyReadyCtx) Done() <-chan struct{} {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		ready := false
+		c.dp.pending.Range(func(_, v any) bool {
+			ready = len(v.(chan *Message)) > 0
+			return !ready
+		})
+		if ready {
+			break
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return c.Context.Done()
+}
+
+// A canceled flush never reports success, even when the switch's barrier
+// reply is already there when the controller looks.
+func TestCanceledFlushFailsDespiteReadyReply(t *testing.T) {
+	ctrl, addr := fakeController(t)
+	go newFakeSwitch(t, addr, "fake1").run()
+	if err := ctrl.WaitForSwitches(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	dp, err := ctrl.Datapath("fake1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := replyReadyCtx{Context: canceled, dp: dp}
+	for i := 0; i < 20; i++ {
+		p, err := ctrl.Pipeline("fake1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := fmt.Sprintf("r%d", i)
+		if err := p.Send(context.Background(), r, addRule(r)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Flush(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("flush %d on a canceled context: want context.Canceled, got %v", i, err)
+		}
+	}
+}
+
 // Storm test (run with -race): many concurrent deltas on the same datapath,
 // each through its own pipeline, must neither corrupt state nor lose rules.
 func TestPipelineConcurrentDeltaStorm(t *testing.T) {
