@@ -311,10 +311,19 @@ func requestMeta(r *http.Request) (context.Context, error) {
 	return unify.WithMeta(r.Context(), meta), nil
 }
 
+// maxInstallBody bounds the request graph handleInstall reads; a larger body
+// is refused with 413 instead of being decoded.
+const maxInstallBody = 16 << 20
+
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
-	req, err := nffg.DecodeJSON(r.Body)
+	req, err := nffg.DecodeJSON(http.MaxBytesReader(w, r.Body, maxInstallBody))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), "")
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, status, CodeBadRequest, err.Error(), "")
 		return
 	}
 	ctx, err := requestMeta(r)

@@ -2,10 +2,12 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,6 +127,28 @@ func TestErrorMapping(t *testing.T) {
 	// Unknown service -> ErrUnknownService.
 	if err := cli.Remove(context.Background(), "ghost"); !errors.Is(err, unify.ErrUnknownService) {
 		t.Fatalf("unknown mapping: %v", err)
+	}
+}
+
+// TestInstallBodyLimit: a request graph over 16 MiB is refused with 413
+// instead of being decoded.
+func TestInstallBodyLimit(t *testing.T) {
+	lo, cli := startPair(t)
+	body := `{"id":"huge","name":"` + strings.Repeat("a", maxInstallBody) + `"}`
+	resp, err := http.Post(cli.base+"/unify/services", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != CodeBadRequest {
+		t.Fatalf("oversized install: %d %+v", resp.StatusCode, env)
+	}
+	if got := lo.Services(); len(got) != 0 {
+		t.Fatalf("oversized request installed: %v", got)
 	}
 }
 

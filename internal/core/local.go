@@ -244,6 +244,9 @@ func (lo *LocalOrchestrator) Install(ctx context.Context, req *nffg.NFFG) (*unif
 	if req.ID == "" {
 		return nil, fmt.Errorf("%w: request needs an ID", unify.ErrRejected)
 	}
+	if err := req.CheckQuantities(); err != nil {
+		return nil, fmt.Errorf("%w: %v", unify.ErrRejected, err)
+	}
 	lo.mu.Lock()
 	if lo.services[req.ID] != nil || lo.pending[req.ID] {
 		lo.mu.Unlock()
@@ -318,7 +321,7 @@ func (lo *LocalOrchestrator) Remove(ctx context.Context, serviceID string) error
 	if !ok {
 		return fmt.Errorf("%w: %s", unify.ErrUnknownService, serviceID)
 	}
-	newCfg := lo.cfg.Copy()
+	newCfg := lo.cfg.Fork()
 	if err := embed.Release(newCfg, mapping); err != nil {
 		return err
 	}

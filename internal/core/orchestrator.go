@@ -923,6 +923,10 @@ func (ro *ResourceOrchestrator) InstallBatch(ctx context.Context, reqs []*nffg.N
 			bc.out[i].Err = fmt.Errorf("%w: service %s already installed", unify.ErrRejected, req.ID)
 			continue
 		}
+		if err := req.CheckQuantities(); err != nil {
+			bc.out[i].Err = fmt.Errorf("%w: %v", unify.ErrRejected, err)
+			continue
+		}
 		if err := ro.checkIdentifiersLocked(req); err != nil {
 			bc.out[i].Err = err
 			continue
@@ -1104,9 +1108,9 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		graphs, gens := snapshotCut(shs)
 
 		// The group's working graph: a consistent merge of its shards. The
-		// whole group shares ONE working copy — each accepted mapping is
+		// whole group shares ONE working fork — each accepted mapping is
 		// realized on it in place (embed.ApplyTo), so admitting N requests
-		// costs one graph copy instead of N. A full-DoV group plans on the
+		// costs one fork instead of N. A full-DoV group plans on the
 		// generation-keyed cut cache: between commits the merge is skipped
 		// entirely and the group reads the same sealed cut every reader sees.
 		var base *nffg.NFFG
@@ -1135,9 +1139,9 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		var accepted []*embed.Mapping
 		rebuild := func() {
 			// An ApplyTo failed partway and may have left cur inconsistent:
-			// rebuild it by replaying the accepted mappings on a fresh copy
+			// rebuild it by replaying the accepted mappings on a fresh fork
 			// (deterministic — they applied cleanly before).
-			cur = base.Copy()
+			cur = base.Fork()
 			for _, mp := range accepted {
 				if rerr := embed.ApplyTo(cur, mp); rerr != nil {
 					log.Printf("core %s: batch replay inconsistency: %v", ro.id, rerr)
@@ -1158,7 +1162,7 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 				continue
 			}
 			if cur == base {
-				cur = base.Copy()
+				cur = base.Fork()
 			}
 			if err := embed.ApplyTo(cur, mapping); err != nil {
 				bc.planErr[i] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
@@ -1235,12 +1239,12 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			continue
 		}
 		if len(shs) == 1 && len(tshs) == 1 && tshs[0] == shs[0] {
-			// Single-shard fast path: the working copy IS the shard's next
+			// Single-shard fast path: the working fork IS the shard's next
 			// snapshot (sealed: shard snapshots are shared by the read caches).
 			tshs[0].dov = cur.Seal()
 		} else {
-			// Project each accepted mapping onto every touched shard's
-			// copy-on-write graph; the home shard carries the bookkeeping.
+			// Project each accepted mapping onto a fork of every touched
+			// shard's graph; the home shard carries the bookkeeping.
 			if err := bc.projectLocked(tshs, cur, idx, plans); err != nil {
 				unlockAll(tshs)
 				log.Printf("core %s: scoped commit projection failed: %v", ro.id, err)
@@ -1402,7 +1406,7 @@ func (bc *batchRun) finalizeRejections(idx []int, attempts int, escalate bool) {
 	}
 }
 
-// projectLocked replays the group's accepted mappings onto copies of the
+// projectLocked replays the group's accepted mappings onto forks of the
 // touched shards' graphs (callers hold every shard lock in tshs). Each shard
 // receives exactly its slice of each mapping; the mapping's home shard also
 // records the bookkeeping hop/requirement entries. Every projection is built
@@ -1413,7 +1417,7 @@ func (bc *batchRun) projectLocked(tshs []*shard, ref *nffg.NFFG, idx []int, plan
 	for si, s := range tshs {
 		g := nffg.New(bc.ro.id + "-dov")
 		if s.dov != nil {
-			g = s.dov.Copy()
+			g = s.dov.Fork()
 		}
 		for _, i := range idx {
 			p, ok := plans[i]
@@ -1576,9 +1580,9 @@ func pickRootCause(children []string, errs []error) error {
 }
 
 // releaseShards returns a mapping's resources to the shards it occupies
-// (copy-on-write: each shard's release runs on a copy that replaces the
-// current snapshot under the shard's lock; the shards are locked together in
-// key order so the release is observed atomically).
+// (each shard's release runs on a fork that replaces the current snapshot
+// under the shard's lock; the shards are locked together in key order so the
+// release is observed atomically).
 func (ro *ResourceOrchestrator) releaseShards(serviceID string, mp *embed.Mapping, keys []string) error {
 	dir, _ := ro.snapshotDir()
 	shs := dir.ordered(keys)
@@ -1590,7 +1594,7 @@ func (ro *ResourceOrchestrator) releaseShards(serviceID string, mp *embed.Mappin
 	epoch := ro.bumpEpoch()
 	for _, s := range shs {
 		if s.dov != nil {
-			next := s.dov.Copy()
+			next := s.dov.Fork()
 			if err := embed.Release(next, mp); err == nil {
 				s.dov = next.Seal()
 			} else if firstErr == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -166,6 +167,59 @@ func TestLocalOrchestratorRejects(t *testing.T) {
 	empty := nffg.New("")
 	if _, err := lo.Install(context.Background(), empty); !errors.Is(err, unify.ErrRejected) {
 		t.Fatalf("missing id: %v", err)
+	}
+}
+
+// TestBadQuantitiesRejected: a negative, NaN or infinite quantity would add
+// capacity instead of consuming it, so the leaf and the resource orchestrator
+// both refuse such a request at their Install entry and reserve nothing.
+func TestBadQuantitiesRejected(t *testing.T) {
+	ctx := context.Background()
+	spoilers := map[string]func(g *nffg.NFFG){
+		"negative CPU": func(g *nffg.NFFG) {
+			for _, nf := range g.NFs {
+				nf.Demand.CPU = -100
+			}
+		},
+		"NaN memory": func(g *nffg.NFFG) {
+			for _, nf := range g.NFs {
+				nf.Demand.Mem = math.NaN()
+			}
+		},
+		"negative hop bandwidth": func(g *nffg.NFFG) {
+			for _, h := range g.Hops {
+				h.Bandwidth = -500
+			}
+		},
+		"infinite hop delay": func(g *nffg.NFFG) { g.Hops[0].Delay = math.Inf(1) },
+		"negative requirement bandwidth": func(g *nffg.NFFG) {
+			g.Reqs = append(g.Reqs, &nffg.Requirement{ID: "e2e", SrcNode: "sap1", DstNode: g.Hops[1].DstNode,
+				HopIDs: []string{g.Hops[0].ID, g.Hops[1].ID}, Bandwidth: -1})
+		},
+	}
+	lo := leafDomain(t, "mn", "sap1", "border", &recordingProgrammer{})
+	ro, loA, loB := buildMdO(t, &recordingProgrammer{}, &recordingProgrammer{})
+	for name, spoil := range spoilers {
+		req := chainReq(t, "q", "sap1", "border", "fw")
+		spoil(req)
+		if _, err := lo.Install(ctx, req); !errors.Is(err, unify.ErrRejected) {
+			t.Errorf("leaf, %s: %v", name, err)
+		}
+		req = chainReq(t, "q", "sap1", "b-ab", "fw")
+		spoil(req)
+		if _, err := ro.Install(ctx, req); !errors.Is(err, unify.ErrRejected) {
+			t.Errorf("resource orchestrator, %s: %v", name, err)
+		}
+	}
+	in := lo.Internal()
+	if avail, err := in.AvailableResources("mn-n1"); err != nil || avail.CPU != 8 {
+		t.Errorf("mn-n1 available %+v (%v), want its 8 CPU", avail, err)
+	}
+	if l := in.LinkByID("u/fwd"); l.Bandwidth != 100 {
+		t.Errorf("u/fwd bandwidth %g, want 100", l.Bandwidth)
+	}
+	if n := len(lo.Services()) + len(ro.Services()) + len(loA.Services()) + len(loB.Services()); n != 0 {
+		t.Errorf("%d services installed", n)
 	}
 }
 

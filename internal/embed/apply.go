@@ -13,15 +13,16 @@ import (
 // same SAP-facing port untagged.
 var ErrConflict = errors.New("embed: flowrule conflict")
 
-// Apply realizes a mapping on (a copy of) the substrate: NFs are placed with
-// StatusMapped, every SG hop becomes a set of flowrules along its path using
-// tag-based steering (push the hop tag at the ingress BiS-BiS, match it at
-// transit nodes, pop it on delivery), and link capacities are decremented by
-// the reserved bandwidth. This is the paper's "SFC programming = assigning
-// NFs to BiS-BiS nodes + editing flowrules within BiS-BiS nodes". The
-// original substrate is never mutated: a failed Apply leaves it untouched.
+// Apply realizes a mapping on a fork of the substrate (see nffg.Fork): NFs
+// are placed with StatusMapped, every SG hop becomes a set of flowrules along
+// its path using tag-based steering (push the hop tag at the ingress BiS-BiS,
+// match it at transit nodes, pop it on delivery), and link capacities are
+// decremented by the reserved bandwidth. This is the paper's "SFC programming
+// = assigning NFs to BiS-BiS nodes + editing flowrules within BiS-BiS nodes".
+// The original substrate is never mutated: a failed Apply leaves it
+// untouched.
 func Apply(sub *nffg.NFFG, mp *Mapping) (*nffg.NFFG, error) {
-	out := sub.Copy()
+	out := sub.Fork()
 	if err := ApplyTo(out, mp); err != nil {
 		return nil, err
 	}
@@ -46,8 +47,8 @@ func ApplyTo(out *nffg.NFFG, mp *Mapping) error {
 // is used read-only to resolve hop segments and ports that cross out of dst.
 //
 // This is the commit half of the sharded DoV: a mapping planned on a merged
-// multi-shard snapshot is projected per shard, so each shard's copy-on-write
-// graph receives exactly its own slice of the reservation. Exactly one shard
+// multi-shard snapshot is projected per shard, so each shard's next-generation
+// fork receives exactly its own slice of the reservation. Exactly one shard
 // — the mapping's home shard — must be called with bookkeeping set: it
 // carries the SG-hop and requirement records of the request (appended without
 // endpoint validation, since a cross-shard hop's peer endpoint legitimately
@@ -135,7 +136,7 @@ func applyScoped(dst, ref *nffg.NFFG, mp *Mapping, bookkeeping bool) error {
 	for _, h := range mp.Request.Hops {
 		p := mp.Paths[h.ID]
 		for _, lid := range p.Links {
-			l := dst.LinkByID(string(lid))
+			l := dst.MutLink(string(lid))
 			if l == nil {
 				if !full && ref.LinkByID(string(lid)) != nil {
 					continue // a sibling shard owns this segment
@@ -162,7 +163,7 @@ func Release(g *nffg.NFFG, mp *Mapping) error {
 		g.RemoveFlowrulesByHop(h.ID)
 		p := mp.Paths[h.ID]
 		for _, lid := range p.Links {
-			if l := g.LinkByID(string(lid)); l != nil {
+			if l := g.MutLink(string(lid)); l != nil {
 				l.Bandwidth += h.Bandwidth
 			}
 		}

@@ -2,6 +2,7 @@ package nffg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -206,6 +207,7 @@ func (g *NFFG) AddFlowrule(infra ID, f *Flowrule) error {
 	if err := g.checkRulePort(i, f.Action.Output); err != nil {
 		return fmt.Errorf("flowrule %s action: %w", f.ID, err)
 	}
+	i = g.mutInfra(infra)
 	i.Flowrules = append(i.Flowrules, f)
 	return nil
 }
@@ -213,17 +215,16 @@ func (g *NFFG) AddFlowrule(infra ID, f *Flowrule) error {
 // RemoveFlowrulesByHop removes from every infra the rules installed for the
 // given service hop, returning how many were dropped.
 func (g *NFFG) RemoveFlowrulesByHop(hopID string) int {
+	g.mustMutable("RemoveFlowrulesByHop")
+	ofHop := func(f *Flowrule) bool { return f.HopID == hopID }
 	n := 0
-	for _, i := range g.Infras {
-		kept := i.Flowrules[:0]
-		for _, f := range i.Flowrules {
-			if f.HopID == hopID {
-				n++
-				continue
-			}
-			kept = append(kept, f)
+	for id, i := range g.Infras {
+		if slices.ContainsFunc(i.Flowrules, ofHop) {
+			i = g.mutInfra(id)
+			n += len(i.Flowrules)
+			i.Flowrules = slices.DeleteFunc(i.Flowrules, ofHop)
+			n -= len(i.Flowrules)
 		}
-		i.Flowrules = kept
 	}
 	return n
 }

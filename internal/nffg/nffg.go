@@ -220,6 +220,9 @@ type NFFG struct {
 
 	// sealed marks the graph as a shared immutable snapshot (see Seal).
 	sealed bool
+	// owned is non-nil on a fork (see Fork): the entities the fork cloned
+	// and may write in place. Every other entity is shared.
+	owned map[any]struct{}
 	// shape is the compiled topology InfraTopo last derived (see there).
 	shape shapeRef
 }
@@ -247,8 +250,8 @@ func (r shapeRef) Store(s *topo.Structure) {
 
 // Seal marks the graph as a shared read-only snapshot: orchestration caches
 // hand one graph to many readers instead of defensively copying per call, so
-// after Seal the graph must never be mutated again. Copy always returns an
-// unsealed graph — callers that need to mutate a sealed view copy first.
+// after Seal the graph must never be mutated again. Copy and Fork return an
+// unsealed graph — callers that mutate a sealed view copy or fork it first.
 //
 // The discipline is enforced in race and nffg_sealcheck builds, where every
 // mutator panics on a sealed graph; release builds compile the check away.
@@ -256,6 +259,7 @@ func (r shapeRef) Store(s *topo.Structure) {
 // caches publish through atomics, which gives that ordering for free).
 func (g *NFFG) Seal() *NFFG {
 	g.sealed = true
+	g.owned = nil
 	return g
 }
 

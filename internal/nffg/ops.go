@@ -2,6 +2,8 @@ package nffg
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"sort"
 
@@ -82,10 +84,114 @@ func copyPorts(ps []*Port) []*Port {
 	return out
 }
 
-// Validate checks structural invariants: endpoint existence for every link,
-// hop and flowrule; NF hosts exist and support the NF's functional type; no
+// Fork returns the next generation of g: a graph that can be mutated without
+// changing g. Only the node maps and edge slices are copied; every *Infra,
+// *NF, *SAP, *Link, *SGHop and *Requirement is shared, and the fork's
+// mutators clone an infra, NF or link the first time they write it, so a
+// commit allocates for what it changes, not for the graph.
+//
+// A fork writes only through mutators (Add*, RemoveNF, AddFlowrule,
+// RemoveFlowrulesByHop, Apply, MutLink): a field written directly on a shared
+// entity changes g too, so callers that do that use Copy. Forking an unsealed
+// g makes g clone on write as well, since either may write what both share.
+func (g *NFFG) Fork() *NFFG {
+	c := NewSized(g.ID, len(g.Infras), len(g.NFs), len(g.SAPs))
+	c.Name, c.Version = g.Name, g.Version
+	c.shape.Store(g.shape.Load())
+	maps.Copy(c.Infras, g.Infras)
+	maps.Copy(c.NFs, g.NFs)
+	maps.Copy(c.SAPs, g.SAPs)
+	c.Links = slices.Clone(g.Links)
+	c.Hops = slices.Clone(g.Hops)
+	c.Reqs = slices.Clone(g.Reqs)
+	c.owned = map[any]struct{}{}
+	if !g.sealed {
+		g.owned = map[any]struct{}{}
+	}
+	return c
+}
+
+// own returns p for writing: p itself, unless g is a fork that has not
+// cloned it yet; then a clone g owns from now on.
+func own[T any](g *NFFG, p *T) *T {
+	if _, mine := g.owned[p]; mine || p == nil || g.owned == nil {
+		return p
+	}
+	c := *p
+	g.owned[&c] = struct{}{}
+	return &c
+}
+
+// mutInfra returns infra id for writing (nil if absent). A clone gets its
+// own flowtable slice; the rules themselves are never written in place.
+func (g *NFFG) mutInfra(id ID) *Infra {
+	i := g.Infras[id]
+	if c := own(g, i); c != i {
+		c.Flowrules = slices.Clone(i.Flowrules)
+		g.Infras[id] = c
+		return c
+	}
+	return i
+}
+
+// mutNF returns NF id for writing (nil if absent).
+func (g *NFFG) mutNF(id ID) *NF {
+	n := own(g, g.NFs[id])
+	if n != nil {
+		g.NFs[id] = n
+	}
+	return n
+}
+
+// MutLink returns the static link with the given ID for writing (nil if
+// absent): on a fork, the fork's own clone.
+func (g *NFFG) MutLink(id string) *Link {
+	g.mustMutable("MutLink")
+	for k, l := range g.Links {
+		if l.ID == id {
+			g.Links[k] = own(g, l)
+			return g.Links[k]
+		}
+	}
+	return nil
+}
+
+// CheckQuantities rejects a negative, NaN or infinite capacity, demand,
+// bandwidth or delay anywhere in g. Reservations subtract demands and admit
+// by comparison, so such a value would add capacity instead of consuming it.
+func (g *NFFG) CheckQuantities() (err error) {
+	check := func(kind, id string, vs ...float64) {
+		for _, v := range vs {
+			if err == nil && (v < 0 || math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("%w: %s %s has quantity %v (negative or not finite)", ErrInvalid, kind, id, v)
+			}
+		}
+	}
+	for id, i := range g.Infras {
+		check("infra", string(id), i.Capacity.CPU, i.Capacity.Mem, i.Capacity.Storage, i.Capacity.Bandwidth, i.Capacity.Delay)
+	}
+	for id, n := range g.NFs {
+		check("NF", string(id), n.Demand.CPU, n.Demand.Mem, n.Demand.Storage, n.Demand.Bandwidth, n.Demand.Delay)
+	}
+	for _, l := range g.Links {
+		check("link", l.ID, l.Bandwidth, l.Delay)
+	}
+	for _, h := range g.Hops {
+		check("hop", h.ID, h.Bandwidth, h.Delay)
+	}
+	for _, r := range g.Reqs {
+		check("requirement", r.ID, r.Bandwidth, r.Delay)
+	}
+	return err
+}
+
+// Validate checks structural invariants: CheckQuantities; endpoints exist for
+// every link, hop and flowrule; NF hosts exist and support the NF's type; no
 // infra node is oversubscribed; requirements reference existing hops.
 func (g *NFFG) Validate() error {
+	if err := g.CheckQuantities(); err != nil {
+		return err
+	}
 	for _, l := range g.Links {
 		if err := g.checkEndpoint(l.SrcNode, l.SrcPort); err != nil {
 			return fmt.Errorf("link %s: %w", l.ID, err)
@@ -317,26 +423,27 @@ func (d *Delta) Counts() (int, int, int, int) {
 // Diff computes the delta that transforms old into new. Both graphs must
 // describe the same infrastructure (same infra IDs); only NF placements and
 // flowtables are compared — topology changes are a domain event, not a
-// configuration.
+// configuration. An infra or NF both graphs hold under one pointer is
+// unchanged (a fork shares what it did not write), so Diff costs the change,
+// not the graphs.
 func Diff(oldG, newG *NFFG) (*Delta, error) {
-	d := &Delta{AddRules: map[ID][]*Flowrule{}, DelRules: map[ID][]*Flowrule{}}
-	for _, id := range newG.InfraIDs() {
+	for id := range newG.Infras {
 		if _, ok := oldG.Infras[id]; !ok {
 			return nil, fmt.Errorf("%w: infra %s only in new graph", ErrInvalid, id)
 		}
 	}
-	for _, id := range oldG.InfraIDs() {
+	for id := range oldG.Infras {
 		if _, ok := newG.Infras[id]; !ok {
 			return nil, fmt.Errorf("%w: infra %s only in old graph", ErrInvalid, id)
 		}
 	}
+	d := &Delta{AddRules: map[ID][]*Flowrule{}, DelRules: map[ID][]*Flowrule{}}
 	// NF placements.
-	for _, id := range newG.NFIDs() {
-		nf := newG.NFs[id]
-		if nf.Host == "" {
+	for id, nf := range newG.NFs {
+		old, ok := oldG.NFs[id]
+		if nf == old || nf.Host == "" {
 			continue
 		}
-		old, ok := oldG.NFs[id]
 		switch {
 		case !ok || old.Host == "":
 			d.AddNFs = append(d.AddNFs, copyNF(nf))
@@ -346,20 +453,23 @@ func Diff(oldG, newG *NFFG) (*Delta, error) {
 			d.AddNFs = append(d.AddNFs, copyNF(nf))
 		}
 	}
-	for _, id := range oldG.NFIDs() {
-		old := oldG.NFs[id]
-		if old.Host == "" {
+	for id, old := range oldG.NFs {
+		nf, ok := newG.NFs[id]
+		if nf == old || old.Host == "" {
 			continue
 		}
-		nf, ok := newG.NFs[id]
 		if !ok || nf.Host == "" {
 			d.DelNFs = append(d.DelNFs, id)
 		}
 	}
+	sort.Slice(d.AddNFs, func(i, j int) bool { return d.AddNFs[i].ID < d.AddNFs[j].ID })
 	sort.Slice(d.DelNFs, func(i, j int) bool { return d.DelNFs[i] < d.DelNFs[j] })
 	// Flowtables, per infra, keyed by Match.
-	for _, id := range newG.InfraIDs() {
-		oldTable, newTable := changedRules(oldG.Infras[id].Flowrules, newG.Infras[id].Flowrules)
+	for id, i := range newG.Infras {
+		if oldG.Infras[id] == i {
+			continue
+		}
+		oldTable, newTable := changedRules(oldG.Infras[id].Flowrules, i.Flowrules)
 		if len(oldTable)+len(newTable) == 0 {
 			continue
 		}
@@ -399,30 +509,24 @@ func Diff(oldG, newG *NFFG) (*Delta, error) {
 func (g *NFFG) Apply(d *Delta) error {
 	g.mustMutable("Apply")
 	for _, id := range d.DelNFs {
-		if nf, ok := g.NFs[id]; ok {
+		if nf := g.mutNF(id); nf != nil {
 			nf.Host = ""
 			nf.Status = StatusStopped
 		}
 	}
 	for infra, rules := range d.DelRules {
-		i, ok := g.Infras[infra]
-		if !ok {
+		i := g.mutInfra(infra)
+		if i == nil {
 			return fmt.Errorf("%w: infra %s", ErrNotFound, infra)
 		}
 		drop := map[Match]bool{}
 		for _, f := range rules {
 			drop[f.Match] = true
 		}
-		kept := i.Flowrules[:0]
-		for _, f := range i.Flowrules {
-			if !drop[f.Match] {
-				kept = append(kept, f)
-			}
-		}
-		i.Flowrules = kept
+		i.Flowrules = slices.DeleteFunc(i.Flowrules, func(f *Flowrule) bool { return drop[f.Match] })
 	}
 	for _, nf := range d.AddNFs {
-		if existing, ok := g.NFs[nf.ID]; ok {
+		if existing := g.mutNF(nf.ID); existing != nil {
 			existing.Host = nf.Host
 			existing.Status = StatusMapped
 			existing.Demand = nf.Demand
@@ -433,8 +537,8 @@ func (g *NFFG) Apply(d *Delta) error {
 		}
 	}
 	for infra, rules := range d.AddRules {
-		i, ok := g.Infras[infra]
-		if !ok {
+		i := g.mutInfra(infra)
+		if i == nil {
 			return fmt.Errorf("%w: infra %s", ErrNotFound, infra)
 		}
 		for _, f := range rules {

@@ -31,17 +31,19 @@ func TestSealBlocksMutators(t *testing.T) {
 		t.Skip("seal checks compiled out (enable with -race or -tags nffg_sealcheck)")
 	}
 	mutators := map[string]func(){
-		"AddInfra":    func() { _ = g.AddInfra(&Infra{ID: "n2"}) },
-		"AddNF":       func() { _ = g.AddNF(&NF{ID: "nf1"}) },
-		"AddSAP":      func() { _ = g.AddSAP(&SAP{ID: "sap3"}) },
-		"AddLink":     func() { _ = g.AddLink(&Link{ID: "l1", SrcNode: "sap1", SrcPort: "1", DstNode: "n1", DstPort: "1"}) },
-		"AddHop":      func() { _ = g.AddHop(&SGHop{ID: "h1", SrcNode: "sap1", SrcPort: "1", DstNode: "n1", DstPort: "1"}) },
-		"AddReq":      func() { _ = g.AddReq(&Requirement{ID: "r1"}) },
-		"AddFlowrule": func() { _ = g.AddFlowrule("n1", &Flowrule{ID: "f1"}) },
-		"RemoveNF":    func() { _ = g.RemoveNF("nf1") },
-		"Merge":       func() { _ = g.Merge(New("other")) },
-		"Apply":       func() { _ = g.Apply(&Delta{}) },
-		"NextVersion": func() { _ = g.NextVersion() },
+		"AddInfra":             func() { _ = g.AddInfra(&Infra{ID: "n2"}) },
+		"AddNF":                func() { _ = g.AddNF(&NF{ID: "nf1"}) },
+		"AddSAP":               func() { _ = g.AddSAP(&SAP{ID: "sap3"}) },
+		"AddLink":              func() { _ = g.AddLink(&Link{ID: "l1", SrcNode: "sap1", SrcPort: "1", DstNode: "n1", DstPort: "1"}) },
+		"AddHop":               func() { _ = g.AddHop(&SGHop{ID: "h1", SrcNode: "sap1", SrcPort: "1", DstNode: "n1", DstPort: "1"}) },
+		"AddReq":               func() { _ = g.AddReq(&Requirement{ID: "r1"}) },
+		"AddFlowrule":          func() { _ = g.AddFlowrule("n1", &Flowrule{ID: "f1"}) },
+		"RemoveNF":             func() { _ = g.RemoveNF("nf1") },
+		"RemoveFlowrulesByHop": func() { _ = g.RemoveFlowrulesByHop("h1") },
+		"MutLink":              func() { _ = g.MutLink("l1") },
+		"Merge":                func() { _ = g.Merge(New("other")) },
+		"Apply":                func() { _ = g.Apply(&Delta{}) },
+		"NextVersion":          func() { _ = g.NextVersion() },
 	}
 	for name, mutate := range mutators {
 		func() {
