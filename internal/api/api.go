@@ -5,8 +5,8 @@
 // and machine boundaries — the distributed form of the paper's recursive
 // control hierarchy.
 //
-// Endpoints (canonical under /v1; the unversioned /unify/... paths remain as
-// compatibility aliases, and every response carries X-Unify-API-Version):
+// Endpoints (every /unify route is served only under /v1; every response
+// carries X-Unify-API-Version):
 //
 //	GET    /v1/unify/view                 -> NFFG (virtualization view), with a
 //	                                         strong ETag + X-Unify-Generation;
@@ -26,18 +26,15 @@
 //	                                         ?timeout= expiry)
 //	DELETE /v1/unify/jobs/{id}            -> 204 (cancel a queued job)
 //	GET    /v1/unify/stats                -> StatsDoc (pipeline + admission +
-//	                                         southbound + fleet + replica, one doc)
-//	GET    /v1/unify/stats/admission      -> admission.Stats (incl. per-shard gauges)
-//	GET    /v1/unify/stats/pipeline       -> PipelineInfo (mapping-pipeline counters
-//	                                         plus per-shard DoV generations, when the
-//	                                         layer exposes them)
+//	                                         southbound + journal + fleet + replica,
+//	                                         one doc)
 //	GET    /v1/unify/trace/{id}           -> obs.TraceData (span tree of a job ID or
 //	                                         trace ID; requires admission + tracer)
 //	GET    /v1/unify/healthz              -> Health (build info, uptime, API version,
 //	                                         shard and domain counts, replica sync —
 //	                                         the readiness probe)
-//	GET    /metrics                       -> Prometheus text exposition (histograms,
-//	                                         pipeline/southbound/admission counters)
+//	GET    /metrics                       -> Prometheus text exposition: the StatsDoc
+//	                                         counters plus stage histograms
 //	GET    /healthz                       -> 200 "ok"
 //
 // Errors are one typed JSON envelope, {"error": {"code", "message",
@@ -77,7 +74,7 @@ import (
 	"github.com/unify-repro/escape/internal/unify"
 )
 
-// PipelineInfo is the payload of GET /unify/stats/pipeline: the layer's
+// PipelineInfo is the pipeline section of StatsDoc: the layer's
 // mapping-pipeline counters plus, for sharded orchestrators, every DoV
 // shard's generation and commit counters.
 type PipelineInfo struct {
@@ -109,17 +106,18 @@ type Server struct {
 
 	// journal/recovery surface the durability plane when the process runs
 	// with a data dir (WithJournal/WithRecovery): journal counters join
-	// /metrics and the recovery summary joins /unify/healthz.
+	// /v1/unify/stats and /metrics, and the recovery summary joins
+	// /v1/unify/healthz.
 	journal *journal.Store
 	recover *journal.Info
 
 	// fleet exposes the domain lifecycle controller (WithFleet): member
-	// status and operator drains join the API, fleet counters join /metrics
-	// and /unify/healthz.
+	// status and operator drains join the API, fleet counters join
+	// /v1/unify/stats, /metrics and /v1/unify/healthz.
 	fleet *fleet.Controller
 
 	// replica, when the served layer is a read replica (WithReplica), joins
-	// its sync state to /unify/healthz and /metrics and lets write refusals
+	// its sync state to /v1/unify/healthz and /metrics and lets write refusals
 	// carry a Location hint at the writer.
 	replica *Replica
 
@@ -148,24 +146,25 @@ func (s *Server) WithAdmission(q *admission.Queue) *Server {
 	return s
 }
 
-// WithJournal exports the write-ahead journal's counters and stage
-// histograms on /metrics. Call before Listen; the caller keeps ownership of
-// the store's lifecycle (Close it after the server and queue).
+// WithJournal exports the write-ahead journal's counters on /v1/unify/stats
+// and /metrics, and its stage histograms on /metrics. Call before Listen;
+// the caller keeps ownership of the store's lifecycle (Close it after the
+// server and queue).
 func (s *Server) WithJournal(st *journal.Store) *Server {
 	s.journal = st
 	return s
 }
 
 // WithRecovery attaches the crash-recovery summary of this process's startup
-// to /unify/healthz, so operators (and the e2e harness) can see what a
+// to /v1/unify/healthz, so operators (and the e2e harness) can see what a
 // restart replayed without scraping logs. Call before Listen.
 func (s *Server) WithRecovery(info *journal.Info) *Server {
 	s.recover = info
 	return s
 }
 
-// WithFleet exposes the domain fleet controller: GET /unify/fleet (member
-// states) and POST /unify/fleet/{domain}/drain (operator eviction +
+// WithFleet exposes the domain fleet controller: GET /v1/unify/fleet (member
+// states) and POST /v1/unify/fleet/{domain}/drain (operator eviction +
 // failover). Call before Listen; the caller keeps ownership of the
 // controller's lifecycle (Stop it before shutting the server down).
 func (s *Server) WithFleet(fc *fleet.Controller) *Server {
@@ -174,7 +173,7 @@ func (s *Server) WithFleet(fc *fleet.Controller) *Server {
 }
 
 // WithReplica marks the served layer as a read replica: its sync state joins
-// /unify/healthz, /unify/stats and /metrics, and refused writes carry a
+// /v1/unify/healthz, /v1/unify/stats and /metrics, and refused writes carry a
 // Location header naming the writer. Call before Listen; pass the same
 // Replica that was given to NewServer as the layer.
 func (s *Server) WithReplica(r *Replica) *Server {
@@ -183,44 +182,31 @@ func (s *Server) WithReplica(r *Replica) *Server {
 }
 
 // Listen binds to addr ("127.0.0.1:0" for ephemeral) and serves in the
-// background, returning the bound address. Every /unify route is mounted
-// twice: at its canonical versioned path (/v1/unify/...) and at the
-// unversioned path as a compatibility alias for pre-v1 clients.
+// background, returning the bound address.
 func (s *Server) Listen(addr string) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		_, _ = io.WriteString(w, "ok")
 	})
-	// handle registers a /unify route under both the versioned mount and the
-	// unversioned alias. Patterns are "METHOD /unify/...".
-	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, ok := strings.Cut(pattern, " ")
-		if ok && strings.HasPrefix(path, "/unify/") {
-			mux.HandleFunc(method+" /"+APIVersion+path, h)
-		}
-	}
-	handle("GET /unify/view", s.handleView)
-	handle("GET /unify/watch", s.handleWatch)
-	handle("GET /unify/capabilities", s.handleCaps)
-	handle("GET /unify/services", s.handleList)
-	handle("POST /unify/services", s.handleInstall)
-	handle("DELETE /unify/services/{id}", s.handleRemove)
-	handle("GET /unify/stats", s.handleStats)
-	handle("GET /unify/stats/pipeline", s.handlePipelineStats)
-	handle("GET /unify/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET "+unifyRoot+"/view", s.handleView)
+	mux.HandleFunc("GET "+unifyRoot+"/watch", s.handleWatch)
+	mux.HandleFunc("GET "+unifyRoot+"/capabilities", s.handleCaps)
+	mux.HandleFunc("GET "+unifyRoot+"/services", s.handleList)
+	mux.HandleFunc("POST "+unifyRoot+"/services", s.handleInstall)
+	mux.HandleFunc("DELETE "+unifyRoot+"/services/{id}", s.handleRemove)
+	mux.HandleFunc("GET "+unifyRoot+"/stats", s.handleStats)
+	mux.HandleFunc("GET "+unifyRoot+"/healthz", s.handleHealthz)
 	if s.adm != nil {
-		handle("GET /unify/jobs", s.handleJobs)
-		handle("GET /unify/jobs/{id}", s.handleJob)
-		handle("GET /unify/jobs/{id}/wait", s.handleJobWait)
-		handle("DELETE /unify/jobs/{id}", s.handleJobCancel)
-		handle("GET /unify/stats/admission", s.handleAdmissionStats)
-		handle("GET /unify/trace/{id}", s.handleTrace)
+		mux.HandleFunc("GET "+unifyRoot+"/jobs", s.handleJobs)
+		mux.HandleFunc("GET "+unifyRoot+"/jobs/{id}", s.handleJob)
+		mux.HandleFunc("GET "+unifyRoot+"/jobs/{id}/wait", s.handleJobWait)
+		mux.HandleFunc("DELETE "+unifyRoot+"/jobs/{id}", s.handleJobCancel)
+		mux.HandleFunc("GET "+unifyRoot+"/trace/{id}", s.handleTrace)
 	}
 	if s.fleet != nil {
-		handle("GET /unify/fleet", s.handleFleet)
-		handle("POST /unify/fleet/{domain}/drain", s.handleDrain)
+		mux.HandleFunc("GET "+unifyRoot+"/fleet", s.handleFleet)
+		mux.HandleFunc("POST "+unifyRoot+"/fleet/{domain}/drain", s.handleDrain)
 	}
 	if s.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -235,7 +221,7 @@ func (s *Server) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.addr = ln.Addr().String()
-	// Every response advertises the API version, whichever mount served it.
+	// Every response advertises the API version, errors and 404s included.
 	s.http = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(VersionHeader, APIVersion)
 		mux.ServeHTTP(w, r)
@@ -246,7 +232,7 @@ func (s *Server) Listen(addr string) (string, error) {
 
 // Shutdown stops the listener and drains in-flight requests until ctx
 // expires, then force-closes whatever is left (long-polls parked in
-// /unify/jobs/{id}/wait can legitimately outlive any drain window). It is
+// /v1/unify/jobs/{id}/wait can legitimately outlive any drain window). It is
 // the graceful form of Close; call it BEFORE closing the admission queue so
 // requests already past the listener still find a live queue.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -409,23 +395,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleAdmissionStats(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.adm.Stats())
-}
-
-func (s *Server) handlePipelineStats(w http.ResponseWriter, _ *http.Request) {
-	p, ok := s.layer.(pipelineStatsProvider)
-	if !ok {
-		s.writeError(w, http.StatusNotImplemented, CodeNotImplemented, "api: layer exposes no pipeline stats", "")
-		return
-	}
-	info := PipelineInfo{Layer: s.layer.ID(), Stats: p.PipelineStats()}
-	if sp, ok := s.layer.(shardStatsProvider); ok {
-		info.Shards = sp.ShardStats()
-	}
-	s.writeJSON(w, http.StatusOK, info)
-}
-
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	if err := s.layer.Remove(r.Context(), r.PathValue("id")); err != nil {
 		s.httpError(w, err)
@@ -460,11 +429,11 @@ func writeJSONTo(w http.ResponseWriter, status int, v any) error {
 // only by the caller's context — an async job watch may legitimately outlive
 // any fixed timeout.
 type Client struct {
-	id    string
-	base  string
-	meta  unify.RequestMeta // default submission metadata (see WithTenant)
-	unary *http.Client      // bounded by the dial timeout
-	long  *http.Client      // context-governed only
+	id     string
+	base   string
+	tenant string       // default submission tenant (see WithTenant)
+	unary  *http.Client // bounded by the dial timeout
+	long   *http.Client // context-governed only
 
 	// viewCache holds the one sealed remote view the conditional View path
 	// revalidates with If-None-Match (see readplane.go); viewHits/viewMisses
@@ -504,13 +473,7 @@ func WithTimeout(d time.Duration) DialOption {
 // async submit carries it as the X-Unify-Tenant header unless the call's
 // context overrides it (unify.WithMeta).
 func WithTenant(tenant string) DialOption {
-	return func(c *Client) { c.meta.Tenant = tenant }
-}
-
-// WithPriority sets the client's default admission priority, overridable per
-// call via unify.WithMeta on the context.
-func WithPriority(p unify.Priority) DialOption {
-	return func(c *Client) { c.meta.Priority = p }
+	return func(c *Client) { c.tenant = tenant }
 }
 
 // Dial checks the remote's health and returns a client. id names the layer
@@ -576,7 +539,7 @@ func (c *Client) install(ctx context.Context, req *nffg.NFFG, async bool) (*http
 	if err := req.EncodeJSON(&buf); err != nil {
 		return nil, err
 	}
-	target := "/unify/services"
+	target := unifyRoot + "/services"
 	if async {
 		target += "?mode=async"
 	}
@@ -587,10 +550,7 @@ func (c *Client) install(ctx context.Context, req *nffg.NFFG, async bool) (*http
 	hreq.Header.Set("Content-Type", "application/json")
 	meta := unify.MetaFrom(ctx)
 	if meta.Tenant == "" {
-		meta.Tenant = c.meta.Tenant
-	}
-	if meta.Priority == "" {
-		meta.Priority = c.meta.Priority
+		meta.Tenant = c.tenant
 	}
 	if meta.Tenant != "" {
 		hreq.Header.Set(TenantHeader, meta.Tenant)
@@ -649,14 +609,14 @@ func (c *Client) SubmitAsync(ctx context.Context, req *nffg.NFFG) (admission.Job
 // Job fetches one job snapshot.
 func (c *Client) Job(ctx context.Context, id string) (admission.Job, error) {
 	var job admission.Job
-	err := c.getJSON(ctx, "/unify/jobs/"+url.PathEscape(id), &job)
+	err := c.getJSON(ctx, unifyRoot+"/jobs/"+url.PathEscape(id), &job)
 	return job, err
 }
 
 // Jobs lists the remote queue's jobs in submission order.
 func (c *Client) Jobs(ctx context.Context) ([]admission.Job, error) {
 	var jobs []admission.Job
-	err := c.getJSON(ctx, "/unify/jobs", &jobs)
+	err := c.getJSON(ctx, unifyRoot+"/jobs", &jobs)
 	return jobs, err
 }
 
@@ -680,7 +640,7 @@ func (c *Client) WaitJob(ctx context.Context, id string) (admission.Job, error) 
 	failures := 0
 	for {
 		req, err := c.newRequest(ctx, http.MethodGet,
-			"/unify/jobs/"+url.PathEscape(id)+"/wait?timeout="+pollWindow.String(), nil)
+			unifyRoot+"/jobs/"+url.PathEscape(id)+"/wait?timeout="+pollWindow.String(), nil)
 		if err != nil {
 			return admission.Job{}, err
 		}
@@ -728,7 +688,7 @@ func (c *Client) WaitJob(ctx context.Context, id string) (admission.Job, error) 
 
 // CancelJob cancels a still-queued job.
 func (c *Client) CancelJob(ctx context.Context, id string) error {
-	req, err := c.newRequest(ctx, http.MethodDelete, "/unify/jobs/"+url.PathEscape(id), nil)
+	req, err := c.newRequest(ctx, http.MethodDelete, unifyRoot+"/jobs/"+url.PathEscape(id), nil)
 	if err != nil {
 		return err
 	}
@@ -743,26 +703,11 @@ func (c *Client) CancelJob(ctx context.Context, id string) error {
 	return nil
 }
 
-// AdmissionStats fetches the remote queue's counters.
-func (c *Client) AdmissionStats(ctx context.Context) (admission.Stats, error) {
-	var st admission.Stats
-	err := c.getJSON(ctx, "/unify/stats/admission", &st)
-	return st, err
-}
-
-// PipelineStats fetches the remote layer's mapping-pipeline counters and,
-// for sharded orchestrators, its per-shard DoV generations.
-func (c *Client) PipelineStats(ctx context.Context) (PipelineInfo, error) {
-	var info PipelineInfo
-	err := c.getJSON(ctx, "/unify/stats/pipeline", &info)
-	return info, err
-}
-
 // Remove implements unify.Layer.
 func (c *Client) Remove(ctx context.Context, serviceID string) error {
 	// Service IDs may contain separators ('#' in orchestrator sub-requests)
 	// that URL parsing would otherwise eat.
-	req, err := c.newRequest(ctx, http.MethodDelete, "/unify/services/"+url.PathEscape(serviceID), nil)
+	req, err := c.newRequest(ctx, http.MethodDelete, unifyRoot+"/services/"+url.PathEscape(serviceID), nil)
 	if err != nil {
 		return err
 	}
@@ -781,7 +726,7 @@ func (c *Client) Remove(ctx context.Context, serviceID string) error {
 // honoring the context (unlike the interface-shaped Services).
 func (c *Client) ListServices(ctx context.Context) ([]string, error) {
 	var out []string
-	err := c.getJSON(ctx, "/unify/services", &out)
+	err := c.getJSON(ctx, unifyRoot+"/services", &out)
 	return out, err
 }
 
@@ -799,7 +744,7 @@ func (c *Client) Services() []string {
 // transport errors and honoring the context (unlike Capabilities).
 func (c *Client) RemoteCapabilities(ctx context.Context) ([]domain.Capability, error) {
 	var raw []string
-	if err := c.getJSON(ctx, "/unify/capabilities", &raw); err != nil {
+	if err := c.getJSON(ctx, unifyRoot+"/capabilities", &raw); err != nil {
 		return nil, err
 	}
 	out := make([]domain.Capability, 0, len(raw))

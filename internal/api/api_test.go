@@ -135,7 +135,7 @@ func TestErrorMapping(t *testing.T) {
 func TestInstallBodyLimit(t *testing.T) {
 	lo, cli := startPair(t)
 	body := `{"id":"huge","name":"` + strings.Repeat("a", maxInstallBody) + `"}`
-	resp, err := http.Post(cli.base+"/unify/services", "application/json", strings.NewReader(body))
+	resp, err := http.Post(cli.base+unifyRoot+"/services", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +229,8 @@ func TestAsyncJobsOverHTTP(t *testing.T) {
 	if err != nil || len(jobs) != 1 {
 		t.Fatalf("jobs list: %+v %v", jobs, err)
 	}
-	if st, err := cli.AdmissionStats(ctx); err != nil || st.Deployed != 1 {
-		t.Fatalf("admission stats: %+v %v", st, err)
+	if doc, err := cli.Stats(ctx); err != nil || doc.Admission == nil || doc.Admission.Deployed != 1 {
+		t.Fatalf("admission stats: %+v %v", doc.Admission, err)
 	}
 
 	// Unknown jobs surface the typed ErrUnknownJob identity on fetch/watch
@@ -352,7 +352,7 @@ func flakyWaitServer(t *testing.T, drops int) (addr string, polls *atomic.Int32)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		_, _ = io.WriteString(w, "ok")
 	})
-	mux.HandleFunc("GET /unify/jobs/{id}/wait", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET "+unifyRoot+"/jobs/{id}/wait", func(w http.ResponseWriter, r *http.Request) {
 		n := polls.Add(1)
 		if int(n) <= drops {
 			// Kill the connection without a response: the client sees a
@@ -434,7 +434,7 @@ func TestWaitJobContextCancel(t *testing.T) {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		_, _ = io.WriteString(w, "ok")
 	})
-	mux.HandleFunc("GET /unify/jobs/{id}/wait", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET "+unifyRoot+"/jobs/{id}/wait", func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -464,14 +464,27 @@ func TestWaitJobContextCancel(t *testing.T) {
 	}
 }
 
-// TestPipelineStatsOverHTTP: the stats endpoint exposes the sharded
-// orchestrator's pipeline counters and per-shard generations end to end.
+// TestPipelineStatsOverHTTP: the consolidated document carries a sharded
+// orchestrator's pipeline, read-cache, per-shard and admission counters end to
+// end; a leaf reports southbound counters instead of a pipeline.
 func TestPipelineStatsOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})
-	if err := ro.Attach(context.Background(), leaf(t, "d0")); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"east", "west"} {
+		n, in, out := nffg.ID(name+"-n"), nffg.ID(name+"-in"), nffg.ID(name+"-out")
+		sub := nffg.NewBuilder(name).BiSBiS(n, name, 4, res(16, 8192), "fw").SAP(in).SAP(out).
+			Link("u1", in, "1", n, "1", 100, 1).Link("u2", n, "2", out, "1", 100, 1).MustBuild()
+		lo, err := core.NewLocalOrchestrator(core.LocalConfig{ID: name, Substrate: sub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ro.Attach(ctx, lo); err != nil {
+			t.Fatal(err)
+		}
 	}
-	srv := NewServer(ro, nil)
+	q := admission.New(ro, admission.Options{})
+	t.Cleanup(q.Close)
+	srv := NewServer(ro, nil).WithAdmission(q)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -481,28 +494,51 @@ func TestPipelineStatsOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Install(context.Background(), sg(t, "svc")); err != nil {
+	g := nffg.NewBuilder("svc").SAP("east-in").SAP("east-out").NF("svc-nf", "fw", 2, res(2, 512)).
+		Chain("svc", 1, 0, "east-in", "svc-nf", "east-out").MustBuild()
+	g.NFs["svc-nf"].Host = "bisbis@east"
+	if _, err := cli.Install(ctx, g); err != nil {
 		t.Fatal(err)
 	}
-	info, err := cli.PipelineStats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Layer != "mdo" || info.Stats.Installs != 1 {
-		t.Fatalf("pipeline info: %+v", info)
-	}
-	if len(info.Shards) != 1 || info.Shards[0].Shard != "d0" || info.Shards[0].Gen == 0 {
-		t.Fatalf("shard stats: %+v", info.Shards)
-	}
-	if info.Shards[0].Gen != info.Shards[0].Commits {
-		t.Fatalf("gen invariant over the wire: %+v", info.Shards[0])
+	// Two reads: the first fills the view cache, the second hits it.
+	for i := 0; i < 2; i++ {
+		if _, err := cli.View(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// A plain layer without pipeline stats answers 501.
-	lo, cli2 := startPair(t)
-	_ = lo
-	if _, err := cli2.PipelineStats(context.Background()); err == nil {
-		t.Fatal("plain layer must not report pipeline stats")
+	doc, err := cli.Stats(ctx)
+	if err != nil || doc.Pipeline == nil || doc.Admission == nil {
+		t.Fatalf("stats: %+v %v", doc, err)
+	}
+	st := doc.Pipeline.Stats
+	if doc.Pipeline.Layer != "mdo" || st.Installs != 1 || st.MapAttempts < 1 || st.Batches != 1 {
+		t.Fatalf("pipeline counters: %+v", st)
+	}
+	if st.ViewCache.Misses == 0 || st.ViewCache.Hits == 0 {
+		t.Fatalf("view cache counters: %+v", st.ViewCache)
+	}
+	sh := doc.Pipeline.Shards
+	if len(sh) != 2 || sh[0].Shard != "east" || sh[1].Shard != "west" {
+		t.Fatalf("shard stats: %+v", sh)
+	}
+	// The single-shard install committed on east only: west saw just its
+	// attach merge.
+	if sh[0].Commits <= sh[1].Commits || sh[0].Gen != sh[0].Commits || sh[1].Gen != sh[1].Commits {
+		t.Fatalf("per-shard generations over the wire: %+v", sh)
+	}
+	a := doc.Admission
+	if a.Deployed != 1 || a.Batches != 1 || a.Coalesced != 1 || a.Shards["east"].Batches == 0 {
+		t.Fatalf("admission counters: %+v", a)
+	}
+
+	_, lcli := startPair(t)
+	if _, err := lcli.Install(ctx, sg(t, "svc")); err != nil {
+		t.Fatal(err)
+	}
+	ldoc, err := lcli.Stats(ctx)
+	if err != nil || ldoc.Pipeline != nil || ldoc.Southbound == nil {
+		t.Fatalf("leaf stats: %+v %v", ldoc, err)
 	}
 }
 
@@ -577,10 +613,11 @@ func TestTenantIdentityOverHTTP(t *testing.T) {
 	}
 
 	// Per-tenant accounting made the round trip too.
-	st, err := cli.AdmissionStats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	doc, err := cli.Stats(ctx)
+	if err != nil || doc.Admission == nil {
+		t.Fatalf("stats: %+v %v", doc, err)
 	}
+	st := doc.Admission
 	if st.Tenants["acme"].Deployed != 1 || st.Tenants["acme"].Submitted != 1 {
 		t.Fatalf("acme stats over the wire: %+v", st.Tenants)
 	}

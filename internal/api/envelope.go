@@ -6,9 +6,8 @@
 // The code is the wire form of the unify/admission sentinel taxonomy, so
 // clients map errors by NAME instead of reverse-engineering HTTP statuses or
 // string-matching messages; the optional domain field names the child domain
-// an infrastructure condition is about. The client decoder also accepts the
-// pre-envelope form ({"error": "message"}) and falls back to status-based
-// mapping, so version-skewed client/server pairs keep interoperating.
+// an infrastructure condition is about. A body that is not an envelope
+// falls back to status-based mapping.
 package api
 
 import (
@@ -31,8 +30,8 @@ var ErrReadOnly = errors.New("api: read-only replica")
 
 // ErrorBody is the typed payload inside the error envelope.
 type ErrorBody struct {
-	// Code is the stable machine-readable error name (see the table in
-	// errorStatus); clients map it onto sentinel errors.
+	// Code is the stable machine-readable error name (see errorTable);
+	// clients map it onto sentinel errors.
 	Code string `json:"code"`
 	// Message is the human-readable error text.
 	Message string `json:"message"`
@@ -67,74 +66,54 @@ const (
 	CodeUnknownTrace      = "unknown_trace"
 )
 
-// errorStatus classifies an error into its (HTTP status, wire code) pair —
-// the single source of truth for the server-side mapping.
-func errorStatus(err error) (int, string) {
-	switch {
-	// Checked before ErrRejected: an install that failed because a target
-	// domain is detached/evicting names an infrastructure condition, and the
-	// caller's remedy (retry after the fleet heals) differs from a rejected
-	// request's (fix the request).
-	case errors.Is(err, unify.ErrDomainUnavailable):
-		return http.StatusLocked, CodeDomainUnavailable
-	case errors.Is(err, domain.ErrUnknown):
-		return http.StatusNotFound, CodeUnknownDomain
-	case errors.Is(err, unify.ErrRejected):
-		return http.StatusConflict, CodeRejected
-	case errors.Is(err, unify.ErrUnknownService):
-		return http.StatusNotFound, CodeUnknownService
-	case errors.Is(err, admission.ErrUnknownJob):
-		return http.StatusNotFound, CodeUnknownJob
-	case errors.Is(err, ErrReadOnly):
-		return http.StatusServiceUnavailable, CodeReadOnly
-	case errors.Is(err, unify.ErrBusy):
-		return http.StatusServiceUnavailable, CodeBusy
-	case errors.Is(err, admission.ErrQueueFull):
-		return http.StatusTooManyRequests, CodeQueueFull
-	case errors.Is(err, admission.ErrNotCancelable):
-		return http.StatusConflict, CodeNotCancelable
-	case errors.Is(err, admission.ErrCanceled):
-		// A sync install whose queued job was canceled (DELETE on the job,
-		// or queue shutdown) is a conflict, not a server fault.
-		return http.StatusConflict, CodeCanceled
-	case errors.Is(err, core.ErrEmptyView):
-		// No domain has attached yet: the view legitimately does not exist.
-		return http.StatusNotFound, CodeEmptyView
-	default:
-		return http.StatusInternalServerError, CodeInternal
-	}
+// errorTable is the one sentinel↔code taxonomy of the API, in
+// classification order: errorStatus answers the first row whose sentinel the
+// error wraps, and codeError maps a wire code back onto its row's sentinel, so
+// errors.Is works identically for local and remote layers.
+var errorTable = []struct {
+	sentinel error
+	status   int
+	code     string
+}{
+	// Before ErrRejected: an install that failed because a target domain is
+	// detached/evicting names an infrastructure condition, and the caller's
+	// remedy (retry after the fleet heals) differs from a rejected request's
+	// (fix the request).
+	{unify.ErrDomainUnavailable, http.StatusLocked, CodeDomainUnavailable},
+	{domain.ErrUnknown, http.StatusNotFound, CodeUnknownDomain},
+	{unify.ErrRejected, http.StatusConflict, CodeRejected},
+	{unify.ErrUnknownService, http.StatusNotFound, CodeUnknownService},
+	{admission.ErrUnknownJob, http.StatusNotFound, CodeUnknownJob},
+	{ErrReadOnly, http.StatusServiceUnavailable, CodeReadOnly},
+	{unify.ErrBusy, http.StatusServiceUnavailable, CodeBusy},
+	{admission.ErrQueueFull, http.StatusTooManyRequests, CodeQueueFull},
+	{admission.ErrNotCancelable, http.StatusConflict, CodeNotCancelable},
+	// A sync install whose queued job was canceled (DELETE on the job, or
+	// queue shutdown) is a conflict, not a server fault.
+	{admission.ErrCanceled, http.StatusConflict, CodeCanceled},
+	// No domain has attached yet: the view legitimately does not exist.
+	{core.ErrEmptyView, http.StatusNotFound, CodeEmptyView},
 }
 
-// codeError maps a wire code back onto its sentinel, so errors.Is works
-// identically for local and remote layers. ok=false means the code is
-// unknown (newer server): the caller falls back to status mapping.
-func codeError(code, msg string) (error, bool) {
-	switch code {
-	case CodeDomainUnavailable:
-		return fmt.Errorf("%w: %s", unify.ErrDomainUnavailable, msg), true
-	case CodeUnknownDomain:
-		return fmt.Errorf("%w: %s", domain.ErrUnknown, msg), true
-	case CodeRejected:
-		return fmt.Errorf("%w: %s", unify.ErrRejected, msg), true
-	case CodeUnknownService:
-		return fmt.Errorf("%w: %s", unify.ErrUnknownService, msg), true
-	case CodeUnknownJob:
-		return fmt.Errorf("%w: %s", admission.ErrUnknownJob, msg), true
-	case CodeReadOnly:
-		return fmt.Errorf("%w: %s", ErrReadOnly, msg), true
-	case CodeBusy:
-		return fmt.Errorf("%w: %s", unify.ErrBusy, msg), true
-	case CodeQueueFull:
-		return fmt.Errorf("%w: %s", admission.ErrQueueFull, msg), true
-	case CodeNotCancelable:
-		return fmt.Errorf("%w: %s", admission.ErrNotCancelable, msg), true
-	case CodeCanceled:
-		return fmt.Errorf("%w: %s", admission.ErrCanceled, msg), true
-	case CodeEmptyView:
-		return fmt.Errorf("%w: %s", core.ErrEmptyView, msg), true
-	default:
-		return nil, false
+// errorStatus classifies an error into its (HTTP status, wire code) pair.
+func errorStatus(err error) (int, string) {
+	for _, row := range errorTable {
+		if errors.Is(err, row.sentinel) {
+			return row.status, row.code
+		}
 	}
+	return http.StatusInternalServerError, CodeInternal
+}
+
+// codeError maps a wire code back onto its sentinel. ok=false means the code
+// is unknown (newer server): the caller falls back to status mapping.
+func codeError(code, msg string) (error, bool) {
+	for _, row := range errorTable {
+		if row.code == code {
+			return fmt.Errorf("%w: %s", row.sentinel, msg), true
+		}
+	}
+	return nil, false
 }
 
 // writeError emits the typed envelope. domain may be empty.
@@ -153,26 +132,18 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 }
 
 // remoteError maps an HTTP error response back onto the sentinel errors. It
-// prefers the typed envelope's code; a legacy string body (or an unknown
-// code) degrades to the historical status-based mapping.
+// prefers the typed envelope's code; a body that is not an envelope (the
+// mux's plain-text 404 for an unmounted route) or an unknown code degrades to
+// status-based mapping.
 func remoteError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var env struct {
-		Error json.RawMessage `json:"error"`
-	}
-	var code, msg string
-	if json.Unmarshal(raw, &env) == nil && len(env.Error) > 0 {
-		var body ErrorBody
-		if env.Error[0] == '{' && json.Unmarshal(env.Error, &body) == nil {
-			code, msg = body.Code, body.Message
-		} else {
-			_ = json.Unmarshal(env.Error, &msg) // pre-envelope server
-		}
-	}
+	var env ErrorEnvelope
+	_ = json.Unmarshal(raw, &env)
+	msg := env.Error.Message
 	if msg == "" {
 		msg = resp.Status
 	}
-	if err, ok := codeError(code, msg); ok {
+	if err, ok := codeError(env.Error.Code, msg); ok {
 		return err
 	}
 	switch resp.StatusCode {

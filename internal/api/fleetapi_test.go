@@ -36,7 +36,7 @@ func fleetLeaf(t testing.TB, id string, slot int) *core.LocalOrchestrator {
 // TestFleetOverHTTP exercises the fleet plane end to end: status, an
 // operator drain that rehomes a displaced service, the 423 mapping of
 // ErrDomainUnavailable through a remote install, and the fleet summary on
-// /unify/healthz.
+// /v1/unify/healthz.
 func TestFleetOverHTTP(t *testing.T) {
 	ctx := context.Background()
 	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})

@@ -29,13 +29,13 @@ type stageHistogramsProvider interface {
 	StageHistograms() map[string]obs.HistogramSnapshot
 }
 
-// Health is the payload of GET /unify/healthz: enough to decide readiness
+// Health is the payload of GET /v1/unify/healthz: enough to decide readiness
 // (shards and domains attached) and identify the build.
 type Health struct {
 	Status string `json:"status"`
 	Layer  string `json:"layer"`
-	// APIVersion advertises the northbound surface version this server
-	// mounts canonically (requests may still use unversioned alias paths).
+	// APIVersion advertises the northbound surface version: every /unify
+	// route is served under /<APIVersion>/unify/... and nowhere else.
 	APIVersion    string  `json:"api_version,omitempty"`
 	GoVersion     string  `json:"go_version,omitempty"`
 	Module        string  `json:"module,omitempty"`
@@ -62,49 +62,59 @@ type serverInfo struct {
 }
 
 // MetricCollectors assembles every stats source the server exports at
-// /metrics. Exported so the completeness test can assert that each collected
-// struct field actually appears in the rendered exposition.
+// /metrics: the counter sections of the stats document (so /metrics and
+// /v1/unify/stats render the same values) plus the stage histograms, which
+// only /metrics carries. Exported so the completeness test can assert that
+// each collected struct field actually appears in the rendered exposition.
 func (s *Server) MetricCollectors() []obs.Collector {
 	cs := []obs.Collector{{Name: "unify_server", Value: serverInfo{
 		Uptime:         time.Since(s.started),
 		EncodeFailures: s.encodeFailures.Load(),
 	}}}
 	labels := map[string]string{"layer": s.layer.ID()}
-	if p, ok := s.layer.(pipelineStatsProvider); ok {
-		cs = append(cs, obs.Collector{Name: "unify_pipeline", Labels: labels, Value: p.PipelineStats()})
+	add := func(name string, v any) {
+		cs = append(cs, obs.Collector{Name: name, Labels: labels, Value: v})
 	}
-	if sp, ok := s.layer.(shardStatsProvider); ok {
-		shards := map[string]core.ShardStats{}
-		for _, st := range sp.ShardStats() {
-			shards[st.Shard] = st
+	doc := s.statsDoc()
+	if p := doc.Pipeline; p != nil {
+		add("unify_pipeline", p.Stats)
+		if len(p.Shards) > 0 {
+			shards := make(map[string]core.ShardStats, len(p.Shards))
+			for _, st := range p.Shards {
+				shards[st.Shard] = st
+			}
+			add("unify_shard", shards)
 		}
-		if len(shards) > 0 {
-			cs = append(cs, obs.Collector{Name: "unify_shard", Labels: labels, Value: shards})
-		}
+	}
+	if doc.Southbound != nil {
+		add("unify_southbound", *doc.Southbound)
+	}
+	if doc.Admission != nil {
+		add("unify_admission", *doc.Admission)
+	}
+	if doc.Journal != nil {
+		add("unify_journal", *doc.Journal)
+	}
+	if doc.Fleet != nil {
+		add("unify_fleet", doc.Fleet.Stats)
+	}
+	if doc.Replica != nil {
+		add("unify_replica", *doc.Replica)
 	}
 	stages := map[string]obs.HistogramSnapshot{}
-	if s.adm != nil {
-		cs = append(cs, obs.Collector{Name: "unify_admission", Labels: labels, Value: s.adm.Stats()})
-		for k, v := range s.adm.StageHistograms() {
+	mergeStages := func(p stageHistogramsProvider) {
+		for k, v := range p.StageHistograms() {
 			stages[k] = v
 		}
+	}
+	if s.adm != nil {
+		mergeStages(s.adm)
 	}
 	if sh, ok := s.layer.(stageHistogramsProvider); ok {
-		for k, v := range sh.StageHistograms() {
-			stages[k] = v
-		}
+		mergeStages(sh)
 	}
 	if s.journal != nil {
-		cs = append(cs, obs.Collector{Name: "unify_journal", Labels: labels, Value: s.journal.Stats()})
-		for k, v := range s.journal.StageHistograms() {
-			stages[k] = v
-		}
-	}
-	if s.fleet != nil {
-		cs = append(cs, obs.Collector{Name: "unify_fleet", Labels: labels, Value: s.fleet.Stats()})
-	}
-	if s.replica != nil {
-		cs = append(cs, obs.Collector{Name: "unify_replica", Labels: labels, Value: s.replica.Stats()})
+		mergeStages(s.journal)
 	}
 	if len(stages) > 0 {
 		cs = append(cs, obs.Collector{Name: "unify_stage", Labels: labels, Value: stages})
@@ -123,24 +133,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		h.GoVersion = bi.GoVersion
 		h.Module = bi.Main.Path
 	}
-	if sp, ok := s.layer.(shardStatsProvider); ok {
-		h.Shards = len(sp.ShardStats())
-	}
 	if ch, ok := s.layer.(interface{ Children() []string }); ok {
 		h.Domains = len(ch.Children())
 	}
-	if s.adm != nil {
-		h.QueueDepth = s.adm.Stats().Depth
+	doc := s.statsDoc()
+	if doc.Pipeline != nil {
+		h.Shards = len(doc.Pipeline.Shards)
+	}
+	if doc.Admission != nil {
+		h.QueueDepth = doc.Admission.Depth
 	}
 	h.Recovery = s.recover
-	if s.fleet != nil {
-		fs := s.fleet.Stats()
-		h.Fleet = &fs
+	if doc.Fleet != nil {
+		h.Fleet = &doc.Fleet.Stats
 	}
-	if s.replica != nil {
-		rs := s.replica.Stats()
-		h.Replica = &rs
-	}
+	h.Replica = doc.Replica
 	s.writeJSON(w, http.StatusOK, h)
 }
 
@@ -197,13 +204,13 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // Trace fetches the span tree of a job ID (or raw trace ID).
 func (c *Client) Trace(ctx context.Context, id string) (obs.TraceData, error) {
 	var td obs.TraceData
-	err := c.getJSON(ctx, "/unify/trace/"+url.PathEscape(id), &td)
+	err := c.getJSON(ctx, unifyRoot+"/trace/"+url.PathEscape(id), &td)
 	return td, err
 }
 
 // Health fetches the remote readiness/identity probe.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
-	err := c.getJSON(ctx, "/unify/healthz", &h)
+	err := c.getJSON(ctx, unifyRoot+"/healthz", &h)
 	return h, err
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/unify-repro/escape/internal/admission"
 	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/fleet"
+	"github.com/unify-repro/escape/internal/journal"
 	"github.com/unify-repro/escape/internal/obs"
 	"github.com/unify-repro/escape/internal/unify"
 )
@@ -184,13 +185,7 @@ func TestMetricsCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range srv.MetricCollectors() {
-		for _, name := range obs.MetricNames(c) {
-			if !strings.Contains(body, name) {
-				t.Errorf("/metrics missing %s", name)
-			}
-		}
-	}
+	assertMetricsCover(t, srv, body)
 	// Spot-check the shapes: a labeled tenant counter and a native histogram.
 	for _, want := range []string{
 		`unify_admission_tenants_deployed{layer="mdo",tenant="acme"} 1`,
@@ -199,6 +194,73 @@ func TestMetricsCompleteness(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%.2000s", want, body)
+		}
+	}
+
+	// A leaf has no pipeline section: its southbound counters (and the
+	// journal's) still reach /metrics, with the values /stats reports.
+	st, err := journal.Open(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	lsrv := NewServer(leaf(t, "edge"), nil).WithJournal(st)
+	laddr, err := lsrv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lsrv.Close)
+	lcli, err := Dial("edge", "http://"+laddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lcli.Install(ctx, sg(t, "svc-leaf")); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := lcli.Stats(ctx)
+	if err != nil || doc.Southbound == nil || doc.Journal == nil {
+		t.Fatalf("leaf stats: %+v %v", doc, err)
+	}
+	lbody, err := lcli.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMetricsCover(t, lsrv, lbody)
+	for _, want := range []string{
+		fmt.Sprintf(`unify_southbound_deltas{layer="edge"} %d`, doc.Southbound.Deltas),
+		fmt.Sprintf(`unify_journal_appends{layer="edge"} %d`, doc.Journal.Appends),
+	} {
+		if !strings.Contains(lbody, want+"\n") {
+			t.Errorf("leaf /metrics missing %q:\n%.2000s", want, lbody)
+		}
+	}
+}
+
+// assertMetricsCover checks a live /metrics body against the server: every
+// name its collectors derive appears, and every counter section of its stats
+// document has its collector (and no collector lacks its section).
+func assertMetricsCover(t *testing.T, srv *Server, body string) {
+	t.Helper()
+	have := map[string]bool{}
+	for _, c := range srv.MetricCollectors() {
+		have[c.Name] = true
+		for _, name := range obs.MetricNames(c) {
+			if !strings.Contains(body, name) {
+				t.Errorf("/metrics missing %s", name)
+			}
+		}
+	}
+	doc := srv.statsDoc()
+	for name, section := range map[string]bool{
+		"unify_pipeline":   doc.Pipeline != nil,
+		"unify_southbound": doc.Southbound != nil,
+		"unify_admission":  doc.Admission != nil,
+		"unify_journal":    doc.Journal != nil,
+		"unify_fleet":      doc.Fleet != nil,
+		"unify_replica":    doc.Replica != nil,
+	} {
+		if section != have[name] {
+			t.Errorf("layer %s: stats section %s present=%v, collector present=%v", doc.Layer, name, section, have[name])
 		}
 	}
 }
@@ -222,7 +284,7 @@ func TestHealthzOverHTTP(t *testing.T) {
 	}
 }
 
-// TestMetricsTraceStorm hammers /metrics and /unify/trace/{id} while a
+// TestMetricsTraceStorm hammers /metrics and /v1/unify/trace/{id} while a
 // commit storm runs — the -race exercise for the whole observability plane.
 func TestMetricsTraceStorm(t *testing.T) {
 	_, _, _, cli := startObsServer(t)

@@ -8,9 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"net/http/httputil"
-	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -96,7 +93,7 @@ func TestConditionalViewOverHTTP(t *testing.T) {
 
 	// The raw wire shape: ETag + generation headers on 200, empty-body 304
 	// on If-None-Match, full 200 on a stale validator.
-	resp, err := http.Get(cli.base + "/unify/view")
+	resp, err := http.Get(cli.base + unifyRoot + "/view")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +106,7 @@ func TestConditionalViewOverHTTP(t *testing.T) {
 		t.Fatal("plain GET must carry the view")
 	}
 	for _, inm := range []string{etag, "*", `"stale", ` + etag} {
-		req, _ := http.NewRequest(http.MethodGet, cli.base+"/unify/view", nil)
+		req, _ := http.NewRequest(http.MethodGet, cli.base+unifyRoot+"/view", nil)
 		req.Header.Set("If-None-Match", inm)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -123,7 +120,7 @@ func TestConditionalViewOverHTTP(t *testing.T) {
 			t.Fatalf("304 must restate the validator: %q", resp.Header.Get("ETag"))
 		}
 	}
-	req, _ := http.NewRequest(http.MethodGet, cli.base+"/unify/view", nil)
+	req, _ := http.NewRequest(http.MethodGet, cli.base+unifyRoot+"/view", nil)
 	req.Header.Set("If-None-Match", `"deadbeef"`)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -226,7 +223,7 @@ func TestWatchStreamResume(t *testing.T) {
 func TestErrorEnvelopeOnTheWire(t *testing.T) {
 	_, cli := startPair(t)
 
-	resp, err := http.Post(cli.base+"/unify/services", "application/json", bytes.NewBufferString("{not json"))
+	resp, err := http.Post(cli.base+unifyRoot+"/services", "application/json", bytes.NewBufferString("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +236,7 @@ func TestErrorEnvelopeOnTheWire(t *testing.T) {
 		t.Fatalf("bad request envelope: %d %+v", resp.StatusCode, env)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, cli.base+"/unify/services/nope", nil)
+	req, _ := http.NewRequest(http.MethodDelete, cli.base+unifyRoot+"/services/nope", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -257,49 +254,42 @@ func TestErrorEnvelopeOnTheWire(t *testing.T) {
 	if err := cli.Remove(context.Background(), "nope"); !errors.Is(err, unify.ErrUnknownService) {
 		t.Fatalf("client mapping: %v", err)
 	}
+}
 
-	// A legacy string body still maps through the status fallback.
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" || r.URL.Path == "/unify/healthz" {
-			fmt.Fprintf(w, `{"status":"ok","layer":"legacy"}`)
-			return
+// TestErrorTableRoundTrip: every row of the error taxonomy round-trips —
+// errorStatus classifies a wrapped sentinel to the row's status and code, and
+// codeError maps the code back onto an error that is the same sentinel.
+func TestErrorTableRoundTrip(t *testing.T) {
+	for _, row := range errorTable {
+		status, code := errorStatus(fmt.Errorf("wrapped: %w", row.sentinel))
+		if status != row.status || code != row.code {
+			t.Errorf("%v: got (%d, %s), want (%d, %s)", row.sentinel, status, code, row.status, row.code)
 		}
-		w.WriteHeader(http.StatusConflict)
-		fmt.Fprintf(w, `{"error":"old-style rejection"}`)
-	}))
-	defer legacy.Close()
-	lcli, err := Dial("legacy", legacy.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lcli.Install(context.Background(), sg(t, "svc")); !errors.Is(err, unify.ErrRejected) {
-		t.Fatalf("legacy body mapping: %v", err)
+		if err, ok := codeError(code, "msg"); !ok || !errors.Is(err, row.sentinel) {
+			t.Errorf("%s: codeError = %v, %v", code, err, ok)
+		}
 	}
 }
 
-// TestVersionedMounts: every route answers under /v1 and unversioned alike,
-// stamps X-Unify-API-Version, and healthz names the version.
+// TestVersionedMounts: /unify routes are served under /v1 only — the
+// unversioned path is a 404 — every response stamps X-Unify-API-Version, and
+// healthz names the version.
 func TestVersionedMounts(t *testing.T) {
 	ctx := context.Background()
 	_, cli := startPair(t)
 
-	var etags []string
-	for _, p := range []string{"/unify/view", "/v1/unify/view"} {
+	for p, want := range map[string]int{"/v1/unify/view": http.StatusOK, "/unify/view": http.StatusNotFound} {
 		resp, err := http.Get(cli.base + p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := readAll(resp)
-		if resp.StatusCode != http.StatusOK || len(body) == 0 {
-			t.Fatalf("%s: %d", p, resp.StatusCode)
+		if resp.StatusCode != want || len(body) == 0 {
+			t.Fatalf("%s: %d, want %d", p, resp.StatusCode, want)
 		}
 		if got := resp.Header.Get(VersionHeader); got != APIVersion {
 			t.Fatalf("%s: version header %q", p, got)
 		}
-		etags = append(etags, resp.Header.Get("ETag"))
-	}
-	if etags[0] == "" || etags[0] != etags[1] {
-		t.Fatalf("aliases must serve the same version: %v", etags)
 	}
 
 	// Errors carry the header too (the middleware wraps everything).
@@ -310,6 +300,11 @@ func TestVersionedMounts(t *testing.T) {
 	readAll(resp)
 	if resp.Header.Get(VersionHeader) != APIVersion {
 		t.Fatal("error responses must be versioned")
+	}
+	// The mux's plain-text 404 for an unmounted route maps through the
+	// status fallback (unifyctl domains prints "fleet: n/a" on it).
+	if _, err := cli.FleetStatus(ctx); !errors.Is(err, unify.ErrUnknownService) {
+		t.Fatalf("unmounted fleet route: %v", err)
 	}
 
 	h, err := cli.Health(ctx)
@@ -322,8 +317,7 @@ func TestVersionedMounts(t *testing.T) {
 }
 
 // TestConsolidatedStatsOverHTTP: one round trip returns pipeline, shard and
-// view-version state; against a server without the consolidated route the
-// client reassembles the document from the split endpoints.
+// view-version state.
 func TestConsolidatedStatsOverHTTP(t *testing.T) {
 	ctx := context.Background()
 	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})
@@ -356,33 +350,6 @@ func TestConsolidatedStatsOverHTTP(t *testing.T) {
 	}
 	if doc.Replica != nil {
 		t.Fatal("a writer has no replica section")
-	}
-
-	// Version-skew fallback: a front that 404s the consolidated route but
-	// proxies everything else models the previous API generation.
-	target, err := url.Parse("http://" + addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := httputil.NewSingleHostReverseProxy(target)
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/unify/stats" || r.URL.Path == "/v1/unify/stats" {
-			http.NotFound(w, r)
-			return
-		}
-		proxy.ServeHTTP(w, r)
-	}))
-	defer old.Close()
-	ocli, err := Dial("old", old.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	odoc, err := ocli.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if odoc.Pipeline == nil || odoc.Pipeline.Stats.Installs != 1 {
-		t.Fatalf("fallback must reassemble from split endpoints: %+v", odoc)
 	}
 }
 
@@ -453,7 +420,7 @@ func TestReplicaFollowsWriter(t *testing.T) {
 	if err := sg(t, "other").EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post("http://"+raddr+"/unify/services", "application/json", &buf)
+	resp, err := http.Post("http://"+raddr+unifyRoot+"/services", "application/json", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		resp, err := http.Get("http://" + addr + "/unify/view")
+		resp, err := http.Get("http://" + addr + unifyRoot + "/view")
 		if err != nil {
 			inflight <- result{err: err}
 			return
@@ -102,7 +102,7 @@ func TestShutdownForceClosesAfterDeadline(t *testing.T) {
 
 	reqDone := make(chan error, 1)
 	go func() {
-		resp, err := http.Get("http://" + addr + "/unify/view")
+		resp, err := http.Get("http://" + addr + unifyRoot + "/view")
 		if err == nil {
 			resp.Body.Close()
 		}

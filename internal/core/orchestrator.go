@@ -138,7 +138,7 @@ type ResourceOrchestrator struct {
 }
 
 // PipelineStats are cumulative counters of the snapshot→map→commit pipeline,
-// exposed for observability (internal/monitor renders them): how often
+// exposed for observability (GET /v1/unify/stats and /metrics serve them): how often
 // installs re-map, how often commits collide, and how much batching
 // amortizes.
 type PipelineStats struct {

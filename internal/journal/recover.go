@@ -40,7 +40,7 @@ func (st *RecoveredState) Empty() bool {
 		len(st.Jobs) == 0 && len(st.Detached) == 0)
 }
 
-// Info summarizes a recovery pass for /unify/healthz and operators.
+// Info summarizes a recovery pass for /v1/unify/healthz and operators.
 type Info struct {
 	Recovered         bool     `json:"recovered"`
 	Shards            int      `json:"shards"`

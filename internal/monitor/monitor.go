@@ -1,10 +1,9 @@
-// Package monitor collects and renders operational statistics from the
-// emulated infrastructure and the control plane: per-port and per-rule
-// counters from switches, NF processing counts, per-service hop activity,
-// orchestration-pipeline contention (mapping attempts, generation conflicts,
-// ErrBusy rejections) and admission-queue gauges (depth, batch sizes). It is
-// the observability slice of the reproduction: the numbers behind "the chain
-// is carrying traffic" and "the control plane is keeping up".
+// Package monitor collects and renders dataplane statistics from the
+// emulated infrastructure: per-port and per-rule counters from switches, NF
+// processing counts and per-service hop activity — the numbers behind "the
+// chain is carrying traffic". The control plane has its own two views of one
+// stats document: `unifyctl stats` (text) and GET /metrics (Prometheus), both
+// served by internal/api.
 package monitor
 
 import (
@@ -12,16 +11,8 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
-	"github.com/unify-repro/escape/internal/admission"
-	"github.com/unify-repro/escape/internal/api"
-	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/domain/emunet"
-	"github.com/unify-repro/escape/internal/fleet"
-	"github.com/unify-repro/escape/internal/journal"
-	"github.com/unify-repro/escape/internal/nffg"
-	"github.com/unify-repro/escape/internal/obs"
 )
 
 // PortCounters is one switch port's counters.
@@ -46,98 +37,11 @@ type NFCounters struct {
 	Processed uint64
 }
 
-// OrchCounters is one orchestrator's mapping-pipeline contention counters
-// (cumulative since start; see core.PipelineStats), plus per-shard DoV
-// generations when the layer shards its resource view.
-type OrchCounters struct {
-	Layer string
-	core.PipelineStats
-	Shards []core.ShardStats
-}
-
-// AttemptsPerInstall is the mean snapshot→map→commit cycles per deployed
-// request — 1.0 means no contention and no batching benefit left to claim.
-func (c OrchCounters) AttemptsPerInstall() float64 {
-	if c.Installs == 0 {
-		return 0
-	}
-	return float64(c.MapAttempts) / float64(c.Installs)
-}
-
-// ConflictRate is generation conflicts per mapping attempt.
-func (c OrchCounters) ConflictRate() float64 {
-	if c.MapAttempts == 0 {
-		return 0
-	}
-	return float64(c.GenConflicts) / float64(c.MapAttempts)
-}
-
-// hitRate is a cache's hits per read (0 when it never served).
-func hitRate(c core.CacheStats) float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
-// AdmissionCounters is one admission queue's gauges and counters.
-type AdmissionCounters struct {
-	Queue string
-	admission.Stats
-}
-
-// MeanBatch is the mean coalesced batch size.
-func (c AdmissionCounters) MeanBatch() float64 {
-	if c.Batches == 0 {
-		return 0
-	}
-	return float64(c.Coalesced) / float64(c.Batches)
-}
-
-// JournalCounters is one durable store's write-ahead activity: appends,
-// fsyncs, checkpoints and their error counts (see journal.Stats).
-type JournalCounters struct {
-	Dir string
-	journal.Stats
-}
-
-// FleetCounters is one fleet controller's lifecycle gauges plus the
-// per-domain state rows (see internal/fleet).
-type FleetCounters struct {
-	Layer string
-	fleet.Stats
-	Members []fleet.DomainStatus
-}
-
-// ReplicaCounters is one read replica's sync state: which writer it follows,
-// the generation it has converged to, and the watch-stream traffic mix (see
-// internal/api.Replica).
-type ReplicaCounters struct {
-	Layer string
-	api.ReplicaStats
-}
-
-// StageCounters is one layer's latency distribution for one pipeline stage
-// (admission wait, map, commit, end-to-end; power-of-two bucket histograms,
-// see internal/obs).
-type StageCounters struct {
-	Layer string
-	Stage string
-	obs.HistogramSnapshot
-}
-
 // Snapshot is a point-in-time stats collection.
 type Snapshot struct {
-	Ports     []PortCounters
-	Flows     []FlowCounters
-	NFs       []NFCounters
-	Orch      []OrchCounters
-	Admission []AdmissionCounters
-	Journal   []JournalCounters
-	Fleet     []FleetCounters
-	Replicas  []ReplicaCounters
-	Stages    []StageCounters
+	Ports []PortCounters
+	Flows []FlowCounters
+	NFs   []NFCounters
 }
 
 // Source produces snapshots.
@@ -179,110 +83,6 @@ func (s NetSource) Collect() (*Snapshot, error) {
 	return snap, nil
 }
 
-// PipelineStatsProvider is any layer exposing mapping-pipeline counters
-// (core.ResourceOrchestrator does).
-type PipelineStatsProvider interface {
-	ID() string
-	PipelineStats() core.PipelineStats
-}
-
-// ShardStatsProvider is any layer exposing per-shard DoV counters
-// (core.ResourceOrchestrator does).
-type ShardStatsProvider interface {
-	ShardStats() []core.ShardStats
-}
-
-// OrchSource collects contention counters from an orchestrator, including
-// per-shard DoV generations when the orchestrator exposes them.
-type OrchSource struct {
-	Orch PipelineStatsProvider
-}
-
-// Collect implements Source.
-func (s OrchSource) Collect() (*Snapshot, error) {
-	oc := OrchCounters{Layer: s.Orch.ID(), PipelineStats: s.Orch.PipelineStats()}
-	if sp, ok := s.Orch.(ShardStatsProvider); ok {
-		oc.Shards = sp.ShardStats()
-	}
-	return &Snapshot{Orch: []OrchCounters{oc}}, nil
-}
-
-// StageHistogramsProvider is any component exposing per-stage latency
-// histograms (admission.Queue and core.ResourceOrchestrator do).
-type StageHistogramsProvider interface {
-	StageHistograms() map[string]obs.HistogramSnapshot
-}
-
-// StageSource collects per-stage latency histograms, labeled with the layer.
-type StageSource struct {
-	Layer    string
-	Provider StageHistogramsProvider
-}
-
-// Collect implements Source.
-func (s StageSource) Collect() (*Snapshot, error) {
-	snap := &Snapshot{}
-	for stage, h := range s.Provider.StageHistograms() {
-		snap.Stages = append(snap.Stages, StageCounters{Layer: s.Layer, Stage: stage, HistogramSnapshot: h})
-	}
-	return snap, nil
-}
-
-// JournalSource collects write-ahead counters from a durable store.
-type JournalSource struct {
-	Store *journal.Store
-}
-
-// Collect implements Source.
-func (s JournalSource) Collect() (*Snapshot, error) {
-	return &Snapshot{Journal: []JournalCounters{{Dir: s.Store.Dir(), Stats: s.Store.Stats()}}}, nil
-}
-
-// FleetSource collects lifecycle state from a fleet controller.
-type FleetSource struct {
-	Layer string
-	Fleet *fleet.Controller
-}
-
-// Collect implements Source.
-func (s FleetSource) Collect() (*Snapshot, error) {
-	return &Snapshot{Fleet: []FleetCounters{{
-		Layer:   s.Layer,
-		Stats:   s.Fleet.Stats(),
-		Members: s.Fleet.Status(),
-	}}}, nil
-}
-
-// ReplicaSource collects sync state from a read replica.
-type ReplicaSource struct {
-	Layer   string
-	Replica *api.Replica
-}
-
-// Collect implements Source.
-func (s ReplicaSource) Collect() (*Snapshot, error) {
-	name := s.Layer
-	if name == "" {
-		name = s.Replica.ID()
-	}
-	return &Snapshot{Replicas: []ReplicaCounters{{Layer: name, ReplicaStats: s.Replica.Stats()}}}, nil
-}
-
-// QueueSource collects gauges from an admission queue.
-type QueueSource struct {
-	Name  string
-	Queue *admission.Queue
-}
-
-// Collect implements Source.
-func (s QueueSource) Collect() (*Snapshot, error) {
-	name := s.Name
-	if name == "" {
-		name = s.Queue.ID()
-	}
-	return &Snapshot{Admission: []AdmissionCounters{{Queue: name, Stats: s.Queue.Stats()}}}, nil
-}
-
 // Merge combines snapshots from several sources.
 func Merge(snaps ...*Snapshot) *Snapshot {
 	out := &Snapshot{}
@@ -293,12 +93,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		out.Ports = append(out.Ports, s.Ports...)
 		out.Flows = append(out.Flows, s.Flows...)
 		out.NFs = append(out.NFs, s.NFs...)
-		out.Orch = append(out.Orch, s.Orch...)
-		out.Admission = append(out.Admission, s.Admission...)
-		out.Journal = append(out.Journal, s.Journal...)
-		out.Fleet = append(out.Fleet, s.Fleet...)
-		out.Replicas = append(out.Replicas, s.Replicas...)
-		out.Stages = append(out.Stages, s.Stages...)
 	}
 	sort.Slice(out.Ports, func(i, j int) bool {
 		if out.Ports[i].Node != out.Ports[j].Node {
@@ -313,17 +107,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 		return out.Flows[i].RuleID < out.Flows[j].RuleID
 	})
 	sort.Slice(out.NFs, func(i, j int) bool { return out.NFs[i].NF < out.NFs[j].NF })
-	sort.Slice(out.Orch, func(i, j int) bool { return out.Orch[i].Layer < out.Orch[j].Layer })
-	sort.Slice(out.Admission, func(i, j int) bool { return out.Admission[i].Queue < out.Admission[j].Queue })
-	sort.Slice(out.Journal, func(i, j int) bool { return out.Journal[i].Dir < out.Journal[j].Dir })
-	sort.Slice(out.Fleet, func(i, j int) bool { return out.Fleet[i].Layer < out.Fleet[j].Layer })
-	sort.Slice(out.Replicas, func(i, j int) bool { return out.Replicas[i].Layer < out.Replicas[j].Layer })
-	sort.Slice(out.Stages, func(i, j int) bool {
-		if out.Stages[i].Layer != out.Stages[j].Layer {
-			return out.Stages[i].Layer < out.Stages[j].Layer
-		}
-		return out.Stages[i].Stage < out.Stages[j].Stage
-	})
 	return out
 }
 
@@ -381,267 +164,4 @@ func (s *Snapshot) Render(w io.Writer) {
 			fmt.Fprintf(w, "%-28s %10d\n", n.NF, n.Processed)
 		}
 	}
-	if len(s.Orch) > 0 {
-		fmt.Fprintf(w, "\n%-16s %9s %9s %10s %6s %8s %12s %13s\n",
-			"ORCHESTRATOR", "INSTALLS", "MAPPASSES", "CONFLICTS", "BUSY", "BATCHES", "ATT/INSTALL", "CONFLICT-RATE")
-		for _, o := range s.Orch {
-			fmt.Fprintf(w, "%-16s %9d %9d %10d %6d %8d %12.2f %13.3f\n",
-				o.Layer, o.Installs, o.MapAttempts, o.GenConflicts, o.Busy, o.Batches,
-				o.AttemptsPerInstall(), o.ConflictRate())
-		}
-		for _, o := range s.Orch {
-			if len(o.Shards) == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "\n%-16s %-12s %8s %8s %10s %11s %8s %8s %s\n",
-				"ORCHESTRATOR", "SHARD", "GEN", "COMMITS", "CONFLICTS", "MULTI-SHARD", "WAL-RECS", "REST-GEN", "DOMAINS")
-			for _, sh := range o.Shards {
-				fmt.Fprintf(w, "%-16s %-12s %8d %8d %10d %11d %8d %8d %s\n",
-					o.Layer, sh.Shard, sh.Gen, sh.Commits, sh.Conflicts, sh.MultiShardCommits,
-					sh.JournalRecords, sh.RestoredGen,
-					strings.Join(sh.Domains, ","))
-			}
-		}
-		// The generation-keyed read caches: one row per cache, so the hit
-		// ratio of the steady-state read path is visible at a glance.
-		// MergeErrors is orchestrator-level (a failed all-shard cut merge),
-		// so it prints once per orchestrator, not per cache.
-		fmt.Fprintf(w, "\n%-16s %-10s %9s %9s %13s %9s\n",
-			"ORCHESTRATOR", "CACHE", "HITS", "MISSES", "INVALIDATIONS", "HIT-RATE")
-		for _, o := range s.Orch {
-			for _, c := range []struct {
-				name  string
-				stats core.CacheStats
-			}{{"cut", o.CutCache}, {"view", o.ViewCache}} {
-				fmt.Fprintf(w, "%-16s %-10s %9d %9d %13d %9.3f\n",
-					o.Layer, c.name, c.stats.Hits, c.stats.Misses, c.stats.Invalidations,
-					hitRate(c.stats))
-			}
-			if o.MergeErrors > 0 {
-				fmt.Fprintf(w, "%-16s merge-errors=%d (unmergeable DoV cuts — needs operator attention)\n",
-					o.Layer, o.MergeErrors)
-			}
-		}
-		// Southbound device programming: the flow-mods/barrier ratio is the
-		// pipelining amortization (delta size when batching is perfect, 1
-		// when every rule pays its own round-trip).
-		printedSB := false
-		for _, o := range s.Orch {
-			sb := o.Southbound
-			if sb.Deltas == 0 && sb.FlowMods == 0 && sb.NetconfRPCs == 0 && sb.ContainerOps == 0 {
-				continue
-			}
-			if !printedSB {
-				fmt.Fprintf(w, "\n%-16s %7s %9s %9s %7s %7s %8s %8s %10s %10s\n",
-					"ORCHESTRATOR", "DELTAS", "FLOWMODS", "BARRIERS", "FM/BAR", "WIN-HW", "NC-RPCS", "CTR-OPS", "MEAN-LAT", "MAX-LAT")
-				printedSB = true
-			}
-			fmt.Fprintf(w, "%-16s %7d %9d %9d %7.1f %7d %8d %8d %10s %10s\n",
-				o.Layer, sb.Deltas, sb.FlowMods, sb.Barriers, sb.FlowModsPerBarrier(),
-				sb.WindowHighWater, sb.NetconfRPCs, sb.ContainerOps,
-				sb.MeanDeltaLatency().Round(time.Microsecond), sb.MaxDeltaLatency().Round(time.Microsecond))
-		}
-	}
-	if len(s.Admission) > 0 {
-		fmt.Fprintf(w, "\n%-16s %6s %9s %9s %7s %9s %8s %10s %9s\n",
-			"QUEUE", "DEPTH", "SUBMITTED", "DEPLOYED", "FAILED", "CANCELED", "BATCHES", "MEAN-BATCH", "MAX-BATCH")
-		for _, a := range s.Admission {
-			fmt.Fprintf(w, "%-16s %6d %9d %9d %7d %9d %8d %10.2f %9d\n",
-				a.Queue, a.Depth, a.Submitted, a.Deployed, a.Failed, a.Canceled,
-				a.Batches, a.MeanBatch(), a.MaxBatch)
-		}
-		for _, a := range s.Admission {
-			if len(a.Shards) == 0 {
-				continue
-			}
-			keys := make([]string, 0, len(a.Shards))
-			for k := range a.Shards {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Fprintf(w, "\n%-16s %-12s %6s %8s %10s\n",
-				"QUEUE", "SHARD", "DEPTH", "BATCHES", "COALESCED")
-			for _, k := range keys {
-				sh := a.Shards[k]
-				fmt.Fprintf(w, "%-16s %-12s %6d %8d %10d\n",
-					a.Queue, k, sh.Depth, sh.Batches, sh.Coalesced)
-			}
-		}
-		// The weighted-fair scheduler per tenant: backlog, outcomes, drops and
-		// queue-wait distribution — the numbers behind "no tenant starves".
-		for _, a := range s.Admission {
-			if len(a.Tenants) == 0 {
-				continue
-			}
-			keys := make([]string, 0, len(a.Tenants))
-			for k := range a.Tenants {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			fmt.Fprintf(w, "\n%-16s %-12s %6s %5s %8s %9s %8s %7s %7s %8s %5s %10s %10s\n",
-				"QUEUE", "TENANT", "WEIGHT", "DEPTH", "INFLIGHT", "SUBMITTED", "DEPLOYED", "FAILED", "DROPPED", "ADMITTED", "AGED", "MEAN-WAIT", "MAX-WAIT")
-			for _, k := range keys {
-				t := a.Tenants[k]
-				fmt.Fprintf(w, "%-16s %-12s %6d %5d %8d %9d %8d %7d %7d %8d %5d %10s %10s\n",
-					a.Queue, k, t.Weight, t.Depth, t.InFlight, t.Submitted, t.Deployed,
-					t.Failed, t.Dropped, t.Admitted, t.Aged,
-					t.MeanWait().Round(time.Microsecond), t.WaitMax.Round(time.Microsecond))
-			}
-		}
-	}
-	// The write-ahead journal: append/fsync/checkpoint volume and, above all,
-	// the error counters — non-zero errors mean the durable copy is falling
-	// behind the in-memory truth.
-	if len(s.Journal) > 0 {
-		fmt.Fprintf(w, "\n%-24s %9s %12s %7s %11s %8s %8s %8s %8s\n",
-			"JOURNAL", "APPENDS", "BYTES", "SYNCS", "CHECKPOINTS", "COMPACT", "APP-ERR", "SYNC-ERR", "CKPT-ERR")
-		for _, j := range s.Journal {
-			fmt.Fprintf(w, "%-24s %9d %12d %7d %11d %8d %8d %8d %8d\n",
-				j.Dir, j.Appends, j.BytesWritten, j.Syncs, j.Checkpoints, j.Compactions,
-				j.AppendErrors, j.SyncErrors, j.CheckpointE)
-		}
-	}
-	// The domain fleet: lifecycle gauges, then one row per member — the
-	// operator's answer to "which domains are healthy and who absorbed the
-	// failovers".
-	if len(s.Fleet) > 0 {
-		fmt.Fprintf(w, "\n%-16s %7s %7s %9s %9s %9s %7s %9s %10s %8s %8s\n",
-			"FLEET", "ACTIVE", "DEGRAD", "EVICTING", "DETACHED", "PROBES", "FAILS", "EVICTIONS", "REHOMED", "REH-ERR", "DRAINS")
-		for _, f := range s.Fleet {
-			fmt.Fprintf(w, "%-16s %7d %7d %9d %9d %9d %7d %9d %10d %8d %8d\n",
-				f.Layer, f.Active, f.Degraded, f.Evicting, f.Detached, f.Probes,
-				f.ProbeFailures, f.Evictions, f.ServicesRehomed, f.RehomeFailures, f.Drains)
-		}
-		for _, f := range s.Fleet {
-			if len(f.Members) == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "\n%-16s %-14s %-10s %-14s %6s %8s %8s %s\n",
-				"FLEET", "DOMAIN", "STATE", "SHARD", "FAILS", "PROBES", "REHOMED", "LAST-ERROR")
-			for _, m := range f.Members {
-				fmt.Fprintf(w, "%-16s %-14s %-10s %-14s %6d %8d %8d %s\n",
-					f.Layer, m.Domain, m.State, m.Shard, m.ConsecutiveFailures,
-					m.Probes, m.ServicesRehomed, m.LastError)
-			}
-		}
-	}
-	// Read replicas: sync freshness (generation, etag) and the watch-stream
-	// traffic mix — events applied vs heartbeats vs duplicates tells whether
-	// the replica is converged, idle, or reconnect-thrashing.
-	if len(s.Replicas) > 0 {
-		fmt.Fprintf(w, "\n%-16s %-24s %6s %10s %-18s %7s %7s %5s %7s %7s %7s\n",
-			"REPLICA", "WRITER", "SYNCED", "GENERATION", "ETAG", "EVENTS", "HEARTBT", "DUPS", "RECONN", "W-PROX", "W-REF")
-		for _, r := range s.Replicas {
-			fmt.Fprintf(w, "%-16s %-24s %6t %10d %-18s %7d %7d %5d %7d %7d %7d\n",
-				r.Layer, r.Writer, r.Synced, r.Generation, r.ETag,
-				r.Events, r.Heartbeats, r.Duplicates, r.Reconnects,
-				r.WritesProxied, r.WritesRefused)
-		}
-	}
-	// Per-stage latency distributions: the p50/p95/p99 of every pipeline
-	// stage, so tail inflation is attributable to a stage at a glance.
-	if len(s.Stages) > 0 {
-		fmt.Fprintf(w, "\n%-16s %-16s %8s %10s %10s %10s %10s\n",
-			"LAYER", "STAGE", "COUNT", "P50", "P95", "P99", "MEAN")
-		for _, st := range s.Stages {
-			fmt.Fprintf(w, "%-16s %-16s %8d %10s %10s %10s %10s\n",
-				st.Layer, st.Stage, st.Count,
-				st.Quantile(0.50).Round(time.Microsecond),
-				st.Quantile(0.95).Round(time.Microsecond),
-				st.Quantile(0.99).Round(time.Microsecond),
-				st.Mean().Round(time.Microsecond))
-		}
-	}
-}
-
-// RenderHistogram writes one latency histogram as a table: the summary line,
-// then every non-empty power-of-two bucket with its upper bound and the
-// cumulative share of observations it closes.
-func RenderHistogram(w io.Writer, name string, h obs.HistogramSnapshot) {
-	fmt.Fprintf(w, "%s: count=%d mean=%s p50=%s p95=%s p99=%s\n",
-		name, h.Count, h.Mean().Round(time.Microsecond),
-		h.Quantile(0.50).Round(time.Microsecond),
-		h.Quantile(0.95).Round(time.Microsecond),
-		h.Quantile(0.99).Round(time.Microsecond))
-	if h.Count == 0 {
-		return
-	}
-	fmt.Fprintf(w, "%14s %10s %7s\n", "LE", "COUNT", "CUM")
-	var cum uint64
-	for i, b := range h.Buckets {
-		if b == 0 {
-			continue
-		}
-		cum += b
-		fmt.Fprintf(w, "%14s %10d %6.1f%%\n",
-			time.Duration(obs.BucketUpperNS(i)), b, 100*float64(cum)/float64(h.Count))
-	}
-}
-
-// RenderTrace writes one recorded span tree as a table: tree-indented span
-// names, start offsets relative to the earliest span, durations and
-// attributes. Orphaned spans (parent evicted from the bounded buffer)
-// surface as roots, like obs.TreeLines.
-func RenderTrace(w io.Writer, td obs.TraceData) {
-	fmt.Fprintf(w, "trace %s (%d spans)\n", td.ID, len(td.Spans))
-	if len(td.Spans) == 0 {
-		return
-	}
-	t0 := td.Spans[0].Start
-	for _, s := range td.Spans {
-		if s.Start.Before(t0) {
-			t0 = s.Start
-		}
-	}
-	ids := map[obs.SpanID]bool{}
-	for _, s := range td.Spans {
-		ids[s.ID] = true
-	}
-	children := map[obs.SpanID][]obs.SpanData{}
-	for _, s := range td.Spans {
-		p := s.Parent
-		if p != 0 && !ids[p] {
-			p = 0
-		}
-		children[p] = append(children[p], s)
-	}
-	fmt.Fprintf(w, "%-36s %10s %12s %s\n", "SPAN", "START", "DURATION", "DETAIL")
-	var walk func(parent obs.SpanID, depth int)
-	walk = func(parent obs.SpanID, depth int) {
-		for _, s := range children[parent] {
-			var detail []string
-			keys := make([]string, 0, len(s.Attrs))
-			for k := range s.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				detail = append(detail, k+"="+s.Attrs[k])
-			}
-			if s.Err != "" {
-				detail = append(detail, fmt.Sprintf("err=%q", s.Err))
-			}
-			fmt.Fprintf(w, "%-36s %10s %12s %s\n",
-				strings.Repeat("  ", depth)+s.Name,
-				"+"+s.Start.Sub(t0).Round(time.Microsecond).String(),
-				s.Duration.Round(time.Microsecond),
-				strings.Join(detail, " "))
-			walk(s.ID, depth+1)
-		}
-	}
-	walk(0, 0)
-}
-
-// VerifyChain checks that every hop of a deployed service saw at least min
-// packets, returning the laggards (empty = healthy).
-func VerifyChain(snap *Snapshot, cfgHops []*nffg.SGHop, min uint64) []string {
-	act := snap.HopActivity()
-	var lagging []string
-	for _, h := range cfgHops {
-		if act[h.ID] < min {
-			lagging = append(lagging, h.ID)
-		}
-	}
-	sort.Strings(lagging)
-	return lagging
 }

@@ -1,12 +1,9 @@
 package monitor
 
 import (
-	"context"
 	"strings"
 	"testing"
 
-	"github.com/unify-repro/escape/internal/admission"
-	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/dataplane"
 	"github.com/unify-repro/escape/internal/domain/emunet"
 	"github.com/unify-repro/escape/internal/nffg"
@@ -76,21 +73,6 @@ func TestHopActivityParsing(t *testing.T) {
 	}
 }
 
-func TestVerifyChain(t *testing.T) {
-	s := &Snapshot{Flows: []FlowCounters{
-		{RuleID: "c-1@s1", Packets: 10},
-		{RuleID: "c-2@s1", Packets: 0},
-	}}
-	hops := []*nffg.SGHop{{ID: "c-1"}, {ID: "c-2"}}
-	lagging := VerifyChain(s, hops, 1)
-	if len(lagging) != 1 || lagging[0] != "c-2" {
-		t.Fatalf("lagging: %v", lagging)
-	}
-	if lagging := VerifyChain(s, hops[:1], 1); len(lagging) != 0 {
-		t.Fatalf("healthy chain misreported: %v", lagging)
-	}
-}
-
 func TestRender(t *testing.T) {
 	n := buildNet(t)
 	runTraffic(t, n, 2)
@@ -110,138 +92,5 @@ func TestMergeSorts(t *testing.T) {
 	m := Merge(a, b, nil)
 	if m.Flows[0].Node != "a" || m.Flows[1].Node != "z" {
 		t.Fatalf("merge unsorted: %+v", m.Flows)
-	}
-}
-
-// TestOrchAndQueueSources: the control-plane counters flow through
-// Collect/Merge/Render like the dataplane ones.
-func TestOrchAndQueueSources(t *testing.T) {
-	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})
-	sub := nffg.NewBuilder("dom").
-		BiSBiS("dom-n", "dom", 4, nffg.Resources{CPU: 16, Mem: 8192, Storage: 16}, "fw").
-		SAP("sapA").SAP("sapB").
-		Link("u1", "sapA", "1", "dom-n", "1", 100, 1).
-		Link("u2", "dom-n", "2", "sapB", "1", 100, 1).
-		MustBuild()
-	lo, err := core.NewLocalOrchestrator(core.LocalConfig{ID: "dom", Substrate: sub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ro.Attach(context.Background(), lo); err != nil {
-		t.Fatal(err)
-	}
-	q := admission.New(ro, admission.Options{})
-	defer q.Close()
-
-	g := nffg.NewBuilder("svc").
-		SAP("sapA").SAP("sapB").
-		NF("svc-nf", "fw", 2, nffg.Resources{CPU: 2, Mem: 512, Storage: 2}).
-		Chain("svc", 1, 0, "sapA", "svc-nf", "sapB").
-		MustBuild()
-	if _, err := q.Install(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := CollectAll(OrchSource{Orch: ro}, QueueSource{Queue: q})
-	if len(snap.Orch) != 1 || len(snap.Admission) != 1 {
-		t.Fatalf("sources missing: %+v", snap)
-	}
-	o := snap.Orch[0]
-	if o.Layer != "mdo" || o.Installs != 1 || o.MapAttempts < 1 || o.Batches != 1 {
-		t.Fatalf("orch counters: %+v", o)
-	}
-	if got := o.AttemptsPerInstall(); got < 1 {
-		t.Fatalf("attempts/install: %f", got)
-	}
-	a := snap.Admission[0]
-	if a.Queue != "mdo" || a.Deployed != 1 || a.Batches != 1 || a.MeanBatch() != 1 {
-		t.Fatalf("admission counters: %+v", a)
-	}
-
-	// The read caches flow through too: a view read warms the view cache and
-	// the counters surface in the snapshot and the rendered report.
-	if _, err := ro.View(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ro.View(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap = CollectAll(OrchSource{Orch: ro}, QueueSource{Queue: q})
-	o = snap.Orch[0]
-	if o.ViewCache.Misses == 0 || o.ViewCache.Hits == 0 {
-		t.Fatalf("view cache counters missing: %+v", o.ViewCache)
-	}
-
-	var buf strings.Builder
-	snap.Render(&buf)
-	out := buf.String()
-	for _, want := range []string{"ORCHESTRATOR", "CONFLICTS", "QUEUE", "MEAN-BATCH", "CACHE", "INVALIDATIONS", "HIT-RATE"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestShardCountersFlow: per-shard DoV generations and per-shard queue lanes
-// flow through Collect and Render alongside the aggregate counters.
-func TestShardCountersFlow(t *testing.T) {
-	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})
-	for _, name := range []string{"east", "west"} {
-		sub := nffg.NewBuilder(name).
-			BiSBiS(nffg.ID(name+"-n"), name, 4, nffg.Resources{CPU: 16, Mem: 8192, Storage: 16}, "fw").
-			SAP(nffg.ID(name+"-in")).SAP(nffg.ID(name+"-out")).
-			Link("u1", nffg.ID(name+"-in"), "1", nffg.ID(name+"-n"), "1", 100, 1).
-			Link("u2", nffg.ID(name+"-n"), "2", nffg.ID(name+"-out"), "1", 100, 1).
-			MustBuild()
-		lo, err := core.NewLocalOrchestrator(core.LocalConfig{ID: name, Substrate: sub})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ro.Attach(context.Background(), lo); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := admission.New(ro, admission.Options{})
-	defer q.Close()
-	g := nffg.NewBuilder("svc").
-		SAP("east-in").SAP("east-out").
-		NF("svc-nf", "fw", 2, nffg.Resources{CPU: 2, Mem: 512, Storage: 2}).
-		Chain("svc", 1, 0, "east-in", "svc-nf", "east-out").
-		MustBuild()
-	g.NFs["svc-nf"].Host = "bisbis@east"
-	if _, err := q.Install(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := CollectAll(OrchSource{Orch: ro}, QueueSource{Queue: q})
-	o := snap.Orch[0]
-	if len(o.Shards) != 2 || o.Shards[0].Shard != "east" || o.Shards[1].Shard != "west" {
-		t.Fatalf("shard counters: %+v", o.Shards)
-	}
-	// The single-shard install committed on east only: west saw just its
-	// attach merge.
-	if o.Shards[0].Commits <= o.Shards[1].Commits {
-		t.Fatalf("east should out-commit west: %+v", o.Shards)
-	}
-	for _, sh := range o.Shards {
-		if sh.Gen != sh.Commits {
-			t.Fatalf("gen invariant: %+v", sh)
-		}
-	}
-	a := snap.Admission[0]
-	if a.Shards["east"].Batches == 0 {
-		t.Fatalf("queue lane gauges: %+v", a.Shards)
-	}
-
-	var buf strings.Builder
-	snap.Render(&buf)
-	out := buf.String()
-	for _, want := range []string{"SHARD", "MULTI-SHARD", "east", "west", "LANE"} {
-		if want == "LANE" {
-			want = "COALESCED"
-		}
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
 	}
 }

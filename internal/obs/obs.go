@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency tracing and metrics toolkit of the
 // orchestration pipeline. A Trace is a bounded per-job span buffer; a Tracer
 // is a bounded registry of traces keyed by trace ID, so northbound callers
-// can retrieve a job's span tree after the fact (GET /unify/trace/{id},
+// can retrieve a job's span tree after the fact (GET /v1/unify/trace/{id},
 // unifyctl trace). Trace identity crosses process boundaries as the
 // X-Unify-Trace header: a recursive escaped-over-escaped deployment mints the
 // ID once at the top and every layer below adopts it, so the per-layer span
