@@ -41,10 +41,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -117,7 +120,7 @@ func main() {
 		}
 		switch *format {
 		case "json":
-			if err := v.EncodeJSON(os.Stdout); err != nil {
+			if err := writeIndented(os.Stdout, v); err != nil {
 				log.Fatal(err)
 			}
 		case "xml":
@@ -305,7 +308,7 @@ func main() {
 			}
 			lastETag = ev.ETag
 			if *format == "json" && ev.View != nil {
-				if err := ev.View.EncodeJSON(os.Stdout); err != nil {
+				if err := writeIndented(os.Stdout, ev.View); err != nil {
 					log.Fatal(err)
 				}
 				continue
@@ -460,4 +463,18 @@ func printReceipt(r *unify.Receipt) {
 	for _, d := range r.Decompositions {
 		fmt.Printf("  decomposition: %s\n", d)
 	}
+}
+
+// writeIndented prints g as indented JSON, for people: the wire form
+// EncodeJSON writes is compact.
+func writeIndented(w io.Writer, g *nffg.NFFG) error {
+	var compact, out bytes.Buffer
+	if err := g.EncodeJSON(&compact); err != nil {
+		return err
+	}
+	if err := json.Indent(&out, compact.Bytes(), "", "  "); err != nil {
+		return err
+	}
+	_, err := out.WriteTo(w)
+	return err
 }

@@ -408,16 +408,53 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 // them: a truncated response from a departed client is routine, but a payload
 // that cannot marshal is a server bug that silent discards would hide.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	if err := writeJSONTo(w, status, v); err != nil {
-		s.encodeFailures.Add(1)
-		log.Printf("api %s: encode %d response: %v", s.layer.ID(), status, err)
+	s.writeBody(w, status, func(bw io.Writer) error { return json.NewEncoder(bw).Encode(v) })
+}
+
+// writeBody sends the JSON body encode writes, with status. A body that
+// cannot be marshalled has sent nothing yet, so the client gets a 500 with
+// code internal instead of an empty response under status.
+func (s *Server) writeBody(w http.ResponseWriter, status int, encode func(io.Writer) error) {
+	sent, err := sendJSON(w, status, encode)
+	if err == nil {
+		return
+	}
+	s.encodeFailures.Add(1)
+	log.Printf("api %s: encode %d response: %v", s.layer.ID(), status, err)
+	if !sent {
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, "api: encode response: "+err.Error(), "")
 	}
 }
 
 func writeJSONTo(w http.ResponseWriter, status int, v any) error {
+	_, err := sendJSON(w, status, func(bw io.Writer) error { return json.NewEncoder(bw).Encode(v) })
+	return err
+}
+
+// sendJSON runs encode against w, sending status only with the first byte
+// of the body. A json.Encoder marshals the whole value before its one Write,
+// so a marshal error leaves the response unsent (sent is false) and the
+// caller can still answer with an error status.
+func sendJSON(w http.ResponseWriter, status int, encode func(io.Writer) error) (sent bool, err error) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	return json.NewEncoder(w).Encode(v)
+	sw := &statusWriter{w: w, status: status}
+	err = encode(sw)
+	return sw.sent, err
+}
+
+// statusWriter holds a response's status back until the body's first Write.
+type statusWriter struct {
+	w      http.ResponseWriter
+	status int
+	sent   bool
+}
+
+func (sw *statusWriter) Write(p []byte) (int, error) {
+	if !sw.sent {
+		sw.sent = true
+		sw.w.WriteHeader(sw.status)
+	}
+	return sw.w.Write(p)
 }
 
 // Client is a unify.Layer backed by a remote server. It also satisfies

@@ -28,6 +28,10 @@ import (
 // client that insists on writing through a replica knows where to go.
 var ErrReadOnly = errors.New("api: read-only replica")
 
+// ErrInternal marks a server fault: a 500 with code "internal", such as a
+// response body the server could not encode.
+var ErrInternal = errors.New("api: internal server error")
+
 // ErrorBody is the typed payload inside the error envelope.
 type ErrorBody struct {
 	// Code is the stable machine-readable error name (see errorTable);
@@ -93,6 +97,8 @@ var errorTable = []struct {
 	{admission.ErrCanceled, http.StatusConflict, CodeCanceled},
 	// No domain has attached yet: the view legitimately does not exist.
 	{core.ErrEmptyView, http.StatusNotFound, CodeEmptyView},
+	// Last, and also what an error matching no row classifies as.
+	{ErrInternal, http.StatusInternalServerError, CodeInternal},
 }
 
 // errorStatus classifies an error into its (HTTP status, wire code) pair.

@@ -26,7 +26,6 @@ package api
 
 import (
 	"context"
-	"log"
 	"net/http"
 	"strconv"
 	"strings"
@@ -151,7 +150,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, err)
 			return
 		}
-		s.encodeView(w, v)
+		s.writeBody(w, http.StatusOK, v.EncodeJSON)
 		return
 	}
 	v, ver, err := vv.VersionedView(r.Context())
@@ -164,15 +163,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	s.encodeView(w, v)
-}
-
-func (s *Server) encodeView(w http.ResponseWriter, v *nffg.NFFG) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := v.EncodeJSON(w); err != nil {
-		s.encodeFailures.Add(1)
-		log.Printf("api %s: encode view: %v", s.layer.ID(), err)
-	}
+	s.writeBody(w, http.StatusOK, v.EncodeJSON)
 }
 
 // handleWatch long-polls the layer's view version. ?from= is the last

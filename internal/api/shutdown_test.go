@@ -2,10 +2,13 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -159,5 +162,55 @@ func TestEncodeFailuresCounted(t *testing.T) {
 	resp.Body.Close()
 	if want := "unify_server_encode_failures 2"; !strings.Contains(string(body), want) {
 		t.Fatalf("/metrics missing %q:\n%.2000s", want, body)
+	}
+}
+
+// nanViewLayer serves a view no JSON encoder accepts: a link with a NaN
+// bandwidth, as a faulty child could report one.
+type nanViewLayer struct{ unify.Layer }
+
+func (l nanViewLayer) View(ctx context.Context) (*nffg.NFFG, error) {
+	v, err := l.Layer.View(ctx)
+	if err != nil {
+		return nil, err
+	}
+	v = v.Copy()
+	v.Links[0].Bandwidth = math.NaN()
+	return v, nil
+}
+
+// TestUnencodableResponseIs500: a body that cannot be marshalled is caught
+// before the status goes out, so the client gets a typed internal error
+// instead of an empty 200 it fails to decode, and the failure is counted.
+func TestUnencodableResponseIs500(t *testing.T) {
+	srv := NewServer(nanViewLayer{leaf(t, "nan")}, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	cli, err := Dial("remote", "http://"+addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.View(context.Background()); !errors.Is(err, ErrInternal) {
+		t.Fatalf("View of an unencodable view: %v, want ErrInternal", err)
+	}
+	if got := srv.encodeFailures.Load(); got != 1 {
+		t.Fatalf("encodeFailures = %d, want 1", got)
+	}
+
+	// The same holds for every other JSON response.
+	rec := httptest.NewRecorder()
+	srv.writeJSON(rec, http.StatusCreated, map[string]float64{"bw": math.Inf(1)})
+	var env ErrorEnvelope
+	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusInternalServerError || env.Error.Code != CodeInternal {
+		t.Fatalf("unencodable body: %d %+v, want 500 %s", rec.Code, env, CodeInternal)
+	}
+	if got := srv.encodeFailures.Load(); got != 2 {
+		t.Fatalf("encodeFailures = %d, want 2", got)
 	}
 }

@@ -103,7 +103,9 @@ func (ro *ResourceOrchestrator) currentCut() (graphs []*nffg.NFFG, vec genVec) {
 
 // mergeCut merges the live graphs of one cut into a fresh pre-sized graph —
 // the uncached merge shared by the cut cache and scoped (narrowed-group)
-// planning. Returns nil when no graph is live, and the single live graph
+// planning. The shard snapshots are sealed, so the cut shares their entities
+// instead of copying them (see nffg.Merge); nothing writes the cut but a
+// fork of it. Returns nil when no graph is live, and the single live graph
 // itself (a sealed shard snapshot) when there is exactly one. A merge
 // failure (colliding shard exports) is surfaced to the caller and counted in
 // PipelineStats.MergeErrors instead of silently serving an incomplete cut.

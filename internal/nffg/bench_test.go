@@ -64,14 +64,26 @@ func BenchmarkCopy(b *testing.B) {
 }
 
 // BenchmarkMerge measures folding k shard views into one cut (the all-shard
-// merge behind the DoV read path), with pre-grown edge slices.
+// merge behind the DoV read path), with pre-grown edge slices. Unsealed views
+// are deep-copied; sealed ones, the shard snapshots a DoV cut merges, are
+// shared, so only the cut's maps and edge slices allocate.
 func BenchmarkMerge(b *testing.B) {
-	for _, shards := range []int{4, 16} {
-		views := make([]*NFFG, shards)
+	for _, c := range []struct {
+		shards int
+		sealed bool
+	}{{4, false}, {16, false}, {16, true}} {
+		views := make([]*NFFG, c.shards)
 		for i := range views {
 			views[i] = benchGraph(fmt.Sprintf("d%d", i), 16)
+			if c.sealed {
+				views[i].Seal()
+			}
 		}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+		name := fmt.Sprintf("shards=%d", c.shards)
+		if c.sealed {
+			name = "sealed/" + name
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m := New("dov")

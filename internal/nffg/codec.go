@@ -81,11 +81,13 @@ func (g *NFFG) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// EncodeJSON writes the graph as indented JSON.
+// EncodeJSON writes the graph as compact JSON followed by a newline: the wire
+// form of every Unify hop. It encodes the wire shape once, straight to w,
+// with no MarshalJSON round trip and no indentation pass; a tool that prints
+// a graph for people indents it with json.Indent. DecodeJSON reads the
+// compact and the indented form alike.
 func (g *NFFG) EncodeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(g)
+	return json.NewEncoder(w).Encode(g.toWire())
 }
 
 // DecodeJSON reads a graph from JSON.

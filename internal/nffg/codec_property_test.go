@@ -2,6 +2,7 @@ package nffg
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -182,6 +183,40 @@ func TestCopyIsolationProperty(t *testing.T) {
 		return g.Render() == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: EncodeJSON writes one compact line, and DecodeJSON reads that and
+// the indented form of the same graph into equal graphs.
+func TestCompactAndIndentedDecodeEqualProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		g := randomGraph(rand.New(rand.NewSource(seed)))
+		var compact, indented bytes.Buffer
+		if err := g.EncodeJSON(&compact); err != nil {
+			return false
+		}
+		if i := bytes.IndexByte(compact.Bytes(), '\n'); i != compact.Len()-1 {
+			t.Logf("seed %d: newline at %d of %d bytes", seed, i, compact.Len())
+			return false
+		}
+		if err := json.Indent(&indented, compact.Bytes(), "", "  "); err != nil {
+			return false
+		}
+		fromCompact, err := DecodeJSON(bytes.NewReader(compact.Bytes()))
+		if err != nil {
+			return false
+		}
+		fromIndented, err := DecodeJSON(&indented)
+		if err != nil {
+			return false
+		}
+		a, errA := json.Marshal(fromCompact)
+		b, errB := json.Marshal(fromIndented)
+		return errA == nil && errB == nil && bytes.Equal(a, b) &&
+			fromCompact.Render() == fromIndented.Render() && fromCompact.Render() == g.Render()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

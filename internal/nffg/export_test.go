@@ -1,0 +1,61 @@
+package nffg
+
+import (
+	"fmt"
+	"slices"
+)
+
+// Test helpers of package nffg that the external tests need: those use embed,
+// which imports nffg, so they live in package nffg_test.
+var (
+	PrefixedGraph  = prefixedGraph
+	ReferenceMerge = referenceMerge
+)
+
+// referenceMerge is Merge as it was before it shared sealed sources: every
+// entity of other is deep-copied into g, in sorted ID order.
+func referenceMerge(g, other *NFFG) error {
+	for _, id := range other.InfraIDs() {
+		if g.hasNode(id) {
+			return fmt.Errorf("%w: infra %s present in both graphs", ErrDuplicateID, id)
+		}
+	}
+	for _, id := range other.NFIDs() {
+		if g.hasNode(id) {
+			return fmt.Errorf("%w: NF %s present in both graphs", ErrDuplicateID, id)
+		}
+	}
+	g.Links = slices.Grow(g.Links, len(other.Links))
+	g.Hops = slices.Grow(g.Hops, len(other.Hops))
+	g.Reqs = slices.Grow(g.Reqs, len(other.Reqs))
+	for _, id := range other.InfraIDs() {
+		g.Infras[id] = copyInfra(other.Infras[id])
+	}
+	for _, id := range other.NFIDs() {
+		g.NFs[id] = copyNF(other.NFs[id])
+	}
+	for _, id := range other.SAPIDs() {
+		if _, ok := g.SAPs[id]; ok {
+			continue // shared SAP: stitching point
+		}
+		p := *other.SAPs[id].Port
+		g.SAPs[id] = &SAP{ID: id, Name: other.SAPs[id].Name, Port: &p}
+	}
+	for _, l := range other.Links {
+		cl := *l
+		if g.LinkByID(l.ID) != nil {
+			cl.ID = fmt.Sprintf("%s@%s", l.ID, other.ID)
+		}
+		g.Links = append(g.Links, &cl)
+	}
+	for _, h := range other.Hops {
+		ch := *h
+		g.Hops = append(g.Hops, &ch)
+	}
+	for _, r := range other.Reqs {
+		cr := *r
+		cr.HopIDs = append([]string(nil), r.HopIDs...)
+		g.Reqs = append(g.Reqs, &cr)
+	}
+	return nil
+}

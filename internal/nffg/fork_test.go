@@ -45,8 +45,8 @@ func forkChain(id string, a, b nffg.ID) *nffg.NFFG {
 		MustBuild()
 }
 
-// encodeGraph is g's JSON encoding: EncodeJSON's bytes without the
-// indentation, which would triple the cost of a check made after every step.
+// encodeGraph is g's JSON encoding: EncodeJSON's bytes without the trailing
+// newline.
 func encodeGraph(t testing.TB, g *nffg.NFFG) []byte {
 	t.Helper()
 	b, err := g.MarshalJSON()

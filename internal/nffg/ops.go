@@ -338,52 +338,83 @@ func topoLink(l *Link) topo.Link {
 // which stitch (same SAP ID appearing in two domains is the inter-domain
 // attachment point). Links and hops are appended. Used by the resource
 // orchestrator to build the global domain view (DoV).
+//
+// A sealed other never changes, so Merge puts its entities into g as they
+// are and clones only a link it renames on an ID collision; merging a DoV cut
+// from sealed shard snapshots then allocates for the cut, not for every
+// entity in it. g becomes clone-on-write like a fork (see Fork): its mutators
+// clone an entity the first time they write it, and a field written directly
+// would change other too, so a graph that merged a sealed source writes only
+// through mutators. An unsealed other is deep-copied.
 func (g *NFFG) Merge(other *NFFG) error {
 	g.mustMutable("Merge")
 	g.shape.Store(nil)
-	for _, id := range other.InfraIDs() {
+	for id := range other.Infras {
 		if g.hasNode(id) {
 			return fmt.Errorf("%w: infra %s present in both graphs", ErrDuplicateID, id)
 		}
 	}
-	for _, id := range other.NFIDs() {
+	for id := range other.NFs {
 		if g.hasNode(id) {
 			return fmt.Errorf("%w: NF %s present in both graphs", ErrDuplicateID, id)
 		}
+	}
+	share := other.sealed
+	if share && g.owned == nil {
+		g.owned = map[any]struct{}{}
 	}
 	// Pre-grow the edge slices: a DoV merge folds many domain views into one
 	// graph, and growing append-by-append reallocates on every shard.
 	g.Links = slices.Grow(g.Links, len(other.Links))
 	g.Hops = slices.Grow(g.Hops, len(other.Hops))
 	g.Reqs = slices.Grow(g.Reqs, len(other.Reqs))
-	for _, id := range other.InfraIDs() {
-		g.Infras[id] = copyInfra(other.Infras[id])
+	for id, i := range other.Infras {
+		if !share {
+			i = copyInfra(i)
+		}
+		g.Infras[id] = i
 	}
-	for _, id := range other.NFIDs() {
-		g.NFs[id] = copyNF(other.NFs[id])
+	for id, n := range other.NFs {
+		if !share {
+			n = copyNF(n)
+		}
+		g.NFs[id] = n
 	}
-	for _, id := range other.SAPIDs() {
+	for id, s := range other.SAPs {
 		if _, ok := g.SAPs[id]; ok {
 			continue // shared SAP: stitching point
 		}
-		p := *other.SAPs[id].Port
-		g.SAPs[id] = &SAP{ID: id, Name: other.SAPs[id].Name, Port: &p}
+		if !share {
+			p := *s.Port
+			s = &SAP{ID: id, Name: s.Name, Port: &p}
+		}
+		g.SAPs[id] = s
 	}
 	for _, l := range other.Links {
-		cl := *l
-		if g.LinkByID(l.ID) != nil {
-			cl.ID = fmt.Sprintf("%s@%s", l.ID, other.ID)
+		renamed := g.LinkByID(l.ID) != nil
+		if renamed || !share {
+			cl := *l
+			l = &cl
 		}
-		g.Links = append(g.Links, &cl)
+		if renamed {
+			l.ID = fmt.Sprintf("%s@%s", l.ID, other.ID)
+		}
+		g.Links = append(g.Links, l)
 	}
 	for _, h := range other.Hops {
-		ch := *h
-		g.Hops = append(g.Hops, &ch)
+		if !share {
+			ch := *h
+			h = &ch
+		}
+		g.Hops = append(g.Hops, h)
 	}
 	for _, r := range other.Reqs {
-		cr := *r
-		cr.HopIDs = append([]string(nil), r.HopIDs...)
-		g.Reqs = append(g.Reqs, &cr)
+		if !share {
+			cr := *r
+			cr.HopIDs = append([]string(nil), r.HopIDs...)
+			r = &cr
+		}
+		g.Reqs = append(g.Reqs, r)
 	}
 	return nil
 }
