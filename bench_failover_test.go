@@ -103,7 +103,7 @@ func benchE14Chain(id string, in, out nffg.ID, host nffg.ID) *nffg.NFFG {
 	bl.Chain(id, 1, 0, nodes...)
 	g := bl.MustBuild()
 	if host != "" {
-		for _, nf := range g.NFs {
+		for _, nf := range g.NFs.All() {
 			nf.Host = host
 		}
 	}

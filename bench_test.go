@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -127,13 +128,13 @@ func BenchmarkE1DomainAggregation(b *testing.B) {
 			// Rename nodes/domain per child so merges do not collide.
 			renamed := nffg.New(fmt.Sprintf("d%d", i))
 			for _, id := range v.InfraIDs() {
-				inf := v.Infras[id]
+				inf := v.Infras.Get(id)
 				inf.ID = nffg.ID(fmt.Sprintf("d%d-%s", i, id))
 				inf.Domain = fmt.Sprintf("dom%d", i)
 				_ = renamed.AddInfra(inf)
 			}
 			for _, id := range v.SAPIDs() {
-				s := v.SAPs[id]
+				s := v.SAPs.Get(id)
 				s.ID = nffg.ID(fmt.Sprintf("d%d-%s", i, id))
 				_ = renamed.AddSAP(s)
 			}
@@ -322,7 +323,8 @@ func BenchmarkE4Decomposition(b *testing.B) {
 	mkSub := func() *nffg.NFFG {
 		sub := syntheticDov(8, 8)
 		for _, id := range sub.InfraIDs() {
-			sub.Infras[id].Supported = append(sub.Infras[id].Supported, "secure-gw")
+			i := sub.Infras.Get(id)
+			i.Supported = append(i.Supported, "secure-gw")
 		}
 		return sub
 	}
@@ -585,7 +587,7 @@ func benchDomainReq(id string, i, n int) *nffg.NFFG {
 		NF(nf, "firewall", 2, nffg.Resources{CPU: 2, Mem: 512, Storage: 1}).
 		Chain(id, 1, 0, nffg.ID(left), nf, nffg.ID(right)).
 		MustBuild()
-	g.NFs[nf].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+	g.NFs.Get(nf).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
 	return g
 }
 
@@ -667,7 +669,7 @@ func BenchmarkE6FanOut(b *testing.B) {
 				bld.Chain(id, 1, 0, nodes...)
 				req := bld.MustBuild()
 				for d := 0; d < domains; d++ {
-					req.NFs[nffg.ID(fmt.Sprintf("%s-nf%d", id, d))].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", d))
+					req.NFs.Get(nffg.ID(fmt.Sprintf("%s-nf%d", id, d))).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", d))
 				}
 				if _, err := ro.Install(ctx, req); err != nil {
 					b.Fatal(err)
@@ -1019,7 +1021,7 @@ func benchE8Req(id string, i int) *nffg.NFFG {
 	bl.Chain(id, 1, 0, nodes...)
 	req := bl.MustBuild()
 	for _, nfID := range req.NFIDs() {
-		req.NFs[nfID].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+		req.NFs.Get(nfID).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
 	}
 	return req
 }
@@ -1239,7 +1241,7 @@ func BenchmarkE9GlobalNarrowing(b *testing.B) {
 				for c := range reqs {
 					req := benchE8Req(fmt.Sprintf("e9n-%d-%d", i, c), c)
 					for _, nfID := range req.NFIDs() {
-						req.NFs[nfID].Host = "" // unpinned: only the SAPs anchor it
+						req.NFs.Get(nfID).Host = "" // unpinned: only the SAPs anchor it
 					}
 					reqs[c] = req
 				}
@@ -1589,11 +1591,21 @@ func BenchmarkE11SouthboundPipeline(b *testing.B) {
 
 // --- E12: observability overhead ------------------------------------------------
 
+// processCPU is the CPU time the process has used so far, user and system.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // benchE12Burst drives one burst of `clients` concurrent submit+wait cycles
 // through the admission queue (the E7 batched-admission workload) and returns
-// the burst's wall-clock plus one deployed job for the span audit. Teardown
-// of the deployed services happens outside the measured window.
-func benchE12Burst(b *testing.B, q *admission.Queue, ro *core.ResourceOrchestrator, domains, clients int, tag string) (time.Duration, admission.Job) {
+// the burst's wall-clock and the CPU time the process spent in it, plus one
+// deployed job for the span audit. Teardown of the deployed services happens
+// outside the measured window.
+func benchE12Burst(b *testing.B, q *admission.Queue, ro *core.ResourceOrchestrator, domains, clients int, tag string) (time.Duration, time.Duration, admission.Job) {
 	b.Helper()
 	ctx := context.Background()
 	start := make(chan struct{})
@@ -1618,10 +1630,10 @@ func benchE12Burst(b *testing.B, q *admission.Queue, ro *core.ResourceOrchestrat
 			jobs[c], errs[c] = done, err
 		}(c)
 	}
-	t0 := time.Now()
+	t0, cpu0 := time.Now(), processCPU(b)
 	close(start)
 	wg.Wait()
-	d := time.Since(t0)
+	d, cpu := time.Since(t0), processCPU(b)-cpu0
 	for _, err := range errs {
 		if err != nil {
 			b.Fatal(err)
@@ -1632,7 +1644,7 @@ func benchE12Burst(b *testing.B, q *admission.Queue, ro *core.ResourceOrchestrat
 			b.Fatal(err)
 		}
 	}
-	return d, jobs[0]
+	return d, cpu, jobs[0]
 }
 
 // BenchmarkE12ObsOverhead measures what the observability plane costs on the
@@ -1642,7 +1654,7 @@ func benchE12Burst(b *testing.B, q *admission.Queue, ro *core.ResourceOrchestrat
 // fastest (min is robust to runner noise); the overhead sub-benchmark runs
 // both modes back to back and reports
 //
-//	overhead_pct   — traced-vs-untraced wall-clock inflation, gated ≤5% in CI
+//	overhead_pct   — traced-vs-untraced CPU time per burst, gated ≤5% in CI
 //	span-kinds/job — how many of the expected span kinds the last job's trace
 //	                 actually recorded (admission wait, map, commit, child
 //	                 deploy, plus the job root): a deterministic
@@ -1667,7 +1679,7 @@ func BenchmarkE12ObsOverhead(b *testing.B) {
 		best := time.Duration(1 << 62)
 		var last admission.Job
 		for r := 0; r < rounds; r++ {
-			d, job := benchE12Burst(b, q, ro, domains, clients, fmt.Sprintf("%s-%d", tag, r))
+			d, _, job := benchE12Burst(b, q, ro, domains, clients, fmt.Sprintf("%s-%d", tag, r))
 			if d < best {
 				best = d
 			}
@@ -1694,9 +1706,12 @@ func BenchmarkE12ObsOverhead(b *testing.B) {
 	}
 
 	b.Run(fmt.Sprintf("overhead/clients=%d", clients), func(b *testing.B) {
-		// The two stacks live side by side and their bursts alternate, so a
-		// slow patch of the runner penalizes both modes instead of skewing
-		// the ratio; min-of-rounds then discards the disturbed bursts.
+		// The two stacks live side by side and their bursts alternate, each
+		// round in the other order, so a slow patch of the runner penalizes
+		// both modes instead of skewing the ratio. A burst is charged the CPU
+		// time the process spends in it, from a collected heap: tracing costs
+		// work, and unlike wall-clock, work does not stretch when a neighbour
+		// takes the runner's cores or the scheduler parks a submitter.
 		tracer := obs.NewTracer(0)
 		mkStack := func(tr *obs.Tracer) (*core.ResourceOrchestrator, *admission.Queue) {
 			ro := benchE7RO(b, domains, slots)
@@ -1710,18 +1725,31 @@ func BenchmarkE12ObsOverhead(b *testing.B) {
 		defer qOff.Close()
 		roOn, qOn := mkStack(tracer)
 		defer qOn.Close()
-		const altRounds = 10 // first round is warmup, median of the rest
+		const altRounds = 31 // first round is warmup, median of the rest
 		for i := 0; i < b.N; i++ {
 			var ratios []float64
 			var job admission.Job
+			burst := func(q *admission.Queue, ro *core.ResourceOrchestrator, tag string, r int) time.Duration {
+				runtime.GC()
+				_, cpu, j := benchE12Burst(b, q, ro, domains, clients, fmt.Sprintf("%s-%d-%d", tag, i, r))
+				if q == qOn {
+					job = j
+				}
+				return cpu
+			}
 			for r := 0; r < altRounds; r++ {
-				dOff, _ := benchE12Burst(b, qOff, roOff, domains, clients, fmt.Sprintf("base-%d-%d", i, r))
-				dOn, j := benchE12Burst(b, qOn, roOn, domains, clients, fmt.Sprintf("traced-%d-%d", i, r))
-				job = j
+				var cpuOff, cpuOn time.Duration
+				if r%2 == 0 {
+					cpuOff = burst(qOff, roOff, "base", r)
+					cpuOn = burst(qOn, roOn, "traced", r)
+				} else {
+					cpuOn = burst(qOn, roOn, "traced", r)
+					cpuOff = burst(qOff, roOff, "base", r)
+				}
 				if r == 0 {
 					continue
 				}
-				ratios = append(ratios, dOn.Seconds()/dOff.Seconds())
+				ratios = append(ratios, cpuOn.Seconds()/cpuOff.Seconds())
 			}
 			sort.Float64s(ratios)
 			median := ratios[len(ratios)/2]

@@ -253,7 +253,8 @@ func e4() {
 	mkSub := func() *nffg.NFFG {
 		sub := ringDov(8, 8)
 		for _, id := range sub.InfraIDs() {
-			sub.Infras[id].Supported = append(sub.Infras[id].Supported, "secure-gw")
+			i := sub.Infras.Get(id)
+			i.Supported = append(i.Supported, "secure-gw")
 		}
 		return sub
 	}

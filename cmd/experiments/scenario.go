@@ -312,7 +312,7 @@ func flapChain(flap, j, perFlap int, victim nffg.ID) *nffg.NFFG {
 	nodes = append(nodes, out)
 	b.Chain(id, 5, 0, nodes...)
 	g := b.MustBuild()
-	for _, nf := range g.NFs {
+	for _, nf := range g.NFs.All() {
 		nf.Host = victim
 	}
 	return g

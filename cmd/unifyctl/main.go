@@ -315,7 +315,7 @@ func main() {
 			}
 			nodes, nfs := 0, 0
 			if ev.View != nil {
-				nodes, nfs = len(ev.View.Infras), len(ev.View.NFs)
+				nodes, nfs = ev.View.Infras.Len(), ev.View.NFs.Len()
 			}
 			fmt.Printf("gen=%-6d etag=%s nodes=%d nfs=%d services=%d\n",
 				ev.Generation, ev.ETag, nodes, nfs, len(ev.Services))

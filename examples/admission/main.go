@@ -96,7 +96,7 @@ func slotReq(id string, i, j int) *nffg.NFFG {
 		NF(nf, "firewall", 2, nffg.Resources{CPU: 2, Mem: 512, Storage: 1}).
 		Chain(id, 1, 0, in, nf, out).
 		MustBuild()
-	g.NFs[nf].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+	g.NFs.Get(nf).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
 	return g
 }
 

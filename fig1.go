@@ -207,9 +207,9 @@ func (s *Fig1System) DemoChain(id string, bw float64) (*NFFG, error) {
 	}
 	// Steer each NF into its intended execution environment, as the demo
 	// narrative does: Click in Mininet, VM in OpenStack, container on UN.
-	g.NFs[fw].Host = "bisbis@mininet"
-	g.NFs[dpi].Host = "bisbis@openstack"
-	g.NFs[comp].Host = "bisbis@un"
+	g.NFs.Get(fw).Host = "bisbis@mininet"
+	g.NFs.Get(dpi).Host = "bisbis@openstack"
+	g.NFs.Get(comp).Host = "bisbis@un"
 	return g, nil
 }
 

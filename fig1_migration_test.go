@@ -16,7 +16,7 @@ func TestFig1Migration(t *testing.T) {
 		NF("mig-nat", "nat", 2, Resources{CPU: 2, Mem: 1024, Storage: 2}).
 		Chain("mig", 10, 0, "sap1", "mig-nat", "sap2").
 		MustBuild()
-	g.NFs["mig-nat"].Host = "bisbis@mininet"
+	g.NFs.Get("mig-nat").Host = "bisbis@mininet"
 	if _, err := sys.Service.Submit(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMigrationRollback(t *testing.T) {
 		NF("roll-fw", "firewall", 2, Resources{CPU: 2, Mem: 1024, Storage: 2}).
 		Chain("roll", 10, 0, "sap1", "roll-fw", "sap2").
 		MustBuild()
-	g.NFs["roll-fw"].Host = "bisbis@mininet"
+	g.NFs.Get("roll-fw").Host = "bisbis@mininet"
 	if _, err := sys.Service.Submit(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestFig1SystemBringUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dov.Infras) != 4 {
+	if dov.Infras.Len() != 4 {
 		t.Fatalf("DoV should hold 4 exported views: %s", dov.Summary())
 	}
 	// Stitching: sap1 side must reach sap2 side.
@@ -36,14 +36,14 @@ func TestFig1SystemBringUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Infras) != 1 {
+	if v.Infras.Len() != 1 {
 		t.Fatalf("MdO view: %s", v.Summary())
 	}
 	// User SAPs visible, border SAPs too (they are still SAPs of the view).
-	if _, ok := v.SAPs["sap1"]; !ok {
+	if _, ok := v.SAPs.Lookup("sap1"); !ok {
 		t.Fatalf("sap1 missing from view: %v", v.SAPIDs())
 	}
-	if _, ok := v.SAPs["sap2"]; !ok {
+	if _, ok := v.SAPs.Lookup("sap2"); !ok {
 		t.Fatalf("sap2 missing from view: %v", v.SAPIDs())
 	}
 }

@@ -155,7 +155,7 @@ func TestFig1CapacityAccounting(t *testing.T) {
 			t.Fatalf("link %s bandwidth not restored: %g vs %g", l.ID, l.Bandwidth, orig.Bandwidth)
 		}
 	}
-	if len(after.NFs) != 0 {
+	if after.NFs.Len() != 0 {
 		t.Fatalf("NFs left in DoV: %v", after.NFIDs())
 	}
 }
@@ -173,7 +173,7 @@ func TestFig1TransparentMdOView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(view.Infras) != 4 {
+	if view.Infras.Len() != 4 {
 		t.Fatalf("domain view should show 4 aggregates: %s", view.Summary())
 	}
 	g := NewBuilder("ctl").

@@ -659,7 +659,7 @@ func TestQueueOverOrchestrator(t *testing.T) {
 				NF(nf, "fw", 2, nffg.Resources{CPU: 2, Mem: 512, Storage: 2}).
 				Chain(id, 1, 0, nffg.ID(left), nf, nffg.ID(right)).
 				MustBuild()
-			g.NFs[nf].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+			g.NFs.Get(nf).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
 			_, errs[i] = q.Install(context.Background(), g)
 		}(i)
 	}

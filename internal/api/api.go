@@ -23,7 +23,7 @@
 //	GET    /v1/unify/jobs/{id}            -> Job
 //	GET    /v1/unify/jobs/{id}/wait       -> Job (long-poll: blocks until the job
 //	                                         is terminal; 202 + snapshot on
-//	                                         ?timeout= expiry)
+//	                                         ?timeout= expiry, at most 30 s)
 //	DELETE /v1/unify/jobs/{id}            -> 204 (cancel a queued job)
 //	GET    /v1/unify/stats                -> StatsDoc (pipeline + admission +
 //	                                         southbound + journal + fleet + replica,
@@ -360,20 +360,17 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobWait long-polls a job: it blocks until the job reaches a terminal
-// state, the optional ?timeout= elapses (202 + current snapshot: poll again),
-// or the request context dies.
+// state, the ?timeout= window (at most pollWindow, and pollWindow when
+// absent) elapses (202 + current snapshot: poll again), or the request
+// context dies.
 func (s *Server) handleJobWait(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, CodeBadRequest, "api: bad timeout: "+err.Error(), "")
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
+	window, err := pollTimeout(r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), "")
+		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), window)
+	defer cancel()
 	job, err := s.adm.Wait(ctx, r.PathValue("id"))
 	switch {
 	case errors.Is(err, admission.ErrUnknownJob):
@@ -672,7 +669,6 @@ const waitJobMaxRetries = 5
 // context ending returns its error immediately. Only waitJobMaxRetries
 // consecutive transport failures make the transport error final.
 func (c *Client) WaitJob(ctx context.Context, id string) (admission.Job, error) {
-	const pollWindow = 30 * time.Second
 	backoff := 250 * time.Millisecond
 	failures := 0
 	for {

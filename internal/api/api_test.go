@@ -496,7 +496,7 @@ func TestPipelineStatsOverHTTP(t *testing.T) {
 	}
 	g := nffg.NewBuilder("svc").SAP("east-in").SAP("east-out").NF("svc-nf", "fw", 2, res(2, 512)).
 		Chain("svc", 1, 0, "east-in", "svc-nf", "east-out").MustBuild()
-	g.NFs["svc-nf"].Host = "bisbis@east"
+	g.NFs.Get("svc-nf").Host = "bisbis@east"
 	if _, err := cli.Install(ctx, g); err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestFleetOverHTTP(t *testing.T) {
 		NF("pinned-nf", "fw", 2, res(2, 512)).
 		Chain("pinned", 10, 0, "fs0in", "pinned-nf", "fs0out").
 		MustBuild()
-	svc.NFs["pinned-nf"].Host = "bisbis@east"
+	svc.NFs.Get("pinned-nf").Host = "bisbis@east"
 	if _, err := cli.Install(ctx, svc); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFleetOverHTTP(t *testing.T) {
 		NF("late-nf", "fw", 2, res(2, 512)).
 		Chain("late", 11, 0, "fs0in", "late-nf", "fs0out").
 		MustBuild()
-	late.NFs["late-nf"].Host = "bisbis@east"
+	late.NFs.Get("late-nf").Host = "bisbis@east"
 	if _, err := cli.Install(ctx, late); !errors.Is(err, unify.ErrDomainUnavailable) {
 		t.Fatalf("install on drained domain over HTTP: %v", err)
 	}

@@ -10,8 +10,9 @@
 //	GET /v1/unify/watch  -> long-poll for generation bumps: ?from=<gen> blocks
 //	                        until the layer's generation exceeds it (200 + a
 //	                        WatchEvent carrying the full sealed view), or the
-//	                        ?timeout= window expires (202 + a heartbeat event
-//	                        naming the current version, no view). Reconnecting
+//	                        ?timeout= window (at most 30 s) expires (202 + a
+//	                        heartbeat event naming the current version, no
+//	                        view). Reconnecting
 //	                        with the last seen generation resumes the stream;
 //	                        duplicates are possible (dedupe by ETag), losses
 //	                        are not.
@@ -26,6 +27,7 @@ package api
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -52,9 +54,27 @@ const (
 // unifyRoot is the one mount point of every /unify route.
 const unifyRoot = "/" + APIVersion + "/unify"
 
-// defaultWatchWindow bounds a watch long-poll when the client sends no
-// ?timeout=: the server answers a heartbeat at the latest after this long.
-const defaultWatchWindow = 30 * time.Second
+// pollWindow bounds every long-poll — a watch and a job wait: the server
+// answers at the latest after this long, whatever ?timeout= asks for, and
+// waits this long when it asks for nothing.
+const pollWindow = 30 * time.Second
+
+// pollTimeout reads a long-poll's ?timeout=, clamped to pollWindow. A value
+// that does not parse or is negative is an error for a 400.
+func pollTimeout(r *http.Request) (time.Duration, error) {
+	raw := r.URL.Query().Get("timeout")
+	if raw == "" {
+		return pollWindow, nil
+	}
+	d, err := time.ParseDuration(raw)
+	if err != nil {
+		return 0, fmt.Errorf("api: bad timeout: %v", err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("api: bad timeout: %s is negative", raw)
+	}
+	return min(d, pollWindow), nil
+}
 
 // VersionedViewer is any layer that names the version of the view it serves.
 // core.ResourceOrchestrator, core.LocalOrchestrator and Replica implement it;
@@ -187,14 +207,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		from = v
 	}
-	window := defaultWatchWindow
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, CodeBadRequest, "api: bad timeout: "+err.Error(), "")
-			return
-		}
-		window = d
+	window, err := pollTimeout(r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), "")
+		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), window)
 	defer cancel()

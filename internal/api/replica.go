@@ -99,7 +99,7 @@ func WithWatchWindow(d time.Duration) ReplicaOption {
 
 // NewReplica wraps a dialed writer client. id names this replica layer.
 func NewReplica(id string, writer *Client, opts ...ReplicaOption) *Replica {
-	r := &Replica{id: id, writer: writer, window: defaultWatchWindow, done: make(chan struct{})}
+	r := &Replica{id: id, writer: writer, window: pollWindow, done: make(chan struct{})}
 	for _, opt := range opts {
 		opt(r)
 	}

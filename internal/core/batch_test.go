@@ -30,7 +30,7 @@ func domReq(t testing.TB, id string, i, n int) *nffg.NFFG {
 		NF(nf, "fw", 2, res(2, 512)).
 		Chain(id, 1, 0, nffg.ID(left), nf, nffg.ID(right)).
 		MustBuild()
-	g.NFs[nf].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+	g.NFs.Get(nf).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
 	return g
 }
 

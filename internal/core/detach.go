@@ -172,7 +172,7 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 			// NF on a survivor. Pins to nodes a surviving child still exports
 			// (shared border infrastructure) are kept.
 			ro.mu.Lock()
-			for _, nf := range ds.Request.NFs {
+			for _, nf := range ds.Request.NFs.All() {
 				if nf.Host != "" && len(ro.index[nf.Host]) == 0 {
 					nf.Host = ""
 				}

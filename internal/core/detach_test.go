@@ -89,12 +89,12 @@ func TestDetachUnwindsEverything(t *testing.T) {
 
 	// One service pinned on the victim, one on a survivor.
 	victimReq := chainReq(t, "on-d1", "b0", "b1", "fw")
-	victimReq.NFs["on-d1-nf"].Host = "bisbis@d1"
+	victimReq.NFs.Get("on-d1-nf").Host = "bisbis@d1"
 	if _, err := ro.Install(context.Background(), victimReq); err != nil {
 		t.Fatal(err)
 	}
 	survivorReq := chainReq(t, "on-d0", "sap1", "b0", "dpi")
-	survivorReq.NFs["on-d0-nf"].Host = "bisbis@d0"
+	survivorReq.NFs.Get("on-d0-nf").Host = "bisbis@d0"
 	if _, err := ro.Install(context.Background(), survivorReq); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDetachUnwindsEverything(t *testing.T) {
 
 	// The DoV no longer contains the victim's node; reads stay consistent.
 	dov := mustDoV(t, ro)
-	if _, ok := dov.Infras["bisbis@d1"]; ok {
+	if _, ok := dov.Infras.Lookup("bisbis@d1"); ok {
 		t.Error("detached infra still in DoV")
 	}
 	if err := dov.Validate(); err != nil {
@@ -137,7 +137,7 @@ func TestDetachUnwindsEverything(t *testing.T) {
 
 	// A request pinned to the departed node fails typed, not opaque.
 	dead := chainReq(t, "late", "sap1", "b0", "fw")
-	dead.NFs["late-nf"].Host = "bisbis@d1"
+	dead.NFs.Get("late-nf").Host = "bisbis@d1"
 	if _, err := ro.Install(context.Background(), dead); !errors.Is(err, unify.ErrDomainUnavailable) {
 		t.Fatalf("install on departed node: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestDetachReattachCycle(t *testing.T) {
 	checkDetachInvariants(t, ro)
 
 	req := chainReq(t, "back", "b1", "sap2", "fw")
-	req.NFs["back-nf"].Host = "bisbis@d2"
+	req.NFs.Get("back-nf").Host = "bisbis@d2"
 	if _, err := ro.Install(context.Background(), req); err != nil {
 		t.Fatalf("install after re-attach: %v", err)
 	}
@@ -261,10 +261,10 @@ func TestDetachStorm(t *testing.T) {
 				var req *nffg.NFFG
 				if i%2 == 0 {
 					req = chainReq(t, id, "b2", "sap2", "fw")
-					req.NFs[nffg.ID(id+"-nf")].Host = "bisbis@d3"
+					req.NFs.Get(nffg.ID(id + "-nf")).Host = "bisbis@d3"
 				} else {
 					req = chainReq(t, id, "sap1", "b0", "fw")
-					req.NFs[nffg.ID(id+"-nf")].Host = "bisbis@d0"
+					req.NFs.Get(nffg.ID(id + "-nf")).Host = "bisbis@d0"
 				}
 				_, err := ro.Install(ctx, req)
 				if !sanctioned(err) {

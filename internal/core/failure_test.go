@@ -118,9 +118,9 @@ func TestROPartialChildFailureMidChain(t *testing.T) {
 		NF("svc-nat", "nat", 2, res(2, 512)).
 		Chain("svc", 10, 0, "sap1", "svc-fw", "svc-dpi", "svc-nat", "sap2").
 		MustBuild()
-	req.NFs["svc-fw"].Host = "bisbis@A"
-	req.NFs["svc-dpi"].Host = "bisbis@B" // lands on the failing child
-	req.NFs["svc-nat"].Host = "bisbis@C"
+	req.NFs.Get("svc-fw").Host = "bisbis@A"
+	req.NFs.Get("svc-dpi").Host = "bisbis@B" // lands on the failing child
+	req.NFs.Get("svc-nat").Host = "bisbis@C"
 	if _, err := ro.Install(context.Background(), req); !errors.Is(err, unify.ErrRejected) {
 		t.Fatalf("install should fail: %v", err)
 	}
@@ -136,8 +136,8 @@ func TestROPartialChildFailureMidChain(t *testing.T) {
 	for _, lo := range []*LocalOrchestrator{loA, loC} {
 		v, _ := lo.View(context.Background())
 		for _, id := range v.InfraIDs() {
-			if v.Infras[id].Capacity.CPU != 8 {
-				t.Fatalf("capacity leak on %s: %g", lo.ID(), v.Infras[id].Capacity.CPU)
+			if v.Infras.Get(id).Capacity.CPU != 8 {
+				t.Fatalf("capacity leak on %s: %g", lo.ID(), v.Infras.Get(id).Capacity.CPU)
 			}
 		}
 	}
@@ -161,11 +161,11 @@ func TestROManySequentialServices(t *testing.T) {
 		t.Fatal("state leaked across churn")
 	}
 	dov := mustDoV(t, ro)
-	if len(dov.NFs) != 0 {
+	if dov.NFs.Len() != 0 {
 		t.Fatalf("NFs leaked into DoV: %v", dov.NFIDs())
 	}
 	for _, id := range dov.InfraIDs() {
-		if len(dov.Infras[id].Flowrules) != 0 {
+		if len(dov.Infras.Get(id).Flowrules) != 0 {
 			t.Fatalf("rules leaked on %s", id)
 		}
 	}

@@ -96,7 +96,7 @@ func TestOldGenerationsNeverChange(t *testing.T) {
 	}
 	pinned := func(id string, a, b nffg.ID, nfType string, host nffg.ID) *nffg.NFFG {
 		req := chainReq(t, id, a, b, nfType)
-		req.NFs[nffg.ID(id+"-nf")].Host = host
+		req.NFs.Get(nffg.ID(id + "-nf")).Host = host
 		return req
 	}
 	transit := func(id string) *nffg.NFFG {
@@ -122,7 +122,7 @@ func TestOldGenerationsNeverChange(t *testing.T) {
 	install(pinned("b1", "sap2", "b-ab", "dpi", "bisbis@domB"))
 
 	bad := transit("bad")
-	bad.NFs["bad-nat"].Host = "bisbis@domB"
+	bad.NFs.Get("bad-nat").Host = "bisbis@domB"
 	if _, err := ro.Install(ctx, bad); !errors.Is(err, unify.ErrRejected) {
 		t.Fatalf("install on a failing child: %v", err)
 	}

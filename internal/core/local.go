@@ -200,11 +200,11 @@ func (lo *LocalOrchestrator) plan(snap *nffg.NFFG, req *nffg.NFFG) (*embed.Mappi
 	work := req.Copy()
 	scope := map[nffg.ID][]nffg.ID{}
 	for _, id := range work.NFIDs() {
-		nf := work.NFs[id]
+		nf := work.NFs.Get(id)
 		if nf.Host == "" {
 			continue
 		}
-		if _, direct := snap.Infras[nf.Host]; direct {
+		if _, direct := snap.Infras.Lookup(nf.Host); direct {
 			continue
 		}
 		expanded := lo.virt.Scope(snap, nf.Host)

@@ -395,7 +395,7 @@ func (ro *ResourceOrchestrator) Attach(ctx context.Context, d domain.Domain) err
 	dir.childShard[d.ID()] = key
 	dir.domains[key] = append(dir.domains[key], d.ID())
 	sort.Strings(dir.domains[key])
-	owner := make(map[nffg.ID]string, len(ro.owner)+len(qual.Infras))
+	owner := make(map[nffg.ID]string, len(ro.owner)+qual.Infras.Len())
 	for k, v := range ro.owner {
 		owner[k] = v
 	}
@@ -408,7 +408,7 @@ func (ro *ResourceOrchestrator) Attach(ctx context.Context, d domain.Domain) err
 		for _, infra := range qual.InfraIDs() {
 			delete(ro.departed, infra)
 		}
-		for sapID := range qual.SAPs {
+		for sapID := range qual.SAPs.All() {
 			delete(ro.departed, sapID)
 		}
 	}
@@ -679,7 +679,7 @@ func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 	idx := ro.index
 	ro.mu.Unlock()
 	set := map[string]bool{}
-	for sapID := range req.SAPs {
+	for sapID := range req.SAPs.All() {
 		keys := idx[sapID]
 		if len(keys) == 0 {
 			return nil // unknown endpoint: let the global plan reject it
@@ -689,9 +689,9 @@ func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 		}
 	}
 	for _, id := range req.NFIDs() {
-		host := req.NFs[id].Host
+		host := req.NFs.Get(id).Host
 		if host == "" {
-			if ro.conservativeEstimate || len(req.SAPs) == 0 {
+			if ro.conservativeEstimate || req.SAPs.Len() == 0 {
 				return nil // no anchor to narrow by (or legacy estimator)
 			}
 			continue // unpinned: bounded by the SAP-anchored cut + escalation
@@ -724,11 +724,11 @@ func (ro *ResourceOrchestrator) plan(snap *nffg.NFFG, req *nffg.NFFG) (*embed.Ma
 	work := req.Copy()
 	scope := map[nffg.ID][]nffg.ID{}
 	for _, id := range work.NFIDs() {
-		nf := work.NFs[id]
+		nf := work.NFs.Get(id)
 		if nf.Host == "" {
 			continue
 		}
-		if _, direct := snap.Infras[nf.Host]; direct {
+		if _, direct := snap.Infras.Lookup(nf.Host); direct {
 			continue // already a DoV node (transparent views)
 		}
 		expanded := ro.virt.Scope(snap, nf.Host)
@@ -1031,13 +1031,13 @@ func (ro *ResourceOrchestrator) checkDomainsLocked(req *nffg.NFFG) error {
 		}
 		return firstErr
 	}
-	for sapID := range req.SAPs {
+	for sapID := range req.SAPs.All() {
 		if err := check(sapID); err != nil {
 			return err
 		}
 	}
 	for _, id := range req.NFIDs() {
-		if host := req.NFs[id].Host; host != "" {
+		if host := req.NFs.Get(id).Host; host != "" {
 			if err := check(host); err != nil {
 				return err
 			}
@@ -1048,7 +1048,9 @@ func (ro *ResourceOrchestrator) checkDomainsLocked(req *nffg.NFFG) error {
 
 // plannedReq is one accepted plan within a shard group.
 type plannedReq struct {
-	mapping *embed.Mapping
+	// placed is the accepted mapping with its flowrules, derived once on the
+	// group's working graph and projected onto every touched shard.
+	placed  *embed.Placement
 	subs    map[string]*nffg.NFFG
 	touched []string // shard keys the mapping occupies (home first)
 	home    string
@@ -1136,14 +1138,14 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			return
 		}
 		cur := base
-		var accepted []*embed.Mapping
+		var accepted []*embed.Placement
 		rebuild := func() {
 			// An ApplyTo failed partway and may have left cur inconsistent:
 			// rebuild it by replaying the accepted mappings on a fresh fork
 			// (deterministic — they applied cleanly before).
 			cur = base.Fork()
-			for _, mp := range accepted {
-				if rerr := embed.ApplyTo(cur, mp); rerr != nil {
+			for _, p := range accepted {
+				if rerr := p.ApplyTo(cur); rerr != nil {
 					log.Printf("core %s: batch replay inconsistency: %v", ro.id, rerr)
 				}
 			}
@@ -1161,10 +1163,15 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 				bc.planErr[i] = err
 				continue
 			}
+			placed, err := embed.Place(cur, mapping)
+			if err != nil {
+				bc.planErr[i] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
+				continue
+			}
 			if cur == base {
 				cur = base.Fork()
 			}
-			if err := embed.ApplyTo(cur, mapping); err != nil {
+			if err := placed.ApplyTo(cur); err != nil {
 				bc.planErr[i] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
 				rebuild()
 				continue
@@ -1180,8 +1187,8 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 				continue
 			}
 			touched, home := touchedShards(mapping, owner, dir, skeys)
-			plans[i] = &plannedReq{mapping: mapping, subs: subs, touched: touched, home: home}
-			accepted = append(accepted, mapping)
+			plans[i] = &plannedReq{placed: placed, subs: subs, touched: touched, home: home}
+			accepted = append(accepted, placed)
 			mappable++
 		}
 		ro.histMap.Observe(time.Since(mapStart))
@@ -1274,7 +1281,7 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		ro.mu.Lock()
 		for _, i := range idx {
 			if p, ok := plans[i]; ok && bc.live[i] {
-				bc.records[i].mapping = p.mapping
+				bc.records[i].mapping = p.placed.Mapping
 				bc.records[i].shards = p.touched
 			}
 		}
@@ -1346,17 +1353,17 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			children := sortedKeys(p.subs)
 			receipts, err := ro.deployChildren(dctx, children, p.subs)
 			if err != nil {
-				if rerr := ro.releaseShards(bc.reqs[i].ID, p.mapping, p.touched); rerr != nil {
+				if rerr := ro.releaseShards(bc.reqs[i].ID, p.placed.Mapping, p.touched); rerr != nil {
 					log.Printf("core %s: releasing aborted install %s: %v", ro.id, bc.reqs[i].ID, rerr)
 				}
 				bc.abort(i, err)
 				return
 			}
-			receipt := buildReceipt(bc.reqs[i].ID, p.mapping, children, receipts)
+			receipt := buildReceipt(bc.reqs[i].ID, p.placed.Mapping, children, receipts)
 			childSubs := make(map[string][]string, len(children))
 			ro.mu.Lock()
 			rec := bc.records[i]
-			rec.mapping = p.mapping
+			rec.mapping = p.placed.Mapping
 			rec.shards = p.touched
 			for _, childID := range children {
 				rec.children[childID] = append(rec.children[childID], p.subs[childID].ID)
@@ -1408,7 +1415,8 @@ func (bc *batchRun) finalizeRejections(idx []int, attempts int, escalate bool) {
 
 // projectLocked replays the group's accepted mappings onto forks of the
 // touched shards' graphs (callers hold every shard lock in tshs). Each shard
-// receives exactly its slice of each mapping; the mapping's home shard also
+// receives exactly its slice of each mapping, installing its share of the
+// flowrules the mapping's placement derived once on ref; the mapping's home shard also
 // records the bookkeeping hop/requirement entries. Every projection is built
 // before ANY shard pointer is swapped, so a failure leaves all shards
 // untouched — a half-committed multi-shard group is impossible.
@@ -1434,7 +1442,7 @@ func (bc *batchRun) projectLocked(tshs []*shard, ref *nffg.NFFG, idx []int, plan
 			if !mine {
 				continue
 			}
-			if err := embed.ApplyScoped(g, ref, p.mapping, s.key == p.home); err != nil {
+			if err := p.placed.ApplyScoped(g, ref, s.key == p.home); err != nil {
 				return fmt.Errorf("shard %s, request %s: %w", s.key, bc.reqs[i].ID, err)
 			}
 		}
@@ -1736,7 +1744,7 @@ func (ro *ResourceOrchestrator) split(snap *nffg.NFFG, owner map[nffg.ID]string,
 	}
 	// NFs.
 	for _, nfID := range mp.Request.NFIDs() {
-		nf := mp.Request.NFs[nfID]
+		nf := mp.Request.NFs.Get(nfID)
 		host := mp.NFHost[nfID]
 		child, ok := owner[host]
 		if !ok {
@@ -1851,8 +1859,8 @@ func segment(owner map[nffg.ID]string, h *nffg.SGHop, p topo.Path) ([]segmentInf
 // sub-request so it validates standalone.
 func ensureSAPs(sub *nffg.NFFG, dov *nffg.NFFG, seg segmentInfo) {
 	for _, n := range []nffg.ID{seg.srcNode, seg.dstNode} {
-		if s, ok := dov.SAPs[n]; ok {
-			if _, have := sub.SAPs[n]; !have {
+		if s, ok := dov.SAPs.Lookup(n); ok {
+			if _, have := sub.SAPs.Lookup(n); !have {
 				p := *s.Port
 				_ = sub.AddSAP(&nffg.SAP{ID: n, Name: s.Name, Port: &p})
 			}
@@ -1868,7 +1876,7 @@ func chainFlowDst(req *nffg.NFFG, h *nffg.SGHop) nffg.ID {
 	}
 	cur := h
 	for steps := 0; steps <= len(req.Hops); steps++ {
-		if _, ok := req.SAPs[cur.DstNode]; ok {
+		if _, ok := req.SAPs.Lookup(cur.DstNode); ok {
 			return cur.DstNode
 		}
 		var next *nffg.SGHop

@@ -96,13 +96,13 @@ func TestLocalOrchestratorLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Infras) != 1 {
+	if v.Infras.Len() != 1 {
 		t.Fatalf("leaf should export single BiSBiS: %s", v.Summary())
 	}
 
 	req := chainReq(t, "svc1", "sap1", "border", "fw")
 	// Pin to the view node: the local orchestrator must expand the pin.
-	req.NFs["svc1-nf"].Host = "bisbis@mn"
+	req.NFs.Get("svc1-nf").Host = "bisbis@mn"
 	receipt, err := lo.Install(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +122,8 @@ func TestLocalOrchestratorLifecycle(t *testing.T) {
 	}
 	// View shrinks by the NF demand.
 	v2, _ := lo.View(context.Background())
-	if v2.Infras["bisbis@mn"].Capacity.CPU != 16-2 {
-		t.Fatalf("view capacity after install: %g", v2.Infras["bisbis@mn"].Capacity.CPU)
+	if v2.Infras.Get("bisbis@mn").Capacity.CPU != 16-2 {
+		t.Fatalf("view capacity after install: %g", v2.Infras.Get("bisbis@mn").Capacity.CPU)
 	}
 
 	if err := lo.Remove(context.Background(), "svc1"); err != nil {
@@ -133,8 +133,8 @@ func TestLocalOrchestratorLifecycle(t *testing.T) {
 		t.Fatalf("teardown not programmed: %+v", prog)
 	}
 	v3, _ := lo.View(context.Background())
-	if v3.Infras["bisbis@mn"].Capacity.CPU != 16 {
-		t.Fatalf("capacity not restored: %g", v3.Infras["bisbis@mn"].Capacity.CPU)
+	if v3.Infras.Get("bisbis@mn").Capacity.CPU != 16 {
+		t.Fatalf("capacity not restored: %g", v3.Infras.Get("bisbis@mn").Capacity.CPU)
 	}
 	if err := lo.Remove(context.Background(), "svc1"); !errors.Is(err, unify.ErrUnknownService) {
 		t.Fatalf("double remove: %v", err)
@@ -145,7 +145,7 @@ func TestLocalOrchestratorRejects(t *testing.T) {
 	lo := leafDomain(t, "mn", "sap1", "border", &recordingProgrammer{})
 	// Unknown view node pin.
 	req := chainReq(t, "bad1", "sap1", "border", "fw")
-	req.NFs["bad1-nf"].Host = "bisbis@elsewhere"
+	req.NFs.Get("bad1-nf").Host = "bisbis@elsewhere"
 	if _, err := lo.Install(context.Background(), req); !errors.Is(err, unify.ErrRejected) {
 		t.Fatalf("unknown pin: %v", err)
 	}
@@ -177,12 +177,12 @@ func TestBadQuantitiesRejected(t *testing.T) {
 	ctx := context.Background()
 	spoilers := map[string]func(g *nffg.NFFG){
 		"negative CPU": func(g *nffg.NFFG) {
-			for _, nf := range g.NFs {
+			for _, nf := range g.NFs.All() {
 				nf.Demand.CPU = -100
 			}
 		},
 		"NaN memory": func(g *nffg.NFFG) {
-			for _, nf := range g.NFs {
+			for _, nf := range g.NFs.All() {
 				nf.Demand.Mem = math.NaN()
 			}
 		},
@@ -234,8 +234,8 @@ func TestLocalOrchestratorProgrammerFailureLeavesState(t *testing.T) {
 		t.Fatal("failed install must not be recorded")
 	}
 	v, _ := lo.View(context.Background())
-	if v.Infras["bisbis@mn"].Capacity.CPU != 16 {
-		t.Fatalf("capacity must be unchanged: %g", v.Infras["bisbis@mn"].Capacity.CPU)
+	if v.Infras.Get("bisbis@mn").Capacity.CPU != 16 {
+		t.Fatalf("capacity must be unchanged: %g", v.Infras.Get("bisbis@mn").Capacity.CPU)
 	}
 }
 
@@ -258,10 +258,10 @@ func buildMdO(t testing.TB, progA, progB Programmer) (*ResourceOrchestrator, *Lo
 func TestROAggregatesDomainViews(t *testing.T) {
 	ro, _, _ := buildMdO(t, &recordingProgrammer{}, &recordingProgrammer{})
 	dov := mustDoV(t, ro)
-	if len(dov.Infras) != 2 {
+	if dov.Infras.Len() != 2 {
 		t.Fatalf("DoV should hold one exported node per domain: %s", dov.Summary())
 	}
-	if len(dov.SAPs) != 3 { // sap1, sap2, shared b-ab
+	if dov.SAPs.Len() != 3 { // sap1, sap2, shared b-ab
 		t.Fatalf("SAPs: %v", dov.SAPIDs())
 	}
 	tg := dov.InfraTopo()
@@ -272,7 +272,7 @@ func TestROAggregatesDomainViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Infras) != 2 {
+	if v.Infras.Len() != 2 {
 		t.Fatalf("northbound view: %s", v.Summary())
 	}
 }
@@ -339,7 +339,7 @@ func TestRORollsBackOnChildFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force at least one NF into domB so its failing programmer triggers.
-	req.NFs["svc-nat"].Host = "bisbis@domB"
+	req.NFs.Get("svc-nat").Host = "bisbis@domB"
 	if _, err := ro.Install(context.Background(), req); !errors.Is(err, unify.ErrRejected) {
 		t.Fatalf("install should fail: %v", err)
 	}
@@ -351,15 +351,15 @@ func TestRORollsBackOnChildFailure(t *testing.T) {
 	}
 	// Capacity intact everywhere.
 	vA, _ := loA.View(context.Background())
-	if vA.Infras["bisbis@domA"].Capacity.CPU != 16 {
-		t.Fatalf("domA capacity leaked: %g", vA.Infras["bisbis@domA"].Capacity.CPU)
+	if vA.Infras.Get("bisbis@domA").Capacity.CPU != 16 {
+		t.Fatalf("domA capacity leaked: %g", vA.Infras.Get("bisbis@domA").Capacity.CPU)
 	}
 }
 
 func TestROPinnedToDomainNode(t *testing.T) {
 	ro, _, loB := buildMdO(t, &recordingProgrammer{}, &recordingProgrammer{})
 	req := chainReq(t, "pinned", "sap1", "sap2", "fw")
-	req.NFs["pinned-nf"].Host = "bisbis@domB" // force placement in domain B
+	req.NFs.Get("pinned-nf").Host = "bisbis@domB" // force placement in domain B
 	receipt, err := ro.Install(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestRORecursiveStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Infras) != 1 {
+	if v.Infras.Len() != 1 {
 		t.Fatalf("top view: %s", v.Summary())
 	}
 	req := chainReq(t, "deep", "sap1", "sap2", "nat")

@@ -108,7 +108,7 @@ func spanReq(t testing.TB, id string, n int) *nffg.NFFG {
 	b.Chain(id, 5, 0, nodes...)
 	g := b.MustBuild()
 	for i := 0; i < n; i++ {
-		g.NFs[nffg.ID(fmt.Sprintf("%s-nf%d", id, i))].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+		g.NFs.Get(nffg.ID(fmt.Sprintf("%s-nf%d", id, i))).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
 	}
 	return g
 }
@@ -184,7 +184,7 @@ func TestConcurrentIndependentInstalls(t *testing.T) {
 			}
 			id := fmt.Sprintf("svc%d", i)
 			req := chainReq(t, id, nffg.ID(left), nffg.ID(right), "fw")
-			req.NFs[nffg.ID(id+"-nf")].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+			req.NFs.Get(nffg.ID(id + "-nf")).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
 			_, errs[i] = ro.Install(context.Background(), req)
 		}(i)
 	}
@@ -231,12 +231,12 @@ func TestGenerationConflictRetry(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("g%d", w)
 			req := chainReq(t, id, "sap1", "b0", "fw")
-			req.NFs[nffg.ID(id+"-nf")].Host = "bisbis@d0"
+			req.NFs.Get(nffg.ID(id + "-nf")).Host = "bisbis@d0"
 			// Distinct flow destinations per service: route odd workers the
 			// other way so classifiers do not conflict.
 			if w%2 == 1 {
 				req = chainReq(t, id, "b0", "sap1", "nat")
-				req.NFs[nffg.ID(id+"-nf")].Host = "bisbis@d0"
+				req.NFs.Get(nffg.ID(id + "-nf")).Host = "bisbis@d0"
 			}
 			_, errs[w] = ro.Install(context.Background(), req)
 		}(w)
@@ -278,7 +278,7 @@ func TestRollbackOnMidFanoutFailure(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		req := chainReq(t, "good", "sap1", "b0", "fw")
-		req.NFs["good-nf"].Host = "bisbis@d0"
+		req.NFs.Get("good-nf").Host = "bisbis@d0"
 		_, goodErr = ro.Install(context.Background(), req)
 	}()
 
@@ -316,7 +316,7 @@ func TestRollbackOnMidFanoutFailure(t *testing.T) {
 			t.Fatalf("capacity leak on %s: %+v != %+v", id, before, after)
 		}
 	}
-	if len(dovAfter.NFs) != 0 {
+	if dovAfter.NFs.Len() != 0 {
 		t.Fatalf("NFs leaked into DoV: %v", dovAfter.NFIDs())
 	}
 }

@@ -118,9 +118,9 @@ func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG, prev *c
 	for _, g := range graphs {
 		if g != nil {
 			live = append(live, g)
-			nInfras += len(g.Infras)
-			nNFs += len(g.NFs)
-			nSAPs += len(g.SAPs)
+			nInfras += g.Infras.Len()
+			nNFs += g.NFs.Len()
+			nSAPs += g.SAPs.Len()
 		}
 	}
 	switch len(live) {
@@ -241,15 +241,15 @@ type shardContrib struct {
 // this membership — embeddings add NFs and flowrules, not infras or SAPs —
 // so the index only needs rebuilding at attach time.
 func (ro *ResourceOrchestrator) shardContribution(g *nffg.NFFG) map[nffg.ID]bool {
-	out := make(map[nffg.ID]bool, len(g.Infras)+len(g.SAPs))
-	for id := range g.Infras {
+	out := make(map[nffg.ID]bool, g.Infras.Len()+g.SAPs.Len())
+	for id := range g.Infras.All() {
 		out[id] = true
 	}
-	for id := range g.SAPs {
+	for id := range g.SAPs.All() {
 		out[id] = true
 	}
 	if v, err := ro.virt.View(g); err == nil {
-		for id := range v.Infras {
+		for id := range v.Infras.All() {
 			out[id] = true
 		}
 	}

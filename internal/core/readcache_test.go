@@ -44,7 +44,7 @@ func TestCutCacheGenerationKeyed(t *testing.T) {
 	if d3 == d1 {
 		t.Fatal("a committed install must invalidate the cached cut")
 	}
-	if _, ok := d3.NFs["svc-nf"]; !ok {
+	if _, ok := d3.NFs.Lookup("svc-nf"); !ok {
 		t.Fatalf("fresh cut misses the committed NF: %v", d3.NFIDs())
 	}
 	st = ro.PipelineStats()
@@ -287,13 +287,13 @@ func TestReadCacheRaceStorm(t *testing.T) {
 				// Atomicity of cross-shard commits: a crossChain's two NFs
 				// commit via the ordered two-phase path and must never be
 				// observed half-applied in any cut.
-				for id := range graph.NFs {
+				for id := range graph.NFs.All() {
 					s := string(id)
 					if !strings.HasSuffix(s, "-nfa") {
 						continue
 					}
 					peer := nffg.ID(strings.TrimSuffix(s, "-nfa") + "-nfb")
-					if _, ok := graph.NFs[peer]; !ok {
+					if _, ok := graph.NFs.Lookup(peer); !ok {
 						readerErr <- fmt.Errorf("reader %d: torn view: %s without %s", g, id, peer)
 						return
 					}
@@ -314,7 +314,7 @@ func TestReadCacheRaceStorm(t *testing.T) {
 			t.Errorf("view during storm: %v", err)
 			return false
 		}
-		_, ok := v.NFs[nf]
+		_, ok := v.NFs.Lookup(nf)
 		return ok
 	}
 
@@ -376,7 +376,7 @@ func TestReadCacheRaceStorm(t *testing.T) {
 	// Drained: the final cut is clean, and the storm actually exercised the
 	// caches in both directions.
 	final := mustDoV(t, ro)
-	if len(final.NFs) != 0 {
+	if final.NFs.Len() != 0 {
 		t.Fatalf("NFs leaked into the final cut: %v", final.NFIDs())
 	}
 	st := ro.PipelineStats()
@@ -427,7 +427,7 @@ func TestConcurrentAttachIndexCompleteness(t *testing.T) {
 		for i := 0; i < domains; i++ {
 			req := chainReq(t, fmt.Sprintf("probe%d", i),
 				nffg.ID(fmt.Sprintf("d%d-in", i)), nffg.ID(fmt.Sprintf("d%d-out", i)), "fw")
-			req.NFs[nffg.ID(fmt.Sprintf("probe%d-nf", i))].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+			req.NFs.Get(nffg.ID(fmt.Sprintf("probe%d-nf", i))).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
 			if got := ro.ShardSet(req); len(got) != 1 || got[0] != "dov" {
 				t.Fatalf("round %d: d%d's contribution lost from the index: ShardSet=%v", round, i, got)
 			}

@@ -51,7 +51,7 @@ func (bc *batchRun) journalCommitLocked(tshs []*shard, epoch uint64, idx []int, 
 			}
 			svcs = append(svcs, journal.ServiceCommit{
 				ServiceID: bc.reqs[i].ID,
-				Mapping:   p.mapping,
+				Mapping:   p.placed.Mapping,
 				Touched:   p.touched,
 				Home:      p.home,
 			})

@@ -288,7 +288,7 @@ func TestReattachUnknownChildFallsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	dov := mustDoV(t, ro)
-	if len(dov.Infras) != 1 {
+	if dov.Infras.Len() != 1 {
 		t.Fatalf("fallback attach did not merge the view: %s", dov.Summary())
 	}
 }

@@ -20,14 +20,14 @@ func TestShardSetEstimation(t *testing.T) {
 
 	// Pinned chain on d1's border SAPs: the SAPs stitch d0/d1 and d1/d2.
 	req := chainReq(t, "est1", "b0", "b1", "fw")
-	req.NFs["est1-nf"].Host = "bisbis@d1"
+	req.NFs.Get("est1-nf").Host = "bisbis@d1"
 	if got, want := ro.ShardSet(req), []string{"d0", "d1", "d2"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("border chain: %v, want %v", got, want)
 	}
 
 	// Outer SAP + pinned NF: narrows to the owning shards only.
 	req2 := chainReq(t, "est2", "sap1", "b0", "fw")
-	req2.NFs["est2-nf"].Host = "bisbis@d0"
+	req2.NFs.Get("est2-nf").Host = "bisbis@d0"
 	if got, want := ro.ShardSet(req2), []string{"d0", "d1"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("outer chain: %v, want %v", got, want)
 	}
@@ -41,7 +41,7 @@ func TestShardSetEstimation(t *testing.T) {
 
 	// Unknown SAP: cannot be narrowed (the plan rejects it with a real error).
 	req4 := chainReq(t, "est4", "nowhere", "b0", "fw")
-	req4.NFs["est4-nf"].Host = "bisbis@d0"
+	req4.NFs.Get("est4-nf").Host = "bisbis@d0"
 	if got := ro.ShardSet(req4); got != nil {
 		t.Fatalf("unknown SAP: %v, want nil", got)
 	}
@@ -57,7 +57,7 @@ func TestShardSetConservativeEstimate(t *testing.T) {
 	}
 	// Pinned requests still narrow — the baseline only changes unpinned NFs.
 	req2 := chainReq(t, "cons2", "sap1", "b0", "fw")
-	req2.NFs["cons2-nf"].Host = "bisbis@d0"
+	req2.NFs.Get("cons2-nf").Host = "bisbis@d0"
 	if got, want := ro.ShardSet(req2), []string{"d0", "d1"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("conservative pinned: %v, want %v", got, want)
 	}
@@ -179,7 +179,7 @@ func TestScopedPlanEscalation(t *testing.T) {
 	// sap1 lives in d0, the NF is pinned into d2: the estimate is {d0,d2,d3}
 	// (b2 stitches d2/d3) but the path must transit d1.
 	req := chainReq(t, "esc", "sap1", "b2", "fw")
-	req.NFs["esc-nf"].Host = "bisbis@d2"
+	req.NFs.Get("esc-nf").Host = "bisbis@d2"
 	if set := ro.ShardSet(req); len(set) == 0 || len(set) >= 4 {
 		t.Fatalf("estimate should be narrow but non-empty: %v", set)
 	}
@@ -224,7 +224,7 @@ func TestCrossShardNFIDCollision(t *testing.T) {
 			NF("shared-nf", "fw", 2, res(2, 512)).
 			Chain(svc, 1, 0, nffg.ID(left), "shared-nf", nffg.ID(right)).
 			MustBuild()
-		g.NFs["shared-nf"].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", dom))
+		g.NFs.Get("shared-nf").Host = nffg.ID(fmt.Sprintf("bisbis@d%d", dom))
 		return g
 	}
 	if _, err := ro.Install(context.Background(), mk("svcA", 0)); err != nil {

@@ -86,7 +86,7 @@ func slotChain(t testing.TB, id string, i, j int) *nffg.NFFG {
 		NF(nf, "fw", 2, res(2, 64)).
 		Chain(id, 1, 0, in, nf, out).
 		MustBuild()
-	g.NFs[nf].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+	g.NFs.Get(nf).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
 	return g
 }
 
@@ -105,8 +105,8 @@ func crossChain(t testing.TB, id string, i, j int) *nffg.NFFG {
 		NF(nfB, "nat", 2, res(2, 64)).
 		Chain(id, 1, 0, in, nfA, nfB, out).
 		MustBuild()
-	g.NFs[nfA].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
-	g.NFs[nfB].Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i+1))
+	g.NFs.Get(nfA).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i))
+	g.NFs.Get(nfB).Host = nffg.ID(fmt.Sprintf("bisbis@d%d", i+1))
 	return g
 }
 
@@ -275,7 +275,7 @@ func TestShardRaceOverlapping(t *testing.T) {
 
 	// Drained: the DoV must be restored resource-for-resource.
 	final := mustDoV(t, ro)
-	if len(final.NFs) != 0 {
+	if final.NFs.Len() != 0 {
 		t.Fatalf("NFs leaked into DoV: %v", final.NFIDs())
 	}
 	if len(final.Hops) != 0 {
@@ -287,7 +287,7 @@ func TestShardRaceOverlapping(t *testing.T) {
 		if err != nil || b != a {
 			t.Fatalf("capacity drift on %s: %+v != %+v (%v)", id, b, a, err)
 		}
-		if n := len(final.Infras[id].Flowrules); n != 0 {
+		if n := len(final.Infras.Get(id).Flowrules); n != 0 {
 			t.Fatalf("%d flowrules leaked on %s", n, id)
 		}
 	}
@@ -328,7 +328,7 @@ func TestShardRaceMixedContention(t *testing.T) {
 					// narrows it to that shard, where it contends with the
 					// domain's pinned worker on the same lane.
 					req = slotChain(t, id, r%domains, 1)
-					req.NFs[nffg.ID(id+"-nf")].Host = ""
+					req.NFs.Get(nffg.ID(id + "-nf")).Host = ""
 				default:
 					// Unpinned across the line: anchors {d0, d<last>} miss the
 					// transit shards, so the scoped plan fails and escalates to

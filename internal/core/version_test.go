@@ -104,7 +104,7 @@ func TestWaitVersionLocalOrchestrator(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 	req := chainReq(t, "svc1", "sap1", "border", "fw")
-	req.NFs["svc1-nf"].Host = "bisbis@mn"
+	req.NFs.Get("svc1-nf").Host = "bisbis@mn"
 	if _, err := lo.Install(ctx, req); err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func (Transparent) Name() string { return "transparent" }
 
 // View implements Virtualizer.
 func (Transparent) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
-	if len(dov.Infras) == 0 {
+	if dov.Infras.Len() == 0 {
 		return nil, ErrEmptyView
 	}
 	v := dov.Copy()
@@ -53,7 +53,7 @@ func (Transparent) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
 
 // Scope implements Virtualizer: every view node is exactly one DoV node.
 func (Transparent) Scope(dov *nffg.NFFG, viewNode nffg.ID) []nffg.ID {
-	if _, ok := dov.Infras[viewNode]; ok {
+	if _, ok := dov.Infras.Lookup(viewNode); ok {
 		return []nffg.ID{viewNode}
 	}
 	return nil
@@ -83,7 +83,7 @@ func (s SingleBiSBiS) nodeID() nffg.ID {
 
 // View implements Virtualizer.
 func (s SingleBiSBiS) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
-	if len(dov.Infras) == 0 {
+	if dov.Infras.Len() == 0 {
 		return nil, ErrEmptyView
 	}
 	v := nffg.New(dov.ID + "/view")
@@ -92,7 +92,7 @@ func (s SingleBiSBiS) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
 	supported := map[string]bool{}
 	domains := map[string]bool{}
 	for _, id := range dov.InfraIDs() {
-		infra := dov.Infras[id]
+		infra := dov.Infras.Get(id)
 		avail, err := dov.AvailableResources(id)
 		if err != nil {
 			return nil, err
@@ -159,7 +159,7 @@ func domainNodeID(domain string) nffg.ID { return nffg.ID("bisbis@" + domain) }
 
 // View implements Virtualizer.
 func (DomainBiSBiS) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
-	if len(dov.Infras) == 0 {
+	if dov.Infras.Len() == 0 {
 		return nil, ErrEmptyView
 	}
 	v := nffg.New(dov.ID + "/view")
@@ -168,7 +168,7 @@ func (DomainBiSBiS) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
 	domainOf := map[nffg.ID]string{}
 	supported := map[string]map[string]bool{}
 	for _, id := range dov.InfraIDs() {
-		infra := dov.Infras[id]
+		infra := dov.Infras.Get(id)
 		domainOf[id] = infra.Domain
 		agg, ok := domains[infra.Domain]
 		if !ok {
@@ -205,14 +205,15 @@ func (DomainBiSBiS) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
 	port := func(n nffg.ID, sap nffg.ID) string {
 		nextPort[n]++
 		p := fmt.Sprint(nextPort[n])
-		v.Infras[n].Ports = append(v.Infras[n].Ports, &nffg.Port{ID: p, SAP: sap})
+		i := v.Infras.Get(n)
+		i.Ports = append(i.Ports, &nffg.Port{ID: p, SAP: sap})
 		return p
 	}
 	seenSAP := map[nffg.ID]bool{}
 	for _, l := range dov.Links {
 		srcDom, srcInfra := domainOf[l.SrcNode]
 		dstDom, dstInfra := domainOf[l.DstNode]
-		_, srcSAP := dov.SAPs[l.SrcNode]
+		_, srcSAP := dov.SAPs.Lookup(l.SrcNode)
 		switch {
 		case srcInfra && dstInfra && srcDom != dstDom:
 			// Inter-domain link: keep (directed; pair handled when its
@@ -232,7 +233,7 @@ func (DomainBiSBiS) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
 				continue // duplex pair collapses
 			}
 			seenSAP[key] = true
-			if _, ok := v.SAPs[l.SrcNode]; !ok {
+			if _, ok := v.SAPs.Lookup(l.SrcNode); !ok {
 				if err := v.AddSAP(&nffg.SAP{ID: l.SrcNode, Port: &nffg.Port{ID: "1"}}); err != nil {
 					return nil, err
 				}
@@ -251,7 +252,7 @@ func (DomainBiSBiS) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
 func (DomainBiSBiS) Scope(dov *nffg.NFFG, viewNode nffg.ID) []nffg.ID {
 	var out []nffg.ID
 	for _, id := range dov.InfraIDs() {
-		if domainNodeID(dov.Infras[id].Domain) == viewNode {
+		if domainNodeID(dov.Infras.Get(id).Domain) == viewNode {
 			out = append(out, id)
 		}
 	}

@@ -38,12 +38,12 @@ func TestTransparentView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Infras) != 4 || len(v.SAPs) != 3 {
+	if v.Infras.Len() != 4 || v.SAPs.Len() != 3 {
 		t.Fatalf("transparent view must be 1:1: %s", v.Summary())
 	}
 	// Mutating the view must not touch the DoV.
-	v.Infras["a1"].Capacity.CPU = 0
-	if dov.Infras["a1"].Capacity.CPU != 8 {
+	v.Infras.Get("a1").Capacity.CPU = 0
+	if dov.Infras.Get("a1").Capacity.CPU != 8 {
 		t.Fatal("view aliases DoV")
 	}
 	sc := Transparent{}.Scope(dov, "a1")
@@ -62,10 +62,10 @@ func TestSingleBiSBiSView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Infras) != 1 {
+	if v.Infras.Len() != 1 {
 		t.Fatalf("single view must have 1 node: %s", v.Summary())
 	}
-	agg := v.Infras["bisbis0"]
+	agg := v.Infras.Get("bisbis0")
 	if agg == nil {
 		t.Fatal("aggregate node missing")
 	}
@@ -79,8 +79,8 @@ func TestSingleBiSBiSView(t *testing.T) {
 		}
 	}
 	// All three SAPs present and linked.
-	if len(v.SAPs) != 3 {
-		t.Fatalf("SAPs: %d", len(v.SAPs))
+	if v.SAPs.Len() != 3 {
+		t.Fatalf("SAPs: %d", v.SAPs.Len())
 	}
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)
@@ -94,12 +94,12 @@ func TestSingleBiSBiSView(t *testing.T) {
 
 func TestSingleBiSBiSAccountsDeployedNFs(t *testing.T) {
 	dov := twoDomainDov(t)
-	dov.NFs["x"] = &nffg.NF{ID: "x", FunctionalType: "fw", Ports: []*nffg.Port{{ID: "1"}}, Demand: res(3, 1024), Host: "a1", Status: nffg.StatusDeployed}
+	dov.NFs.Set("x", &nffg.NF{ID: "x", FunctionalType: "fw", Ports: []*nffg.Port{{ID: "1"}}, Demand: res(3, 1024), Host: "a1", Status: nffg.StatusDeployed})
 	v, err := SingleBiSBiS{}.View(dov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.Infras["bisbis0"].Capacity.CPU; got != 36-3 {
+	if got := v.Infras.Get("bisbis0").Capacity.CPU; got != 36-3 {
 		t.Fatalf("deployed NFs must reduce the aggregate: %g", got)
 	}
 }
@@ -111,11 +111,11 @@ func TestDomainBiSBiSView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Infras) != 2 {
+	if v.Infras.Len() != 2 {
 		t.Fatalf("want one aggregate per domain: %s", v.Summary())
 	}
-	aggA := v.Infras[nffg.ID("bisbis@domA")]
-	aggB := v.Infras[nffg.ID("bisbis@domB")]
+	aggA := v.Infras.Get(nffg.ID("bisbis@domA"))
+	aggB := v.Infras.Get(nffg.ID("bisbis@domB"))
 	if aggA == nil || aggB == nil {
 		t.Fatalf("aggregates missing: %v", v.InfraIDs())
 	}

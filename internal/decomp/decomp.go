@@ -122,8 +122,7 @@ func (r *Rules) Types() []string {
 // endpoint re-homed per the port maps. The original NF is removed. The
 // returned slice lists the new component NF IDs.
 func Expand(g *nffg.NFFG, nf nffg.ID, d Decomposition) (*nffg.NFFG, []nffg.ID, error) {
-	orig, ok := g.NFs[nf]
-	if !ok {
+	if _, ok := g.NFs.Lookup(nf); !ok {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, nf)
 	}
 	out := g.Copy()
@@ -178,9 +177,11 @@ func Expand(g *nffg.NFFG, nf nffg.ID, d Decomposition) (*nffg.NFFG, []nffg.ID, e
 			return nil, nil, err
 		}
 	}
-	// Drop the original NF node (its re-homed hops no longer reference it).
-	delete(out.NFs, nf)
-	_ = orig
+	// Drop the original NF node (its re-homed hops no longer reference it,
+	// so RemoveNF drops no hop).
+	if err := out.RemoveNF(nf); err != nil {
+		return nil, nil, err
+	}
 	return out, created, nil
 }
 
@@ -209,7 +210,7 @@ func Enumerate(g *nffg.NFFG, rules *Rules, maxDepth int) []Variant {
 		var next []Variant
 		for _, v := range frontier {
 			for _, id := range v.G.NFIDs() {
-				nf := v.G.NFs[id]
+				nf := v.G.NFs.Get(id)
 				if nf.Host != "" {
 					continue // already placed; not a rewrite target
 				}

@@ -91,13 +91,13 @@ func TestExpandRewritesGraph(t *testing.T) {
 	if len(created) != 2 {
 		t.Fatalf("created: %v", created)
 	}
-	if _, ok := out.NFs["vpn1"]; ok {
+	if _, ok := out.NFs.Lookup("vpn1"); ok {
 		t.Fatal("original NF must be removed")
 	}
-	if _, ok := out.NFs["vpn1.enc"]; !ok {
+	if _, ok := out.NFs.Lookup("vpn1.enc"); !ok {
 		t.Fatal("component enc missing")
 	}
-	if _, ok := out.NFs["vpn1.cmp"]; !ok {
+	if _, ok := out.NFs.Lookup("vpn1.cmp"); !ok {
 		t.Fatal("component cmp missing")
 	}
 	// Original had 2 hops; expansion adds 1 internal = 3 total.
@@ -121,7 +121,7 @@ func TestExpandRewritesGraph(t *testing.T) {
 		t.Fatalf("expanded graph invalid: %v", err)
 	}
 	// Original untouched.
-	if _, ok := g.NFs["vpn1"]; !ok {
+	if _, ok := g.NFs.Lookup("vpn1"); !ok {
 		t.Fatal("Expand must not mutate input")
 	}
 }
@@ -174,7 +174,7 @@ func TestEnumerateDepth(t *testing.T) {
 		t.Fatalf("recursive variant wrong: %+v", deepest.Applied)
 	}
 	// Deep variant must validate and contain the sub-components.
-	if _, ok := deepest.G.NFs["vpn1.enc.a"]; !ok {
+	if _, ok := deepest.G.NFs.Lookup("vpn1.enc.a"); !ok {
 		t.Fatalf("nested component missing: %v", deepest.G.NFIDs())
 	}
 	if err := deepest.G.Validate(); err != nil {
@@ -195,7 +195,7 @@ func TestEnumerateSkipsPlacedNFs(t *testing.T) {
 	_ = r.Add("vpn", vpnRule())
 	g := requestGraph(t)
 	// Pretend vpn1 is already placed: not a rewrite target anymore.
-	g.NFs["vpn1"].Host = "somewhere"
+	g.NFs.Get("vpn1").Host = "somewhere"
 	vs := Enumerate(g, r, 2)
 	if len(vs) != 1 {
 		t.Fatalf("placed NFs must not decompose, got %d variants", len(vs))

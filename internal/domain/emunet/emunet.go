@@ -79,7 +79,7 @@ func Build(eng *dataplane.Engine, substrate *nffg.NFFG, borders map[nffg.ID]bool
 	for _, id := range substrate.InfraIDs() {
 		n.switches[id] = dataplane.NewSwitch(eng, string(id))
 		max := 0
-		for _, p := range substrate.Infras[id].Ports {
+		for _, p := range substrate.Infras.Get(id).Ports {
 			if v, err := strconv.Atoi(p.ID); err == nil && v > max {
 				max = v
 			}

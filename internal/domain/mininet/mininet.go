@@ -79,7 +79,7 @@ func New(cfg Config) (*Domain, error) {
 	for _, swID := range net.SwitchIDs() {
 		sw, _ := net.Switch(swID)
 		var ports []uint16
-		for _, p := range cfg.Substrate.Infras[swID].Ports {
+		for _, p := range cfg.Substrate.Infras.Get(swID).Ports {
 			var v int
 			if _, err := fmt.Sscanf(p.ID, "%d", &v); err == nil {
 				ports = append(ports, uint16(v))

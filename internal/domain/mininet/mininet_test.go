@@ -55,10 +55,10 @@ func TestDomainExportsSingleBiSBiS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Infras) != 1 {
+	if v.Infras.Len() != 1 {
 		t.Fatalf("view: %s", v.Summary())
 	}
-	agg := v.Infras["bisbis@mininet"]
+	agg := v.Infras.Get("bisbis@mininet")
 	if agg == nil || !agg.SupportsNF("firewall") || !agg.SupportsNF("nat") {
 		t.Fatalf("aggregate: %+v", agg)
 	}

@@ -53,7 +53,7 @@ func New(cfg Config) (*Domain, error) {
 		cfg.Engine = dataplane.NewEngine()
 	}
 	for _, id := range cfg.Substrate.InfraIDs() {
-		if len(cfg.Substrate.Infras[id].Supported) != 0 {
+		if len(cfg.Substrate.Infras.Get(id).Supported) != 0 {
 			return nil, fmt.Errorf("sdnctl: node %s supports NFs; legacy switches are forwarding-only", id)
 		}
 	}
@@ -69,7 +69,7 @@ func New(cfg Config) (*Domain, error) {
 	for _, swID := range net.SwitchIDs() {
 		sw, _ := net.Switch(swID)
 		var ports []uint16
-		for _, p := range cfg.Substrate.Infras[swID].Ports {
+		for _, p := range cfg.Substrate.Infras.Get(swID).Ports {
 			var v int
 			if _, err := fmt.Sscanf(p.ID, "%d", &v); err == nil {
 				ports = append(ports, uint16(v))

@@ -100,8 +100,8 @@ func TestForwardingOnlyView(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range v.InfraIDs() {
-		if len(v.Infras[id].Supported) != 0 {
-			t.Fatalf("view must advertise no NF support: %v", v.Infras[id].Supported)
+		if len(v.Infras.Get(id).Supported) != 0 {
+			t.Fatalf("view must advertise no NF support: %v", v.Infras.Get(id).Supported)
 		}
 	}
 	caps := d.Capabilities()

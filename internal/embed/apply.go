@@ -37,7 +37,11 @@ func Apply(sub *nffg.NFFG, mp *Mapping) (*nffg.NFFG, error) {
 // from their snapshot. A cleanly applied mapping is exactly undone by
 // Release.
 func ApplyTo(out *nffg.NFFG, mp *Mapping) error {
-	return applyScoped(out, out, mp, true)
+	p, err := Place(out, mp)
+	if err != nil {
+		return err
+	}
+	return p.ApplyTo(out)
 }
 
 // ApplyScoped realizes onto dst only the slice of a mapping that falls inside
@@ -52,25 +56,70 @@ func ApplyTo(out *nffg.NFFG, mp *Mapping) error {
 // — the mapping's home shard — must be called with bookkeeping set: it
 // carries the SG-hop and requirement records of the request (appended without
 // endpoint validation, since a cross-shard hop's peer endpoint legitimately
-// lives in a sibling shard's graph).
+// lives in a sibling shard's graph). A caller projecting one mapping onto
+// several shards derives its flowrules once with Place and projects the
+// Placement instead.
 //
 // A cleanly applied slice is exactly undone by Release on the same graph
 // (Release skips NFs, links and hops a shard does not hold).
 func ApplyScoped(dst, ref *nffg.NFFG, mp *Mapping, bookkeeping bool) error {
-	return applyScoped(dst, ref, mp, bookkeeping)
+	p, err := Place(ref, mp)
+	if err != nil {
+		return err
+	}
+	return p.ApplyScoped(dst, ref, bookkeeping)
 }
 
-func applyScoped(dst, ref *nffg.NFFG, mp *Mapping, bookkeeping bool) error {
+// Placement is a mapping with the flowrules that realize its hops, derived
+// once against the graph it was planned on. Applying it installs those rules;
+// projecting it onto several shard graphs installs each shard its slice of
+// the same rules instead of deriving them again per shard. The rules are
+// shared by every graph the placement is applied to, and never written.
+type Placement struct {
+	Mapping *Mapping
+	rules   []placedRule
+}
+
+// Place derives the flowrules of every hop of mp, resolving hop segments and
+// ports against ref, which must hold the full topology mp was planned on. It
+// does not mutate ref.
+func Place(ref *nffg.NFFG, mp *Mapping) (*Placement, error) {
+	p := &Placement{Mapping: mp}
+	for _, h := range mp.Request.Hops {
+		path, ok := mp.Paths[h.ID]
+		if !ok {
+			return nil, fmt.Errorf("embed: hop %s missing from mapping", h.ID)
+		}
+		rules, err := hopRules(ref, mp, h, path)
+		if err != nil {
+			return nil, err
+		}
+		p.rules = append(p.rules, rules...)
+	}
+	return p, nil
+}
+
+// ApplyTo realizes the placement on g in place, as ApplyTo does its mapping;
+// g must describe the topology the placement was derived on.
+func (p *Placement) ApplyTo(g *nffg.NFFG) error {
+	return p.ApplyScoped(g, g, true)
+}
+
+// ApplyScoped realizes onto dst only its slice of the placement, as
+// ApplyScoped does for a mapping; ref is the graph the placement was
+// derived on.
+func (p *Placement) ApplyScoped(dst, ref *nffg.NFFG, bookkeeping bool) error {
+	mp := p.Mapping
 	full := dst == ref
 	// 1. Place NFs (scoped: only those hosted on dst's infras).
 	for _, id := range mp.Request.NFIDs() {
-		nf := mp.Request.NFs[id]
+		nf := mp.Request.NFs.Get(id)
 		host, ok := mp.NFHost[id]
 		if !ok {
 			return fmt.Errorf("embed: NF %s has no host in mapping", id)
 		}
 		if !full {
-			if _, mine := dst.Infras[host]; !mine {
+			if _, mine := dst.Infras.Lookup(host); !mine {
 				continue
 			}
 		}
@@ -79,8 +128,8 @@ func applyScoped(dst, ref *nffg.NFFG, mp *Mapping, bookkeeping bool) error {
 			DeployType: nf.DeployType, Demand: nf.Demand,
 			Host: host, Status: nffg.StatusMapped,
 		}
-		for _, p := range nf.Ports {
-			cp := *p
+		for _, port := range nf.Ports {
+			cp := *port
 			c.Ports = append(c.Ports, &cp)
 		}
 		if err := dst.AddNF(c); err != nil {
@@ -108,34 +157,22 @@ func applyScoped(dst, ref *nffg.NFFG, mp *Mapping, bookkeeping bool) error {
 			dst.Reqs = append(dst.Reqs, &cr)
 		}
 	}
-	// 3. Generate flowrules per hop, resolving segments and ports against the
-	// full reference graph, installing only onto dst's own infras.
-	for _, h := range mp.Request.Hops {
-		p, ok := mp.Paths[h.ID]
-		if !ok {
-			return fmt.Errorf("embed: hop %s missing from mapping", h.ID)
+	// 3. Install the placed flowrules that fall onto dst's own infras.
+	for _, r := range p.rules {
+		if !full {
+			if _, mine := dst.Infras.Lookup(r.node); !mine {
+				continue
+			}
 		}
-		rules, err := hopRules(ref, mp, h, p)
-		if err != nil {
+		if err := installRule(dst, r.node, r.rule); err != nil {
 			return err
-		}
-		for _, r := range rules {
-			if !full {
-				if _, mine := dst.Infras[r.node]; !mine {
-					continue
-				}
-			}
-			if err := installRule(dst, r.node, r.rule); err != nil {
-				return err
-			}
 		}
 	}
 	// 4. Reserve link bandwidth. Shard graphs partition the links (every link
 	// lives in exactly one shard), so a link dst does not hold belongs to a
 	// sibling shard — it only has to exist in the reference graph.
 	for _, h := range mp.Request.Hops {
-		p := mp.Paths[h.ID]
-		for _, lid := range p.Links {
+		for _, lid := range mp.Paths[h.ID].Links {
 			l := dst.MutLink(string(lid))
 			if l == nil {
 				if !full && ref.LinkByID(string(lid)) != nil {
@@ -176,7 +213,7 @@ func Release(g *nffg.NFFG, mp *Mapping) error {
 		}
 	}
 	for _, id := range mp.Request.NFIDs() {
-		if _, ok := g.NFs[id]; ok {
+		if _, ok := g.NFs.Lookup(id); ok {
 			if err := g.RemoveNF(id); err != nil {
 				return err
 			}
@@ -207,7 +244,7 @@ func chainDst(req *nffg.NFFG, h *nffg.SGHop) nffg.ID {
 	}
 	cur := h
 	for steps := 0; steps <= len(req.Hops); steps++ {
-		if _, ok := req.SAPs[cur.DstNode]; ok {
+		if _, ok := req.SAPs.Lookup(cur.DstNode); ok {
 			return cur.DstNode
 		}
 		var next *nffg.SGHop
@@ -236,9 +273,9 @@ type placedRule struct {
 // not mutate g.
 func hopRules(g *nffg.NFFG, mp *Mapping, h *nffg.SGHop, p topo.Path) ([]placedRule, error) {
 	tag := h.ID
-	_, srcIsNF := mp.Request.NFs[h.SrcNode]
-	_, dstIsNF := mp.Request.NFs[h.DstNode]
-	_, srcIsSAP := mp.Request.SAPs[h.SrcNode]
+	_, srcIsNF := mp.Request.NFs.Lookup(h.SrcNode)
+	_, dstIsNF := mp.Request.NFs.Lookup(h.DstNode)
+	_, srcIsSAP := mp.Request.SAPs.Lookup(h.SrcNode)
 
 	// Infra nodes along the path (SAP endpoints are not programmable).
 	type seg struct {
@@ -269,7 +306,7 @@ func hopRules(g *nffg.NFFG, mp *Mapping, h *nffg.SGHop, p topo.Path) ([]placedRu
 	}
 
 	for i, node := range p.Nodes {
-		if _, isInfra := g.Infras[nffg.ID(node)]; !isInfra {
+		if _, isInfra := g.Infras.Lookup(nffg.ID(node)); !isInfra {
 			continue // SAP endpoint
 		}
 		s := seg{node: nffg.ID(node)}
@@ -345,16 +382,16 @@ func endpointPort(g *nffg.NFFG, mp *Mapping, node nffg.ID, port string, isNF boo
 	if isNF {
 		return nffg.NFPort(node, port), nil
 	}
-	if _, isSAP := g.SAPs[node]; isSAP {
+	if _, isSAP := g.SAPs.Lookup(node); isSAP {
 		// Find the infra port the SAP's link lands on.
 		for _, l := range g.Links {
 			if l.SrcNode == node {
-				if _, ok := g.Infras[l.DstNode]; ok {
+				if _, ok := g.Infras.Lookup(l.DstNode); ok {
 					return nffg.InfraPort(l.DstPort), nil
 				}
 			}
 			if l.DstNode == node {
-				if _, ok := g.Infras[l.SrcNode]; ok {
+				if _, ok := g.Infras.Lookup(l.SrcNode); ok {
 					return nffg.InfraPort(l.SrcPort), nil
 				}
 			}
@@ -384,7 +421,7 @@ func linkPortOn(g *nffg.NFFG, linkID string, node nffg.ID, src bool) (string, er
 }
 
 func installRule(g *nffg.NFFG, node nffg.ID, f *nffg.Flowrule) error {
-	infra, ok := g.Infras[node]
+	infra, ok := g.Infras.Lookup(node)
 	if !ok {
 		return fmt.Errorf("embed: rule target %s is not an infra node", node)
 	}

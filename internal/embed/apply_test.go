@@ -27,7 +27,7 @@ func TestApplyPlacesAndPrograms(t *testing.T) {
 
 	// NFs placed.
 	for nf, host := range mp.NFHost {
-		got, ok := cfg.NFs[nf]
+		got, ok := cfg.NFs.Lookup(nf)
 		if !ok || got.Host != host || got.Status != nffg.StatusMapped {
 			t.Fatalf("NF %s not placed correctly: %+v", nf, got)
 		}
@@ -35,7 +35,7 @@ func TestApplyPlacesAndPrograms(t *testing.T) {
 	// Flowtables non-empty on hosts along the chain.
 	totalRules := 0
 	for _, id := range cfg.InfraIDs() {
-		totalRules += len(cfg.Infras[id].Flowrules)
+		totalRules += len(cfg.Infras.Get(id).Flowrules)
 	}
 	if totalRules == 0 {
 		t.Fatal("no flowrules generated")
@@ -45,7 +45,7 @@ func TestApplyPlacesAndPrograms(t *testing.T) {
 		t.Fatalf("configured graph invalid: %v", err)
 	}
 	// Substrate input untouched.
-	if len(sub.NFs) != 0 {
+	if sub.NFs.Len() != 0 {
 		t.Fatal("Apply must not mutate the substrate")
 	}
 }
@@ -75,7 +75,7 @@ func TestApplyThenRelease(t *testing.T) {
 	}
 	// All rules gone, bandwidth restored, NFs gone, hops gone.
 	for _, id := range cfg.InfraIDs() {
-		if len(cfg.Infras[id].Flowrules) != 0 {
+		if len(cfg.Infras.Get(id).Flowrules) != 0 {
 			t.Fatalf("rules remain on %s", id)
 		}
 	}
@@ -85,7 +85,7 @@ func TestApplyThenRelease(t *testing.T) {
 			t.Fatalf("link %s bandwidth not restored: %g vs %g", l.ID, l.Bandwidth, orig.Bandwidth)
 		}
 	}
-	if len(cfg.NFs) != 0 || len(cfg.Hops) != 0 || len(cfg.Reqs) != 0 {
+	if cfg.NFs.Len() != 0 || len(cfg.Hops) != 0 || len(cfg.Reqs) != 0 {
 		t.Fatalf("release incomplete: %s", cfg.Summary())
 	}
 }
@@ -120,7 +120,7 @@ func TestApplyTagDiscipline(t *testing.T) {
 	// Multi-node hops must push a tag at ingress and pop at egress.
 	push, pop := 0, 0
 	for _, id := range cfg.InfraIDs() {
-		for _, f := range cfg.Infras[id].Flowrules {
+		for _, f := range cfg.Infras.Get(id).Flowrules {
 			if f.Action.PushTag != "" {
 				push++
 			}
@@ -172,7 +172,7 @@ func TestApplyColocatedNFs(t *testing.T) {
 	}
 	// The internal hop's rule connects two NF ports directly.
 	found := false
-	for _, f := range cfg.Infras["bb1"].Flowrules {
+	for _, f := range cfg.Infras.Get("bb1").Flowrules {
 		if f.Match.InPort.IsNF() && f.Action.Output.IsNF() {
 			found = true
 		}

@@ -26,7 +26,7 @@ func benchLeaf(b *nffg.Builder, d, domains, pairs int) {
 	b.BiSBiS(n(2), id, 2, benchCapacity, "firewall", "dpi", "nat")
 	b.BiSBiS(n(3), id, pairs+2, benchCapacity, "firewall", "dpi", "nat")
 	for _, sap := range []nffg.ID{border(d - 1), border(d)} {
-		if _, ok := b.Graph().SAPs[sap]; !ok {
+		if _, ok := b.Graph().SAPs.Lookup(sap); !ok {
 			b.SAP(sap)
 		}
 	}

@@ -266,7 +266,7 @@ func (m *Mapper) mapOne(sub, req *nffg.NFFG, scope map[nffg.ID]map[nffg.ID]bool)
 		graph:    sub.InfraTopo(),
 		infraIDs: sub.InfraIDs(),
 		avoid:    map[topo.NodeID]bool{},
-		free:     make(map[nffg.ID]nffg.Resources, len(sub.Infras)),
+		free:     make(map[nffg.ID]nffg.Resources, sub.Infras.Len()),
 		host:     map[nffg.ID]nffg.ID{},
 		paths:    map[string]topo.Path{},
 		scope:    scope,
@@ -274,7 +274,7 @@ func (m *Mapper) mapOne(sub, req *nffg.NFFG, scope map[nffg.ID]map[nffg.ID]bool)
 	}
 	for _, h := range req.Hops {
 		for _, end := range []nffg.ID{h.SrcNode, h.DstNode} {
-			if _, ok := req.SAPs[end]; ok {
+			if _, ok := req.SAPs.Lookup(end); ok {
 				st.avoid[topo.NodeID(end)] = true
 			}
 		}
@@ -282,12 +282,12 @@ func (m *Mapper) mapOne(sub, req *nffg.NFFG, scope map[nffg.ID]map[nffg.ID]bool)
 	// Free capacity is what AvailableResources reports for every infra — the
 	// demands come off in NF-ID order, the lowest oversubscribed infra is the
 	// error — from one sort of the substrate's NFs instead of one per infra.
-	for id, infra := range sub.Infras {
+	for id, infra := range sub.Infras.All() {
 		st.free[id] = infra.Capacity
 	}
 	var over nffg.ID
 	for _, id := range sub.NFIDs() {
-		nf := sub.NFs[id]
+		nf := sub.NFs.Get(id)
 		if avail, hosted := st.free[nf.Host]; hosted {
 			var fits bool
 			if st.free[nf.Host], fits = avail.Sub(nf.Demand); !fits && (over == "" || nf.Host < over) {
@@ -300,7 +300,7 @@ func (m *Mapper) mapOne(sub, req *nffg.NFFG, scope map[nffg.ID]map[nffg.ID]bool)
 	}
 	// Account for NFs the request pins to specific hosts up front.
 	for _, id := range req.NFIDs() {
-		nf := req.NFs[id]
+		nf := req.NFs.Get(id)
 		if nf.Host == "" {
 			continue
 		}
@@ -357,11 +357,11 @@ func (m *Mapper) place(st *state, hops []*nffg.SGHop, i int) error {
 	if !srcPlaced {
 		// Chain starts at an unplaced NF: choose its host first (no path
 		// constraint for the node itself), then retry this hop.
-		return m.branchHosts(st, st.req.NFs[h.SrcNode], nil, func() error {
+		return m.branchHosts(st, st.req.NFs.Get(h.SrcNode), nil, func() error {
 			return m.place(st, hops, i)
 		})
 	}
-	dstNF, dstIsNF := st.req.NFs[h.DstNode]
+	dstNF, dstIsNF := st.req.NFs.Lookup(h.DstNode)
 	if dstIsNF {
 		if _, placed := st.host[h.DstNode]; !placed {
 			// Branch over candidate hosts for the destination NF, validating
@@ -432,7 +432,7 @@ func (m *Mapper) branchHosts(st *state, nf *nffg.NF, from *nffg.ID, cont func() 
 	allowed := scopeFor(st.scope, nf.ID)
 	var cands []Candidate
 	for _, id := range st.infraIDs {
-		infra := st.sub.Infras[id]
+		infra := st.sub.Infras.Get(id)
 		if allowed != nil && !allowed[id] {
 			continue
 		}
@@ -491,7 +491,7 @@ func (m *Mapper) placeIsolated(st *state) error {
 		if _, ok := st.host[id]; ok {
 			continue
 		}
-		nf := st.req.NFs[id]
+		nf := st.req.NFs.Get(id)
 		if nf.Host != "" {
 			st.host[id] = nf.Host // pre-pinned by the request
 			continue
@@ -507,10 +507,10 @@ func (m *Mapper) placeIsolated(st *state) error {
 // locate resolves a request node to a substrate topo node. SAPs map to
 // themselves (they exist in the substrate); NFs map to their chosen host.
 func (m *Mapper) locate(st *state, node nffg.ID) (nffg.ID, bool) {
-	if _, ok := st.req.SAPs[node]; ok {
+	if _, ok := st.req.SAPs.Lookup(node); ok {
 		return node, true
 	}
-	if nf, ok := st.req.NFs[node]; ok {
+	if nf, ok := st.req.NFs.Lookup(node); ok {
 		if h, placed := st.host[node]; placed {
 			return h, true
 		}
@@ -529,13 +529,13 @@ func (m *Mapper) locate(st *state, node nffg.ID) (nffg.ID, bool) {
 func orderHops(req *nffg.NFFG) ([]*nffg.SGHop, error) {
 	remaining := append([]*nffg.SGHop(nil), req.Hops...)
 	located := map[nffg.ID]bool{}
-	for id := range req.SAPs {
+	for id := range req.SAPs.All() {
 		located[id] = true
 	}
-	for id := range req.Infras {
+	for id := range req.Infras.All() {
 		located[id] = true
 	}
-	for id, nf := range req.NFs {
+	for id, nf := range req.NFs.All() {
 		if nf.Host != "" {
 			located[id] = true
 		}

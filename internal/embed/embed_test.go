@@ -93,10 +93,10 @@ func TestMapRespectsResources(t *testing.T) {
 	}
 	used := map[nffg.ID]float64{}
 	for nf, host := range mp.NFHost {
-		used[host] += req.NFs[nf].Demand.CPU
+		used[host] += req.NFs.Get(nf).Demand.CPU
 	}
 	for host, cpu := range used {
-		if cpu > sub.Infras[host].Capacity.CPU {
+		if cpu > sub.Infras.Get(host).Capacity.CPU {
 			t.Fatalf("host %s oversubscribed: %g", host, cpu)
 		}
 	}
@@ -167,7 +167,7 @@ func TestMapDelayRequirement(t *testing.T) {
 func TestMapPinnedNF(t *testing.T) {
 	sub := lineSubstrate(t)
 	req := chainRequest(t, 1, 10, 0)
-	req.NFs["nf1"].Host = "bb3"
+	req.NFs.Get("nf1").Host = "bb3"
 	mp, err := NewDefault().Map(sub, req)
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +180,8 @@ func TestMapPinnedNF(t *testing.T) {
 func TestMapPinnedOversized(t *testing.T) {
 	sub := lineSubstrate(t)
 	req := chainRequest(t, 1, 10, 0)
-	req.NFs["nf1"].Host = "bb1"
-	req.NFs["nf1"].Demand = res(100, 10)
+	req.NFs.Get("nf1").Host = "bb1"
+	req.NFs.Get("nf1").Demand = res(100, 10)
 	if _, err := NewDefault().Map(sub, req); !errors.Is(err, ErrUnmappable) {
 		t.Fatalf("oversized pinned NF must fail: %v", err)
 	}
@@ -304,14 +304,14 @@ func TestMappingConsistencyProperty(t *testing.T) {
 			return false // this substrate fits all these requests
 		}
 		for nf, host := range mp.NFHost {
-			infra, ok := sub.Infras[host]
-			if !ok || !infra.SupportsNF(req.NFs[nf].FunctionalType) {
+			infra, ok := sub.Infras.Lookup(host)
+			if !ok || !infra.SupportsNF(req.NFs.Get(nf).FunctionalType) {
 				return false
 			}
 		}
 		// Hop contiguity.
 		loc := func(node nffg.ID) nffg.ID {
-			if _, ok := req.SAPs[node]; ok {
+			if _, ok := req.SAPs.Lookup(node); ok {
 				return node
 			}
 			return mp.NFHost[node]

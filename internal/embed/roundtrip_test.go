@@ -78,7 +78,7 @@ func requestFromBytes(data []byte) *nffg.NFFG {
 		return nil
 	}
 	for nf, host := range pins {
-		g.NFs[nf].Host = host
+		g.NFs.Get(nf).Host = host
 	}
 	return g
 }
@@ -200,8 +200,8 @@ func TestApplyScopedRoundTrip(t *testing.T) {
 		NF("svc-nat", "nat", 2, nffg.Resources{CPU: 2, Mem: 512, Storage: 2}).
 		Chain("svc", 2, 0, "a-in", "svc-fw", "svc-nat", "b-out").
 		MustBuild()
-	req.NFs["svc-fw"].Host = "A-n"
-	req.NFs["svc-nat"].Host = "B-n"
+	req.NFs.Get("svc-fw").Host = "A-n"
+	req.NFs.Get("svc-nat").Host = "B-n"
 
 	mp, err := NewDefault().Map(merged, req)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestApplyScopedRoundTrip(t *testing.T) {
 	}
 	fullRules := 0
 	for _, id := range ref.InfraIDs() {
-		fullRules += len(ref.Infras[id].Flowrules)
+		fullRules += len(ref.Infras.Get(id).Flowrules)
 	}
 
 	origA, origB := encodeCanonical(t, shardA), encodeCanonical(t, shardB)
@@ -226,13 +226,13 @@ func TestApplyScopedRoundTrip(t *testing.T) {
 	}
 
 	// Every NF in exactly one shard.
-	if _, ok := shardA.NFs["svc-fw"]; !ok {
+	if _, ok := shardA.NFs.Lookup("svc-fw"); !ok {
 		t.Fatal("svc-fw missing from shard A")
 	}
-	if _, ok := shardB.NFs["svc-fw"]; ok {
+	if _, ok := shardB.NFs.Lookup("svc-fw"); ok {
 		t.Fatal("svc-fw duplicated into shard B")
 	}
-	if _, ok := shardB.NFs["svc-nat"]; !ok {
+	if _, ok := shardB.NFs.Lookup("svc-nat"); !ok {
 		t.Fatal("svc-nat missing from shard B")
 	}
 	// Bookkeeping only on the home shard.
@@ -243,7 +243,7 @@ func TestApplyScopedRoundTrip(t *testing.T) {
 	scopedRules := 0
 	for _, g := range []*nffg.NFFG{shardA, shardB} {
 		for _, id := range g.InfraIDs() {
-			scopedRules += len(g.Infras[id].Flowrules)
+			scopedRules += len(g.Infras.Get(id).Flowrules)
 		}
 	}
 	if scopedRules != fullRules {

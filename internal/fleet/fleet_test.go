@@ -57,7 +57,7 @@ func chain(t testing.TB, id string, slot int, host string) *nffg.NFFG {
 		Chain(id, 10, 0, in, nf, out).
 		MustBuild()
 	if host != "" {
-		g.NFs[nf].Host = nffg.ID(host)
+		g.NFs.Get(nf).Host = nffg.ID(host)
 	}
 	return g
 }
@@ -175,7 +175,7 @@ func TestDrainRehomesDisplacedServices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, stale := dov.Infras["bisbis@d1"]; stale {
+	if _, stale := dov.Infras.Lookup("bisbis@d1"); stale {
 		t.Fatal("victim infra survived the drain")
 	}
 

@@ -96,3 +96,71 @@ func BenchmarkMerge(b *testing.B) {
 		})
 	}
 }
+
+// shardGraph builds a sealed graph shaped like a resident-laden DoV shard:
+// three BiS-BiS in a line, 100 SAPs on them and 32 two-NF services placed
+// and chained, plus one more service committed as a fork of that, so that
+// the graph is a generation on an overlay, as a shard's snapshot is between
+// folds.
+func shardGraph() *NFFG {
+	g := New("shard")
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		ports := []*Port{{ID: "in"}, {ID: "out"}}
+		for k := 0; k < 34; k++ {
+			ports = append(ports, &Port{ID: fmt.Sprintf("s%d", k)})
+		}
+		must(g.AddInfra(&Infra{ID: ID(fmt.Sprintf("n%d", i)), Type: "bisbis", Ports: ports,
+			Capacity: Resources{CPU: 1 << 16, Mem: 1 << 26, Storage: 1 << 20}, Supported: []string{"fw", "nat"}}))
+	}
+	must(g.AddLink(&Link{ID: "n0-n1", SrcNode: "n0", SrcPort: "out", DstNode: "n1", DstPort: "in", Bandwidth: 1e6}))
+	must(g.AddLink(&Link{ID: "n1-n2", SrcNode: "n1", SrcPort: "out", DstNode: "n2", DstPort: "in", Bandwidth: 1e6}))
+	for k := 0; k < 100; k++ {
+		sap, infra, port := ID(fmt.Sprintf("sap%03d", k)), ID(fmt.Sprintf("n%d", k%3)), fmt.Sprintf("s%d", k/3)
+		must(g.AddSAP(&SAP{ID: sap}))
+		must(g.AddLink(&Link{ID: string(sap) + "-up", SrcNode: sap, SrcPort: "1", DstNode: infra, DstPort: port, Bandwidth: 1e6}))
+	}
+	service := func(s int) {
+		a, z := ID(fmt.Sprintf("sap%03d", 2*s)), ID(fmt.Sprintf("sap%03d", 2*s+1))
+		prev := a
+		for k := 0; k < 2; k++ {
+			nf, host := ID(fmt.Sprintf("svc%02d-nf%d", s, k)), ID(fmt.Sprintf("n%d", (s+k)%3))
+			must(g.AddNF(&NF{ID: nf, FunctionalType: "fw", Ports: []*Port{{ID: "1"}, {ID: "2"}}, Host: host, Status: StatusMapped}))
+			must(g.AddFlowrule(host, &Flowrule{ID: string(nf), Match: Match{InPort: InfraPort("in"), Tag: string(nf)},
+				Action: Action{Output: NFPort(nf, "1")}, HopID: fmt.Sprintf("svc%02d-h%d", s, k)}))
+			must(g.AddHop(&SGHop{ID: fmt.Sprintf("svc%02d-h%d", s, k), SrcNode: prev, SrcPort: "1", DstNode: nf, DstPort: "1", Bandwidth: 1}))
+			prev = nf
+		}
+		must(g.AddHop(&SGHop{ID: fmt.Sprintf("svc%02d-h2", s), SrcNode: prev, SrcPort: "2", DstNode: z, DstPort: "1", Bandwidth: 1}))
+	}
+	for s := 0; s < 32; s++ {
+		service(s)
+	}
+	g = g.Seal().Fork()
+	service(32)
+	return g.Seal()
+}
+
+// BenchmarkFork measures one commit's generation on a shard-shaped graph:
+// fork the sealed snapshot, place one NF and add one flowrule for it. The
+// fork shares the node maps' base and copies only their overlays (see
+// Table), so allocs/op does not grow with the residents.
+func BenchmarkFork(b *testing.B) {
+	g := shardGraph()
+	nf := &NF{ID: "new-nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "n1", Status: StatusMapped}
+	rule := &Flowrule{ID: "new-rule", Match: Match{InPort: InfraPort("in"), Tag: "new"}, Action: Action{Output: NFPort("new-nf", "1")}}
+	b.ReportAllocs()
+	for b.Loop() {
+		next := g.Fork()
+		if err := next.AddNF(nf); err != nil {
+			b.Fatal(err)
+		}
+		if err := next.AddFlowrule("n1", rule); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -75,8 +75,8 @@ func (b *Builder) NF(id ID, functional string, ports int, demand Resources) *Bui
 func (b *Builder) MappedNF(id ID, functional string, ports int, demand Resources, host ID) *Builder {
 	b.NF(id, functional, ports, demand)
 	if b.err == nil {
-		b.g.NFs[id].Host = host
-		b.g.NFs[id].Status = StatusMapped
+		b.g.NFs.Get(id).Host = host
+		b.g.NFs.Get(id).Status = StatusMapped
 	}
 	return b
 }
@@ -143,7 +143,7 @@ func BuildChain(g *NFFG, prefix string, bw, delayPerHop float64, nodes ...ID) ([
 		return nil, fmt.Errorf("nffg: chain needs at least 2 nodes")
 	}
 	outPort := func(id ID) string {
-		if nf, ok := g.NFs[id]; ok && nf.Port("2") != nil {
+		if nf, ok := g.NFs.Lookup(id); ok && nf.Port("2") != nil {
 			return "2"
 		}
 		return "1"

@@ -28,13 +28,13 @@ type wire struct {
 func (g *NFFG) toWire() *wire {
 	w := &wire{ID: g.ID, Name: g.Name, Version: g.Version, Links: g.Links, Hops: g.Hops, Reqs: g.Reqs}
 	for _, id := range g.InfraIDs() {
-		w.Infras = append(w.Infras, g.Infras[id])
+		w.Infras = append(w.Infras, g.Infras.Get(id))
 	}
 	for _, id := range g.NFIDs() {
-		w.NFs = append(w.NFs, g.NFs[id])
+		w.NFs = append(w.NFs, g.NFs.Get(id))
 	}
 	for _, id := range g.SAPIDs() {
-		w.SAPs = append(w.SAPs, g.SAPs[id])
+		w.SAPs = append(w.SAPs, g.SAPs.Get(id))
 	}
 	return w
 }
@@ -137,13 +137,13 @@ func (g *NFFG) XMLString() (string, error) {
 // "view[dov v3]: 4 BiSBiS, 3 NF (2 mapped), 2 SAP, 10 links, 4 hops".
 func (g *NFFG) Summary() string {
 	mapped := 0
-	for _, nf := range g.NFs {
+	for _, nf := range g.NFs.All() {
 		if nf.Host != "" {
 			mapped++
 		}
 	}
 	return fmt.Sprintf("%s v%d: %d BiSBiS, %d NF (%d mapped), %d SAP, %d links, %d hops, %d reqs",
-		g.ID, g.Version, len(g.Infras), len(g.NFs), mapped, len(g.SAPs), len(g.Links), len(g.Hops), len(g.Reqs))
+		g.ID, g.Version, g.Infras.Len(), g.NFs.Len(), mapped, g.SAPs.Len(), len(g.Links), len(g.Hops), len(g.Reqs))
 }
 
 // Render draws an ASCII description of the graph: every BiS-BiS with its
@@ -153,7 +153,7 @@ func (g *NFFG) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "NFFG %s (version %d)\n", g.ID, g.Version)
 	for _, id := range g.InfraIDs() {
-		i := g.Infras[id]
+		i := g.Infras.Get(id)
 		avail, _ := g.AvailableResources(id)
 		fmt.Fprintf(&b, "  [BiSBiS %s] domain=%s type=%s cpu=%.0f/%.0f mem=%.0f/%.0f\n",
 			id, i.Domain, i.Type, avail.CPU, i.Capacity.CPU, avail.Mem, i.Capacity.Mem)

@@ -53,7 +53,7 @@ func randomGraph(rng *rand.Rand) *NFFG {
 		host := infras[rng.Intn(len(infras))]
 		nf := &NF{
 			ID:             ID(fmt.Sprintf("nf%d", i)),
-			FunctionalType: g.Infras[host].Supported[0],
+			FunctionalType: g.Infras.Get(host).Supported[0],
 			Ports:          []*Port{{ID: "1"}, {ID: "2"}},
 			Demand:         Resources{CPU: 1, Mem: 64, Storage: 1},
 			Host:           host,
@@ -157,7 +157,7 @@ func TestCopyIsolationProperty(t *testing.T) {
 		g := randomGraph(rng)
 		before := g.Render()
 		c := g.Copy()
-		for _, i := range c.Infras {
+		for _, i := range c.Infras.All() {
 			i.Capacity.CPU = 0
 			for _, p := range i.Ports {
 				p.ID = "mutated"
@@ -166,7 +166,7 @@ func TestCopyIsolationProperty(t *testing.T) {
 				f.Action.PopTag = !f.Action.PopTag
 			}
 		}
-		for _, nf := range c.NFs {
+		for _, nf := range c.NFs.All() {
 			nf.Host = "mutated"
 		}
 		for _, l := range c.Links {

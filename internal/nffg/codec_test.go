@@ -40,7 +40,7 @@ func graphsEquivalent(t *testing.T, a, b *NFFG) {
 	if a.ID != b.ID || a.Version != b.Version {
 		t.Fatalf("header mismatch: %s v%d vs %s v%d", a.ID, a.Version, b.ID, b.Version)
 	}
-	if len(a.Infras) != len(b.Infras) || len(a.NFs) != len(b.NFs) || len(a.SAPs) != len(b.SAPs) {
+	if a.Infras.Len() != b.Infras.Len() || a.NFs.Len() != b.NFs.Len() || a.SAPs.Len() != b.SAPs.Len() {
 		t.Fatalf("node counts differ: %s vs %s", a.Summary(), b.Summary())
 	}
 	if len(a.Links) != len(b.Links) || len(a.Hops) != len(b.Hops) || len(a.Reqs) != len(b.Reqs) {
@@ -143,7 +143,7 @@ func TestEmptyGraphRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ID != "empty" || len(back.Infras) != 0 {
+	if back.ID != "empty" || back.Infras.Len() != 0 {
 		t.Fatalf("empty graph mangled: %s", back.Summary())
 	}
 }

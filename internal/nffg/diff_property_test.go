@@ -13,21 +13,21 @@ import (
 func referenceDiff(oldG, newG *NFFG) (*Delta, error) {
 	d := &Delta{AddRules: map[ID][]*Flowrule{}, DelRules: map[ID][]*Flowrule{}}
 	for _, id := range newG.InfraIDs() {
-		if _, ok := oldG.Infras[id]; !ok {
+		if _, ok := oldG.Infras.Lookup(id); !ok {
 			return nil, fmt.Errorf("%w: infra %s only in new graph", ErrInvalid, id)
 		}
 	}
 	for _, id := range oldG.InfraIDs() {
-		if _, ok := newG.Infras[id]; !ok {
+		if _, ok := newG.Infras.Lookup(id); !ok {
 			return nil, fmt.Errorf("%w: infra %s only in old graph", ErrInvalid, id)
 		}
 	}
 	for _, id := range newG.NFIDs() {
-		nf := newG.NFs[id]
+		nf := newG.NFs.Get(id)
 		if nf.Host == "" {
 			continue
 		}
-		old, ok := oldG.NFs[id]
+		old, ok := oldG.NFs.Lookup(id)
 		switch {
 		case !ok || old.Host == "":
 			d.AddNFs = append(d.AddNFs, copyNF(nf))
@@ -37,18 +37,18 @@ func referenceDiff(oldG, newG *NFFG) (*Delta, error) {
 		}
 	}
 	for _, id := range oldG.NFIDs() {
-		old := oldG.NFs[id]
+		old := oldG.NFs.Get(id)
 		if old.Host == "" {
 			continue
 		}
-		nf, ok := newG.NFs[id]
+		nf, ok := newG.NFs.Lookup(id)
 		if !ok || nf.Host == "" {
 			d.DelNFs = append(d.DelNFs, id)
 		}
 	}
 	sort.Slice(d.DelNFs, func(i, j int) bool { return d.DelNFs[i] < d.DelNFs[j] })
 	for _, id := range newG.InfraIDs() {
-		oldTable, newTable := changedRules(oldG.Infras[id].Flowrules, newG.Infras[id].Flowrules)
+		oldTable, newTable := changedRules(oldG.Infras.Get(id).Flowrules, newG.Infras.Get(id).Flowrules)
 		if len(oldTable)+len(newTable) == 0 {
 			continue
 		}
@@ -134,7 +134,7 @@ func mutateRandomly(rng *rand.Rand, g *NFFG) {
 			g.RemoveFlowrulesByHop(fmt.Sprintf("h%d", rng.Intn(4)))
 		case 6: // replace a rule's action
 			id := infra()
-			if rules := g.Infras[id].Flowrules; len(rules) > 0 {
+			if rules := g.Infras.Get(id).Flowrules; len(rules) > 0 {
 				old := rules[rng.Intn(len(rules))]
 				repl := *old
 				repl.Action.PushTag = "x"
@@ -147,30 +147,40 @@ func mutateRandomly(rng *rand.Rand, g *NFFG) {
 	}
 }
 
-// Property: on random old/new pairs, the new graph built by Copy or by Fork,
-// Diff returns exactly what referenceDiff returns.
+// Property: on random old/new pairs — the new graph a copy of the old, a
+// fork of it, or a fork of an old graph that is itself a fork on an overlay
+// — Diff returns exactly what referenceDiff returns, in either direction.
 func TestDiffMatchesReference(t *testing.T) {
 	changed := 0
 	for seed := int64(0); seed < 500; seed++ {
-		for _, fork := range []bool{false, true} {
+		for _, build := range []string{"copy", "fork", "fork of a fork"} {
 			rng := rand.New(rand.NewSource(seed))
 			oldG := randomConfigured(rng).Seal()
-			newG := oldG.Copy()
-			if fork {
+			var newG *NFFG
+			switch build {
+			case "copy":
+				newG = oldG.Copy()
+			case "fork":
 				newG = oldG.Fork()
+			default:
+				oldG = oldG.Fork()
+				mutateRandomly(rng, oldG)
+				newG = oldG.Seal().Fork()
 			}
 			mutateRandomly(rng, newG)
-			got, gotErr := Diff(oldG, newG)
-			want, wantErr := referenceDiff(oldG, newG)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d fork=%v: Diff = %+v, %v; reference = %+v, %v", seed, fork, got, gotErr, want, wantErr)
-			}
-			if got != nil && !got.Empty() {
-				changed++
+			for _, pair := range [][2]*NFFG{{oldG, newG}, {newG, oldG}} {
+				got, gotErr := Diff(pair[0], pair[1])
+				want, wantErr := referenceDiff(pair[0], pair[1])
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, %s: Diff = %+v, %v; reference = %+v, %v", seed, build, got, gotErr, want, wantErr)
+				}
+				if got != nil && !got.Empty() {
+					changed++
+				}
 			}
 		}
 	}
-	if changed < 500 {
-		t.Fatalf("only %d of 1000 pairs differ: the property is not exercised", changed)
+	if changed < 1500 {
+		t.Fatalf("only %d of 3000 pairs differ: the property is not exercised", changed)
 	}
 }

@@ -29,17 +29,17 @@ func referenceMerge(g, other *NFFG) error {
 	g.Hops = slices.Grow(g.Hops, len(other.Hops))
 	g.Reqs = slices.Grow(g.Reqs, len(other.Reqs))
 	for _, id := range other.InfraIDs() {
-		g.Infras[id] = copyInfra(other.Infras[id])
+		g.Infras.Set(id, copyInfra(other.Infras.Get(id)))
 	}
 	for _, id := range other.NFIDs() {
-		g.NFs[id] = copyNF(other.NFs[id])
+		g.NFs.Set(id, copyNF(other.NFs.Get(id)))
 	}
 	for _, id := range other.SAPIDs() {
-		if _, ok := g.SAPs[id]; ok {
+		if _, ok := g.SAPs.Lookup(id); ok {
 			continue // shared SAP: stitching point
 		}
-		p := *other.SAPs[id].Port
-		g.SAPs[id] = &SAP{ID: id, Name: other.SAPs[id].Name, Port: &p}
+		p := *other.SAPs.Get(id).Port
+		g.SAPs.Set(id, &SAP{ID: id, Name: other.SAPs.Get(id).Name, Port: &p})
 	}
 	for _, l := range other.Links {
 		cl := *l

@@ -148,7 +148,7 @@ func runForkProgram(t *testing.T, src *nffg.NFFG, prog []byte) {
 					d.AddNFs[0].ID = ids[(k/2)%len(ids)]
 				}
 			}
-			if rules := ln.copy.Infras[infra].Flowrules; len(rules) > 0 {
+			if rules := ln.copy.Infras.Get(infra).Flowrules; len(rules) > 0 {
 				d.DelRules = map[nffg.ID][]*nffg.Flowrule{infra: {rules[k%len(rules)]}}
 			}
 			both(func(g *nffg.NFFG) error { return g.Apply(d) })
@@ -223,6 +223,12 @@ func TestForkIsolation(t *testing.T) {
 func FuzzForkIsolation(f *testing.F) {
 	f.Add([]byte{3, 0, 3, 1, 5, 0, 5, 1, 4, 2, 6, 0, 10, 1, 3, 0, 3, 1})
 	f.Add([]byte{7, 0, 7, 1, 9, 0, 11, 0, 7, 2, 8, 1, 9, 1, 1, 0})
+	// Long enough to fold: six NFs and a flowrule on one lane outgrow the
+	// node maps' base, so the next generation folds them into a flat map;
+	// one more NF then rides an overlay of the folded map across a seal,
+	// and is removed, forked unsealed, remapped and released from there.
+	f.Add([]byte{0, 0, 0, 2, 0, 4, 0, 6, 0, 8, 0, 10, 3, 0, 11, 0, 0, 12, 11, 0, 1, 0,
+		10, 1, 3, 1, 5, 0, 4, 0, 11, 1, 0, 3, 7, 0, 11, 0, 9, 0, 8, 1, 1, 1})
 	src := forkSubstrate(f)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 64 {

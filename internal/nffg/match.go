@@ -187,7 +187,7 @@ func (f *Flowrule) Equal(o *Flowrule) bool {
 // the node).
 func (g *NFFG) AddFlowrule(infra ID, f *Flowrule) error {
 	g.mustMutable("AddFlowrule")
-	i, ok := g.Infras[infra]
+	i, ok := g.Infras.Lookup(infra)
 	if !ok {
 		return fmt.Errorf("%w: infra %s", ErrNotFound, infra)
 	}
@@ -218,7 +218,7 @@ func (g *NFFG) RemoveFlowrulesByHop(hopID string) int {
 	g.mustMutable("RemoveFlowrulesByHop")
 	ofHop := func(f *Flowrule) bool { return f.HopID == hopID }
 	n := 0
-	for id, i := range g.Infras {
+	for id, i := range g.Infras.All() {
 		if slices.ContainsFunc(i.Flowrules, ofHop) {
 			i = g.mutInfra(id)
 			n += len(i.Flowrules)
@@ -236,7 +236,7 @@ func (g *NFFG) checkRulePort(i *Infra, p PortRef) error {
 		}
 		return nil
 	}
-	nf, ok := g.NFs[p.NF]
+	nf, ok := g.NFs.Lookup(p.NF)
 	if !ok {
 		return fmt.Errorf("%w: NF %s", ErrNotFound, p.NF)
 	}

@@ -45,7 +45,7 @@ func TestMergeUnionProperty(t *testing.T) {
 		wantInfras, wantLinks := 0, 0
 		for i := 0; i < k; i++ {
 			v := prefixedGraph(rng, fmt.Sprintf("d%d", i), "border")
-			wantInfras += len(v.Infras)
+			wantInfras += v.Infras.Len()
 			wantLinks += len(v.Links)
 			views = append(views, v)
 		}
@@ -55,11 +55,11 @@ func TestMergeUnionProperty(t *testing.T) {
 				return false
 			}
 		}
-		if len(dov.Infras) != wantInfras {
+		if dov.Infras.Len() != wantInfras {
 			return false
 		}
 		// k per-domain user SAPs + 1 shared border.
-		if len(dov.SAPs) != k+1 {
+		if dov.SAPs.Len() != k+1 {
 			return false
 		}
 		if len(dov.Links) != wantLinks {
@@ -100,7 +100,7 @@ func TestMergeSourceIsolationProperty(t *testing.T) {
 			return false
 		}
 		// Mutate the merged graph heavily.
-		for _, i := range dov.Infras {
+		for _, i := range dov.Infras.All() {
 			i.Capacity.CPU = -1
 		}
 		for _, l := range dov.Links {

@@ -23,7 +23,7 @@ func shareShards(t *testing.T, seed int64) ([]*nffg.NFFG, []*embed.Mapping) {
 	for k := 2 + rng.Intn(3); len(shards) < k; {
 		prefix := fmt.Sprintf("d%d", len(shards))
 		g := nffg.PrefixedGraph(rng, prefix, "border")
-		for _, i := range g.Infras {
+		for _, i := range g.Infras.All() {
 			i.Supported = []string{"fw"}
 		}
 		first := g.InfraIDs()[0]
@@ -86,13 +86,13 @@ func TestMergeSharesSealedSources(t *testing.T) {
 			t.Fatalf("seed %d: no link was renamed", seed)
 		}
 		for _, s := range shards {
-			for id, i := range s.Infras {
-				if cut.Infras[id] != i {
+			for id, i := range s.Infras.All() {
+				if cut.Infras.Get(id) != i {
 					t.Fatalf("seed %d: infra %s was copied, not shared", seed, id)
 				}
 			}
-			for id, n := range s.NFs {
-				if cut.NFs[id] != n {
+			for id, n := range s.NFs.All() {
+				if cut.NFs.Get(id) != n {
 					t.Fatalf("seed %d: NF %s was copied, not shared", seed, id)
 				}
 			}

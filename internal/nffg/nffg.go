@@ -14,7 +14,7 @@ package nffg
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"github.com/unify-repro/escape/internal/topo"
@@ -210,9 +210,10 @@ type NFFG struct {
 	Name    string `json:"name,omitempty" xml:"name,omitempty"`
 	Version int    `json:"version" xml:"version,attr"`
 
-	Infras map[ID]*Infra `json:"-" xml:"-"`
-	NFs    map[ID]*NF    `json:"-" xml:"-"`
-	SAPs   map[ID]*SAP   `json:"-" xml:"-"`
+	// The node maps, by ID. A fork shares them with its parent (see Table).
+	Infras Table[Infra] `json:"-" xml:"-"`
+	NFs    Table[NF]    `json:"-" xml:"-"`
+	SAPs   Table[SAP]   `json:"-" xml:"-"`
 
 	Links []*Link        `json:"links,omitempty" xml:"links>link,omitempty"`
 	Hops  []*SGHop       `json:"sg_hops,omitempty" xml:"sg_hops>hop,omitempty"`
@@ -291,9 +292,9 @@ func New(id string) *NFFG {
 func NewSized(id string, infras, nfs, saps int) *NFFG {
 	return &NFFG{
 		ID:     id,
-		Infras: make(map[ID]*Infra, infras),
-		NFs:    make(map[ID]*NF, nfs),
-		SAPs:   make(map[ID]*SAP, saps),
+		Infras: flatTable[Infra](infras),
+		NFs:    flatTable[NF](nfs),
+		SAPs:   flatTable[SAP](saps),
 		shape:  shapeRef{new(atomic.Pointer[topo.Structure])},
 	}
 }
@@ -305,7 +306,7 @@ func (g *NFFG) AddInfra(i *Infra) error {
 	if g.hasNode(i.ID) {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, i.ID)
 	}
-	g.Infras[i.ID] = i
+	g.Infras.Set(i.ID, i)
 	return nil
 }
 
@@ -318,7 +319,7 @@ func (g *NFFG) AddNF(n *NF) error {
 	if n.Status == "" {
 		n.Status = StatusPlanned
 	}
-	g.NFs[n.ID] = n
+	g.NFs.Set(n.ID, n)
 	return nil
 }
 
@@ -332,17 +333,17 @@ func (g *NFFG) AddSAP(s *SAP) error {
 	if s.Port == nil {
 		s.Port = &Port{ID: "1"}
 	}
-	g.SAPs[s.ID] = s
+	g.SAPs.Set(s.ID, s)
 	return nil
 }
 
 // RemoveNF deletes an NF and any SG hops touching it.
 func (g *NFFG) RemoveNF(id ID) error {
 	g.mustMutable("RemoveNF")
-	if _, ok := g.NFs[id]; !ok {
+	if _, ok := g.NFs.Lookup(id); !ok {
 		return fmt.Errorf("%w: NF %s", ErrNotFound, id)
 	}
-	delete(g.NFs, id)
+	g.NFs.Delete(id)
 	kept := g.Hops[:0]
 	for _, h := range g.Hops {
 		if h.SrcNode != id && h.DstNode != id {
@@ -435,30 +436,30 @@ func (g *NFFG) LinkByID(id string) *Link {
 }
 
 func (g *NFFG) hasNode(id ID) bool {
-	if _, ok := g.Infras[id]; ok {
+	if _, ok := g.Infras.Lookup(id); ok {
 		return true
 	}
-	if _, ok := g.NFs[id]; ok {
+	if _, ok := g.NFs.Lookup(id); ok {
 		return true
 	}
-	_, ok := g.SAPs[id]
+	_, ok := g.SAPs.Lookup(id)
 	return ok
 }
 
 func (g *NFFG) checkEndpoint(node ID, port string) error {
-	if i, ok := g.Infras[node]; ok {
+	if i, ok := g.Infras.Lookup(node); ok {
 		if i.Port(port) == nil {
 			return fmt.Errorf("%w: port %s on infra %s", ErrNotFound, port, node)
 		}
 		return nil
 	}
-	if n, ok := g.NFs[node]; ok {
+	if n, ok := g.NFs.Lookup(node); ok {
 		if n.Port(port) == nil {
 			return fmt.Errorf("%w: port %s on NF %s", ErrNotFound, port, node)
 		}
 		return nil
 	}
-	if s, ok := g.SAPs[node]; ok {
+	if s, ok := g.SAPs.Lookup(node); ok {
 		if s.Port.ID != port {
 			return fmt.Errorf("%w: port %s on SAP %s", ErrNotFound, port, node)
 		}
@@ -468,20 +469,20 @@ func (g *NFFG) checkEndpoint(node ID, port string) error {
 }
 
 // InfraIDs returns sorted infra node IDs.
-func (g *NFFG) InfraIDs() []ID { return sortedIDs(g.Infras) }
+func (g *NFFG) InfraIDs() []ID { return sortedIDs(&g.Infras) }
 
 // NFIDs returns sorted NF node IDs.
-func (g *NFFG) NFIDs() []ID { return sortedIDs(g.NFs) }
+func (g *NFFG) NFIDs() []ID { return sortedIDs(&g.NFs) }
 
 // SAPIDs returns sorted SAP IDs.
-func (g *NFFG) SAPIDs() []ID { return sortedIDs(g.SAPs) }
+func (g *NFFG) SAPIDs() []ID { return sortedIDs(&g.SAPs) }
 
 // NFsOn returns the NFs mapped onto the given infra node, sorted by ID.
 func (g *NFFG) NFsOn(infra ID) []*NF {
 	var out []*NF
 	for _, id := range g.NFIDs() {
-		if g.NFs[id].Host == infra {
-			out = append(out, g.NFs[id])
+		if nf := g.NFs.Get(id); nf.Host == infra {
+			out = append(out, nf)
 		}
 	}
 	return out
@@ -490,7 +491,7 @@ func (g *NFFG) NFsOn(infra ID) []*NF {
 // AvailableResources returns an infra's capacity minus the demand of all NFs
 // currently mapped to it.
 func (g *NFFG) AvailableResources(infra ID) (Resources, error) {
-	i, ok := g.Infras[infra]
+	i, ok := g.Infras.Lookup(infra)
 	if !ok {
 		return Resources{}, fmt.Errorf("%w: infra %s", ErrNotFound, infra)
 	}
@@ -512,11 +513,11 @@ func (g *NFFG) NextVersion() int {
 	return g.Version
 }
 
-func sortedIDs[V any](m map[ID]V) []ID {
-	ids := make([]ID, 0, len(m))
-	for id := range m {
+func sortedIDs[T any](t *Table[T]) []ID {
+	ids := make([]ID, 0, t.Len())
+	for id := range t.All() {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

@@ -30,7 +30,7 @@ func twoNodeGraph(t *testing.T) *NFFG {
 
 func TestBuilderAndValidate(t *testing.T) {
 	g := twoNodeGraph(t)
-	if len(g.Infras) != 2 || len(g.SAPs) != 2 || len(g.NFs) != 1 {
+	if g.Infras.Len() != 2 || g.SAPs.Len() != 2 || g.NFs.Len() != 1 {
 		t.Fatalf("unexpected graph shape: %s", g.Summary())
 	}
 	if len(g.Links) != 6 { // 3 duplex = 6 directed
@@ -74,7 +74,7 @@ func TestAvailableResources(t *testing.T) {
 		t.Fatalf("unexpected available: %+v", avail)
 	}
 	// Oversubscribe.
-	g.NFs["fw"].Demand = res(100, 512)
+	g.NFs.Get("fw").Demand = res(100, 512)
 	if _, err := g.AvailableResources("bb1"); err == nil {
 		t.Fatal("oversubscription should be detected")
 	}
@@ -85,7 +85,7 @@ func TestAvailableResources(t *testing.T) {
 
 func TestValidateNFSupport(t *testing.T) {
 	g := twoNodeGraph(t)
-	g.NFs["fw"].Host = "bb2" // bb2 supports only nat
+	g.NFs.Get("fw").Host = "bb2" // bb2 supports only nat
 	if err := g.Validate(); err == nil {
 		t.Fatal("unsupported NF type should fail validation")
 	}
@@ -155,7 +155,7 @@ func TestRemoveFlowrulesByHop(t *testing.T) {
 	if n := g.RemoveFlowrulesByHop("h1"); n != 2 {
 		t.Fatalf("want 2 removed, got %d", n)
 	}
-	if len(g.Infras["bb1"].Flowrules) != 1 || len(g.Infras["bb2"].Flowrules) != 0 {
+	if len(g.Infras.Get("bb1").Flowrules) != 1 || len(g.Infras.Get("bb2").Flowrules) != 0 {
 		t.Fatal("wrong rules left behind")
 	}
 }
@@ -192,11 +192,11 @@ func TestMergeStitchesSAPs(t *testing.T) {
 	if err := dov.Merge(d2); err != nil {
 		t.Fatal(err)
 	}
-	if len(dov.SAPs) != 1 {
-		t.Fatalf("shared SAP should stitch, got %d SAPs", len(dov.SAPs))
+	if dov.SAPs.Len() != 1 {
+		t.Fatalf("shared SAP should stitch, got %d SAPs", dov.SAPs.Len())
 	}
-	if len(dov.Infras) != 2 {
-		t.Fatalf("want both infras, got %d", len(dov.Infras))
+	if dov.Infras.Len() != 2 {
+		t.Fatalf("want both infras, got %d", dov.Infras.Len())
 	}
 	// Conflicting link IDs must be renamed, not dropped.
 	if len(dov.Links) != 4 {
@@ -224,13 +224,13 @@ func TestCopyIsDeep(t *testing.T) {
 	g := twoNodeGraph(t)
 	_ = g.AddFlowrule("bb1", &Flowrule{ID: "r", Match: Match{InPort: InfraPort("1")}, Action: Action{Output: InfraPort("2")}})
 	c := g.Copy()
-	c.Infras["bb1"].Flowrules[0].Action.Output = InfraPort("3")
-	c.NFs["fw"].Host = "bb2"
+	c.Infras.Get("bb1").Flowrules[0].Action.Output = InfraPort("3")
+	c.NFs.Get("fw").Host = "bb2"
 	c.Links[0].Bandwidth = 1
-	if g.Infras["bb1"].Flowrules[0].Action.Output != InfraPort("2") {
+	if g.Infras.Get("bb1").Flowrules[0].Action.Output != InfraPort("2") {
 		t.Fatal("flowrule mutation leaked")
 	}
-	if g.NFs["fw"].Host != "bb1" {
+	if g.NFs.Get("fw").Host != "bb1" {
 		t.Fatal("NF mutation leaked")
 	}
 	if g.Links[0].Bandwidth == 1 {

@@ -2,10 +2,10 @@ package nffg
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"github.com/unify-repro/escape/internal/topo"
 )
@@ -15,19 +15,19 @@ import (
 // are pre-sized from the source — Copy sits on every cache miss of the
 // orchestration read path, so its allocation count matters.
 func (g *NFFG) Copy() *NFFG {
-	c := NewSized(g.ID, len(g.Infras), len(g.NFs), len(g.SAPs))
+	c := NewSized(g.ID, g.Infras.Len(), g.NFs.Len(), g.SAPs.Len())
 	c.Name = g.Name
 	c.Version = g.Version
 	c.shape.Store(g.shape.Load())
-	for id, i := range g.Infras {
-		c.Infras[id] = copyInfra(i)
+	for id, i := range g.Infras.All() {
+		c.Infras.Set(id, copyInfra(i))
 	}
-	for id, n := range g.NFs {
-		c.NFs[id] = copyNF(n)
+	for id, n := range g.NFs.All() {
+		c.NFs.Set(id, copyNF(n))
 	}
-	for id, s := range g.SAPs {
+	for id, s := range g.SAPs.All() {
 		p := *s.Port
-		c.SAPs[id] = &SAP{ID: s.ID, Name: s.Name, Port: &p}
+		c.SAPs.Set(id, &SAP{ID: s.ID, Name: s.Name, Port: &p})
 	}
 	if len(g.Links) > 0 {
 		c.Links = make([]*Link, 0, len(g.Links))
@@ -85,22 +85,23 @@ func copyPorts(ps []*Port) []*Port {
 }
 
 // Fork returns the next generation of g: a graph that can be mutated without
-// changing g. Only the node maps and edge slices are copied; every *Infra,
-// *NF, *SAP, *Link, *SGHop and *Requirement is shared, and the fork's
-// mutators clone an infra, NF or link the first time they write it, so a
-// commit allocates for what it changes, not for the graph.
+// changing g. The node maps are shared (see Table: the fork copies only what
+// the generations since their base changed) and the edge slices copied;
+// every *Infra, *NF, *SAP, *Link, *SGHop and *Requirement is shared, and the
+// fork's mutators clone an infra, NF or link the first time they write it,
+// so a commit allocates for what it changes, not for the graph.
 //
 // A fork writes only through mutators (Add*, RemoveNF, AddFlowrule,
 // RemoveFlowrulesByHop, Apply, MutLink): a field written directly on a shared
 // entity changes g too, so callers that do that use Copy. Forking an unsealed
-// g makes g clone on write as well, since either may write what both share.
+// g makes g clone on write as well, since either may write what both share,
+// and moves g's node maps onto the base it now shares with the fork.
 func (g *NFFG) Fork() *NFFG {
-	c := NewSized(g.ID, len(g.Infras), len(g.NFs), len(g.SAPs))
-	c.Name, c.Version = g.Name, g.Version
+	c := &NFFG{ID: g.ID, Name: g.Name, Version: g.Version, shape: shapeRef{new(atomic.Pointer[topo.Structure])}}
 	c.shape.Store(g.shape.Load())
-	maps.Copy(c.Infras, g.Infras)
-	maps.Copy(c.NFs, g.NFs)
-	maps.Copy(c.SAPs, g.SAPs)
+	c.Infras = g.Infras.fork(g.sealed)
+	c.NFs = g.NFs.fork(g.sealed)
+	c.SAPs = g.SAPs.fork(g.sealed)
 	c.Links = slices.Clone(g.Links)
 	c.Hops = slices.Clone(g.Hops)
 	c.Reqs = slices.Clone(g.Reqs)
@@ -125,10 +126,10 @@ func own[T any](g *NFFG, p *T) *T {
 // mutInfra returns infra id for writing (nil if absent). A clone gets its
 // own flowtable slice; the rules themselves are never written in place.
 func (g *NFFG) mutInfra(id ID) *Infra {
-	i := g.Infras[id]
+	i := g.Infras.Get(id)
 	if c := own(g, i); c != i {
 		c.Flowrules = slices.Clone(i.Flowrules)
-		g.Infras[id] = c
+		g.Infras.Set(id, c)
 		return c
 	}
 	return i
@@ -136,9 +137,9 @@ func (g *NFFG) mutInfra(id ID) *Infra {
 
 // mutNF returns NF id for writing (nil if absent).
 func (g *NFFG) mutNF(id ID) *NF {
-	n := own(g, g.NFs[id])
+	n := own(g, g.NFs.Get(id))
 	if n != nil {
-		g.NFs[id] = n
+		g.NFs.Set(id, n)
 	}
 	return n
 }
@@ -167,10 +168,10 @@ func (g *NFFG) CheckQuantities() (err error) {
 			}
 		}
 	}
-	for id, i := range g.Infras {
+	for id, i := range g.Infras.All() {
 		check("infra", string(id), i.Capacity.CPU, i.Capacity.Mem, i.Capacity.Storage, i.Capacity.Bandwidth, i.Capacity.Delay)
 	}
-	for id, n := range g.NFs {
+	for id, n := range g.NFs.All() {
 		check("NF", string(id), n.Demand.CPU, n.Demand.Mem, n.Demand.Storage, n.Demand.Bandwidth, n.Demand.Delay)
 	}
 	for _, l := range g.Links {
@@ -209,17 +210,17 @@ func (g *NFFG) Validate() error {
 		}
 	}
 	for _, id := range g.NFIDs() {
-		nf := g.NFs[id]
+		nf := g.NFs.Get(id)
 		if nf.Host == "" {
 			continue
 		}
-		host, ok := g.Infras[nf.Host]
+		host, ok := g.Infras.Lookup(nf.Host)
 		if !ok {
 			// In a pure service graph (no infrastructure), Host is an
 			// external placement pin resolved by a lower layer against its
 			// own view; only graphs that carry infrastructure must resolve
 			// hosts internally.
-			if len(g.Infras) == 0 {
+			if g.Infras.Len() == 0 {
 				continue
 			}
 			return fmt.Errorf("%w: NF %s host %s missing", ErrInvalid, id, nf.Host)
@@ -232,11 +233,12 @@ func (g *NFFG) Validate() error {
 		if _, err := g.AvailableResources(id); err != nil {
 			return err
 		}
-		for _, f := range g.Infras[id].Flowrules {
-			if err := g.checkRulePort(g.Infras[id], f.Match.InPort); err != nil {
+		i := g.Infras.Get(id)
+		for _, f := range i.Flowrules {
+			if err := g.checkRulePort(i, f.Match.InPort); err != nil {
 				return fmt.Errorf("infra %s flowrule %s: %w", id, f.ID, err)
 			}
-			if err := g.checkRulePort(g.Infras[id], f.Action.Output); err != nil {
+			if err := g.checkRulePort(i, f.Action.Output); err != nil {
 				return fmt.Errorf("infra %s flowrule %s: %w", id, f.ID, err)
 			}
 		}
@@ -267,11 +269,11 @@ func (g *NFFG) InfraTopo() *topo.Graph {
 		}
 		return s.Graph(bw)
 	}
-	nodes := make([]topo.NodeID, 0, len(g.Infras)+len(g.SAPs))
-	for id := range g.Infras {
+	nodes := make([]topo.NodeID, 0, g.Infras.Len()+g.SAPs.Len())
+	for id := range g.Infras.All() {
 		nodes = append(nodes, topo.NodeID(id))
 	}
-	for id := range g.SAPs {
+	for id := range g.SAPs.All() {
 		nodes = append(nodes, topo.NodeID(id))
 	}
 	links := make([]topo.Link, len(g.Links))
@@ -300,15 +302,15 @@ func (g *NFFG) AdoptShape(from *NFFG) {
 // hasShape reports whether s is what compiling g now would produce: the same
 // nodes, and the same links in the same order. It allocates nothing.
 func (g *NFFG) hasShape(s *topo.Structure) bool {
-	if s.NumNodes() != len(g.Infras)+len(g.SAPs) || s.NumLinks() != len(g.Links) {
+	if s.NumNodes() != g.Infras.Len()+g.SAPs.Len() || s.NumLinks() != len(g.Links) {
 		return false
 	}
-	for id := range g.Infras {
+	for id := range g.Infras.All() {
 		if !s.HasNode(topo.NodeID(id)) {
 			return false
 		}
 	}
-	for id := range g.SAPs {
+	for id := range g.SAPs.All() {
 		if !s.HasNode(topo.NodeID(id)) {
 			return false
 		}
@@ -349,12 +351,12 @@ func topoLink(l *Link) topo.Link {
 func (g *NFFG) Merge(other *NFFG) error {
 	g.mustMutable("Merge")
 	g.shape.Store(nil)
-	for id := range other.Infras {
+	for id := range other.Infras.All() {
 		if g.hasNode(id) {
 			return fmt.Errorf("%w: infra %s present in both graphs", ErrDuplicateID, id)
 		}
 	}
-	for id := range other.NFs {
+	for id := range other.NFs.All() {
 		if g.hasNode(id) {
 			return fmt.Errorf("%w: NF %s present in both graphs", ErrDuplicateID, id)
 		}
@@ -368,27 +370,27 @@ func (g *NFFG) Merge(other *NFFG) error {
 	g.Links = slices.Grow(g.Links, len(other.Links))
 	g.Hops = slices.Grow(g.Hops, len(other.Hops))
 	g.Reqs = slices.Grow(g.Reqs, len(other.Reqs))
-	for id, i := range other.Infras {
+	for id, i := range other.Infras.All() {
 		if !share {
 			i = copyInfra(i)
 		}
-		g.Infras[id] = i
+		g.Infras.Set(id, i)
 	}
-	for id, n := range other.NFs {
+	for id, n := range other.NFs.All() {
 		if !share {
 			n = copyNF(n)
 		}
-		g.NFs[id] = n
+		g.NFs.Set(id, n)
 	}
-	for id, s := range other.SAPs {
-		if _, ok := g.SAPs[id]; ok {
+	for id, s := range other.SAPs.All() {
+		if _, ok := g.SAPs.Lookup(id); ok {
 			continue // shared SAP: stitching point
 		}
 		if !share {
 			p := *s.Port
 			s = &SAP{ID: id, Name: s.Name, Port: &p}
 		}
-		g.SAPs[id] = s
+		g.SAPs.Set(id, s)
 	}
 	for _, l := range other.Links {
 		renamed := g.LinkByID(l.ID) != nil
@@ -455,52 +457,48 @@ func (d *Delta) Counts() (int, int, int, int) {
 // describe the same infrastructure (same infra IDs); only NF placements and
 // flowtables are compared — topology changes are a domain event, not a
 // configuration. An infra or NF both graphs hold under one pointer is
-// unchanged (a fork shares what it did not write), so Diff costs the change,
-// not the graphs.
+// unchanged (a fork shares what it did not write), and when one graph is a
+// fork of the other, or both of one base, Diff visits only the entries their
+// overlays hold (see Table): it costs the change, not the graphs.
 func Diff(oldG, newG *NFFG) (*Delta, error) {
-	for id := range newG.Infras {
-		if _, ok := oldG.Infras[id]; !ok {
+	for id := range changedIDs(&oldG.Infras, &newG.Infras) {
+		if _, ok := oldG.Infras.Lookup(id); !ok {
 			return nil, fmt.Errorf("%w: infra %s only in new graph", ErrInvalid, id)
 		}
 	}
-	for id := range oldG.Infras {
-		if _, ok := newG.Infras[id]; !ok {
+	for id := range changedIDs(&oldG.Infras, &newG.Infras) {
+		if _, ok := newG.Infras.Lookup(id); !ok {
 			return nil, fmt.Errorf("%w: infra %s only in old graph", ErrInvalid, id)
 		}
 	}
 	d := &Delta{AddRules: map[ID][]*Flowrule{}, DelRules: map[ID][]*Flowrule{}}
 	// NF placements.
-	for id, nf := range newG.NFs {
-		old, ok := oldG.NFs[id]
-		if nf == old || nf.Host == "" {
+	for id := range changedIDs(&oldG.NFs, &newG.NFs) {
+		old, nf := oldG.NFs.Get(id), newG.NFs.Get(id)
+		if nf == old {
 			continue
 		}
+		wasPlaced, placed := old != nil && old.Host != "", nf != nil && nf.Host != ""
 		switch {
-		case !ok || old.Host == "":
+		case placed && !wasPlaced:
 			d.AddNFs = append(d.AddNFs, copyNF(nf))
-		case old.Host != nf.Host:
+		case placed && old.Host != nf.Host:
 			// Migration = delete + add.
 			d.DelNFs = append(d.DelNFs, id)
 			d.AddNFs = append(d.AddNFs, copyNF(nf))
-		}
-	}
-	for id, old := range oldG.NFs {
-		nf, ok := newG.NFs[id]
-		if nf == old || old.Host == "" {
-			continue
-		}
-		if !ok || nf.Host == "" {
+		case wasPlaced && !placed:
 			d.DelNFs = append(d.DelNFs, id)
 		}
 	}
 	sort.Slice(d.AddNFs, func(i, j int) bool { return d.AddNFs[i].ID < d.AddNFs[j].ID })
 	sort.Slice(d.DelNFs, func(i, j int) bool { return d.DelNFs[i] < d.DelNFs[j] })
 	// Flowtables, per infra, keyed by Match.
-	for id, i := range newG.Infras {
-		if oldG.Infras[id] == i {
+	for id := range changedIDs(&oldG.Infras, &newG.Infras) {
+		i := newG.Infras.Get(id)
+		if oldG.Infras.Get(id) == i {
 			continue
 		}
-		oldTable, newTable := changedRules(oldG.Infras[id].Flowrules, i.Flowrules)
+		oldTable, newTable := changedRules(oldG.Infras.Get(id).Flowrules, i.Flowrules)
 		if len(oldTable)+len(newTable) == 0 {
 			continue
 		}
@@ -564,7 +562,7 @@ func (g *NFFG) Apply(d *Delta) error {
 		} else {
 			c := copyNF(nf)
 			c.Status = StatusMapped
-			g.NFs[nf.ID] = c
+			g.NFs.Set(nf.ID, c)
 		}
 	}
 	for infra, rules := range d.AddRules {

@@ -35,7 +35,7 @@ func TestDiffEmpty(t *testing.T) {
 func TestDiffAddNFAndRules(t *testing.T) {
 	oldG := substrate()
 	newG := oldG.Copy()
-	newG.NFs["fw1"] = &NF{ID: "fw1", FunctionalType: "fw", Ports: []*Port{{ID: "1"}, {ID: "2"}}, Demand: Resources{CPU: 1}, Host: "a", Status: StatusMapped}
+	newG.NFs.Set("fw1", &NF{ID: "fw1", FunctionalType: "fw", Ports: []*Port{{ID: "1"}, {ID: "2"}}, Demand: Resources{CPU: 1}, Host: "a", Status: StatusMapped})
 	if err := newG.AddFlowrule("a", &Flowrule{ID: "r1", Match: Match{InPort: InfraPort("1"), Tag: "c"}, Action: Action{Output: NFPort("fw1", "1")}, HopID: "h1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +62,9 @@ func TestDiffAddNFAndRules(t *testing.T) {
 
 func TestDiffMigration(t *testing.T) {
 	oldG := substrate()
-	oldG.NFs["nf"] = &NF{ID: "nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "a", Status: StatusDeployed}
+	oldG.NFs.Set("nf", &NF{ID: "nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "a", Status: StatusDeployed})
 	newG := oldG.Copy()
-	newG.NFs["nf"].Host = "b"
+	newG.NFs.Get("nf").Host = "b"
 	d, err := Diff(oldG, newG)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +76,8 @@ func TestDiffMigration(t *testing.T) {
 	if err := oldG.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	if oldG.NFs["nf"].Host != "b" {
-		t.Fatalf("NF should land on b, got %s", oldG.NFs["nf"].Host)
+	if oldG.NFs.Get("nf").Host != "b" {
+		t.Fatalf("NF should land on b, got %s", oldG.NFs.Get("nf").Host)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestDiffRuleRewrite(t *testing.T) {
 	oldG := substrate()
 	_ = oldG.AddFlowrule("a", &Flowrule{ID: "r", Match: Match{InPort: InfraPort("1")}, Action: Action{Output: InfraPort("2")}})
 	newG := oldG.Copy()
-	newG.Infras["a"].Flowrules[0].Action.Output = InfraPort("3")
+	newG.Infras.Get("a").Flowrules[0].Action.Output = InfraPort("3")
 	d, err := Diff(oldG, newG)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +97,8 @@ func TestDiffRuleRewrite(t *testing.T) {
 	if err := oldG.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	if len(oldG.Infras["a"].Flowrules) != 1 || oldG.Infras["a"].Flowrules[0].Action.Output != InfraPort("3") {
-		t.Fatalf("rule not rewritten: %v", oldG.Infras["a"].Flowrules[0])
+	if len(oldG.Infras.Get("a").Flowrules) != 1 || oldG.Infras.Get("a").Flowrules[0].Action.Output != InfraPort("3") {
+		t.Fatalf("rule not rewritten: %v", oldG.Infras.Get("a").Flowrules[0])
 	}
 }
 
@@ -116,9 +116,9 @@ func TestDiffTopologyMismatch(t *testing.T) {
 
 func TestDeltaRemoveNF(t *testing.T) {
 	oldG := substrate()
-	oldG.NFs["nf"] = &NF{ID: "nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "a", Status: StatusDeployed}
+	oldG.NFs.Set("nf", &NF{ID: "nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "a", Status: StatusDeployed})
 	newG := oldG.Copy()
-	newG.NFs["nf"].Host = ""
+	newG.NFs.Get("nf").Host = ""
 	d, err := Diff(oldG, newG)
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +129,8 @@ func TestDeltaRemoveNF(t *testing.T) {
 	if err := oldG.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	if oldG.NFs["nf"].Host != "" || oldG.NFs["nf"].Status != StatusStopped {
-		t.Fatalf("NF should be unmapped+stopped: %+v", oldG.NFs["nf"])
+	if oldG.NFs.Get("nf").Host != "" || oldG.NFs.Get("nf").Status != StatusStopped {
+		t.Fatalf("NF should be unmapped+stopped: %+v", oldG.NFs.Get("nf"))
 	}
 }
 
@@ -143,7 +143,7 @@ func randomConfig(rng *rand.Rand, base *NFFG) *NFFG {
 	for i := 0; i < nNF; i++ {
 		id := ID(fmt.Sprintf("nf%d", i))
 		host := hosts[rng.Intn(len(hosts))]
-		g.NFs[id] = &NF{ID: id, FunctionalType: "fw", Ports: []*Port{{ID: "1"}, {ID: "2"}}, Demand: Resources{CPU: 1}, Host: host, Status: StatusMapped}
+		g.NFs.Set(id, &NF{ID: id, FunctionalType: "fw", Ports: []*Port{{ID: "1"}, {ID: "2"}}, Demand: Resources{CPU: 1}, Host: host, Status: StatusMapped})
 	}
 	nRules := rng.Intn(5)
 	for i := 0; i < nRules; i++ {
@@ -231,8 +231,8 @@ func TestDiffFlowtablesThatDidNotChange(t *testing.T) {
 	for _, tc := range cases {
 		oldG, newG := substrate(), substrate()
 		// Written directly: AddFlowrule refuses a second rule of one Match.
-		oldG.Infras["a"].Flowrules, newG.Infras["a"].Flowrules = tc.old, tc.new
-		oldG.Infras["c"].Flowrules, newG.Infras["c"].Flowrules = []*Flowrule{r3}, []*Flowrule{rule("other", "2", "", "1")}
+		oldG.Infras.Get("a").Flowrules, newG.Infras.Get("a").Flowrules = tc.old, tc.new
+		oldG.Infras.Get("c").Flowrules, newG.Infras.Get("c").Flowrules = []*Flowrule{r3}, []*Flowrule{rule("other", "2", "", "1")}
 		d, err := Diff(oldG, newG)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -311,7 +311,7 @@ func TestDiffCutMatchesPlainIndex(t *testing.T) {
 			}
 		}
 		oldG, newG := substrate(), substrate()
-		oldG.Infras["b"].Flowrules, newG.Infras["b"].Flowrules = oldTable, newTable
+		oldG.Infras.Get("b").Flowrules, newG.Infras.Get("b").Flowrules = oldTable, newTable
 		d, err := Diff(oldG, newG)
 		if err != nil {
 			t.Fatal(err)

@@ -43,10 +43,10 @@ func chain(id string, from, to nffg.ID) *nffg.NFFG {
 func checkTopo(t *testing.T, after string, g *nffg.NFFG) {
 	t.Helper()
 	var nodes []topo.NodeID
-	for id := range g.Infras {
+	for id := range g.Infras.All() {
 		nodes = append(nodes, topo.NodeID(id))
 	}
-	for id := range g.SAPs {
+	for id := range g.SAPs.All() {
 		nodes = append(nodes, topo.NodeID(id))
 	}
 	var links []topo.Link
@@ -62,7 +62,7 @@ func checkTopo(t *testing.T, after string, g *nffg.NFFG) {
 	if !reflect.DeepEqual(got.Links(), want.Links()) {
 		t.Fatalf("after %s: links\n got %v\nwant %v", after, got.Links(), want.Links())
 	}
-	if len(g.SAPs) > 1 {
+	if g.SAPs.Len() > 1 {
 		ids := g.SAPIDs()
 		src, dst := topo.NodeID(ids[0]), topo.NodeID(ids[len(ids)-1])
 		p, err := got.ShortestPath(src, dst, topo.PathOpts{})
@@ -161,14 +161,14 @@ func TestInfraTopoCatchesDirectFieldEdits(t *testing.T) {
 		"a link reversed":   func(g *nffg.NFFG) { l := g.Links[1]; l.SrcNode, l.DstNode = l.DstNode, l.SrcNode },
 		"a delay changed":   func(g *nffg.NFFG) { g.Links[0].Delay = 9 },
 		"bandwidth changed": func(g *nffg.NFFG) { g.Links[0].Bandwidth = 1 },
-		"a SAP deleted":     func(g *nffg.NFFG) { delete(g.SAPs, "a-s1") },
+		"a SAP deleted":     func(g *nffg.NFFG) { g.SAPs.Delete("a-s1") },
 		"a SAP exchanged": func(g *nffg.NFFG) {
-			delete(g.SAPs, "a-s1")
-			g.SAPs["a-s9"] = &nffg.SAP{ID: "a-s9", Port: &nffg.Port{ID: "1"}}
+			g.SAPs.Delete("a-s1")
+			g.SAPs.Set("a-s9", &nffg.SAP{ID: "a-s9", Port: &nffg.Port{ID: "1"}})
 		},
 		"an infra exchanged": func(g *nffg.NFFG) {
-			g.Infras["a-bb9"] = g.Infras["a-bb1"]
-			delete(g.Infras, "a-bb1")
+			g.Infras.Set("a-bb9", g.Infras.Get("a-bb1"))
+			g.Infras.Delete("a-bb1")
 		},
 	}
 	for name, edit := range edits {

@@ -234,18 +234,18 @@ func (o *Orchestrator) premap(view, g *nffg.NFFG) (*nffg.NFFG, error) {
 	out := g.Copy()
 	// SAPs referenced by the service graph must exist in the view.
 	for _, id := range g.SAPIDs() {
-		if _, ok := view.SAPs[id]; !ok {
+		if _, ok := view.SAPs.Lookup(id); !ok {
 			return nil, fmt.Errorf("%w: SAP %s not present in the view", ErrInvalid, id)
 		}
 	}
-	if len(view.Infras) == 1 {
+	if view.Infras.Len() == 1 {
 		var node nffg.ID
-		for id := range view.Infras {
+		for id := range view.Infras.All() {
 			node = id
 		}
 		for _, id := range out.NFIDs() {
-			if out.NFs[id].Host == "" {
-				out.NFs[id].Host = node
+			if nf := out.NFs.Get(id); nf.Host == "" {
+				nf.Host = node
 			}
 		}
 		return out, nil
@@ -258,7 +258,7 @@ func (o *Orchestrator) premap(view, g *nffg.NFFG) (*nffg.NFFG, error) {
 	// the original graph only for placement hints, so only pin NFs that
 	// exist in the original request.
 	for nf, host := range mp.NFHost {
-		if n, ok := out.NFs[nf]; ok {
+		if n, ok := out.NFs.Lookup(nf); ok {
 			n.Host = host
 		}
 	}
@@ -286,7 +286,7 @@ func (o *Orchestrator) Migrate(ctx context.Context, id string, pins map[nffg.ID]
 
 	moved := original.Copy()
 	for nf, host := range pins {
-		n, ok := moved.NFs[nf]
+		n, ok := moved.NFs.Lookup(nf)
 		if !ok {
 			return nil, fmt.Errorf("%w: NF %s not in service %s", ErrInvalid, nf, id)
 		}
@@ -396,7 +396,7 @@ func (o *Orchestrator) Stats() map[State]int {
 // validateServiceGraph checks that a request is a pure service graph: NFs +
 // SAPs + hops + requirements, no infrastructure.
 func validateServiceGraph(g *nffg.NFFG) error {
-	if len(g.Infras) != 0 {
+	if g.Infras.Len() != 0 {
 		return fmt.Errorf("%w: service graphs must not contain infrastructure nodes", ErrInvalid)
 	}
 	if len(g.Hops) == 0 {

@@ -211,7 +211,7 @@ func TestSubmitAsyncDeploysInBackground(t *testing.T) {
 	}
 	// A failing graph terminates in StateFailed and wakes waiters too.
 	bad := sg(t, "as2")
-	bad.NFs["as2-fw"].FunctionalType = "quantum"
+	bad.NFs.Get("as2-fw").FunctionalType = "quantum"
 	if _, err := so.SubmitAsync(context.Background(), bad); err != nil {
 		t.Fatal(err)
 	}
