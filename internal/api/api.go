@@ -302,7 +302,7 @@ func requestMeta(r *http.Request) (context.Context, error) {
 const maxInstallBody = 16 << 20
 
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
-	req, err := nffg.DecodeJSON(http.MaxBytesReader(w, r.Body, maxInstallBody))
+	req, err := readGraph(http.MaxBytesReader(w, r.Body, maxInstallBody), r.ContentLength)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -486,11 +486,6 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 	return req, nil
 }
 
-// decodeJSONBody decodes a response body into out.
-func decodeJSONBody(resp *http.Response, out any) error {
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
 // DefaultTimeout bounds unary client calls (and the Dial health check) unless
 // overridden with WithTimeout.
 const DefaultTimeout = 30 * time.Second
@@ -616,7 +611,7 @@ func (c *Client) Install(ctx context.Context, req *nffg.NFFG) (*unify.Receipt, e
 		return nil, remoteError(resp)
 	}
 	var receipt unify.Receipt
-	if err := json.NewDecoder(resp.Body).Decode(&receipt); err != nil {
+	if err := decodeJSONBody(resp, &receipt); err != nil {
 		return nil, err
 	}
 	return &receipt, nil
@@ -634,7 +629,7 @@ func (c *Client) SubmitAsync(ctx context.Context, req *nffg.NFFG) (admission.Job
 		return admission.Job{}, remoteError(resp)
 	}
 	var job admission.Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+	if err := decodeJSONBody(resp, &job); err != nil {
 		return admission.Job{}, err
 	}
 	return job, nil
@@ -705,7 +700,7 @@ func (c *Client) WaitJob(ctx context.Context, id string) (admission.Job, error) 
 		switch resp.StatusCode {
 		case http.StatusOK, http.StatusAccepted:
 			var job admission.Job
-			decodeErr := json.NewDecoder(resp.Body).Decode(&job)
+			decodeErr := decodeJSONBody(resp, &job)
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
 				return job, decodeErr

@@ -142,9 +142,9 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 // mux's plain-text 404 for an unmounted route) or an unknown code degrades to
 // status-based mapping.
 func remoteError(resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	var env ErrorEnvelope
-	_ = json.Unmarshal(raw, &env)
+	_ = readBody(io.LimitReader(resp.Body, maxErrorBody), min(resp.ContentLength, maxErrorBody),
+		func(b []byte) error { return json.Unmarshal(b, &env) })
 	msg := env.Error.Message
 	if msg == "" {
 		msg = resp.Status

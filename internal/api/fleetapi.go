@@ -7,7 +7,6 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/url"
 
@@ -86,7 +85,7 @@ func (c *Client) Drain(ctx context.Context, domainName string) (DrainResult, err
 		return DrainResult{}, remoteError(resp)
 	}
 	var result DrainResult
-	return result, json.NewDecoder(resp.Body).Decode(&result)
+	return result, decodeJSONBody(resp, &result)
 }
 
 // Ping implements the fleet prober's lightweight liveness check against a

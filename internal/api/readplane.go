@@ -341,7 +341,7 @@ func (c *Client) ViewVersioned(ctx context.Context) (*nffg.NFFG, core.ViewVersio
 		return cached.view, cached.ver, nil
 	case http.StatusOK:
 		c.viewMisses.Add(1)
-		v, err := nffg.DecodeJSON(resp.Body)
+		v, err := readGraph(resp.Body, resp.ContentLength)
 		if err != nil {
 			return nil, core.ViewVersion{}, err
 		}

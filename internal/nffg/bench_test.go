@@ -1,6 +1,7 @@
 package nffg
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -160,6 +161,25 @@ func BenchmarkFork(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := next.AddFlowrule("n1", rule); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeJSON decodes a view-sized graph (benchGraph, 1024 nodes)
+// from its wire bytes through DecodeJSONBytes, the one graph decoder; no
+// pool is involved, so B/op is the same at any -benchtime. The json.Decoder
+// path it replaced took about twice the bytes.
+func BenchmarkDecodeJSON(b *testing.B) {
+	var buf bytes.Buffer
+	if err := benchGraph("d0", 1024).EncodeJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	body := buf.Bytes()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := DecodeJSONBytes(body); err != nil {
 			b.Fatal(err)
 		}
 	}

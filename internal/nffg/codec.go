@@ -3,15 +3,17 @@ package nffg
 import (
 	"encoding/json"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// wire is the serialized shape shared by the JSON and XML codecs: maps become
-// sorted lists so output is deterministic and diff-friendly — the property
-// the paper gets from its Yang model.
+// wire is the serialized shape shared by the JSON codec and the XML
+// rendering: maps become sorted lists so output is deterministic and
+// diff-friendly — the property the paper gets from its Yang model.
 type wire struct {
 	XMLName xml.Name       `json:"-" xml:"virtualizer"`
 	ID      string         `json:"id" xml:"id,attr"`
@@ -40,6 +42,11 @@ func (g *NFFG) toWire() *wire {
 }
 
 func fromWire(w *wire) (*NFFG, error) {
+	// Every graph method takes its nodes and edges to be non-nil.
+	if slices.Contains(w.Infras, nil) || slices.Contains(w.NFs, nil) || slices.Contains(w.SAPs, nil) ||
+		slices.Contains(w.Links, nil) || slices.Contains(w.Hops, nil) || slices.Contains(w.Reqs, nil) {
+		return nil, errors.New("nffg: null node or edge entry")
+	}
 	g := New(w.ID)
 	g.Name = w.Name
 	g.Version = w.Version
@@ -67,13 +74,10 @@ func fromWire(w *wire) (*NFFG, error) {
 // MarshalJSON encodes the graph deterministically.
 func (g *NFFG) MarshalJSON() ([]byte, error) { return json.Marshal(g.toWire()) }
 
-// UnmarshalJSON decodes a graph produced by MarshalJSON.
+// UnmarshalJSON decodes a graph produced by MarshalJSON, where a journal
+// record or a watch event embeds one.
 func (g *NFFG) UnmarshalJSON(b []byte) error {
-	var w wire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	ng, err := fromWire(&w)
+	ng, err := DecodeJSONBytes(b)
 	if err != nil {
 		return err
 	}
@@ -90,13 +94,26 @@ func (g *NFFG) EncodeJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(g.toWire())
 }
 
-// DecodeJSON reads a graph from JSON.
-func DecodeJSON(r io.Reader) (*NFFG, error) {
-	g := New("")
-	if err := json.NewDecoder(r).Decode(g); err != nil {
+// DecodeJSONBytes is the one graph decoder: a single json.Unmarshal of b
+// straight into the wire shape, then fromWire. Non-whitespace after the JSON
+// value is an error. The graph keeps no reference into b (encoding/json
+// copies every string out of its input), so the caller may reuse b.
+func DecodeJSONBytes(b []byte) (*NFFG, error) {
+	var w wire
+	if err := json.Unmarshal(b, &w); err != nil {
 		return nil, fmt.Errorf("nffg: decode json: %w", err)
 	}
-	return g, nil
+	return fromWire(&w)
+}
+
+// DecodeJSON reads r to its end and decodes the graph it holds with
+// DecodeJSONBytes.
+func DecodeJSON(r io.Reader) (*NFFG, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("nffg: decode json: %w", err)
+	}
+	return DecodeJSONBytes(b)
 }
 
 // EncodeXML writes the graph in the virtualizer XML rendering (the shape a
@@ -108,20 +125,6 @@ func (g *NFFG) EncodeXML(w io.Writer) error {
 		return err
 	}
 	return enc.Flush()
-}
-
-// MarshalXML makes NFFG usable directly as an xml.Marshaler field.
-func (g *NFFG) MarshalXML(e *xml.Encoder, _ xml.StartElement) error {
-	return e.Encode(g.toWire())
-}
-
-// DecodeXML reads a graph from the virtualizer XML rendering.
-func DecodeXML(r io.Reader) (*NFFG, error) {
-	var w wire
-	if err := xml.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("nffg: decode xml: %w", err)
-	}
-	return fromWire(&w)
 }
 
 // XMLString returns the XML rendering, for logging and NETCONF payloads.

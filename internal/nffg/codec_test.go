@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func richGraph(t *testing.T) *NFFG {
+func richGraph(t testing.TB) *NFFG {
 	t.Helper()
 	g, err := NewBuilder("demo").
 		BiSBiS("bb1", "mininet", 4, Resources{CPU: 8, Mem: 4096, Storage: 50}, "firewall").
@@ -86,23 +86,6 @@ func TestJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestXMLRoundtrip(t *testing.T) {
-	g := richGraph(t)
-	var buf bytes.Buffer
-	if err := g.EncodeXML(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.Contains(s, "<virtualizer") {
-		t.Fatalf("XML should use virtualizer root element:\n%s", s)
-	}
-	back, err := DecodeXML(strings.NewReader(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEquivalent(t, g, back)
-}
-
 func TestXMLStringContainsModel(t *testing.T) {
 	g := richGraph(t)
 	s, err := g.XMLString()
@@ -125,11 +108,15 @@ func TestDecodeJSONErrors(t *testing.T) {
 	if _, err := DecodeJSON(strings.NewReader(payload)); err == nil {
 		t.Fatal("duplicate infra IDs must fail decode")
 	}
-}
-
-func TestDecodeXMLErrors(t *testing.T) {
-	if _, err := DecodeXML(strings.NewReader("<virtualizer")); err == nil {
-		t.Fatal("broken XML must fail")
+	// So must data after the JSON value, and a null node or edge.
+	for _, body := range []string{
+		`{"id":"x"} {"id":"y"}`, `{"id":"x"}]`,
+		`{"id":"x","infras":[null]}`, `{"id":"x","nfs":[null]}`, `{"id":"x","saps":[null]}`,
+		`{"id":"x","links":[null]}`, `{"id":"x","sg_hops":[null]}`, `{"id":"x","requirements":[null]}`,
+	} {
+		if _, err := DecodeJSON(strings.NewReader(body)); err == nil {
+			t.Errorf("%s: must fail decode", body)
+		}
 	}
 }
 
