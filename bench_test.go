@@ -950,14 +950,6 @@ func BenchmarkE7BatchMapping(b *testing.B) {
 // shard sets are exactly their own domain.
 func benchE8RO(b *testing.B, domains int, shardKey core.ShardKeyFunc) *core.ResourceOrchestrator {
 	b.Helper()
-	return benchE8ROOpt(b, domains, shardKey, false)
-}
-
-// benchE8ROOpt is benchE8RO with the shard-set estimator selectable:
-// conservative restores the pre-reverse-index baseline where unpinned NFs
-// make a request global.
-func benchE8ROOpt(b *testing.B, domains int, shardKey core.ShardKeyFunc, conservative bool) *core.ResourceOrchestrator {
-	b.Helper()
 	slowRank := func(nf *nffg.NF, cands []embed.Candidate) []nffg.ID {
 		runtime.Gosched()
 		var sink uint64
@@ -970,10 +962,9 @@ func benchE8ROOpt(b *testing.B, domains int, shardKey core.ShardKeyFunc, conserv
 		return embed.BestFit(nf, cands)
 	}
 	ro := core.NewResourceOrchestrator(core.Config{
-		ID:                        "ro",
-		Mapper:                    embed.New(embed.Options{Name: "slow-rank", Rank: slowRank}),
-		ShardKey:                  shardKey,
-		ConservativeShardEstimate: conservative,
+		ID:       "ro",
+		Mapper:   embed.New(embed.Options{Name: "slow-rank", Rank: slowRank}),
+		ShardKey: shardKey,
 	})
 	for i := 0; i < domains; i++ {
 		name := fmt.Sprintf("d%d", i)
@@ -1104,9 +1095,9 @@ func BenchmarkE8ShardedCommit(b *testing.B) {
 // (one dedicated user-SAP pair per domain) under one orchestrator with the
 // default DomainBiSBiS northbound view — the read-path workload: every View
 // must aggregate domains*nodesPer nodes unless the caches serve it.
-func benchE9RO(b *testing.B, domains, nodesPer int, noCache bool) *core.ResourceOrchestrator {
+func benchE9RO(b *testing.B, domains, nodesPer int) *core.ResourceOrchestrator {
 	b.Helper()
-	ro := core.NewResourceOrchestrator(core.Config{ID: "ro", NoReadCache: noCache})
+	ro := core.NewResourceOrchestrator(core.Config{ID: "ro"})
 	for i := 0; i < domains; i++ {
 		name := fmt.Sprintf("d%d", i)
 		bl := nffg.NewBuilder(name)
@@ -1150,34 +1141,31 @@ func benchE9Req(id string, i int) *nffg.NFFG {
 		MustBuild()
 }
 
-// BenchmarkE9ReadPath measures the read-path tentpole. Size sweep: View cost
-// versus topology size with the generation-keyed caches on (steady state is a
-// pointer return — cost independent of size) and off (every call re-merges
-// all shards and re-virtualizes). Storm: concurrent readers hammering View
+// BenchmarkE9ReadPath measures the generation-keyed read path. Size sweep:
+// View cost versus topology size (the steady state is a pointer return, so
+// the cost is independent of size). Storm: concurrent readers hammering View
 // while a writer churns commits — reads between commits still hit, and no
 // reader ever blocks on a commit.
 func BenchmarkE9ReadPath(b *testing.B) {
 	ctx := context.Background()
 	const domains = 8
 	for _, nodes := range []int{16, 64, 256, 512} {
-		for _, mode := range []string{"uncached", "cached"} {
-			b.Run(fmt.Sprintf("%s/nodes=%d", mode, nodes), func(b *testing.B) {
-				ro := benchE9RO(b, domains, nodes/domains, mode == "uncached")
+		b.Run(fmt.Sprintf("cached/nodes=%d", nodes), func(b *testing.B) {
+			ro := benchE9RO(b, domains, nodes/domains)
+			if _, err := ro.View(ctx); err != nil {
+				b.Fatal(err) // warm: the steady state is what's measured
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := ro.View(ctx); err != nil {
-					b.Fatal(err) // warm: the steady state is what's measured
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ro.View(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "views/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "views/s")
+		})
 	}
 	b.Run("storm/readers=8/nodes=64", func(b *testing.B) {
-		ro := benchE9RO(b, domains, 64/domains, false)
+		ro := benchE9RO(b, domains, 64/domains)
 		stop := make(chan struct{})
 		var committer sync.WaitGroup
 		committer.Add(1)
@@ -1217,54 +1205,48 @@ func BenchmarkE9ReadPath(b *testing.B) {
 
 // BenchmarkE9GlobalNarrowing measures what the reverse index buys the WRITE
 // path: batches of unpinned-NF requests (one per domain, anchored only by
-// their SAPs) admitted with the conservative estimator (any unpinned NF ->
-// global shard set -> the whole batch serializes as ONE exclusive group)
-// versus the reverse index (each request narrows to its SAP's shard ->
-// disjoint groups plan and commit concurrently). groups/batch > 1 is the
-// narrowing win: the batch no longer serializes through one exclusive global
-// group (or admission's global gate). ms/batch tracks the wall-clock effect —
-// the total mapping work is identical, so the speedup scales with real cores
-// (on a single-core runner the modes tie).
+// their SAPs) each narrow to their SAP's shard, so disjoint groups plan and
+// commit concurrently. groups/batch > 1 is the narrowing win: the batch does
+// not serialize through one exclusive global group (or admission's global
+// gate). ms/batch tracks the wall-clock effect, which scales with real cores.
 func BenchmarkE9GlobalNarrowing(b *testing.B) {
 	const domains = 8
 	if runtime.GOMAXPROCS(0) < domains {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(domains))
 	}
-	for _, mode := range []string{"conservative", "indexed"} {
-		b.Run(fmt.Sprintf("%s/reqs=%d", mode, domains), func(b *testing.B) {
-			ro := benchE8ROOpt(b, domains, core.ShardPerDomain, mode == "conservative")
-			ctx := context.Background()
-			before := ro.PipelineStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				reqs := make([]*nffg.NFFG, domains)
-				for c := range reqs {
-					req := benchE8Req(fmt.Sprintf("e9n-%d-%d", i, c), c)
-					for _, nfID := range req.NFIDs() {
-						req.NFs.Get(nfID).Host = "" // unpinned: only the SAPs anchor it
-					}
-					reqs[c] = req
+	b.Run(fmt.Sprintf("indexed/reqs=%d", domains), func(b *testing.B) {
+		ro := benchE8RO(b, domains, core.ShardPerDomain)
+		ctx := context.Background()
+		before := ro.PipelineStats()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			reqs := make([]*nffg.NFFG, domains)
+			for c := range reqs {
+				req := benchE8Req(fmt.Sprintf("e9n-%d-%d", i, c), c)
+				for _, nfID := range req.NFIDs() {
+					req.NFs.Get(nfID).Host = "" // unpinned: only the SAPs anchor it
 				}
-				for c, o := range ro.InstallBatch(ctx, reqs, unify.BatchObserver{}) {
-					if o.Err != nil {
-						b.Fatal(c, o.Err)
-					}
-				}
-				b.StopTimer()
-				for _, req := range reqs {
-					if err := ro.Remove(ctx, req.ID); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
+				reqs[c] = req
 			}
-			st := ro.PipelineStats()
-			installs := float64(st.Installs - before.Installs)
-			b.ReportMetric(float64(st.Batches-before.Batches)/float64(b.N), "groups/batch")
-			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/batch")
-			b.ReportMetric(float64(st.MapAttempts-before.MapAttempts)/installs, "mappasses/install")
-		})
-	}
+			for c, o := range ro.InstallBatch(ctx, reqs, unify.BatchObserver{}) {
+				if o.Err != nil {
+					b.Fatal(c, o.Err)
+				}
+			}
+			b.StopTimer()
+			for _, req := range reqs {
+				if err := ro.Remove(ctx, req.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		st := ro.PipelineStats()
+		installs := float64(st.Installs - before.Installs)
+		b.ReportMetric(float64(st.Batches-before.Batches)/float64(b.N), "groups/batch")
+		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/batch")
+		b.ReportMetric(float64(st.MapAttempts-before.MapAttempts)/installs, "mappasses/install")
+	})
 }
 
 // --- E10: multi-tenant weighted-fair admission ----------------------------------

@@ -24,7 +24,7 @@ func TestFig1SystemBringUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dov.Infras.Len() != 4 {
-		t.Fatalf("DoV should hold 4 exported views: %s", dov.Summary())
+		t.Fatalf("DoV should hold 4 exported views: %s", dov.Render())
 	}
 	// Stitching: sap1 side must reach sap2 side.
 	tg := dov.InfraTopo()
@@ -37,7 +37,7 @@ func TestFig1SystemBringUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Infras.Len() != 1 {
-		t.Fatalf("MdO view: %s", v.Summary())
+		t.Fatalf("MdO view: %s", v.Render())
 	}
 	// User SAPs visible, border SAPs too (they are still SAPs of the view).
 	if _, ok := v.SAPs.Lookup("sap1"); !ok {

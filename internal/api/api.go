@@ -463,11 +463,10 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 // only by the caller's context — an async job watch may legitimately outlive
 // any fixed timeout.
 type Client struct {
-	id     string
-	base   string
-	tenant string       // default submission tenant (see WithTenant)
-	unary  *http.Client // bounded by the dial timeout
-	long   *http.Client // context-governed only
+	id    string
+	base  string
+	unary *http.Client // bounded by the dial timeout
+	long  *http.Client // context-governed only
 
 	// viewCache holds the one sealed remote view the conditional View path
 	// revalidates with If-None-Match (see readplane.go); viewHits/viewMisses
@@ -486,44 +485,20 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 	return req, nil
 }
 
-// DefaultTimeout bounds unary client calls (and the Dial health check) unless
-// overridden with WithTimeout.
+// DefaultTimeout bounds unary client calls (and the Dial health check).
 const DefaultTimeout = 30 * time.Second
-
-// DialOption tunes Dial.
-type DialOption func(*Client)
-
-// WithTimeout overrides the unary-call timeout (0 disables it).
-func WithTimeout(d time.Duration) DialOption {
-	return func(c *Client) { c.unary.Timeout = d }
-}
-
-// WithTenant sets the client's default submission identity: every install or
-// async submit carries it as the X-Unify-Tenant header unless the call's
-// context overrides it (unify.WithMeta).
-func WithTenant(tenant string) DialOption {
-	return func(c *Client) { c.tenant = tenant }
-}
 
 // Dial checks the remote's health and returns a client. id names the layer
 // locally (it becomes the domain name when attached to an orchestrator).
-func Dial(id, baseURL string, opts ...DialOption) (*Client, error) {
+func Dial(id, baseURL string) (*Client, error) {
 	c := &Client{
 		id:    id,
 		base:  strings.TrimRight(baseURL, "/"),
 		unary: &http.Client{Timeout: DefaultTimeout},
 		long:  &http.Client{},
 	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	hctx := context.Background()
-	if c.unary.Timeout > 0 {
-		var cancel context.CancelFunc
-		hctx, cancel = context.WithTimeout(hctx, c.unary.Timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(hctx, http.MethodGet, c.base+"/healthz", nil)
+	// The unary client's timeout bounds the health check.
+	req, err := http.NewRequest(http.MethodGet, c.base+"/healthz", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -578,9 +553,6 @@ func (c *Client) install(ctx context.Context, req *nffg.NFFG, async bool) (*http
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	meta := unify.MetaFrom(ctx)
-	if meta.Tenant == "" {
-		meta.Tenant = c.tenant
-	}
 	if meta.Tenant != "" {
 		hreq.Header.Set(TenantHeader, meta.Tenant)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -337,7 +338,7 @@ func TestCapabilitiesOverHTTP(t *testing.T) {
 	if len(caps) != 2 {
 		t.Fatalf("caps: %v", caps)
 	}
-	if !domain.Has(cli, domain.CapCompute) {
+	if !slices.Contains(caps, domain.CapCompute) {
 		t.Fatal("compute capability missing")
 	}
 }
@@ -602,13 +603,9 @@ func TestTenantIdentityOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A client-wide default tenant (dial option) applies when the context
-	// carries none; sync installs are attributed the same way.
-	cli2, err := Dial("remote", "http://"+addr, WithTenant("beta"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli2.Install(ctx, sg(t, "svc-beta")); err != nil {
+	// Sync installs are attributed the same way.
+	betaCtx := unify.WithMeta(ctx, unify.RequestMeta{Tenant: "beta"})
+	if _, err := cli.Install(betaCtx, sg(t, "svc-beta")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -625,7 +622,7 @@ func TestTenantIdentityOverHTTP(t *testing.T) {
 		t.Fatalf("default-tenant stats: %+v", st.Tenants)
 	}
 	if st.Tenants["beta"].Deployed != 1 {
-		t.Fatalf("beta (client-default) stats: %+v", st.Tenants)
+		t.Fatalf("beta (sync install) stats: %+v", st.Tenants)
 	}
 
 	// A bad priority header is a 400, not a silent default.

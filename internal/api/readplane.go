@@ -190,7 +190,9 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 // generation the caller saw (0 for "anything committed"); ?timeout= bounds
 // the poll window (default 30s). A change answers 200 with the full sealed
 // view; an expired window answers 202 with a heartbeat naming the current
-// version so the caller can fast-forward its cursor without refetching.
+// version so the caller can fast-forward its cursor without refetching. A
+// from above the current generation names a writer that went back (it
+// restarted, or a proxy switched writers) and answers 200 at once.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	vv, okView := s.layer.(VersionedViewer)
 	vw, okWait := s.layer.(VersionWaiter)
@@ -214,15 +216,19 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), window)
 	defer cancel()
-	if _, err := vw.WaitVersion(ctx, from); err != nil {
-		// Window expired (or the client went away): heartbeat with the
-		// current version so the caller can resync its cursor and re-poll.
-		ver := vv.ViewVersion()
-		setVersionHeaders(w, ver)
-		s.writeJSON(w, http.StatusAccepted, WatchEvent{
-			Layer: s.layer.ID(), Generation: ver.Generation, ETag: ver.ETag, Heartbeat: true,
-		})
-		return
+	// A from above the current generation is from another history: there
+	// is nothing to wait for, so the current view answers at once.
+	if from <= vv.ViewVersion().Generation {
+		if _, err := vw.WaitVersion(ctx, from); err != nil {
+			// Window expired (or the client went away): heartbeat with the
+			// current version so the caller can resync its cursor and re-poll.
+			ver := vv.ViewVersion()
+			setVersionHeaders(w, ver)
+			s.writeJSON(w, http.StatusAccepted, WatchEvent{
+				Layer: s.layer.ID(), Generation: ver.Generation, ETag: ver.ETag, Heartbeat: true,
+			})
+			return
+		}
 	}
 	// The version moved past from. Serve the CURRENT view — possibly newer
 	// than the version that woke us, which only means the caller skips ahead.

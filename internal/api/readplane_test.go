@@ -8,7 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -462,6 +466,74 @@ func TestReplicaFollowsWriter(t *testing.T) {
 	}
 	if st := prep.Stats(); st.WritesProxied != 2 {
 		t.Fatalf("proxied writes: %+v", st)
+	}
+}
+
+// TestReplicaFollowsWriterRestart: a replica behind a proxy follows writer A
+// to a generation above 1, then the proxy switches to a fresh writer B whose
+// generation is lower. The replica's cursor names a generation B has not
+// reached; the watch must answer at once with B's view instead of waiting
+// for B to catch up, and the replica must converge on B's ETag.
+func TestReplicaFollowsWriterRestart(t *testing.T) {
+	ctx := context.Background()
+	_, acli := startPair(t)
+	_, bcli := startPair(t)
+	var target atomic.Pointer[url.URL]
+	aURL, err := url.Parse(acli.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target.Store(aURL)
+	proxy := httptest.NewServer(&httputil.ReverseProxy{Rewrite: func(r *httputil.ProxyRequest) {
+		r.SetURL(target.Load())
+	}})
+	t.Cleanup(proxy.Close)
+	pcli, err := Dial("writer", proxy.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReplica("replica", pcli, WithWatchWindow(200*time.Millisecond))
+	rep.Start(ctx)
+	t.Cleanup(rep.Stop)
+
+	// Writer A commits up to generation 9.
+	for i := 0; ; i++ {
+		_, ver, err := acli.ViewVersioned(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ver.Generation >= 9 {
+			waitETag(t, rep, ver.ETag)
+			break
+		}
+		id := fmt.Sprintf("a%d", i)
+		if _, err := acli.Install(ctx, sg(t, id)); err != nil {
+			t.Fatal(err)
+		}
+		if err := acli.Remove(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Writer B is fresh: one commit, generation 1.
+	if _, err := bcli.Install(ctx, sg(t, "b")); err != nil {
+		t.Fatal(err)
+	}
+	_, bver, err := bcli.ViewVersioned(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bver.Generation >= rep.ViewVersion().Generation {
+		t.Fatalf("writer B at generation %d must be behind the replica's %d", bver.Generation, rep.ViewVersion().Generation)
+	}
+	bURL, err := url.Parse(bcli.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target.Store(bURL)
+	waitETag(t, rep, bver.ETag)
+	if got := rep.Services(); len(got) != 1 || got[0] != "b" {
+		t.Fatalf("replica services after the switch: %v", got)
 	}
 }
 

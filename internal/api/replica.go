@@ -191,9 +191,9 @@ func (r *Replica) sync(ctx context.Context, progressed *bool) error {
 				r.apply(ev.View, core.ViewVersion{ETag: ev.ETag, Generation: ev.Generation}, ev.Services)
 				r.stats.events.Add(1)
 			}
-			if ev.Generation > cursor {
-				cursor = ev.Generation
-			}
+			// The event's generation, not the maximum seen: a writer that
+			// went back (restart, proxy switch) restarts the cursor with it.
+			cursor = ev.Generation
 		case ev.ETag != "" && r.etag() != "" && ev.ETag != r.etag():
 			// A heartbeat naming content we don't hold: a change landed right
 			// as the poll window closed. Keep the cursor — the next poll

@@ -67,7 +67,6 @@ type LocalOrchestrator struct {
 	// generation: on the steady state View is a pointer return of one sealed
 	// graph shared by all readers (see readcache.go for the discipline).
 	viewCache atomic.Pointer[loViewEntry]
-	viewStats cacheCounters
 
 	// watch broadcasts generation bumps to WaitVersion callers (version.go).
 	watch changeNotifier
@@ -161,24 +160,16 @@ func (lo *LocalOrchestrator) View(ctx context.Context) (*nffg.NFFG, error) {
 	}
 	snap, gen := lo.snapshot()
 	if e := lo.viewCache.Load(); e != nil && e.gen == gen {
-		lo.viewStats.hits.Add(1)
 		return e.view, nil
 	}
-	lo.viewStats.misses.Add(1)
 	v, err := lo.virt.View(snap)
 	if err != nil {
 		return nil, err
 	}
 	v.Seal()
-	if old := lo.viewCache.Load(); old != nil {
-		lo.viewStats.invalidations.Add(1)
-	}
 	lo.viewCache.Store(&loViewEntry{gen: gen, view: v})
 	return v, nil
 }
-
-// ViewCacheStats returns the view memoization counters.
-func (lo *LocalOrchestrator) ViewCacheStats() CacheStats { return lo.viewStats.snapshot() }
 
 // Southbound returns the recorder the domain's Programmer records
 // device-programming counters into.
@@ -197,26 +188,9 @@ func (lo *LocalOrchestrator) Internal() *nffg.NFFG {
 // plan embeds a request against an immutable substrate snapshot and derives
 // the new configuration plus the device delta. No locks held.
 func (lo *LocalOrchestrator) plan(snap *nffg.NFFG, req *nffg.NFFG) (*embed.Mapping, *nffg.NFFG, *nffg.Delta, error) {
-	work := req.Copy()
-	scope := map[nffg.ID][]nffg.ID{}
-	for _, id := range work.NFIDs() {
-		nf := work.NFs.Get(id)
-		if nf.Host == "" {
-			continue
-		}
-		if _, direct := snap.Infras.Lookup(nf.Host); direct {
-			continue
-		}
-		expanded := lo.virt.Scope(snap, nf.Host)
-		if len(expanded) == 0 {
-			return nil, nil, nil, fmt.Errorf("%w: NF %s pinned to unknown view node %s", unify.ErrRejected, id, nf.Host)
-		}
-		if len(expanded) == 1 {
-			nf.Host = expanded[0]
-		} else {
-			nf.Host = ""
-			scope[id] = expanded
-		}
+	work, scope, err := expandPins(lo.virt, snap, req)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	mapping, err := lo.mapper.MapScoped(snap, work, scope)
 	if err != nil {

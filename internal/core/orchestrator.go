@@ -57,12 +57,6 @@ type ResourceOrchestrator struct {
 	// matches commit order without any global serialization.
 	journal Journal
 
-	// Read-path configuration (see readcache.go): noReadCache disables the
-	// generation-keyed cut/view caches, conservativeEstimate restores the
-	// pre-reverse-index shard estimator. Both exist as measurable baselines.
-	noReadCache          bool
-	conservativeEstimate bool
-
 	// mu guards the registration-time metadata (dir, owner, contrib/index) —
 	// all replaced copy-on-write so planners read snapshots lock-free — plus
 	// the service table and the global NF/hop identifier reservations. Lock
@@ -117,14 +111,12 @@ type ResourceOrchestrator struct {
 	// watch broadcasts epoch bumps to WaitVersion callers (watch streams).
 	watch changeNotifier
 
-	// Generation-keyed read caches (see readcache.go). cutCache holds the
-	// all-shard cut; scopedCuts the per-shard-subset cuts narrowed admission
-	// groups plan on. Both account under cutStats.
-	cutCache   atomic.Pointer[cutEntry]
-	viewCache  atomic.Pointer[viewEntry]
-	scopedCuts scopedCutCache
-	cutStats   cacheCounters
-	viewStats  cacheCounters
+	// Generation-keyed read caches (see readcache.go): cuts holds merged
+	// cuts per shard set, viewCache the view over the all-shard cut.
+	cuts      cutCache
+	viewCache atomic.Pointer[viewEntry]
+	cutStats  cacheCounters
+	viewStats cacheCounters
 
 	// Contention counters of the mapping pipeline (see PipelineStats).
 	stats struct {
@@ -222,14 +214,6 @@ type Config struct {
 	// every child gets its own shard; SingleShard restores the pre-sharding
 	// single generation counter).
 	ShardKey ShardKeyFunc
-	// NoReadCache disables the generation-keyed cut/view caches: every read
-	// re-merges and re-virtualizes. The measurable baseline for the cached
-	// read path (BenchmarkE9ReadPath) — production configs leave it off.
-	NoReadCache bool
-	// ConservativeShardEstimate restores the pre-reverse-index shard-set
-	// estimator, where any unpinned NF makes a request global. The baseline
-	// for BenchmarkE9GlobalNarrowing — production configs leave it off.
-	ConservativeShardEstimate bool
 	// Journal, when set, receives a write-ahead record for every state
 	// mutation (attach, commit, release, deploy completion) so the DoV and
 	// service table survive a crash (see internal/journal and Restore). A
@@ -260,25 +244,23 @@ func NewResourceOrchestrator(cfg Config) *ResourceOrchestrator {
 		cfg.ShardKey = ShardPerDomain
 	}
 	return &ResourceOrchestrator{
-		id:                   cfg.ID,
-		virt:                 cfg.Virtualizer,
-		mapper:               cfg.Mapper,
-		reg:                  domain.NewRegistry(),
-		shardKey:             cfg.ShardKey,
-		journal:              cfg.Journal,
-		noReadCache:          cfg.NoReadCache,
-		conservativeEstimate: cfg.ConservativeShardEstimate,
-		dir:                  newShardDirectory(),
-		owner:                map[nffg.ID]string{},
-		services:             map[string]*serviceRecord{},
-		nfOwner:              map[nffg.ID]string{},
-		hopOwner:             map[string]string{},
-		contrib:              map[string]shardContrib{},
-		index:                map[nffg.ID][]string{},
-		departed:             map[nffg.ID]string{},
-		lastGen:              map[string]uint64{},
-		viewTimeout:          cfg.ViewTimeout,
-		viewRetries:          cfg.ViewRetries,
+		id:          cfg.ID,
+		virt:        cfg.Virtualizer,
+		mapper:      cfg.Mapper,
+		reg:         domain.NewRegistry(),
+		shardKey:    cfg.ShardKey,
+		journal:     cfg.Journal,
+		dir:         newShardDirectory(),
+		owner:       map[nffg.ID]string{},
+		services:    map[string]*serviceRecord{},
+		nfOwner:     map[nffg.ID]string{},
+		hopOwner:    map[string]string{},
+		contrib:     map[string]shardContrib{},
+		index:       map[nffg.ID][]string{},
+		departed:    map[nffg.ID]string{},
+		lastGen:     map[string]uint64{},
+		viewTimeout: cfg.ViewTimeout,
+		viewRetries: cfg.ViewRetries,
 	}
 }
 
@@ -607,7 +589,7 @@ func (ro *ResourceOrchestrator) ShardStats() []ShardStats {
 // could not be merged into one cut (see PipelineStats.MergeErrors).
 func (ro *ResourceOrchestrator) DoV() (*nffg.NFFG, error) {
 	graphs, vec := ro.currentCut()
-	merged, err := ro.mergedFromCut(graphs, vec)
+	merged, err := ro.mergedCut(graphs, vec)
 	if err != nil {
 		return nil, err
 	}
@@ -634,14 +616,12 @@ func (ro *ResourceOrchestrator) View(ctx context.Context) (*nffg.NFFG, error) {
 // viewFromCut computes (or serves cached) the virtualizer output over one
 // consistent cut — the shared tail of View and VersionedView.
 func (ro *ResourceOrchestrator) viewFromCut(graphs []*nffg.NFFG, vec genVec) (*nffg.NFFG, error) {
-	if !ro.noReadCache {
-		if e := ro.viewCache.Load(); e != nil && e.vec.equal(vec) {
-			ro.viewStats.hits.Add(1)
-			return e.view, nil
-		}
+	if e := ro.viewCache.Load(); e != nil && e.vec.equal(vec) {
+		ro.viewStats.hits.Add(1)
+		return e.view, nil
 	}
 	ro.viewStats.misses.Add(1)
-	merged, err := ro.mergedFromCut(graphs, vec)
+	merged, err := ro.mergedCut(graphs, vec)
 	if err != nil {
 		return nil, err
 	}
@@ -653,12 +633,10 @@ func (ro *ResourceOrchestrator) viewFromCut(graphs []*nffg.NFFG, vec genVec) (*n
 		return nil, err
 	}
 	v.Seal()
-	if !ro.noReadCache {
-		if old := ro.viewCache.Load(); old != nil {
-			ro.viewStats.invalidations.Add(1)
-		}
-		ro.viewCache.Store(&viewEntry{vec: vec, view: v})
+	if old := ro.viewCache.Load(); old != nil {
+		ro.viewStats.invalidations.Add(1)
 	}
+	ro.viewCache.Store(&viewEntry{vec: vec, view: v})
 	return v, nil
 }
 
@@ -691,8 +669,8 @@ func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 	for _, id := range req.NFIDs() {
 		host := req.NFs.Get(id).Host
 		if host == "" {
-			if ro.conservativeEstimate || req.SAPs.Len() == 0 {
-				return nil // no anchor to narrow by (or legacy estimator)
+			if req.SAPs.Len() == 0 {
+				return nil // no anchor to narrow by
 			}
 			continue // unpinned: bounded by the SAP-anchored cut + escalation
 		}
@@ -720,27 +698,9 @@ func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 // mutates no shared state; realizing the mapping on a working DoV (and
 // splitting it per child) is the caller's business.
 func (ro *ResourceOrchestrator) plan(snap *nffg.NFFG, req *nffg.NFFG) (*embed.Mapping, error) {
-	// Translate view-node pins into DoV scope constraints.
-	work := req.Copy()
-	scope := map[nffg.ID][]nffg.ID{}
-	for _, id := range work.NFIDs() {
-		nf := work.NFs.Get(id)
-		if nf.Host == "" {
-			continue
-		}
-		if _, direct := snap.Infras.Lookup(nf.Host); direct {
-			continue // already a DoV node (transparent views)
-		}
-		expanded := ro.virt.Scope(snap, nf.Host)
-		if len(expanded) == 0 {
-			return nil, fmt.Errorf("%w: NF %s pinned to unknown view node %s", unify.ErrRejected, id, nf.Host)
-		}
-		if len(expanded) == 1 {
-			nf.Host = expanded[0]
-		} else {
-			nf.Host = ""
-			scope[id] = expanded
-		}
+	work, scope, err := expandPins(ro.virt, snap, req)
+	if err != nil {
+		return nil, err
 	}
 	mapping, err := ro.mapper.MapScoped(snap, work, scope)
 	if err != nil {
@@ -1112,21 +1072,14 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		// The group's working graph: a consistent merge of its shards. The
 		// whole group shares ONE working fork — each accepted mapping is
 		// realized on it in place (embed.ApplyTo), so admitting N requests
-		// costs one fork instead of N. A full-DoV group plans on the
-		// generation-keyed cut cache: between commits the merge is skipped
-		// entirely and the group reads the same sealed cut every reader sees.
-		var base *nffg.NFFG
+		// costs one fork instead of N. The merge comes from the generation-
+		// keyed cut cache: between commits to its shards it is skipped
+		// entirely, and a full-DoV group reads the same sealed cut every
+		// reader sees.
+		base := graphs[0]
 		var mergeErr error
-		switch {
-		case len(shs) == 1:
-			base = graphs[0]
-		case !narrow:
-			base, mergeErr = ro.mergedFromCut(graphs, genVec{keys: skeys, gens: gens})
-		default:
-			// Narrowed groups plan on the generation-keyed scoped cut cache:
-			// a recurring shard subset skips nffg.Merge while none of its
-			// members committed.
-			base, mergeErr = ro.mergedFromScopedCut(graphs, genVec{keys: skeys, gens: gens})
+		if len(shs) > 1 {
+			base, mergeErr = ro.mergedCut(graphs, genVec{keys: skeys, gens: gens})
 		}
 		if mergeErr != nil {
 			log.Printf("core %s: merging shard snapshots: %v", ro.id, mergeErr)

@@ -97,7 +97,7 @@ func TestLocalOrchestratorLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Infras.Len() != 1 {
-		t.Fatalf("leaf should export single BiSBiS: %s", v.Summary())
+		t.Fatalf("leaf should export single BiSBiS: %s", v.Render())
 	}
 
 	req := chainReq(t, "svc1", "sap1", "border", "fw")
@@ -259,7 +259,7 @@ func TestROAggregatesDomainViews(t *testing.T) {
 	ro, _, _ := buildMdO(t, &recordingProgrammer{}, &recordingProgrammer{})
 	dov := mustDoV(t, ro)
 	if dov.Infras.Len() != 2 {
-		t.Fatalf("DoV should hold one exported node per domain: %s", dov.Summary())
+		t.Fatalf("DoV should hold one exported node per domain: %s", dov.Render())
 	}
 	if dov.SAPs.Len() != 3 { // sap1, sap2, shared b-ab
 		t.Fatalf("SAPs: %v", dov.SAPIDs())
@@ -273,7 +273,7 @@ func TestROAggregatesDomainViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Infras.Len() != 2 {
-		t.Fatalf("northbound view: %s", v.Summary())
+		t.Fatalf("northbound view: %s", v.Render())
 	}
 }
 
@@ -384,7 +384,7 @@ func TestRORecursiveStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Infras.Len() != 1 {
-		t.Fatalf("top view: %s", v.Summary())
+		t.Fatalf("top view: %s", v.Render())
 	}
 	req := chainReq(t, "deep", "sap1", "sap2", "nat")
 	receipt, err := top.Install(context.Background(), req)

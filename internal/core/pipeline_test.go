@@ -49,13 +49,6 @@ func lineRO(t testing.TB, n int, delay time.Duration, progs map[int]Programmer) 
 	return lineROCfg(t, n, delay, progs, Config{ID: "ro"})
 }
 
-// lineROWith is lineRO with an explicit orchestrator Config (and no
-// per-domain programmer latency).
-func lineROWith(t testing.TB, n int, cfg Config) (*ResourceOrchestrator, []*LocalOrchestrator) {
-	t.Helper()
-	return lineROCfg(t, n, 0, nil, cfg)
-}
-
 func lineROCfg(t testing.TB, n int, delay time.Duration, progs map[int]Programmer, cfg Config) (*ResourceOrchestrator, []*LocalOrchestrator) {
 	t.Helper()
 	var los []*LocalOrchestrator

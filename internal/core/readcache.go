@@ -7,10 +7,11 @@ package core
 // generations (cheap to snapshot: the shard directory already holds a per-
 // shard gen under its lock):
 //
-//   - the cut cache holds the merged all-shard consistent cut, so DoV() and
-//     batch planning skip nffg.Merge entirely while no shard committed;
-//   - the view cache holds the virtualizer's output over that cut, so View()
-//     is a pointer return on the steady state.
+//   - the cut cache holds merged consistent cuts, one per shard set (the
+//     all-shard cut and the subsets narrowed groups plan on), so DoV() and
+//     batch planning skip nffg.Merge entirely while no member committed;
+//   - the view cache holds the virtualizer's output over the all-shard cut,
+//     so View() is a pointer return on the steady state.
 //
 // Cached graphs are Sealed (see nffg.Seal): one immutable graph is shared by
 // every reader instead of being defensively copied per call, and a reader
@@ -74,8 +75,8 @@ func (v genVec) equal(o genVec) bool {
 	return slices.Equal(v.keys, o.keys) && slices.Equal(v.gens, o.gens)
 }
 
-// cutEntry is one cached merged all-shard cut. graph is sealed (or nil when
-// no shard held a view at cut time).
+// cutEntry is one cached merged cut. graph is sealed (or nil when no shard
+// held a view at cut time).
 type cutEntry struct {
 	vec   genVec
 	graph *nffg.NFFG
@@ -101,18 +102,17 @@ func (ro *ResourceOrchestrator) currentCut() (graphs []*nffg.NFFG, vec genVec) {
 	return graphs, genVec{keys: keys, gens: gens}
 }
 
-// mergeCut merges the live graphs of one cut into a fresh pre-sized graph —
-// the uncached merge shared by the cut cache and scoped (narrowed-group)
-// planning. The shard snapshots are sealed, so the cut shares their entities
-// instead of copying them (see nffg.Merge); nothing writes the cut but a
-// fork of it. Returns nil when no graph is live, and the single live graph
-// itself (a sealed shard snapshot) when there is exactly one. A merge
-// failure (colliding shard exports) is surfaced to the caller and counted in
-// PipelineStats.MergeErrors instead of silently serving an incomplete cut.
-// prev is the cached cut this merge replaces (nil if none): the fresh graph
-// adopts its compiled topology, which a commit that moved only reservations
-// leaves valid.
-func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG, prev *cutEntry) (*nffg.NFFG, error) {
+// mergeCut merges the live graphs of one cut into a fresh pre-sized graph:
+// the uncached merge behind the cut cache. The shard snapshots are sealed, so
+// the cut shares their entities instead of copying them (see nffg.Merge);
+// nothing writes the cut but a fork of it. Returns nil when no graph is live,
+// and the single live graph itself (a sealed shard snapshot) when there is
+// exactly one. A merge failure (colliding shard exports) is surfaced to the
+// caller and counted in PipelineStats.MergeErrors instead of silently serving
+// an incomplete cut. prev is the cached cut this merge replaces (nil if
+// none): the fresh graph adopts its compiled topology, which a commit that
+// moved only reservations leaves valid.
+func (ro *ResourceOrchestrator) mergeCut(graphs []*nffg.NFFG, prev *cutEntry) (*nffg.NFFG, error) {
 	var live []*nffg.NFFG
 	nInfras, nNFs, nSAPs := 0, 0, 0
 	for _, g := range graphs {
@@ -129,7 +129,7 @@ func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG, prev *c
 	case 1:
 		return live[0], nil
 	}
-	m := nffg.NewSized(id, nInfras, nNFs, nSAPs)
+	m := nffg.NewSized(ro.id+"-dov", nInfras, nNFs, nSAPs)
 	for _, g := range live {
 		if err := m.Merge(g); err != nil {
 			ro.stats.mergeErrors.Add(1)
@@ -145,83 +145,55 @@ func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG, prev *c
 	return m.Seal(), nil
 }
 
-// mergedFromCut returns the merged graph of a full-DoV cut, served from the
-// cut cache when the generation vector still matches and rebuilt (then
-// sealed and cached) otherwise. Returns nil when no shard holds a view.
-func (ro *ResourceOrchestrator) mergedFromCut(graphs []*nffg.NFFG, vec genVec) (*nffg.NFFG, error) {
-	e := ro.cutCache.Load()
-	if !ro.noReadCache && e != nil && e.vec.equal(vec) {
-		ro.cutStats.hits.Add(1)
-		return e.graph, nil
-	}
-	ro.cutStats.misses.Add(1)
-	merged, err := ro.mergeCut(ro.id+"-dov", graphs, e)
-	if err != nil {
-		return nil, err
-	}
-	if !ro.noReadCache {
-		if old := ro.cutCache.Load(); old != nil {
-			ro.cutStats.invalidations.Add(1)
-		}
-		ro.cutCache.Store(&cutEntry{vec: vec, graph: merged})
-	}
-	return merged, nil
-}
+// cutCap bounds how many shard sets keep a cached merged cut: the all-shard
+// cut every DoV read and global plan uses, plus the subsets narrowed
+// admission groups plan on. Subsets recur with request footprints, so in
+// practice the population is small; beyond the cap an arbitrary entry is
+// evicted. The cache is a pure performance artifact, so any eviction policy
+// is correct.
+const cutCap = 64
 
-// --- scoped cuts -------------------------------------------------------------
-
-// scopedCutCap bounds how many distinct shard subsets keep a cached merged
-// cut. Subsets are created by admission's narrowed groups, so in practice the
-// population is small (recurring request footprints); beyond the cap an
-// arbitrary entry is evicted — the cache is a pure performance artifact, so
-// any eviction policy is correct.
-const scopedCutCap = 64
-
-// scopedCutCache caches merged cuts of shard SUBSETS (narrowed admission
-// groups), keyed by the subset's sorted key list and validated against its
-// generation vector — the same discipline as the all-shard cut cache, which
-// stays a separate single atomic entry because every reader hits it. Hits,
-// misses and invalidations ride the same cutStats counters.
-type scopedCutCache struct {
+// cutCache caches merged cuts keyed by their sorted shard key list and
+// validated against the cut's generation vector. A commit on any member
+// shard bumps its generation, so the next read's vector mismatches and the
+// cut is remerged: invalidation is implicit. Hits, misses and invalidations
+// count under cutStats.
+type cutCache struct {
 	mu      sync.Mutex
 	entries map[string]*cutEntry
 }
 
-// mergedFromScopedCut returns the merged graph of a shard-subset cut, served
-// from the scoped cut cache while the subset's generation vector is unmoved
-// and rebuilt (then cached) otherwise. A commit on any subset member bumps
-// its generation, so the next read's vector mismatches and the cut is
-// remerged — invalidation is implicit, exactly like the all-shard cache.
-func (ro *ResourceOrchestrator) mergedFromScopedCut(graphs []*nffg.NFFG, vec genVec) (*nffg.NFFG, error) {
+// mergedCut returns the merged graph of one cut, served from the cut cache
+// while the shard set's generation vector is unmoved and rebuilt (then
+// cached) otherwise. Returns nil when no shard holds a view.
+func (ro *ResourceOrchestrator) mergedCut(graphs []*nffg.NFFG, vec genVec) (*nffg.NFFG, error) {
 	key := strings.Join(vec.keys, "\x00")
-	ro.scopedCuts.mu.Lock()
-	e := ro.scopedCuts.entries[key]
-	ro.scopedCuts.mu.Unlock()
-	if !ro.noReadCache && e != nil && e.vec.equal(vec) {
+	ro.cuts.mu.Lock()
+	e := ro.cuts.entries[key]
+	ro.cuts.mu.Unlock()
+	if e != nil && e.vec.equal(vec) {
 		ro.cutStats.hits.Add(1)
 		return e.graph, nil
 	}
 	ro.cutStats.misses.Add(1)
-	merged, err := ro.mergeCut(ro.id+"-plan", graphs, e)
+	merged, err := ro.mergeCut(graphs, e)
 	if err != nil {
 		return nil, err
 	}
-	if !ro.noReadCache {
-		ro.scopedCuts.mu.Lock()
-		if ro.scopedCuts.entries == nil {
-			ro.scopedCuts.entries = make(map[string]*cutEntry, scopedCutCap)
-		}
-		if _, stale := ro.scopedCuts.entries[key]; stale {
-			ro.cutStats.invalidations.Add(1)
-		} else if len(ro.scopedCuts.entries) >= scopedCutCap {
-			for k := range ro.scopedCuts.entries {
-				delete(ro.scopedCuts.entries, k)
-				break
-			}
-		}
-		ro.scopedCuts.entries[key] = &cutEntry{vec: vec, graph: merged}
-		ro.scopedCuts.mu.Unlock()
+	ro.cuts.mu.Lock()
+	if ro.cuts.entries == nil {
+		ro.cuts.entries = make(map[string]*cutEntry, cutCap)
 	}
+	if _, stale := ro.cuts.entries[key]; stale {
+		ro.cutStats.invalidations.Add(1)
+	} else if len(ro.cuts.entries) >= cutCap {
+		for k := range ro.cuts.entries {
+			delete(ro.cuts.entries, k)
+			break
+		}
+	}
+	ro.cuts.entries[key] = &cutEntry{vec: vec, graph: merged}
+	ro.cuts.mu.Unlock()
 	return merged, nil
 }
 

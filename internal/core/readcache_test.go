@@ -57,7 +57,7 @@ func TestCutCacheGenerationKeyed(t *testing.T) {
 }
 
 // TestViewMemoization: View is a pointer return on the steady state, rebuilt
-// exactly when a shard generation moves; NoReadCache disables the sharing.
+// exactly when a shard generation moves.
 func TestViewMemoization(t *testing.T) {
 	ro, _ := lineRO(t, 3, 0, nil)
 	ctx := context.Background()
@@ -92,23 +92,6 @@ func TestViewMemoization(t *testing.T) {
 	if st := ro.PipelineStats(); st.ViewCache.Invalidations == 0 {
 		t.Fatalf("view invalidation not counted: %+v", st.ViewCache)
 	}
-
-	// The uncached baseline recomputes per call.
-	un, _ := lineROWith(t, 2, Config{ID: "un", NoReadCache: true})
-	u1, err := un.View(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, err := un.View(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u1 == u2 {
-		t.Fatal("NoReadCache views must not be shared")
-	}
-	if st := un.PipelineStats(); st.ViewCache.Hits != 0 || st.CutCache.Hits != 0 {
-		t.Fatalf("caches hit while disabled: %+v", st)
-	}
 }
 
 // TestLocalViewMemoization: the leaf orchestrator's exported view is memoized
@@ -127,9 +110,6 @@ func TestLocalViewMemoization(t *testing.T) {
 	if v1 != v2 {
 		t.Fatal("steady-state leaf views must share one memoized graph")
 	}
-	if st := lo.ViewCacheStats(); st.Hits == 0 {
-		t.Fatalf("no hit recorded: %+v", st)
-	}
 	if _, err := lo.Install(ctx, chainReq(t, "svc", "sap1", "border", "fw")); err != nil {
 		t.Fatal(err)
 	}
@@ -140,16 +120,21 @@ func TestLocalViewMemoization(t *testing.T) {
 	if v3 == v1 {
 		t.Fatal("a committed install must invalidate the leaf view")
 	}
-	if st := lo.ViewCacheStats(); st.Invalidations == 0 {
-		t.Fatalf("invalidation not counted: %+v", st)
-	}
+}
+
+// cachedCut returns the cut cache's entry for a shard set (nil if none).
+func cachedCut(ro *ResourceOrchestrator, keys []string) *cutEntry {
+	ro.cuts.mu.Lock()
+	defer ro.cuts.mu.Unlock()
+	return ro.cuts.entries[strings.Join(keys, "\x00")]
 }
 
 // TestScopedCutCache: a narrowed (shard-subset) admission group plans on a
-// cached merged cut of exactly its subset — a repeat of the same footprint
-// re-merges nothing while none of the subset's shards committed, and a commit
-// on any member invalidates the entry (counted under the shared CutCache
-// stats).
+// cached merged cut of exactly its subset, in the same cache that serves the
+// all-shard cut to DoV reads and global plans. A repeat of the same footprint
+// re-merges nothing while none of the subset's shards committed; a commit on
+// any member invalidates the subset's entry and the all-shard entry (counted
+// under CutCache); the cache never holds more than cutCap entries.
 func TestScopedCutCache(t *testing.T) {
 	ro, _ := lineRO(t, 4, 0, nil)
 	ctx := context.Background()
@@ -162,9 +147,11 @@ func TestScopedCutCache(t *testing.T) {
 			Chain(id, 1, 0, "b0", nffg.ID(id+"-nf"), "b1").
 			MustBuild()
 	}
-	if set := ro.ShardSet(bad("probe")); len(set) < 2 || len(set) >= 4 {
-		t.Fatalf("expected a proper multi-shard subset, got %v", set)
+	subset := ro.ShardSet(bad("probe"))
+	if len(subset) < 2 || len(subset) >= 4 {
+		t.Fatalf("expected a proper multi-shard subset, got %v", subset)
 	}
+	all := []string{"d0", "d1", "d2", "d3"}
 	if _, err := ro.Install(ctx, bad("s1")); !errors.Is(err, unify.ErrRejected) {
 		t.Fatalf("expected rejection, got %v", err)
 	}
@@ -180,6 +167,17 @@ func TestScopedCutCache(t *testing.T) {
 	if st2.CutCache.Hits < st1.CutCache.Hits+2 {
 		t.Fatalf("expected scoped + full cut hits: %+v -> %+v", st1.CutCache, st2.CutCache)
 	}
+	// A DoV read is served by the all-shard entry the escalated plan cached.
+	eSub, eAll := cachedCut(ro, subset), cachedCut(ro, all)
+	if eSub == nil || eAll == nil {
+		t.Fatalf("cache lacks the subset or the all-shard cut: %v %v", eSub, eAll)
+	}
+	if d := mustDoV(t, ro); d != eAll.graph {
+		t.Fatal("DoV must return the cached all-shard cut")
+	}
+	if st := ro.PipelineStats(); st.CutCache.Hits != st2.CutCache.Hits+1 || st.CutCache.Misses != st2.CutCache.Misses {
+		t.Fatalf("DoV read did not hit the shared cache: %+v -> %+v", st2.CutCache, st.CutCache)
+	}
 
 	// A commit that bumps a subset member's generation makes the cached
 	// scoped cut stale: the next plan re-merges and counts an invalidation.
@@ -194,11 +192,29 @@ func TestScopedCutCache(t *testing.T) {
 	if st4.CutCache.Misses == st3.CutCache.Misses {
 		t.Fatal("a commit on a subset member must invalidate the scoped cut")
 	}
-	if st4.CutCache.Invalidations == st3.CutCache.Invalidations {
-		t.Fatal("scoped-cut invalidation not counted")
+	// Both the subset's and the all-shard entry were stale and replaced.
+	if st4.CutCache.Invalidations < st3.CutCache.Invalidations+2 {
+		t.Fatalf("subset + all-shard invalidations not counted: %+v -> %+v", st3.CutCache, st4.CutCache)
+	}
+	if cachedCut(ro, subset) == eSub || cachedCut(ro, all) == eAll {
+		t.Fatal("a commit on a subset member must replace the subset and all-shard entries")
 	}
 	if err := ro.Remove(ctx, "svc"); err != nil {
 		t.Fatal(err)
+	}
+
+	// However many shard sets are planned on, the cache stays bounded.
+	for i := range cutCap + 8 {
+		vec := genVec{keys: []string{fmt.Sprintf("x%d", i)}, gens: []uint64{1}}
+		if _, err := ro.mergedCut(nil, vec); err != nil {
+			t.Fatal(err)
+		}
+		ro.cuts.mu.Lock()
+		n := len(ro.cuts.entries)
+		ro.cuts.mu.Unlock()
+		if n > cutCap {
+			t.Fatalf("cut cache holds %d entries, cap %d", n, cutCap)
+		}
 	}
 }
 

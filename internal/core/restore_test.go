@@ -289,6 +289,6 @@ func TestReattachUnknownChildFallsThrough(t *testing.T) {
 	}
 	dov := mustDoV(t, ro)
 	if dov.Infras.Len() != 1 {
-		t.Fatalf("fallback attach did not merge the view: %s", dov.Summary())
+		t.Fatalf("fallback attach did not merge the view: %s", dov.Render())
 	}
 }

@@ -47,22 +47,6 @@ func TestShardSetEstimation(t *testing.T) {
 	}
 }
 
-// TestShardSetConservativeEstimate pins the pre-reverse-index baseline
-// (Config.ConservativeShardEstimate): any unpinned NF makes the set global.
-func TestShardSetConservativeEstimate(t *testing.T) {
-	ro, _ := lineROWith(t, 4, Config{ID: "ro", ConservativeShardEstimate: true})
-	req := chainReq(t, "cons", "sap1", "sap2", "fw")
-	if got := ro.ShardSet(req); got != nil {
-		t.Fatalf("conservative unpinned: %v, want nil", got)
-	}
-	// Pinned requests still narrow — the baseline only changes unpinned NFs.
-	req2 := chainReq(t, "cons2", "sap1", "b0", "fw")
-	req2.NFs.Get("cons2-nf").Host = "bisbis@d0"
-	if got, want := ro.ShardSet(req2), []string{"d0", "d1"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("conservative pinned: %v, want %v", got, want)
-	}
-}
-
 // TestUnpinnedNarrowedEscalation: an unpinned chain whose SAP anchors miss
 // the transit shards plans on the narrowed cut, fails there (no path), and
 // must escalate to a full-DoV plan and deploy.

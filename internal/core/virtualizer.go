@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"github.com/unify-repro/escape/internal/nffg"
+	"github.com/unify-repro/escape/internal/unify"
 )
 
 // Virtualizer computes a client view from the domain-of-views (DoV) and can
@@ -31,6 +32,36 @@ type Virtualizer interface {
 
 // ErrEmptyView is returned when a view would contain no resources.
 var ErrEmptyView = errors.New("core: empty view")
+
+// expandPins translates a request's view-node pins into constraints on the
+// snapshot the view was derived from. It returns a copy of req in which an
+// NF pinned to a view node standing for one snapshot node is pinned to that
+// node, and one standing for several is unpinned and scoped to them. A pin
+// to a node the snapshot already holds (transparent views) stays as is.
+func expandPins(virt Virtualizer, snap, req *nffg.NFFG) (*nffg.NFFG, map[nffg.ID][]nffg.ID, error) {
+	work := req.Copy()
+	scope := map[nffg.ID][]nffg.ID{}
+	for _, id := range work.NFIDs() {
+		nf := work.NFs.Get(id)
+		if nf.Host == "" {
+			continue
+		}
+		if _, direct := snap.Infras.Lookup(nf.Host); direct {
+			continue
+		}
+		expanded := virt.Scope(snap, nf.Host)
+		if len(expanded) == 0 {
+			return nil, nil, fmt.Errorf("%w: NF %s pinned to unknown view node %s", unify.ErrRejected, id, nf.Host)
+		}
+		if len(expanded) == 1 {
+			nf.Host = expanded[0]
+		} else {
+			nf.Host = ""
+			scope[id] = expanded
+		}
+	}
+	return work, scope, nil
+}
 
 // --- Transparent -------------------------------------------------------------
 

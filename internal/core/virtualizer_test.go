@@ -39,7 +39,7 @@ func TestTransparentView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Infras.Len() != 4 || v.SAPs.Len() != 3 {
-		t.Fatalf("transparent view must be 1:1: %s", v.Summary())
+		t.Fatalf("transparent view must be 1:1: %s", v.Render())
 	}
 	// Mutating the view must not touch the DoV.
 	v.Infras.Get("a1").Capacity.CPU = 0
@@ -63,7 +63,7 @@ func TestSingleBiSBiSView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Infras.Len() != 1 {
-		t.Fatalf("single view must have 1 node: %s", v.Summary())
+		t.Fatalf("single view must have 1 node: %s", v.Render())
 	}
 	agg := v.Infras.Get("bisbis0")
 	if agg == nil {
@@ -112,7 +112,7 @@ func TestDomainBiSBiSView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Infras.Len() != 2 {
-		t.Fatalf("want one aggregate per domain: %s", v.Summary())
+		t.Fatalf("want one aggregate per domain: %s", v.Render())
 	}
 	aggA := v.Infras.Get(nffg.ID("bisbis@domA"))
 	aggB := v.Infras.Get(nffg.ID("bisbis@domB"))

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-// Property: LookupBatch returns exactly what per-packet Lookup would, for
+// Property: LookupBatchInto returns exactly what per-packet Lookup would, for
 // arbitrary rule sets and packet batches (counters included).
 func TestLookupBatchEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -51,7 +51,7 @@ func TestLookupBatchEquivalenceProperty(t *testing.T) {
 			p.Tag = fmt.Sprintf("t%d", rng.Intn(3))
 			pkts = append(pkts, p)
 		}
-		batchRes := ftB.LookupBatch(pkts, inPort)
+		batchRes := ftB.LookupBatchInto(pkts, inPort, make([]*Rule, len(pkts)))
 		for i, p := range pkts {
 			single := ftA.Lookup(p, inPort)
 			switch {
@@ -88,7 +88,7 @@ func TestLookupBatchDstClassification(t *testing.T) {
 	pb := NewPacket("a", "B", 1, 10)
 	pc := NewPacket("a", "C", 2, 10)
 	px := NewPacket("a", "X", 3, 10)
-	res := ft.LookupBatch([]*Packet{pb, pc, px}, 1)
+	res := ft.LookupBatchInto([]*Packet{pb, pc, px}, 1, make([]*Rule, 3))
 	if res[0] == nil || res[0].ID != "toB" {
 		t.Fatalf("pb: %+v", res[0])
 	}

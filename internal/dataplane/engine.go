@@ -113,13 +113,6 @@ func (e *Engine) Run(horizon VirtualTime) int {
 // RunToIdle drains the event queue completely.
 func (e *Engine) RunToIdle() int { return e.Run(0) }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.events.Len()
-}
-
 // String describes the engine state.
 func (e *Engine) String() string {
 	e.mu.Lock()

@@ -63,11 +63,7 @@ func TestEngineHorizon(t *testing.T) {
 	if e.Now() != 10 {
 		t.Fatalf("clock should advance to horizon, got %v", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("one event should remain, got %d", e.Pending())
-	}
-	e.RunToIdle()
-	if ran != 2 {
+	if n := e.RunToIdle(); n != 1 || ran != 2 {
 		t.Fatal("remaining event should run after horizon lifted")
 	}
 }

@@ -160,16 +160,11 @@ func (t *FlowTable) Lookup(p *Packet, inPort int) *Rule {
 	return nil
 }
 
-// LookupBatch matches a batch of packets arriving on one port in a single
-// table pass (one lock acquisition for the whole batch). This is the
-// DPDK-style amortization the Universal Node's accelerated LSIs use; the E5
-// ablation bench compares it against per-packet Lookup.
-func (t *FlowTable) LookupBatch(ps []*Packet, inPort int) []*Rule {
-	return t.LookupBatchInto(ps, inPort, make([]*Rule, len(ps)))
-}
-
-// LookupBatchInto is LookupBatch with a caller-provided result buffer
-// (allocation-free on the hot path). out must have len(ps) entries.
+// LookupBatchInto matches a batch of packets arriving on one port in a single
+// table pass (one lock acquisition for the whole batch), writing the matched
+// rules into out, which must have len(ps) entries. This is the DPDK-style
+// amortization the Universal Node's accelerated LSIs use; the E5 ablation
+// bench compares it against per-packet Lookup.
 func (t *FlowTable) LookupBatchInto(ps []*Packet, inPort int, out []*Rule) []*Rule {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -188,18 +183,6 @@ func (t *FlowTable) LookupBatchInto(ps []*Packet, inPort int, out []*Rule) []*Ru
 		}
 	}
 	return out
-}
-
-// Peek is Lookup without counter side effects (for tests and controllers).
-func (t *FlowTable) Peek(p *Packet, inPort int) *Rule {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, r := range t.rules {
-		if r.Match.Matches(p, inPort) {
-			return r
-		}
-	}
-	return nil
 }
 
 // Rules returns a snapshot of the table in priority order.
@@ -221,13 +204,6 @@ func (t *FlowTable) Misses() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.misses
-}
-
-// Clear removes every rule.
-func (t *FlowTable) Clear() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rules = nil
 }
 
 // apply executes the action's rewrite part on the packet (not the output).

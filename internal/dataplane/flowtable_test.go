@@ -94,21 +94,6 @@ func TestFlowTableCounters(t *testing.T) {
 	if ft.Misses() != 1 {
 		t.Fatalf("want 1 miss, got %d", ft.Misses())
 	}
-	// Peek must not bump counters.
-	ft.Peek(pkt(""), 1)
-	pk, _ = r.Counters()
-	if pk != 5 {
-		t.Fatalf("Peek must not count, got %d", pk)
-	}
-}
-
-func TestFlowTableClear(t *testing.T) {
-	ft := NewFlowTable()
-	ft.Install(&Rule{ID: "a", Match: Match{InPort: 1, AnyTag: true}})
-	ft.Clear()
-	if ft.Len() != 0 {
-		t.Fatal("clear should empty the table")
-	}
 }
 
 // Property: lookup returns the highest-priority matching rule, regardless of

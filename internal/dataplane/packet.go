@@ -7,21 +7,8 @@ import "fmt"
 type Endpoint string
 
 // FlowKey identifies a service-level flow: source and destination endpoint.
-// Like gopacket's Flow it is symmetric-hash friendly via Canonical.
 type FlowKey struct {
 	Src, Dst Endpoint
-}
-
-// Reverse returns the opposite direction.
-func (f FlowKey) Reverse() FlowKey { return FlowKey{Src: f.Dst, Dst: f.Src} }
-
-// Canonical returns a direction-independent key (lexicographically ordered),
-// so A->B and B->A aggregate together when desired.
-func (f FlowKey) Canonical() FlowKey {
-	if f.Dst < f.Src {
-		return f.Reverse()
-	}
-	return f
 }
 
 func (f FlowKey) String() string { return fmt.Sprintf("%s->%s", f.Src, f.Dst) }
@@ -58,14 +45,4 @@ func (p *Packet) Copy() *Packet {
 	c.Payload = append([]byte(nil), p.Payload...)
 	c.Trace = append([]string(nil), p.Trace...)
 	return &c
-}
-
-// Visited reports whether the trace contains the entry.
-func (p *Packet) Visited(where string) bool {
-	for _, t := range p.Trace {
-		if t == where {
-			return true
-		}
-	}
-	return false
 }

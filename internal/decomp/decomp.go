@@ -104,9 +104,6 @@ func (r *Rules) Candidates(functional string) []Decomposition {
 	return append([]Decomposition(nil), r.byType[functional]...)
 }
 
-// HasRule reports whether the type is decomposable.
-func (r *Rules) HasRule(functional string) bool { return len(r.byType[functional]) > 0 }
-
 // Types returns the decomposable functional types, sorted.
 func (r *Rules) Types() []string {
 	out := make([]string, 0, len(r.byType))

@@ -58,8 +58,8 @@ func TestRulesValidation(t *testing.T) {
 	if err := r.Add("vpn", vpnRule()); err != nil {
 		t.Fatal(err)
 	}
-	if !r.HasRule("vpn") || r.HasRule("nope") {
-		t.Fatal("HasRule wrong")
+	if len(r.Candidates("vpn")) == 0 || len(r.Candidates("nope")) != 0 {
+		t.Fatal("Candidates wrong")
 	}
 	if ts := r.Types(); len(ts) != 1 || ts[0] != "vpn" {
 		t.Fatalf("Types: %v", ts)

@@ -138,13 +138,3 @@ func (r *Registry) All() []Domain {
 	}
 	return out
 }
-
-// Has reports whether a capability is advertised.
-func Has(d Domain, c Capability) bool {
-	for _, got := range d.Capabilities() {
-		if got == c {
-			return true
-		}
-	}
-	return false
-}

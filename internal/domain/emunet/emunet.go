@@ -270,17 +270,6 @@ func (n *Net) StopNF(id nffg.ID) error {
 	return nil
 }
 
-// NFPorts returns the switch-port allocation of a running NF.
-func (n *Net) NFPorts(id nffg.ID) (map[string]int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	inst, ok := n.nfs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNF, id)
-	}
-	return copyPorts(inst.ports), nil
-}
-
 // NF returns the dataplane host of a running NF (for stats).
 func (n *Net) NF(id nffg.ID) (*dataplane.NFHost, error) {
 	n.mu.Lock()

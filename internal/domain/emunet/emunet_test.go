@@ -71,9 +71,8 @@ func TestNFLifecycleAndPortAllocation(t *testing.T) {
 	if _, err := n.StartNF("fw1", "s1", []string{"1"}, dataplane.NewPipe(0, "x")); err == nil {
 		t.Fatal("duplicate NF must fail")
 	}
-	got, err := n.NFPorts("fw1")
-	if err != nil || len(got) != 2 {
-		t.Fatalf("NFPorts: %v (%v)", got, err)
+	if len(ports) != 2 {
+		t.Fatalf("ports: %v", ports)
 	}
 	if ids := n.RunningNFs(); len(ids) != 1 || ids[0] != "fw1" {
 		t.Fatalf("running: %v", ids)
@@ -81,7 +80,7 @@ func TestNFLifecycleAndPortAllocation(t *testing.T) {
 	if err := n.StopNF("fw1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.NFPorts("fw1"); !errors.Is(err, ErrUnknownNF) {
+	if _, err := n.NF("fw1"); !errors.Is(err, ErrUnknownNF) {
 		t.Fatalf("after stop: %v", err)
 	}
 	// A new NF on the same switch takes over the ports fw1 gave back.

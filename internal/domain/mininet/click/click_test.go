@@ -1,6 +1,7 @@
 package click
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestPipelineExecution(t *testing.T) {
 	if len(ems) != 1 || ems[0].Port != 2 {
 		t.Fatalf("emissions: %+v", ems)
 	}
-	if !p.Visited("fwmark") {
+	if !slices.Contains(p.Trace, "fwmark") {
 		t.Fatalf("mark missing: %v", p.Trace)
 	}
 	// Reverse direction 2 -> 1.

@@ -96,14 +96,6 @@ func (c *Catalogue) Types() []string {
 	return out
 }
 
-// Has reports whether a functional type is available.
-func (c *Catalogue) Has(typ string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.specs[typ]
-	return ok
-}
-
 // Instantiate builds a processor for the functional type. ee names the
 // execution environment ("click", "vm", "docker"), instance the NF ID; the
 // emitted trace mark is "<ee>:<type>:<instance>".

@@ -1,6 +1,7 @@
 package nfcat
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,11 +11,11 @@ import (
 func TestDefaultCatalogue(t *testing.T) {
 	c := New()
 	for _, typ := range []string{"firewall", "dpi", "nat", "compress", "encrypt", "cache", "monitor", "lb"} {
-		if !c.Has(typ) {
+		if !slices.Contains(c.Types(), typ) {
 			t.Errorf("catalogue missing %s", typ)
 		}
 	}
-	if c.Has("flux-capacitor") {
+	if slices.Contains(c.Types(), "flux-capacitor") {
 		t.Error("unknown type should not exist")
 	}
 	if len(c.Types()) < 8 {
@@ -87,7 +88,7 @@ func TestRegisterOverride(t *testing.T) {
 	c.Register(Spec{Type: "custom", LatencyMs: 1, Build: func(mark string) dataplane.Processor {
 		return dataplane.NewPipe(0, mark)
 	}})
-	if !c.Has("custom") {
+	if !slices.Contains(c.Types(), "custom") {
 		t.Fatal("registered type missing")
 	}
 	proc, _, err := c.Instantiate("custom", "click", "x")

@@ -83,10 +83,3 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatalf("observer: ups=%v down=%v", obs.ups, obs.down)
 	}
 }
-
-func TestHasCapability(t *testing.T) {
-	d := &stubDomain{id: "x", caps: []Capability{CapCompute}}
-	if !Has(d, CapCompute) || Has(d, CapNative) {
-		t.Fatal("capability check wrong")
-	}
-}

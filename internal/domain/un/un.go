@@ -76,18 +76,6 @@ func NewRuntime(net *emunet.Net) *Runtime {
 	return rt
 }
 
-// Images lists available images, sorted by name.
-func (rt *Runtime) Images() []Image {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]Image, 0, len(rt.images))
-	for _, img := range rt.images {
-		out = append(out, img)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Create registers a container in "created" state.
 func (rt *Runtime) Create(id, image string, host nffg.ID) (*Container, error) {
 	rt.mu.Lock()

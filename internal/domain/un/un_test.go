@@ -50,7 +50,7 @@ func request(t testing.TB, id, nfType string) *nffg.NFFG {
 func TestRuntimeLifecycle(t *testing.T) {
 	d := newUN(t, false)
 	rt := d.Runtime()
-	if len(rt.Images()) == 0 {
+	if len(rt.images) == 0 {
 		t.Fatal("catalogue images should be preloaded")
 	}
 	c, err := rt.Create("c1", "nf/firewall:latest", "un-lsi0")

@@ -86,7 +86,7 @@ func TestApplyThenRelease(t *testing.T) {
 		}
 	}
 	if cfg.NFs.Len() != 0 || len(cfg.Hops) != 0 || len(cfg.Reqs) != 0 {
-		t.Fatalf("release incomplete: %s", cfg.Summary())
+		t.Fatalf("release incomplete: %s", cfg.Render())
 	}
 }
 

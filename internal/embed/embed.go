@@ -49,15 +49,6 @@ type Mapping struct {
 	Backtracks int
 }
 
-// DelayOf returns the summed path delay across the given hops.
-func (m *Mapping) DelayOf(hopIDs []string) float64 {
-	var d float64
-	for _, h := range hopIDs {
-		d += m.Paths[h].Delay
-	}
-	return d
-}
-
 // RankFunc orders candidate hosts for an NF. It receives the free resources
 // of each candidate and returns the candidate IDs in preference order.
 type RankFunc func(nf *nffg.NF, candidates []Candidate) []nffg.ID
@@ -76,17 +67,6 @@ func BestFit(nf *nffg.NF, cands []Candidate) []nffg.ID {
 		rj := cands[j].Free.CPU - nf.Demand.CPU
 		if ri != rj {
 			return ri < rj
-		}
-		return cands[i].ID < cands[j].ID
-	})
-	return candidateIDs(cands)
-}
-
-// WorstFit prefers the emptiest host (load balancing).
-func WorstFit(nf *nffg.NF, cands []Candidate) []nffg.ID {
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Free.CPU != cands[j].Free.CPU {
-			return cands[i].Free.CPU > cands[j].Free.CPU
 		}
 		return cands[i].ID < cands[j].ID
 	})

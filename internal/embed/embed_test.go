@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -155,11 +156,11 @@ func TestMapDelayRequirement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hops []string
+	var d float64
 	for _, h := range loose.Hops {
-		hops = append(hops, h.ID)
+		d += mp.Paths[h.ID].Delay
 	}
-	if d := mp.DelayOf(hops); d > 20 {
+	if d > 20 {
 		t.Fatalf("mapped delay %g exceeds requirement", d)
 	}
 }
@@ -187,6 +188,18 @@ func TestMapPinnedOversized(t *testing.T) {
 	}
 }
 
+// worstFit ranks the emptiest host first (load balancing): the ranking that
+// walks greedy placement into a dead end backtracking must recover from.
+func worstFit(nf *nffg.NF, cands []Candidate) []nffg.ID {
+	sort.SliceStable(cands, func(i, j int) bool {
+		if cands[i].Free.CPU != cands[j].Free.CPU {
+			return cands[i].Free.CPU > cands[j].Free.CPU
+		}
+		return cands[i].ID < cands[j].ID
+	})
+	return candidateIDs(cands)
+}
+
 func TestBacktrackingFindsFeasible(t *testing.T) {
 	// bb1 is attractive (most free CPU) but its onward link is thin; only
 	// backtracking discovers bb2.
@@ -200,12 +213,12 @@ func TestBacktrackingFindsFeasible(t *testing.T) {
 		Link("l3", "bb2", "2", "sap2", "1", 100, 1).
 		MustBuild()
 	req := chainRequest(t, 1, 50, 0) // needs 50 Mbit/s egress
-	// WorstFit prefers bb1 (more CPU); only backtracking recovers.
-	noBT := New(Options{Rank: WorstFit, MaxBacktrack: 0, KPaths: 1})
+	// worstFit prefers bb1 (more CPU); only backtracking recovers.
+	noBT := New(Options{Rank: worstFit, MaxBacktrack: 0, KPaths: 1})
 	if _, err := noBT.Map(sub, req); err == nil {
 		t.Fatal("greedy-without-backtracking should fail this topology")
 	}
-	withBT := New(Options{Rank: WorstFit, MaxBacktrack: 16, KPaths: 2})
+	withBT := New(Options{Rank: worstFit, MaxBacktrack: 16, KPaths: 2})
 	mp, err := withBT.Map(sub, req)
 	if err != nil {
 		t.Fatalf("backtracking should recover: %v", err)

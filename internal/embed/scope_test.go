@@ -109,9 +109,9 @@ func TestRankFunctions(t *testing.T) {
 	if bf[0] != "small" || bf[2] != "big" {
 		t.Fatalf("BestFit: %v", bf)
 	}
-	wf := WorstFit(nf, append([]Candidate(nil), cands...))
+	wf := worstFit(nf, append([]Candidate(nil), cands...))
 	if wf[0] != "big" || wf[2] != "small" {
-		t.Fatalf("WorstFit: %v", wf)
+		t.Fatalf("worstFit: %v", wf)
 	}
 	ff := FirstFit(nf, append([]Candidate(nil), cands...))
 	if ff[0] != "big" || ff[1] != "mid" || ff[2] != "small" {

@@ -151,9 +151,6 @@ func Open(dir string, opts Options) (*Store, error) {
 func shardsDir(dir string) string { return filepath.Join(dir, "shards") }
 func jobsDir(dir string) string   { return filepath.Join(dir, "jobs") }
 
-// Dir returns the data directory the store appends to.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) shardLogFor(key string) (*shardLog, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,7 +186,6 @@ func (s *Store) appendRecord(sl *shardLog, rec Record) error {
 		s.appendErrs.Add(1)
 		return err
 	}
-	sl.records.Add(1)
 	sl.bytes.Add(uint64(len(frame)))
 	s.appends.Add(1)
 	s.bytes.Add(uint64(len(frame)))
@@ -556,18 +552,6 @@ func (s *Store) Stats() Stats {
 		CheckpointE:  s.ckptErrs.Load(),
 		Compactions:  s.compact.Load(),
 	}
-}
-
-// ShardRecords reports how many records this store has appended per shard
-// log since it was opened (core folds this into ShardStats).
-func (s *Store) ShardRecords() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.shards))
-	for k, sl := range s.shards {
-		out[k] = sl.records.Load()
-	}
-	return out
 }
 
 // StageHistograms exposes the journal's latency distributions alongside the

@@ -90,8 +90,7 @@ type shardLog struct {
 	seg int
 	wal *walFile
 
-	records atomic.Uint64
-	bytes   atomic.Uint64
+	bytes atomic.Uint64
 }
 
 const (

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"github.com/unify-repro/escape/internal/domain/emunet"
 )
@@ -119,33 +118,6 @@ func CollectAll(sources ...Source) *Snapshot {
 		}
 	}
 	return Merge(snaps...)
-}
-
-// HopActivity maps a service's hops to the packets its rules matched, keyed
-// by hop ID: the per-chain health signal. Rule IDs generated by the
-// orchestrator embed the hop ID ("<hop>@<node>" or split "<hop>#<k>@<node>").
-func (s *Snapshot) HopActivity() map[string]uint64 {
-	out := map[string]uint64{}
-	for _, f := range s.Flows {
-		id := f.RuleID
-		if i := strings.IndexByte(id, '@'); i >= 0 {
-			id = id[:i]
-		}
-		if i := strings.IndexByte(id, '#'); i >= 0 {
-			id = id[:i]
-		}
-		out[id] += f.Packets
-	}
-	return out
-}
-
-// TotalPackets sums rule-matched packets.
-func (s *Snapshot) TotalPackets() uint64 {
-	var total uint64
-	for _, f := range s.Flows {
-		total += f.Packets
-	}
-	return total
 }
 
 // Render writes a fixed-width text report.

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // Client is a synchronous NETCONF client: one outstanding RPC at a time,
@@ -21,12 +20,7 @@ type Client struct {
 	ServerCapabilities []string
 	// SessionID is assigned by the server's hello.
 	SessionID uint64
-	// rpcs counts completed RPC round-trips (for southbound accounting).
-	rpcs atomic.Uint64
 }
-
-// RPCCount reports how many RPC round-trips this client has completed.
-func (c *Client) RPCCount() uint64 { return c.rpcs.Load() }
 
 // Dial connects and performs the hello exchange.
 func Dial(addr string) (*Client, error) {
@@ -147,7 +141,6 @@ func (c *Client) call(rpc *RPC) (*Reply, error) {
 		if reply.MessageID != rpc.MessageID {
 			continue // stale reply; synchronous clients skip it
 		}
-		c.rpcs.Add(1)
 		if reply.Error != nil {
 			return nil, fmt.Errorf("%w: %s", ErrRPC, reply.Error.Message)
 		}

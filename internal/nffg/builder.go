@@ -71,25 +71,6 @@ func (b *Builder) NF(id ID, functional string, ports int, demand Resources) *Bui
 	return b
 }
 
-// MappedNF adds an NF already placed on a host.
-func (b *Builder) MappedNF(id ID, functional string, ports int, demand Resources, host ID) *Builder {
-	b.NF(id, functional, ports, demand)
-	if b.err == nil {
-		b.g.NFs.Get(id).Host = host
-		b.g.NFs.Get(id).Status = StatusMapped
-	}
-	return b
-}
-
-// Hop adds a service-graph hop.
-func (b *Builder) Hop(id string, src ID, srcPort string, dst ID, dstPort string, bw, delay float64) *Builder {
-	if b.err != nil {
-		return b
-	}
-	b.err = b.g.AddHop(&SGHop{ID: id, SrcNode: src, SrcPort: srcPort, DstNode: dst, DstPort: dstPort, Bandwidth: bw, Delay: delay})
-	return b
-}
-
 // Chain adds hops SAP->nf1->nf2->...->SAP using port "1" on SAPs and ports
 // "1"/"2" (in/out) on NFs, with uniform bandwidth/delay demands per hop.
 // Hop IDs are "<prefix>-<i>". It returns the hop IDs via the callback-free

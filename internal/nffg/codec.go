@@ -136,19 +136,6 @@ func (g *NFFG) XMLString() (string, error) {
 	return sb.String(), nil
 }
 
-// Summary renders a compact single-line description, e.g.
-// "view[dov v3]: 4 BiSBiS, 3 NF (2 mapped), 2 SAP, 10 links, 4 hops".
-func (g *NFFG) Summary() string {
-	mapped := 0
-	for _, nf := range g.NFs.All() {
-		if nf.Host != "" {
-			mapped++
-		}
-	}
-	return fmt.Sprintf("%s v%d: %d BiSBiS, %d NF (%d mapped), %d SAP, %d links, %d hops, %d reqs",
-		g.ID, g.Version, g.Infras.Len(), g.NFs.Len(), mapped, g.SAPs.Len(), len(g.Links), len(g.Hops), len(g.Reqs))
-}
-
 // Render draws an ASCII description of the graph: every BiS-BiS with its
 // resources, mapped NFs and flowtable, then links and hops. Deterministic
 // ordering makes it diffable in tests and demo transcripts.

@@ -16,12 +16,13 @@ func richGraph(t testing.TB) *NFFG {
 		Link("l1", "sap1", "1", "bb1", "1", 100, 1).
 		Link("l2", "bb1", "2", "bb2", "1", 1000, 2).
 		Link("l3", "bb2", "2", "sap2", "1", 100, 1).
-		MappedNF("fw", "firewall", 2, Resources{CPU: 2, Mem: 512, Storage: 1}, "bb1").
+		NF("fw", "firewall", 2, Resources{CPU: 2, Mem: 512, Storage: 1}).
 		Chain("c1", 10, 20, "sap1", "fw", "sap2").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	mapNF(g, "fw", "bb1")
 	if err := g.AddFlowrule("bb1", &Flowrule{
 		ID:        "r1",
 		Match:     Match{InPort: InfraPort("1"), MatchUntagged: true},
@@ -41,10 +42,10 @@ func graphsEquivalent(t *testing.T, a, b *NFFG) {
 		t.Fatalf("header mismatch: %s v%d vs %s v%d", a.ID, a.Version, b.ID, b.Version)
 	}
 	if a.Infras.Len() != b.Infras.Len() || a.NFs.Len() != b.NFs.Len() || a.SAPs.Len() != b.SAPs.Len() {
-		t.Fatalf("node counts differ: %s vs %s", a.Summary(), b.Summary())
+		t.Fatalf("node counts differ: %s vs %s", a.Render(), b.Render())
 	}
 	if len(a.Links) != len(b.Links) || len(a.Hops) != len(b.Hops) || len(a.Reqs) != len(b.Reqs) {
-		t.Fatalf("edge counts differ: %s vs %s", a.Summary(), b.Summary())
+		t.Fatalf("edge counts differ: %s vs %s", a.Render(), b.Render())
 	}
 	d, err := Diff(a, b)
 	if err != nil {
@@ -131,6 +132,6 @@ func TestEmptyGraphRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.ID != "empty" || back.Infras.Len() != 0 {
-		t.Fatalf("empty graph mangled: %s", back.Summary())
+		t.Fatalf("empty graph mangled: %s", back.Render())
 	}
 }

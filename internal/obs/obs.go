@@ -80,15 +80,6 @@ type Trace struct {
 	dropped uint64
 }
 
-// NewTrace creates a free-standing trace (tests, ad-hoc tracing). Most
-// callers get traces from a Tracer instead.
-func NewTrace(id string) *Trace {
-	if id == "" {
-		id = NewTraceID()
-	}
-	return &Trace{id: id, limit: DefaultSpanLimit}
-}
-
 // ID returns the trace ID.
 func (t *Trace) ID() string {
 	if t == nil {
@@ -211,9 +202,9 @@ type Span struct {
 	name  string
 	start time.Time
 	refs  []spanRef
+	attrs map[string]string // set at start, never written after
 
 	mu    sync.Mutex
-	attrs map[string]string
 	err   error
 	ended bool
 }
@@ -228,19 +219,6 @@ func (s *Span) idIn(t *Trace) SpanID {
 		}
 	}
 	return 0
-}
-
-// SetAttr attaches an attribute.
-func (s *Span) SetAttr(k, v string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = map[string]string{}
-	}
-	s.attrs[k] = v
-	s.mu.Unlock()
 }
 
 // SetErr records the span's error (kept on End).

@@ -52,7 +52,6 @@ func TestTraceSpanTree(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var s *Span
-	s.SetAttr("a", "b")
 	s.SetErr(errors.New("x"))
 	s.End()
 	s.EndWith(nil)
@@ -79,7 +78,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestSpanBufferBound(t *testing.T) {
-	trace := NewTrace("bounded")
+	trace := NewTracer(0).Trace("bounded")
 	for i := 0; i < DefaultSpanLimit+10; i++ {
 		trace.StartSpan(nil, "s").End()
 	}
@@ -109,7 +108,8 @@ func TestTracerEviction(t *testing.T) {
 }
 
 func TestNarrowPositional(t *testing.T) {
-	t1, t2, t3 := NewTrace("t1"), NewTrace("t2"), NewTrace("t3")
+	tr := NewTracer(0)
+	t1, t2, t3 := tr.Trace("t1"), tr.Trace("t2"), tr.Trace("t3")
 	r1 := t1.StartSpan(nil, "job")
 	r2 := t2.StartSpan(nil, "job")
 	r3 := t3.StartSpan(nil, "job")
@@ -145,7 +145,7 @@ func TestNarrowPositional(t *testing.T) {
 }
 
 func TestSpanEndOnce(t *testing.T) {
-	trace := NewTrace("once")
+	trace := NewTracer(0).Trace("once")
 	s := trace.StartSpan(nil, "x")
 	s.End()
 	s.End()
@@ -168,7 +168,6 @@ func TestConcurrentSpans(t *testing.T) {
 				s, sctx := StartSpan(ctx, "work")
 				inner, _ := StartSpan(sctx, "inner")
 				inner.End()
-				s.SetAttr("k", "v")
 				s.End()
 				_ = trace.Snapshot()
 			}

@@ -23,9 +23,6 @@ type SwitchAgent struct {
 	conn   *Conn
 	closed atomic.Bool
 	xid    atomic.Uint32
-
-	// FlowMods counts applied flow modifications (for tests/metrics).
-	flowMods atomic.Uint64
 }
 
 // NewSwitchAgent binds an agent to a switch. ports lists the switch's port
@@ -76,9 +73,6 @@ func (a *SwitchAgent) Close() {
 		_ = a.conn.Close()
 	}
 }
-
-// FlowModCount reports how many flow-mods the agent applied.
-func (a *SwitchAgent) FlowModCount() uint64 { return a.flowMods.Load() }
 
 func (a *SwitchAgent) loop(conn *Conn) {
 	for {
@@ -147,7 +141,6 @@ func (a *SwitchAgent) applyFlowMod(fm *FlowMod) {
 	case FlowDeleteStrict:
 		a.sw.Table.RemoveByMatch(dataplane.Match{InPort: int(fm.InPort), Tag: fm.Tag, AnyTag: fm.AnyTag, Dst: dataplane.Endpoint(fm.MatchDst)})
 	}
-	a.flowMods.Add(1)
 }
 
 func (a *SwitchAgent) stats() *StatsReply {

@@ -57,12 +57,6 @@ func (c *Conn) Write(m *Message) error {
 // Close terminates the transport.
 func (c *Conn) Close() error { return c.c.Close() }
 
-// SetDeadline bounds blocking reads/writes.
-func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
-
 // SetWriteDeadline bounds blocking writes only (a peer that stopped draining
 // its socket fails the sender instead of wedging it).
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.c.SetWriteDeadline(t) }
-
-// RemoteAddr exposes the peer address (for logs).
-func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }

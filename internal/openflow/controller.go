@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,18 +128,6 @@ func (c *Controller) Close() {
 	}
 }
 
-// Datapaths lists connected switch IDs, sorted.
-func (c *Controller) Datapaths() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.dps))
-	for id := range c.dps {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Datapath returns the ports of a connected switch.
 func (c *Controller) Datapath(id string) (*Datapath, error) {
 	c.mu.Lock()
@@ -217,16 +204,6 @@ func (c *Controller) PacketOut(dpid string, po *PacketOut) error {
 		return err
 	}
 	return c.write(dp, po.Marshal(c.xid.Add(1)))
-}
-
-// Echo round-trips an echo request (liveness probe).
-func (c *Controller) Echo(ctx context.Context, dpid string) error {
-	dp, err := c.Datapath(dpid)
-	if err != nil {
-		return err
-	}
-	_, err = c.request(ctx, dp, &Message{Type: TypeEchoRequest}, TypeEchoReply)
-	return err
 }
 
 func (c *Controller) request(ctx context.Context, dp *Datapath, m *Message, want MsgType) (*Message, error) {

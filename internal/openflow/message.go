@@ -81,32 +81,6 @@ func (m *Message) Encode() []byte {
 	return buf
 }
 
-// Decode parses one frame from buf, returning the message and bytes consumed.
-func Decode(buf []byte) (*Message, int, error) {
-	if len(buf) < headerLen {
-		return nil, 0, ErrTruncated
-	}
-	if buf[0] != Version {
-		return nil, 0, fmt.Errorf("%w: 0x%02x", ErrBadVersion, buf[0])
-	}
-	ln := int(binary.BigEndian.Uint16(buf[2:4]))
-	if ln < headerLen {
-		return nil, 0, fmt.Errorf("%w: declared length %d", ErrTruncated, ln)
-	}
-	if ln > maxMsgLen {
-		return nil, 0, ErrTooLarge
-	}
-	if len(buf) < ln {
-		return nil, 0, ErrTruncated
-	}
-	m := &Message{
-		Type: MsgType(buf[1]),
-		XID:  binary.BigEndian.Uint32(buf[4:8]),
-		Body: append([]byte(nil), buf[headerLen:ln]...),
-	}
-	return m, ln, nil
-}
-
 // --- body encoding helpers -------------------------------------------------
 
 type writer struct{ b []byte }

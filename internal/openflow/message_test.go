@@ -1,16 +1,27 @@
 package openflow
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 )
 
+// readFrame reads one frame from buf through Conn.Read, returning the bytes
+// it consumed.
+func readFrame(buf []byte) (*Message, int, error) {
+	r := bytes.NewReader(buf)
+	c := &Conn{br: bufio.NewReader(r)}
+	m, err := c.Read()
+	return m, len(buf) - r.Len() - c.br.Buffered(), err
+}
+
 func TestHeaderRoundtrip(t *testing.T) {
 	m := &Message{Type: TypeHello, XID: 42, Body: []byte("hi")}
 	buf := m.Encode()
-	got, n, err := Decode(buf)
+	got, n, err := readFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,17 +34,22 @@ func TestHeaderRoundtrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode([]byte{1, 2}); !errors.Is(err, ErrTruncated) {
+	if _, _, err := readFrame([]byte{1, 2}); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short buffer: %v", err)
 	}
 	bad := (&Message{Type: TypeHello}).Encode()
 	bad[0] = 0x99
-	if _, _, err := Decode(bad); !errors.Is(err, ErrBadVersion) {
+	if _, _, err := readFrame(bad); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version: %v", err)
 	}
 	trunc := (&Message{Type: TypeHello, Body: []byte("aaaa")}).Encode()
-	if _, _, err := Decode(trunc[:9]); !errors.Is(err, ErrTruncated) {
+	if _, _, err := readFrame(trunc[:9]); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated body: %v", err)
+	}
+	short := (&Message{Type: TypeHello}).Encode()
+	short[3] = headerLen - 1
+	if _, _, err := readFrame(short); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("declared length below the header: %v", err)
 	}
 }
 
@@ -146,14 +162,14 @@ func TestFlowModRoundtripProperty(t *testing.T) {
 	}
 }
 
-// Property: Decode(Encode(m)) is the identity over the framing layer.
+// Property: reading Encode(m) back is the identity over the framing layer.
 func TestFramingRoundtripProperty(t *testing.T) {
 	f := func(typ uint8, xid uint32, body []byte) bool {
 		if len(body) > maxMsgLen-headerLen-1 {
 			return true
 		}
 		m := &Message{Type: MsgType(typ % 13), XID: xid, Body: body}
-		back, n, err := Decode(m.Encode())
+		back, n, err := readFrame(m.Encode())
 		if err != nil || n != headerLen+len(body) {
 			return false
 		}

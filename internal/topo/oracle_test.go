@@ -525,7 +525,7 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 			unreachable++
 		}
 		k := rng.Intn(5)
-		gotK, err := g.KShortestPaths(src, dst, k, opts)
+		gotK, err := kShortest(g, src, dst, k, opts)
 		wantK, wantErr := o.KShortestPaths(src, dst, k, opts)
 		if !sameErr(err, wantErr) || !reflect.DeepEqual(gotK, wantK) {
 			t.Fatalf("seed %d: KShortestPaths(%s, %s, %d, %+v)\n got %+v, %v\nwant %+v, %v", seed, src, dst, k, opts, gotK, err, wantK, wantErr)

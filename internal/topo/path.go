@@ -378,24 +378,6 @@ type candidate struct {
 	order string
 }
 
-// KShortestPaths returns the first k of Paths.
-func (g *Graph) KShortestPaths(src, dst NodeID, k int, opts PathOpts) ([]Path, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	seq, err := g.Paths(src, dst, opts)
-	if err != nil {
-		return nil, err
-	}
-	var paths []Path
-	for p := range seq {
-		if paths = append(paths, p); len(paths) == k {
-			break
-		}
-	}
-	return paths, nil
-}
-
 // join glues a spur path onto the root it branched from.
 func (g *Graph) join(rootNodes []NodeID, rootLinks []LinkID, spur Path, m Metric) Path {
 	nodes := append(append([]NodeID{}, rootNodes...), spur.Nodes[1:]...)
