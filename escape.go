@@ -7,7 +7,8 @@
 //   - nffg: the joint cloud+network data model (BiS-BiS nodes, NFs, SAPs,
 //     flowrules) — the Go rendering of the paper's Yang virtualizer;
 //   - core: virtualizers (transparent, per-domain, single BiS-BiS) and the
-//     recursive resource orchestrator;
+//     recursive resource orchestrator, leaves included (a leaf is one over
+//     its domain's substrate that programs devices instead of children);
 //   - embed: the constraint-aware mapping algorithms with NF decomposition;
 //   - service: the user-facing service layer;
 //   - four infrastructure domains (Mininet+Click, OpenStack+ODL, POX-style
@@ -87,7 +88,9 @@ var (
 	NewDecompositionRules = decomp.NewRules
 	// NewResourceOrchestrator creates a multi-domain orchestrator.
 	NewResourceOrchestrator = core.NewResourceOrchestrator
-	// NewLocalOrchestrator creates a leaf-domain orchestrator.
+	// NewLocalOrchestrator creates a leaf-domain orchestrator: a resource
+	// orchestrator whose one shard is the domain's substrate, and whose
+	// commits program the devices through a Programmer.
 	NewLocalOrchestrator = core.NewLocalOrchestrator
 	// NewServiceLayer creates the user-facing service orchestrator.
 	NewServiceLayer = service.NewOrchestrator

@@ -217,7 +217,7 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 	// drop their reservations; the dropped shard's share dies with the shard.
 	for _, ev := range evicted {
 		if surviving := exclude(ev.rec.shards, key); len(surviving) > 0 && ev.rec.mapping != nil {
-			if err := ro.releaseShards(ev.id, ev.rec.mapping, surviving); err != nil {
+			if err := ro.releaseShards(ctx, ev.id, ev.rec.mapping, surviving); err != nil {
 				log.Printf("core %s: detach %s: release %s: %v", ro.id, child, ev.id, err)
 			}
 		}

@@ -43,8 +43,8 @@ func (l *generationLog) sampleShards(t testing.TB, ro *ResourceOrchestrator) {
 }
 
 // loggingProgrammer records the configuration a leaf is about to commit (its
-// next lo.cfg) and, since a leaf programs while its parent's commit is the
-// current DoV, every shard of the parent.
+// terminal shard's next graph) and, since a leaf programs while its parent's
+// commit is the current DoV, every shard of the parent.
 type loggingProgrammer struct {
 	t     testing.TB
 	log   *generationLog
@@ -75,8 +75,7 @@ func TestOldGenerationsNeverChange(t *testing.T) {
 	sample := func() {
 		t.Helper()
 		for _, lo := range []*LocalOrchestrator{loA, loB} {
-			cfg, _ := lo.snapshot()
-			gens.record(t, cfg)
+			gens.sampleShards(t, lo.ro)
 		}
 		gens.sampleShards(t, ro)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -20,10 +21,11 @@ import (
 	"github.com/unify-repro/escape/internal/unify"
 )
 
-// MaxMapAttempts bounds the optimistic snapshot→map→commit retries of an
-// Install: each retry re-reads the DoV after a concurrent commit bumped the
-// generation. Exhaustion returns unify.ErrBusy — the request was never
-// rejected on its merits, only crowded out.
+// MaxMapAttempts bounds the optimistic snapshot→map→commit retries of one
+// shard group (see runGroup) at every layer, leaf or not: each retry re-reads
+// the group's shards after a concurrent commit bumped a generation.
+// Exhaustion returns unify.ErrBusy — the request was never rejected on its
+// merits, only crowded out.
 const MaxMapAttempts = 8
 
 // ResourceOrchestrator is the manager of the paper's architecture: it merges
@@ -46,12 +48,20 @@ const MaxMapAttempts = 8
 // MaxMapAttempts). Child deployments then fan out in parallel goroutines with
 // first-error cancellation, so install latency is the slowest child rather
 // than the sum of all children.
+//
+// A leaf (see LocalOrchestrator) is the same pipeline over one terminal
+// shard: its graph is the domain's substrate, it has no children, and a
+// commit or release is delivered by programming the devices with the shard's
+// delta before the swap.
 type ResourceOrchestrator struct {
 	id       string
 	virt     Virtualizer
 	mapper   *embed.Mapper
 	reg      *domain.Registry
 	shardKey ShardKeyFunc
+	// prog is set only on a leaf: its one shard is terminal, and commits to
+	// it are programmed into the devices instead of fanned out (see program).
+	prog Programmer
 	// journal receives write-ahead records on the commit paths (may be nil).
 	// Appends ride the shard locks they describe, so per-shard record order
 	// matches commit order without any global serialization.
@@ -895,7 +905,7 @@ func (ro *ResourceOrchestrator) InstallBatch(ctx context.Context, reqs []*nffg.N
 			bc.out[i].Err = err
 			continue
 		}
-		rec := &serviceRecord{state: statePending, children: map[string][]string{}}
+		rec := &serviceRecord{state: statePending}
 		for _, nf := range req.NFIDs() {
 			ro.nfOwner[nf] = req.ID
 			rec.resNFs = append(rec.resNFs, nf)
@@ -920,15 +930,7 @@ func (ro *ResourceOrchestrator) InstallBatch(ctx context.Context, reqs []*nffg.N
 		}
 	}
 	groups := groupByOverlap(liveIdx, est)
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g shardGroup) {
-			defer wg.Done()
-			bc.runGroup(ctx, g.idx, g.keys, true)
-		}(g)
-	}
-	wg.Wait()
+	fanOut(len(groups), func(k int) { bc.runGroup(ctx, groups[k].idx, groups[k].keys, true) })
 
 	// Phase 2: requests rejected on a narrowed shard set get one full-DoV
 	// retry (a path may legitimately detour through a shard the estimate did
@@ -1180,7 +1182,7 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		for i, s := range shs {
 			genByKey[s.key] = gens[i]
 		}
-		commitSpan, _ := obs.StartSpan(gctx, "orchestrator.commit", "shards", strconv.Itoa(len(tshs)))
+		commitSpan, cctx := obs.StartSpan(gctx, "orchestrator.commit", "shards", strconv.Itoa(len(tshs)))
 		commitStart := time.Now()
 		lockAll(tshs)
 		conflict := false
@@ -1201,6 +1203,20 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		if len(shs) == 1 && len(tshs) == 1 && tshs[0] == shs[0] {
 			// Single-shard fast path: the working fork IS the shard's next
 			// snapshot (sealed: shard snapshots are shared by the read caches).
+			// A terminal shard programs it first; a refused delta publishes
+			// nothing.
+			if err := ro.program(cctx, tshs[0].dov, cur); err != nil {
+				unlockAll(tshs)
+				commitSpan.EndWith(err)
+				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					// Keep the context error identity: the caller canceled, the
+					// request was not rejected on its merits.
+					abortIdx(fmt.Errorf("core %s: programming canceled: %w", ro.id, err))
+				} else {
+					abortIdx(fmt.Errorf("%w: programming failed: %v", unify.ErrRejected, err))
+				}
+				return
+			}
 			tshs[0].dov = cur.Seal()
 		} else {
 			// Project each accepted mapping onto a fork of every touched
@@ -1275,76 +1291,99 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		if !bc.live[i] {
 			continue
 		}
-		if _, ok := plans[i]; !ok {
-			if mayEscalate && narrow {
-				bc.out[i].Attempts += attempts
-				bc.escalate(i)
-			} else {
-				bc.out[i].Attempts += attempts
-				bc.abort(i, bc.planErr[i])
+		bc.out[i].Attempts += attempts
+		switch _, ok := plans[i]; {
+		case ok:
+			if bc.obs.Admitted != nil {
+				bc.obs.Admitted(i)
 			}
-			continue
+			deployable = append(deployable, i)
+		case mayEscalate && narrow:
+			bc.escalate(i)
+		default:
+			bc.abort(i, bc.planErr[i])
 		}
-		deployable = append(deployable, i)
 	}
 	ro.stats.batches.Add(1)
 	ro.stats.batchedReqs.Add(uint64(len(deployable)))
+	fanOut(len(deployable), func(k int) { bc.deploy(ctx, deployable[k], plans[deployable[k]]) })
+}
 
-	var wg sync.WaitGroup
-	for _, i := range deployable {
-		bc.out[i].Attempts += attempts
-		if bc.obs.Admitted != nil {
-			bc.obs.Admitted(i)
+// deploy delivers one committed request: it fans the sub-requests out to the
+// children and marks the service ready, or releases its reservation when a
+// child fails. A terminal shard has no children — its commit already
+// programmed the devices — so its receipt is the mapping alone, and it keeps
+// no copy: only Restore and the resume plans read a receipt back.
+func (bc *batchRun) deploy(ctx context.Context, i int, p *plannedReq) {
+	defer bc.conclude(i)
+	ro := bc.ro
+	id := bc.reqs[i].ID
+	receipt := mappingReceipt(id, p.placed.Mapping)
+	var children map[string][]string // child -> sub-service IDs installed there
+	if ro.prog == nil {
+		names := sortedKeys(p.subs)
+		// Per-request deploy scope: narrow from the batch context (not the
+		// group's — Narrow indices address the original positional set).
+		dctx := obs.Narrow(ctx, len(bc.reqs), []int{i})
+		receipts, err := ro.deployChildren(dctx, names, p.subs)
+		if err != nil {
+			if rerr := ro.releaseShards(dctx, id, p.placed.Mapping, p.touched); rerr != nil {
+				log.Printf("core %s: releasing aborted install %s: %v", ro.id, id, rerr)
+			}
+			bc.abort(i, err)
+			return
 		}
+		receipt.Children = make(map[string]*unify.Receipt, len(names))
+		children = make(map[string][]string, len(names))
+		for ci, childID := range names {
+			receipt.Children[childID] = receipts[ci]
+			children[childID] = []string{p.subs[childID].ID}
+		}
+	}
+	ro.mu.Lock()
+	rec := bc.records[i]
+	rec.children = children
+	if ro.prog == nil {
+		rec.receipt = receipt
+	}
+	rec.state = stateReady
+	ro.mu.Unlock()
+	// The commit bump fired before the deploy finished, so a watcher woken
+	// by it read Services() without this entry. Advance the table version
+	// now that the service is northbound-visible so watch streams get a
+	// fresh event carrying the completed list.
+	ro.bumpTable()
+	if ro.journal != nil {
+		// Appended AFTER the table update: the checkpointer snapshots the
+		// table, so everything a deployed record carries is visible to any
+		// checkpoint taken after the append.
+		err := ro.journal.LogDeployed(p.home, ro.epoch.Load(), journal.DeployedRecord{
+			ServiceID: id, Children: children, Receipt: receipt,
+		})
+		if err != nil {
+			ro.stats.journalErrs.Add(1)
+			log.Printf("core %s: journal deployed %s: %v", ro.id, id, err)
+		}
+	}
+	bc.out[i].Receipt = receipt
+	ro.stats.installs.Add(1)
+}
+
+// fanOut runs fn(0..n-1) concurrently and returns when all are done. The
+// last runs on the caller's goroutine: a single group or deploy — every one
+// at a leaf — spawns nothing, so the mapper's deep recursion reuses the
+// caller's grown stack instead of regrowing a fresh goroutine's.
+func fanOut(n int, fn func(k int)) {
+	var wg sync.WaitGroup
+	for k := 0; k < n-1; k++ {
 		wg.Add(1)
-		go func(i int, p *plannedReq) {
+		go func() {
 			defer wg.Done()
-			defer bc.conclude(i)
-			// Per-request deploy scope: narrow from the batch context (not
-			// gctx — Narrow indices address the original positional set).
-			dctx := obs.Narrow(ctx, len(bc.reqs), []int{i})
-			children := sortedKeys(p.subs)
-			receipts, err := ro.deployChildren(dctx, children, p.subs)
-			if err != nil {
-				if rerr := ro.releaseShards(bc.reqs[i].ID, p.placed.Mapping, p.touched); rerr != nil {
-					log.Printf("core %s: releasing aborted install %s: %v", ro.id, bc.reqs[i].ID, rerr)
-				}
-				bc.abort(i, err)
-				return
-			}
-			receipt := buildReceipt(bc.reqs[i].ID, p.placed.Mapping, children, receipts)
-			childSubs := make(map[string][]string, len(children))
-			ro.mu.Lock()
-			rec := bc.records[i]
-			rec.mapping = p.placed.Mapping
-			rec.shards = p.touched
-			for _, childID := range children {
-				rec.children[childID] = append(rec.children[childID], p.subs[childID].ID)
-				childSubs[childID] = append([]string(nil), rec.children[childID]...)
-			}
-			rec.receipt = receipt
-			rec.state = stateReady
-			ro.mu.Unlock()
-			// The commit bump fired before the deploy finished, so a watcher
-			// woken by it read Services() without this entry. Advance the
-			// table version now that the service is northbound-visible so
-			// watch streams get a fresh event carrying the completed list.
-			ro.bumpTable()
-			if ro.journal != nil {
-				// Appended AFTER the table update: the checkpointer snapshots
-				// the table, so everything a deployed record carries is
-				// visible to any checkpoint taken after the append.
-				err := ro.journal.LogDeployed(p.home, ro.epoch.Load(), journal.DeployedRecord{
-					ServiceID: bc.reqs[i].ID, Children: childSubs, Receipt: receipt,
-				})
-				if err != nil {
-					ro.stats.journalErrs.Add(1)
-					log.Printf("core %s: journal deployed %s: %v", ro.id, bc.reqs[i].ID, err)
-				}
-			}
-			bc.out[i].Receipt = receipt
-			ro.stats.installs.Add(1)
-		}(i, plans[i])
+			fn(k)
+		}()
+	}
+	if n > 0 {
+		fn(n - 1)
 	}
 	wg.Wait()
 }
@@ -1441,16 +1480,6 @@ func mappingReceipt(serviceID string, mapping *embed.Mapping) *unify.Receipt {
 	return receipt
 }
 
-// buildReceipt assembles the recursive deployment record of one request.
-func buildReceipt(serviceID string, mapping *embed.Mapping, children []string, childReceipts []*unify.Receipt) *unify.Receipt {
-	receipt := mappingReceipt(serviceID, mapping)
-	receipt.Children = map[string]*unify.Receipt{}
-	for i, childID := range children {
-		receipt.Children[childID] = childReceipts[i]
-	}
-	return receipt
-}
-
 // deployChildren installs the per-child sub-requests in parallel goroutines.
 // The first failure cancels the context handed to the siblings, already
 // deployed children are rolled back, and the first (root-cause) error is
@@ -1543,8 +1572,10 @@ func pickRootCause(children []string, errs []error) error {
 // releaseShards returns a mapping's resources to the shards it occupies
 // (each shard's release runs on a fork that replaces the current snapshot
 // under the shard's lock; the shards are locked together in key order so the
-// release is observed atomically).
-func (ro *ResourceOrchestrator) releaseShards(serviceID string, mp *embed.Mapping, keys []string) error {
+// release is observed atomically). A terminal shard programs the teardown
+// delta first: if the release or the programming fails, nothing changes and
+// the error is returned.
+func (ro *ResourceOrchestrator) releaseShards(ctx context.Context, serviceID string, mp *embed.Mapping, keys []string) error {
 	dir, _ := ro.snapshotDir()
 	shs := dir.ordered(keys)
 	if len(shs) == 0 {
@@ -1552,15 +1583,31 @@ func (ro *ResourceOrchestrator) releaseShards(serviceID string, mp *embed.Mappin
 	}
 	var firstErr error
 	lockAll(shs)
+	next := make([]*nffg.NFFG, len(shs))
+	for si, s := range shs {
+		if s.dov == nil {
+			continue
+		}
+		g := s.dov.Fork()
+		if err := embed.Release(g, mp); err != nil {
+			firstErr = cmp.Or(firstErr, err)
+			continue
+		}
+		next[si] = g
+	}
+	if ro.prog != nil {
+		if firstErr == nil {
+			firstErr = ro.program(ctx, shs[0].dov, next[0])
+		}
+		if firstErr != nil {
+			unlockAll(shs)
+			return firstErr
+		}
+	}
 	epoch := ro.bumpEpoch()
-	for _, s := range shs {
-		if s.dov != nil {
-			next := s.dov.Fork()
-			if err := embed.Release(next, mp); err == nil {
-				s.dov = next.Seal()
-			} else if firstErr == nil {
-				firstErr = err
-			}
+	for si, s := range shs {
+		if next[si] != nil {
+			s.dov = next[si].Seal()
 		}
 		// Bump the generation either way so optimistic mappers re-read.
 		s.gen++
@@ -1579,6 +1626,25 @@ func (ro *ResourceOrchestrator) releaseShards(serviceID string, mp *embed.Mappin
 	}
 	unlockAll(shs)
 	return firstErr
+}
+
+// program delivers a terminal commit: the devices receive the delta from the
+// shard's current graph to next. Callers hold the shard lock, so a domain's
+// devices are programmed one delta at a time (deltas are relative to the
+// configured state). A no-op above the leaf.
+func (ro *ResourceOrchestrator) program(ctx context.Context, cur, next *nffg.NFFG) error {
+	if ro.prog == nil {
+		return nil
+	}
+	delta, err := nffg.Diff(cur, next)
+	if err != nil {
+		return fmt.Errorf("core %s: diff: %w", ro.id, err)
+	}
+	// The adapter's per-datapath flush spans nest under this one via pctx.
+	span, pctx := obs.StartSpan(ctx, "local.program", "domain", ro.id)
+	err = ro.prog.Commit(pctx, delta, next)
+	span.EndWith(err)
+	return err
 }
 
 // Remove implements unify.Layer. Child teardowns fan out in parallel;
@@ -1632,23 +1698,24 @@ func (ro *ResourceOrchestrator) Remove(ctx context.Context, serviceID string) er
 		}(i, childID)
 	}
 	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
+	firstErr := cmp.Or(errs...)
+	var releaseErr error
+	if firstErr == nil {
+		releaseErr = ro.releaseShards(ctx, serviceID, rec.mapping, rec.shards)
+		if releaseErr != nil && ro.prog != nil {
+			// A refused terminal teardown changed nothing: the devices still
+			// run the service.
+			firstErr = fmt.Errorf("core %s: programming teardown: %w", ro.id, releaseErr)
 		}
 	}
 	if firstErr != nil {
-		// Partial teardown: keep the record (and the DoV reservation, since
-		// children may still hold resources) so the caller can retry.
+		// Partial or refused teardown: keep the record (and the DoV
+		// reservation, since children or devices may still hold resources)
+		// so the caller can retry.
 		ro.mu.Lock()
 		rec.state = stateReady
 		ro.mu.Unlock()
 		return firstErr
-	}
-	if err := ro.releaseShards(serviceID, rec.mapping, rec.shards); err != nil {
-		firstErr = err
 	}
 	ro.mu.Lock()
 	ro.dropReservationsLocked(serviceID, rec)
@@ -1657,7 +1724,7 @@ func (ro *ResourceOrchestrator) Remove(ctx context.Context, serviceID string) er
 	// could still list the service. Advance the table version so the stream
 	// converges on the post-removal service table.
 	ro.bumpTable()
-	return firstErr
+	return releaseErr
 }
 
 // Services implements unify.Layer. Pending installs are not listed: a service
@@ -1684,8 +1751,11 @@ func (ro *ResourceOrchestrator) Capabilities() []domain.Capability {
 // split turns a mapping over a DoV snapshot into per-child sub-requests: each
 // child receives the NFs placed on its nodes (pinned) plus the hop segments
 // that run inside it. Hop paths are cut at border SAPs and at links between
-// nodes of different children.
+// nodes of different children. A terminal shard has no children: nil.
 func (ro *ResourceOrchestrator) split(snap *nffg.NFFG, owner map[nffg.ID]string, serviceID string, mp *embed.Mapping) (map[string]*nffg.NFFG, error) {
+	if ro.prog != nil {
+		return nil, nil
+	}
 	subs := map[string]*nffg.NFFG{}
 	getSub := func(child string) *nffg.NFFG {
 		if s, ok := subs[child]; ok {

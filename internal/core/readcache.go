@@ -182,7 +182,7 @@ func (ro *ResourceOrchestrator) mergedCut(graphs []*nffg.NFFG, vec genVec) (*nff
 	}
 	ro.cuts.mu.Lock()
 	if ro.cuts.entries == nil {
-		ro.cuts.entries = make(map[string]*cutEntry, cutCap)
+		ro.cuts.entries = make(map[string]*cutEntry)
 	}
 	if _, stale := ro.cuts.entries[key]; stale {
 		ro.cutStats.invalidations.Add(1)

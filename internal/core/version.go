@@ -153,36 +153,3 @@ func (ro *ResourceOrchestrator) bumpTable() {
 	ro.tableVer.Add(1)
 	ro.watch.wake()
 }
-
-// --- LocalOrchestrator -------------------------------------------------------
-
-// ViewVersion returns the current version of the local layer's exported view.
-func (lo *LocalOrchestrator) ViewVersion() ViewVersion {
-	_, gen := lo.snapshot()
-	return ViewVersion{ETag: etagOf(lo.id, []string{"substrate"}, []uint64{gen}), Generation: gen}
-}
-
-// VersionedView returns the exported view with the version that names it.
-func (lo *LocalOrchestrator) VersionedView(ctx context.Context) (*nffg.NFFG, ViewVersion, error) {
-	ver := lo.ViewVersion() // before the view: content ≥ advertised generation
-	v, err := lo.View(ctx)
-	if err != nil {
-		return nil, ViewVersion{}, err
-	}
-	return v, ver, nil
-}
-
-// WaitVersion blocks until the substrate generation exceeds from or ctx ends.
-func (lo *LocalOrchestrator) WaitVersion(ctx context.Context, from uint64) (ViewVersion, error) {
-	for {
-		ch := lo.watch.wait()
-		if v := lo.ViewVersion(); v.Generation > from {
-			return v, nil
-		}
-		select {
-		case <-ctx.Done():
-			return ViewVersion{}, ctx.Err()
-		case <-ch:
-		}
-	}
-}

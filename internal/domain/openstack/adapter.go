@@ -78,13 +78,13 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) 
 	}
 	for infra, rules := range delta.DelRules {
 		for _, f := range rules {
-			if err := d.do(http.MethodDelete, fmt.Sprintf("/restconf/config/flows/%s/%s", infra, f.ID), nil, http.StatusNoContent); err != nil {
+			if err := d.do(ctx, http.MethodDelete, fmt.Sprintf("/restconf/config/flows/%s/%s", infra, f.ID), nil, http.StatusNoContent); err != nil {
 				return fmt.Errorf("openstack: del flow %s: %w", f.ID, err)
 			}
 		}
 	}
 	for _, id := range delta.DelNFs {
-		if err := d.do(http.MethodDelete, "/v2.1/servers/"+string(id), nil, http.StatusNoContent); err != nil {
+		if err := d.do(ctx, http.MethodDelete, "/v2.1/servers/"+string(id), nil, http.StatusNoContent); err != nil {
 			return fmt.Errorf("openstack: delete server %s: %w", id, err)
 		}
 	}
@@ -102,7 +102,7 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) 
 			"host":    string(nf.Host),
 			"ports":   strings.Join(portIDs, ","),
 		}
-		if err := d.do(http.MethodPost, "/v2.1/servers", req, http.StatusCreated); err != nil {
+		if err := d.do(ctx, http.MethodPost, "/v2.1/servers", req, http.StatusCreated); err != nil {
 			return fmt.Errorf("openstack: boot %s: %w", nf.ID, err)
 		}
 	}
@@ -118,7 +118,7 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) 
 				PushTag:  f.Action.PushTag,
 				PopTag:   f.Action.PopTag,
 			}
-			if err := d.do(http.MethodPut, fmt.Sprintf("/restconf/config/flows/%s/%s", infra, f.ID), fr, http.StatusOK); err != nil {
+			if err := d.do(ctx, http.MethodPut, fmt.Sprintf("/restconf/config/flows/%s/%s", infra, f.ID), fr, http.StatusOK); err != nil {
 				return fmt.Errorf("openstack: put flow %s: %w", f.ID, err)
 			}
 		}
@@ -126,7 +126,10 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) 
 	return nil
 }
 
-func (d *Domain) do(method, path string, body any, wantStatus int) error {
+// do makes one REST call under the delta's ctx, so a canceled delta stops at
+// its next call. The response body is drained before Close: a drained body
+// hands the keep-alive connection back to the pool for the next call.
+func (d *Domain) do(ctx context.Context, method, path string, body any, wantStatus int) error {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -135,7 +138,7 @@ func (d *Domain) do(method, path string, body any, wantStatus int) error {
 		}
 		rd = bytes.NewReader(b)
 	}
-	req, err := http.NewRequest(method, d.base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, d.base+path, rd)
 	if err != nil {
 		return err
 	}
@@ -146,7 +149,10 @@ func (d *Domain) do(method, path string, body any, wantStatus int) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != wantStatus {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("%s %s: status %d (want %d): %s", method, path, resp.StatusCode, wantStatus, msg)

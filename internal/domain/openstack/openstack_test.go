@@ -3,8 +3,11 @@ package openstack
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/unify-repro/escape/internal/nffg"
@@ -192,5 +195,81 @@ func TestFlavorSelection(t *testing.T) {
 		if got := flavorFor(c.r); got != c.want {
 			t.Errorf("flavorFor(%+v) = %s, want %s", c.r, got, c.want)
 		}
+	}
+}
+
+// countingTransport counts the connections it dials and the calls that got
+// a response; after is called once each round trip has returned.
+type countingTransport struct {
+	base         *http.Transport
+	dials, calls atomic.Int32
+	after        func()
+}
+
+func newCountingTransport() *countingTransport {
+	ct := &countingTransport{}
+	dialer := &net.Dialer{}
+	ct.base = &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		ct.dials.Add(1)
+		return dialer.DialContext(ctx, network, addr)
+	}}
+	return ct
+}
+
+func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := ct.base.RoundTrip(req)
+	if err == nil {
+		ct.calls.Add(1)
+	}
+	if ct.after != nil {
+		ct.after()
+	}
+	return resp, err
+}
+
+// TestRESTCallsReuseOneConnection: every REST call of an install and a
+// remove rides one keep-alive connection.
+func TestRESTCallsReuseOneConnection(t *testing.T) {
+	d := newDomain(t)
+	ct := newCountingTransport()
+	t.Cleanup(ct.base.CloseIdleConnections)
+	d.client = &http.Client{Transport: ct}
+	ctx := context.Background()
+	for _, id := range []string{"svc1", "svc2"} {
+		if _, err := d.Install(ctx, request(t, id, "firewall")); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Remove(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ct.calls.Load(); n < 8 {
+		t.Fatalf("expected at least 8 REST calls, saw %d", n)
+	}
+	if n := ct.dials.Load(); n != 1 {
+		t.Fatalf("%d REST calls dialed %d connections, want 1", ct.calls.Load(), n)
+	}
+}
+
+// TestCanceledDeltaStopsBetweenCalls: a ctx canceled after the first REST
+// call of a delta fails the install with the context error before the next
+// call, and the leaf records no service.
+func TestCanceledDeltaStopsBetweenCalls(t *testing.T) {
+	d := newDomain(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ct := newCountingTransport()
+	t.Cleanup(ct.base.CloseIdleConnections)
+	ct.after = cancel
+	d.client = &http.Client{Transport: ct}
+	_, err := d.Install(ctx, request(t, "svc1", "dpi"))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("install under a canceled delta: %v", err)
+	}
+	if n := ct.calls.Load(); n != 1 {
+		t.Fatalf("the delta made %d REST calls, want it stopped after 1", n)
+	}
+	if got := d.Services(); len(got) != 0 {
+		t.Fatalf("canceled install recorded services %v", got)
 	}
 }

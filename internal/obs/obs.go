@@ -36,7 +36,7 @@ type SpanData struct {
 	ID       SpanID            `json:"id"`
 	Parent   SpanID            `json:"parent,omitempty"`
 	Name     string            `json:"name"`
-	Attrs    map[string]string `json:"attrs,omitempty"`
+	Attrs    map[string]string `json:"attrs,omitempty"` // shared with the span: read-only
 	Start    time.Time         `json:"start"`
 	Duration time.Duration     `json:"duration_ns"`
 	Err      string            `json:"err,omitempty"`
@@ -243,13 +243,8 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	d := SpanData{Name: s.name, Start: s.start, Duration: time.Since(s.start)}
-	if len(s.attrs) > 0 {
-		d.Attrs = make(map[string]string, len(s.attrs))
-		for k, v := range s.attrs {
-			d.Attrs[k] = v
-		}
-	}
+	// The attrs map is never written after start, so every record shares it.
+	d := SpanData{Name: s.name, Start: s.start, Duration: time.Since(s.start), Attrs: s.attrs}
 	if s.err != nil {
 		d.Err = s.err.Error()
 	}
