@@ -16,6 +16,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,6 +161,15 @@ func BenchmarkE14Failover(b *testing.B) {
 			// install/remove on that survivor's private SAP pair. None of
 			// their chains touch domain 0, so the SLO is zero lost requests.
 			var iterLost, iterOK atomic.Uint64
+			// Each distinct error behind requests-lost, with its count.
+			var lossMu sync.Mutex
+			losses := map[string]int{}
+			lose := func(op string, err error) {
+				iterLost.Add(1)
+				lossMu.Lock()
+				losses[op+": "+err.Error()]++
+				lossMu.Unlock()
+			}
 			stopLoad := make(chan struct{})
 			var wg sync.WaitGroup
 			for d := 1; d < domains; d++ {
@@ -177,11 +188,11 @@ func BenchmarkE14Failover(b *testing.B) {
 							}
 							id := fmt.Sprintf("e14l-%d-%d-%d", d, j, n)
 							if _, err := ro.Install(tctx, benchE14Chain(id, in, out, "")); err != nil {
-								iterLost.Add(1)
+								lose("install", err)
 								continue
 							}
 							if err := ro.Remove(tctx, id); err != nil {
-								iterLost.Add(1)
+								lose("remove", err)
 								continue
 							}
 							iterOK.Add(1)
@@ -223,6 +234,9 @@ func BenchmarkE14Failover(b *testing.B) {
 			close(stopLoad)
 			wg.Wait()
 			fc.Stop()
+			for _, msg := range slices.Sorted(maps.Keys(losses)) {
+				b.Logf("requests-lost: %d× %s", losses[msg], msg)
+			}
 
 			st := fc.Stats()
 			if st.Evictions != 1 || st.RehomeFailures != 0 {

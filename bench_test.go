@@ -138,10 +138,12 @@ func BenchmarkE1DomainAggregation(b *testing.B) {
 				s.ID = nffg.ID(fmt.Sprintf("d%d-%s", i, id))
 				_ = renamed.AddSAP(s)
 			}
-			for _, l := range v.Links {
+			for l := range v.Links() {
 				l.SrcNode = nffg.ID(fmt.Sprintf("d%d-%s", i, l.SrcNode))
 				l.DstNode = nffg.ID(fmt.Sprintf("d%d-%s", i, l.DstNode))
-				renamed.Links = append(renamed.Links, l)
+				if err := renamed.AddLink(l); err != nil {
+					b.Fatal(err)
+				}
 			}
 			views[i] = renamed
 		}

@@ -28,7 +28,6 @@ import (
 // allowlist maps "<package dir>.<Func>" or "<package dir>.<Recv>.<Method>" to
 // the reason the declaration stays without a non-test caller.
 var allowlist = map[string]string{
-	"internal/nffg.NFFG.Sealed":                    "tests in nffg, core and embed assert the seal invariant through it",
 	"internal/obs.MetricNames":                     "TestMetricsCompleteness, a CI step, reads the registered names",
 	"internal/api.Client.ViewCacheStats":           "the gated E15 benchmark reads the remote view cache through it",
 	"internal/dataplane.FlowTable.LookupBatchInto": "BenchmarkE5 measures batched against per-packet lookups through it",

@@ -103,7 +103,7 @@ func TestFig1SnapshotAndHopHealth(t *testing.T) {
 		hop, _, _ = strings.Cut(hop, "#")
 		act[hop] += f.Packets
 	}
-	for _, h := range chain.Hops {
+	for h := range chain.Hops() {
 		if act[h.ID] == 0 {
 			t.Fatalf("hop %s saw no traffic: %v", h.ID, act)
 		}
@@ -135,7 +135,7 @@ func TestFig1CapacityAccounting(t *testing.T) {
 	}
 	// Some link lost 100 Mbit/s while deployed.
 	lost := false
-	for _, l := range during.Links {
+	for l := range during.Links() {
 		if orig := before.LinkByID(l.ID); orig != nil && l.Bandwidth < orig.Bandwidth {
 			lost = true
 		}
@@ -150,7 +150,7 @@ func TestFig1CapacityAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range after.Links {
+	for l := range after.Links() {
 		orig := before.LinkByID(l.ID)
 		if orig == nil {
 			t.Fatalf("link %s appeared from nowhere", l.ID)

@@ -689,10 +689,15 @@ func (q *Queue) Submit(ctx context.Context, req *nffg.NFFG) (Job, error) {
 		q.mu.Unlock()
 		return Job{}, fmt.Errorf("%w: tenant %s has %d jobs queued", ErrQueueFull, meta.Tenant, q.opts.TenantQueueCap)
 	}
+	if !req.Sealed() {
+		// The caller may still write its graph: keep a private copy, sealed
+		// like the one the northbound server decodes, since nothing writes it.
+		req = req.Copy().Seal()
+	}
 	q.seq++
 	j := &job{
 		seq:    q.seq,
-		req:    req.Copy(),
+		req:    req,
 		shards: shards,
 		trace:  trace,
 		snap: Job{

@@ -312,6 +312,10 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, CodeBadRequest, err.Error(), "")
 		return
 	}
+	// Nothing holds the decoded request but this handler, and nothing
+	// writes it from here on: sealed, the layers below keep it as it is
+	// instead of copying it (see nffg.Seal).
+	req.Seal()
 	ctx, err := requestMeta(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "api: "+err.Error(), "")

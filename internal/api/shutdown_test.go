@@ -175,7 +175,10 @@ func (l nanViewLayer) View(ctx context.Context) (*nffg.NFFG, error) {
 		return nil, err
 	}
 	v = v.Copy()
-	v.Links[0].Bandwidth = math.NaN()
+	for l := range v.Links() {
+		l.Bandwidth = math.NaN()
+		break
+	}
 	return v, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/unify-repro/escape/internal/nffg"
 	"github.com/unify-repro/escape/internal/unify"
@@ -198,6 +199,40 @@ func TestLeafDeltasComposeToSubstrate(t *testing.T) {
 	}
 	if !maps.Equal(gotRules, wantRules) {
 		t.Errorf("device flowtables %v, substrate flowtables %v", gotRules, wantRules)
+	}
+}
+
+// TestOneShardChurnNeverBusy: workers churning installs and removes on one
+// shard lose commit races to each other, and a group that has lost twice
+// plans again under the shard's lock, so every request is decided on its
+// merits: none returns unify.ErrBusy.
+func TestOneShardChurnNeverBusy(t *testing.T) {
+	ctx := context.Background()
+	const workers = 8
+	lo := slotLeaf(t, workers, &slowProgrammer{delay: 200 * time.Microsecond})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				id := fmt.Sprintf("w%d-s%d", w, i)
+				u, v, _ := slotSAPs(w, i%2)
+				if _, err := lo.Install(ctx, chainReq(t, id, u, v, "fw")); err != nil {
+					t.Errorf("install %s: %v", id, err)
+					continue
+				}
+				if err := lo.Remove(ctx, id); err != nil {
+					t.Errorf("remove %s: %v", id, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := lo.ro.PipelineStats()
+	t.Logf("%d generation conflicts; %d groups planned again under the shard lock", st.GenConflicts, st.Busy)
+	if st.Busy == 0 {
+		t.Fatalf("no group lost %d races (%d generation conflicts): the locked attempt never ran", lockAfterLosses, st.GenConflicts)
 	}
 }
 

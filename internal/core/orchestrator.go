@@ -21,12 +21,13 @@ import (
 	"github.com/unify-repro/escape/internal/unify"
 )
 
-// MaxMapAttempts bounds the optimistic snapshot→map→commit retries of one
-// shard group (see runGroup) at every layer, leaf or not: each retry re-reads
-// the group's shards after a concurrent commit bumped a generation.
-// Exhaustion returns unify.ErrBusy — the request was never rejected on its
-// merits, only crowded out.
-const MaxMapAttempts = 8
+// lockAfterLosses is how many races one shard group (see runGroup) loses
+// optimistically at every layer, leaf or not, before it stops racing: a lost
+// race is a commit that found a generation moved, or a plan that rejected
+// every request on a cut that moved meanwhile. The next attempt takes the
+// group's shard locks before it snapshots and holds them through the commit,
+// so it cannot lose again, and contention costs waiting, never a refusal.
+const lockAfterLosses = 2
 
 // ResourceOrchestrator is the manager of the paper's architecture: it merges
 // the virtualization views of its southbound layers into a global resource
@@ -44,8 +45,9 @@ const MaxMapAttempts = 8
 // shards in key order, so multi-shard commits are an ordered two-phase swap
 // while single-shard commits take exactly one lock. Installs whose shard sets
 // are disjoint therefore snapshot, map and commit fully concurrently; only
-// overlapping ones contend, and a loser re-maps on a fresh cut (bounded by
-// MaxMapAttempts). Child deployments then fan out in parallel goroutines with
+// overlapping ones contend, and a loser re-maps on a fresh cut (under the
+// group's shard locks once it has lost lockAfterLosses times). Child
+// deployments then fan out in parallel goroutines with
 // first-error cancellation, so install latency is the slowest child rather
 // than the sum of all children.
 //
@@ -151,7 +153,8 @@ type PipelineStats struct {
 	// GenConflicts counts commits lost to a concurrent generation bump on an
 	// overlapping shard.
 	GenConflicts uint64 `json:"gen_conflicts"`
-	// Busy counts requests that exhausted MaxMapAttempts (unify.ErrBusy).
+	// Busy counts shard groups that lost lockAfterLosses races and planned
+	// again under their shard locks (see runGroup).
 	Busy uint64 `json:"busy"`
 	// Batches counts committed admission batches; BatchedRequests the
 	// requests they carried (BatchedRequests/Batches = mean batch size).
@@ -355,9 +358,7 @@ func (ro *ResourceOrchestrator) Attach(ctx context.Context, d domain.Domain) err
 	// per-child qualification keeps link identity stable across any merge
 	// order (the mapping's path link IDs must resolve in the owning shard).
 	qual := view.Copy()
-	for _, l := range qual.Links {
-		l.ID = l.ID + "@" + d.ID()
-	}
+	qual.EditLinks(func(l *nffg.Link) { l.ID = l.ID + "@" + d.ID() })
 	key := ro.shardKey(d.ID())
 
 	ro.mu.Lock()
@@ -910,7 +911,7 @@ func (ro *ResourceOrchestrator) InstallBatch(ctx context.Context, reqs []*nffg.N
 			ro.nfOwner[nf] = req.ID
 			rec.resNFs = append(rec.resNFs, nf)
 		}
-		for _, h := range req.Hops {
+		for h := range req.Hops() {
 			ro.hopOwner[h.ID] = req.ID
 			rec.resHops = append(rec.resHops, h.ID)
 		}
@@ -949,7 +950,7 @@ func (ro *ResourceOrchestrator) checkIdentifiersLocked(req *nffg.NFFG) error {
 			return fmt.Errorf("%w: NF id %s already in use by service %s", unify.ErrRejected, nf, owner)
 		}
 	}
-	for _, h := range req.Hops {
+	for h := range req.Hops() {
 		if owner, taken := ro.hopOwner[h.ID]; taken {
 			return fmt.Errorf("%w: hop id %s already in use by service %s", unify.ErrRejected, h.ID, owner)
 		}
@@ -1023,6 +1024,13 @@ type plannedReq struct {
 // against every shard. When mayEscalate is set, plan rejections on a narrowed
 // set are deferred to the caller's phase-2 global group instead of being
 // final.
+//
+// After lockAfterLosses lost races the group snapshots, plans and commits
+// holding its shard locks, taken in key order like every other multi-shard
+// lock. What planning takes besides is ordered after shard locks already:
+// ro.mu (the commit and Detach take it under shard locks) and the cut
+// cache's mutex, which is held around map accesses only. Its plans touch only
+// its own shards, since touchedShards derives them from the cut's nodes.
 func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayEscalate bool) {
 	ro := bc.ro
 	// Re-scope the batch's positional trace set to this group's members: a
@@ -1041,11 +1049,15 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 	}
 
 	plans := make(map[int]*plannedReq, len(idx))
-	committed := false
 	narrow := false
-	var lastErr error
+	lost := 0
+	lose := func() {
+		if lost++; lost == lockAfterLosses {
+			ro.stats.busy.Add(1)
+		}
+	}
 	var tshs []*shard
-	for attempts < MaxMapAttempts {
+	for {
 		attempts++
 		if err := ctx.Err(); err != nil {
 			abortIdx(err)
@@ -1069,7 +1081,22 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		for i, s := range shs {
 			skeys[i] = s.key
 		}
-		graphs, gens := snapshotCut(shs)
+		var graphs []*nffg.NFFG
+		var gens []uint64
+		var held []*shard // the shard locks this attempt holds from here on
+		if lost >= lockAfterLosses {
+			lockAll(shs)
+			if cur, _ := ro.snapshotDir(); cur != dir {
+				// An attach or detach moved the directory since it was read.
+				unlockAll(shs)
+				mapSpan.End()
+				continue
+			}
+			held = shs
+			graphs, gens = readCut(shs)
+		} else {
+			graphs, gens = snapshotCut(shs)
+		}
 
 		// The group's working graph: a consistent merge of its shards. The
 		// whole group shares ONE working fork — each accepted mapping is
@@ -1084,11 +1111,13 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			base, mergeErr = ro.mergedCut(graphs, genVec{keys: skeys, gens: gens})
 		}
 		if mergeErr != nil {
+			unlockAll(held)
 			log.Printf("core %s: merging shard snapshots: %v", ro.id, mergeErr)
 			abortIdx(fmt.Errorf("%w: shard views unmergeable: %v", unify.ErrRejected, mergeErr))
 			return
 		}
 		if base == nil {
+			unlockAll(held)
 			abortIdx(fmt.Errorf("%w: no domains attached", unify.ErrRejected))
 			return
 		}
@@ -1153,10 +1182,14 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			// one of the group's shards meanwhile the failures may be stale
 			// (e.g. a Remove just freed the conflicting resources) — retry
 			// fresh; otherwise they are final (or escalate to a global plan).
-			if _, cgens := snapshotCut(shs); !equalGens(cgens, gens) {
-				lastErr = fmt.Errorf("%w: DoV generation advanced during mapping", unify.ErrBusy)
-				continue
+			// Under the group's locks nothing moved.
+			if held == nil {
+				if _, cgens := snapshotCut(shs); !equalGens(cgens, gens) {
+					lose()
+					continue
+				}
 			}
+			unlockAll(held)
 			bc.finalizeRejections(idx, attempts, mayEscalate && narrow)
 			return
 		}
@@ -1184,7 +1217,10 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		}
 		commitSpan, cctx := obs.StartSpan(gctx, "orchestrator.commit", "shards", strconv.Itoa(len(tshs)))
 		commitStart := time.Now()
-		lockAll(tshs)
+		if held == nil {
+			lockAll(tshs)
+			held = tshs
+		}
 		conflict := false
 		for _, s := range tshs {
 			if s.gen != genByKey[s.key] {
@@ -1193,11 +1229,11 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			}
 		}
 		if conflict {
-			unlockAll(tshs)
+			unlockAll(held)
 			// Lost the commit race; loop re-plans against the fresh cut.
 			ro.stats.genConflicts.Add(1)
-			lastErr = fmt.Errorf("%w: DoV generation advanced during mapping", unify.ErrBusy)
-			commitSpan.EndWith(lastErr)
+			lose()
+			commitSpan.EndWith(fmt.Errorf("%w: DoV generation advanced during mapping", unify.ErrBusy))
 			continue
 		}
 		if len(shs) == 1 && len(tshs) == 1 && tshs[0] == shs[0] {
@@ -1206,7 +1242,7 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			// A terminal shard programs it first; a refused delta publishes
 			// nothing.
 			if err := ro.program(cctx, tshs[0].dov, cur); err != nil {
-				unlockAll(tshs)
+				unlockAll(held)
 				commitSpan.EndWith(err)
 				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					// Keep the context error identity: the caller canceled, the
@@ -1222,7 +1258,7 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			// Project each accepted mapping onto a fork of every touched
 			// shard's graph; the home shard carries the bookkeeping.
 			if err := bc.projectLocked(tshs, cur, idx, plans); err != nil {
-				unlockAll(tshs)
+				unlockAll(held)
 				log.Printf("core %s: scoped commit projection failed: %v", ro.id, err)
 				commitSpan.EndWith(err)
 				abortIdx(fmt.Errorf("%w: commit projection failed: %v", unify.ErrRejected, err))
@@ -1255,32 +1291,13 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			}
 		}
 		ro.mu.Unlock()
-		unlockAll(tshs)
+		unlockAll(held)
 		if len(tshs) > 1 {
 			ro.stats.multiShard.Add(1)
 		}
 		ro.histCommit.Observe(time.Since(commitStart))
 		commitSpan.End()
-		committed = true
 		break
-	}
-	if !committed {
-		for _, i := range idx {
-			if !bc.live[i] {
-				continue
-			}
-			ro.stats.busy.Add(1)
-			// Keep the request's own last rejection when it has one: a graph
-			// that kept failing to map while the generation churned is more
-			// usefully reported than the generic lost-race error.
-			cause := lastErr
-			if bc.planErr[i] != nil {
-				cause = bc.planErr[i]
-			}
-			bc.out[i].Attempts += attempts
-			bc.abort(i, fmt.Errorf("%w: gave up after %d mapping attempts (last: %v)", unify.ErrBusy, MaxMapAttempts, cause))
-		}
-		return
 	}
 
 	// The commit landed: group-local rejections are final (or escalate);
@@ -1787,7 +1804,7 @@ func (ro *ResourceOrchestrator) split(snap *nffg.NFFG, owner map[nffg.ID]string,
 		}
 	}
 	// Hop segments.
-	for _, h := range mp.Request.Hops {
+	for h := range mp.Request.Hops() {
 		p := mp.Paths[h.ID]
 		segments, err := segment(owner, h, p)
 		if err != nil {
@@ -1898,12 +1915,12 @@ func chainFlowDst(req *nffg.NFFG, h *nffg.SGHop) nffg.ID {
 		return h.FlowDst
 	}
 	cur := h
-	for steps := 0; steps <= len(req.Hops); steps++ {
+	for steps := 0; steps <= req.NumHops(); steps++ {
 		if _, ok := req.SAPs.Lookup(cur.DstNode); ok {
 			return cur.DstNode
 		}
 		var next *nffg.SGHop
-		for _, cand := range req.Hops {
+		for cand := range req.Hops() {
 			if cand.SrcNode == cur.DstNode {
 				next = cand
 				break

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -187,14 +188,15 @@ func TestBadQuantitiesRejected(t *testing.T) {
 			}
 		},
 		"negative hop bandwidth": func(g *nffg.NFFG) {
-			for _, h := range g.Hops {
+			for h := range g.Hops() {
 				h.Bandwidth = -500
 			}
 		},
-		"infinite hop delay": func(g *nffg.NFFG) { g.Hops[0].Delay = math.Inf(1) },
+		"infinite hop delay": func(g *nffg.NFFG) { slices.Collect(g.Hops())[0].Delay = math.Inf(1) },
 		"negative requirement bandwidth": func(g *nffg.NFFG) {
-			g.Reqs = append(g.Reqs, &nffg.Requirement{ID: "e2e", SrcNode: "sap1", DstNode: g.Hops[1].DstNode,
-				HopIDs: []string{g.Hops[0].ID, g.Hops[1].ID}, Bandwidth: -1})
+			hops := slices.Collect(g.Hops())
+			g.RecordReq(&nffg.Requirement{ID: "e2e", SrcNode: "sap1", DstNode: hops[1].DstNode,
+				HopIDs: []string{hops[0].ID, hops[1].ID}, Bandwidth: -1})
 		},
 	}
 	lo := leafDomain(t, "mn", "sap1", "border", &recordingProgrammer{})

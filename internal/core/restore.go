@@ -142,7 +142,7 @@ func (ro *ResourceOrchestrator) Restore(state *journal.RecoveredState) error {
 				ro.nfOwner[nf] = sc.ServiceID
 				rec.resNFs = append(rec.resNFs, nf)
 			}
-			for _, h := range req.Hops {
+			for h := range req.Hops() {
 				ro.hopOwner[h.ID] = sc.ServiceID
 				rec.resHops = append(rec.resHops, h.ID)
 			}

@@ -135,14 +135,20 @@ func unlockAll(shs []*shard) {
 // key-ordered shards: all locks are held simultaneously, so a multi-shard
 // commit can never be observed half-applied.
 func snapshotCut(shs []*shard) (graphs []*nffg.NFFG, gens []uint64) {
+	lockAll(shs)
+	defer unlockAll(shs)
+	return readCut(shs)
+}
+
+// readCut reads the (graph, generation) cut of shards whose locks the caller
+// holds.
+func readCut(shs []*shard) (graphs []*nffg.NFFG, gens []uint64) {
 	graphs = make([]*nffg.NFFG, len(shs))
 	gens = make([]uint64, len(shs))
-	lockAll(shs)
 	for i, s := range shs {
 		graphs[i] = s.dov
 		gens[i] = s.gen
 	}
-	unlockAll(shs)
 	return graphs, gens
 }
 

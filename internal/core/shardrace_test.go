@@ -278,8 +278,8 @@ func TestShardRaceOverlapping(t *testing.T) {
 	if final.NFs.Len() != 0 {
 		t.Fatalf("NFs leaked into DoV: %v", final.NFIDs())
 	}
-	if len(final.Hops) != 0 {
-		t.Fatalf("hop records leaked: %d", len(final.Hops))
+	if final.NumHops() != 0 {
+		t.Fatalf("hop records leaked: %d", final.NumHops())
 	}
 	for _, id := range initial.InfraIDs() {
 		b, _ := initial.AvailableResources(id)
@@ -291,7 +291,7 @@ func TestShardRaceOverlapping(t *testing.T) {
 			t.Fatalf("%d flowrules leaked on %s", n, id)
 		}
 	}
-	for _, l := range initial.Links {
+	for l := range initial.Links() {
 		fl := final.LinkByID(l.ID)
 		if fl == nil || fl.Bandwidth != l.Bandwidth {
 			t.Fatalf("bandwidth drift on link %s", l.ID)

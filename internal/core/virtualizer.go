@@ -34,12 +34,18 @@ type Virtualizer interface {
 var ErrEmptyView = errors.New("core: empty view")
 
 // expandPins translates a request's view-node pins into constraints on the
-// snapshot the view was derived from. It returns a copy of req in which an
-// NF pinned to a view node standing for one snapshot node is pinned to that
-// node, and one standing for several is unpinned and scoped to them. A pin
-// to a node the snapshot already holds (transparent views) stays as is.
+// snapshot the view was derived from. It returns req with every NF pinned to
+// a view node standing for one snapshot node pinned to that node, and every
+// one standing for several unpinned and scoped to them. A pin to a node the
+// snapshot already holds (transparent views) stays as is. An unsealed req is
+// copied, since its caller may still write it; a sealed one is returned as it
+// is when no pin needs rewriting, and otherwise forked, the fork holding
+// clones of only the NFs it re-pins.
 func expandPins(virt Virtualizer, snap, req *nffg.NFFG) (*nffg.NFFG, map[nffg.ID][]nffg.ID, error) {
-	work := req.Copy()
+	work := req
+	if !req.Sealed() {
+		work = req.Copy()
+	}
 	scope := map[nffg.ID][]nffg.ID{}
 	for _, id := range work.NFIDs() {
 		nf := work.NFs.Get(id)
@@ -52,6 +58,14 @@ func expandPins(virt Virtualizer, snap, req *nffg.NFFG) (*nffg.NFFG, map[nffg.ID
 		expanded := virt.Scope(snap, nf.Host)
 		if len(expanded) == 0 {
 			return nil, nil, fmt.Errorf("%w: NF %s pinned to unknown view node %s", unify.ErrRejected, id, nf.Host)
+		}
+		if req.Sealed() {
+			if work == req {
+				work = req.Fork()
+			}
+			pinned := *nf
+			nf = &pinned
+			work.NFs.Set(id, nf)
 		}
 		if len(expanded) == 1 {
 			nf.Host = expanded[0]
@@ -241,7 +255,7 @@ func (DomainBiSBiS) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
 		return p
 	}
 	seenSAP := map[nffg.ID]bool{}
-	for _, l := range dov.Links {
+	for l := range dov.Links() {
 		srcDom, srcInfra := domainOf[l.SrcNode]
 		dstDom, dstInfra := domainOf[l.DstNode]
 		_, srcSAP := dov.SAPs.Lookup(l.SrcNode)
@@ -292,7 +306,7 @@ func (DomainBiSBiS) Scope(dov *nffg.NFFG, viewNode nffg.ID) []nffg.ID {
 
 // sapUplink finds the bandwidth/delay of a SAP's attachment in the DoV.
 func sapUplink(dov *nffg.NFFG, sap nffg.ID) (bw, delay float64) {
-	for _, l := range dov.Links {
+	for l := range dov.Links() {
 		if l.SrcNode == sap || l.DstNode == sap {
 			return l.Bandwidth, l.Delay
 		}

@@ -141,7 +141,7 @@ func Expand(g *nffg.NFFG, nf nffg.ID, d Decomposition) (*nffg.NFFG, []nffg.ID, e
 	for _, pm := range d.PortMaps {
 		portMap[pm.Outer] = pm
 	}
-	for _, h := range out.Hops {
+	for h := range out.Hops() {
 		if h.SrcNode == nf {
 			pm, ok := portMap[h.SrcPort]
 			if !ok {

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,12 +102,12 @@ func TestExpandRewritesGraph(t *testing.T) {
 		t.Fatal("component cmp missing")
 	}
 	// Original had 2 hops; expansion adds 1 internal = 3 total.
-	if len(out.Hops) != 3 {
-		t.Fatalf("want 3 hops, got %d", len(out.Hops))
+	if out.NumHops() != 3 {
+		t.Fatalf("want 3 hops, got %d", out.NumHops())
 	}
 	// External hops re-homed.
 	var intoEnc, outOfCmp bool
-	for _, h := range out.Hops {
+	for h := range out.Hops() {
 		if h.SrcNode == "sapA" && h.DstNode == "vpn1.enc" && h.DstPort == "1" {
 			intoEnc = true
 		}
@@ -115,7 +116,7 @@ func TestExpandRewritesGraph(t *testing.T) {
 		}
 	}
 	if !intoEnc || !outOfCmp {
-		t.Fatalf("hops not re-homed: %+v", out.Hops)
+		t.Fatalf("hops not re-homed: %+v", slices.Collect(out.Hops()))
 	}
 	if err := out.Validate(); err != nil {
 		t.Fatalf("expanded graph invalid: %v", err)

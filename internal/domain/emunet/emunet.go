@@ -92,7 +92,7 @@ func Build(eng *dataplane.Engine, substrate *nffg.NFFG, borders map[nffg.ID]bool
 		}
 	}
 	// Wire static links; only "/fwd" of each duplex pair to avoid doubles.
-	for _, l := range substrate.Links {
+	for l := range substrate.Links() {
 		if strings.HasSuffix(l.ID, "/rev") {
 			continue
 		}

@@ -85,7 +85,7 @@ type Placement struct {
 // does not mutate ref.
 func Place(ref *nffg.NFFG, mp *Mapping) (*Placement, error) {
 	p := &Placement{Mapping: mp}
-	for _, h := range mp.Request.Hops {
+	for h := range mp.Request.Hops() {
 		path, ok := mp.Paths[h.ID]
 		if !ok {
 			return nil, fmt.Errorf("embed: hop %s missing from mapping", h.ID)
@@ -139,22 +139,22 @@ func (p *Placement) ApplyScoped(dst, ref *nffg.NFFG, bookkeeping bool) error {
 	// 2. Copy SG hops and requirements into the configured view for
 	// bookkeeping (teardown, monitoring). Under sharding only the home shard
 	// records them; hop endpoints may live in sibling shards, so the scoped
-	// path appends directly instead of re-validating endpoints.
+	// path records them instead of re-validating endpoints.
 	if bookkeeping {
-		for _, h := range mp.Request.Hops {
+		for h := range mp.Request.Hops() {
 			ch := *h
 			if full {
 				if err := dst.AddHop(&ch); err != nil {
 					return err
 				}
 			} else {
-				dst.Hops = append(dst.Hops, &ch)
+				dst.RecordHop(&ch)
 			}
 		}
-		for _, r := range mp.Request.Reqs {
+		for r := range mp.Request.Reqs() {
 			cr := *r
 			cr.HopIDs = append([]string(nil), r.HopIDs...)
-			dst.Reqs = append(dst.Reqs, &cr)
+			dst.RecordReq(&cr)
 		}
 	}
 	// 3. Install the placed flowrules that fall onto dst's own infras.
@@ -171,7 +171,7 @@ func (p *Placement) ApplyScoped(dst, ref *nffg.NFFG, bookkeeping bool) error {
 	// 4. Reserve link bandwidth. Shard graphs partition the links (every link
 	// lives in exactly one shard), so a link dst does not hold belongs to a
 	// sibling shard — it only has to exist in the reference graph.
-	for _, h := range mp.Request.Hops {
+	for h := range mp.Request.Hops() {
 		for _, lid := range mp.Paths[h.ID].Links {
 			l := dst.MutLink(string(lid))
 			if l == nil {
@@ -196,7 +196,7 @@ func (p *Placement) ApplyScoped(dst, ref *nffg.NFFG, bookkeeping bool) error {
 // shards), so releasing a multi-shard mapping shard-by-shard backs out
 // exactly what ApplyScoped put into each shard.
 func Release(g *nffg.NFFG, mp *Mapping) error {
-	for _, h := range mp.Request.Hops {
+	for h := range mp.Request.Hops() {
 		g.RemoveFlowrulesByHop(h.ID)
 		p := mp.Paths[h.ID]
 		for _, lid := range p.Links {
@@ -204,13 +204,7 @@ func Release(g *nffg.NFFG, mp *Mapping) error {
 				l.Bandwidth += h.Bandwidth
 			}
 		}
-		// Drop the hop record.
-		for i, gh := range g.Hops {
-			if gh.ID == h.ID {
-				g.Hops = append(g.Hops[:i], g.Hops[i+1:]...)
-				break
-			}
-		}
+		g.RemoveHop(h.ID)
 	}
 	for _, id := range mp.Request.NFIDs() {
 		if _, ok := g.NFs.Lookup(id); ok {
@@ -220,17 +214,9 @@ func Release(g *nffg.NFFG, mp *Mapping) error {
 		}
 	}
 	// Drop requirements belonging to the request.
-	kept := g.Reqs[:0]
-	reqIDs := map[string]bool{}
-	for _, r := range mp.Request.Reqs {
-		reqIDs[r.ID] = true
+	for r := range mp.Request.Reqs() {
+		g.RemoveReq(r.ID)
 	}
-	for _, r := range g.Reqs {
-		if !reqIDs[r.ID] {
-			kept = append(kept, r)
-		}
-	}
-	g.Reqs = kept
 	g.NextVersion()
 	return nil
 }
@@ -243,12 +229,12 @@ func chainDst(req *nffg.NFFG, h *nffg.SGHop) nffg.ID {
 		return h.FlowDst
 	}
 	cur := h
-	for steps := 0; steps <= len(req.Hops); steps++ {
+	for steps := 0; steps <= req.NumHops(); steps++ {
 		if _, ok := req.SAPs.Lookup(cur.DstNode); ok {
 			return cur.DstNode
 		}
 		var next *nffg.SGHop
-		for _, cand := range req.Hops {
+		for cand := range req.Hops() {
 			if cand.SrcNode == cur.DstNode {
 				next = cand
 				break
@@ -384,7 +370,7 @@ func endpointPort(g *nffg.NFFG, mp *Mapping, node nffg.ID, port string, isNF boo
 	}
 	if _, isSAP := g.SAPs.Lookup(node); isSAP {
 		// Find the infra port the SAP's link lands on.
-		for _, l := range g.Links {
+		for l := range g.Links() {
 			if l.SrcNode == node {
 				if _, ok := g.Infras.Lookup(l.DstNode); ok {
 					return nffg.InfraPort(l.DstPort), nil

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/unify-repro/escape/internal/nffg"
@@ -55,7 +56,7 @@ func TestApplyReservesBandwidth(t *testing.T) {
 	req := chainRequest(t, 1, 40, 0)
 	cfg, mp := mapAndApply(t, sub, req)
 	// Every link on every hop path lost 40 Mbit/s.
-	for _, h := range req.Hops {
+	for h := range req.Hops() {
 		for _, lid := range mp.Paths[h.ID].Links {
 			orig := sub.LinkByID(string(lid))
 			now := cfg.LinkByID(string(lid))
@@ -79,13 +80,13 @@ func TestApplyThenRelease(t *testing.T) {
 			t.Fatalf("rules remain on %s", id)
 		}
 	}
-	for _, l := range cfg.Links {
+	for l := range cfg.Links() {
 		orig := sub.LinkByID(l.ID)
 		if l.Bandwidth != orig.Bandwidth {
 			t.Fatalf("link %s bandwidth not restored: %g vs %g", l.ID, l.Bandwidth, orig.Bandwidth)
 		}
 	}
-	if cfg.NFs.Len() != 0 || len(cfg.Hops) != 0 || len(cfg.Reqs) != 0 {
+	if cfg.NFs.Len() != 0 || cfg.NumHops() != 0 || slices.Collect(cfg.Reqs()) != nil {
 		t.Fatalf("release incomplete: %s", cfg.Render())
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -252,7 +253,7 @@ func (m *Mapper) mapOne(sub, req *nffg.NFFG, scope map[nffg.ID]map[nffg.ID]bool)
 		scope:    scope,
 		budget:   m.opts.MaxBacktrack,
 	}
-	for _, h := range req.Hops {
+	for h := range req.Hops() {
 		for _, end := range []nffg.ID{h.SrcNode, h.DstNode} {
 			if _, ok := req.SAPs.Lookup(end); ok {
 				st.avoid[topo.NodeID(end)] = true
@@ -299,7 +300,7 @@ func (m *Mapper) mapOne(sub, req *nffg.NFFG, scope map[nffg.ID]map[nffg.ID]bool)
 		return nil, err
 	}
 	// End-to-end requirement verification.
-	for _, r := range req.Reqs {
+	for r := range req.Reqs() {
 		var delay float64
 		minBW := math.Inf(1)
 		for _, hid := range r.HopIDs {
@@ -507,7 +508,7 @@ func (m *Mapper) locate(st *state, node nffg.ID) (nffg.ID, bool) {
 // orderHops sorts the request hops so every hop's source is locatable when
 // processed: SAP-rooted chains come out in traversal order.
 func orderHops(req *nffg.NFFG) ([]*nffg.SGHop, error) {
-	remaining := append([]*nffg.SGHop(nil), req.Hops...)
+	remaining := slices.AppendSeq(make([]*nffg.SGHop, 0, req.NumHops()), req.Hops())
 	located := map[nffg.ID]bool{}
 	for id := range req.SAPs.All() {
 		located[id] = true

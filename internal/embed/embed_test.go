@@ -50,7 +50,7 @@ func chainRequest(t testing.TB, nfs int, bw, e2eDelay float64) *nffg.NFFG {
 	}
 	if e2eDelay > 0 {
 		var hops []string
-		for _, h := range g.Hops {
+		for h := range g.Hops() {
 			hops = append(hops, h.ID)
 		}
 		if err := g.AddReq(&nffg.Requirement{ID: "r1", SrcNode: "sap1", DstNode: "sap2", HopIDs: hops, Bandwidth: bw, Delay: e2eDelay}); err != nil {
@@ -157,7 +157,7 @@ func TestMapDelayRequirement(t *testing.T) {
 		t.Fatal(err)
 	}
 	var d float64
-	for _, h := range loose.Hops {
+	for h := range loose.Hops() {
 		d += mp.Paths[h.ID].Delay
 	}
 	if d > 20 {
@@ -329,7 +329,7 @@ func TestMappingConsistencyProperty(t *testing.T) {
 			}
 			return mp.NFHost[node]
 		}
-		for _, h := range req.Hops {
+		for h := range req.Hops() {
 			p := mp.Paths[h.ID]
 			if len(p.Nodes) == 0 {
 				return false

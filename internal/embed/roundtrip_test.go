@@ -236,8 +236,8 @@ func TestApplyScopedRoundTrip(t *testing.T) {
 		t.Fatal("svc-nat missing from shard B")
 	}
 	// Bookkeeping only on the home shard.
-	if len(shardA.Hops) == 0 || len(shardB.Hops) != 0 {
-		t.Fatalf("bookkeeping hops: A=%d B=%d", len(shardA.Hops), len(shardB.Hops))
+	if shardA.NumHops() == 0 || shardB.NumHops() != 0 {
+		t.Fatalf("bookkeeping hops: A=%d B=%d", shardA.NumHops(), shardB.NumHops())
 	}
 	// The scoped projections program exactly the full apply's rules.
 	scopedRules := 0

@@ -28,7 +28,7 @@ type wire struct {
 }
 
 func (g *NFFG) toWire() *wire {
-	w := &wire{ID: g.ID, Name: g.Name, Version: g.Version, Links: g.Links, Hops: g.Hops, Reqs: g.Reqs}
+	w := &wire{ID: g.ID, Name: g.Name, Version: g.Version, Links: g.links.flat(), Hops: g.hops.flat(), Reqs: g.reqs.flat()}
 	for _, id := range g.InfraIDs() {
 		w.Infras = append(w.Infras, g.Infras.Get(id))
 	}
@@ -65,9 +65,9 @@ func fromWire(w *wire) (*NFFG, error) {
 			return nil, err
 		}
 	}
-	g.Links = w.Links
-	g.Hops = w.Hops
-	g.Reqs = w.Reqs
+	g.links = edgeList[Link]{tail: w.Links}
+	g.hops = edgeList[SGHop]{tail: w.Hops}
+	g.reqs = edgeList[Requirement]{tail: w.Reqs}
 	return g, nil
 }
 
@@ -160,11 +160,11 @@ func (g *NFFG) Render() string {
 	for _, id := range g.SAPIDs() {
 		fmt.Fprintf(&b, "  [SAP %s]\n", id)
 	}
-	for _, l := range g.Links {
+	for l := range g.Links() {
 		fmt.Fprintf(&b, "  link %s: %s.%s -> %s.%s bw=%.0f delay=%.1f\n",
 			l.ID, l.SrcNode, l.SrcPort, l.DstNode, l.DstPort, l.Bandwidth, l.Delay)
 	}
-	for _, h := range g.Hops {
+	for h := range g.Hops() {
 		fmt.Fprintf(&b, "  hop %s: %s.%s -> %s.%s bw=%.0f delay<=%.1f\n",
 			h.ID, h.SrcNode, h.SrcPort, h.DstNode, h.DstPort, h.Bandwidth, h.Delay)
 	}

@@ -120,8 +120,9 @@ func TestCodecRoundtripProperty(t *testing.T) {
 			return false
 		}
 		// Hop metadata (FlowDst) survives the codec.
-		for i, h := range g.Hops {
-			if fromJSON.Hops[i].FlowDst != h.FlowDst {
+		decoded := fromJSON.hops.flat()
+		for i, h := range g.hops.flat() {
+			if decoded[i].FlowDst != h.FlowDst {
 				return false
 			}
 		}
@@ -152,13 +153,13 @@ func TestCopyIsolationProperty(t *testing.T) {
 		for _, nf := range c.NFs.All() {
 			nf.Host = "mutated"
 		}
-		for _, l := range c.Links {
+		for l := range c.Links() {
 			l.Bandwidth = -1
 		}
-		for _, h := range c.Hops {
+		for h := range c.Hops() {
 			h.FlowDst = "mutated"
 		}
-		for _, r := range c.Reqs {
+		for r := range c.Reqs() {
 			if len(r.HopIDs) > 0 {
 				r.HopIDs[0] = "mutated"
 			}

@@ -44,7 +44,7 @@ func graphsEquivalent(t *testing.T, a, b *NFFG) {
 	if a.Infras.Len() != b.Infras.Len() || a.NFs.Len() != b.NFs.Len() || a.SAPs.Len() != b.SAPs.Len() {
 		t.Fatalf("node counts differ: %s vs %s", a.Render(), b.Render())
 	}
-	if len(a.Links) != len(b.Links) || len(a.Hops) != len(b.Hops) || len(a.Reqs) != len(b.Reqs) {
+	if a.links.len() != b.links.len() || a.hops.len() != b.hops.len() || a.reqs.len() != b.reqs.len() {
 		t.Fatalf("edge counts differ: %s vs %s", a.Render(), b.Render())
 	}
 	d, err := Diff(a, b)

@@ -1,9 +1,6 @@
 package nffg
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Test helpers of package nffg that the external tests need: those use embed,
 // which imports nffg, so they live in package nffg_test.
@@ -25,9 +22,6 @@ func referenceMerge(g, other *NFFG) error {
 			return fmt.Errorf("%w: NF %s present in both graphs", ErrDuplicateID, id)
 		}
 	}
-	g.Links = slices.Grow(g.Links, len(other.Links))
-	g.Hops = slices.Grow(g.Hops, len(other.Hops))
-	g.Reqs = slices.Grow(g.Reqs, len(other.Reqs))
 	for _, id := range other.InfraIDs() {
 		g.Infras.Set(id, copyInfra(other.Infras.Get(id)))
 	}
@@ -41,21 +35,21 @@ func referenceMerge(g, other *NFFG) error {
 		p := *other.SAPs.Get(id).Port
 		g.SAPs.Set(id, &SAP{ID: id, Name: other.SAPs.Get(id).Name, Port: &p})
 	}
-	for _, l := range other.Links {
+	for l := range other.Links() {
 		cl := *l
 		if g.LinkByID(l.ID) != nil {
 			cl.ID = fmt.Sprintf("%s@%s", l.ID, other.ID)
 		}
-		g.Links = append(g.Links, &cl)
+		g.links.add(&cl)
 	}
-	for _, h := range other.Hops {
+	for h := range other.Hops() {
 		ch := *h
-		g.Hops = append(g.Hops, &ch)
+		g.hops.add(&ch)
 	}
-	for _, r := range other.Reqs {
+	for r := range other.Reqs() {
 		cr := *r
 		cr.HopIDs = append([]string(nil), r.HopIDs...)
-		g.Reqs = append(g.Reqs, &cr)
+		g.reqs.add(&cr)
 	}
 	return nil
 }

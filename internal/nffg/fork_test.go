@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/unify-repro/escape/internal/embed"
@@ -63,6 +64,9 @@ type forkLane struct {
 	mappings   []*embed.Mapping
 }
 
+// forkOps is the number of opcodes runForkProgram interprets.
+const forkOps = 15
+
 // runForkProgram interprets prog as (opcode, argument) byte pairs driving two
 // lanes forked from one sealed graph through every mutator. After each step
 // the sealed source, every graph sealed since, and each lane's fork against
@@ -77,7 +81,7 @@ func runForkProgram(t *testing.T, src *nffg.NFFG, prog []byte) {
 	lanes := [2]*forkLane{{fork: src.Fork(), copy: src.Copy()}, {fork: src.Fork(), copy: src.Copy()}}
 	infras := []nffg.ID{"n1", "n2", "n3"}
 	for step := 0; step+1 < len(prog); step += 2 {
-		op, arg := prog[step]%12, int(prog[step+1])
+		op, arg := prog[step]%forkOps, int(prog[step+1])
 		ln, other := lanes[arg&1], lanes[1-arg&1]
 		k := arg >> 1
 		infra := infras[k%len(infras)]
@@ -117,8 +121,8 @@ func runForkProgram(t *testing.T, src *nffg.NFFG, prog []byte) {
 		case 4:
 			name = "RemoveFlowrulesByHop"
 			hop := fmt.Sprintf("hop%d", k%3)
-			if k%2 == 1 && len(ln.copy.Hops) > 0 {
-				hop = ln.copy.Hops[k%len(ln.copy.Hops)].ID
+			if hops := slices.Collect(ln.copy.Hops()); k%2 == 1 && len(hops) > 0 {
+				hop = hops[k%len(hops)].ID
 			}
 			both(func(g *nffg.NFFG) error {
 				g.RemoveFlowrulesByHop(hop)
@@ -126,7 +130,8 @@ func runForkProgram(t *testing.T, src *nffg.NFFG, prog []byte) {
 			})
 		case 5:
 			name = "MutLink"
-			id := ln.copy.Links[k%len(ln.copy.Links)].ID
+			links := slices.Collect(ln.copy.Links())
+			id := links[k%len(links)].ID
 			both(func(g *nffg.NFFG) error {
 				g.MutLink(id).Bandwidth -= 1
 				return nil
@@ -183,6 +188,34 @@ func runForkProgram(t *testing.T, src *nffg.NFFG, prog []byte) {
 			ln.fork.Seal()
 			sealed = append(sealed, frozen{ln.fork, encodeGraph(t, ln.fork)})
 			ln.fork = ln.fork.Fork()
+		case 12:
+			name = "AddReq"
+			hop := "none" // a requirement over a missing hop: both lanes refuse it
+			if hops := slices.Collect(ln.copy.Hops()); k%3 != 0 && len(hops) > 0 {
+				hop = hops[k%len(hops)].ID
+			}
+			both(func(g *nffg.NFFG) error {
+				return g.AddReq(&nffg.Requirement{ID: fmt.Sprintf("q%d", k), SrcNode: "sap1", DstNode: "sap3",
+					HopIDs: []string{hop}, Bandwidth: 1})
+			})
+		case 13:
+			name = "AddLink"
+			both(func(g *nffg.NFFG) error {
+				return g.AddLink(&nffg.Link{ID: fmt.Sprintf("z%d", k), SrcNode: infra, SrcPort: "4",
+					DstNode: infras[(k+1)%len(infras)], DstPort: "4", Bandwidth: 100, Delay: 1})
+			})
+		case 14:
+			name = "EditLinks"
+			links := slices.Collect(ln.copy.Links())
+			id := links[k%len(links)].ID
+			both(func(g *nffg.NFFG) error {
+				g.EditLinks(func(l *nffg.Link) {
+					if l.ID == id {
+						l.Delay++
+					}
+				})
+				return nil
+			})
 		}
 		for i, s := range sealed {
 			if !bytes.Equal(encodeGraph(t, s.g), s.enc) {
@@ -205,7 +238,7 @@ func TestForkIsolation(t *testing.T) {
 	// Every opcode on both lanes, writing the same entities from both.
 	var prog []byte
 	for round := 0; round < 3; round++ {
-		for op := byte(0); op < 12; op++ {
+		for op := byte(0); op < forkOps; op++ {
 			for lane := byte(0); lane < 2; lane++ {
 				prog = append(prog, op, lane|byte(round)<<1)
 			}
@@ -229,6 +262,14 @@ func FuzzForkIsolation(f *testing.F) {
 	// and is removed, forked unsealed, remapped and released from there.
 	f.Add([]byte{0, 0, 0, 2, 0, 4, 0, 6, 0, 8, 0, 10, 3, 0, 11, 0, 0, 12, 11, 0, 1, 0,
 		10, 1, 3, 1, 5, 0, 4, 0, 11, 1, 0, 3, 7, 0, 11, 0, 9, 0, 8, 1, 1, 1})
+	// Long enough to share, overlay and fold both edge lists. Eight hops make
+	// one lane's hop list long enough to share; two links appended and one
+	// replaced outgrow the links' base, so the fork behind the seal folds
+	// them. RemoveNF's hop filter then leaves tombstones in the shared hops,
+	// which the next seal's fork copies as an overlay; the other lane forks
+	// from there and replaces, edits and adds on overlays of its own.
+	f.Add([]byte{2, 0, 2, 2, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 14, 13, 0, 13, 2, 5, 0, 11, 0,
+		1, 0, 11, 0, 12, 2, 5, 2, 13, 4, 10, 1, 5, 1, 4, 3, 14, 1, 12, 3, 11, 1})
 	src := forkSubstrate(f)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 64 {

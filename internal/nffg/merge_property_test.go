@@ -46,7 +46,7 @@ func TestMergeUnionProperty(t *testing.T) {
 		for i := 0; i < k; i++ {
 			v := prefixedGraph(rng, fmt.Sprintf("d%d", i), "border")
 			wantInfras += v.Infras.Len()
-			wantLinks += len(v.Links)
+			wantLinks += v.links.len()
 			views = append(views, v)
 		}
 		dov := New("dov")
@@ -62,7 +62,7 @@ func TestMergeUnionProperty(t *testing.T) {
 		if dov.SAPs.Len() != k+1 {
 			return false
 		}
-		if len(dov.Links) != wantLinks {
+		if dov.links.len() != wantLinks {
 			return false
 		}
 		if err := dov.Validate(); err != nil {
@@ -103,7 +103,7 @@ func TestMergeSourceIsolationProperty(t *testing.T) {
 		for _, i := range dov.Infras.All() {
 			i.Capacity.CPU = -1
 		}
-		for _, l := range dov.Links {
+		for l := range dov.Links() {
 			l.Bandwidth = -1
 		}
 		return a.Render() == aBefore && bGraph.Render() == bBefore

@@ -123,7 +123,7 @@ func TestMergeSharesSealedSources(t *testing.T) {
 				return nil
 			}},
 			{"MutLink", func(g *nffg.NFFG) error {
-				for _, l := range ref.Links {
+				for l := range ref.Links() {
 					g.MutLink(l.ID).Bandwidth -= 1
 				}
 				return nil

@@ -9,11 +9,24 @@
 // carries domain resource reports (capacities), virtualization views, and
 // configuration requests (placements + flowrules), which is exactly what lets
 // the Unify interface be recursive.
+//
+// A graph is read through accessors and written through mutators. The node
+// maps are Tables (Get, Lookup, Len and All read; Set and Delete write). The
+// edge lists are unexported: Links, Hops and Reqs yield them in order,
+// LinkByID and HopByID look one entry up, and only the mutators (Add*,
+// Record*, Remove*, MutLink, EditLinks, Merge) change them. That is what
+// lets generations share both copy-on-write (see Fork), and what lets the
+// compiled topology trust its links (see InfraTopo). A field written
+// through an entity pointer is written on every generation that shares the
+// entity, so a caller that does that writes on a Copy. A link is the
+// exception: through its pointer a caller writes only its Bandwidth, and any
+// other field of it only through EditLinks, on every graph, a Copy included.
 package nffg
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"sync/atomic"
 
@@ -215,9 +228,11 @@ type NFFG struct {
 	NFs    Table[NF]    `json:"-" xml:"-"`
 	SAPs   Table[SAP]   `json:"-" xml:"-"`
 
-	Links []*Link        `json:"links,omitempty" xml:"links>link,omitempty"`
-	Hops  []*SGHop       `json:"sg_hops,omitempty" xml:"sg_hops>hop,omitempty"`
-	Reqs  []*Requirement `json:"requirements,omitempty" xml:"requirements>requirement,omitempty"`
+	// The edge lists, read through Links, Hops and Reqs and written only
+	// through mutators. A fork shares them with its parent (see edgeList).
+	links edgeList[Link]
+	hops  edgeList[SGHop]
+	reqs  edgeList[Requirement]
 
 	// sealed marks the graph as a shared immutable snapshot (see Seal).
 	sealed bool
@@ -344,13 +359,7 @@ func (g *NFFG) RemoveNF(id ID) error {
 		return fmt.Errorf("%w: NF %s", ErrNotFound, id)
 	}
 	g.NFs.Delete(id)
-	kept := g.Hops[:0]
-	for _, h := range g.Hops {
-		if h.SrcNode != id && h.DstNode != id {
-			kept = append(kept, h)
-		}
-	}
-	g.Hops = kept
+	g.hops.deleteFunc(func(h *SGHop) bool { return h.SrcNode == id || h.DstNode == id })
 	return nil
 }
 
@@ -358,10 +367,8 @@ func (g *NFFG) RemoveNF(id ID) error {
 func (g *NFFG) AddLink(l *Link) error {
 	g.mustMutable("AddLink")
 	g.shape.Store(nil)
-	for _, existing := range g.Links {
-		if existing.ID == l.ID {
-			return fmt.Errorf("%w: link %s", ErrDuplicateID, l.ID)
-		}
+	if g.LinkByID(l.ID) != nil {
+		return fmt.Errorf("%w: link %s", ErrDuplicateID, l.ID)
 	}
 	if err := g.checkEndpoint(l.SrcNode, l.SrcPort); err != nil {
 		return fmt.Errorf("link %s src: %w", l.ID, err)
@@ -369,7 +376,7 @@ func (g *NFFG) AddLink(l *Link) error {
 	if err := g.checkEndpoint(l.DstNode, l.DstPort); err != nil {
 		return fmt.Errorf("link %s dst: %w", l.ID, err)
 	}
-	g.Links = append(g.Links, l)
+	g.links.add(l)
 	return nil
 }
 
@@ -388,10 +395,8 @@ func (g *NFFG) AddDuplexLink(id string, aNode ID, aPort string, bNode ID, bPort 
 // AddHop inserts a service-graph hop after verifying endpoints.
 func (g *NFFG) AddHop(h *SGHop) error {
 	g.mustMutable("AddHop")
-	for _, existing := range g.Hops {
-		if existing.ID == h.ID {
-			return fmt.Errorf("%w: hop %s", ErrDuplicateID, h.ID)
-		}
+	if g.HopByID(h.ID) != nil {
+		return fmt.Errorf("%w: hop %s", ErrDuplicateID, h.ID)
 	}
 	if err := g.checkEndpoint(h.SrcNode, h.SrcPort); err != nil {
 		return fmt.Errorf("hop %s src: %w", h.ID, err)
@@ -399,7 +404,7 @@ func (g *NFFG) AddHop(h *SGHop) error {
 	if err := g.checkEndpoint(h.DstNode, h.DstPort); err != nil {
 		return fmt.Errorf("hop %s dst: %w", h.ID, err)
 	}
-	g.Hops = append(g.Hops, h)
+	g.hops.add(h)
 	return nil
 }
 
@@ -411,25 +416,78 @@ func (g *NFFG) AddReq(r *Requirement) error {
 			return fmt.Errorf("%w: requirement %s references hop %s", ErrNotFound, r.ID, hid)
 		}
 	}
-	g.Reqs = append(g.Reqs, r)
+	g.reqs.add(r)
 	return nil
 }
 
+// RecordHop appends h without checking its endpoints or its ID: the
+// bookkeeping record of a mapped request, whose hop may end in a sibling
+// shard's graph (see embed.ApplyScoped).
+func (g *NFFG) RecordHop(h *SGHop) {
+	g.mustMutable("RecordHop")
+	g.hops.add(h)
+}
+
+// RecordReq appends r without checking the hops it references, as RecordHop
+// does a hop.
+func (g *NFFG) RecordReq(r *Requirement) {
+	g.mustMutable("RecordReq")
+	g.reqs.add(r)
+}
+
+// RemoveHop deletes the first SG hop with the given ID, if there is one.
+func (g *NFFG) RemoveHop(id string) {
+	g.mustMutable("RemoveHop")
+	done := false
+	g.hops.deleteFunc(func(h *SGHop) bool {
+		if done || h.ID != id {
+			return false
+		}
+		done = true
+		return true
+	})
+}
+
+// RemoveReq deletes every requirement with the given ID.
+func (g *NFFG) RemoveReq(id string) {
+	g.mustMutable("RemoveReq")
+	g.reqs.deleteFunc(func(r *Requirement) bool { return r.ID == id })
+}
+
+// Links yields the static links in the order they were added. A caller
+// writes no field of a yielded link but its Bandwidth (see EditLinks).
+func (g *NFFG) Links() iter.Seq[*Link] { return g.links.all() }
+
+// Hops yields the SG hops in the order they were added, less the removed
+// ones.
+func (g *NFFG) Hops() iter.Seq[*SGHop] { return g.hops.all() }
+
+// Reqs yields the end-to-end requirements in order, as Hops does the hops.
+func (g *NFFG) Reqs() iter.Seq[*Requirement] { return g.reqs.all() }
+
+// NumHops returns the number of SG hops.
+func (g *NFFG) NumHops() int { return g.hops.len() }
+
 // HopByID returns the SG hop with the given ID, or nil.
 func (g *NFFG) HopByID(id string) *SGHop {
-	for _, h := range g.Hops {
-		if h.ID == id {
-			return h
+	for _, run := range g.hops.runs() {
+		for _, h := range run {
+			if h.ID == id {
+				return h
+			}
 		}
 	}
 	return nil
 }
 
-// LinkByID returns the static link with the given ID, or nil.
+// LinkByID returns the static link with the given ID, or nil. A caller
+// writes no field of it but its Bandwidth (see EditLinks).
 func (g *NFFG) LinkByID(id string) *Link {
-	for _, l := range g.Links {
-		if l.ID == id {
-			return l
+	for _, run := range g.links.runs() {
+		for _, l := range run {
+			if l.ID == id {
+				return l
+			}
 		}
 	}
 	return nil

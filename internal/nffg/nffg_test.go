@@ -40,8 +40,8 @@ func TestBuilderAndValidate(t *testing.T) {
 	if g.Infras.Len() != 2 || g.SAPs.Len() != 2 || g.NFs.Len() != 1 {
 		t.Fatalf("unexpected graph shape:\n%s", g.Render())
 	}
-	if len(g.Links) != 6 { // 3 duplex = 6 directed
-		t.Fatalf("want 6 links, got %d", len(g.Links))
+	if g.links.len() != 6 { // 3 duplex = 6 directed
+		t.Fatalf("want 6 links, got %d", g.links.len())
 	}
 }
 
@@ -103,14 +103,14 @@ func TestRemoveNFDropsHops(t *testing.T) {
 	if _, err := BuildChain(g, "c", 10, 0, "sap1", "fw", "sap2"); err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Hops) != 2 {
-		t.Fatalf("want 2 hops, got %d", len(g.Hops))
+	if g.NumHops() != 2 {
+		t.Fatalf("want 2 hops, got %d", g.NumHops())
 	}
 	if err := g.RemoveNF("fw"); err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Hops) != 0 {
-		t.Fatalf("hops touching removed NF must go, got %d", len(g.Hops))
+	if g.NumHops() != 0 {
+		t.Fatalf("hops touching removed NF must go, got %d", g.NumHops())
 	}
 }
 
@@ -206,8 +206,8 @@ func TestMergeStitchesSAPs(t *testing.T) {
 		t.Fatalf("want both infras, got %d", dov.Infras.Len())
 	}
 	// Conflicting link IDs must be renamed, not dropped.
-	if len(dov.Links) != 4 {
-		t.Fatalf("want 4 directed links, got %d", len(dov.Links))
+	if dov.links.len() != 4 {
+		t.Fatalf("want 4 directed links, got %d", dov.links.len())
 	}
 	tg := dov.InfraTopo()
 	if !tg.Connected("a", "b") {
@@ -233,14 +233,14 @@ func TestCopyIsDeep(t *testing.T) {
 	c := g.Copy()
 	c.Infras.Get("bb1").Flowrules[0].Action.Output = InfraPort("3")
 	c.NFs.Get("fw").Host = "bb2"
-	c.Links[0].Bandwidth = 1
+	c.links.flat()[0].Bandwidth = 1
 	if g.Infras.Get("bb1").Flowrules[0].Action.Output != InfraPort("2") {
 		t.Fatal("flowrule mutation leaked")
 	}
 	if g.NFs.Get("fw").Host != "bb1" {
 		t.Fatal("NF mutation leaked")
 	}
-	if g.Links[0].Bandwidth == 1 {
+	if g.links.flat()[0].Bandwidth == 1 {
 		t.Fatal("link mutation leaked")
 	}
 }

@@ -13,7 +13,9 @@ import (
 // Copy returns a deep copy of the graph. The copy is never sealed (it is the
 // escape hatch for mutating a shared snapshot), and its maps and edge slices
 // are pre-sized from the source — Copy sits on every cache miss of the
-// orchestration read path, so its allocation count matters.
+// orchestration read path, so its allocation count matters. The copy keeps
+// the compiled topology (see InfraTopo), so it too has its links' fields
+// other than Bandwidth written only through EditLinks.
 func (g *NFFG) Copy() *NFFG {
 	c := NewSized(g.ID, g.Infras.Len(), g.NFs.Len(), g.SAPs.Len())
 	c.Name = g.Name
@@ -29,28 +31,9 @@ func (g *NFFG) Copy() *NFFG {
 		p := *s.Port
 		c.SAPs.Set(id, &SAP{ID: s.ID, Name: s.Name, Port: &p})
 	}
-	if len(g.Links) > 0 {
-		c.Links = make([]*Link, 0, len(g.Links))
-	}
-	for _, l := range g.Links {
-		cl := *l
-		c.Links = append(c.Links, &cl)
-	}
-	if len(g.Hops) > 0 {
-		c.Hops = make([]*SGHop, 0, len(g.Hops))
-	}
-	for _, h := range g.Hops {
-		ch := *h
-		c.Hops = append(c.Hops, &ch)
-	}
-	if len(g.Reqs) > 0 {
-		c.Reqs = make([]*Requirement, 0, len(g.Reqs))
-	}
-	for _, r := range g.Reqs {
-		cr := *r
-		cr.HopIDs = append([]string(nil), r.HopIDs...)
-		c.Reqs = append(c.Reqs, &cr)
-	}
+	c.links = g.links.clone(func(l *Link) *Link { cl := *l; return &cl })
+	c.hops = g.hops.clone(func(h *SGHop) *SGHop { ch := *h; return &ch })
+	c.reqs = g.reqs.clone(copyReq)
 	return c
 }
 
@@ -66,6 +49,12 @@ func copyInfra(i *Infra) *Infra {
 		cf := *f
 		c.Flowrules = append(c.Flowrules, &cf)
 	}
+	return &c
+}
+
+func copyReq(r *Requirement) *Requirement {
+	c := *r
+	c.HopIDs = append([]string(nil), r.HopIDs...)
 	return &c
 }
 
@@ -85,26 +74,28 @@ func copyPorts(ps []*Port) []*Port {
 }
 
 // Fork returns the next generation of g: a graph that can be mutated without
-// changing g. The node maps are shared (see Table: the fork copies only what
-// the generations since their base changed) and the edge slices copied;
-// every *Infra, *NF, *SAP, *Link, *SGHop and *Requirement is shared, and the
-// fork's mutators clone an infra, NF or link the first time they write it,
-// so a commit allocates for what it changes, not for the graph.
+// changing g. The node maps and the edge lists are shared (see Table and
+// edgeList: the fork copies only what the generations since their base
+// changed); every *Infra, *NF, *SAP, *Link, *SGHop and *Requirement is
+// shared, and the fork's mutators clone an infra, NF or link the first time
+// they write it, so a commit allocates for what it changes, not for the
+// graph.
 //
-// A fork writes only through mutators (Add*, RemoveNF, AddFlowrule,
-// RemoveFlowrulesByHop, Apply, MutLink): a field written directly on a shared
-// entity changes g too, so callers that do that use Copy. Forking an unsealed
-// g makes g clone on write as well, since either may write what both share,
-// and moves g's node maps onto the base it now shares with the fork.
+// A fork writes only through mutators (Add*, Record*, Remove*, AddFlowrule,
+// RemoveFlowrulesByHop, Apply, MutLink, EditLinks): a field written directly
+// on a shared entity changes g too, so callers that do that use Copy.
+// Forking an unsealed g makes g clone on write as well, since either may
+// write what both share, and moves g's node maps and edge lists onto the
+// base it now shares with the fork.
 func (g *NFFG) Fork() *NFFG {
 	c := &NFFG{ID: g.ID, Name: g.Name, Version: g.Version, shape: shapeRef{new(atomic.Pointer[topo.Structure])}}
 	c.shape.Store(g.shape.Load())
 	c.Infras = g.Infras.fork(g.sealed)
 	c.NFs = g.NFs.fork(g.sealed)
 	c.SAPs = g.SAPs.fork(g.sealed)
-	c.Links = slices.Clone(g.Links)
-	c.Hops = slices.Clone(g.Hops)
-	c.Reqs = slices.Clone(g.Reqs)
+	c.links = g.links.fork(g.sealed)
+	c.hops = g.hops.fork(g.sealed)
+	c.reqs = g.reqs.fork(g.sealed)
 	c.owned = map[any]struct{}{}
 	if !g.sealed {
 		g.owned = map[any]struct{}{}
@@ -144,17 +135,40 @@ func (g *NFFG) mutNF(id ID) *NF {
 	return n
 }
 
-// MutLink returns the static link with the given ID for writing (nil if
-// absent): on a fork, the fork's own clone.
+// MutLink returns the static link with the given ID for writing its
+// Bandwidth (nil if absent): on a fork, the fork's own clone. The compiled
+// topology (see InfraTopo) stays, so a caller that changes anything else of
+// the link uses EditLinks.
 func (g *NFFG) MutLink(id string) *Link {
 	g.mustMutable("MutLink")
-	for k, l := range g.Links {
-		if l.ID == id {
-			g.Links[k] = own(g, l)
-			return g.Links[k]
+	for at, run := range g.links.runs() {
+		for i, l := range run {
+			if l.ID == id {
+				if c := own(g, l); c != l {
+					g.links.set(at+i, c)
+					return c
+				}
+				return l
+			}
 		}
 	}
 	return nil
+}
+
+// EditLinks calls edit on every static link, in order, for writing any of
+// its fields: on a fork, on the fork's own clones.
+func (g *NFFG) EditLinks(edit func(l *Link)) {
+	g.mustMutable("EditLinks")
+	g.shape.Store(nil)
+	links := g.links.flat() // a flat list's own slice, or a fresh one
+	for i, l := range links {
+		if c := own(g, l); c != l {
+			links[i] = c
+			l = c
+		}
+		edit(l)
+	}
+	g.links = edgeList[Link]{tail: links}
 }
 
 // CheckQuantities rejects a negative, NaN or infinite capacity, demand,
@@ -174,13 +188,13 @@ func (g *NFFG) CheckQuantities() (err error) {
 	for id, n := range g.NFs.All() {
 		check("NF", string(id), n.Demand.CPU, n.Demand.Mem, n.Demand.Storage, n.Demand.Bandwidth, n.Demand.Delay)
 	}
-	for _, l := range g.Links {
+	for l := range g.Links() {
 		check("link", l.ID, l.Bandwidth, l.Delay)
 	}
-	for _, h := range g.Hops {
+	for h := range g.Hops() {
 		check("hop", h.ID, h.Bandwidth, h.Delay)
 	}
-	for _, r := range g.Reqs {
+	for r := range g.Reqs() {
 		check("requirement", r.ID, r.Bandwidth, r.Delay)
 	}
 	return err
@@ -193,7 +207,7 @@ func (g *NFFG) Validate() error {
 	if err := g.CheckQuantities(); err != nil {
 		return err
 	}
-	for _, l := range g.Links {
+	for l := range g.Links() {
 		if err := g.checkEndpoint(l.SrcNode, l.SrcPort); err != nil {
 			return fmt.Errorf("link %s: %w", l.ID, err)
 		}
@@ -201,7 +215,7 @@ func (g *NFFG) Validate() error {
 			return fmt.Errorf("link %s: %w", l.ID, err)
 		}
 	}
-	for _, h := range g.Hops {
+	for h := range g.Hops() {
 		if err := g.checkEndpoint(h.SrcNode, h.SrcPort); err != nil {
 			return fmt.Errorf("hop %s: %w", h.ID, err)
 		}
@@ -243,7 +257,7 @@ func (g *NFFG) Validate() error {
 			}
 		}
 	}
-	for _, r := range g.Reqs {
+	for r := range g.Reqs() {
 		for _, hid := range r.HopIDs {
 			if g.HopByID(hid) == nil {
 				return fmt.Errorf("%w: requirement %s hop %s missing", ErrInvalid, r.ID, hid)
@@ -256,16 +270,26 @@ func (g *NFFG) Validate() error {
 // InfraTopo projects the static-link topology (infra + SAP nodes) into a
 // topo.Graph for path computation. Link IDs are preserved.
 //
-// The graph's shape is compiled once and kept: Copy hands it to the next
-// snapshot, so what a call normally costs is checking that the shape still
-// describes g and filling one bandwidth vector from g.Links. The check is
-// not optional — Links and the node maps are exported fields, and a caller
-// that renames a link on a copy must get the graph it now describes.
+// The graph's shape is compiled once and kept: Copy and Fork hand it to the
+// next snapshot, so what a call normally costs is checking that the shape
+// still holds g's nodes and filling one bandwidth vector from the links.
+// The links are trusted, not checked: the mutators that change more than a
+// link's Bandwidth (AddLink, EditLinks, Merge) drop the shape, and no caller
+// writes any other field of a link through its pointer, on any graph, a Copy
+// included. Race and nffg_sealcheck builds check that rule here and panic on
+// a breach. The node check is not optional — the node maps are exported
+// tables, and a caller that sets or deletes a SAP on a copy must get the
+// graph it now describes.
 func (g *NFFG) InfraTopo() *topo.Graph {
 	if s := g.shape.Load(); s != nil && g.hasShape(s) {
-		bw := make([]float64, len(g.Links))
-		for i, l := range g.Links {
-			bw[i] = l.Bandwidth
+		if sealCheckEnabled && !g.linksFit(s) {
+			panic("nffg: a link of graph " + g.ID + " was written outside EditLinks (see InfraTopo)")
+		}
+		bw := make([]float64, 0, g.links.len())
+		for _, run := range g.links.runs() {
+			for _, l := range run {
+				bw = append(bw, l.Bandwidth)
+			}
 		}
 		return s.Graph(bw)
 	}
@@ -276,13 +300,13 @@ func (g *NFFG) InfraTopo() *topo.Graph {
 	for id := range g.SAPs.All() {
 		nodes = append(nodes, topo.NodeID(id))
 	}
-	links := make([]topo.Link, len(g.Links))
-	for i, l := range g.Links {
-		links[i] = topoLink(l)
+	links := make([]topo.Link, 0, g.links.len())
+	for l := range g.Links() {
+		links = append(links, topoLink(l))
 	}
 	t, dropped := topo.Compile(nodes, links)
 	if dropped == 0 {
-		// Only then does the shape's link i stand for g.Links[i].
+		// Only then does the shape's link i stand for g's link i.
 		g.shape.Store(t.Structure())
 	}
 	return t
@@ -290,19 +314,41 @@ func (g *NFFG) InfraTopo() *topo.Graph {
 
 // AdoptShape hands g the compiled topology from carries, as Copy does for a
 // copy, so a graph rebuilt over the same infrastructure — a DoV cut merged
-// again after a commit moved only reservations — skips recompiling it.
-// InfraTopo still checks the adopted shape against g, so a stale one costs
-// only that check.
+// again after a commit moved only reservations — skips recompiling it. The
+// shape is adopted only if it holds g's links, in g's order: this is the one
+// place a shape meets links it was not compiled from, so it checks them
+// here, once, and InfraTopo then checks only the nodes.
 func (g *NFFG) AdoptShape(from *NFFG) {
-	if from != nil {
-		g.shape.Store(from.shape.Load())
+	if from == nil {
+		return
+	}
+	if s := from.shape.Load(); s != nil && g.linksFit(s) {
+		g.shape.Store(s)
 	}
 }
 
-// hasShape reports whether s is what compiling g now would produce: the same
-// nodes, and the same links in the same order. It allocates nothing.
+// linksFit reports whether s holds g's links, in g's order, Bandwidth aside.
+func (g *NFFG) linksFit(s *topo.Structure) bool {
+	if s.NumLinks() != g.links.len() {
+		return false
+	}
+	i := 0
+	for l := range g.Links() {
+		want := topoLink(l)
+		want.Bandwidth = 0 // not part of the shape
+		if s.LinkAt(i) != want {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
+// hasShape reports whether s holds g's nodes and as many links as g: what
+// compiling g now would produce, since the mutators that change links drop
+// the shape (see InfraTopo). It allocates nothing.
 func (g *NFFG) hasShape(s *topo.Structure) bool {
-	if s.NumNodes() != g.Infras.Len()+g.SAPs.Len() || s.NumLinks() != len(g.Links) {
+	if s.NumNodes() != g.Infras.Len()+g.SAPs.Len() || s.NumLinks() != g.links.len() {
 		return false
 	}
 	for id := range g.Infras.All() {
@@ -312,13 +358,6 @@ func (g *NFFG) hasShape(s *topo.Structure) bool {
 	}
 	for id := range g.SAPs.All() {
 		if !s.HasNode(topo.NodeID(id)) {
-			return false
-		}
-	}
-	for i, l := range g.Links {
-		want := topoLink(l)
-		want.Bandwidth = 0 // not part of the shape
-		if s.LinkAt(i) != want {
 			return false
 		}
 	}
@@ -365,11 +404,11 @@ func (g *NFFG) Merge(other *NFFG) error {
 	if share && g.owned == nil {
 		g.owned = map[any]struct{}{}
 	}
-	// Pre-grow the edge slices: a DoV merge folds many domain views into one
+	// Pre-grow the edge lists: a DoV merge folds many domain views into one
 	// graph, and growing append-by-append reallocates on every shard.
-	g.Links = slices.Grow(g.Links, len(other.Links))
-	g.Hops = slices.Grow(g.Hops, len(other.Hops))
-	g.Reqs = slices.Grow(g.Reqs, len(other.Reqs))
+	g.links.grow(other.links.len())
+	g.hops.grow(other.hops.len())
+	g.reqs.grow(other.reqs.len())
 	for id, i := range other.Infras.All() {
 		if !share {
 			i = copyInfra(i)
@@ -392,7 +431,7 @@ func (g *NFFG) Merge(other *NFFG) error {
 		}
 		g.SAPs.Set(id, s)
 	}
-	for _, l := range other.Links {
+	for l := range other.Links() {
 		renamed := g.LinkByID(l.ID) != nil
 		if renamed || !share {
 			cl := *l
@@ -401,22 +440,20 @@ func (g *NFFG) Merge(other *NFFG) error {
 		if renamed {
 			l.ID = fmt.Sprintf("%s@%s", l.ID, other.ID)
 		}
-		g.Links = append(g.Links, l)
+		g.links.add(l)
 	}
-	for _, h := range other.Hops {
+	for h := range other.Hops() {
 		if !share {
 			ch := *h
 			h = &ch
 		}
-		g.Hops = append(g.Hops, h)
+		g.hops.add(h)
 	}
-	for _, r := range other.Reqs {
+	for r := range other.Reqs() {
 		if !share {
-			cr := *r
-			cr.HopIDs = append([]string(nil), r.HopIDs...)
-			r = &cr
+			r = copyReq(r)
 		}
-		g.Reqs = append(g.Reqs, r)
+		g.reqs.add(r)
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package nffg
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/unify-repro/escape/internal/topo"
+)
 
 // TestSealBlocksMutators pins the read-only handle discipline: every mutator
 // panics on a sealed graph (in seal-check builds), and Copy hands back an
@@ -53,6 +57,68 @@ func TestSealBlocksMutators(t *testing.T) {
 				}
 			}()
 			mutate()
+		}()
+	}
+}
+
+// TestLinkWrittenOutsideEditLinksPanics pins the rule InfraTopo's kept shape
+// rests on: through a link's pointer a caller writes only its Bandwidth, on
+// every graph, a Copy included; any other field goes through EditLinks. In
+// checked builds a breach panics at the next InfraTopo instead of being
+// answered from the shape the graph was compiled with.
+func TestLinkWrittenOutsideEditLinksPanics(t *testing.T) {
+	base := NewBuilder("g").
+		BiSBiS("bb1", "d", 4, Resources{CPU: 8}, "fw").
+		BiSBiS("bb2", "d", 4, Resources{CPU: 8}, "fw").
+		SAP("s1").
+		Link("l1", "bb1", "1", "bb2", "1", 100, 0.5).
+		Link("l2", "s1", "1", "bb1", "2", 100, 0.1).
+		MustBuild()
+	base.InfraTopo() // compiles the shape that Copy hands on
+	base.Seal()
+
+	l1 := func(g *NFFG) topo.Link {
+		for _, l := range g.InfraTopo().Links() {
+			if l.ID == "l1/fwd" {
+				return l
+			}
+		}
+		t.Fatal("InfraTopo lost link l1/fwd")
+		return topo.Link{}
+	}
+	c := base.Copy()
+	c.LinkByID("l1/fwd").Bandwidth = 7 // not part of the shape
+	if got := l1(c).Bandwidth; got != 7 {
+		t.Fatalf("bandwidth written through the pointer: InfraTopo reads %v, want 7", got)
+	}
+	c.EditLinks(func(l *Link) { l.Delay = 9 })
+	if got := l1(c).Delay; got != 9 {
+		t.Fatalf("delay written through EditLinks: InfraTopo reads %v, want 9", got)
+	}
+
+	if !sealCheckEnabled {
+		t.Skip("link checks compiled out (enable with -race or -tags nffg_sealcheck)")
+	}
+	writes := map[string]func(l *Link){
+		"a delay changed":  func(l *Link) { l.Delay = 9 },
+		"a link renamed":   func(l *Link) { l.ID += "@child" },
+		"a source swapped": func(l *Link) { l.SrcNode = "bb2" },
+		"a target swapped": func(l *Link) { l.DstNode = "s1" },
+		"a link reversed":  func(l *Link) { l.SrcNode, l.DstNode = l.DstNode, l.SrcNode },
+	}
+	for name, write := range writes {
+		c := base.Copy()
+		for l := range c.Links() {
+			write(l)
+			break
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s through a Copy's link pointer: InfraTopo did not panic", name)
+				}
+			}()
+			c.InfraTopo()
 		}()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -50,7 +51,7 @@ func checkTopo(t *testing.T, after string, g *nffg.NFFG) {
 		nodes = append(nodes, topo.NodeID(id))
 	}
 	var links []topo.Link
-	for _, l := range g.Links {
+	for l := range g.Links() {
 		links = append(links, topo.Link{ID: topo.LinkID(l.ID), Src: topo.NodeID(l.SrcNode), Dst: topo.NodeID(l.DstNode),
 			Bandwidth: l.Bandwidth, Delay: l.Delay, Cost: 1})
 	}
@@ -147,36 +148,107 @@ func mustJSON(t *testing.T, g *nffg.NFFG) []byte {
 	return b
 }
 
-// Links, Infras and SAPs are exported fields; core.Attach renames every link
-// of a copy. An edit no mutator saw must be caught by InfraTopo's own check,
-// not answered from the shape the graph had before.
+// Infras and SAPs are exported tables, EditLinks writes any field of a link
+// (core.Attach renames every link of a copy), and AdoptShape hands a graph a
+// shape compiled from another one. An edit must either drop the shape or be
+// caught by the check that meets it, not be answered from the shape the
+// graph had before.
 func TestInfraTopoCatchesDirectFieldEdits(t *testing.T) {
-	edits := map[string]func(g *nffg.NFFG){
-		"a link dropped":    func(g *nffg.NFFG) { g.Links = g.Links[:len(g.Links)-1] },
-		"a link appended":   func(g *nffg.NFFG) { l := *g.Links[0]; l.ID = "new"; g.Links = append(g.Links, &l) },
-		"links reordered":   func(g *nffg.NFFG) { g.Links[0].Bandwidth = 1; g.Links[0], g.Links[3] = g.Links[3], g.Links[0] },
-		"a link renamed":    func(g *nffg.NFFG) { g.Links[2].ID += "@child" },
-		"a source swapped":  func(g *nffg.NFFG) { g.Links[0].SrcNode = "a-bb2" },
-		"a target swapped":  func(g *nffg.NFFG) { g.Links[0].DstNode = "a-bb3" },
-		"a link reversed":   func(g *nffg.NFFG) { l := g.Links[1]; l.SrcNode, l.DstNode = l.DstNode, l.SrcNode },
-		"a delay changed":   func(g *nffg.NFFG) { g.Links[0].Delay = 9 },
-		"bandwidth changed": func(g *nffg.NFFG) { g.Links[0].Bandwidth = 1 },
-		"a SAP deleted":     func(g *nffg.NFFG) { g.SAPs.Delete("a-s1") },
-		"a SAP exchanged": func(g *nffg.NFFG) {
+	// editLink edits g's link i through EditLinks.
+	editLink := func(g *nffg.NFFG, i int, edit func(l *nffg.Link)) {
+		id := slices.Collect(g.Links())[i].ID
+		g.EditLinks(func(l *nffg.Link) {
+			if l.ID == id {
+				edit(l)
+			}
+		})
+	}
+	// rebuilt is g with links instead of its own, built afresh and handed
+	// g's shape, as a DoV cut merged again is handed the replaced cut's.
+	rebuilt := func(g *nffg.NFFG, links []*nffg.Link) *nffg.NFFG {
+		r := nffg.New(g.ID)
+		for _, i := range g.Infras.All() {
+			if err := r.AddInfra(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range g.SAPs.All() {
+			if err := r.AddSAP(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, l := range links {
+			cl := *l
+			if err := r.AddLink(&cl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.AdoptShape(g)
+		return r
+	}
+	edits := map[string]func(g *nffg.NFFG) *nffg.NFFG{
+		"a link dropped": func(g *nffg.NFFG) *nffg.NFFG {
+			links := slices.Collect(g.Links())
+			return rebuilt(g, links[:len(links)-1])
+		},
+		"a link appended": func(g *nffg.NFFG) *nffg.NFFG {
+			l := *slices.Collect(g.Links())[0]
+			l.ID = "new"
+			if err := g.AddLink(&l); err != nil {
+				t.Fatal(err)
+			}
+			return g
+		},
+		"links reordered": func(g *nffg.NFFG) *nffg.NFFG {
+			g.MutLink(slices.Collect(g.Links())[0].ID).Bandwidth = 1
+			links := slices.Collect(g.Links())
+			links[0], links[3] = links[3], links[0]
+			return rebuilt(g, links)
+		},
+		"a link renamed": func(g *nffg.NFFG) *nffg.NFFG {
+			editLink(g, 2, func(l *nffg.Link) { l.ID += "@child" })
+			return g
+		},
+		"a source swapped": func(g *nffg.NFFG) *nffg.NFFG {
+			editLink(g, 0, func(l *nffg.Link) { l.SrcNode = "a-bb2" })
+			return g
+		},
+		"a target swapped": func(g *nffg.NFFG) *nffg.NFFG {
+			editLink(g, 0, func(l *nffg.Link) { l.DstNode = "a-bb3" })
+			return g
+		},
+		"a link reversed": func(g *nffg.NFFG) *nffg.NFFG {
+			editLink(g, 1, func(l *nffg.Link) { l.SrcNode, l.DstNode = l.DstNode, l.SrcNode })
+			return g
+		},
+		"a delay changed": func(g *nffg.NFFG) *nffg.NFFG {
+			editLink(g, 0, func(l *nffg.Link) { l.Delay = 9 })
+			return g
+		},
+		"bandwidth changed": func(g *nffg.NFFG) *nffg.NFFG {
+			g.MutLink(slices.Collect(g.Links())[0].ID).Bandwidth = 1
+			return g
+		},
+		"a SAP deleted": func(g *nffg.NFFG) *nffg.NFFG {
+			g.SAPs.Delete("a-s1")
+			return g
+		},
+		"a SAP exchanged": func(g *nffg.NFFG) *nffg.NFFG {
 			g.SAPs.Delete("a-s1")
 			g.SAPs.Set("a-s9", &nffg.SAP{ID: "a-s9", Port: &nffg.Port{ID: "1"}})
+			return g
 		},
-		"an infra exchanged": func(g *nffg.NFFG) {
+		"an infra exchanged": func(g *nffg.NFFG) *nffg.NFFG {
 			g.Infras.Set("a-bb9", g.Infras.Get("a-bb1"))
 			g.Infras.Delete("a-bb1")
+			return g
 		},
 	}
 	for name, edit := range edits {
 		t.Run(name, func(t *testing.T) {
 			base := ring("a", 4).Seal()
 			checkTopo(t, "Build", base)
-			g := base.Copy()
-			edit(g)
+			g := edit(base.Copy())
 			checkTopo(t, "the edit", g)
 			checkTopo(t, "the edit, on the graph copied", base)
 		})
@@ -201,7 +273,7 @@ func TestAdoptShapeOfAReplacedCut(t *testing.T) {
 	checkTopo(t, "Merge", prev) // compiles and keeps prev's shape
 
 	next := merge(a, b)
-	for _, l := range next.Links {
+	for l := range next.Links() {
 		l.Bandwidth /= 2 // a commit moves reservations only
 	}
 	next.AdoptShape(prev)
@@ -247,7 +319,7 @@ func TestInfraTopoOnASharedSnapshot(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			next := snap.Copy()
-			for _, l := range next.Links {
+			for l := range next.Links() {
 				l.Bandwidth = 1
 			}
 			if i%2 == 0 {

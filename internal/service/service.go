@@ -399,7 +399,7 @@ func validateServiceGraph(g *nffg.NFFG) error {
 	if g.Infras.Len() != 0 {
 		return fmt.Errorf("%w: service graphs must not contain infrastructure nodes", ErrInvalid)
 	}
-	if len(g.Hops) == 0 {
+	if g.NumHops() == 0 {
 		return fmt.Errorf("%w: service graph has no hops", ErrInvalid)
 	}
 	if err := g.Validate(); err != nil {
@@ -407,7 +407,7 @@ func validateServiceGraph(g *nffg.NFFG) error {
 	}
 	// Every NF must be reachable by some hop (no orphans).
 	touched := map[nffg.ID]bool{}
-	for _, h := range g.Hops {
+	for h := range g.Hops() {
 		touched[h.SrcNode] = true
 		touched[h.DstNode] = true
 	}
