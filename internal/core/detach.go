@@ -2,11 +2,12 @@
 // everything attach-time registration built — the shard directory entry, the
 // infra ownership map, the reverse shard index contribution — and displaces
 // the services whose embeddings depended on the departing child so the fleet
-// controller can re-embed them onto survivors. The generation-keyed read
-// caches need no explicit invalidation: removing a shard key changes every
-// subsequent generation vector, so cached cuts and views miss naturally and
-// readers holding the old directory snapshot still see a consistent
-// (pre-detach) cut, never a torn one.
+// controller can re-embed them onto survivors. All of it is one publish: the
+// directory swap, the survivors' releases and the departing shard's final
+// generation happen under every shard lock and ro.mu, at one epoch, so every
+// cut a reader takes (see lockCurrent) is wholly before or wholly after the
+// detach. The generation-keyed read caches need no explicit invalidation:
+// the shard set and the generations change, so cached cuts and views miss.
 package core
 
 import (
@@ -14,13 +15,13 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"slices"
-	"strings"
-	"sync"
 
 	"github.com/unify-repro/escape/internal/domain"
+	"github.com/unify-repro/escape/internal/embed"
+	"github.com/unify-repro/escape/internal/journal"
 	"github.com/unify-repro/escape/internal/nffg"
-	"github.com/unify-repro/escape/internal/unify"
 )
 
 // DisplacedService describes one service Detach evicted: its original
@@ -53,91 +54,96 @@ type DetachReport struct {
 // so a shared shard cannot shed one child's nodes. SingleShard configurations
 // therefore cannot hot-detach.
 //
-// Concurrency: in-flight installs that touched the shard lose their commit
-// race (the final generation bump below) and re-plan against the post-detach
-// directory; installs already committed but not yet deployed fail their
-// southbound fan-out on the departed child and self-release. Readers keep
-// serving consistent pre-detach cuts until their next directory fetch.
+// Concurrency: Detach locks every shard of the directory in key order, then
+// ro.mu, and publishes the survivors' release forks plus the departing
+// shard's final generation in that one scope, together with the directory
+// swap and the displaced services' table entries. In-flight installs that
+// touched any published shard lose their commit race and re-plan against the
+// post-detach directory; installs already committed but not yet deployed
+// fail their southbound fan-out on the departed child and self-release.
+// Only after the publish does Detach deregister the child and tear the
+// displaced services down on the survivors (best-effort, logged); it returns
+// once that teardown has finished.
 //
-// Crash note: the detach journal record is appended after the displaced
-// services' release records so replay frees survivors' resources before
-// dropping the service table entries. A crash before the record simply
-// resurrects the pre-detach fleet — the controller re-probes and re-evicts.
+// Crash note: each survivor's release record (listing the displaced services
+// that touch it) and the departing shard's detach record share the publish's
+// epoch, and replay ranks releases before a detach within one epoch, so it
+// frees the survivors' resources before it drops the displaced services. A
+// crash before the publish resurrects the pre-detach fleet — the controller
+// re-probes and re-evicts; a crash after it may leave sub-services on the
+// survivors that the interrupted teardown did not reach.
 func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*DetachReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ro.mu.Lock()
-	key, ok := ro.dir.childShard[child]
-	if !ok {
+	var dir *shardDirectory
+	var shs []*shard
+	for {
+		dir, _, shs = ro.lockCurrent(nil)
+		ro.mu.Lock()
+		if ro.dir == dir {
+			break
+		}
 		ro.mu.Unlock()
+		unlockAll(shs)
+	}
+	unlock := func() {
+		ro.mu.Unlock()
+		unlockAll(shs)
+	}
+	key, ok := dir.childShard[child]
+	if !ok {
+		unlock()
 		return nil, fmt.Errorf("core: detach %s: %w", child, domain.ErrUnknown)
 	}
-	sh := ro.dir.shards[key]
-	if others := exclude(ro.dir.domains[key], child); len(others) > 0 {
-		ro.mu.Unlock()
+	if others := exclude(dir.domains[key], child); len(others) > 0 {
+		unlock()
 		return nil, fmt.Errorf("core: detach %s: shard %s also hosts %v — runtime detach requires per-domain sharding", child, key, others)
 	}
-	ro.mu.Unlock()
-
-	// Lock order: shard mutex before ro.mu. Holding sh.mu across the
-	// directory swap AND the generation bump is what makes the detach atomic
-	// against the commit path: any commit touching this shard either finished
-	// before we got the lock (its service is in the table and displaced
-	// below) or validates its generation after our bump, loses, and re-plans
-	// against the post-detach directory.
-	sh.mu.Lock()
-	ro.mu.Lock()
-	if ro.dir.childShard[child] != key || ro.dir.shards[key] != sh {
-		ro.mu.Unlock()
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: fleet membership changed during detach of %s", unify.ErrBusy, child)
-	}
+	sh := dir.shards[key]
 
 	// Displace every deployed service whose embedding touched the shard (or
-	// that installed sub-services on the child). Marking them stateRemoving
-	// excludes concurrent Remove/Detach; pending installs are left alone —
-	// they either lose the commit race or fail their fan-out and self-clean.
-	type displaced struct {
-		id  string
-		rec *serviceRecord
-	}
-	var evicted []displaced
+	// that installed sub-services on the child). Services with an operation
+	// in flight are left alone: a pending install loses its commit race or
+	// fails its fan-out and self-cleans; a removal releases what survives.
+	var evicted []string
 	for id, rec := range ro.services {
-		if rec.state != stateReady {
+		if rec.state == stateReady && (slices.Contains(rec.shards, key) || len(rec.children[child]) > 0) {
+			evicted = append(evicted, id)
+		}
+	}
+	slices.Sort(evicted)
+
+	// Each survivor a displaced service touches releases it on a fork and
+	// journals it; the departing shard's graph dies with it.
+	released := map[string][]string{} // survivor key -> displaced services
+	mappings := map[string][]*embed.Mapping{}
+	for _, id := range evicted {
+		rec := ro.services[id]
+		for _, k := range rec.shards {
+			if k != key && rec.mapping != nil {
+				released[k] = append(released[k], id)
+				mappings[k] = append(mappings[k], rec.mapping)
+			}
+		}
+	}
+	pub := dir.ordered(append(sortedKeys(released), key))
+	next := make([]*nffg.NFFG, len(pub))
+	for i, s := range pub {
+		if s == sh {
 			continue
 		}
-		if slices.Contains(rec.shards, key) || len(rec.children[child]) > 0 {
-			rec.state = stateRemoving
-			evicted = append(evicted, displaced{id: id, rec: rec})
+		g, err := releaseFork(s, mappings[s.key]...)
+		if err != nil {
+			log.Printf("core %s: detach %s: release on %s: %v", ro.id, child, s.key, err)
 		}
+		next[i] = g
 	}
-	slices.SortFunc(evicted, func(a, b displaced) int {
-		return strings.Compare(a.id, b.id)
-	})
 
-	dir := ro.dir.clone()
-	delete(dir.childShard, child)
-	delete(dir.shards, key)
-	delete(dir.domains, key)
-	dir.keys = exclude(dir.keys, key)
-	owner := make(map[nffg.ID]string, len(ro.owner))
-	for k, v := range ro.owner {
-		if v != child {
-			owner[k] = v
-		}
-	}
-	contrib := make(map[string]shardContrib, len(ro.contrib))
-	for k, v := range ro.contrib {
-		if k != key {
-			contrib[k] = v
-		}
-	}
 	departedNodes := ro.contrib[key].nodes
-	// Resume point for a future re-attach of this key: generations must keep
-	// rising across the cycle (sh.gen is bumped right below).
-	ro.lastGen[key] = sh.gen + 1
-	ro.dir, ro.owner, ro.contrib = dir, owner, contrib
+	contrib := maps.Clone(ro.contrib)
+	delete(contrib, key)
+	ro.dir, ro.owner, ro.contrib = dir.without(child, true), ownerWithout(ro.owner, child), contrib
 	ro.rebuildIndexLocked()
 	// Tombstone the nodes nobody answers for anymore; shared border SAPs a
 	// surviving child still exports stay in the index and need none.
@@ -146,103 +152,52 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 			ro.departed[node] = child
 		}
 	}
-	ro.mu.Unlock()
-
-	// Final generation bump: in-flight optimistic commits against the old
-	// cut now fail validation and re-snapshot. No journal record yet — the
-	// detach record must order after the displaced services' releases.
-	sh.gen++
-	sh.commits++
-	finalGen := sh.gen
-	sh.mu.Unlock()
-
-	if err := ro.reg.Deregister(child); err != nil && !errors.Is(err, domain.ErrUnknown) {
-		log.Printf("core %s: detach %s: deregister: %v", ro.id, child, err)
-	}
+	_ = ro.publishLocked(ctx, pub, next, func(s *shard) shardRecord {
+		if s == sh {
+			return shardRecord{kind: journal.KindDetach, child: child, ids: evicted}
+		}
+		return shardRecord{kind: journal.KindRelease, ids: released[s.key]}
+	})
+	// Resume point for a future re-attach of this key: generations must keep
+	// rising across the cycle.
+	ro.lastGen[key] = sh.gen
 
 	report := &DetachReport{Child: child, Shard: key}
-	displacedIDs := make([]string, 0, len(evicted))
-	for _, ev := range evicted {
-		displacedIDs = append(displacedIDs, ev.id)
-		ds := DisplacedService{ServiceID: ev.id, Children: map[string][]string{}}
-		if ev.rec.mapping != nil && ev.rec.mapping.Request != nil {
-			ds.Request = ev.rec.mapping.Request.Copy()
+	survivors := map[string][]string{} // surviving child -> sub-services to tear down
+	for _, id := range evicted {
+		rec := ro.services[id]
+		ro.dropReservationsLocked(id, rec)
+		ds := DisplacedService{ServiceID: id, Children: map[string][]string{}}
+		if rec.mapping != nil && rec.mapping.Request != nil {
+			ds.Request = rec.mapping.Request.Copy()
 			// Host pins to nodes nobody answers for anymore cannot be honored
 			// by a re-embedding: clear them so the mapper is free to place the
 			// NF on a survivor. Pins to nodes a surviving child still exports
 			// (shared border infrastructure) are kept.
-			ro.mu.Lock()
 			for _, nf := range ds.Request.NFs.All() {
 				if nf.Host != "" && len(ro.index[nf.Host]) == 0 {
 					nf.Host = ""
 				}
 			}
-			ro.mu.Unlock()
 		}
-		for c, subs := range ev.rec.children {
+		for c, subs := range rec.children {
 			ds.Children[c] = append([]string(nil), subs...)
+			if c != child {
+				survivors[c] = append(survivors[c], subs...)
+			}
 		}
 		report.Displaced = append(report.Displaced, ds)
 	}
+	unlock()
 
+	if err := ro.reg.Deregister(child); err != nil && !errors.Is(err, domain.ErrUnknown) {
+		log.Printf("core %s: detach %s: deregister: %v", ro.id, child, err)
+	}
 	// Tear the displaced services down on the surviving children (the
 	// departed child is unreachable; whatever it still holds dies with it).
-	// Best-effort: a failed teardown is logged, the DoV release below still
-	// frees the survivors' capacity for the re-embedding.
-	var wg sync.WaitGroup
-	for _, ev := range evicted {
-		for childID, subIDs := range ev.rec.children {
-			if childID == child {
-				continue
-			}
-			d, err := ro.reg.Get(childID)
-			if err != nil {
-				log.Printf("core %s: detach %s: teardown on %s: %v", ro.id, child, childID, err)
-				continue
-			}
-			for _, subID := range subIDs {
-				wg.Add(1)
-				go func(d domain.Domain, childID, subID string) {
-					defer wg.Done()
-					if err := d.Remove(ctx, subID); err != nil && !errors.Is(err, unify.ErrUnknownService) {
-						log.Printf("core %s: detach %s: remove %s on %s: %v", ro.id, child, subID, childID, err)
-					}
-				}(d, childID, subID)
-			}
-		}
-	}
-	wg.Wait()
-
-	// Release the displaced services' DoV resources on surviving shards and
-	// drop their reservations; the dropped shard's share dies with the shard.
-	for _, ev := range evicted {
-		if surviving := exclude(ev.rec.shards, key); len(surviving) > 0 && ev.rec.mapping != nil {
-			if err := ro.releaseShards(ctx, ev.id, ev.rec.mapping, surviving); err != nil {
-				log.Printf("core %s: detach %s: release %s: %v", ro.id, child, ev.id, err)
-			}
-		}
-		ro.mu.Lock()
-		ro.dropReservationsLocked(ev.id, ev.rec)
-		ro.mu.Unlock()
-	}
-
-	epoch := ro.bumpEpoch()
-	if ro.journal != nil {
-		if err := ro.journal.LogDetach(key, finalGen, epoch, child, true, displacedIDs); err != nil {
-			ro.stats.journalErrs.Add(1)
-			log.Printf("core %s: journal detach %s: %v", ro.id, child, err)
-		}
+	// Best-effort: the publish already freed the survivors' DoV capacity.
+	if err := ro.teardown(ctx, survivors); err != nil {
+		log.Printf("core %s: detach %s: teardown: %v", ro.id, child, err)
 	}
 	return report, nil
-}
-
-// exclude returns s without any element equal to drop (allocating a copy).
-func exclude(s []string, drop string) []string {
-	out := make([]string, 0, len(s))
-	for _, v := range s {
-		if v != drop {
-			out = append(out, v)
-		}
-	}
-	return out
 }

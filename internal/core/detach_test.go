@@ -19,19 +19,23 @@ import (
 // table all agree with each other and contain nothing from dropped shards.
 func checkDetachInvariants(t *testing.T, ro *ResourceOrchestrator) {
 	t.Helper()
-	ro.mu.Lock()
-	defer ro.mu.Unlock()
-
-	live := map[string]bool{}
-	for _, key := range ro.dir.keys {
-		live[key] = true
-		sh := ro.dir.shards[key]
+	// Shard locks before ro.mu: the documented lock order.
+	dir, _ := ro.snapshotDir()
+	for _, key := range dir.keys {
+		sh := dir.shards[key]
 		sh.mu.Lock()
 		gen, commits := sh.gen, sh.commits
 		sh.mu.Unlock()
 		if gen != commits {
 			t.Errorf("shard %s: gen %d != commits %d", key, gen, commits)
 		}
+	}
+	ro.mu.Lock()
+	defer ro.mu.Unlock()
+
+	live := map[string]bool{}
+	for _, key := range ro.dir.keys {
+		live[key] = true
 	}
 	if len(ro.dir.shards) != len(ro.dir.keys) {
 		t.Errorf("directory: %d shards vs %d keys", len(ro.dir.shards), len(ro.dir.keys))
@@ -323,4 +327,88 @@ flap:
 		}
 	}
 	checkDetachInvariants(t, ro)
+}
+
+// holdingProgrammer is a leaf Programmer that, while armed, blocks every
+// teardown delta (one that deletes NFs or flowrules) until release closes,
+// announcing each blocked delta on entered.
+type holdingProgrammer struct {
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (p *holdingProgrammer) Commit(ctx context.Context, d *nffg.Delta, _ *nffg.NFFG) error {
+	if _, delNFs, _, delRules := d.Counts(); p.armed.Load() && delNFs+delRules > 0 {
+		p.entered <- struct{}{}
+		select {
+		case <-p.release:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// TestDetachCutIsAtomic pins the atomicity of Detach deterministically: one
+// service spans the survivor d2 (its home shard, which records the hop
+// b1 -> x-nf) and the departing d3 (which holds x-nf). While Detach(d3) is
+// held inside d2's teardown, every DoV cut must be either wholly before or
+// wholly after the detach: it merges, validates, and holds neither the
+// departed node nor the displaced service's hop.
+func TestDetachCutIsAtomic(t *testing.T) {
+	hold := &holdingProgrammer{entered: make(chan struct{}), release: make(chan struct{})}
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(hold.release) }) }
+	t.Cleanup(unblock)
+	ro, _ := lineRO(t, 4, 0, map[int]Programmer{2: hold})
+	ctx := context.Background()
+
+	req := chainReq(t, "x", "b1", "sap2", "fw")
+	req.NFs.Get("x-nf").Host = "bisbis@d3"
+	if _, err := ro.Install(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	ro.mu.Lock()
+	shards := fmt.Sprint(ro.services["x"].shards)
+	ro.mu.Unlock()
+	if shards != "[d2 d3]" {
+		t.Fatalf("service x touches %s, want [d2 d3]", shards)
+	}
+
+	hold.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := ro.Detach(ctx, "d3")
+		done <- err
+	}()
+	select {
+	case <-hold.entered:
+	case err := <-done:
+		t.Fatalf("Detach returned (%v) without tearing x down on d2", err)
+	}
+
+	// Detach is now held mid-teardown on d2.
+	dov, err := ro.DoV()
+	if err != nil {
+		t.Fatalf("DoV during detach: %v", err)
+	}
+	if err := dov.Validate(); err != nil {
+		t.Fatalf("torn cut during detach: %v", err)
+	}
+	if _, ok := dov.Infras.Lookup("bisbis@d3"); ok {
+		t.Error("cut during the teardown still holds the departed node")
+	}
+	if dov.HopByID("x-1") != nil {
+		t.Error("cut during the teardown still holds the displaced service's hop")
+	}
+
+	unblock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	checkDetachInvariants(t, ro)
+	if err := mustDoV(t, ro).Validate(); err != nil {
+		t.Fatalf("post-detach DoV: %v", err)
+	}
 }

@@ -109,9 +109,11 @@ type ResourceOrchestrator struct {
 	viewTimeout time.Duration
 	viewRetries int
 
-	// epoch counts committed DoV changes (attach merges, install commits,
-	// releases) across all shards — the logical generation northbound.
-	// Every bump goes through bumpEpoch (version.go) so watch waiters wake.
+	// epoch counts published DoV changes (attach merges, install commits,
+	// releases, detaches) across all shards — the logical generation
+	// northbound. It moves only in publishLocked, once per publish, under
+	// the locks of the shards the publish changes; that also wakes watch
+	// waiters.
 	epoch atomic.Uint64
 	// tableVer counts service-table visibility changes (deploy completions,
 	// removal drops) that move the northbound version WITHOUT a DoV commit:
@@ -419,61 +421,19 @@ func (ro *ResourceOrchestrator) Attach(ctx context.Context, d domain.Domain) err
 		// restore, which would clobber concurrent attaches of other children).
 		// sh.mu is still held — lock order shard→ro.mu is the allowed
 		// direction — so sh.dov cannot change while we decide whether the
-		// shard itself must go.
+		// shard itself must go: if we created it and nothing ever merged
+		// into it, it would haunt ShardStats and every all-shard cut forever.
 		ro.mu.Lock()
-		rb := ro.dir.clone()
-		delete(rb.childShard, d.ID())
-		kept := rb.domains[key][:0]
-		for _, c := range rb.domains[key] {
-			if c != d.ID() {
-				kept = append(kept, c)
-			}
-		}
-		rb.domains[key] = kept
-		if len(kept) == 0 && sh.dov == nil {
-			// We created this shard and nothing ever merged into it: drop it,
-			// or it would haunt ShardStats and every all-shard cut forever.
-			delete(rb.shards, key)
-			delete(rb.domains, key)
-			keys := rb.keys[:0]
-			for _, k := range rb.keys {
-				if k != key {
-					keys = append(keys, k)
-				}
-			}
-			rb.keys = keys
-		}
-		rbOwner := make(map[nffg.ID]string, len(ro.owner))
-		for k, v := range ro.owner {
-			if v != d.ID() {
-				rbOwner[k] = v
-			}
-		}
-		ro.dir, ro.owner = rb, rbOwner
+		ro.dir, ro.owner = ro.dir.without(d.ID(), sh.dov == nil), ownerWithout(ro.owner, d.ID())
 		ro.mu.Unlock()
 		sh.mu.Unlock()
 		_ = ro.reg.Deregister(d.ID())
 		return fmt.Errorf("core: merge view of %s: %w", d.ID(), err)
 	}
-	sh.dov = next.Seal()
-	sh.gen++
-	sh.commits++
-	if ro.journal != nil {
-		// Journaled inside the critical section so the shard's record order
-		// matches its commit order; the epoch is bumped here for the same
-		// reason (observably identical — it is a plain monotonic counter).
-		epoch := ro.bumpEpoch()
-		if err := ro.journal.LogAttach(key, sh.gen, epoch, d.ID(), ro.id+"-dov", qual); err != nil {
-			ro.stats.journalErrs.Add(1)
-			log.Printf("core %s: journal attach %s: %v", ro.id, d.ID(), err)
-		} else {
-			sh.journalRecs++
-		}
-		sh.mu.Unlock()
-	} else {
-		sh.mu.Unlock()
-		ro.bumpEpoch()
-	}
+	_ = ro.publishLocked(ctx, []*shard{sh}, []*nffg.NFFG{next}, func(*shard) shardRecord {
+		return shardRecord{kind: journal.KindAttach, child: d.ID(), view: qual}
+	})
+	sh.mu.Unlock()
 
 	// Refresh the reverse index with the shard's new contribution (its DoV
 	// nodes, SAPs and the view nodes they aggregate into). The contribution
@@ -519,9 +479,9 @@ func (ro *ResourceOrchestrator) snapshotDir() (*shardDirectory, map[nffg.ID]stri
 	return ro.dir, ro.owner
 }
 
-// Generation returns the DoV epoch: the number of committed DoV changes
-// (attach merges, install commits, releases) since start, summed across
-// shards but counted once per commit event.
+// Generation returns the DoV epoch: the number of published DoV changes
+// (attach merges, install commits, releases, detaches) since start, counted
+// once per publish however many shards it changed.
 func (ro *ResourceOrchestrator) Generation() uint64 {
 	return ro.epoch.Load()
 }
@@ -1056,7 +1016,6 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			ro.stats.busy.Add(1)
 		}
 	}
-	var tshs []*shard
 	for {
 		attempts++
 		if err := ctx.Err(); err != nil {
@@ -1066,13 +1025,18 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		ro.stats.mapAttempts.Add(1)
 		mapSpan, _ = obs.StartSpan(gctx, "orchestrator.map", "attempt", strconv.Itoa(attempts))
 		mapStart := time.Now()
-		dir, owner := ro.snapshotDir()
-		gkeys := keys
-		if gkeys == nil {
-			gkeys = dir.keys
+		// Every attempt reads its cut from the current directory, so no plan
+		// can commit onto a shard a detach has dropped. The optimistic
+		// attempt plans with the locks released.
+		dir, owner, shs := ro.lockCurrent(keys)
+		graphs, gens := readCut(shs)
+		var held []*shard // the shard locks this attempt holds from here on
+		if lost >= lockAfterLosses {
+			held = shs
+		} else {
+			unlockAll(shs)
 		}
-		narrow = len(gkeys) < len(dir.keys)
-		shs := dir.ordered(gkeys)
+		narrow = keys != nil && len(keys) < len(dir.keys)
 		if len(shs) == 0 {
 			abortIdx(fmt.Errorf("%w: no domains attached", unify.ErrRejected))
 			return
@@ -1080,22 +1044,6 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 		skeys := make([]string, len(shs))
 		for i, s := range shs {
 			skeys[i] = s.key
-		}
-		var graphs []*nffg.NFFG
-		var gens []uint64
-		var held []*shard // the shard locks this attempt holds from here on
-		if lost >= lockAfterLosses {
-			lockAll(shs)
-			if cur, _ := ro.snapshotDir(); cur != dir {
-				// An attach or detach moved the directory since it was read.
-				unlockAll(shs)
-				mapSpan.End()
-				continue
-			}
-			held = shs
-			graphs, gens = readCut(shs)
-		} else {
-			graphs, gens = snapshotCut(shs)
 		}
 
 		// The group's working graph: a consistent merge of its shards. The
@@ -1210,7 +1158,7 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			tkeyList = append(tkeyList, k)
 		}
 		sort.Strings(tkeyList)
-		tshs = dir.ordered(tkeyList)
+		tshs := dir.ordered(tkeyList)
 		genByKey := map[string]uint64{}
 		for i, s := range shs {
 			genByKey[s.key] = gens[i]
@@ -1236,28 +1184,14 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			commitSpan.EndWith(fmt.Errorf("%w: DoV generation advanced during mapping", unify.ErrBusy))
 			continue
 		}
-		if len(shs) == 1 && len(tshs) == 1 && tshs[0] == shs[0] {
-			// Single-shard fast path: the working fork IS the shard's next
-			// snapshot (sealed: shard snapshots are shared by the read caches).
-			// A terminal shard programs it first; a refused delta publishes
-			// nothing.
-			if err := ro.program(cctx, tshs[0].dov, cur); err != nil {
-				unlockAll(held)
-				commitSpan.EndWith(err)
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					// Keep the context error identity: the caller canceled, the
-					// request was not rejected on its merits.
-					abortIdx(fmt.Errorf("core %s: programming canceled: %w", ro.id, err))
-				} else {
-					abortIdx(fmt.Errorf("%w: programming failed: %v", unify.ErrRejected, err))
-				}
-				return
-			}
-			tshs[0].dov = cur.Seal()
-		} else {
-			// Project each accepted mapping onto a fork of every touched
-			// shard's graph; the home shard carries the bookkeeping.
-			if err := bc.projectLocked(tshs, cur, idx, plans); err != nil {
+		// Single-shard fast path: the working fork IS the shard's next
+		// snapshot. Otherwise each accepted mapping is projected onto a fork
+		// of every touched shard's graph; the home shard carries the
+		// bookkeeping.
+		next := []*nffg.NFFG{cur}
+		if len(shs) != 1 || len(tshs) != 1 || tshs[0] != shs[0] {
+			var err error
+			if next, err = bc.projectLocked(tshs, cur, idx, plans); err != nil {
 				unlockAll(held)
 				log.Printf("core %s: scoped commit projection failed: %v", ro.id, err)
 				commitSpan.EndWith(err)
@@ -1265,19 +1199,21 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 				return
 			}
 		}
-		for _, s := range tshs {
-			s.gen++
-			s.commits++
-			if len(tshs) > 1 {
-				s.multi++
+		err := ro.publishLocked(cctx, tshs, next, func(s *shard) shardRecord {
+			return shardRecord{kind: journal.KindCommit, services: bc.commitServices(s.key, idx, plans)}
+		})
+		if err != nil {
+			// A terminal shard refused its delta: nothing was published.
+			unlockAll(held)
+			commitSpan.EndWith(err)
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				// Keep the context error identity: the caller canceled, the
+				// request was not rejected on its merits.
+				abortIdx(fmt.Errorf("core %s: programming canceled: %w", ro.id, err))
+			} else {
+				abortIdx(fmt.Errorf("%w: programming failed: %v", unify.ErrRejected, err))
 			}
-		}
-		// The epoch bump and journal appends stay inside the critical
-		// section so every touched shard's record carries the epoch of THIS
-		// commit and per-shard record order matches commit order.
-		epoch := ro.bumpEpoch()
-		if ro.journal != nil {
-			bc.journalCommitLocked(tshs, epoch, idx, plans)
+			return
 		}
 		// Record each committed mapping in the service table before the
 		// shard locks drop: the checkpointer reads shard graphs first and
@@ -1423,13 +1359,13 @@ func (bc *batchRun) finalizeRejections(idx []int, attempts int, escalate bool) {
 }
 
 // projectLocked replays the group's accepted mappings onto forks of the
-// touched shards' graphs (callers hold every shard lock in tshs). Each shard
-// receives exactly its slice of each mapping, installing its share of the
-// flowrules the mapping's placement derived once on ref; the mapping's home shard also
-// records the bookkeeping hop/requirement entries. Every projection is built
-// before ANY shard pointer is swapped, so a failure leaves all shards
-// untouched — a half-committed multi-shard group is impossible.
-func (bc *batchRun) projectLocked(tshs []*shard, ref *nffg.NFFG, idx []int, plans map[int]*plannedReq) error {
+// touched shards' graphs (callers hold every shard lock in tshs) and returns
+// the forks, in tshs order, for one publish. Each shard receives exactly its
+// slice of each mapping, installing its share of the flowrules the mapping's
+// placement derived once on ref; the mapping's home shard also records the
+// bookkeeping hop/requirement entries. A failure returns before anything is
+// published, so a half-committed multi-shard group is impossible.
+func (bc *batchRun) projectLocked(tshs []*shard, ref *nffg.NFFG, idx []int, plans map[int]*plannedReq) ([]*nffg.NFFG, error) {
 	next := make([]*nffg.NFFG, len(tshs))
 	for si, s := range tshs {
 		g := nffg.New(bc.ro.id + "-dov")
@@ -1452,15 +1388,12 @@ func (bc *batchRun) projectLocked(tshs []*shard, ref *nffg.NFFG, idx []int, plan
 				continue
 			}
 			if err := p.placed.ApplyScoped(g, ref, s.key == p.home); err != nil {
-				return fmt.Errorf("shard %s, request %s: %w", s.key, bc.reqs[i].ID, err)
+				return nil, fmt.Errorf("shard %s, request %s: %w", s.key, bc.reqs[i].ID, err)
 			}
 		}
 		next[si] = g
 	}
-	for si, s := range tshs {
-		s.dov = next[si].Seal()
-	}
-	return nil
+	return next, nil
 }
 
 func equalGens(a, b []uint64) bool {
@@ -1536,28 +1469,17 @@ func (ro *ResourceOrchestrator) deployChildren(ctx context.Context, children []s
 	if firstErr == nil {
 		return receipts, nil
 	}
-	// Roll back whatever landed, in parallel, detached from the canceled
-	// deploy context so teardown still runs after a northbound cancellation.
-	rctx := context.WithoutCancel(ctx)
-	var rb sync.WaitGroup
+	// Roll back whatever landed, detached from the canceled deploy context so
+	// teardown still runs after a northbound cancellation.
+	landed := map[string][]string{}
 	for i, childID := range children {
-		if receipts[i] == nil || errs[i] != nil {
-			continue
+		if receipts[i] != nil && errs[i] == nil {
+			landed[childID] = []string{subs[childID].ID}
 		}
-		rb.Add(1)
-		go func(childID, subID string) {
-			defer rb.Done()
-			d, err := ro.reg.Get(childID)
-			if err != nil {
-				log.Printf("core %s: rollback of %s: %v", ro.id, subID, err)
-				return
-			}
-			if rerr := d.Remove(rctx, subID); rerr != nil {
-				log.Printf("core %s: rollback of %s on %s failed: %v", ro.id, subID, childID, rerr)
-			}
-		}(childID, subs[childID].ID)
 	}
-	rb.Wait()
+	if err := ro.teardown(context.WithoutCancel(ctx), landed); err != nil {
+		log.Printf("core %s: rollback: %v", ro.id, err)
+	}
 	return nil, firstErr
 }
 
@@ -1593,56 +1515,106 @@ func pickRootCause(children []string, errs []error) error {
 // delta first: if the release or the programming fails, nothing changes and
 // the error is returned.
 func (ro *ResourceOrchestrator) releaseShards(ctx context.Context, serviceID string, mp *embed.Mapping, keys []string) error {
-	dir, _ := ro.snapshotDir()
-	shs := dir.ordered(keys)
+	_, _, shs := ro.lockCurrent(keys)
+	defer unlockAll(shs)
 	if len(shs) == 0 {
 		return nil
 	}
 	var firstErr error
-	lockAll(shs)
 	next := make([]*nffg.NFFG, len(shs))
 	for si, s := range shs {
-		if s.dov == nil {
-			continue
-		}
-		g := s.dov.Fork()
-		if err := embed.Release(g, mp); err != nil {
-			firstErr = cmp.Or(firstErr, err)
-			continue
-		}
+		g, err := releaseFork(s, mp)
+		firstErr = cmp.Or(firstErr, err)
 		next[si] = g
 	}
-	if ro.prog != nil {
-		if firstErr == nil {
-			firstErr = ro.program(ctx, shs[0].dov, next[0])
-		}
-		if firstErr != nil {
-			unlockAll(shs)
-			return firstErr
+	if firstErr != nil && ro.prog != nil {
+		return firstErr
+	}
+	// A shard whose release failed keeps its graph but still publishes (its
+	// generation moves), so optimistic mappers re-read.
+	return cmp.Or(firstErr, ro.publishLocked(ctx, shs, next, func(*shard) shardRecord {
+		return shardRecord{kind: journal.KindRelease, ids: []string{serviceID}}
+	}))
+}
+
+// releaseFork returns a fork of the shard's graph with the mappings'
+// resources released, or nil (with the error, if any) when the shard holds no
+// graph or a release failed. Callers hold the shard lock.
+func releaseFork(s *shard, mps ...*embed.Mapping) (*nffg.NFFG, error) {
+	if s.dov == nil {
+		return nil, nil
+	}
+	g := s.dov.Fork()
+	for _, mp := range mps {
+		if err := embed.Release(g, mp); err != nil {
+			return nil, err
 		}
 	}
-	epoch := ro.bumpEpoch()
-	for si, s := range shs {
-		if next[si] != nil {
-			s.dov = next[si].Seal()
+	return g, nil
+}
+
+// shardRecord is the journal record one publish appends on one shard; kind
+// selects which of the other fields it carries.
+type shardRecord struct {
+	kind     journal.Kind
+	child    string                  // attach, detach: the child domain
+	view     *nffg.NFFG              // attach: the child's qualified view
+	services []journal.ServiceCommit // commit: the mappings the shard took
+	ids      []string                // release, detach: the services let go
+}
+
+// publishLocked is the one step that changes DoV shards. The caller holds
+// the locks of shs, taken in key order; next[i] is shs[i]'s next graph (nil:
+// unchanged). A terminal shard programs its delta first, and a refused delta
+// publishes nothing and returns the error. Then every shard swaps to its next
+// graph and counts one generation (a multi-shard commit when len(shs) > 1),
+// the epoch moves once (watch waiters it wakes wait on the shard locks for
+// the new graphs), and record's journal record for each shard is appended
+// inside the same critical section, so a shard's records stay in its commit
+// order and one publish's records share an epoch. A failed append never
+// fails the publish: the change already happened.
+func (ro *ResourceOrchestrator) publishLocked(ctx context.Context, shs []*shard, next []*nffg.NFFG, record func(*shard) shardRecord) error {
+	if next[0] != nil {
+		if err := ro.program(ctx, shs[0].dov, next[0]); err != nil {
+			return err
 		}
-		// Bump the generation either way so optimistic mappers re-read.
+	}
+	for i, s := range shs {
+		if next[i] != nil {
+			s.dov = next[i].Seal()
+		}
 		s.gen++
 		s.commits++
 		if len(shs) > 1 {
 			s.multi++
 		}
-		if ro.journal != nil {
-			if err := ro.journal.LogRelease(s.key, s.gen, epoch, []string{serviceID}); err != nil {
-				ro.stats.journalErrs.Add(1)
-				log.Printf("core %s: journal release %s on %s: %v", ro.id, serviceID, s.key, err)
-			} else {
-				s.journalRecs++
-			}
-		}
 	}
-	unlockAll(shs)
-	return firstErr
+	epoch := ro.epoch.Add(1)
+	ro.watch.wake()
+	if ro.journal == nil {
+		return nil
+	}
+	for _, s := range shs {
+		var err error
+		r := record(s)
+		switch r.kind {
+		case journal.KindAttach:
+			err = ro.journal.LogAttach(s.key, s.gen, epoch, r.child, ro.id+"-dov", r.view)
+		case journal.KindCommit:
+			err = ro.journal.LogCommit(s.key, s.gen, epoch, r.services)
+		case journal.KindRelease:
+			err = ro.journal.LogRelease(s.key, s.gen, epoch, r.ids)
+		case journal.KindDetach:
+			err = ro.journal.LogDetach(s.key, s.gen, epoch, r.child, true, r.ids)
+		}
+		if err != nil {
+			ro.stats.journalErrs.Add(1)
+			log.Printf("core %s: journal %s on %s: %v", ro.id, r.kind, s.key, err)
+			continue
+		}
+		s.journalRecs++
+	}
+	return nil
 }
 
 // program delivers a terminal commit: the devices receive the delta from the
@@ -1686,36 +1658,7 @@ func (ro *ResourceOrchestrator) Remove(ctx context.Context, serviceID string) er
 	rec.state = stateRemoving
 	ro.mu.Unlock()
 
-	children := sortedKeys(rec.children)
-	errs := make([]error, len(children))
-	var wg sync.WaitGroup
-	for i, childID := range children {
-		wg.Add(1)
-		go func(i int, childID string) {
-			defer wg.Done()
-			d, err := ro.reg.Get(childID)
-			if err != nil {
-				// A child missing from the registry was detached at runtime:
-				// its sub-services died with the domain, so teardown there is
-				// already done and the DoV release below must still run.
-				if !errors.Is(err, domain.ErrUnknown) {
-					errs[i] = err
-				}
-				return
-			}
-			for _, subID := range rec.children[childID] {
-				err := d.Remove(ctx, subID)
-				// A child that no longer knows the sub-service was torn down
-				// by an earlier partially-failed Remove: retries treat it as
-				// done.
-				if err != nil && !errors.Is(err, unify.ErrUnknownService) && errs[i] == nil {
-					errs[i] = fmt.Errorf("core: remove %s on %s: %w", subID, childID, err)
-				}
-			}
-		}(i, childID)
-	}
-	wg.Wait()
-	firstErr := cmp.Or(errs...)
+	firstErr := ro.teardown(ctx, rec.children)
 	var releaseErr error
 	if firstErr == nil {
 		releaseErr = ro.releaseShards(ctx, serviceID, rec.mapping, rec.shards)
@@ -1742,6 +1685,35 @@ func (ro *ResourceOrchestrator) Remove(ctx context.Context, serviceID string) er
 	// converges on the post-removal service table.
 	ro.bumpTable()
 	return releaseErr
+}
+
+// teardown removes sub-services from children (child -> sub-service IDs):
+// one goroutine per child, best-effort (siblings are not canceled on error).
+// A child missing from the registry was detached at runtime, so its
+// sub-services died with the domain; a sub-service its child no longer knows
+// was torn down by an earlier partial attempt. Both count as done. It
+// returns the first error in child order.
+func (ro *ResourceOrchestrator) teardown(ctx context.Context, subs map[string][]string) error {
+	if len(subs) == 0 {
+		return nil // nothing to tear down (a leaf's services): no fan-out closure to allocate
+	}
+	children := sortedKeys(subs)
+	errs := make([]error, len(children))
+	fanOut(len(children), func(i int) {
+		d, err := ro.reg.Get(children[i])
+		if err != nil {
+			if !errors.Is(err, domain.ErrUnknown) {
+				errs[i] = err
+			}
+			return
+		}
+		for _, subID := range subs[children[i]] {
+			if err := d.Remove(ctx, subID); err != nil && !errors.Is(err, unify.ErrUnknownService) && errs[i] == nil {
+				errs[i] = fmt.Errorf("core: remove %s on %s: %w", subID, children[i], err)
+			}
+		}
+	})
+	return cmp.Or(errs...)
 }
 
 // Services implements unify.Layer. Pending installs are not listed: a service

@@ -89,12 +89,13 @@ type viewEntry struct {
 }
 
 // currentCut snapshots a consistent (graphs, generation-vector) cut across
-// every shard. The per-shard graphs are immutable snapshots; only the short
-// all-lock rendezvous in snapshotCut is paid per read.
+// every shard of the current directory (see lockCurrent: never a departed
+// shard beside its survivors). The per-shard graphs are immutable snapshots;
+// only the short all-lock rendezvous is paid per read.
 func (ro *ResourceOrchestrator) currentCut() (graphs []*nffg.NFFG, vec genVec) {
-	dir, _ := ro.snapshotDir()
-	shs := dir.ordered(dir.keys)
-	graphs, gens := snapshotCut(shs)
+	_, _, shs := ro.lockCurrent(nil)
+	graphs, gens := readCut(shs)
+	unlockAll(shs)
 	keys := make([]string, len(shs))
 	for i, s := range shs {
 		keys[i] = s.key

@@ -21,10 +21,10 @@ import (
 )
 
 // Journal is the write-ahead hook the orchestrator calls on its commit paths
-// (implemented by *journal.Store). Attach/commit/release appends happen with
-// the target shard's lock held, so implementations must never block on
-// orchestrator state; deployed records are appended lock-free after the
-// service table update.
+// (implemented by *journal.Store). Attach/commit/release/detach appends
+// happen inside publishLocked with the target shard's lock held, so
+// implementations must never block on orchestrator state; deployed records
+// are appended lock-free after the service table update.
 type Journal interface {
 	LogAttach(shard string, gen, epoch uint64, child, dovID string, view *nffg.NFFG) error
 	LogCommit(shard string, gen, epoch uint64, svcs []journal.ServiceCommit) error
@@ -33,39 +33,24 @@ type Journal interface {
 	LogDetach(shard string, gen, epoch uint64, child string, drop bool, serviceIDs []string) error
 }
 
-// journalCommitLocked appends one commit record to every touched shard's log
-// while the shard locks are held: each record lists the services whose
-// mappings the shard's generation bump committed, duplicated per shard so
-// every log replays self-contained.
-func (bc *batchRun) journalCommitLocked(tshs []*shard, epoch uint64, idx []int, plans map[int]*plannedReq) {
-	ro := bc.ro
-	for _, s := range tshs {
-		var svcs []journal.ServiceCommit
-		for _, i := range idx {
-			p, ok := plans[i]
-			if !ok || !bc.live[i] {
-				continue
-			}
-			if !slices.Contains(p.touched, s.key) {
-				continue
-			}
-			svcs = append(svcs, journal.ServiceCommit{
-				ServiceID: bc.reqs[i].ID,
-				Mapping:   p.placed.Mapping,
-				Touched:   p.touched,
-				Home:      p.home,
-			})
-		}
-		if len(svcs) == 0 {
+// commitServices builds one shard's commit record: the services whose
+// mappings a group's publish committed on it, duplicated into every touched
+// shard's record so every log replays self-contained.
+func (bc *batchRun) commitServices(key string, idx []int, plans map[int]*plannedReq) []journal.ServiceCommit {
+	var svcs []journal.ServiceCommit
+	for _, i := range idx {
+		p, ok := plans[i]
+		if !ok || !bc.live[i] || !slices.Contains(p.touched, key) {
 			continue
 		}
-		if err := ro.journal.LogCommit(s.key, s.gen, epoch, svcs); err != nil {
-			ro.stats.journalErrs.Add(1)
-			log.Printf("core %s: journal commit on %s: %v", ro.id, s.key, err)
-		} else {
-			s.journalRecs++
-		}
+		svcs = append(svcs, journal.ServiceCommit{
+			ServiceID: bc.reqs[i].ID,
+			Mapping:   p.placed.Mapping,
+			Touched:   p.touched,
+			Home:      p.home,
+		})
 	}
+	return svcs
 }
 
 // Restore loads recovered journal state into a freshly constructed

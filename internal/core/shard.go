@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -59,7 +60,8 @@ type ShardStats struct {
 	// at least one sibling (the ordered two-phase path).
 	MultiShardCommits uint64 `json:"multi_shard_commits"`
 	// JournalRecords counts write-ahead records appended to this shard's log
-	// under its lock (attach/commit/release; zero when journaling is off).
+	// under its lock (attach/commit/release/detach; zero when journaling is
+	// off).
 	JournalRecords uint64 `json:"journal_records"`
 	// RestoredGen is the generation the shard was recovered at (zero for
 	// shards born in this process): Gen - RestoredGen commits happened since
@@ -102,6 +104,41 @@ func (d *shardDirectory) clone() *shardDirectory {
 	return c
 }
 
+// without returns a copy of the directory with child unregistered. When
+// dropEmpty is set and child was its shard's last tenant, the shard leaves
+// the directory too.
+func (d *shardDirectory) without(child string, dropEmpty bool) *shardDirectory {
+	c := d.clone()
+	key := c.childShard[child]
+	delete(c.childShard, child)
+	c.domains[key] = exclude(c.domains[key], child)
+	if dropEmpty && len(c.domains[key]) == 0 {
+		delete(c.shards, key)
+		delete(c.domains, key)
+		c.keys = exclude(c.keys, key)
+	}
+	return c
+}
+
+// ownerWithout returns a copy of an owner map without the infras child
+// exported.
+func ownerWithout(owner map[nffg.ID]string, child string) map[nffg.ID]string {
+	out := maps.Clone(owner)
+	maps.DeleteFunc(out, func(_ nffg.ID, c string) bool { return c == child })
+	return out
+}
+
+// exclude returns s without any element equal to drop (allocating a copy).
+func exclude(s []string, drop string) []string {
+	out := make([]string, 0, len(s))
+	for _, v := range s {
+		if v != drop {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // ordered returns the shards for the given keys in key order, skipping keys
 // the directory does not know.
 func (d *shardDirectory) ordered(keys []string) []*shard {
@@ -128,6 +165,28 @@ func lockAll(shs []*shard) {
 func unlockAll(shs []*shard) {
 	for i := len(shs) - 1; i >= 0; i-- {
 		shs[i].mu.Unlock()
+	}
+}
+
+// lockCurrent locks, in key order, the current directory's shards for keys
+// (nil: every shard) and returns them with that directory and its owner map.
+// It retries while an attach or detach moves the directory during the wait,
+// so the held shards are never a departed shard or a stale key set: a cut
+// read under them is wholly before or wholly after every detach, and no
+// commit planned on it can land on a shard a detach has dropped.
+func (ro *ResourceOrchestrator) lockCurrent(keys []string) (*shardDirectory, map[nffg.ID]string, []*shard) {
+	for {
+		dir, owner := ro.snapshotDir()
+		want := keys
+		if want == nil {
+			want = dir.keys
+		}
+		shs := dir.ordered(want)
+		lockAll(shs)
+		if cur, _ := ro.snapshotDir(); cur == dir {
+			return dir, owner, shs
+		}
+		unlockAll(shs)
 	}
 }
 

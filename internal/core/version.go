@@ -135,16 +135,6 @@ func (ro *ResourceOrchestrator) nbGen() uint64 {
 	return ro.epoch.Load() + ro.tableVer.Load()
 }
 
-// bumpEpoch advances the commit epoch and wakes watch waiters. Every
-// committed DoV change funnels through here; waiters woken while a commit
-// still holds its shard locks simply block in snapshotCut until the new
-// graphs publish.
-func (ro *ResourceOrchestrator) bumpEpoch() uint64 {
-	e := ro.epoch.Add(1)
-	ro.watch.wake()
-	return e
-}
-
 // bumpTable advances the northbound version for a service-table visibility
 // change — a deploy completing or a removed record dropping — without
 // counting a DoV commit. The shard vector (and thus the ETag) is unchanged;

@@ -240,9 +240,11 @@ func (s *Store) LogRelease(shard string, gen, epoch uint64, serviceIDs []string)
 	})
 }
 
-// LogDetach journals a child's runtime departure. Called with the shard's
-// lock held after the final generation bump, so the record orders after
-// every commit the shard ever served.
+// LogDetach journals a child's runtime departure. Called in the same locked
+// publish as the survivors' release records for the displaced services, with
+// every shard lock held and after the shard's final generation bump: the
+// record orders after every commit the shard ever served, and it shares its
+// epoch with those releases, which replay ranks before it.
 func (s *Store) LogDetach(shard string, gen, epoch uint64, child string, drop bool, serviceIDs []string) error {
 	sl, err := s.shardLogFor(shard)
 	if err != nil {
