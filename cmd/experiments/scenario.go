@@ -40,12 +40,12 @@ import (
 
 // ScenarioConfig parameterizes one scenario run.
 type ScenarioConfig struct {
-	Domains   int     `json:"domains"`    // leaf orchestrators under the RO
-	SAPs      int     `json:"saps"`       // SAPs per domain
-	Services  int     `json:"services"`   // install jobs submitted
-	Churn     float64 `json:"churn"`      // fraction of deployed services also removed
-	MiceShare float64 `json:"mice_share"` // fraction of jobs from mice tenants
-	Clients   int     `json:"clients"`    // concurrent submitting clients
+	Domains   int     `json:"domains"`                 // leaf orchestrators under the RO
+	SAPs      int     `json:"saps"`                    // SAPs per domain
+	Services  int     `json:"services"`                // install jobs submitted
+	Churn     float64 `json:"churn"`                   // fraction of deployed services also removed
+	MiceShare float64 `json:"mice_share"`              // fraction of jobs from mice tenants
+	Clients   int     `json:"clients"`                 // concurrent submitting clients
 	Flaps     int     `json:"flaps,omitempty"`         // domains killed in the flap phase
 	FlapSvcs  int     `json:"flap_services,omitempty"` // services pinned on each victim
 }

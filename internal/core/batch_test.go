@@ -201,3 +201,168 @@ func TestInstallBatchAmortizesConflicts(t *testing.T) {
 		t.Fatalf("batch should not conflict: %+v", st)
 	}
 }
+
+// errAfter is a context whose Err reports nil for its first n calls and
+// context.Canceled afterwards; it never closes a Done channel. It cancels a
+// batch at a chosen check without a race against a goroutine.
+type errAfter struct {
+	context.Context
+	mu sync.Mutex
+	n  int
+}
+
+func (c *errAfter) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n > 0 {
+		c.n--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestRunGroupExits pins every deterministic way a shard group ends: per
+// request the error kind and Attempts, and per batch the PipelineStats
+// counters the group moves. Races are pinned by TestGenerationConflictRetry
+// and TestOneShardChurnNeverBusy.
+func TestRunGroupExits(t *testing.T) {
+	// counts are the PipelineStats deltas of one batch.
+	type counts struct {
+		mapAttempts, escalations, batches, batchedReqs, multiShard uint64
+	}
+	cases := []struct {
+		name     string
+		run      func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG)
+		err      []error // per request: nil, or the error it must wrap
+		attempts []int
+		counts   counts
+	}{{
+		name: "accepted first attempt",
+		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
+			ro, _ := lineRO(t, 4, 0, nil)
+			return ro, context.Background(), []*nffg.NFFG{domReq(t, "a", 1, 4)}
+		},
+		err: []error{nil}, attempts: []int{1},
+		counts: counts{mapAttempts: 1, batches: 1, batchedReqs: 1},
+	}, {
+		name: "escalated then accepted",
+		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
+			// The estimate {d0,d2,d3} misses the transit shard d1.
+			ro, _ := lineRO(t, 4, 0, nil)
+			req := chainReq(t, "esc", "sap1", "b2", "fw")
+			req.NFs.Get("esc-nf").Host = "bisbis@d2"
+			return ro, context.Background(), []*nffg.NFFG{req}
+		},
+		err: []error{nil}, attempts: []int{2},
+		counts: counts{mapAttempts: 2, escalations: 1, batches: 1, batchedReqs: 1, multiShard: 1},
+	}, {
+		name: "rejected on the global group",
+		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
+			// An unknown SAP cannot be narrowed: the group is global.
+			ro, _ := lineRO(t, 4, 0, nil)
+			return ro, context.Background(), []*nffg.NFFG{chainReq(t, "lost", "nowhere", "sap2", "fw")}
+		},
+		err: []error{unify.ErrRejected}, attempts: []int{1},
+		counts: counts{mapAttempts: 1},
+	}, {
+		name: "escalated then rejected",
+		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
+			// No node of the line has the CPU: the narrowed plan fails, and
+			// so does the global one.
+			ro, _ := lineRO(t, 4, 0, nil)
+			req := domReq(t, "big", 1, 4)
+			req.NFs.Get("big-nf").Demand.CPU = 1000
+			return ro, context.Background(), []*nffg.NFFG{req}
+		},
+		err: []error{unify.ErrRejected}, attempts: []int{2},
+		counts: counts{mapAttempts: 2, escalations: 1},
+	}, {
+		name: "accepted beside rejected",
+		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
+			// The unknown SAP folds the batch into one global group; the
+			// duplicate ID is refused at intake and never planned.
+			ro, _ := lineRO(t, 4, 0, nil)
+			return ro, context.Background(), []*nffg.NFFG{
+				domReq(t, "ok", 1, 4),
+				chainReq(t, "lost", "nowhere", "sap2", "fw"),
+				domReq(t, "ok", 2, 4),
+			}
+		},
+		err: []error{nil, unify.ErrRejected, unify.ErrRejected}, attempts: []int{1, 1, 0},
+		counts: counts{mapAttempts: 1, batches: 1, batchedReqs: 1},
+	}, {
+		name: "canceled before intake",
+		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
+			ro, _ := lineRO(t, 4, 0, nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ro, ctx, []*nffg.NFFG{domReq(t, "c", 1, 4)}
+		},
+		err: []error{context.Canceled}, attempts: []int{0},
+	}, {
+		name: "canceled before planning",
+		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
+			// Intake reads the context once; the group's first check sees it
+			// canceled.
+			ro, _ := lineRO(t, 4, 0, nil)
+			return ro, &errAfter{Context: context.Background(), n: 1}, []*nffg.NFFG{domReq(t, "c", 1, 4)}
+		},
+		err: []error{context.Canceled}, attempts: []int{1},
+	}, {
+		name: "terminal shard refuses its delta",
+		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
+			lo := leafDomain(t, "mn", "sap1", "border", newDeviceModel(t, "bad"))
+			return lo.ro, context.Background(), []*nffg.NFFG{chainReq(t, "bad", "sap1", "border", "fw")}
+		},
+		err: []error{unify.ErrRejected}, attempts: []int{1},
+		counts: counts{mapAttempts: 1},
+	}, {
+		name: "child refuses after the commit",
+		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
+			ro, _ := lineRO(t, 4, 0, map[int]Programmer{1: &slowProgrammer{failPfx: "bad"}})
+			return ro, context.Background(), []*nffg.NFFG{domReq(t, "bad", 1, 4)}
+		},
+		err: []error{unify.ErrRejected}, attempts: []int{1},
+		counts: counts{mapAttempts: 1, batches: 1, batchedReqs: 1},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ro, ctx, reqs := tc.run(t)
+			before := ro.PipelineStats()
+			out := ro.InstallBatch(ctx, reqs, unify.BatchObserver{})
+			for i, o := range out {
+				if w := tc.err[i]; (w == nil) != (o.Err == nil) || (w != nil && !errors.Is(o.Err, w)) {
+					t.Errorf("request %d: error %v, want %v", i, o.Err, w)
+				}
+				if o.Attempts != tc.attempts[i] {
+					t.Errorf("request %d: %d attempts, want %d", i, o.Attempts, tc.attempts[i])
+				}
+			}
+			st := ro.PipelineStats()
+			got := counts{
+				mapAttempts: st.MapAttempts - before.MapAttempts,
+				escalations: st.Escalations - before.Escalations,
+				batches:     st.Batches - before.Batches,
+				batchedReqs: st.BatchedRequests - before.BatchedRequests,
+				multiShard:  st.MultiShardCommits - before.MultiShardCommits,
+			}
+			if got != tc.counts {
+				t.Errorf("stats deltas %+v, want %+v", got, tc.counts)
+			}
+			// Every refused request let go of its reservations.
+			if ok := len(out) - countErrs(out); len(ro.Services()) != ok {
+				t.Errorf("services %v after %d admitted", ro.Services(), ok)
+			}
+		})
+	}
+}
+
+func countErrs(out []unify.BatchOutcome) int {
+	n := 0
+	for _, o := range out {
+		if o.Err != nil {
+			n++
+		}
+	}
+	return n
+}

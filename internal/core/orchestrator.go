@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -656,12 +657,7 @@ func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 	if len(set) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return sortedKeys(set)
 }
 
 // plan runs the CPU-bound embedding of one request against an immutable DoV
@@ -685,7 +681,7 @@ func (ro *ResourceOrchestrator) plan(snap *nffg.NFFG, req *nffg.NFFG) (*embed.Ma
 // The home shard (first in key order) carries the mapping's bookkeeping
 // records. Falls back to the group's first shard for mappings that touch no
 // infra at all (degenerate SAP-to-SAP paths).
-func touchedShards(mp *embed.Mapping, owner map[nffg.ID]string, dir *shardDirectory, groupKeys []string) (keys []string, home string) {
+func touchedShards(mp *embed.Mapping, owner map[nffg.ID]string, dir *shardDirectory, fallback string) (keys []string, home string) {
 	set := map[string]bool{}
 	add := func(node nffg.ID) {
 		if child, ok := owner[node]; ok {
@@ -702,12 +698,9 @@ func touchedShards(mp *embed.Mapping, owner map[nffg.ID]string, dir *shardDirect
 			add(nffg.ID(n))
 		}
 	}
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys = sortedKeys(set)
 	if len(keys) == 0 {
-		keys = []string{groupKeys[0]}
+		keys = []string{fallback}
 	}
 	return keys, keys[0]
 }
@@ -731,7 +724,6 @@ type batchRun struct {
 	obs     unify.BatchObserver
 	records []*serviceRecord
 	live    []bool
-	planErr []error
 
 	mu        sync.Mutex
 	notified  []bool
@@ -786,6 +778,25 @@ func (bc *batchRun) takeEscalated() []int {
 	return out
 }
 
+// reserveLocked enters a service in the table and reserves its request
+// graph's NF and hop IDs (none when req is nil), recording them on rec for
+// dropReservationsLocked. Intake and Restore both reserve through it. Callers
+// hold ro.mu.
+func (ro *ResourceOrchestrator) reserveLocked(serviceID string, req *nffg.NFFG, rec *serviceRecord) {
+	ro.services[serviceID] = rec
+	if req == nil {
+		return
+	}
+	for _, nf := range req.NFIDs() {
+		ro.nfOwner[nf] = serviceID
+		rec.resNFs = append(rec.resNFs, nf)
+	}
+	for h := range req.Hops() {
+		ro.hopOwner[h.ID] = serviceID
+		rec.resHops = append(rec.resHops, h.ID)
+	}
+}
+
 // dropReservationsLocked releases a service's identifier reservations.
 // Callers hold ro.mu.
 func (ro *ResourceOrchestrator) dropReservationsLocked(serviceID string, rec *serviceRecord) {
@@ -824,7 +835,6 @@ func (ro *ResourceOrchestrator) InstallBatch(ctx context.Context, reqs []*nffg.N
 		obs:      observer,
 		records:  make([]*serviceRecord, len(reqs)),
 		live:     make([]bool, len(reqs)),
-		planErr:  make([]error, len(reqs)),
 		notified: make([]bool, len(reqs)),
 	}
 	if err := ctx.Err(); err != nil {
@@ -867,15 +877,7 @@ func (ro *ResourceOrchestrator) InstallBatch(ctx context.Context, reqs []*nffg.N
 			continue
 		}
 		rec := &serviceRecord{state: statePending}
-		for _, nf := range req.NFIDs() {
-			ro.nfOwner[nf] = req.ID
-			rec.resNFs = append(rec.resNFs, nf)
-		}
-		for h := range req.Hops() {
-			ro.hopOwner[h.ID] = req.ID
-			rec.resHops = append(rec.resHops, h.ID)
-		}
-		ro.services[req.ID] = rec
+		ro.reserveLocked(req.ID, req, rec)
 		bc.records[i] = rec
 		bc.live[i] = true
 	}
@@ -971,6 +973,7 @@ func (ro *ResourceOrchestrator) checkDomainsLocked(req *nffg.NFFG) error {
 
 // plannedReq is one accepted plan within a shard group.
 type plannedReq struct {
+	i int // the request's index in the batch
 	// placed is the accepted mapping with its flowrules, derived once on the
 	// group's working graph and projected onto every touched shard.
 	placed  *embed.Placement
@@ -979,11 +982,27 @@ type plannedReq struct {
 	home    string
 }
 
-// runGroup admits one shard group of the batch: the optimistic
-// snapshot→map→commit loop over the group's shard set. keys == nil plans
-// against every shard. When mayEscalate is set, plan rejections on a narrowed
-// set are deferred to the caller's phase-2 global group instead of being
-// final.
+// plannedBatch is what one attempt of a shard group planned: the cut it read,
+// the working graph with every accepted plan applied, the plans in idx order
+// and each member's plan error. held is the cut's shard locks on the locked
+// attempt, nil on an optimistic one.
+type plannedBatch struct {
+	dir    *shardDirectory
+	shs    []*shard
+	gens   []uint64
+	held   []*shard
+	cur    *nffg.NFFG
+	narrow bool // the cut is a strict subset of the DoV's shards
+	plans  []*plannedReq
+	errs   []error // per position in idx
+}
+
+// runGroup admits one shard group of the batch: it plans the group's live
+// members on a cut of its shard set (planGroup), commits the plans
+// (commitGroup), and ends every exit in settle. A lost race plans again.
+// keys == nil plans against every shard. When mayEscalate is set, plan
+// rejections on a narrowed set are deferred to the caller's phase-2 global
+// group instead of being final.
 //
 // After lockAfterLosses lost races the group snapshots, plans and commits
 // holding its shard locks, taken in key order like every other multi-shard
@@ -992,274 +1011,309 @@ type plannedReq struct {
 // cache's mutex, which is held around map accesses only. Its plans touch only
 // its own shards, since touchedShards derives them from the cut's nodes.
 func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayEscalate bool) {
-	ro := bc.ro
 	// Re-scope the batch's positional trace set to this group's members: a
 	// stage span recorded below lands in every member's trace.
 	gctx := obs.Narrow(ctx, len(bc.reqs), idx)
-	attempts := 0
-	var mapSpan *obs.Span
-	abortIdx := func(err error) {
-		mapSpan.EndWith(err)
-		for _, i := range idx {
-			if bc.live[i] {
-				bc.out[i].Attempts += attempts
-				bc.abort(i, err)
-			}
-		}
-	}
-
-	plans := make(map[int]*plannedReq, len(idx))
-	narrow := false
 	lost := 0
 	lose := func() {
 		if lost++; lost == lockAfterLosses {
-			ro.stats.busy.Add(1)
+			bc.ro.stats.busy.Add(1)
 		}
 	}
-	for {
-		attempts++
+	for attempts := 1; ; attempts++ {
 		if err := ctx.Err(); err != nil {
-			abortIdx(err)
+			bc.settle(ctx, idx, nil, attempts, false, err)
 			return
 		}
-		ro.stats.mapAttempts.Add(1)
-		mapSpan, _ = obs.StartSpan(gctx, "orchestrator.map", "attempt", strconv.Itoa(attempts))
-		mapStart := time.Now()
-		// Every attempt reads its cut from the current directory, so no plan
-		// can commit onto a shard a detach has dropped. The optimistic
-		// attempt plans with the locks released.
-		dir, owner, shs := ro.lockCurrent(keys)
-		graphs, gens := readCut(shs)
-		var held []*shard // the shard locks this attempt holds from here on
-		if lost >= lockAfterLosses {
-			held = shs
-		} else {
-			unlockAll(shs)
-		}
-		narrow = keys != nil && len(keys) < len(dir.keys)
-		if len(shs) == 0 {
-			abortIdx(fmt.Errorf("%w: no domains attached", unify.ErrRejected))
+		pb, err := bc.planGroup(gctx, idx, keys, attempts, lost >= lockAfterLosses)
+		if err != nil {
+			bc.settle(ctx, idx, nil, attempts, false, err)
 			return
 		}
-		skeys := make([]string, len(shs))
-		for i, s := range shs {
-			skeys[i] = s.key
-		}
-
-		// The group's working graph: a consistent merge of its shards. The
-		// whole group shares ONE working fork — each accepted mapping is
-		// realized on it in place (embed.ApplyTo), so admitting N requests
-		// costs one fork instead of N. The merge comes from the generation-
-		// keyed cut cache: between commits to its shards it is skipped
-		// entirely, and a full-DoV group reads the same sealed cut every
-		// reader sees.
-		base := graphs[0]
-		var mergeErr error
-		if len(shs) > 1 {
-			base, mergeErr = ro.mergedCut(graphs, genVec{keys: skeys, gens: gens})
-		}
-		if mergeErr != nil {
-			unlockAll(held)
-			log.Printf("core %s: merging shard snapshots: %v", ro.id, mergeErr)
-			abortIdx(fmt.Errorf("%w: shard views unmergeable: %v", unify.ErrRejected, mergeErr))
-			return
-		}
-		if base == nil {
-			unlockAll(held)
-			abortIdx(fmt.Errorf("%w: no domains attached", unify.ErrRejected))
-			return
-		}
-		cur := base
-		var accepted []*embed.Placement
-		rebuild := func() {
-			// An ApplyTo failed partway and may have left cur inconsistent:
-			// rebuild it by replaying the accepted mappings on a fresh fork
-			// (deterministic — they applied cleanly before).
-			cur = base.Fork()
-			for _, p := range accepted {
-				if rerr := p.ApplyTo(cur); rerr != nil {
-					log.Printf("core %s: batch replay inconsistency: %v", ro.id, rerr)
-				}
-			}
-		}
-		mappable := 0
-		for _, i := range idx {
-			if !bc.live[i] {
-				continue
-			}
-			delete(plans, i)
-			bc.planErr[i] = nil
-			req := bc.reqs[i]
-			mapping, err := ro.plan(cur, req)
-			if err != nil {
-				bc.planErr[i] = err
-				continue
-			}
-			placed, err := embed.Place(cur, mapping)
-			if err != nil {
-				bc.planErr[i] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
-				continue
-			}
-			if cur == base {
-				cur = base.Fork()
-			}
-			if err := placed.ApplyTo(cur); err != nil {
-				bc.planErr[i] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
-				rebuild()
-				continue
-			}
-			subs, err := ro.split(base, owner, req.ID, mapping)
-			if err != nil {
-				bc.planErr[i] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
-				// The mapping applied cleanly, so Release is its exact inverse.
-				if rerr := embed.Release(cur, mapping); rerr != nil {
-					log.Printf("core %s: releasing unsplittable mapping: %v", ro.id, rerr)
-					rebuild()
-				}
-				continue
-			}
-			touched, home := touchedShards(mapping, owner, dir, skeys)
-			plans[i] = &plannedReq{placed: placed, subs: subs, touched: touched, home: home}
-			accepted = append(accepted, placed)
-			mappable++
-		}
-		ro.histMap.Observe(time.Since(mapStart))
-		mapSpan.End()
-		if mappable == 0 {
-			// Nothing mappable on this snapshot. If a concurrent commit moved
-			// one of the group's shards meanwhile the failures may be stale
-			// (e.g. a Remove just freed the conflicting resources) — retry
-			// fresh; otherwise they are final (or escalate to a global plan).
-			// Under the group's locks nothing moved.
-			if held == nil {
-				if _, cgens := snapshotCut(shs); !equalGens(cgens, gens) {
+		if len(pb.plans) == 0 {
+			// Nothing mappable on this cut. If a concurrent commit moved one
+			// of the group's shards meanwhile the failures may be stale (e.g.
+			// a Remove just freed the conflicting resources) — retry fresh;
+			// otherwise they are final (or escalate to a global plan). Under
+			// the group's locks nothing moved.
+			if pb.held == nil {
+				lockAll(pb.shs)
+				_, gens := readCut(pb.shs)
+				unlockAll(pb.shs)
+				if !slices.Equal(gens, pb.gens) {
 					lose()
 					continue
 				}
 			}
-			unlockAll(held)
-			bc.finalizeRejections(idx, attempts, mayEscalate && narrow)
+			unlockAll(pb.held)
+			bc.settle(ctx, idx, pb, attempts, mayEscalate && pb.narrow, nil)
 			return
 		}
-
-		// Commit: lock the union of the touched shards in key order, validate
-		// their generations against the snapshot cut, then swap every touched
-		// shard's graph with a single generation bump each.
-		tkeys := map[string]bool{}
-		for _, i := range idx {
-			if p, ok := plans[i]; ok && bc.live[i] {
-				for _, k := range p.touched {
-					tkeys[k] = true
-				}
-			}
-		}
-		var tkeyList []string
-		for k := range tkeys {
-			tkeyList = append(tkeyList, k)
-		}
-		sort.Strings(tkeyList)
-		tshs := dir.ordered(tkeyList)
-		genByKey := map[string]uint64{}
-		for i, s := range shs {
-			genByKey[s.key] = gens[i]
-		}
-		commitSpan, cctx := obs.StartSpan(gctx, "orchestrator.commit", "shards", strconv.Itoa(len(tshs)))
-		commitStart := time.Now()
-		if held == nil {
-			lockAll(tshs)
-			held = tshs
-		}
-		conflict := false
-		for _, s := range tshs {
-			if s.gen != genByKey[s.key] {
-				s.conflicts++
-				conflict = true
-			}
-		}
-		if conflict {
-			unlockAll(held)
-			// Lost the commit race; loop re-plans against the fresh cut.
-			ro.stats.genConflicts.Add(1)
+		raced, err := bc.commitGroup(gctx, pb)
+		if raced {
 			lose()
-			commitSpan.EndWith(fmt.Errorf("%w: DoV generation advanced during mapping", unify.ErrBusy))
 			continue
 		}
-		// Single-shard fast path: the working fork IS the shard's next
-		// snapshot. Otherwise each accepted mapping is projected onto a fork
-		// of every touched shard's graph; the home shard carries the
-		// bookkeeping.
-		next := []*nffg.NFFG{cur}
-		if len(shs) != 1 || len(tshs) != 1 || tshs[0] != shs[0] {
-			var err error
-			if next, err = bc.projectLocked(tshs, cur, idx, plans); err != nil {
-				unlockAll(held)
-				log.Printf("core %s: scoped commit projection failed: %v", ro.id, err)
-				commitSpan.EndWith(err)
-				abortIdx(fmt.Errorf("%w: commit projection failed: %v", unify.ErrRejected, err))
-				return
-			}
-		}
-		err := ro.publishLocked(cctx, tshs, next, func(s *shard) shardRecord {
-			return shardRecord{kind: journal.KindCommit, services: bc.commitServices(s.key, idx, plans)}
-		})
-		if err != nil {
-			// A terminal shard refused its delta: nothing was published.
-			unlockAll(held)
-			commitSpan.EndWith(err)
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				// Keep the context error identity: the caller canceled, the
-				// request was not rejected on its merits.
-				abortIdx(fmt.Errorf("core %s: programming canceled: %w", ro.id, err))
-			} else {
-				abortIdx(fmt.Errorf("%w: programming failed: %v", unify.ErrRejected, err))
-			}
-			return
-		}
-		// Record each committed mapping in the service table before the
-		// shard locks drop: the checkpointer reads shard graphs first and
-		// the table second, so any graph state containing a commit must
-		// already find its mapping in the table (see ShardSnapshots).
-		ro.mu.Lock()
-		for _, i := range idx {
-			if p, ok := plans[i]; ok && bc.live[i] {
-				bc.records[i].mapping = p.placed.Mapping
-				bc.records[i].shards = p.touched
-			}
-		}
-		ro.mu.Unlock()
-		unlockAll(held)
-		if len(tshs) > 1 {
-			ro.stats.multiShard.Add(1)
-		}
-		ro.histCommit.Observe(time.Since(commitStart))
-		commitSpan.End()
-		break
+		bc.settle(ctx, idx, pb, attempts, mayEscalate && pb.narrow, err)
+		return
+	}
+}
+
+// planGroup is the step that plans: it reads a cut of the group's shards
+// from the current directory (so no plan can commit onto a shard a detach
+// has dropped), merges it, and maps each live member in idx order, every one
+// over the residual capacity its predecessors left. The optimistic attempt
+// plans with the shard locks released; the locked one keeps them in held.
+// An error fails the whole group, and planGroup has released its locks.
+func (bc *batchRun) planGroup(gctx context.Context, idx []int, keys []string, attempt int, locked bool) (*plannedBatch, error) {
+	ro := bc.ro
+	ro.stats.mapAttempts.Add(1)
+	span, _ := obs.StartSpan(gctx, "orchestrator.map", "attempt", strconv.Itoa(attempt))
+	start := time.Now()
+	dir, owner, shs := ro.lockCurrent(keys)
+	graphs, gens := readCut(shs)
+	pb := &plannedBatch{dir: dir, shs: shs, gens: gens, narrow: keys != nil && len(keys) < len(dir.keys), errs: make([]error, len(idx))}
+	if locked {
+		pb.held = shs
+	} else {
+		unlockAll(shs)
 	}
 
-	// The commit landed: group-local rejections are final (or escalate);
-	// everyone else now holds a DoV reservation and must either deploy or
-	// release it.
-	var deployable []int
-	for _, i := range idx {
+	// The group's working graph: a consistent merge of its shards. The whole
+	// group shares ONE working fork — each accepted mapping is realized on it
+	// in place (embed.ApplyTo), so admitting N requests costs one fork
+	// instead of N. The merge comes from the generation-keyed cut cache:
+	// between commits to its shards it is skipped entirely, and a full-DoV
+	// group reads the same sealed cut every reader sees.
+	var base *nffg.NFFG
+	var err error
+	switch {
+	case len(shs) == 1:
+		base = graphs[0]
+	case len(shs) > 1:
+		skeys := make([]string, len(shs))
+		for i, s := range shs {
+			skeys[i] = s.key
+		}
+		if base, err = ro.mergedCut(graphs, genVec{keys: skeys, gens: gens}); err != nil {
+			log.Printf("core %s: merging shard snapshots: %v", ro.id, err)
+			err = fmt.Errorf("%w: shard views unmergeable: %v", unify.ErrRejected, err)
+		}
+	}
+	if err == nil && base == nil {
+		err = fmt.Errorf("%w: no domains attached", unify.ErrRejected)
+	}
+	if err != nil {
+		unlockAll(pb.held)
+		span.EndWith(err)
+		return nil, err
+	}
+	cur := base
+	for j, i := range idx {
+		if !bc.live[i] {
+			continue
+		}
+		req := bc.reqs[i]
+		mapping, err := ro.plan(cur, req)
+		if err != nil {
+			pb.errs[j] = err
+			continue
+		}
+		placed, err := embed.Place(cur, mapping)
+		var subs map[string]*nffg.NFFG
+		if err == nil {
+			// Neither the split nor the shard set reads cur, so a mapping
+			// that cannot be split is refused before anything is applied.
+			subs, err = ro.split(base, owner, req.ID, mapping)
+		}
+		if err != nil {
+			pb.errs[j] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
+			continue
+		}
+		touched, home := touchedShards(mapping, owner, dir, shs[0].key)
+		if cur == base {
+			cur = base.Fork()
+		}
+		if err := placed.ApplyTo(cur); err != nil {
+			pb.errs[j] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
+			// The ApplyTo failed partway and may have left cur inconsistent:
+			// rebuild it by replaying the accepted mappings on a fresh fork
+			// (deterministic — they applied cleanly before).
+			cur = base.Fork()
+			for _, p := range pb.plans {
+				if rerr := p.placed.ApplyTo(cur); rerr != nil {
+					log.Printf("core %s: batch replay inconsistency: %v", ro.id, rerr)
+				}
+			}
+			continue
+		}
+		pb.plans = append(pb.plans, &plannedReq{i: i, placed: placed, subs: subs, touched: touched, home: home})
+	}
+	pb.cur = cur
+	ro.histMap.Observe(time.Since(start))
+	span.End()
+	return pb, nil
+}
+
+// commitGroup is the step that commits: it locks the shards the plans touch
+// (unless the locked attempt holds the cut's already), checks their
+// generations against the cut, projects the plans onto every touched shard
+// when the commit is not the single-shard fast path, publishes them, and
+// records each mapping in the service table. raced reports a lost race: a
+// touched shard moved since the cut, and the group plans again. An error (a
+// failed projection, a refused delta) means nothing was published. It
+// releases every lock it or the plan step took.
+func (bc *batchRun) commitGroup(gctx context.Context, pb *plannedBatch) (raced bool, err error) {
+	ro := bc.ro
+	var tkeys []string
+	for _, p := range pb.plans {
+		tkeys = append(tkeys, p.touched...)
+	}
+	tshs := pb.dir.ordered(tkeys)
+	span, cctx := obs.StartSpan(gctx, "orchestrator.commit", "shards", strconv.Itoa(len(tshs)))
+	start := time.Now()
+	held := pb.held
+	if held == nil {
+		lockAll(tshs)
+		held = tshs
+	}
+	defer unlockAll(held)
+	genByKey := make(map[string]uint64, len(pb.shs))
+	for i, s := range pb.shs {
+		genByKey[s.key] = pb.gens[i]
+	}
+	for _, s := range tshs {
+		if s.gen != genByKey[s.key] {
+			s.conflicts++
+			raced = true
+		}
+	}
+	if raced {
+		ro.stats.genConflicts.Add(1)
+		span.EndWith(fmt.Errorf("%w: DoV generation advanced during mapping", unify.ErrBusy))
+		return true, nil
+	}
+	// Single-shard fast path: the working fork IS the shard's next snapshot.
+	next := []*nffg.NFFG{pb.cur}
+	if len(pb.shs) != 1 || len(tshs) != 1 || tshs[0] != pb.shs[0] {
+		if next, err = bc.projectLocked(tshs, pb); err != nil {
+			log.Printf("core %s: scoped commit projection failed: %v", ro.id, err)
+			span.EndWith(err)
+			return false, fmt.Errorf("%w: commit projection failed: %v", unify.ErrRejected, err)
+		}
+	}
+	err = ro.publishLocked(cctx, tshs, next, func(s *shard) shardRecord {
+		return shardRecord{kind: journal.KindCommit, services: bc.commitServices(s.key, pb.plans)}
+	})
+	if err != nil {
+		// A terminal shard refused its delta: nothing was published.
+		span.EndWith(err)
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			// Keep the context error identity: the caller canceled, the
+			// request was not rejected on its merits.
+			return false, fmt.Errorf("core %s: programming canceled: %w", ro.id, err)
+		}
+		return false, fmt.Errorf("%w: programming failed: %v", unify.ErrRejected, err)
+	}
+	// Record each committed mapping in the service table before the shard
+	// locks drop: the checkpointer reads shard graphs first and the table
+	// second, so any graph state containing a commit must already find its
+	// mapping in the table (see ShardSnapshots).
+	ro.mu.Lock()
+	for _, p := range pb.plans {
+		bc.records[p.i].mapping = p.placed.Mapping
+		bc.records[p.i].shards = p.touched
+	}
+	ro.mu.Unlock()
+	if len(tshs) > 1 {
+		ro.stats.multiShard.Add(1)
+	}
+	ro.histCommit.Observe(time.Since(start))
+	span.End()
+	return false, nil
+}
+
+// projectLocked replays the group's accepted mappings onto forks of the
+// touched shards' graphs (callers hold every shard lock in tshs) and returns
+// the forks, in tshs order, for one publish. Each shard receives exactly its
+// slice of each mapping, installing its share of the flowrules the mapping's
+// placement derived once on the working graph; the mapping's home shard also
+// records the bookkeeping hop/requirement entries. A failure returns before
+// anything is published, so a half-committed multi-shard group is impossible.
+func (bc *batchRun) projectLocked(tshs []*shard, pb *plannedBatch) ([]*nffg.NFFG, error) {
+	next := make([]*nffg.NFFG, len(tshs))
+	for si, s := range tshs {
+		g := nffg.New(bc.ro.id + "-dov")
+		if s.dov != nil {
+			g = s.dov.Fork()
+		}
+		for _, p := range pb.plans {
+			if !slices.Contains(p.touched, s.key) {
+				continue
+			}
+			if err := p.placed.ApplyScoped(g, pb.cur, s.key == p.home); err != nil {
+				return nil, fmt.Errorf("shard %s, request %s: %w", s.key, bc.reqs[p.i].ID, err)
+			}
+		}
+		next[si] = g
+	}
+	return next, nil
+}
+
+// commitServices builds one shard's commit record: the services whose
+// mappings a group's publish committed on it, duplicated into every touched
+// shard's record so every log replays self-contained.
+func (bc *batchRun) commitServices(key string, plans []*plannedReq) []journal.ServiceCommit {
+	var svcs []journal.ServiceCommit
+	for _, p := range plans {
+		if slices.Contains(p.touched, key) {
+			svcs = append(svcs, journal.ServiceCommit{
+				ServiceID: bc.reqs[p.i].ID,
+				Mapping:   p.placed.Mapping,
+				Touched:   p.touched,
+				Home:      p.home,
+			})
+		}
+	}
+	return svcs
+}
+
+// settle is where every exit of a shard group ends. Each live member adds
+// the group's attempts to its Attempts and then is admitted (its plan was
+// committed), escalated to the phase-2 global group, or aborted: with the
+// group's error err, or else with its own plan error. pb is nil only with
+// err. The admitted requests count as one batch and deploy in parallel.
+func (bc *batchRun) settle(ctx context.Context, idx []int, pb *plannedBatch, attempts int, escalate bool, err error) {
+	var admitted []*plannedReq
+	if err == nil {
+		admitted = pb.plans
+	}
+	rest := admitted
+	for j, i := range idx {
 		if !bc.live[i] {
 			continue
 		}
 		bc.out[i].Attempts += attempts
-		switch _, ok := plans[i]; {
-		case ok:
+		switch {
+		case err != nil:
+			bc.abort(i, err)
+		case len(rest) > 0 && rest[0].i == i:
+			rest = rest[1:]
 			if bc.obs.Admitted != nil {
 				bc.obs.Admitted(i)
 			}
-			deployable = append(deployable, i)
-		case mayEscalate && narrow:
+		case escalate:
 			bc.escalate(i)
 		default:
-			bc.abort(i, bc.planErr[i])
+			bc.abort(i, pb.errs[j])
 		}
 	}
-	ro.stats.batches.Add(1)
-	ro.stats.batchedReqs.Add(uint64(len(deployable)))
-	fanOut(len(deployable), func(k int) { bc.deploy(ctx, deployable[k], plans[deployable[k]]) })
+	if len(admitted) == 0 {
+		return
+	}
+	bc.ro.stats.batches.Add(1)
+	bc.ro.stats.batchedReqs.Add(uint64(len(admitted)))
+	fanOut(len(admitted), func(k int) { bc.deploy(ctx, admitted[k]) })
 }
 
 // deploy delivers one committed request: it fans the sub-requests out to the
@@ -1267,7 +1321,8 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 // child fails. A terminal shard has no children — its commit already
 // programmed the devices — so its receipt is the mapping alone, and it keeps
 // no copy: only Restore and the resume plans read a receipt back.
-func (bc *batchRun) deploy(ctx context.Context, i int, p *plannedReq) {
+func (bc *batchRun) deploy(ctx context.Context, p *plannedReq) {
+	i := p.i
 	defer bc.conclude(i)
 	ro := bc.ro
 	id := bc.reqs[i].ID
@@ -1339,73 +1394,6 @@ func fanOut(n int, fn func(k int)) {
 		fn(n - 1)
 	}
 	wg.Wait()
-}
-
-// finalizeRejections settles a group whose snapshot admitted nothing: either
-// escalate every live member to the phase-2 global group, or make the
-// rejections final.
-func (bc *batchRun) finalizeRejections(idx []int, attempts int, escalate bool) {
-	for _, i := range idx {
-		if !bc.live[i] {
-			continue
-		}
-		bc.out[i].Attempts += attempts
-		if escalate {
-			bc.escalate(i)
-			continue
-		}
-		bc.abort(i, bc.planErr[i])
-	}
-}
-
-// projectLocked replays the group's accepted mappings onto forks of the
-// touched shards' graphs (callers hold every shard lock in tshs) and returns
-// the forks, in tshs order, for one publish. Each shard receives exactly its
-// slice of each mapping, installing its share of the flowrules the mapping's
-// placement derived once on ref; the mapping's home shard also records the
-// bookkeeping hop/requirement entries. A failure returns before anything is
-// published, so a half-committed multi-shard group is impossible.
-func (bc *batchRun) projectLocked(tshs []*shard, ref *nffg.NFFG, idx []int, plans map[int]*plannedReq) ([]*nffg.NFFG, error) {
-	next := make([]*nffg.NFFG, len(tshs))
-	for si, s := range tshs {
-		g := nffg.New(bc.ro.id + "-dov")
-		if s.dov != nil {
-			g = s.dov.Fork()
-		}
-		for _, i := range idx {
-			p, ok := plans[i]
-			if !ok || !bc.live[i] {
-				continue
-			}
-			mine := false
-			for _, k := range p.touched {
-				if k == s.key {
-					mine = true
-					break
-				}
-			}
-			if !mine {
-				continue
-			}
-			if err := p.placed.ApplyScoped(g, ref, s.key == p.home); err != nil {
-				return nil, fmt.Errorf("shard %s, request %s: %w", s.key, bc.reqs[i].ID, err)
-			}
-		}
-		next[si] = g
-	}
-	return next, nil
-}
-
-func equalGens(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // mappingReceipt turns a mapping into the northbound deployment record

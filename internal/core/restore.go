@@ -33,26 +33,6 @@ type Journal interface {
 	LogDetach(shard string, gen, epoch uint64, child string, drop bool, serviceIDs []string) error
 }
 
-// commitServices builds one shard's commit record: the services whose
-// mappings a group's publish committed on it, duplicated into every touched
-// shard's record so every log replays self-contained.
-func (bc *batchRun) commitServices(key string, idx []int, plans map[int]*plannedReq) []journal.ServiceCommit {
-	var svcs []journal.ServiceCommit
-	for _, i := range idx {
-		p, ok := plans[i]
-		if !ok || !bc.live[i] || !slices.Contains(p.touched, key) {
-			continue
-		}
-		svcs = append(svcs, journal.ServiceCommit{
-			ServiceID: bc.reqs[i].ID,
-			Mapping:   p.placed.Mapping,
-			Touched:   p.touched,
-			Home:      p.home,
-		})
-	}
-	return svcs
-}
-
 // Restore loads recovered journal state into a freshly constructed
 // orchestrator: shard graphs with their generations, the service table with
 // receipts and identifier reservations, the child-domain ownership map, and
@@ -122,17 +102,7 @@ func (ro *ResourceOrchestrator) Restore(state *journal.RecoveredState) error {
 			// down whatever the children actually hold.
 			rec.receipt = mappingReceipt(sc.ServiceID, sc.Mapping)
 		}
-		if req := sc.Mapping.Request; req != nil {
-			for _, nf := range req.NFIDs() {
-				ro.nfOwner[nf] = sc.ServiceID
-				rec.resNFs = append(rec.resNFs, nf)
-			}
-			for h := range req.Hops() {
-				ro.hopOwner[h.ID] = sc.ServiceID
-				rec.resHops = append(rec.resHops, h.ID)
-			}
-		}
-		ro.services[sc.ServiceID] = rec
+		ro.reserveLocked(sc.ServiceID, sc.Mapping.Request, rec)
 	}
 
 	ro.dir = dir

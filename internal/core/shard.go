@@ -2,7 +2,7 @@ package core
 
 import (
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/unify-repro/escape/internal/nffg"
@@ -139,11 +139,12 @@ func exclude(s []string, drop string) []string {
 	return out
 }
 
-// ordered returns the shards for the given keys in key order, skipping keys
-// the directory does not know.
+// ordered returns the shards for the given keys in key order, once each,
+// skipping keys the directory does not know.
 func (d *shardDirectory) ordered(keys []string) []*shard {
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
 	out := make([]*shard, 0, len(sorted))
 	for _, k := range sorted {
 		if s, ok := d.shards[k]; ok {
@@ -188,15 +189,6 @@ func (ro *ResourceOrchestrator) lockCurrent(keys []string) (*shardDirectory, map
 		}
 		unlockAll(shs)
 	}
-}
-
-// snapshotCut reads a consistent (graph, generation) cut across the given
-// key-ordered shards: all locks are held simultaneously, so a multi-shard
-// commit can never be observed half-applied.
-func snapshotCut(shs []*shard) (graphs []*nffg.NFFG, gens []uint64) {
-	lockAll(shs)
-	defer unlockAll(shs)
-	return readCut(shs)
 }
 
 // readCut reads the (graph, generation) cut of shards whose locks the caller
