@@ -89,6 +89,10 @@ var (
 	ErrClosed = errors.New("admission: queue closed")
 	// ErrCanceled is the terminal error of a canceled job.
 	ErrCanceled = errors.New("admission: job canceled")
+
+	// errRolledBack is the terminal error of a deployment torn down because
+	// its synchronous caller had already given up on it.
+	errRolledBack = errors.New("admission: deployment rolled back: synchronous caller abandoned the install")
 )
 
 // Job is the externally visible snapshot of one submission. It is a value:
@@ -153,9 +157,6 @@ type Options struct {
 	// all tenants; submissions beyond it fail with ErrQueueFull (default
 	// 1024).
 	QueueCap int
-	// Retention bounds how many finished jobs stay queryable; the oldest
-	// terminal jobs are evicted beyond it (default 4096).
-	Retention int
 
 	// TenantWeights sets per-tenant DWRR weights: a tenant with weight w is
 	// guaranteed w slots of every scheduling round for as long as it has
@@ -196,10 +197,11 @@ type Options struct {
 	// fail the submission — they are logged and counted in
 	// Stats.JournalErrors.
 	Journal JobJournal
-	// JournalCompactBytes is the job-WAL size past which terminal history is
-	// compacted away (default 4 MiB; negative disables runtime compaction).
-	JournalCompactBytes int64
 }
+
+// retention bounds how many finished jobs stay queryable; the oldest terminal
+// jobs are evicted beyond it.
+const retention = 4096
 
 func (o *Options) defaults() {
 	if o.MaxBatch <= 0 {
@@ -207,9 +209,6 @@ func (o *Options) defaults() {
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 1024
-	}
-	if o.Retention <= 0 {
-		o.Retention = 4096
 	}
 	if o.DefaultWeight < 1 {
 		o.DefaultWeight = 1
@@ -221,9 +220,6 @@ func (o *Options) defaults() {
 		o.AgeAfter = 30 * time.Second
 	} else if o.AgeAfter < 0 {
 		o.AgeAfter = 0 // disabled
-	}
-	if o.JournalCompactBytes == 0 {
-		o.JournalCompactBytes = 4 << 20
 	}
 }
 
@@ -398,22 +394,21 @@ func (tq *tenantQueue) push(j *job) {
 	}
 }
 
-// remove deletes a still-queued job (cancellation); reports whether it was
-// found. The vacated trailing slot is cleared so the backing array does not
-// pin the job (and its owned request graph) after it left the queue.
-func (tq *tenantQueue) remove(j *job) bool {
-	c := j.snap.Priority.Rank()
-	q := tq.classes[c]
-	for i, p := range q {
-		if p == j {
-			copy(q[i:], q[i+1:])
-			q[len(q)-1] = nil
-			tq.classes[c] = q[:len(q)-1]
-			tq.depth--
-			return true
-		}
+// removeAt dequeues the job at index i of class c. The vacated slot is
+// cleared so the backing array does not pin the job (and its request graph)
+// after it left the queue, and a drained class drops its array: a daemon's
+// burst peak must not stay allocated forever.
+func (tq *tenantQueue) removeAt(c, i int) *job {
+	cls := tq.classes[c]
+	j := cls[i]
+	copy(cls[i:], cls[i+1:])
+	cls[len(cls)-1] = nil
+	tq.classes[c] = cls[:len(cls)-1]
+	if len(cls) == 1 {
+		tq.classes[c] = nil
 	}
-	return false
+	tq.depth--
+	return j
 }
 
 // effectiveRank is a queued job's scheduling rank after aging: one class per
@@ -432,115 +427,34 @@ func effectiveRank(j *job, now time.Time, ageAfter time.Duration) int {
 	return r
 }
 
-// pop dequeues the tenant's best job: highest effective rank (aging
-// included), oldest submission first on rank ties. The age tie-break is what
-// makes aging starvation-free: a low-priority job promoted to the top rank is
-// by construction older than the fresh natives it now ties with, so it wins —
-// a steady high-priority stream cannot hold it off forever. Within one class
-// the FIFO head is both the oldest and the most-aged, so only the class heads
-// need comparing. Returns nil when the queue is empty.
-func (tq *tenantQueue) pop(now time.Time, ageAfter time.Duration) *job {
-	best := -1
-	bestRank := -1
-	var bestSub time.Time
-	for c := unify.NumPriorities - 1; c >= 0; c-- {
-		if len(tq.classes[c]) == 0 {
-			continue
-		}
-		h := tq.classes[c][0]
-		r := effectiveRank(h, now, ageAfter)
-		if r > bestRank || (r == bestRank && h.snap.Submitted.Before(bestSub)) {
-			bestRank, best, bestSub = r, c, h.snap.Submitted
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	q := tq.classes[best]
-	j := q[0]
-	// Clear the popped slot (the backing array must not pin the job and its
-	// request graph past dispatch), and drop the array entirely once the
-	// class drains — a daemon's burst peak must not stay allocated forever.
-	q[0] = nil
-	if len(q) == 1 {
-		tq.classes[best] = nil
-	} else {
-		tq.classes[best] = q[1:]
-	}
-	tq.depth--
-	if bestRank > best {
-		tq.stats.Aged++
-	}
-	return j
-}
-
-// head returns the tenant's earliest-submitted queued job without dequeuing
-// it (the FIFO-baseline order ignores class and aging). Returns nil when
-// empty.
-func (tq *tenantQueue) head() *job {
-	var h *job
-	for c := range tq.classes {
-		if len(tq.classes[c]) == 0 {
-			continue
-		}
-		if h == nil || tq.classes[c][0].seq < h.seq {
-			h = tq.classes[c][0]
-		}
-	}
-	return h
-}
-
-// popEligible is pop restricted to jobs the eligible predicate accepts,
-// leaving ineligible jobs queued in place (used while shard lanes are busy
-// or paused). Within a class the first eligible job is still the oldest and
-// most-aged eligible one, so only that candidate per class needs comparing.
-func (tq *tenantQueue) popEligible(now time.Time, ageAfter time.Duration, eligible func(*job) bool) *job {
-	bestClass, bestIdx, bestRank := -1, -1, -1
-	var bestSub time.Time
+// next locates the tenant's next job among those eligible accepts (nil
+// accepts any job; busy or paused lanes restrict it) and returns its class,
+// its index in that class and its effective rank, or class -1 when no job
+// qualifies. In FIFO order (fifo) the earliest submission wins, whatever its
+// class. Otherwise the highest effective rank (aging included) wins, the
+// oldest submission first on rank ties. The age tie-break is what makes
+// aging starvation-free: a low-priority job promoted to the top rank is by
+// construction older than the fresh natives it now ties with, so it wins — a
+// steady high-priority stream cannot hold it off forever. Within one class
+// the first eligible job is both the oldest and the most-aged eligible one,
+// so only that candidate per class needs comparing.
+func (tq *tenantQueue) next(eligible func(*job) bool, fifo bool, now time.Time, ageAfter time.Duration) (class, idx, rank int) {
+	class, idx, rank = -1, -1, -1
+	var best *job
 	for c := unify.NumPriorities - 1; c >= 0; c-- {
 		for i, j := range tq.classes[c] {
-			if !eligible(j) {
+			if eligible != nil && !eligible(j) {
 				continue
 			}
 			r := effectiveRank(j, now, ageAfter)
-			if r > bestRank || (r == bestRank && j.snap.Submitted.Before(bestSub)) {
-				bestRank, bestClass, bestIdx, bestSub = r, c, i, j.snap.Submitted
+			if best == nil || fifo && j.seq < best.seq ||
+				!fifo && (r > rank || r == rank && j.snap.Submitted.Before(best.snap.Submitted)) {
+				best, class, idx, rank = j, c, i, r
 			}
 			break
 		}
 	}
-	if bestClass < 0 {
-		return nil
-	}
-	cls := tq.classes[bestClass]
-	j := cls[bestIdx]
-	copy(cls[bestIdx:], cls[bestIdx+1:])
-	cls[len(cls)-1] = nil
-	tq.classes[bestClass] = cls[:len(cls)-1]
-	tq.depth--
-	if bestRank > bestClass {
-		tq.stats.Aged++
-	}
-	return j
-}
-
-// headEligible is head restricted to eligible jobs (FIFO baseline behind
-// busy or paused lanes). Per class the first eligible job has the smallest sequence number
-// among that class's eligible jobs, so one candidate per class suffices.
-func (tq *tenantQueue) headEligible(eligible func(*job) bool) *job {
-	var h *job
-	for c := range tq.classes {
-		for _, j := range tq.classes[c] {
-			if !eligible(j) {
-				continue
-			}
-			if h == nil || j.seq < h.seq {
-				h = j
-			}
-			break
-		}
-	}
-	return h
+	return class, idx, rank
 }
 
 // New builds a queue in front of layer and starts its dispatcher. When the
@@ -703,7 +617,6 @@ func (q *Queue) Submit(ctx context.Context, req *nffg.NFFG) (Job, error) {
 		snap: Job{
 			ID:        fmt.Sprintf("job-%d", q.seq),
 			ServiceID: req.ID,
-			State:     StateQueued,
 			Tenant:    meta.Tenant,
 			Priority:  meta.Priority,
 			TraceID:   trace.ID(),
@@ -711,9 +624,27 @@ func (q *Queue) Submit(ctx context.Context, req *nffg.NFFG) (Job, error) {
 		},
 		done: make(chan struct{}),
 	}
-	j.root = trace.StartSpan(nil, "job",
-		"job", j.snap.ID, "service", req.ID, "tenant", meta.Tenant)
-	j.wait = trace.StartSpan(j.root, "admission.wait")
+	q.enqueueLocked(j, tq, false)
+	q.journalLocked(j)
+	snap := j.snap
+	q.mu.Unlock()
+	q.nudge()
+	return snap, nil
+}
+
+// enqueueLocked is the one way into a tenant's queue: it registers j as
+// queued, opens its job span (marked resumed for a job recovered from the
+// journal) and its admission.wait span, and counts the submission on the
+// queue's and the tenant's books. Callers hold q.mu.
+func (q *Queue) enqueueLocked(j *job, tq *tenantQueue, resumed bool) {
+	attrs := [...]string{"job", j.snap.ID, "service", j.snap.ServiceID, "tenant", j.snap.Tenant, "resumed", "true"}
+	n := len(attrs) - 2
+	if resumed {
+		n = len(attrs)
+	}
+	j.snap.State = StateQueued
+	j.root = j.trace.StartSpan(nil, "job", attrs[:n]...)
+	j.wait = j.trace.StartSpan(j.root, "admission.wait")
 	q.jobs[j.snap.ID] = j
 	tq.push(j)
 	tq.stats.Submitted++
@@ -722,18 +653,6 @@ func (q *Queue) Submit(ctx context.Context, req *nffg.NFFG) (Job, error) {
 	if q.depth > q.stats.MaxDepth {
 		q.stats.MaxDepth = q.depth
 	}
-	if q.opts.Journal != nil {
-		// Logged under q.mu so the WAL sees admit-before-terminal for every
-		// job (terminal records are appended under the same lock).
-		if jerr := q.opts.Journal.LogJob(jobRecord(j, true)); jerr != nil {
-			q.stats.JournalErrors++
-			log.Printf("admission: journal admit %s: %v", j.snap.ID, jerr)
-		}
-	}
-	snap := j.snap
-	q.mu.Unlock()
-	q.nudge()
-	return snap, nil
 }
 
 // Job returns a job snapshot by ID.
@@ -796,11 +715,17 @@ func (q *Queue) Cancel(id string) error {
 	if j.snap.State != StateQueued {
 		return fmt.Errorf("%w: %s is %s", ErrNotCancelable, id, j.snap.State)
 	}
-	if tq, ok := q.tenants[j.snap.Tenant]; ok && tq.remove(j) {
-		q.depth--
+	if tq, ok := q.tenants[j.snap.Tenant]; ok {
+		c := j.snap.Priority.Rank()
+		for i, p := range tq.classes[c] {
+			if p == j {
+				tq.removeAt(c, i)
+				q.depth--
+				break
+			}
+		}
 	}
-	q.stats.Canceled++
-	q.terminateLocked(j, nil, ErrCanceled)
+	q.terminateLocked(j, StateCanceled, nil, ErrCanceled)
 	return nil
 }
 
@@ -919,19 +844,11 @@ func (q *Queue) rollbackAbandoned(jobID, serviceID string) {
 		log.Printf("admission %s: rollback of abandoned install %s: %v", q.ID(), serviceID, err)
 		return
 	}
-	// Keep the job record honest: the service no longer exists, so the job
-	// must not read as a live deployment.
+	// Keep the job record honest, live and in the journal: the service no
+	// longer exists, so the job must not read as a deployment.
 	q.mu.Lock()
 	if j.snap.State == StateDeployed {
-		j.snap.State = StateFailed
-		j.snap.Error = "admission: deployment rolled back: synchronous caller abandoned the install"
-		j.snap.Receipt = nil
-		q.stats.Deployed--
-		q.stats.Failed++
-		if tq, ok := q.tenants[j.snap.Tenant]; ok {
-			tq.stats.Deployed--
-			tq.stats.Failed++
-		}
+		q.terminateLocked(j, StateFailed, nil, errRolledBack)
 	}
 	q.mu.Unlock()
 }
@@ -1200,7 +1117,7 @@ func (q *Queue) atCapLocked(tq *tenantQueue, popped map[*tenantQueue]int) bool {
 //
 // Fair mode (the default) is deficit-weighted round-robin over the tenant
 // rotation: each round, every tenant with an eligible job earns its weight in
-// credit and dequeues (priority-and-aging order, see tenantQueue.pop) while
+// credit and dequeues (priority-and-aging order, see tenantQueue.next) while
 // it has credit; unspent credit carries over while the tenant stays
 // backlogged — the "deficit" that makes the long-run share converge to the
 // weight ratio even when MaxBatch is smaller than one full round — and resets
@@ -1216,31 +1133,27 @@ func (q *Queue) popLocked(max int) []*job {
 	var batch []*job
 	popped := map[*tenantQueue]int{}
 	eligible := q.eligibleLocked()
+	now := time.Now()
 	if q.opts.DisableFairness {
 		for len(batch) < max {
 			var best *tenantQueue
-			var bestJob *job
+			bc, bi := -1, -1
 			for _, name := range q.order {
 				tq := q.tenants[name]
-				h := tq.head()
-				if eligible != nil {
-					h = tq.headEligible(eligible)
-				}
-				if h != nil && (bestJob == nil || h.seq < bestJob.seq) {
-					best, bestJob = tq, h
+				c, i, _ := tq.next(eligible, true, now, 0)
+				if c >= 0 && (best == nil || tq.classes[c][i].seq < best.classes[bc][bi].seq) {
+					best, bc, bi = tq, c, i
 				}
 			}
-			if bestJob == nil || q.atCapLocked(best, popped) {
+			if best == nil || q.atCapLocked(best, popped) {
 				break
 			}
-			best.remove(bestJob)
 			q.depth--
 			popped[best]++
-			batch = append(batch, bestJob)
+			batch = append(batch, best.removeAt(bc, bi))
 		}
 		return batch
 	}
-	now := time.Now()
 	for len(batch) < max {
 		progress := false
 		n := len(q.order)
@@ -1250,7 +1163,7 @@ func (q *Queue) popLocked(max int) []*job {
 				tq.deficit = 0
 				continue
 			}
-			if q.atCapLocked(tq, popped) || eligible != nil && tq.headEligible(eligible) == nil {
+			if c, _, _ := tq.next(eligible, false, now, q.opts.AgeAfter); c < 0 || q.atCapLocked(tq, popped) {
 				continue
 			}
 			tq.deficit += tq.weight
@@ -1260,17 +1173,18 @@ func (q *Queue) popLocked(max int) []*job {
 			if limit := tq.weight + max; tq.deficit > limit {
 				tq.deficit = limit
 			}
-			for tq.deficit > 0 && tq.depth > 0 && len(batch) < max && !q.atCapLocked(tq, popped) {
-				var j *job
-				if eligible == nil {
-					j = tq.pop(now, q.opts.AgeAfter)
-				} else if j = tq.popEligible(now, q.opts.AgeAfter, eligible); j == nil {
+			for tq.deficit > 0 && len(batch) < max && !q.atCapLocked(tq, popped) {
+				c, i, rank := tq.next(eligible, false, now, q.opts.AgeAfter)
+				if c < 0 {
 					break // only jobs on busy or paused lanes left in this tenant's queue
+				}
+				if rank > c {
+					tq.stats.Aged++
 				}
 				tq.deficit--
 				q.depth--
 				popped[tq]++
-				batch = append(batch, j)
+				batch = append(batch, tq.removeAt(c, i))
 				progress = true
 			}
 			if tq.depth == 0 {
@@ -1353,11 +1267,11 @@ func (q *Queue) process(batch []*job) {
 func (q *Queue) drain() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	err := fmt.Errorf("%w: %v", ErrCanceled, ErrClosed)
 	for _, tq := range q.tenants {
 		for c := range tq.classes {
 			for _, j := range tq.classes[c] {
-				q.stats.Canceled++
-				q.terminateLocked(j, nil, fmt.Errorf("%w: %v", ErrCanceled, ErrClosed))
+				q.terminateLocked(j, StateCanceled, nil, err)
 			}
 			tq.classes[c] = nil
 		}
@@ -1375,9 +1289,9 @@ func (q *Queue) setState(j *job, s State) {
 	}
 }
 
-// finishJob records a job's outcome and wakes its watchers. Already-terminal
-// jobs are left untouched, so per-request Done callbacks and the batch-level
-// sweep compose without double counting.
+// finishJob records a dispatched job's outcome. Already-terminal jobs are
+// left untouched, so per-request Done callbacks and the batch-level sweep
+// compose without double counting.
 func (q *Queue) finishJob(j *job, receipt *unify.Receipt, err error, attempts int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -1385,48 +1299,70 @@ func (q *Queue) finishJob(j *job, receipt *unify.Receipt, err error, attempts in
 		return
 	}
 	j.snap.Attempts = attempts
-	if err != nil {
-		q.stats.Failed++
-	} else {
-		q.stats.Deployed++
-	}
-	q.terminateLocked(j, receipt, err)
-}
-
-// terminateLocked moves a job to its terminal state, closes its done channel
-// and applies the retention bound. Callers hold q.mu.
-func (q *Queue) terminateLocked(j *job, receipt *unify.Receipt, err error) {
-	if j.snap.State.Terminal() {
-		return
-	}
-	j.snap.Finished = time.Now()
-	j.wait.End() // no-op unless the job dies still queued
-	j.root.EndWith(err)
-	if err == nil {
-		q.histE2E.Observe(j.snap.Finished.Sub(j.snap.Submitted))
-	}
+	to := StateDeployed
 	switch {
 	case errors.Is(err, ErrCanceled):
-		j.snap.State = StateCanceled
-		j.snap.Error = err.Error()
-		j.err = err
+		to = StateCanceled
 	case err != nil:
-		j.snap.State = StateFailed
-		j.snap.Error = err.Error()
-		j.err = err
-	default:
-		j.snap.State = StateDeployed
-		j.snap.Receipt = receipt
+		to = StateFailed
 	}
-	if tq, ok := q.tenants[j.snap.Tenant]; ok {
-		switch j.snap.State {
-		case StateDeployed:
-			tq.stats.Deployed++
-		case StateFailed:
-			tq.stats.Failed++
-		case StateCanceled:
-			tq.stats.Canceled++
+	q.terminateLocked(j, to, receipt, err)
+}
+
+// terminateLocked is the one door into, and between, terminal states. It
+// moves j to state to with its receipt or its error, moves it on the
+// queue's and the tenant's books off the state it leaves and onto the one it
+// enters, drops the request graph and shard set nothing reads any more, and
+// journals the terminal record. On a job's first terminal state it also ends
+// its spans, observes a deployment's end-to-end latency, frees its in-flight
+// slot, closes done and puts the job on the retention ring. A job with no
+// state yet is recovered history (Resume): it enters the books here, keeps
+// its recorded finish time, and is neither observed nor journaled — Resume
+// rewrites the journal once it has loaded every plan. Callers hold q.mu and
+// decide whether the move is legal.
+func (q *Queue) terminateLocked(j *job, to State, receipt *unify.Receipt, err error) {
+	from := j.snap.State
+	j.snap.State, j.snap.Receipt, j.snap.Error, j.err = to, receipt, "", err
+	if err != nil {
+		j.snap.Error = err.Error()
+	}
+	if j.snap.Finished.IsZero() {
+		j.snap.Finished = time.Now()
+	}
+	j.req, j.shards = nil, nil
+	tq := q.tenants[j.snap.Tenant]
+	var gone TenantStats // a reclaimed tenant's counters are not kept
+	ts := &gone
+	if tq != nil {
+		ts = &tq.stats
+	}
+	if from == "" {
+		q.stats.Submitted++
+		ts.Submitted++
+	}
+	if n, tn := outcomeCounters(&q.stats, ts, from); n != nil {
+		*n--
+		*tn--
+	}
+	if n, tn := outcomeCounters(&q.stats, ts, to); n != nil {
+		*n++
+		*tn++
+	}
+	if from != "" {
+		q.journalLocked(j)
+		if q.opts.Journal != nil && q.opts.Journal.JobsLogSize() >= journalCompactBytes {
+			q.compactJournalLocked()
 		}
+	}
+	if from.Terminal() {
+		return
+	}
+	j.wait.End() // no-op unless the job dies still queued
+	j.root.EndWith(err)
+	if from != "" && to == StateDeployed {
+		q.histE2E.Observe(j.snap.Finished.Sub(j.snap.Submitted))
+	}
+	if tq != nil {
 		if j.dispatched {
 			tq.inFlight--
 			// A freed in-flight slot may unblock a capped tenant's backlog.
@@ -1436,18 +1372,25 @@ func (q *Queue) terminateLocked(j *job, receipt *unify.Receipt, err error) {
 		}
 		q.reclaimTenantLocked(tq)
 	}
-	if q.opts.Journal != nil {
-		if jerr := q.opts.Journal.LogJobDone(jobRecord(j, false)); jerr != nil {
-			q.stats.JournalErrors++
-			log.Printf("admission: journal %s terminal: %v", j.snap.ID, jerr)
-		}
-		q.maybeCompactJournalLocked()
-	}
 	close(j.done)
 	q.finished = append(q.finished, j)
-	for len(q.finished) > q.opts.Retention {
+	for len(q.finished) > retention {
 		old := q.finished[0]
 		q.finished = q.finished[1:]
 		delete(q.jobs, old.snap.ID)
 	}
+}
+
+// outcomeCounters returns the queue's and the tenant's counter of jobs in
+// terminal state s (nil, nil for any other state).
+func outcomeCounters(st *Stats, ts *TenantStats, s State) (*uint64, *uint64) {
+	switch s {
+	case StateDeployed:
+		return &st.Deployed, &ts.Deployed
+	case StateFailed:
+		return &st.Failed, &ts.Failed
+	case StateCanceled:
+		return &st.Canceled, &ts.Canceled
+	}
+	return nil, nil
 }

@@ -1,8 +1,13 @@
 // Job-table persistence and crash resume: the queue write-ahead-logs every
-// admission and terminal transition through a JobJournal, and Resume rebuilds
-// the job table from the recovered records at startup — re-enqueuing jobs
-// that never finished (with their tenant/priority/trace identity intact) and
-// finishing jobs whose services already committed before the crash.
+// admission (journalLocked, from Submit) and every terminal transition (from
+// the terminal door, terminateLocked — a rolled-back abandoned install
+// included, so a restart sees it failed), and compacts the log down to the
+// open jobs (compactJournalLocked) once it outgrows journalCompactBytes.
+// Resume rebuilds the job table from the recovered records at startup:
+// jobs that never finished re-enter their tenant's queue through
+// enqueueLocked with their tenant/priority/trace identity intact, and
+// finished history — including jobs whose services committed before the
+// crash — enters through the terminal door.
 package admission
 
 import (
@@ -11,7 +16,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/unify-repro/escape/internal/journal"
 	"github.com/unify-repro/escape/internal/unify"
@@ -27,10 +31,14 @@ type JobJournal interface {
 	CompactJobs([]journal.JobRecord) error
 }
 
+// journalCompactBytes is the job-WAL size past which the queue compacts its
+// terminal history away.
+const journalCompactBytes = 4 << 20
+
 // jobRecord converts a job to its WAL form. The request graph rides only on
-// admit records (withReq); terminal records carry just the outcome.
-func jobRecord(j *job, withReq bool) journal.JobRecord {
-	rec := journal.JobRecord{
+// an open job's record: the terminal door drops it.
+func jobRecord(j *job) journal.JobRecord {
+	return journal.JobRecord{
 		ID:        j.snap.ID,
 		ServiceID: j.snap.ServiceID,
 		Tenant:    j.snap.Tenant,
@@ -40,24 +48,34 @@ func jobRecord(j *job, withReq bool) journal.JobRecord {
 		Error:     j.snap.Error,
 		Submitted: j.snap.Submitted,
 		Finished:  j.snap.Finished,
+		Request:   j.req,
 	}
-	if withReq {
-		rec.Request = j.req
-	}
-	return rec
 }
 
-// maybeCompactJournalLocked rewrites the job WAL down to the open jobs once
-// it grows past JournalCompactBytes. Runs under q.mu, which is what makes
-// the compaction safe: no admit/terminal record can interleave with the
-// rewrite.
-func (q *Queue) maybeCompactJournalLocked() {
-	if q.opts.JournalCompactBytes < 0 {
+// journalLocked appends j's record to the job WAL: the admit record while the
+// job is open, the outcome once it is terminal. Append failures never fail
+// the job; they are logged and counted. Callers hold q.mu, so the WAL sees
+// every job's admit before its outcome.
+func (q *Queue) journalLocked(j *job) {
+	if q.opts.Journal == nil {
 		return
 	}
-	if q.opts.Journal.JobsLogSize() < q.opts.JournalCompactBytes {
-		return
+	var err error
+	if j.snap.State.Terminal() {
+		err = q.opts.Journal.LogJobDone(jobRecord(j))
+	} else {
+		err = q.opts.Journal.LogJob(jobRecord(j))
 	}
+	if err != nil {
+		q.stats.JournalErrors++
+		log.Printf("admission: journal %s %s: %v", j.snap.ID, j.snap.State, err)
+	}
+}
+
+// compactJournalLocked rewrites the job WAL down to the open jobs, in
+// submission order. Runs under q.mu, which is what makes it safe: no admit or
+// terminal record can interleave with the rewrite.
+func (q *Queue) compactJournalLocked() {
 	open := make([]*job, 0, len(q.jobs))
 	for _, j := range q.jobs {
 		if !j.snap.State.Terminal() {
@@ -67,7 +85,7 @@ func (q *Queue) maybeCompactJournalLocked() {
 	sort.Slice(open, func(i, k int) bool { return open[i].seq < open[k].seq })
 	recs := make([]journal.JobRecord, len(open))
 	for i, j := range open {
-		recs[i] = jobRecord(j, true)
+		recs[i] = jobRecord(j)
 	}
 	if err := q.opts.Journal.CompactJobs(recs); err != nil {
 		q.stats.JournalErrors++
@@ -119,7 +137,8 @@ func BuildResumePlans(jobs []journal.JobRecord, receipts map[string]*unify.Recei
 // under the recorded trace ID, so pre- and post-crash spans join), completed
 // ones land in finished history. Resume must run before traffic is admitted
 // (it assumes recovered "job-N" sequence numbers are not yet taken) and ends
-// by compacting the job WAL down to exactly the requeued jobs.
+// by compacting the job WAL down to exactly the open jobs, so a second
+// restart starts from a minimal log.
 func (q *Queue) Resume(plans []ResumePlan) (requeued, completed int) {
 	if len(plans) == 0 {
 		return 0, 0
@@ -131,9 +150,7 @@ func (q *Queue) Resume(plans []ResumePlan) (requeued, completed int) {
 			continue
 		}
 		seq := parseJobSeq(rec.ID)
-		if seq > q.seq {
-			q.seq = seq
-		}
+		q.seq = max(q.seq, seq)
 		meta := unify.RequestMeta{Tenant: rec.Tenant, Priority: unify.Priority(rec.Priority)}.Normalize()
 		j := &job{
 			seq: seq,
@@ -148,81 +165,29 @@ func (q *Queue) Resume(plans []ResumePlan) (requeued, completed int) {
 			},
 			done: make(chan struct{}),
 		}
+		tq := q.tenantLocked(meta.Tenant)
 		if p.Requeue {
 			if q.sharder != nil && j.req != nil {
 				j.shards = q.sharder.ShardSet(j.req)
 			}
 			j.trace = q.opts.Tracer.Trace(rec.TraceID) // nil tracer → nil trace
 			j.snap.TraceID = j.trace.ID()
-			j.snap.State = StateQueued
-			j.root = j.trace.StartSpan(nil, "job",
-				"job", j.snap.ID, "service", j.snap.ServiceID, "tenant", meta.Tenant, "resumed", "true")
-			j.wait = j.trace.StartSpan(j.root, "admission.wait")
-			tq := q.tenantLocked(meta.Tenant)
-			q.jobs[j.snap.ID] = j
-			tq.push(j)
-			tq.stats.Submitted++
-			q.depth++
-			q.stats.Submitted++
-			if q.depth > q.stats.MaxDepth {
-				q.stats.MaxDepth = q.depth
-			}
+			q.enqueueLocked(j, tq, true)
 			requeued++
-		} else {
-			j.snap.State = p.State
-			j.snap.Receipt = p.Receipt
-			j.snap.Error = p.Error
-			j.snap.Finished = rec.Finished
-			if j.snap.Finished.IsZero() {
-				j.snap.Finished = time.Now()
-			}
-			if p.Error != "" {
-				j.err = errors.New(p.Error)
-			}
-			close(j.done)
-			q.jobs[j.snap.ID] = j
-			q.finished = append(q.finished, j)
-			tq := q.tenantLocked(meta.Tenant)
-			tq.stats.Submitted++
-			q.stats.Submitted++
-			switch p.State {
-			case StateDeployed:
-				q.stats.Deployed++
-				tq.stats.Deployed++
-			case StateFailed:
-				q.stats.Failed++
-				tq.stats.Failed++
-			case StateCanceled:
-				q.stats.Canceled++
-				tq.stats.Canceled++
-			}
-			q.reclaimTenantLocked(tq)
-			completed++
+			continue
 		}
-	}
-	for len(q.finished) > q.opts.Retention {
-		old := q.finished[0]
-		q.finished = q.finished[1:]
-		delete(q.jobs, old.snap.ID)
+		var err error
+		if p.Error != "" {
+			err = errors.New(p.Error)
+		}
+		j.snap.Finished = rec.Finished
+		q.jobs[j.snap.ID] = j
+		q.terminateLocked(j, p.State, p.Receipt, err)
+		completed++
 	}
 	q.stats.Resumed += uint64(requeued + completed)
-	// Rewrite the WAL to exactly the open (requeued) jobs: terminal history
-	// and pre-crash records are gone, so a second restart starts from a
-	// minimal log. Safe under q.mu — no concurrent appends.
 	if q.opts.Journal != nil {
-		open := make([]journal.JobRecord, 0, requeued)
-		for _, p := range plans {
-			if p.Requeue {
-				if j, ok := q.jobs[p.Record.ID]; ok && !j.snap.State.Terminal() {
-					open = append(open, jobRecord(j, true))
-				}
-			}
-		}
-		sort.Slice(open, func(i, k int) bool { return parseJobSeq(open[i].ID) < parseJobSeq(open[k].ID) })
-		if err := q.opts.Journal.CompactJobs(open); err != nil {
-			q.stats.JournalErrors++
-			log.Printf("admission: compact job journal after resume: %v", err)
-		}
+		q.compactJournalLocked()
 	}
 	q.mu.Unlock()
 	q.nudge()

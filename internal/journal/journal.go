@@ -26,15 +26,9 @@ type Options struct {
 	// SyncEachRecord fsyncs after every append (strict mode). Expensive;
 	// the default relies on the background loop.
 	SyncEachRecord bool
-	// JobLogMaxBytes is the size past which the queue's WAL is eligible for
-	// compaction (see CompactJobs). 0 means 4 MiB.
-	JobLogMaxBytes int64
 }
 
-const (
-	defaultSyncInterval   = 25 * time.Millisecond
-	defaultJobLogMaxBytes = 4 << 20
-)
+const defaultSyncInterval = 25 * time.Millisecond
 
 // Stats is a snapshot of the Store's cumulative counters, exported at
 // /metrics as unify_journal.
@@ -108,9 +102,6 @@ type Store struct {
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SyncInterval == 0 {
 		opts.SyncInterval = defaultSyncInterval
-	}
-	if opts.JobLogMaxBytes == 0 {
-		opts.JobLogMaxBytes = defaultJobLogMaxBytes
 	}
 	for _, sub := range []string{shardsDir(dir), jobsDir(dir)} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
@@ -308,9 +299,6 @@ func (s *Store) JobsLogSize() int64 {
 	defer w.mu.Unlock()
 	return w.size
 }
-
-// JobLogMaxBytes returns the configured compaction threshold.
-func (s *Store) JobLogMaxBytes() int64 { return s.opts.JobLogMaxBytes }
 
 // CompactJobs rewrites the queue WAL to contain exactly the given (open)
 // job records, dropping terminal history. The caller must guarantee no
