@@ -1,21 +1,20 @@
-// Runtime detach of a child domain: the inverse of Attach. Detach unwinds
-// everything attach-time registration built — the shard directory entry, the
-// infra ownership map, the reverse shard index contribution — and displaces
-// the services whose embeddings depended on the departing child so the fleet
-// controller can re-embed them onto survivors. All of it is one publish: the
-// directory swap, the survivors' releases and the departing shard's final
-// generation happen under every shard lock and ro.mu, at one epoch, so every
-// cut a reader takes (see lockCurrent) is wholly before or wholly after the
-// detach. The generation-keyed read caches need no explicit invalidation:
-// the shard set and the generations change, so cached cuts and views miss.
+// Runtime detach of a child domain: the inverse of Attach. Detach swaps in
+// the directory without the child — its shard, its infra ownership and its
+// reverse index entries leave in that one value, and the nodes nobody else
+// answers for are tombstoned — and displaces the services whose embeddings
+// depended on the departing child so the fleet controller can re-embed them
+// onto survivors. All of it is one publish: the survivors' releases, the
+// departing shard's final generation and the directory swap happen under
+// every shard lock and ro.mu, at one epoch, so every cut a reader takes (see
+// lockCurrent) is wholly before or wholly after the detach. The
+// generation-keyed read caches need no explicit invalidation: the shard set
+// and the generations change, so cached cuts and views miss.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
-	"maps"
 	"slices"
 
 	"github.com/unify-repro/escape/internal/domain"
@@ -42,12 +41,11 @@ type DetachReport struct {
 }
 
 // Detach removes a child domain from the live orchestrator: it drops the
-// child's shard from the directory, retires its infra ownership and reverse
-// index contribution (tombstoning nodes that no other child serves, see
-// checkDomainsLocked), releases the DoV resources of every service whose
-// embedding touched the child, and tears the affected services down on the
-// surviving children. The displaced services are returned for re-embedding —
-// Detach itself does not re-install them.
+// child and its shard from the directory (tombstoning nodes that no other
+// child serves, see checkDomainsLocked), releases the DoV resources of every
+// service whose embedding touched the child, and tears the affected services
+// down on the surviving children. The displaced services are returned for
+// re-embedding — Detach itself does not re-install them.
 //
 // Detach requires the child to be its shard's only tenant (true under the
 // default ShardPerDomain sharding): the graph layer has no per-infra removal,
@@ -56,14 +54,15 @@ type DetachReport struct {
 //
 // Concurrency: Detach locks every shard of the directory in key order, then
 // ro.mu, and publishes the survivors' release forks plus the departing
-// shard's final generation in that one scope, together with the directory
-// swap and the displaced services' table entries. In-flight installs that
-// touched any published shard lose their commit race and re-plan against the
-// post-detach directory; installs already committed but not yet deployed
-// fail their southbound fan-out on the departed child and self-release.
-// Only after the publish does Detach deregister the child and tear the
-// displaced services down on the survivors (best-effort, logged); it returns
-// once that teardown has finished.
+// shard's final generation in that one scope, then swaps in the directory
+// without the child (whose floor is that final generation) and drops the
+// displaced services' table entries. The child's handle leaves with the swap.
+// In-flight installs that touched any published shard lose their commit race
+// and re-plan against the post-detach directory; installs already committed
+// but not yet deployed fail their southbound fan-out on the departed child
+// and self-release. After the locks drop, Detach tears the displaced services
+// down on the survivors (best-effort, logged) and returns once that teardown
+// has finished.
 //
 // Crash note: each survivor's release record (listing the displaced services
 // that touch it) and the departing shard's detach record share the publish's
@@ -76,29 +75,26 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var dir *shardDirectory
-	var shs []*shard
-	for {
-		dir, _, shs = ro.lockCurrent(nil)
-		ro.mu.Lock()
-		if ro.dir == dir {
-			break
-		}
-		ro.mu.Unlock()
-		unlockAll(shs)
-	}
+	locked, shs := ro.lockCurrent(nil)
+	ro.mu.Lock()
 	unlock := func() {
 		ro.mu.Unlock()
 		unlockAll(shs)
 	}
-	key, ok := dir.childShard[child]
-	if !ok {
+	// Since the shards were locked, only a Reattach or an attach of a new key
+	// can have swapped the directory, and neither touched a locked shard: the
+	// current directory is the one to edit, and a child on a shard the locked
+	// one lacks attached after this detach began.
+	dir := ro.dir.Load()
+	m, ok := dir.children[child]
+	if !ok || locked.shards[m.key] == nil {
 		unlock()
 		return nil, fmt.Errorf("core: detach %s: %w", child, domain.ErrUnknown)
 	}
-	if others := exclude(dir.domains[key], child); len(others) > 0 {
+	key := m.key
+	if tenants := dir.domains[key]; len(tenants) > 1 {
 		unlock()
-		return nil, fmt.Errorf("core: detach %s: shard %s also hosts %v — runtime detach requires per-domain sharding", child, key, others)
+		return nil, fmt.Errorf("core: detach %s: shard %s hosts %v — runtime detach requires per-domain sharding", child, key, tenants)
 	}
 	sh := dir.shards[key]
 
@@ -127,7 +123,7 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 			}
 		}
 	}
-	pub := dir.ordered(append(sortedKeys(released), key))
+	pub := locked.ordered(append(sortedKeys(released), key))
 	next := make([]*nffg.NFFG, len(pub))
 	for i, s := range pub {
 		if s == sh {
@@ -139,28 +135,16 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 		}
 		next[i] = g
 	}
-
-	departedNodes := ro.contrib[key].nodes
-	contrib := maps.Clone(ro.contrib)
-	delete(contrib, key)
-	ro.dir, ro.owner, ro.contrib = dir.without(child, true), ownerWithout(ro.owner, child), contrib
-	ro.rebuildIndexLocked()
-	// Tombstone the nodes nobody answers for anymore; shared border SAPs a
-	// surviving child still exports stay in the index and need none.
-	for node := range departedNodes {
-		if len(ro.index[node]) == 0 {
-			ro.departed[node] = child
-		}
-	}
 	_ = ro.publishLocked(ctx, pub, next, func(s *shard) shardRecord {
 		if s == sh {
 			return shardRecord{kind: journal.KindDetach, child: child, ids: evicted}
 		}
 		return shardRecord{kind: journal.KindRelease, ids: released[s.key]}
 	})
-	// Resume point for a future re-attach of this key: generations must keep
-	// rising across the cycle.
-	ro.lastGen[key] = sh.gen
+	// Swapped after the publish, so the key's floor is the shard's final
+	// generation and a re-attach keeps it rising.
+	dir = dir.without(child)
+	ro.dir.Store(dir)
 
 	report := &DetachReport{Child: child, Shard: key}
 	survivors := map[string][]string{} // surviving child -> sub-services to tear down
@@ -175,7 +159,7 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 			// NF on a survivor. Pins to nodes a surviving child still exports
 			// (shared border infrastructure) are kept.
 			for _, nf := range ds.Request.NFs.All() {
-				if nf.Host != "" && len(ro.index[nf.Host]) == 0 {
+				if nf.Host != "" && len(dir.index[nf.Host]) == 0 {
 					nf.Host = ""
 				}
 			}
@@ -190,9 +174,6 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 	}
 	unlock()
 
-	if err := ro.reg.Deregister(child); err != nil && !errors.Is(err, domain.ErrUnknown) {
-		log.Printf("core %s: detach %s: deregister: %v", ro.id, child, err)
-	}
 	// Tear the displaced services down on the surviving children (the
 	// departed child is unreachable; whatever it still holds dies with it).
 	// Best-effort: the publish already freed the survivors' DoV capacity.

@@ -37,6 +37,7 @@ func TestCrashRecoveryAfterDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkMembership(t, ro)
 	if len(report.Displaced) != 3 {
 		t.Fatalf("displaced: %+v", report.Displaced)
 	}
@@ -46,6 +47,7 @@ func TestCrashRecoveryAfterDetach(t *testing.T) {
 
 	// kill -9 after the detach: recover from the WAL alone.
 	ro2, state, info := crashRecover(t, dir)
+	checkMembership(t, ro2)
 	if len(info.Errors) != 0 {
 		t.Fatalf("replay errors: %v", info.Errors)
 	}
@@ -79,9 +81,11 @@ func TestCrashRecoveryAfterDetach(t *testing.T) {
 	if err := ro2.Attach(ctx, lo); err != nil {
 		t.Fatal(err)
 	}
-	ro2.mu.Lock()
-	newGen := ro2.dir.shards["d1"].gen
-	ro2.mu.Unlock()
+	checkMembership(t, ro2)
+	shard := ro2.dir.Load().shards["d1"]
+	shard.mu.Lock()
+	newGen := shard.gen
+	shard.mu.Unlock()
 	if newGen <= state.Detached["d1"] {
 		t.Fatalf("re-attached shard gen %d not past detach floor %d", newGen, state.Detached["d1"])
 	}
@@ -93,6 +97,7 @@ func TestCrashRecoveryAfterDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	ro3, state3, info3 := crashRecover(t, dir)
+	checkMembership(t, ro3)
 	if len(info3.Errors) != 0 {
 		t.Fatalf("post-checkpoint replay errors: %v", info3.Errors)
 	}

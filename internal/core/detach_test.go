@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,56 +16,80 @@ import (
 	"github.com/unify-repro/escape/internal/unify"
 )
 
-// checkDetachInvariants asserts the exact post-detach bookkeeping contract:
-// the directory, ownership map, reverse index, reservations, and service
-// table all agree with each other and contain nothing from dropped shards.
-func checkDetachInvariants(t *testing.T, ro *ResourceOrchestrator) {
+// checkMembership asserts the membership contract over the one directory:
+// its shards, children, node sets, derived owner map, reverse index and
+// tombstones agree with each other and hold nothing of dropped shards, and
+// the reservations and service table reference only live services and
+// shards. The membership checks read one directory value, so they hold even
+// beside concurrent attaches; the service-table checks want no install,
+// removal or detach in flight.
+func checkMembership(t testing.TB, ro *ResourceOrchestrator) {
 	t.Helper()
+	dir := ro.dir.Load()
 	// Shard locks before ro.mu: the documented lock order.
-	dir, _ := ro.snapshotDir()
+	published := map[string]bool{}
 	for _, key := range dir.keys {
 		sh := dir.shards[key]
 		sh.mu.Lock()
-		gen, commits := sh.gen, sh.commits
+		gen, commits, dov := sh.gen, sh.commits, sh.dov
 		sh.mu.Unlock()
 		if gen != commits {
 			t.Errorf("shard %s: gen %d != commits %d", key, gen, commits)
 		}
+		published[key] = dov != nil
 	}
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 
 	live := map[string]bool{}
-	for _, key := range ro.dir.keys {
+	for _, key := range dir.keys {
 		live[key] = true
 	}
-	if len(ro.dir.shards) != len(ro.dir.keys) {
-		t.Errorf("directory: %d shards vs %d keys", len(ro.dir.shards), len(ro.dir.keys))
+	if len(dir.shards) != len(dir.keys) || !slices.IsSorted(dir.keys) {
+		t.Errorf("directory: %d shards vs keys %v", len(dir.shards), dir.keys)
 	}
-	for child, key := range ro.dir.childShard {
-		if !live[key] {
-			t.Errorf("childShard[%s] -> dropped shard %s", child, key)
+	for child, m := range dir.children {
+		if !live[m.key] {
+			t.Errorf("child %s -> dropped shard %s", child, m.key)
+		}
+		if m.d != nil && !published[m.key] {
+			t.Errorf("child %s has a handle but shard %s holds no graph", child, m.key)
 		}
 	}
-	for key := range ro.contrib {
+	for key := range dir.nodes {
 		if !live[key] {
-			t.Errorf("contrib holds dropped shard %s", key)
+			t.Errorf("node set of dropped shard %s", key)
 		}
 	}
-	for node, keys := range ro.index {
+	for key := range dir.floors {
+		if live[key] {
+			t.Errorf("live shard %s keeps a generation floor", key)
+		}
+	}
+	// The index is exactly the union of the shards' node sets.
+	want := map[nffg.ID][]string{}
+	for _, key := range dir.keys {
+		for node := range dir.nodes[key] {
+			want[node] = append(want[node], key)
+		}
+	}
+	if !reflect.DeepEqual(dir.index, want) {
+		t.Errorf("index %v, want the shards' node sets %v", dir.index, want)
+	}
+	for node, keys := range dir.index {
 		for _, key := range keys {
 			if !live[key] {
 				t.Errorf("index[%s] references dropped shard %s", node, key)
 			}
 		}
 	}
-	for inf, child := range ro.owner {
-		if _, ok := ro.dir.childShard[child]; !ok {
+	for inf, child := range dir.owner {
+		if _, ok := dir.children[child]; !ok {
 			t.Errorf("owner[%s] -> detached child %s", inf, child)
 		}
 	}
-	for node := range ro.departed {
-		if len(ro.index[node]) != 0 {
+	for node := range dir.departed {
+		if len(dir.index[node]) != 0 {
 			t.Errorf("departed node %s still indexed", node)
 		}
 	}
@@ -117,7 +143,7 @@ func TestDetachUnwindsEverything(t *testing.T) {
 		t.Fatal("displaced service lost its request graph")
 	}
 
-	checkDetachInvariants(t, ro)
+	checkMembership(t, ro)
 	ro.mu.Lock()
 	if _, ok := ro.services["on-d1"]; ok {
 		t.Error("displaced service still in table")
@@ -125,10 +151,10 @@ func TestDetachUnwindsEverything(t *testing.T) {
 	if _, ok := ro.services["on-d0"]; !ok {
 		t.Error("survivor service dropped")
 	}
-	if ro.departed["bisbis@d1"] != "d1" {
-		t.Errorf("departed tombstone: %v", ro.departed)
-	}
 	ro.mu.Unlock()
+	if departed := ro.dir.Load().departed; departed["bisbis@d1"] != "d1" {
+		t.Errorf("departed tombstone: %v", departed)
+	}
 
 	// The DoV no longer contains the victim's node; reads stay consistent.
 	dov := mustDoV(t, ro)
@@ -167,14 +193,13 @@ func TestDetachRequiresPerDomainShard(t *testing.T) {
 
 func TestDetachReattachCycle(t *testing.T) {
 	ro, _ := lineRO(t, 3, 0, nil)
-
-	ro.mu.Lock()
-	genBefore := ro.dir.shards["d2"].gen
-	ro.mu.Unlock()
+	checkMembership(t, ro)
+	genBefore := ro.ShardStats()[2].Gen
 
 	if _, err := ro.Detach(context.Background(), "d2"); err != nil {
 		t.Fatal(err)
 	}
+	checkMembership(t, ro)
 	// Re-attach a fresh leaf under the same name: the tombstones clear and
 	// the shard's generation resumes past the detached one (the journal
 	// replay contract — per-shard records stay gen-monotone forever).
@@ -182,16 +207,14 @@ func TestDetachReattachCycle(t *testing.T) {
 	if err := ro.Attach(context.Background(), lo); err != nil {
 		t.Fatal(err)
 	}
-	ro.mu.Lock()
-	if len(ro.departed) != 0 {
-		t.Errorf("tombstones survived re-attach: %v", ro.departed)
+	checkMembership(t, ro)
+	dir := ro.dir.Load()
+	if len(dir.departed) != 0 {
+		t.Errorf("tombstones survived re-attach: %v", dir.departed)
 	}
-	genAfter := ro.dir.shards["d2"].gen
-	ro.mu.Unlock()
-	if genAfter <= genBefore {
+	if genAfter := ro.ShardStats()[2].Gen; genAfter <= genBefore {
 		t.Fatalf("shard generation regressed across detach/attach: %d -> %d", genBefore, genAfter)
 	}
-	checkDetachInvariants(t, ro)
 
 	req := chainReq(t, "back", "b1", "sap2", "fw")
 	req.NFs.Get("back-nf").Host = "bisbis@d2"
@@ -205,7 +228,7 @@ func TestDetachReattachCycle(t *testing.T) {
 // -race. Asserts: readers never see a torn cut (every DoV merge succeeds and
 // validates), installs fail only with the sanctioned errors, and after the
 // storm the reverse index, reservation tables, and service table are exactly
-// consistent (checkDetachInvariants).
+// consistent (checkMembership).
 func TestDetachStorm(t *testing.T) {
 	ro, _ := lineRO(t, 4, 0, nil)
 	ctx := context.Background()
@@ -326,7 +349,7 @@ flap:
 			t.Fatalf("drain %s: %v", id, err)
 		}
 	}
-	checkDetachInvariants(t, ro)
+	checkMembership(t, ro)
 }
 
 // holdingProgrammer is a leaf Programmer that, while armed, blocks every
@@ -407,7 +430,7 @@ func TestDetachCutIsAtomic(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	checkDetachInvariants(t, ro)
+	checkMembership(t, ro)
 	if err := mustDoV(t, ro).Validate(); err != nil {
 		t.Fatalf("post-detach DoV: %v", err)
 	}

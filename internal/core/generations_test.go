@@ -33,7 +33,7 @@ func (l *generationLog) record(t testing.TB, g *nffg.NFFG) {
 
 // sampleShards records the current graph of every DoV shard.
 func (l *generationLog) sampleShards(t testing.TB, ro *ResourceOrchestrator) {
-	dir, _ := ro.snapshotDir()
+	dir := ro.dir.Load()
 	for _, s := range dir.shards {
 		s.mu.Lock()
 		g := s.dov

@@ -95,10 +95,10 @@ func NewLocalOrchestrator(cfg LocalConfig) (*LocalOrchestrator, error) {
 	}
 	ro := NewResourceOrchestrator(Config{ID: cfg.ID, Virtualizer: cfg.Virtualizer, Mapper: cfg.Mapper})
 	ro.prog = cfg.Programmer
-	// The one terminal shard; its key is also what the leaf's ETag hashes.
-	const key = "substrate"
-	ro.dir.shards[key] = &shard{key: key, dov: cfg.Substrate.Copy().Seal()}
-	ro.dir.keys = []string{key}
+	// The one terminal shard; its key is also what the leaf's ETag hashes. It
+	// answers for no nodes: the leaf has one shard, so its index stays empty
+	// and every request plans globally.
+	ro.dir.Store(newShardDirectory().with(&shard{key: "substrate", dov: cfg.Substrate.Copy().Seal()}, nil))
 	return &LocalOrchestrator{ro: ro, caps: cfg.Capabilities}, nil
 }
 

@@ -60,7 +60,6 @@ type ResourceOrchestrator struct {
 	id       string
 	virt     Virtualizer
 	mapper   *embed.Mapper
-	reg      *domain.Registry
 	shardKey ShardKeyFunc
 	// prog is set only on a leaf: its one shard is terminal, and commits to
 	// it are programmed into the devices instead of fanned out (see program).
@@ -70,13 +69,15 @@ type ResourceOrchestrator struct {
 	// matches commit order without any global serialization.
 	journal Journal
 
-	// mu guards the registration-time metadata (dir, owner, contrib/index) —
-	// all replaced copy-on-write so planners read snapshots lock-free — plus
-	// the service table and the global NF/hop identifier reservations. Lock
-	// order: a shard mutex may be acquired before mu, never while holding mu.
+	// dir is the membership value: the attached children, the shards holding
+	// their views, and the owner map, reverse index, tombstones and
+	// generation floors derived from them (see shardDirectory). Readers load
+	// it lock-free; Attach, Reattach, Detach and Restore swap it under mu.
+	dir atomic.Pointer[shardDirectory]
+	// mu serializes directory swaps and guards the service table and the
+	// global NF/hop identifier reservations. Lock order: a shard mutex may be
+	// acquired before mu, never while holding mu.
 	mu       sync.Mutex
-	dir      *shardDirectory
-	owner    map[nffg.ID]string // immutable snapshot: DoV infra -> child ID that exported it
 	services map[string]*serviceRecord
 	// nfOwner/hopOwner reserve request-graph identifiers globally: shards
 	// commit independently, so cross-shard uniqueness of NF and hop IDs (the
@@ -84,22 +85,6 @@ type ResourceOrchestrator struct {
 	// here at admission instead.
 	nfOwner  map[nffg.ID]string
 	hopOwner map[string]string
-	// contrib maps shard key -> node IDs it answers for (tagged with the
-	// shard generation it was derived from); index is the derived reverse
-	// index (node -> sorted shard keys) ShardSet reads. Both rebuilt at
-	// attach time only (commit never changes membership; see readcache.go).
-	contrib map[string]shardContrib
-	index   map[nffg.ID][]string
-	// departed tombstones nodes whose owning child was detached at runtime
-	// (node -> former child ID), so installs referencing them get a typed
-	// ErrDomainUnavailable instead of an opaque global-plan rejection. A
-	// re-attach contributing the node clears its tombstone. Guarded by mu.
-	departed map[nffg.ID]string
-	// lastGen remembers the final generation of every shard a Detach dropped,
-	// so a re-attach of the same key resumes counting instead of restarting
-	// at zero — per-shard journal records must stay gen-monotone across
-	// detach/attach cycles (see internal/journal replay). Guarded by mu.
-	lastGen map[string]uint64
 
 	// gate, when set (see SetDomainGate), vets child availability on the
 	// install intake and deploy fan-out paths: the fleet controller installs
@@ -259,25 +244,20 @@ func NewResourceOrchestrator(cfg Config) *ResourceOrchestrator {
 	if cfg.ShardKey == nil {
 		cfg.ShardKey = ShardPerDomain
 	}
-	return &ResourceOrchestrator{
+	ro := &ResourceOrchestrator{
 		id:          cfg.ID,
 		virt:        cfg.Virtualizer,
 		mapper:      cfg.Mapper,
-		reg:         domain.NewRegistry(),
 		shardKey:    cfg.ShardKey,
 		journal:     cfg.Journal,
-		dir:         newShardDirectory(),
-		owner:       map[nffg.ID]string{},
 		services:    map[string]*serviceRecord{},
 		nfOwner:     map[nffg.ID]string{},
 		hopOwner:    map[string]string{},
-		contrib:     map[string]shardContrib{},
-		index:       map[nffg.ID][]string{},
-		departed:    map[nffg.ID]string{},
-		lastGen:     map[string]uint64{},
 		viewTimeout: cfg.ViewTimeout,
 		viewRetries: cfg.ViewRetries,
 	}
+	ro.dir.Store(newShardDirectory())
+	return ro
 }
 
 // DomainGate vets a child domain on the install paths: a non-nil return means
@@ -345,139 +325,116 @@ func (ro *ResourceOrchestrator) ID() string { return ro.id }
 // SAPs (also across shards: a border SAP shared by two shards appears in
 // both, and is the stitch point when their graphs are merged for planning).
 // Link IDs are qualified with the child ID so they stay unique across shards.
-// The merge runs on a copy that is swapped in only on success, so a failed
-// Attach can never leave a partially-merged shard behind. ctx bounds the
-// child view fetch (which may be a remote call).
+// ctx bounds the child view fetch (which may be a remote call).
+//
+// The merge runs on a copy under the shard's lock. The child joins in one
+// critical section under ro.mu: the duplicate and infra-collision checks, the
+// directory swap and the publish of the merged graph. A failed Attach
+// therefore changes nothing, and the child is listed (Children, ShardOf,
+// ShardSet's index) exactly when its view is in the DoV.
 func (ro *ResourceOrchestrator) Attach(ctx context.Context, d domain.Domain) error {
-	if err := ro.reg.Register(d); err != nil {
-		return err
+	id := d.ID()
+	if _, dup := ro.dir.Load().children[id]; dup {
+		return fmt.Errorf("%w: %s", domain.ErrDuplicate, id)
 	}
 	view, err := ro.fetchChildView(ctx, d)
 	if err != nil {
-		_ = ro.reg.Deregister(d.ID())
-		return fmt.Errorf("core: attach %s: %w", d.ID(), err)
+		return fmt.Errorf("core: attach %s: %w", id, err)
 	}
 	// Qualify link IDs: shard graphs are merged on demand for planning, and
 	// per-child qualification keeps link identity stable across any merge
 	// order (the mapping's path link IDs must resolve in the owning shard).
 	qual := view.Copy()
-	qual.EditLinks(func(l *nffg.Link) { l.ID = l.ID + "@" + d.ID() })
-	key := ro.shardKey(d.ID())
+	qual.EditLinks(func(l *nffg.Link) { l.ID = l.ID + "@" + id })
+	m := member{id: id, d: d, infras: qual.InfraIDs()}
+	key := ro.shardKey(id)
+	for {
+		dir := ro.dir.Load()
+		sh := dir.shards[key]
+		if sh == nil {
+			// A key detached before resumes its generation counter, so the
+			// shard's journal records stay gen-monotone across the cycle.
+			floor := dir.floors[key]
+			sh = &shard{key: key, gen: floor, commits: floor}
+		}
+		sh.mu.Lock()
+		next := nffg.New(ro.id + "-dov")
+		if sh.dov != nil {
+			next = sh.dov.Copy()
+		}
+		mergeErr := next.Merge(qual)
+		var nodes map[nffg.ID]bool
+		if mergeErr == nil {
+			nodes = ro.shardContribution(next.Seal())
+		}
 
-	ro.mu.Lock()
-	// Infra IDs must stay globally unique even across shards (the owner map
-	// is the authority the per-graph merge check used to be).
-	for _, id := range qual.InfraIDs() {
-		if prev, ok := ro.owner[id]; ok {
-			ro.mu.Unlock()
-			_ = ro.reg.Deregister(d.ID())
-			return fmt.Errorf("core: attach %s: infra %s already exported by %s", d.ID(), id, prev)
-		}
-	}
-	dir := ro.dir.clone()
-	sh, existed := dir.shards[key]
-	if !existed {
-		sh = &shard{key: key}
-		if last, ok := ro.lastGen[key]; ok {
-			// The key was detached before: resume its generation counter so
-			// the shard's journal records stay gen-monotone across the
-			// detach/attach cycle (replay relies on it).
-			sh.gen, sh.commits = last, last
-		}
-		dir.shards[key] = sh
-		dir.keys = append(dir.keys, key)
-		sort.Strings(dir.keys)
-	}
-	dir.childShard[d.ID()] = key
-	dir.domains[key] = append(dir.domains[key], d.ID())
-	sort.Strings(dir.domains[key])
-	owner := make(map[nffg.ID]string, len(ro.owner)+qual.Infras.Len())
-	for k, v := range ro.owner {
-		owner[k] = v
-	}
-	for _, infra := range qual.InfraIDs() {
-		owner[infra] = d.ID()
-	}
-	// A node contributed by a (re)attaching child is available again: clear
-	// any detach tombstone so installs stop failing typed on it.
-	if len(ro.departed) > 0 {
-		for _, infra := range qual.InfraIDs() {
-			delete(ro.departed, infra)
-		}
-		for sapID := range qual.SAPs.All() {
-			delete(ro.departed, sapID)
-		}
-	}
-	ro.dir = dir
-	ro.owner = owner
-	ro.mu.Unlock()
-
-	sh.mu.Lock()
-	next := nffg.New(ro.id + "-dov")
-	if sh.dov != nil {
-		next = sh.dov.Copy()
-	}
-	if err := next.Merge(qual); err != nil {
-		// Remove exactly our entries from the current state (not a snapshot
-		// restore, which would clobber concurrent attaches of other children).
-		// sh.mu is still held — lock order shard→ro.mu is the allowed
-		// direction — so sh.dov cannot change while we decide whether the
-		// shard itself must go: if we created it and nothing ever merged
-		// into it, it would haunt ShardStats and every all-shard cut forever.
 		ro.mu.Lock()
-		ro.dir, ro.owner = ro.dir.without(d.ID(), sh.dov == nil), ownerWithout(ro.owner, d.ID())
+		cur := ro.dir.Load()
+		if cur.shards[key] != dir.shards[key] {
+			// A concurrent attach created the key's shard, or a detach
+			// dropped it, since the merge began: merge again.
+			ro.mu.Unlock()
+			sh.mu.Unlock()
+			continue
+		}
+		err := mergeErr
+		if err != nil {
+			err = fmt.Errorf("core: merge view of %s: %w", id, err)
+		} else {
+			err = cur.admits(m)
+		}
+		if err == nil {
+			// The directory moves first: a reader woken by the publish
+			// finds the new shard in it and waits on its lock.
+			ro.dir.Store(cur.with(sh, nodes, m))
+			_ = ro.publishLocked(ctx, []*shard{sh}, []*nffg.NFFG{next}, func(*shard) shardRecord {
+				return shardRecord{kind: journal.KindAttach, child: id, view: qual}
+			})
+		}
 		ro.mu.Unlock()
 		sh.mu.Unlock()
-		_ = ro.reg.Deregister(d.ID())
-		return fmt.Errorf("core: merge view of %s: %w", d.ID(), err)
+		return err
 	}
-	_ = ro.publishLocked(ctx, []*shard{sh}, []*nffg.NFFG{next}, func(*shard) shardRecord {
-		return shardRecord{kind: journal.KindAttach, child: d.ID(), view: qual}
-	})
-	sh.mu.Unlock()
+}
 
-	// Refresh the reverse index with the shard's new contribution (its DoV
-	// nodes, SAPs and the view nodes they aggregate into). The contribution
-	// is computed from the shard's CURRENT graph — not from `next`, which a
-	// concurrent Attach to the same shard key may already have superseded —
-	// and stored guarded by the shard generation it was derived from, so a
-	// late writer can never clobber a newer sibling's contribution. Between
-	// the commit above and this update, ShardSet may briefly miss the new
-	// nodes and fall back to a global estimate — safe, merely conservative.
-	sh.mu.Lock()
-	cur, curGen := sh.dov, sh.gen
-	sh.mu.Unlock()
-	contribution := shardContrib{gen: curGen, nodes: ro.shardContribution(cur)}
-	ro.mu.Lock()
-	if prev, ok := ro.contrib[key]; !ok || curGen >= prev.gen {
-		contrib := make(map[string]shardContrib, len(ro.contrib)+1)
-		for k, v := range ro.contrib {
-			contrib[k] = v
-		}
-		contrib[key] = contribution
-		ro.contrib = contrib
-		ro.rebuildIndexLocked()
+// admits reports why m cannot join the directory: its child is attached
+// already, or another child exports one of its infra nodes. Infra IDs must
+// stay unique across shards; the owner map is the authority.
+func (d *shardDirectory) admits(m member) error {
+	if _, dup := d.children[m.id]; dup {
+		return fmt.Errorf("%w: %s", domain.ErrDuplicate, m.id)
 	}
-	ro.mu.Unlock()
+	for _, inf := range m.infras {
+		if prev, ok := d.owner[inf]; ok {
+			return fmt.Errorf("core: attach %s: infra %s already exported by %s", m.id, inf, prev)
+		}
+	}
 	return nil
 }
 
-// Children lists attached child layer IDs.
-func (ro *ResourceOrchestrator) Children() []string { return ro.reg.Names() }
+// Children lists the attached child layer IDs whose handles the orchestrator
+// holds: a restored child is listed once Reattach hands its handle back.
+func (ro *ResourceOrchestrator) Children() []string {
+	var out []string
+	for id, m := range ro.dir.Load().children {
+		if m.d != nil {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 // ShardOf returns the DoV shard key an attached child's view lives in.
 func (ro *ResourceOrchestrator) ShardOf(child string) (string, bool) {
-	ro.mu.Lock()
-	defer ro.mu.Unlock()
-	key, ok := ro.dir.childShard[child]
-	return key, ok
+	m, ok := ro.dir.Load().children[child]
+	return m.key, ok
 }
 
-// snapshotDir returns the current immutable (directory, owner) pair.
-func (ro *ResourceOrchestrator) snapshotDir() (*shardDirectory, map[nffg.ID]string) {
-	ro.mu.Lock()
-	defer ro.mu.Unlock()
-	return ro.dir, ro.owner
+// handle returns the domain handle of an attached child, or nil when the
+// child is detached, or restored and not yet reattached.
+func (ro *ResourceOrchestrator) handle(child string) domain.Domain {
+	return ro.dir.Load().children[child].d
 }
 
 // Generation returns the DoV epoch: the number of published DoV changes
@@ -521,8 +478,9 @@ func (ro *ResourceOrchestrator) StageHistograms() map[string]obs.HistogramSnapsh
 // them; nested orchestrators aggregate recursively).
 func (ro *ResourceOrchestrator) SouthboundStats() SouthboundStats {
 	var agg SouthboundStats
-	for _, d := range ro.reg.All() {
-		if sp, ok := d.(SouthboundStatsProvider); ok {
+	dir := ro.dir.Load()
+	for _, id := range sortedKeys(dir.children) {
+		if sp, ok := dir.children[id].d.(SouthboundStatsProvider); ok {
 			agg.Merge(sp.SouthboundStats())
 		}
 	}
@@ -532,7 +490,7 @@ func (ro *ResourceOrchestrator) SouthboundStats() SouthboundStats {
 // ShardStats reports every DoV shard's generation and commit counters, in
 // shard-key order.
 func (ro *ResourceOrchestrator) ShardStats() []ShardStats {
-	dir, _ := ro.snapshotDir()
+	dir := ro.dir.Load()
 	out := make([]ShardStats, 0, len(dir.keys))
 	for _, key := range dir.keys {
 		sh := dir.shards[key]
@@ -614,20 +572,18 @@ func (ro *ResourceOrchestrator) viewFromCut(graphs []*nffg.NFFG, vec genVec) (*n
 
 // ShardSet implements unify.Sharder: it estimates, without mapping, which DoV
 // shards a request's embedding may touch, by looking every endpoint and pin
-// up in the reverse index (node -> owning shards, maintained at attach time —
-// no shard graph is read and no shard lock taken). Requests with unpinned NFs
-// narrow to the shards of their SAP anchors: the scoped plan can only place
-// within that cut, and a plan that legitimately needs more (a detour, a
-// placement elsewhere) escalates once to a full-DoV pass. nil means the set
+// up in the directory's reverse index (node -> owning shards, see
+// shardDirectory — no shard graph is read and no lock taken). Requests with
+// unpinned NFs narrow to the shards of their SAP anchors: the scoped plan can
+// only place within that cut, and a plan that legitimately needs more (a
+// detour, a placement elsewhere) escalates once to a full-DoV pass. nil means the set
 // could not be narrowed at all (unknown endpoint or pin, a view node spanning
 // every shard, no SAP anchors): the request must be planned globally.
 func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 	if req == nil {
 		return nil
 	}
-	ro.mu.Lock()
-	idx := ro.index
-	ro.mu.Unlock()
+	idx := ro.dir.Load().index
 	set := map[string]bool{}
 	for sapID := range req.SAPs.All() {
 		keys := idx[sapID]
@@ -681,13 +637,11 @@ func (ro *ResourceOrchestrator) plan(snap *nffg.NFFG, req *nffg.NFFG) (*embed.Ma
 // The home shard (first in key order) carries the mapping's bookkeeping
 // records. Falls back to the group's first shard for mappings that touch no
 // infra at all (degenerate SAP-to-SAP paths).
-func touchedShards(mp *embed.Mapping, owner map[nffg.ID]string, dir *shardDirectory, fallback string) (keys []string, home string) {
+func touchedShards(mp *embed.Mapping, dir *shardDirectory, fallback string) (keys []string, home string) {
 	set := map[string]bool{}
 	add := func(node nffg.ID) {
-		if child, ok := owner[node]; ok {
-			if key, ok := dir.childShard[child]; ok {
-				set[key] = true
-			}
+		if child, ok := dir.owner[node]; ok {
+			set[dir.children[child].key] = true
 		}
 	}
 	for _, host := range mp.NFHost {
@@ -848,7 +802,7 @@ func (ro *ResourceOrchestrator) InstallBatch(ctx context.Context, reqs []*nffg.N
 	// so duplicates — concurrent, within the batch, or across disjoint shards
 	// — reject immediately and individually.
 	ro.mu.Lock()
-	if len(ro.dir.keys) == 0 {
+	if len(ro.dir.Load().keys) == 0 {
 		ro.mu.Unlock()
 		for i := range bc.out {
 			bc.out[i].Err = fmt.Errorf("%w: no domains attached", unify.ErrRejected)
@@ -922,19 +876,20 @@ func (ro *ResourceOrchestrator) checkIdentifiersLocked(req *nffg.NFFG) error {
 
 // checkDomainsLocked rejects a request whose referenced nodes (SAP endpoints
 // and NF host pins) are only served by unavailable child domains: detached
-// ones (tombstoned in departed) or ones the fleet gate vetoes. A node with at
-// least one available owner passes — shared border SAPs survive the loss of
-// one exporter. Unknown nodes pass through to the global plan, which rejects
+// ones (tombstoned in the directory) or ones the fleet gate vetoes. A node
+// with at least one available owner passes — shared border SAPs survive the
+// loss of one exporter. Unknown nodes pass through to the global plan, which rejects
 // them on their merits. Callers hold ro.mu.
 func (ro *ResourceOrchestrator) checkDomainsLocked(req *nffg.NFFG) error {
 	gate := ro.gate.Load()
-	if gate == nil && len(ro.departed) == 0 {
+	dir := ro.dir.Load()
+	if gate == nil && len(dir.departed) == 0 {
 		return nil
 	}
 	check := func(node nffg.ID) error {
-		keys := ro.index[node]
+		keys := dir.index[node]
 		if len(keys) == 0 {
-			if child, gone := ro.departed[node]; gone {
+			if child, gone := dir.departed[node]; gone {
 				return fmt.Errorf("%w: node %s belonged to detached domain %s", unify.ErrDomainUnavailable, node, child)
 			}
 			return nil
@@ -944,7 +899,7 @@ func (ro *ResourceOrchestrator) checkDomainsLocked(req *nffg.NFFG) error {
 		}
 		var firstErr error
 		for _, k := range keys {
-			for _, child := range ro.dir.domains[k] {
+			for _, child := range dir.domains[k] {
 				err := (*gate)(child)
 				if err == nil {
 					return nil
@@ -1070,7 +1025,7 @@ func (bc *batchRun) planGroup(gctx context.Context, idx []int, keys []string, at
 	ro.stats.mapAttempts.Add(1)
 	span, _ := obs.StartSpan(gctx, "orchestrator.map", "attempt", strconv.Itoa(attempt))
 	start := time.Now()
-	dir, owner, shs := ro.lockCurrent(keys)
+	dir, shs := ro.lockCurrent(keys)
 	graphs, gens := readCut(shs)
 	pb := &plannedBatch{dir: dir, shs: shs, gens: gens, narrow: keys != nil && len(keys) < len(dir.keys), errs: make([]error, len(idx))}
 	if locked {
@@ -1124,13 +1079,13 @@ func (bc *batchRun) planGroup(gctx context.Context, idx []int, keys []string, at
 		if err == nil {
 			// Neither the split nor the shard set reads cur, so a mapping
 			// that cannot be split is refused before anything is applied.
-			subs, err = ro.split(base, owner, req.ID, mapping)
+			subs, err = ro.split(base, dir.owner, req.ID, mapping)
 		}
 		if err != nil {
 			pb.errs[j] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
 			continue
 		}
-		touched, home := touchedShards(mapping, owner, dir, shs[0].key)
+		touched, home := touchedShards(mapping, dir, shs[0].key)
 		if cur == base {
 			cur = base.Fork()
 		}
@@ -1418,7 +1373,7 @@ func mappingReceipt(serviceID string, mapping *embed.Mapping) *unify.Receipt {
 	return receipt
 }
 
-// deployChildren installs the per-child sub-requests in parallel goroutines.
+// deployChildren installs the per-child sub-requests in parallel (fanOut).
 // The first failure cancels the context handed to the siblings, already
 // deployed children are rolled back, and the first (root-cause) error is
 // returned.
@@ -1427,32 +1382,22 @@ func (ro *ResourceOrchestrator) deployChildren(ctx context.Context, children []s
 	defer cancel()
 	receipts := make([]*unify.Receipt, len(children))
 	errs := make([]error, len(children))
-	var wg sync.WaitGroup
-	for i, childID := range children {
-		wg.Add(1)
-		go func(i int, childID string) {
-			defer wg.Done()
-			span, sctx := obs.StartSpan(cctx, "deploy.child", "child", childID)
-			d, err := ro.reg.Get(childID)
-			switch {
-			case errors.Is(err, domain.ErrUnknown):
-				// The child detached between commit and fan-out.
-				err = fmt.Errorf("%w: child %s is not attached", unify.ErrDomainUnavailable, childID)
-			case err == nil:
-				if gerr := ro.gateErr(childID); gerr != nil {
-					err = gerr
-				} else {
-					receipts[i], err = d.Install(sctx, subs[childID])
-				}
-			}
-			span.EndWith(err)
-			if err != nil {
-				errs[i] = err
-				cancel() // first error cancels the sibling deploys
-			}
-		}(i, childID)
-	}
-	wg.Wait()
+	fanOut(len(children), func(i int) {
+		childID := children[i]
+		span, sctx := obs.StartSpan(cctx, "deploy.child", "child", childID)
+		var err error
+		if d := ro.handle(childID); d == nil {
+			// The child detached between commit and fan-out.
+			err = fmt.Errorf("%w: child %s is not attached", unify.ErrDomainUnavailable, childID)
+		} else if err = ro.gateErr(childID); err == nil {
+			receipts[i], err = d.Install(sctx, subs[childID])
+		}
+		span.EndWith(err)
+		if err != nil {
+			errs[i] = err
+			cancel() // first error cancels the sibling deploys
+		}
+	})
 	firstErr := pickRootCause(children, errs)
 	if firstErr == nil {
 		return receipts, nil
@@ -1503,7 +1448,7 @@ func pickRootCause(children []string, errs []error) error {
 // delta first: if the release or the programming fails, nothing changes and
 // the error is returned.
 func (ro *ResourceOrchestrator) releaseShards(ctx context.Context, serviceID string, mp *embed.Mapping, keys []string) error {
-	_, _, shs := ro.lockCurrent(keys)
+	_, shs := ro.lockCurrent(keys)
 	defer unlockAll(shs)
 	if len(shs) == 0 {
 		return nil
@@ -1593,7 +1538,7 @@ func (ro *ResourceOrchestrator) publishLocked(ctx context.Context, shs []*shard,
 		case journal.KindRelease:
 			err = ro.journal.LogRelease(s.key, s.gen, epoch, r.ids)
 		case journal.KindDetach:
-			err = ro.journal.LogDetach(s.key, s.gen, epoch, r.child, true, r.ids)
+			err = ro.journal.LogDetach(s.key, s.gen, epoch, r.child, r.ids)
 		}
 		if err != nil {
 			ro.stats.journalErrs.Add(1)
@@ -1677,10 +1622,10 @@ func (ro *ResourceOrchestrator) Remove(ctx context.Context, serviceID string) er
 
 // teardown removes sub-services from children (child -> sub-service IDs):
 // one goroutine per child, best-effort (siblings are not canceled on error).
-// A child missing from the registry was detached at runtime, so its
-// sub-services died with the domain; a sub-service its child no longer knows
-// was torn down by an earlier partial attempt. Both count as done. It
-// returns the first error in child order.
+// A child without a handle was detached at runtime, so its sub-services
+// died with the domain; a sub-service its child no longer knows was torn down
+// by an earlier partial attempt. Both count as done. It returns the first
+// error in child order.
 func (ro *ResourceOrchestrator) teardown(ctx context.Context, subs map[string][]string) error {
 	if len(subs) == 0 {
 		return nil // nothing to tear down (a leaf's services): no fan-out closure to allocate
@@ -1688,11 +1633,8 @@ func (ro *ResourceOrchestrator) teardown(ctx context.Context, subs map[string][]
 	children := sortedKeys(subs)
 	errs := make([]error, len(children))
 	fanOut(len(children), func(i int) {
-		d, err := ro.reg.Get(children[i])
-		if err != nil {
-			if !errors.Is(err, domain.ErrUnknown) {
-				errs[i] = err
-			}
+		d := ro.handle(children[i])
+		if d == nil {
 			return
 		}
 		for _, subID := range subs[children[i]] {

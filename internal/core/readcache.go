@@ -20,16 +20,15 @@ package core
 // longer matches and the cut is rebuilt; there is no explicit invalidation
 // hook to forget.
 //
-// The same attach-time bookkeeping also maintains the reverse index (view
-// node -> owning shards) that lets ShardSet narrow requests without reading
-// any shard graph — including requests with unpinned NFs, which previously
-// could not be narrowed at all and serialized as exclusive global groups
-// through admission's lanes.
+// The shard directory also carries the reverse index (view node -> owning
+// shards, derived from the shards' node sets) that lets ShardSet narrow
+// requests without reading any shard graph — including requests with
+// unpinned NFs, which previously could not be narrowed at all and serialized
+// as exclusive global groups through admission's lanes.
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,7 +92,7 @@ type viewEntry struct {
 // shard beside its survivors). The per-shard graphs are immutable snapshots;
 // only the short all-lock rendezvous is paid per read.
 func (ro *ResourceOrchestrator) currentCut() (graphs []*nffg.NFFG, vec genVec) {
-	_, _, shs := ro.lockCurrent(nil)
+	_, shs := ro.lockCurrent(nil)
 	graphs, gens := readCut(shs)
 	unlockAll(shs)
 	keys := make([]string, len(shs))
@@ -200,19 +199,12 @@ func (ro *ResourceOrchestrator) mergedCut(graphs []*nffg.NFFG, vec genVec) (*nff
 
 // --- reverse index -----------------------------------------------------------
 
-// shardContrib is one shard's recorded contribution to the reverse index,
-// tagged with the shard generation the contributing graph carried so a late
-// Attach writer can never clobber a newer sibling's record.
-type shardContrib struct {
-	gen   uint64
-	nodes map[nffg.ID]bool
-}
-
 // shardContribution computes the node identifiers one shard's graph answers
 // for on the read/estimate path: its DoV infra nodes, its (border) SAPs, and
 // the virtualizer view nodes its infras aggregate into. Commits never change
 // this membership — embeddings add NFs and flowrules, not infras or SAPs —
-// so the index only needs rebuilding at attach time.
+// so Attach computes it once, on the merged graph it publishes, and the
+// directory derives the reverse index from it (see shardDirectory).
 func (ro *ResourceOrchestrator) shardContribution(g *nffg.NFFG) map[nffg.ID]bool {
 	out := make(map[nffg.ID]bool, g.Infras.Len()+g.SAPs.Len())
 	for id := range g.Infras.All() {
@@ -227,22 +219,4 @@ func (ro *ResourceOrchestrator) shardContribution(g *nffg.NFFG) map[nffg.ID]bool
 		}
 	}
 	return out
-}
-
-// rebuildIndexLocked derives the node -> sorted shard keys index from the
-// per-shard contributions. Callers hold ro.mu; the maps are replaced
-// wholesale so ShardSet can read a snapshot lock-free after one mu hop.
-func (ro *ResourceOrchestrator) rebuildIndexLocked() {
-	idx := make(map[nffg.ID][]string)
-	keys := make([]string, 0, len(ro.contrib))
-	for k := range ro.contrib {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic, pre-sorted per-node key lists
-	for _, key := range keys {
-		for node := range ro.contrib[key].nodes {
-			idx[node] = append(idx[node], key)
-		}
-	}
-	ro.index = idx
 }

@@ -233,7 +233,7 @@ func TestMergeErrorPropagation(t *testing.T) {
 	if err := evil.AddInfra(&nffg.Infra{ID: "bisbis@d0", Type: "bisbis", Domain: "d1"}); err != nil {
 		t.Fatal(err)
 	}
-	dir, _ := ro.snapshotDir()
+	dir := ro.dir.Load()
 	sh := dir.shards["d1"]
 	sh.mu.Lock()
 	sh.dov = evil.Seal()
@@ -406,9 +406,10 @@ func TestReadCacheRaceStorm(t *testing.T) {
 }
 
 // TestConcurrentAttachIndexCompleteness: concurrent Attaches into ONE shard
-// (SingleShard) must never lose a child's reverse-index contribution — a late
-// writer recomputes from the shard's current graph and is generation-guarded,
-// so every child's SAPs resolve in ShardSet afterwards.
+// (SingleShard) must never lose a child's reverse-index contribution — each
+// attach merges under the shard's lock and swaps the node set of the graph it
+// publishes in the same step, so every child's SAPs resolve in ShardSet
+// afterwards.
 func TestConcurrentAttachIndexCompleteness(t *testing.T) {
 	const domains = 6
 	for round := 0; round < 5; round++ {
@@ -431,10 +432,13 @@ func TestConcurrentAttachIndexCompleteness(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				errs[i] = ro.Attach(context.Background(), lo)
+				if errs[i] = ro.Attach(context.Background(), lo); errs[i] == nil {
+					checkMembership(t, ro)
+				}
 			}(i)
 		}
 		wg.Wait()
+		checkMembership(t, ro)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("attach %d: %v", i, err)

@@ -1,7 +1,9 @@
 // Crash recovery of the resource orchestrator: restoring shard graphs, the
 // service table, and identifier reservations from journal state, re-attaching
 // child domains without re-merging their views, and producing the shard
-// snapshots the journal's checkpointer persists.
+// snapshots the journal's checkpointer persists. Restore builds its directory
+// shard by shard through the same constructor Attach uses, with every child's
+// handle nil; Reattach hands a child's handle back in one directory swap.
 //
 // See ARCHITECTURE.md, "Durability", for the full recovery sequence and the
 // ordering contracts the functions here rely on.
@@ -11,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
 	"slices"
 	"sort"
 
@@ -30,7 +33,7 @@ type Journal interface {
 	LogCommit(shard string, gen, epoch uint64, svcs []journal.ServiceCommit) error
 	LogRelease(shard string, gen, epoch uint64, serviceIDs []string) error
 	LogDeployed(shard string, epoch uint64, rec journal.DeployedRecord) error
-	LogDetach(shard string, gen, epoch uint64, child string, drop bool, serviceIDs []string) error
+	LogDetach(shard string, gen, epoch uint64, child string, serviceIDs []string) error
 }
 
 // Restore loads recovered journal state into a freshly constructed
@@ -48,12 +51,14 @@ func (ro *ResourceOrchestrator) Restore(state *journal.RecoveredState) error {
 	}
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
-	if len(ro.dir.keys) != 0 || len(ro.services) != 0 {
+	if len(ro.dir.Load().keys) != 0 || len(ro.services) != 0 {
 		return fmt.Errorf("core: Restore on a non-empty orchestrator")
 	}
 
+	// Dropped shards keep their generation floors, so a post-restart
+	// re-attach of the same key stays gen-monotone in its journal log.
 	dir := newShardDirectory()
-	owner := map[nffg.ID]string{}
+	maps.Copy(dir.floors, state.Detached)
 	for _, rs := range state.Shards {
 		g := rs.Graph
 		if g == nil {
@@ -66,20 +71,12 @@ func (ro *ResourceOrchestrator) Restore(state *journal.RecoveredState) error {
 			commits:     rs.Gen, // preserve the Gen == Commits invariant
 			restoredGen: rs.Gen,
 		}
-		dir.shards[rs.Key] = sh
-		dir.keys = append(dir.keys, rs.Key)
-		children := make([]string, 0, len(rs.ChildInfras))
+		children := make([]member, 0, len(rs.ChildInfras))
 		for child, infras := range rs.ChildInfras {
-			dir.childShard[child] = rs.Key
-			children = append(children, child)
-			for _, inf := range infras {
-				owner[inf] = child
-			}
+			children = append(children, member{id: child, infras: infras})
 		}
-		sort.Strings(children)
-		dir.domains[rs.Key] = children
+		dir = dir.with(sh, ro.shardContribution(sh.dov), children...)
 	}
-	sort.Strings(dir.keys)
 
 	for _, sc := range state.Services {
 		if sc.Mapping == nil {
@@ -105,26 +102,8 @@ func (ro *ResourceOrchestrator) Restore(state *journal.RecoveredState) error {
 		ro.reserveLocked(sc.ServiceID, sc.Mapping.Request, rec)
 	}
 
-	ro.dir = dir
-	ro.owner = owner
+	ro.dir.Store(dir)
 	ro.epoch.Store(state.Epoch)
-	for key, gen := range state.Detached {
-		// Keep dropped shards' generation floors so a post-restart re-attach
-		// of the same key stays gen-monotone in its journal log.
-		if ro.lastGen[key] < gen {
-			ro.lastGen[key] = gen
-		}
-	}
-
-	// Rebuild the reverse shard index from the recovered graphs, exactly as
-	// attach-time registration would have.
-	contrib := make(map[string]shardContrib, len(dir.keys))
-	for _, key := range dir.keys {
-		sh := dir.shards[key]
-		contrib[key] = shardContrib{gen: sh.gen, nodes: ro.shardContribution(sh.dov)}
-	}
-	ro.contrib = contrib
-	ro.rebuildIndexLocked()
 	return nil
 }
 
@@ -152,37 +131,37 @@ func (ro *ResourceOrchestrator) ServiceReceipts() map[string]*unify.Receipt {
 // recovered one. Children unknown to the recovered state fall through to a
 // normal Attach.
 func (ro *ResourceOrchestrator) Reattach(ctx context.Context, d domain.Domain) error {
-	ro.mu.Lock()
-	_, known := ro.dir.childShard[d.ID()]
-	ro.mu.Unlock()
+	id := d.ID()
+	m, known := ro.dir.Load().children[id]
 	if !known {
 		return ro.Attach(ctx, d)
 	}
-	if err := ro.reg.Register(d); err != nil {
-		return err
+	if m.d != nil {
+		return fmt.Errorf("%w: %s", domain.ErrDuplicate, id)
 	}
 	view, err := ro.fetchChildView(ctx, d)
 	if err != nil {
-		_ = ro.reg.Deregister(d.ID())
-		return fmt.Errorf("core: reattach %s: %w", d.ID(), err)
+		return fmt.Errorf("core: reattach %s: %w", id, err)
 	}
 	// Drift check: the child's current infra set vs what the journal says it
 	// exported. A drifted child still reattaches — its committed services
 	// must stay removable — but the operator is told.
-	recovered := map[nffg.ID]bool{}
+	for _, inf := range view.InfraIDs() { // infra IDs are not qualified at attach; links are
+		if !slices.Contains(m.infras, inf) {
+			log.Printf("core %s: reattach %s: infra %s not in recovered view (domain drifted since the journal was written)", ro.id, id, inf)
+		}
+	}
 	ro.mu.Lock()
-	for inf, child := range ro.owner {
-		if child == d.ID() {
-			recovered[inf] = true
-		}
+	defer ro.mu.Unlock()
+	cur := ro.dir.Load()
+	switch m, known = cur.children[id]; {
+	case !known:
+		return fmt.Errorf("core: reattach %s: detached during the view fetch: %w", id, domain.ErrUnknown)
+	case m.d != nil:
+		return fmt.Errorf("%w: %s", domain.ErrDuplicate, id)
 	}
-	ro.mu.Unlock()
-	for _, inf := range view.InfraIDs() {
-		qualified := inf // infra IDs are not qualified at attach; links are
-		if !recovered[qualified] {
-			log.Printf("core %s: reattach %s: infra %s not in recovered view (domain drifted since the journal was written)", ro.id, d.ID(), inf)
-		}
-	}
+	m.d = d
+	ro.dir.Store(cur.with(cur.shards[m.key], nil, m))
 	return nil
 }
 
@@ -198,7 +177,7 @@ func (ro *ResourceOrchestrator) Reattach(ctx context.Context, d domain.Domain) e
 // not yet in the captured graph; its commit record replays on top) but never
 // undershoot it (resources in the graph with no owning service).
 func (ro *ResourceOrchestrator) ShardSnapshots() []journal.ShardSnapshot {
-	dir, owner := ro.snapshotDir()
+	dir := ro.dir.Load()
 
 	type cut struct {
 		graph *nffg.NFFG
@@ -247,22 +226,11 @@ func (ro *ResourceOrchestrator) ShardSnapshots() []journal.ShardSnapshot {
 	ro.mu.Unlock()
 
 	childInfras := map[string]map[string][]nffg.ID{}
-	for inf, child := range owner {
-		key, ok := dir.childShard[child]
-		if !ok {
-			continue
+	for id, m := range dir.children {
+		if childInfras[m.key] == nil {
+			childInfras[m.key] = map[string][]nffg.ID{}
 		}
-		m := childInfras[key]
-		if m == nil {
-			m = map[string][]nffg.ID{}
-			childInfras[key] = m
-		}
-		m[child] = append(m[child], inf)
-	}
-	for _, m := range childInfras {
-		for _, infras := range m {
-			slices.Sort(infras)
-		}
+		childInfras[m.key][id] = m.infras
 	}
 
 	snaps := make([]journal.ShardSnapshot, 0, len(dir.keys))

@@ -66,6 +66,7 @@ func journaledMesh(t testing.TB, dir string, n, slots int) (*ResourceOrchestrato
 		if err := ro.Attach(context.Background(), lo); err != nil {
 			t.Fatal(err)
 		}
+		checkMembership(t, ro)
 		leaves[i] = lo
 	}
 	return ro, st, leaves
@@ -249,6 +250,7 @@ func TestCrashRecoveryWithCheckpoint(t *testing.T) {
 	liveServices := ro.Services()
 
 	ro2, _, info := crashRecover(t, dir) // no Close: crash after last install
+	checkMembership(t, ro2)
 	if info.CheckpointsLoaded == 0 {
 		t.Fatal("recovery ignored the checkpoints")
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/unify-repro/escape/internal/domain"
 	"github.com/unify-repro/escape/internal/nffg"
 	"github.com/unify-repro/escape/internal/unify"
 )
@@ -69,73 +70,131 @@ type ShardStats struct {
 	RestoredGen uint64 `json:"restored_gen"`
 }
 
-// shardDirectory is the registration-time shard topology, guarded by
-// ResourceOrchestrator.mu and rebuilt copy-on-write so planners can read a
-// snapshot lock-free.
+// member is one attached child domain: its handle, its shard key and the
+// infra nodes its view exported into that shard. A restored child's handle is
+// nil until Reattach.
+type member struct {
+	id     string
+	d      domain.Domain
+	key    string
+	infras []nffg.ID // sorted, as InfraIDs and the journal return them
+}
+
+// shardDirectory is the orchestrator's one record of membership: which child
+// domains are attached, which shard holds each one's view, and which nodes
+// each shard answers for. A directory is immutable. with and without build
+// every next one and derive the rest of it, writers swap ro.dir under ro.mu,
+// and readers load it lock-free.
 type shardDirectory struct {
-	shards     map[string]*shard
-	keys       []string            // sorted shard keys
-	childShard map[string]string   // child layer ID -> shard key
-	domains    map[string][]string // shard key -> sorted child layer IDs
+	shards   map[string]*shard
+	keys     []string                    // sorted shard keys
+	children map[string]member           // child ID -> member
+	nodes    map[string]map[nffg.ID]bool // shard key -> nodes it answers for (see shardContribution)
+	// floors holds the final generation of every shard a detach dropped, so
+	// a re-attach of the key resumes counting instead of restarting at zero:
+	// per-shard journal records must stay gen-monotone (see journal replay).
+	floors map[string]uint64
+	// departed tombstones nodes whose owning child was detached (node ->
+	// former child ID), so installs referencing them fail with a typed
+	// ErrDomainUnavailable instead of an opaque plan rejection.
+	departed map[nffg.ID]string
+
+	// Derived from the fields above by derive.
+	domains map[string][]string  // shard key -> sorted child IDs
+	owner   map[nffg.ID]string   // DoV infra -> child ID that exported it
+	index   map[nffg.ID][]string // node -> sorted shard keys (what ShardSet reads)
 }
 
-func newShardDirectory() *shardDirectory {
+func newShardDirectory() *shardDirectory { return (&shardDirectory{}).fork() }
+
+// fork copies the directory's own fields into a successor for with or
+// without to edit; the shard structs (which carry their own locks) are shared.
+func (d *shardDirectory) fork() *shardDirectory {
 	return &shardDirectory{
-		shards:     map[string]*shard{},
-		childShard: map[string]string{},
-		domains:    map[string][]string{},
+		shards:   cloneMap(d.shards),
+		keys:     slices.Clone(d.keys),
+		children: cloneMap(d.children),
+		nodes:    cloneMap(d.nodes),
+		floors:   cloneMap(d.floors),
+		departed: cloneMap(d.departed),
 	}
 }
 
-// clone returns a deep copy of the directory metadata sharing the shard
-// structs themselves (which carry their own locks).
-func (d *shardDirectory) clone() *shardDirectory {
-	c := newShardDirectory()
-	for k, s := range d.shards {
-		c.shards[k] = s
+// with returns the next directory: sh is in it and every member of children
+// is attached to it. nodes, when non-nil, becomes the set of nodes sh answers
+// for. A new key spends its generation floor: the caller seeded sh from it.
+func (d *shardDirectory) with(sh *shard, nodes map[nffg.ID]bool, children ...member) *shardDirectory {
+	c := d.fork()
+	if _, ok := c.shards[sh.key]; !ok {
+		c.keys = append(c.keys, sh.key)
+		slices.Sort(c.keys)
+		delete(c.floors, sh.key)
 	}
-	c.keys = append([]string(nil), d.keys...)
-	for k, v := range d.childShard {
-		c.childShard[k] = v
+	c.shards[sh.key] = sh
+	if nodes != nil {
+		c.nodes[sh.key] = nodes
 	}
-	for k, v := range d.domains {
-		c.domains[k] = append([]string(nil), v...)
+	for _, m := range children {
+		m.key = sh.key
+		c.children[m.id] = m
 	}
+	c.derive()
 	return c
 }
 
-// without returns a copy of the directory with child unregistered. When
-// dropEmpty is set and child was its shard's last tenant, the shard leaves
-// the directory too.
-func (d *shardDirectory) without(child string, dropEmpty bool) *shardDirectory {
-	c := d.clone()
-	key := c.childShard[child]
-	delete(c.childShard, child)
-	c.domains[key] = exclude(c.domains[key], child)
-	if dropEmpty && len(c.domains[key]) == 0 {
+// without returns the next directory with child detached. When child was its
+// shard's last tenant the shard leaves too: its generation becomes the key's
+// floor (callers hold its lock), and its nodes no surviving shard answers for
+// are tombstoned with child's ID.
+func (d *shardDirectory) without(child string) *shardDirectory {
+	c := d.fork()
+	key := c.children[child].key
+	delete(c.children, child)
+	var dropped map[nffg.ID]bool
+	if len(d.domains[key]) == 1 {
+		c.floors[key] = c.shards[key].gen
+		dropped = c.nodes[key]
 		delete(c.shards, key)
-		delete(c.domains, key)
-		c.keys = exclude(c.keys, key)
+		delete(c.nodes, key)
+		c.keys = slices.DeleteFunc(c.keys, func(k string) bool { return k == key })
 	}
-	return c
-}
-
-// ownerWithout returns a copy of an owner map without the infras child
-// exported.
-func ownerWithout(owner map[nffg.ID]string, child string) map[nffg.ID]string {
-	out := maps.Clone(owner)
-	maps.DeleteFunc(out, func(_ nffg.ID, c string) bool { return c == child })
-	return out
-}
-
-// exclude returns s without any element equal to drop (allocating a copy).
-func exclude(s []string, drop string) []string {
-	out := make([]string, 0, len(s))
-	for _, v := range s {
-		if v != drop {
-			out = append(out, v)
+	c.derive()
+	for node := range dropped {
+		if len(c.index[node]) == 0 {
+			c.departed[node] = child
 		}
 	}
+	return c
+}
+
+// derive rebuilds the owner map, the per-shard child lists and the reverse
+// index from the members and node sets, and lifts the tombstones of nodes a
+// shard answers for again.
+func (d *shardDirectory) derive() {
+	d.domains = map[string][]string{}
+	d.owner = map[nffg.ID]string{}
+	d.index = map[nffg.ID][]string{}
+	for id, m := range d.children {
+		d.domains[m.key] = append(d.domains[m.key], id)
+		for _, inf := range m.infras {
+			d.owner[inf] = id
+		}
+	}
+	for _, ids := range d.domains {
+		slices.Sort(ids)
+	}
+	for _, key := range d.keys { // in key order: every index entry is sorted
+		for node := range d.nodes[key] {
+			d.index[node] = append(d.index[node], key)
+		}
+	}
+	maps.DeleteFunc(d.departed, func(node nffg.ID, _ string) bool { return len(d.index[node]) > 0 })
+}
+
+// cloneMap returns a writable copy of m (never nil).
+func cloneMap[K comparable, V any](m map[K]V) map[K]V {
+	out := make(map[K]V, len(m))
+	maps.Copy(out, m)
 	return out
 }
 
@@ -170,22 +229,22 @@ func unlockAll(shs []*shard) {
 }
 
 // lockCurrent locks, in key order, the current directory's shards for keys
-// (nil: every shard) and returns them with that directory and its owner map.
-// It retries while an attach or detach moves the directory during the wait,
-// so the held shards are never a departed shard or a stale key set: a cut
-// read under them is wholly before or wholly after every detach, and no
-// commit planned on it can land on a shard a detach has dropped.
-func (ro *ResourceOrchestrator) lockCurrent(keys []string) (*shardDirectory, map[nffg.ID]string, []*shard) {
+// (nil: every shard) and returns them with that directory. It retries while
+// an attach or detach moves the directory during the wait, so the held shards
+// are never a departed shard or a stale key set: a cut read under them is
+// wholly before or wholly after every detach, and no commit planned on it can
+// land on a shard a detach has dropped.
+func (ro *ResourceOrchestrator) lockCurrent(keys []string) (*shardDirectory, []*shard) {
 	for {
-		dir, owner := ro.snapshotDir()
+		dir := ro.dir.Load()
 		want := keys
 		if want == nil {
 			want = dir.keys
 		}
 		shs := dir.ordered(want)
 		lockAll(shs)
-		if cur, _ := ro.snapshotDir(); cur == dir {
-			return dir, owner, shs
+		if ro.dir.Load() == dir {
+			return dir, shs
 		}
 		unlockAll(shs)
 	}

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"github.com/unify-repro/escape/internal/domain"
+	"github.com/unify-repro/escape/internal/journal"
 	"github.com/unify-repro/escape/internal/nffg"
 	"github.com/unify-repro/escape/internal/unify"
 )
@@ -226,36 +229,197 @@ func TestCrossShardNFIDCollision(t *testing.T) {
 	}
 }
 
+// transparentLeaf is a one-node leaf exporting its internal node ID (node)
+// unaggregated, so two of them can be made to collide on it.
+func transparentLeaf(t testing.TB, name string, node nffg.ID) *LocalOrchestrator {
+	t.Helper()
+	sub := nffg.NewBuilder(name).
+		BiSBiS(node, name, 4, res(8, 4096), "fw").
+		SAP(nffg.ID(name+"-sap")).
+		Link("u", nffg.ID(name+"-sap"), "1", node, "1", 100, 1).
+		MustBuild()
+	lo, err := NewLocalOrchestrator(LocalConfig{ID: name, Substrate: sub, Virtualizer: Transparent{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lo
+}
+
 // TestAttachInfraCollisionAcrossShards: infra IDs must stay globally unique
 // even though every shard merges its own graph — the owner map is the
 // cross-shard authority.
 func TestAttachInfraCollisionAcrossShards(t *testing.T) {
 	ro := NewResourceOrchestrator(Config{ID: "ro"})
-	mk := func(name string) *LocalOrchestrator {
-		sub := nffg.NewBuilder(name).
-			BiSBiS("same-node", name, 4, res(8, 4096), "fw").
-			SAP(nffg.ID(name+"-sap")).
-			Link("u", nffg.ID(name+"-sap"), "1", "same-node", "1", 100, 1).
-			MustBuild()
-		lo, err := NewLocalOrchestrator(LocalConfig{
-			ID: name, Substrate: sub,
-			// Transparent export keeps the colliding internal node ID visible.
-			Virtualizer: Transparent{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return lo
-	}
-	if err := ro.Attach(context.Background(), mk("a")); err != nil {
+	if err := ro.Attach(context.Background(), transparentLeaf(t, "a", "same-node")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ro.Attach(context.Background(), mk("b")); err == nil {
+	checkMembership(t, ro)
+	if err := ro.Attach(context.Background(), transparentLeaf(t, "b", "same-node")); err == nil {
 		t.Fatal("colliding infra IDs across shards must fail to attach")
 	}
+	checkMembership(t, ro)
 	// The failed attach left no residue: the child is not registered.
 	if got := ro.Children(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("children after failed attach: %v", got)
+	}
+}
+
+// countingJournal counts the records an orchestrator appends.
+type countingJournal struct{ n atomic.Int64 }
+
+func (j *countingJournal) LogAttach(string, uint64, uint64, string, string, *nffg.NFFG) error {
+	j.n.Add(1)
+	return nil
+}
+
+func (j *countingJournal) LogCommit(string, uint64, uint64, []journal.ServiceCommit) error {
+	j.n.Add(1)
+	return nil
+}
+
+func (j *countingJournal) LogRelease(string, uint64, uint64, []string) error {
+	j.n.Add(1)
+	return nil
+}
+
+func (j *countingJournal) LogDeployed(string, uint64, journal.DeployedRecord) error {
+	j.n.Add(1)
+	return nil
+}
+
+func (j *countingJournal) LogDetach(string, uint64, uint64, string, []string) error {
+	j.n.Add(1)
+	return nil
+}
+
+// TestAttachFailureChangesNothing: an Attach refused after its view was
+// fetched — by the shard's Merge, or by the cross-shard infra collision
+// check — leaves the directory, the child list, the shards, the epoch and
+// the journal exactly as they were, and the same child ID attaches cleanly
+// afterwards.
+func TestAttachFailureChangesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shard ShardKeyFunc
+	}{
+		{"merge-refused", SingleShard}, // "same-node" twice in one graph
+		{"infra-collision", ShardPerDomain},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jr := &countingJournal{}
+			ro := NewResourceOrchestrator(Config{ID: "ro", ShardKey: tc.shard, Journal: jr})
+			if err := ro.Attach(context.Background(), transparentLeaf(t, "a", "same-node")); err != nil {
+				t.Fatal(err)
+			}
+			dir, children, stats := ro.dir.Load(), ro.Children(), ro.ShardStats()
+			gen, recs := ro.Generation(), jr.n.Load()
+
+			if err := ro.Attach(context.Background(), transparentLeaf(t, "b", "same-node")); err == nil {
+				t.Fatal("colliding view attached")
+			}
+			if ro.dir.Load() != dir {
+				t.Error("failed attach swapped the directory")
+			}
+			if got := ro.Children(); !reflect.DeepEqual(got, children) {
+				t.Errorf("children %v, want %v", got, children)
+			}
+			if got := ro.ShardStats(); !reflect.DeepEqual(got, stats) {
+				t.Errorf("shard stats %+v, want %+v", got, stats)
+			}
+			if ro.Generation() != gen || jr.n.Load() != recs {
+				t.Errorf("generation %d, records %d; want %d, %d", ro.Generation(), jr.n.Load(), gen, recs)
+			}
+			checkMembership(t, ro)
+
+			if err := ro.Attach(context.Background(), transparentLeaf(t, "b", "other-node")); err != nil {
+				t.Fatalf("clean attach after a failed one: %v", err)
+			}
+			checkMembership(t, ro)
+			if got := ro.Children(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+				t.Fatalf("children %v", got)
+			}
+		})
+	}
+}
+
+// blockingDomain holds its View until release closes, announcing the call
+// on entered.
+type blockingDomain struct {
+	*LocalOrchestrator
+	entered, release chan struct{}
+}
+
+func (b *blockingDomain) View(ctx context.Context) (*nffg.NFFG, error) {
+	close(b.entered)
+	<-b.release
+	return b.LocalOrchestrator.View(ctx)
+}
+
+// TestAttachListsChildOnlyOnceInDoV: while an Attach waits for the child's
+// view, neither Children nor ShardOf lists the child; once it returns, both
+// do.
+func TestAttachListsChildOnlyOnceInDoV(t *testing.T) {
+	ro := NewResourceOrchestrator(Config{ID: "ro"})
+	if err := ro.Attach(context.Background(), transparentLeaf(t, "a", "node-a")); err != nil {
+		t.Fatal(err)
+	}
+	b := &blockingDomain{transparentLeaf(t, "b", "node-b"), make(chan struct{}), make(chan struct{})}
+	done := make(chan error, 1)
+	go func() { done <- ro.Attach(context.Background(), b) }()
+	<-b.entered
+	if got := ro.Children(); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Errorf("children during the view fetch: %v", got)
+	}
+	if key, ok := ro.ShardOf("b"); ok {
+		t.Errorf("ShardOf during the view fetch: %s", key)
+	}
+	close(b.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := ro.Children(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Errorf("children after attach: %v", got)
+	}
+	if key, ok := ro.ShardOf("b"); !ok || key != "b" {
+		t.Errorf("ShardOf after attach: %q, %v", key, ok)
+	}
+	checkMembership(t, ro)
+}
+
+// TestDuplicateAttachRefused: a second Attach or Reattach of a live child
+// returns domain.ErrDuplicate, whether the child attached fresh or was
+// restored and reattached.
+func TestDuplicateAttachRefused(t *testing.T) {
+	ctx := context.Background()
+	ro := NewResourceOrchestrator(Config{ID: "ro"})
+	if err := ro.Attach(ctx, transparentLeaf(t, "a", "node-a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Attach(ctx, transparentLeaf(t, "a", "node-a2")); !errors.Is(err, domain.ErrDuplicate) {
+		t.Fatalf("duplicate attach: %v", err)
+	}
+	if err := ro.Reattach(ctx, transparentLeaf(t, "a", "node-a")); !errors.Is(err, domain.ErrDuplicate) {
+		t.Fatalf("reattach of a live child: %v", err)
+	}
+
+	dir := t.TempDir()
+	_, _, leaves := journaledMesh(t, dir, 2, 1)
+	ro2, _, _ := crashRecover(t, dir)
+	if got := ro2.Children(); len(got) != 0 {
+		t.Fatalf("restored children listed before Reattach: %v", got)
+	}
+	if err := ro2.Reattach(ctx, leaves[0]); err != nil {
+		t.Fatal(err)
+	}
+	checkMembership(t, ro2)
+	if got := ro2.Children(); !reflect.DeepEqual(got, []string{"d0"}) {
+		t.Fatalf("children after Reattach: %v", got)
+	}
+	if err := ro2.Reattach(ctx, leaves[0]); !errors.Is(err, domain.ErrDuplicate) {
+		t.Fatalf("second reattach: %v", err)
+	}
+	if err := ro2.Attach(ctx, leaves[1]); !errors.Is(err, domain.ErrDuplicate) {
+		t.Fatalf("attach of a restored child: %v", err)
 	}
 }
 

@@ -236,14 +236,14 @@ func (s *Store) LogRelease(shard string, gen, epoch uint64, serviceIDs []string)
 // every shard lock held and after the shard's final generation bump: the
 // record orders after every commit the shard ever served, and it shares its
 // epoch with those releases, which replay ranks before it.
-func (s *Store) LogDetach(shard string, gen, epoch uint64, child string, drop bool, serviceIDs []string) error {
+func (s *Store) LogDetach(shard string, gen, epoch uint64, child string, serviceIDs []string) error {
 	sl, err := s.shardLogFor(shard)
 	if err != nil {
 		return err
 	}
 	return s.appendRecord(sl, Record{
 		Kind: KindDetach, Shard: shard, Gen: gen, Epoch: epoch,
-		Detach: &DetachRecord{Child: child, Drop: drop, ServiceIDs: serviceIDs},
+		Detach: &DetachRecord{Child: child, ServiceIDs: serviceIDs},
 	})
 }
 

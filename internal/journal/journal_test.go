@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -250,6 +251,51 @@ func TestStoreTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	if len(state.Shards) != 1 || state.Shards[0].Gen != 2 {
 		t.Fatalf("post-truncate append lost: %+v", state.Shards)
+	}
+}
+
+// TestDetachRecordReplaysAsDrop pins the detach record contract: replay
+// drops the shard and the displaced services of every detach record, and a
+// record written while the format carried "drop":true decodes unchanged.
+func TestDetachRecordReplaysAsDrop(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LogAttach("dom1", 1, 1, "dom1", "mdo-dov", mkGraph(t, "dom1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LogCommit("dom1", 2, 2, []ServiceCommit{{ServiceID: "svcX", Mapping: &embed.Mapping{Request: nffg.New("svcX")}, Touched: []string{"dom1"}, Home: "dom1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Append the old encoding of the detach record by hand.
+	payload := []byte(`{"kind":"detach","shard":"dom1","gen":3,"epoch":3,"detach":{"child":"dom1","drop":true,"service_ids":["svcX"]}}`)
+	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
+	copy(frame, frameMagic[:])
+	binary.LittleEndian.PutUint32(frame[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(payload))
+	f, err := os.OpenFile(filepath.Join(dir, "shards", "dom1", "wal-000001.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	state, info, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Errors) != 0 {
+		t.Fatalf("replay errors: %v", info.Errors)
+	}
+	if len(state.Shards) != 0 || len(state.Services) != 0 || state.Detached["dom1"] != 3 {
+		t.Fatalf("detach not replayed as a drop: shards %+v, services %+v, floors %v", state.Shards, state.Services, state.Detached)
 	}
 }
 

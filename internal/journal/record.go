@@ -49,9 +49,9 @@ const (
 	// KindDeployed: metadata-only home-shard record — southbound fan-out for
 	// a service finished and its receipt/children are final. No gen bump.
 	KindDeployed Kind = "deployed"
-	// KindDetach: a child domain was detached at runtime. With Drop set the
-	// shard itself was removed from the directory, so replay discards the
-	// shard and every service the record lists as displaced.
+	// KindDetach: a child domain was detached at runtime together with its
+	// shard, so replay discards the shard and every service the record lists
+	// as displaced.
 	KindDetach Kind = "detach"
 	// KindJob / KindJobDone: admission queue WAL — a job was admitted /
 	// reached a terminal state.
@@ -105,14 +105,14 @@ type ReleaseRecord struct {
 	ServiceIDs []string `json:"service_ids"`
 }
 
-// DetachRecord marks a child's runtime departure from a shard. Drop means
-// the child was the shard's last contributor and the shard was removed from
-// the directory wholesale; ServiceIDs lists the displaced services whose
-// table entries replay must discard (their release records, if any, land on
-// surviving shards only).
+// DetachRecord marks a child's runtime departure. The child was its shard's
+// only tenant, and the shard left the directory with it; ServiceIDs lists the
+// displaced services whose table entries replay must discard (their release
+// records, if any, land on surviving shards only). Records written while the
+// format carried a "drop" field (always true) decode unchanged: the field is
+// ignored.
 type DetachRecord struct {
 	Child      string   `json:"child"`
-	Drop       bool     `json:"drop"`
 	ServiceIDs []string `json:"service_ids,omitempty"`
 }
 

@@ -311,19 +311,15 @@ func Recover(dir string) (*RecoveredState, *Info, error) {
 				break
 			}
 			if rec.Gen > sr.cpGen {
-				if rec.Detach.Drop {
-					// The shard left the directory wholesale. Forget the graph
-					// and reset the checkpoint floor so a later re-attach of
-					// the same key replays onto a fresh shard (generations stay
-					// monotone across detach/attach cycles, so its records sort
-					// after this one).
-					sr.graph = nil
-					sr.childI = map[string][]nffg.ID{}
-					sr.cpGen = 0
-					sr.dropped = true
-				} else {
-					delete(sr.childI, rec.Detach.Child)
-				}
+				// The shard left the directory wholesale. Forget the graph and
+				// reset the checkpoint floor so a later re-attach of the same
+				// key replays onto a fresh shard (generations stay monotone
+				// across detach/attach cycles, so its records sort after this
+				// one).
+				sr.graph = nil
+				sr.childI = map[string][]nffg.ID{}
+				sr.cpGen = 0
+				sr.dropped = true
 				sr.gen = rec.Gen
 				info.RecordsReplayed++
 			}
