@@ -58,6 +58,7 @@ import (
 
 	"github.com/unify-repro/escape/internal/admission"
 	"github.com/unify-repro/escape/internal/api"
+	"github.com/unify-repro/escape/internal/fleet"
 	"github.com/unify-repro/escape/internal/nffg"
 	"github.com/unify-repro/escape/internal/obs"
 	"github.com/unify-repro/escape/internal/unify"
@@ -274,9 +275,7 @@ func main() {
 				j.Appends, j.BytesWritten, j.Syncs, j.Checkpoints, j.Compactions, j.AppendErrors, j.SyncErrors, j.CheckpointE)
 		}
 		if f := doc.Fleet; f != nil {
-			fmt.Printf("fleet: domains=%d active=%d degraded=%d evicting=%d detached=%d evictions=%d rehomed=%d\n",
-				f.Stats.Domains, f.Stats.Active, f.Stats.Degraded, f.Stats.Evicting,
-				f.Stats.Detached, f.Stats.Evictions, f.Stats.ServicesRehomed)
+			printFleet("fleet", f.Stats)
 		}
 		if r := doc.Replica; r != nil {
 			fmt.Printf("replica: writer=%s synced=%t generation=%d etag=%s events=%d heartbeats=%d duplicates=%d reconnects=%d\n",
@@ -343,8 +342,7 @@ func main() {
 		fmt.Printf("%s layer=%s go=%s uptime=%.1fs shards=%d domains=%d queue-depth=%d\n",
 			h.Status, h.Layer, h.GoVersion, h.UptimeSeconds, h.Shards, h.Domains, h.QueueDepth)
 		if f := h.Fleet; f != nil {
-			fmt.Printf("fleet: domains=%d active=%d degraded=%d evicting=%d detached=%d evictions=%d rehomed=%d\n",
-				f.Domains, f.Active, f.Degraded, f.Evicting, f.Detached, f.Evictions, f.ServicesRehomed)
+			printFleet("fleet", *f)
 		}
 		if h.Status != "ok" {
 			os.Exit(1)
@@ -359,10 +357,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("layer %s: domains=%d active=%d degraded=%d evicting=%d detached=%d probes=%d failures=%d evictions=%d drains=%d rehomed=%d rehome-failures=%d\n",
-			info.Layer, info.Stats.Domains, info.Stats.Active, info.Stats.Degraded,
-			info.Stats.Evicting, info.Stats.Detached, info.Stats.Probes, info.Stats.ProbeFailures,
-			info.Stats.Evictions, info.Stats.Drains, info.Stats.ServicesRehomed, info.Stats.RehomeFailures)
+		printFleet("layer "+info.Layer, info.Stats)
 		for _, d := range info.Domains {
 			fmt.Printf("  %-14s %-10s shard=%-14s fails=%-3d probes=%-6d rehomed=%-4d since=%s",
 				d.Domain, d.State, d.Shard, d.ConsecutiveFailures, d.Probes, d.ServicesRehomed,
@@ -409,6 +404,13 @@ func printPipeline(info api.PipelineInfo) {
 		fmt.Printf("  shard %-12s gen=%-6d commits=%-6d conflicts=%-6d multi=%-6d domains=%s\n",
 			sh.Shard, sh.Gen, sh.Commits, sh.Conflicts, sh.MultiShardCommits, strings.Join(sh.Domains, ","))
 	}
+}
+
+// printFleet prints the fleet summary line of stats, health and domains.
+func printFleet(label string, f fleet.Stats) {
+	fmt.Printf("%s: domains=%d active=%d degraded=%d evicting=%d detached=%d probes=%d failures=%d evictions=%d drains=%d rehomed=%d rehome-failures=%d\n",
+		label, f.Domains, f.Active, f.Degraded, f.Evicting, f.Detached, f.Probes, f.ProbeFailures,
+		f.Evictions, f.Drains, f.ServicesRehomed, f.RehomeFailures)
 }
 
 func printAdmission(qs admission.Stats) {

@@ -91,16 +91,16 @@ func run(ctx context.Context) error {
 		return err
 	}
 	fmt.Println("service request: sap1 -> firewall(Click) -> dpi(VM) -> compress(container) -> sap2")
-	req, err := sys.Service.Submit(ctx, chain)
+	receipt, err := sys.Service.Submit(ctx, chain)
 	if err != nil {
-		return fmt.Errorf("deploy: %w (%s)", err, req.Error)
+		return fmt.Errorf("deploy: %w", err)
 	}
 	fmt.Println("deployed; placements (MdO view):")
-	for nf, host := range req.Receipt.Placements {
+	for nf, host := range receipt.Placements {
 		fmt.Printf("  %-12s -> %s\n", nf, host)
 	}
 	fmt.Println("leaf placements (per-domain receipts):")
-	for child, cr := range req.Receipt.Children {
+	for child, cr := range receipt.Children {
 		for nf, host := range cr.Placements {
 			fmt.Printf("  %-10s %-12s -> %s\n", child, nf, host)
 		}
@@ -182,13 +182,13 @@ func run(ctx context.Context) error {
 		Chain("vpnsvc", 10, 0, "sap1", "vpn1", "sap2").
 		MustBuild()
 	fmt.Println("request: sap1 -> vpn -> sap2 (no domain supports 'vpn' natively)")
-	vpnDone, err := sys.Service.Submit(ctx, vpnReq)
+	vpnReceipt, err := sys.Service.Submit(ctx, vpnReq)
 	if err != nil {
 		return fmt.Errorf("vpn submit: %w", err)
 	}
-	fmt.Println("decompositions applied:", vpnDone.Receipt.Decompositions)
+	fmt.Println("decompositions applied:", vpnReceipt.Decompositions)
 	fmt.Println("component placements:")
-	for nf, host := range vpnDone.Receipt.Placements {
+	for nf, host := range vpnReceipt.Placements {
 		fmt.Printf("  %-12s -> %s\n", nf, host)
 	}
 	sap1.Send("sap2", 800)

@@ -39,7 +39,8 @@ type (
 	ID = nffg.ID
 	// Builder assembles NFFGs declaratively.
 	Builder = nffg.Builder
-	// Receipt reports how a request was realized, recursively per layer.
+	// Receipt reports how a request was realized, recursively per layer;
+	// the service layer's Submit and Migrate return it.
 	Receipt = unify.Receipt
 	// Layer is the recursive Unify interface.
 	Layer = unify.Layer
@@ -47,8 +48,6 @@ type (
 	Mapping = embed.Mapping
 	// Virtualizer computes client views from resource views.
 	Virtualizer = core.Virtualizer
-	// ServiceRequest tracks a submitted service in the service layer.
-	ServiceRequest = service.Request
 	// LocalConfig assembles a leaf-domain local orchestrator.
 	LocalConfig = core.LocalConfig
 	// OrchestratorConfig assembles a multi-domain resource orchestrator.

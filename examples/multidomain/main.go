@@ -37,12 +37,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	req, err := sys.Service.Submit(context.Background(), chain)
+	receipt, err := sys.Service.Submit(context.Background(), chain)
 	if err != nil {
 		log.Fatalf("deploy: %v", err)
 	}
 	fmt.Println("\ndeployed; per-domain sub-services:")
-	for child, r := range req.Receipt.Children {
+	for child, r := range receipt.Children {
 		fmt.Printf("  %-10s -> %s\n", child, r.ServiceID)
 	}
 

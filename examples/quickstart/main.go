@@ -58,17 +58,17 @@ func main() {
 		MustBuild()
 
 	// 5. Submit and inspect the outcome.
-	deployed, err := svc.Submit(context.Background(), request)
+	receipt, err := svc.Submit(context.Background(), request)
 	if err != nil {
 		log.Fatalf("deploy failed: %v", err)
 	}
-	fmt.Printf("\nservice %q is %s\n", deployed.ID, deployed.State)
+	fmt.Printf("\nservice %q is deployed\n", receipt.ServiceID)
 	fmt.Println("placements:")
-	for nf, host := range deployed.Receipt.Placements {
+	for nf, host := range receipt.Placements {
 		fmt.Printf("  %-4s -> %s\n", nf, host)
 	}
 	fmt.Println("hop paths:")
-	for hop, path := range deployed.Receipt.HopPaths {
+	for hop, path := range receipt.HopPaths {
 		fmt.Printf("  %-14s %v\n", hop, path)
 	}
 

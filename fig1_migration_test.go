@@ -37,8 +37,8 @@ func TestFig1Migration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if migrated.Receipt.Placements["mig-nat"] != "bisbis@un" {
-		t.Fatalf("placement after migration: %v", migrated.Receipt.Placements)
+	if migrated.Placements["mig-nat"] != "bisbis@un" {
+		t.Fatalf("placement after migration: %v", migrated.Placements)
 	}
 	if nfs := sys.Mininet.Net().RunningNFs(); len(nfs) != 0 {
 		t.Fatalf("Click instance should be stopped: %v", nfs)
@@ -78,7 +78,7 @@ func TestMigrationRollback(t *testing.T) {
 	if err == nil {
 		t.Fatal("migration to a forwarding-only domain must fail")
 	}
-	if restored == nil || restored.State != "deployed" {
+	if restored == nil || restored.Placements["roll-fw"] != "bisbis@mininet" {
 		t.Fatalf("original should be restored: %+v", restored)
 	}
 	if nfs := sys.Mininet.Net().RunningNFs(); len(nfs) != 1 {

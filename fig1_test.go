@@ -54,12 +54,11 @@ func TestFig1EndToEndDeploymentAndTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := sys.Service.Submit(context.Background(), chain)
+	mdoReceipt, err := sys.Service.Submit(context.Background(), chain)
 	if err != nil {
-		t.Fatalf("submit: %v (state %s: %s)", err, req.State, req.Error)
+		t.Fatalf("submit: %v", err)
 	}
 	// Placements: one NF per intended domain.
-	mdoReceipt := req.Receipt
 	if mdoReceipt == nil {
 		t.Fatal("no receipt")
 	}
@@ -176,16 +175,16 @@ func TestFig1RecursiveReceipts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := sys.Service.Submit(context.Background(), chain)
+	receipt, err := sys.Service.Submit(context.Background(), chain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The MdO receipt must contain child receipts from each involved domain.
-	if len(req.Receipt.Children) < 3 {
-		t.Fatalf("expected child receipts from >=3 domains: %v", req.Receipt.Children)
+	if len(receipt.Children) < 3 {
+		t.Fatalf("expected child receipts from >=3 domains: %v", receipt.Children)
 	}
 	// Leaf receipts resolve view-node placements to real internal nodes.
-	mn := req.Receipt.Children["mininet"]
+	mn := receipt.Children["mininet"]
 	if mn == nil {
 		t.Fatal("no mininet child receipt")
 	}

@@ -185,9 +185,8 @@ func TestFig1TransparentMdOView(t *testing.T) {
 		NF("ctl-nat", "nat", 2, Resources{CPU: 2, Mem: 1024, Storage: 2}).
 		Chain("ctl", 10, 0, "sap1", "ctl-nat", "sap2").
 		MustBuild()
-	req, err := sys.Service.Submit(context.Background(), g)
-	if err != nil {
-		t.Fatalf("submit: %v (%s)", err, req.Error)
+	if _, err := sys.Service.Submit(context.Background(), g); err != nil {
+		t.Fatalf("submit: %v", err)
 	}
 	sap1, _ := sys.SAP1()
 	sap2, _ := sys.SAP2()

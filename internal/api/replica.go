@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,10 +67,9 @@ type Replica struct {
 	state atomic.Pointer[replicaState]
 	caps  atomic.Pointer[[]domain.Capability]
 
-	// notif wakes local WaitVersion callers (chained watch streams: a
+	// watch wakes local WaitVersion callers (chained watch streams: a
 	// replica serves /v1/unify/watch too, so replicas can stack).
-	notifMu sync.Mutex
-	notifCh chan struct{}
+	watch core.ChangeNotifier
 
 	stats struct {
 		events, heartbeats, duplicates, reconnects atomic.Uint64
@@ -214,21 +212,7 @@ func (r *Replica) sync(ctx context.Context, progressed *bool) error {
 // apply publishes one sync point (view must be sealed) and wakes waiters.
 func (r *Replica) apply(view *nffg.NFFG, ver core.ViewVersion, services []string) {
 	r.state.Store(&replicaState{view: view, ver: ver, services: services})
-	r.notifMu.Lock()
-	if r.notifCh != nil {
-		close(r.notifCh)
-		r.notifCh = nil
-	}
-	r.notifMu.Unlock()
-}
-
-func (r *Replica) waitCh() <-chan struct{} {
-	r.notifMu.Lock()
-	defer r.notifMu.Unlock()
-	if r.notifCh == nil {
-		r.notifCh = make(chan struct{})
-	}
-	return r.notifCh
+	r.watch.Wake()
 }
 
 func (r *Replica) etag() string {
@@ -301,17 +285,7 @@ func (r *Replica) ViewVersion() core.ViewVersion {
 // state, so watch streams chain: a client watching a replica is woken by the
 // replica's own sync loop applying the writer's events.
 func (r *Replica) WaitVersion(ctx context.Context, from uint64) (core.ViewVersion, error) {
-	for {
-		ch := r.waitCh() // arm before the check: no lost wakeups
-		if st := r.state.Load(); st != nil && st.ver.Generation > from {
-			return st.ver, nil
-		}
-		select {
-		case <-ctx.Done():
-			return core.ViewVersion{}, ctx.Err()
-		case <-ch:
-		}
-	}
+	return r.watch.WaitVersion(ctx, from, r.ViewVersion)
 }
 
 // Install implements unify.Layer: proxied to the writer when ProxyWrites is

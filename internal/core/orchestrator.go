@@ -91,10 +91,6 @@ type ResourceOrchestrator struct {
 	// one so requests targeting a non-ACTIVE domain fail fast and typed.
 	gate atomic.Pointer[DomainGate]
 
-	// Attach view-fetch bounds (see Config.ViewTimeout / ViewRetries).
-	viewTimeout time.Duration
-	viewRetries int
-
 	// epoch counts published DoV changes (attach merges, install commits,
 	// releases, detaches) across all shards — the logical generation
 	// northbound. It moves only in publishLocked, once per publish, under
@@ -109,7 +105,7 @@ type ResourceOrchestrator struct {
 	// stays a pure commit counter.
 	tableVer atomic.Uint64
 	// watch broadcasts epoch bumps to WaitVersion callers (watch streams).
-	watch changeNotifier
+	watch ChangeNotifier
 
 	// Generation-keyed read caches (see readcache.go): cuts holds merged
 	// cuts per shard set, viewCache the view over the all-shard cut.
@@ -222,12 +218,6 @@ type Config struct {
 	// already happened; it is logged and counted in
 	// PipelineStats.JournalErrors instead.
 	Journal Journal
-	// ViewTimeout bounds each child view fetch inside Attach/Reattach, so a
-	// hung child cannot stall attach indefinitely; ViewRetries is the number
-	// of additional fetch attempts after a failure. Zero values leave the
-	// caller's context in charge and fetch exactly once.
-	ViewTimeout time.Duration
-	ViewRetries int
 }
 
 // NewResourceOrchestrator creates an orchestrator with no children attached.
@@ -245,16 +235,14 @@ func NewResourceOrchestrator(cfg Config) *ResourceOrchestrator {
 		cfg.ShardKey = ShardPerDomain
 	}
 	ro := &ResourceOrchestrator{
-		id:          cfg.ID,
-		virt:        cfg.Virtualizer,
-		mapper:      cfg.Mapper,
-		shardKey:    cfg.ShardKey,
-		journal:     cfg.Journal,
-		services:    map[string]*serviceRecord{},
-		nfOwner:     map[nffg.ID]string{},
-		hopOwner:    map[string]string{},
-		viewTimeout: cfg.ViewTimeout,
-		viewRetries: cfg.ViewRetries,
+		id:       cfg.ID,
+		virt:     cfg.Virtualizer,
+		mapper:   cfg.Mapper,
+		shardKey: cfg.ShardKey,
+		journal:  cfg.Journal,
+		services: map[string]*serviceRecord{},
+		nfOwner:  map[nffg.ID]string{},
+		hopOwner: map[string]string{},
 	}
 	ro.dir.Store(newShardDirectory())
 	return ro
@@ -289,33 +277,6 @@ func (ro *ResourceOrchestrator) gateErr(child string) error {
 	return nil
 }
 
-// fetchChildView fetches a child's exported view with the configured per-try
-// deadline and bounded retries, so Attach cannot hang on an unresponsive
-// child.
-func (ro *ResourceOrchestrator) fetchChildView(ctx context.Context, d domain.Domain) (*nffg.NFFG, error) {
-	attempts := ro.viewRetries + 1
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, err
-		}
-		vctx, cancel := ctx, context.CancelFunc(func() {})
-		if ro.viewTimeout > 0 {
-			vctx, cancel = context.WithTimeout(ctx, ro.viewTimeout)
-		}
-		view, err := d.View(vctx)
-		cancel()
-		if err == nil {
-			return view, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("view fetch failed after %d attempts: %w", attempts, lastErr)
-}
-
 // ID implements unify.Layer.
 func (ro *ResourceOrchestrator) ID() string { return ro.id }
 
@@ -337,7 +298,7 @@ func (ro *ResourceOrchestrator) Attach(ctx context.Context, d domain.Domain) err
 	if _, dup := ro.dir.Load().children[id]; dup {
 		return fmt.Errorf("%w: %s", domain.ErrDuplicate, id)
 	}
-	view, err := ro.fetchChildView(ctx, d)
+	view, err := d.View(ctx)
 	if err != nil {
 		return fmt.Errorf("core: attach %s: %w", id, err)
 	}
@@ -1523,7 +1484,7 @@ func (ro *ResourceOrchestrator) publishLocked(ctx context.Context, shs []*shard,
 		}
 	}
 	epoch := ro.epoch.Add(1)
-	ro.watch.wake()
+	ro.watch.Wake()
 	if ro.journal == nil {
 		return nil
 	}

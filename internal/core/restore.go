@@ -139,7 +139,7 @@ func (ro *ResourceOrchestrator) Reattach(ctx context.Context, d domain.Domain) e
 	if m.d != nil {
 		return fmt.Errorf("%w: %s", domain.ErrDuplicate, id)
 	}
-	view, err := ro.fetchChildView(ctx, d)
+	view, err := d.View(ctx)
 	if err != nil {
 		return fmt.Errorf("core: reattach %s: %w", id, err)
 	}

@@ -51,18 +51,18 @@ func etagOf(id string, keys []string, gens []uint64) string {
 // etag derives the strong view validator of one consistent cut.
 func (v genVec) etag(id string) string { return etagOf(id, v.keys, v.gens) }
 
-// changeNotifier is a closed-channel broadcast: wake() releases every
-// goroutine parked on the channel wait() handed out. Waiters must arm the
-// channel (call wait) BEFORE re-checking the condition, so a bump landing
-// between the check and the park still wakes them.
-type changeNotifier struct {
+// ChangeNotifier is a closed-channel broadcast of version changes: Wake
+// releases every goroutine parked in WaitVersion. The zero value is ready; a
+// layer that exports versions (the resource orchestrator, a read replica)
+// holds one and wakes it after each version it publishes.
+type ChangeNotifier struct {
 	mu sync.Mutex
 	ch chan struct{}
 }
 
-// wake releases all current waiters. Cheap enough to call inside commit
+// Wake releases all current waiters. Cheap enough to call inside commit
 // critical sections: a mutex hop plus, at most, one channel close.
-func (n *changeNotifier) wake() {
+func (n *ChangeNotifier) Wake() {
 	n.mu.Lock()
 	if n.ch != nil {
 		close(n.ch)
@@ -71,16 +71,27 @@ func (n *changeNotifier) wake() {
 	n.mu.Unlock()
 }
 
-// wait returns a channel closed at the next wake. Lazily allocated so idle
-// layers carry no channel at all.
-func (n *changeNotifier) wait() <-chan struct{} {
-	n.mu.Lock()
-	if n.ch == nil {
-		n.ch = make(chan struct{})
+// WaitVersion blocks until current reports a generation above from
+// (returning that version) or ctx ends. It arms the channel before each
+// check, so a Wake landing between the check and the park still wakes it.
+// The channel is made lazily, so idle layers carry none.
+func (n *ChangeNotifier) WaitVersion(ctx context.Context, from uint64, current func() ViewVersion) (ViewVersion, error) {
+	for {
+		n.mu.Lock()
+		if n.ch == nil {
+			n.ch = make(chan struct{})
+		}
+		ch := n.ch
+		n.mu.Unlock()
+		if v := current(); v.Generation > from {
+			return v, nil
+		}
+		select {
+		case <-ctx.Done():
+			return ViewVersion{}, ctx.Err()
+		case <-ch:
+		}
 	}
-	ch := n.ch
-	n.mu.Unlock()
-	return ch
 }
 
 // --- ResourceOrchestrator ----------------------------------------------------
@@ -114,17 +125,7 @@ func (ro *ResourceOrchestrator) VersionedView(ctx context.Context) (*nffg.NFFG, 
 // already applied returns immediately — callers resume a watch by passing
 // the last generation they saw.
 func (ro *ResourceOrchestrator) WaitVersion(ctx context.Context, from uint64) (ViewVersion, error) {
-	for {
-		ch := ro.watch.wait() // arm before the check: no lost wakeups
-		if v := ro.ViewVersion(); v.Generation > from {
-			return v, nil
-		}
-		select {
-		case <-ctx.Done():
-			return ViewVersion{}, ctx.Err()
-		case <-ch:
-		}
-	}
+	return ro.watch.WaitVersion(ctx, from, ro.ViewVersion)
 }
 
 // nbGen is the northbound version cursor: the commit epoch plus the
@@ -141,5 +142,5 @@ func (ro *ResourceOrchestrator) nbGen() uint64 {
 // the bump exists so watch streams deliver the refreshed service list.
 func (ro *ResourceOrchestrator) bumpTable() {
 	ro.tableVer.Add(1)
-	ro.watch.wake()
+	ro.watch.Wake()
 }

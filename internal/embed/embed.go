@@ -116,9 +116,10 @@ type Options struct {
 	Rank RankFunc
 	// Decomp enables NF-decomposition branching with the given rules.
 	Decomp *decomp.Rules
-	// DecompDepth bounds recursive decomposition (default 2).
-	DecompDepth int
 }
+
+// decompDepth bounds recursive decomposition.
+const decompDepth = 2
 
 // Mapper is a configured embedding algorithm.
 type Mapper struct{ opts Options }
@@ -130,9 +131,6 @@ func New(opts Options) *Mapper {
 	}
 	if opts.Rank == nil {
 		opts.Rank = BestFit
-	}
-	if opts.DecompDepth <= 0 {
-		opts.DecompDepth = 2
 	}
 	if opts.Name == "" {
 		opts.Name = "greedy-bt"
@@ -181,7 +179,7 @@ func (m *Mapper) MapScoped(sub, req *nffg.NFFG, scope map[nffg.ID][]nffg.ID) (*M
 		}
 		scopeSets[nf] = set
 	}
-	variants := decomp.Enumerate(req, m.opts.Decomp, m.opts.DecompDepth)
+	variants := decomp.Enumerate(req, m.opts.Decomp, decompDepth)
 	var lastErr error
 	for _, v := range variants {
 		mp, err := m.mapOne(sub, v.G, scopeSets)

@@ -74,11 +74,10 @@ type Config struct {
 	// ProbeInterval is the health-probe period (default 2s). ProbeTimeout
 	// bounds one probe attempt (default 1s); ProbeRetries is the number of
 	// extra attempts within one round after a failure (default 1), spaced by
-	// RetryBackoff (default 100ms).
+	// retryBackoff.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	ProbeRetries  int
-	RetryBackoff  time.Duration
 	// DegradeAfter consecutive failed probe rounds mark a member DEGRADED
 	// (default 1); EvictAfter rounds trigger eviction + failover (default 3).
 	DegradeAfter int
@@ -91,6 +90,9 @@ type Config struct {
 	OnTransition func(name string, from, to State)
 }
 
+// retryBackoff spaces the probe attempts within one round.
+const retryBackoff = 100 * time.Millisecond
+
 func (c *Config) defaults() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -102,9 +104,6 @@ func (c *Config) defaults() {
 		c.ProbeRetries = 0
 	} else if c.ProbeRetries == 0 {
 		c.ProbeRetries = 1
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
 	}
 	if c.DegradeAfter <= 0 {
 		c.DegradeAfter = 1
@@ -354,7 +353,7 @@ func (c *Controller) probeAll() {
 }
 
 // probeOne runs one probe round against a member: up to 1+ProbeRetries
-// attempts, each under ProbeTimeout, spaced by RetryBackoff. Transitions per
+// attempts, each under ProbeTimeout, spaced by retryBackoff. Transitions per
 // the consecutive-failure thresholds; a success heals DEGRADED back to
 // ACTIVE.
 func (c *Controller) probeOne(m *member) {
@@ -406,7 +405,7 @@ func (c *Controller) probe(d domain.Domain) error {
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			time.Sleep(c.cfg.RetryBackoff)
+			time.Sleep(retryBackoff)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
 		if p, ok := d.(Pinger); ok {

@@ -223,7 +223,6 @@ func TestProbeDrivenEviction(t *testing.T) {
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeTimeout:  100 * time.Millisecond,
 		ProbeRetries:  -1, // probe once per round: the test injects hard failures
-		RetryBackoff:  time.Millisecond,
 		DegradeAfter:  1,
 		EvictAfter:    3,
 		OnTransition:  tl.hook,

@@ -18,17 +18,16 @@ import (
 
 // Options tunes the durability/overhead trade-off of a Store.
 type Options struct {
-	// SyncInterval is the cadence of the background fsync loop. Appends
-	// themselves are a single unbuffered write(2) — they survive a process
-	// kill as soon as they return — so the interval only bounds data loss on
-	// a machine crash. 0 means the 25ms default; negative disables the loop.
-	SyncInterval time.Duration
 	// SyncEachRecord fsyncs after every append (strict mode). Expensive;
 	// the default relies on the background loop.
 	SyncEachRecord bool
 }
 
-const defaultSyncInterval = 25 * time.Millisecond
+// syncInterval is the cadence of the background fsync loop. Appends
+// themselves are a single unbuffered write(2) — they survive a process kill
+// as soon as they return — so the interval only bounds data loss on a
+// machine crash.
+const syncInterval = 25 * time.Millisecond
 
 // Stats is a snapshot of the Store's cumulative counters, exported at
 // /metrics as unify_journal.
@@ -100,9 +99,6 @@ type Store struct {
 // every log so new appends extend an intact prefix. Call Recover first to
 // read the state the directory holds.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.SyncInterval == 0 {
-		opts.SyncInterval = defaultSyncInterval
-	}
 	for _, sub := range []string{shardsDir(dir), jobsDir(dir)} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
@@ -448,10 +444,7 @@ func (s *Store) StartCheckpoints(interval time.Duration, source func() []ShardSn
 
 func (s *Store) syncLoop() {
 	defer close(s.syncDone)
-	if s.opts.SyncInterval < 0 {
-		return
-	}
-	t := time.NewTicker(s.opts.SyncInterval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

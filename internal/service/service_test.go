@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -47,18 +48,15 @@ func sg(t testing.TB, id string) *nffg.NFFG {
 func TestSubmitDelegatesOnSingleBiSBiS(t *testing.T) {
 	lo := leaf(t, nil) // default single-BiSBiS export
 	so := NewOrchestrator(lo, nil)
-	req, err := so.Submit(context.Background(), sg(t, "s1"))
+	receipt, err := so.Submit(context.Background(), sg(t, "s1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.State != StateDeployed {
-		t.Fatalf("state: %s (%s)", req.State, req.Error)
-	}
-	if req.Receipt == nil || len(req.Receipt.Placements) != 1 {
-		t.Fatalf("receipt: %+v", req.Receipt)
+	if receipt == nil || len(receipt.Placements) != 1 {
+		t.Fatalf("receipt: %+v", receipt)
 	}
 	// The NF must have landed on a real internal node.
-	host := req.Receipt.Placements["s1-fw"]
+	host := receipt.Placements["s1-fw"]
 	if host != "n1" && host != "n2" {
 		t.Fatalf("delegated placement should resolve internally, got %s", host)
 	}
@@ -67,12 +65,11 @@ func TestSubmitDelegatesOnSingleBiSBiS(t *testing.T) {
 func TestSubmitPremapsOnTransparentView(t *testing.T) {
 	lo := leaf(t, core.Transparent{})
 	so := NewOrchestrator(lo, nil)
-	req, err := so.Submit(context.Background(), sg(t, "s2"))
-	if err != nil {
+	if _, err := so.Submit(context.Background(), sg(t, "s2")); err != nil {
 		t.Fatal(err)
 	}
-	if req.State != StateDeployed {
-		t.Fatalf("state: %s (%s)", req.State, req.Error)
+	if got := lo.Services(); len(got) != 1 || got[0] != "s2" {
+		t.Fatalf("lower layer services: %v", got)
 	}
 }
 
@@ -110,10 +107,17 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := so.Submit(context.Background(), g); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("unknown SAP: %v", err)
 	}
-	// Failures are recorded.
-	if r, err := so.Get("s6"); err != nil || r.State != StateFailed || r.Error == "" {
-		t.Fatalf("failed request should be recorded: %+v (%v)", r, err)
+	// A failed Submit leaves nothing booked.
+	if n := booked(so); n != 0 {
+		t.Fatalf("%d services booked after failed submits", n)
 	}
+}
+
+// booked counts the services in the book.
+func booked(so *Orchestrator) int {
+	so.mu.Lock()
+	defer so.mu.Unlock()
+	return len(so.services)
 }
 
 func TestSubmitDuplicate(t *testing.T) {
@@ -136,43 +140,54 @@ func TestRemoveLifecycle(t *testing.T) {
 	if err := so.Remove(context.Background(), "r1"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := so.Get("r1")
-	if err != nil || r.State != StateRemoved {
-		t.Fatalf("state after remove: %+v (%v)", r, err)
-	}
 	if len(lo.Services()) != 0 {
 		t.Fatal("lower layer should be clean")
 	}
-	if err := so.Remove(context.Background(), "ghost"); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("unknown remove: %v", err)
+	for _, id := range []string{"r1", "ghost"} {
+		if err := so.Remove(context.Background(), id); !errors.Is(err, ErrUnknown) {
+			t.Fatalf("remove %s: %v", id, err)
+		}
 	}
-	// Removing a failed request is a no-op state change.
+	// A request that never deployed is not in the book either.
 	bad := sg(t, "r2")
 	_ = bad.AddInfra(&nffg.Infra{ID: "rogue"})
-	_, _ = so.Submit(context.Background(), bad)
-	if err := so.Remove(context.Background(), "r2"); err != nil {
-		t.Fatal(err)
+	if _, err := so.Submit(context.Background(), bad); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("bad submit: %v", err)
+	}
+	if err := so.Remove(context.Background(), "r2"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("remove of a failed request: %v", err)
 	}
 }
 
-func TestListAndStats(t *testing.T) {
+// TestRemoveForgetsService: submit/remove cycles with unique IDs leave the
+// book empty, and a removed ID can be submitted again.
+func TestRemoveForgetsService(t *testing.T) {
 	lo := leaf(t, nil)
 	so := NewOrchestrator(lo, nil)
-	_, _ = so.Submit(context.Background(), sg(t, "a"))
-	bad := sg(t, "b")
-	_ = bad.AddInfra(&nffg.Infra{ID: "rogue"})
-	_, _ = so.Submit(context.Background(), bad)
-	ls := so.List()
-	if len(ls) != 2 || ls[0].ID != "a" || ls[1].ID != "b" {
-		t.Fatalf("list: %+v", ls)
+	ctx := context.Background()
+	for i := range 50 {
+		id := fmt.Sprintf("c%d", i)
+		if _, err := so.Submit(ctx, sg(t, id)); err != nil {
+			t.Fatal(err)
+		}
+		if err := so.Remove(ctx, id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := so.Stats()
-	if st[StateDeployed] != 1 || st[StateFailed] != 1 {
-		t.Fatalf("stats: %v", st)
+	if n := booked(so); n != 0 {
+		t.Fatalf("%d services booked after every remove", n)
+	}
+	if _, err := so.Submit(ctx, sg(t, "c0")); err != nil {
+		t.Fatalf("resubmit of a removed ID: %v", err)
+	}
+	if n := booked(so); n != 1 {
+		t.Fatalf("%d services booked, want 1", n)
 	}
 }
 
-func TestCapacityRejectionIsFailedState(t *testing.T) {
+// TestCapacityRejectionUnbooksID: a capacity-rejected ID can be submitted
+// again, and deploys once it fits.
+func TestCapacityRejectionUnbooksID(t *testing.T) {
 	lo := leaf(t, nil)
 	so := NewOrchestrator(lo, nil)
 	big := nffg.NewBuilder("big").
@@ -184,59 +199,22 @@ func TestCapacityRejectionIsFailedState(t *testing.T) {
 	if !errors.Is(err, unify.ErrRejected) {
 		t.Fatalf("capacity rejection: %v", err)
 	}
-	r, _ := so.Get("big")
-	if r.State != StateFailed {
-		t.Fatalf("state: %s", r.State)
+	if _, err := so.Submit(context.Background(), big); !errors.Is(err, unify.ErrRejected) {
+		t.Fatalf("second capacity rejection: %v", err)
 	}
-}
-
-// TestSubmitAsyncDeploysInBackground: SubmitAsync returns immediately with a
-// StateReceived snapshot; Wait observes the terminal state.
-func TestSubmitAsyncDeploysInBackground(t *testing.T) {
-	lo := leaf(t, nil)
-	so := NewOrchestrator(lo, nil)
-	snap, err := so.SubmitAsync(context.Background(), sg(t, "as1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.State != StateReceived {
-		t.Fatalf("async snapshot: %s", snap.State)
-	}
-	done, err := so.Wait(context.Background(), "as1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.State != StateDeployed || done.Receipt == nil {
-		t.Fatalf("deployed request: %+v", done)
-	}
-	// A failing graph terminates in StateFailed and wakes waiters too.
-	bad := sg(t, "as2")
-	bad.NFs.Get("as2-fw").FunctionalType = "quantum"
-	if _, err := so.SubmitAsync(context.Background(), bad); err != nil {
-		t.Fatal(err)
-	}
-	failed, err := so.Wait(context.Background(), "as2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed.State != StateFailed || failed.Error == "" {
-		t.Fatalf("failed request: %+v", failed)
-	}
-	// Duplicate async submissions reject synchronously; waiting on unknown
-	// IDs errors.
-	if _, err := so.SubmitAsync(context.Background(), sg(t, "as1")); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("duplicate: %v", err)
-	}
-	if _, err := so.Wait(context.Background(), "ghost"); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("unknown wait: %v", err)
+	big.NFs.Get("big-fw").Demand = res(2, 512)
+	if _, err := so.Submit(context.Background(), big); err != nil {
+		t.Fatalf("resubmit that fits: %v", err)
 	}
 }
 
 // gateLayer is a unify.Layer whose Install blocks until released, for
-// observing in-flight async deployments.
+// observing in-flight deployments. It records the tenant each install
+// carried.
 type gateLayer struct {
-	view *nffg.NFFG
-	gate chan struct{}
+	view   *nffg.NFFG
+	gate   chan struct{}
+	tenant string
 }
 
 func (g *gateLayer) ID() string                               { return "gate" }
@@ -244,6 +222,7 @@ func (g *gateLayer) View(context.Context) (*nffg.NFFG, error) { return g.view.Co
 func (g *gateLayer) Remove(context.Context, string) error     { return nil }
 func (g *gateLayer) Services() []string                       { return nil }
 func (g *gateLayer) Install(ctx context.Context, req *nffg.NFFG) (*unify.Receipt, error) {
+	g.tenant = unify.MetaFrom(ctx).Tenant
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
@@ -252,8 +231,9 @@ func (g *gateLayer) Install(ctx context.Context, req *nffg.NFFG) (*unify.Receipt
 	return &unify.Receipt{ServiceID: req.ID}, nil
 }
 
-// TestRemoveInFlightAsync: removing a request whose background deployment has
-// not finished is refused (ErrBusy) instead of silently racing the deploy.
+// TestRemoveInFlightAsync: removing a service whose Submit has not finished
+// is refused (ErrBusy) instead of silently racing the deploy, and the
+// submitter's tenant reaches the layer below.
 func TestRemoveInFlightAsync(t *testing.T) {
 	view := nffg.NewBuilder("v").
 		BiSBiS("n1", "d", 4, res(8, 4096), "fw").
@@ -263,9 +243,12 @@ func TestRemoveInFlightAsync(t *testing.T) {
 		MustBuild()
 	south := &gateLayer{view: view, gate: make(chan struct{})}
 	so := NewOrchestrator(south, nil)
-	if _, err := so.SubmitAsync(context.Background(), sg(t, "inflight")); err != nil {
-		t.Fatal(err)
-	}
+	submitted := make(chan error, 1)
+	go func() {
+		ctx := unify.WithMeta(context.Background(), unify.RequestMeta{Tenant: "acme"})
+		_, err := so.Submit(ctx, sg(t, "inflight"))
+		submitted <- err
+	}()
 	// The deploy is parked inside south.Install; Remove must refuse.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -273,14 +256,20 @@ func TestRemoveInFlightAsync(t *testing.T) {
 		if errors.Is(err, unify.ErrBusy) {
 			break
 		}
-		if time.Now().After(deadline) {
+		if !errors.Is(err, ErrUnknown) || time.Now().After(deadline) {
 			t.Fatalf("remove of in-flight request: %v", err)
 		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := so.Submit(context.Background(), sg(t, "inflight")); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("duplicate of an in-flight submit: %v", err)
 	}
 	close(south.gate)
-	done, err := so.Wait(context.Background(), "inflight")
-	if err != nil || done.State != StateDeployed {
-		t.Fatalf("after release: %+v %v", done, err)
+	if err := <-submitted; err != nil {
+		t.Fatalf("after release: %v", err)
+	}
+	if south.tenant != "acme" {
+		t.Fatalf("tenant southbound: %q", south.tenant)
 	}
 	if err := so.Remove(context.Background(), "inflight"); err != nil {
 		t.Fatal(err)
