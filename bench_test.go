@@ -385,16 +385,17 @@ func BenchmarkE5Netconf(b *testing.B) {
 	}
 	defer cli.Close()
 	payload := []byte("<virtualizer id=\"bench\"><nodes><infra><id>x</id></infra></nodes></virtualizer>")
+	ctx := context.Background()
 	b.Run("edit-config", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := cli.EditConfig(payload); err != nil {
+			if err := cli.EditConfig(ctx, payload); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("get-config", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cli.GetConfig(); err != nil {
+			if _, err := cli.GetConfig(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,6 +10,7 @@ package mininet
 import (
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -33,7 +34,10 @@ type Domain struct {
 	ctrl   *openflow.Controller
 	agents []*openflow.SwitchAgent
 	ncSrv  *netconf.Server
-	ncCli  *netconf.Client
+	ncAddr string
+
+	ncMu  sync.Mutex // guards ncCli, which editConfig redials
+	ncCli *netconf.Client
 
 	mu      sync.Mutex
 	nfPorts map[nffg.ID]map[string]int
@@ -99,12 +103,12 @@ func New(cfg Config) (*Domain, error) {
 
 	// NETCONF: NF lifecycle endpoint of the domain.
 	d.ncSrv = netconf.NewServer(&mnDatastore{net: net, substrate: cfg.Substrate})
-	ncAddr, err := d.ncSrv.Listen("127.0.0.1:0")
+	d.ncAddr, err = d.ncSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		d.Close()
 		return nil, fmt.Errorf("mininet: netconf server: %w", err)
 	}
-	d.ncCli, err = netconf.Dial(ncAddr)
+	d.ncCli, err = netconf.Dial(d.ncAddr)
 	if err != nil {
 		d.Close()
 		return nil, fmt.Errorf("mininet: netconf client: %w", err)
@@ -129,9 +133,11 @@ func (d *Domain) Net() *emunet.Net { return d.net }
 
 // Close tears down control sessions.
 func (d *Domain) Close() {
+	d.ncMu.Lock()
 	if d.ncCli != nil {
 		_ = d.ncCli.Close()
 	}
+	d.ncMu.Unlock()
 	if d.ncSrv != nil {
 		d.ncSrv.Close()
 	}
@@ -190,13 +196,13 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) 
 			}
 			nd.Starts = append(nd.Starts, startNFReq{ID: string(nf.ID), Host: string(nf.Host), Type: nf.FunctionalType, Ports: portIDs})
 		}
-		body, err := xml.Marshal(nd)
+		body, err := netconf.MarshalXML(nd)
 		if err != nil {
 			return err
 		}
 		ncSpan, _ := obs.StartSpan(ctx, "netconf.rpc",
 			"stops", fmt.Sprint(len(nd.Stops)), "starts", fmt.Sprint(len(nd.Starts)))
-		data, err := d.ncCli.EditConfigData(body)
+		data, err := d.editConfig(ctx, body)
 		sb.AddNetconfRPCs(1)
 		ncSpan.EndWith(err)
 		if err != nil {
@@ -292,6 +298,25 @@ func (d *Domain) fanOut(ctx context.Context, ops map[nffg.ID][]ofOp) error {
 		return errs[0]
 	}
 	return nil
+}
+
+// editConfig sends one nf-delta as an edit-config RPC and returns the reply's
+// data. An RPC that times out closes its session; the next editConfig finds
+// it closed, with nothing sent on it, and sends on a new session to the
+// in-process server instead, so one slow RPC does not disable the domain.
+func (d *Domain) editConfig(ctx context.Context, body []byte) ([]byte, error) {
+	d.ncMu.Lock()
+	defer d.ncMu.Unlock()
+	data, err := d.ncCli.EditConfigData(ctx, body)
+	if !errors.Is(err, netconf.ErrClosed) {
+		return data, err
+	}
+	cli, err := netconf.Dial(d.ncAddr)
+	if err != nil {
+		return nil, err
+	}
+	d.ncCli = cli
+	return cli.EditConfigData(ctx, body)
 }
 
 func (d *Domain) lookupNFPorts(nf nffg.ID) (map[string]int, error) {
@@ -397,7 +422,7 @@ func (ds *mnDatastore) EditConfig(config []byte) ([]byte, error) {
 	if len(allocs.NFs) == 0 {
 		return nil, nil
 	}
-	return xml.Marshal(allocs)
+	return netconf.MarshalXML(allocs)
 }
 
 // startNF boots a Click NF on its host switch and returns port bindings.
@@ -430,7 +455,7 @@ func (ds *mnDatastore) Call(action string, body []byte) ([]byte, error) {
 		for id, sp := range ports {
 			rep.Ports = append(rep.Ports, portBinding{ID: id, SwitchPort: sp})
 		}
-		return xml.Marshal(rep)
+		return netconf.MarshalXML(rep)
 	case "stop-nf":
 		var req stopNFReq
 		if err := xml.Unmarshal(body, &req); err != nil {

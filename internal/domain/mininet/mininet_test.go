@@ -1,10 +1,18 @@
 package mininet
 
 import (
+	"bytes"
 	"context"
+	"encoding/xml"
+	"errors"
+	"io"
+	"net"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/unify-repro/escape/internal/netconf"
 	"github.com/unify-repro/escape/internal/nffg"
 )
 
@@ -291,5 +299,154 @@ func TestDeltaCoalescesNetconfRPCs(t *testing.T) {
 	}
 	if got := d.Net().RunningNFs(); len(got) != 0 {
 		t.Fatalf("NFs should be stopped: %v", got)
+	}
+}
+
+// The pooled encoder writes every type that crosses the NETCONF wire byte for
+// byte as xml.Marshal does, also right after a failed encode on the same
+// goroutine: an encoder that failed must never be reused.
+func TestMarshalXMLMatchesEncodingXML(t *testing.T) {
+	raw := netconf.RawBody{Inner: []byte(`<nf-delta><stops><id>old</id></stops></nf-delta>`)}
+	wire := map[string]any{
+		"hello":        &netconf.Hello{Capabilities: []string{netconf.BaseCapability, "urn:unify:virtualizer:1.0"}, SessionID: 9},
+		"get-config":   &netconf.RPC{MessageID: "1", GetConfig: &netconf.GetConfig{Source: "running"}},
+		"edit-config":  &netconf.RPC{MessageID: "2", EditConfig: &netconf.EditConfig{Target: "running", Config: raw}},
+		"action":       &netconf.RPC{MessageID: "3", Action: &netconf.Action{Name: "start-nf", Body: raw}},
+		"close":        &netconf.RPC{MessageID: "4", Close: &struct{}{}},
+		"reply ok":     &netconf.Reply{MessageID: "2", OK: &struct{}{}},
+		"reply data":   &netconf.Reply{MessageID: "3", Data: &raw},
+		"reply error":  &netconf.Reply{MessageID: "5", Error: &netconf.RPCError{Type: "application", Tag: "operation-failed", Message: "a < b & \"c\""}},
+		"nf-delta":     nfDelta{Stops: []string{"fw0"}, Starts: []startNFReq{{ID: "fw1", Host: "mn-s1", Type: "firewall", Ports: []string{"1", "2"}}}},
+		"allocations":  nfAllocations{NFs: []nfAllocation{{ID: "fw1", Ports: []portBinding{{ID: "1", SwitchPort: 5}, {ID: "2", SwitchPort: 6}}}}},
+		"start-nf rep": startNFReply{Ports: []portBinding{{ID: "1", SwitchPort: 7}}},
+		"empty delta":  nfDelta{},
+	}
+	unencodable := struct {
+		XMLName xml.Name       `xml:"bad"`
+		M       map[string]int `xml:"m"`
+	}{M: map[string]int{"x": 1}}
+	for name, v := range wire {
+		for _, afterFailure := range []bool{false, true} {
+			if afterFailure {
+				if _, err := netconf.MarshalXML(unencodable); err == nil {
+					t.Fatal("a map must not encode")
+				}
+			}
+			got, err := netconf.MarshalXML(v)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := xml.Marshal(v)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s (after a failed encode: %v):\n got %s\nwant %s", name, afterFailure, got, want)
+			}
+		}
+	}
+}
+
+// proxyNetconf points the domain's NETCONF session at a proxy to its server.
+// The proxy calls hold with each client chunk that carries an edit-config
+// and forwards the chunk when hold returns.
+func proxyNetconf(t *testing.T, d *Domain, hold func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		cli, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer cli.Close()
+		srv, err := net.Dial("tcp", d.ncAddr)
+		if err != nil {
+			return
+		}
+		defer srv.Close()
+		go func() { _, _ = io.Copy(cli, srv) }()
+		buf := make([]byte, 64<<10)
+		for {
+			n, err := cli.Read(buf)
+			if err != nil {
+				return
+			}
+			if bytes.Contains(buf[:n], []byte("edit-config")) {
+				hold()
+			}
+			if _, err := srv.Write(buf[:n]); err != nil {
+				return
+			}
+		}
+	}()
+	cli, err := netconf.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ncMu.Lock()
+	_ = d.ncCli.Close()
+	d.ncCli = cli
+	d.ncMu.Unlock()
+}
+
+// checkNFsRecorded fails unless every NF running on the device has the port
+// bindings the domain translates its rules with.
+func checkNFsRecorded(t *testing.T, d *Domain) {
+	t.Helper()
+	for _, id := range d.Net().RunningNFs() {
+		if _, err := d.lookupNFPorts(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Canceling a commit while its edit-config is in flight does not interrupt
+// the RPC: the reply's port allocations are recorded, and the session stays
+// usable for the next commit.
+func TestCanceledCommitKeepsNetconfSession(t *testing.T) {
+	d := newDomain(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	proxyNetconf(t, d, func() {
+		cancel()
+		// Hold the request a moment, so that anything the cancellation
+		// would set off has run before the reply can arrive.
+		time.Sleep(20 * time.Millisecond)
+	})
+	if _, err := d.Install(ctx, request(t, "svc1", "firewall")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if got := d.SouthboundStats().NetconfRPCs; got != 1 {
+		t.Fatalf("the canceled commit should have sent its edit-config, recorded %d RPCs", got)
+	}
+	checkNFsRecorded(t, d)
+	if _, err := d.Install(context.Background(), request(t, "svc2", "firewall")); err != nil {
+		t.Fatalf("commit after a canceled one: %v", err)
+	}
+	checkNFsRecorded(t, d)
+}
+
+// An edit-config that outlives its commit's deadline fails the commit and
+// closes its session; the next commit dials a new one.
+func TestTimedOutCommitRedialsNetconf(t *testing.T) {
+	d := newDomain(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	proxyNetconf(t, d, func() { <-ctx.Done() })
+	if _, err := d.Install(ctx, request(t, "svc1", "firewall")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if got := d.SouthboundStats().NetconfRPCs; got != 1 {
+		t.Fatalf("the timed-out commit should have sent its edit-config, recorded %d RPCs", got)
+	}
+	if _, err := d.Install(context.Background(), request(t, "svc2", "firewall")); err != nil {
+		t.Fatalf("commit after a timed-out one: %v", err)
+	}
+	if got := d.Net().RunningNFs(); !slices.Contains(got, "svc2-nf") {
+		t.Fatalf("running NFs: %v", got)
 	}
 }

@@ -1,20 +1,29 @@
 package netconf
 
 import (
-	"bufio"
+	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strconv"
 	"sync"
+	"time"
 )
+
+// DefaultRPCTimeout bounds one RPC whose context carries no deadline, and the
+// hello exchange of Dial. A device that stops answering fails the call with
+// an error wrapping context.DeadlineExceeded instead of wedging the caller,
+// and whatever commit lock the caller holds, forever.
+const DefaultRPCTimeout = 5 * time.Second
 
 // Client is a synchronous NETCONF client: one outstanding RPC at a time,
 // correlated by message-id.
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	br     *bufio.Reader
+	fr     *frameReader
 	nextID int
 	// ServerCapabilities holds the peer's announced capabilities.
 	ServerCapabilities []string
@@ -28,8 +37,9 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netconf: dial: %w", err)
 	}
-	c := &Client{conn: conn, br: bufio.NewReader(conn)}
-	frame, err := ReadFrame(c.br)
+	_ = conn.SetDeadline(time.Now().Add(DefaultRPCTimeout))
+	c := &Client{conn: conn, fr: newFrameReader(conn)}
+	frame, err := c.fr.ReadFrame()
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("netconf: server hello: %w", err)
@@ -57,6 +67,7 @@ func (c *Client) Close() error {
 	}
 	// Best-effort close-session; ignore the reply.
 	c.nextID++
+	_ = c.conn.SetWriteDeadline(time.Now().Add(DefaultRPCTimeout))
 	_ = marshalFrame(c.conn, &RPC{MessageID: strconv.Itoa(c.nextID), Close: &struct{}{}})
 	err := c.conn.Close()
 	c.conn = nil
@@ -64,8 +75,8 @@ func (c *Client) Close() error {
 }
 
 // GetConfig fetches the running datastore XML.
-func (c *Client) GetConfig() ([]byte, error) {
-	reply, err := c.call(&RPC{GetConfig: &GetConfig{Source: "running"}})
+func (c *Client) GetConfig(ctx context.Context) ([]byte, error) {
+	reply, err := c.call(ctx, &RPC{GetConfig: &GetConfig{Source: "running"}})
 	if err != nil {
 		return nil, err
 	}
@@ -76,8 +87,8 @@ func (c *Client) GetConfig() ([]byte, error) {
 }
 
 // EditConfig pushes configuration XML to the running datastore.
-func (c *Client) EditConfig(config []byte) error {
-	reply, err := c.call(&RPC{EditConfig: &EditConfig{Target: "running", Config: RawBody{Inner: config}}})
+func (c *Client) EditConfig(ctx context.Context, config []byte) error {
+	reply, err := c.call(ctx, &RPC{EditConfig: &EditConfig{Target: "running", Config: RawBody{Inner: config}}})
 	if err != nil {
 		return err
 	}
@@ -91,8 +102,8 @@ func (c *Client) EditConfig(config []byte) error {
 // attached to the acknowledgement (nil when it answered a plain <ok/>). This
 // replica's coalesced deltas use the reply to carry e.g. NF port allocations
 // back in the same round-trip.
-func (c *Client) EditConfigData(config []byte) ([]byte, error) {
-	reply, err := c.call(&RPC{EditConfig: &EditConfig{Target: "running", Config: RawBody{Inner: config}}})
+func (c *Client) EditConfigData(ctx context.Context, config []byte) ([]byte, error) {
+	reply, err := c.call(ctx, &RPC{EditConfig: &EditConfig{Target: "running", Config: RawBody{Inner: config}}})
 	if err != nil {
 		return nil, err
 	}
@@ -107,8 +118,8 @@ func (c *Client) EditConfigData(config []byte) ([]byte, error) {
 
 // Call invokes a named action with an XML body and returns the reply data
 // (nil when the server answered <ok/>).
-func (c *Client) Call(action string, body []byte) ([]byte, error) {
-	reply, err := c.call(&RPC{Action: &Action{Name: action, Body: RawBody{Inner: body}}})
+func (c *Client) Call(ctx context.Context, action string, body []byte) ([]byte, error) {
+	reply, err := c.call(ctx, &RPC{Action: &Action{Name: action, Body: RawBody{Inner: body}}})
 	if err != nil {
 		return nil, err
 	}
@@ -118,21 +129,33 @@ func (c *Client) Call(action string, body []byte) ([]byte, error) {
 	return nil, nil
 }
 
-func (c *Client) call(rpc *RPC) (*Reply, error) {
+// call runs one RPC under ctx's deadline, or DefaultRPCTimeout from now when
+// ctx has none. Canceling ctx does not interrupt an RPC already sent: it runs
+// to its reply or its deadline. A transport failure closes the session (see
+// fail).
+func (c *Client) call(ctx context.Context, rpc *RPC) (*Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
 		return nil, ErrClosed
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = time.Now().Add(DefaultRPCTimeout)
+	}
+	_ = c.conn.SetDeadline(deadline)
 	c.nextID++
 	rpc.MessageID = strconv.Itoa(c.nextID)
 	if err := marshalFrame(c.conn, rpc); err != nil {
-		return nil, err
+		return nil, c.fail(err)
 	}
 	for {
-		frame, err := ReadFrame(c.br)
+		frame, err := c.fr.ReadFrame()
 		if err != nil {
-			return nil, err
+			return nil, c.fail(err)
 		}
 		var reply Reply
 		if err := xml.Unmarshal(frame, &reply); err != nil {
@@ -146,4 +169,17 @@ func (c *Client) call(rpc *RPC) (*Reply, error) {
 		}
 		return &reply, nil
 	}
+}
+
+// fail closes the session after a transport error: a half-written request or
+// an unread reply leaves the stream out of step, so no later RPC may use it
+// (they return ErrClosed). An expired deadline reports as
+// context.DeadlineExceeded.
+func (c *Client) fail(err error) error {
+	_ = c.conn.Close()
+	c.conn = nil
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		err = context.DeadlineExceeded
+	}
+	return fmt.Errorf("netconf: rpc failed, session closed: %w", err)
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Delimiter terminates every NETCONF 1.0 frame.
@@ -26,6 +27,11 @@ const BaseCapability = "urn:ietf:params:xml:ns:netconf:base:1.0"
 // maxFrame bounds one message (defensive).
 const maxFrame = 8 << 20
 
+// maxPooled bounds the buffer a pooled encoder or a session's frame reader
+// keeps between messages; a larger one is left to the garbage collector, so
+// one huge frame does not pin its memory for the life of the process.
+const maxPooled = 64 << 10
+
 // Errors of the framing and RPC layers.
 var (
 	ErrFrameTooLarge = errors.New("netconf: frame too large")
@@ -33,32 +39,47 @@ var (
 	ErrRPC           = errors.New("netconf: rpc-error")
 )
 
-// WriteFrame sends one delimited frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, Delimiter)
-	return err
+// frameReader reads one session's delimited frames into one reused buffer.
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte
 }
 
-// ReadFrame reads bytes until the delimiter, returning the payload.
-func ReadFrame(r *bufio.Reader) ([]byte, error) {
-	var buf bytes.Buffer
-	delim := []byte(Delimiter)
+// newFrameReader reads frames from r.
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReader(r)}
+}
+
+// ReadFrame reads up to the next delimiter and returns the payload with
+// surrounding white space trimmed. The payload lives in the reader's buffer:
+// it is valid until the next ReadFrame, so a caller decodes it before reading
+// on (the XML decoder copies what it keeps).
+func (fr *frameReader) ReadFrame() ([]byte, error) {
+	b := fr.buf[:0]
 	for {
-		b, err := r.ReadByte()
+		// A delimiter ends on its last byte, so checking at every occurrence
+		// of that byte finds it, even when it spans two chunks.
+		chunk, err := fr.br.ReadSlice(Delimiter[len(Delimiter)-1])
+		b = append(b, chunk...)
+		if len(b) > maxFrame {
+			return nil, ErrFrameTooLarge
+		}
+		if err == bufio.ErrBufferFull {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
-		buf.WriteByte(b)
-		if buf.Len() > maxFrame {
-			return nil, ErrFrameTooLarge
-		}
-		if buf.Len() >= len(delim) && bytes.Equal(buf.Bytes()[buf.Len()-len(delim):], delim) {
-			return bytes.TrimSpace(buf.Bytes()[:buf.Len()-len(delim)]), nil
+		if bytes.HasSuffix(b, []byte(Delimiter)) {
+			break
 		}
 	}
+	if cap(b) <= maxPooled {
+		fr.buf = b
+	} else {
+		fr.buf = nil
+	}
+	return bytes.TrimSpace(b[:len(b)-len(Delimiter)]), nil
 }
 
 // Hello is the session-open message.
@@ -122,11 +143,60 @@ func (e *RPCError) Error() string {
 	return fmt.Sprintf("netconf: rpc-error %s/%s: %s", e.Type, e.Tag, e.Message)
 }
 
-// marshalFrame encodes any message and writes it as one frame.
+// xmlEncoder is one pooled encoding workspace: an encoder that writes
+// compact XML into buf. xml.Marshal builds a new encoder, and with it a new
+// 4 KB bufio.Writer, on every call; the pool builds one per concurrent user.
+type xmlEncoder struct {
+	buf bytes.Buffer
+	enc *xml.Encoder
+}
+
+var encoders = sync.Pool{New: func() any {
+	e := &xmlEncoder{}
+	e.enc = xml.NewEncoder(&e.buf)
+	return e
+}}
+
+// encodeXML encodes v with a pooled encoder and returns the encoder, whose
+// buf holds the bytes, for the caller to release. A failed encode may leave
+// an element open in the encoder, so that encoder is dropped, not pooled.
+func encodeXML(v any) (*xmlEncoder, error) {
+	e := encoders.Get().(*xmlEncoder)
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// release returns the encoder to the pool unless its buffer grew too large.
+func (e *xmlEncoder) release() {
+	if e.buf.Cap() <= maxPooled {
+		encoders.Put(e)
+	}
+}
+
+// MarshalXML returns the XML encoding of v, byte for byte what xml.Marshal
+// returns, built with a pooled encoder. The result is the caller's own copy.
+func MarshalXML(v any) ([]byte, error) {
+	e, err := encodeXML(v)
+	if err != nil {
+		return nil, err
+	}
+	out := bytes.Clone(e.buf.Bytes())
+	e.release()
+	return out, nil
+}
+
+// marshalFrame encodes a message as compact XML and writes it with its
+// delimiter as one frame in one Write.
 func marshalFrame(w io.Writer, v any) error {
-	b, err := xml.MarshalIndent(v, "", "  ")
+	e, err := encodeXML(v)
 	if err != nil {
 		return err
 	}
-	return WriteFrame(w, b)
+	e.buf.WriteString(Delimiter)
+	_, err = w.Write(e.buf.Bytes())
+	e.release()
+	return err
 }

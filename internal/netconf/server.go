@@ -1,7 +1,6 @@
 package netconf
 
 import (
-	"bufio"
 	"encoding/xml"
 	"log"
 	"net"
@@ -85,14 +84,14 @@ func (s *Server) serve(c net.Conn) {
 		s.mu.Unlock()
 		_ = c.Close()
 	}()
-	br := bufio.NewReader(c)
+	fr := newFrameReader(c)
 	// Hello exchange: server announces first (like a NETCONF SSH subsystem),
 	// then reads the client's hello.
 	hello := &Hello{Capabilities: []string{BaseCapability, "urn:unify:virtualizer:1.0"}, SessionID: s.nextID.Add(1)}
 	if err := marshalFrame(c, hello); err != nil {
 		return
 	}
-	frame, err := ReadFrame(br)
+	frame, err := fr.ReadFrame()
 	if err != nil {
 		return
 	}
@@ -102,7 +101,7 @@ func (s *Server) serve(c net.Conn) {
 		return
 	}
 	for {
-		frame, err := ReadFrame(br)
+		frame, err := fr.ReadFrame()
 		if err != nil {
 			return
 		}

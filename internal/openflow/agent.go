@@ -53,9 +53,9 @@ func (a *SwitchAgent) ConnectConn(nc net.Conn) error {
 	// Wire the table-miss path to packet-in.
 	a.sw.MissHandler = func(p *dataplane.Packet, inPort int) {
 		pi := &PacketIn{InPort: uint16(inPort), Tag: p.Tag, Src: string(p.Flow.Src), Dst: string(p.Flow.Dst), Size: uint32(p.Size), Seq: p.Seq}
-		_ = conn.Write(pi.Marshal(a.xid.Add(1)))
+		_ = conn.Write(pi.Marshal(a.xid.Add(1)).appendTo(nil))
 	}
-	if err := conn.Write(&Message{Type: TypeHello, XID: a.xid.Add(1)}); err != nil {
+	if err := conn.Write((&Message{Type: TypeHello, XID: a.xid.Add(1)}).appendTo(nil)); err != nil {
 		return err
 	}
 	go a.loop(conn)
@@ -84,7 +84,7 @@ func (a *SwitchAgent) loop(conn *Conn) {
 			return
 		}
 		if err := a.handle(conn, m); err != nil {
-			_ = conn.Write((&ErrorMsg{Code: 1, Reason: err.Error()}).Marshal(m.XID))
+			_ = conn.Write((&ErrorMsg{Code: 1, Reason: err.Error()}).Marshal(m.XID).appendTo(nil))
 		}
 	}
 }
@@ -94,10 +94,10 @@ func (a *SwitchAgent) handle(conn *Conn, m *Message) error {
 	case TypeHello:
 		return nil
 	case TypeEchoRequest:
-		return conn.Write(&Message{Type: TypeEchoReply, XID: m.XID, Body: m.Body})
+		return conn.Write((&Message{Type: TypeEchoReply, XID: m.XID, Body: m.Body}).appendTo(nil))
 	case TypeFeaturesRequest:
 		fr := &FeaturesReply{DatapathID: a.DatapathID, NumTables: 1, Ports: a.ports}
-		return conn.Write(fr.Marshal(m.XID))
+		return conn.Write(fr.Marshal(m.XID).appendTo(nil))
 	case TypeFlowMod:
 		fm, err := ParseFlowMod(m)
 		if err != nil {
@@ -106,9 +106,9 @@ func (a *SwitchAgent) handle(conn *Conn, m *Message) error {
 		a.applyFlowMod(fm)
 		return nil
 	case TypeBarrierRequest:
-		return conn.Write(&Message{Type: TypeBarrierReply, XID: m.XID})
+		return conn.Write((&Message{Type: TypeBarrierReply, XID: m.XID}).appendTo(nil))
 	case TypeStatsRequest:
-		return conn.Write(a.stats().Marshal(m.XID))
+		return conn.Write(a.stats().Marshal(m.XID).appendTo(nil))
 	case TypePacketOut:
 		po, err := ParsePacketOut(m)
 		if err != nil {

@@ -11,10 +11,11 @@ import (
 )
 
 // Conn frames Messages over a stream transport. Writes are serialized so
-// multiple goroutines may send concurrently.
+// multiple goroutines may send concurrently; one goroutine reads.
 type Conn struct {
 	c   net.Conn
 	br  *bufio.Reader
+	hdr [headerLen]byte // Read's header buffer
 	wmu sync.Mutex
 }
 
@@ -25,7 +26,7 @@ func NewConn(c net.Conn) *Conn {
 
 // Read blocks for the next message.
 func (c *Conn) Read() (*Message, error) {
-	hdr := make([]byte, headerLen)
+	hdr := c.hdr[:]
 	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		return nil, err
 	}
@@ -46,11 +47,11 @@ func (c *Conn) Read() (*Message, error) {
 	return &Message{Type: MsgType(hdr[1]), XID: binary.BigEndian.Uint32(hdr[4:8]), Body: body}, nil
 }
 
-// Write sends a message.
-func (c *Conn) Write(m *Message) error {
+// Write sends encoded messages (see Message.appendTo) in one write.
+func (c *Conn) Write(b []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	_, err := c.c.Write(m.Encode())
+	_, err := c.c.Write(b)
 	return err
 }
 

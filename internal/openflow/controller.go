@@ -91,11 +91,12 @@ func (c *Controller) timeout() time.Duration {
 	return DefaultRequestTimeout
 }
 
-// write sends one message with the request timeout as a write deadline, so a
-// peer that stopped draining its socket cannot block the sender forever.
-func (c *Controller) write(dp *Datapath, m *Message) error {
+// write sends encoded messages in one write, with the request timeout as a
+// write deadline, so a peer that stopped draining its socket cannot block the
+// sender forever.
+func (c *Controller) write(dp *Datapath, b []byte) error {
 	_ = dp.conn.SetWriteDeadline(time.Now().Add(c.timeout()))
-	if err := dp.conn.Write(m); err != nil {
+	if err := dp.conn.Write(b); err != nil {
 		return fmt.Errorf("%w: write to %s: %v", ErrTimeout, dp.ID, err)
 	}
 	return nil
@@ -175,7 +176,7 @@ func (c *Controller) FlowMod(ctx context.Context, dpid string, fm *FlowMod) erro
 	if err != nil {
 		return err
 	}
-	if err := c.write(dp, fm.Marshal(c.xid.Add(1))); err != nil {
+	if err := c.write(dp, fm.appendTo(nil, c.xid.Add(1))); err != nil {
 		return err
 	}
 	c.flowMods.Add(1)
@@ -203,16 +204,23 @@ func (c *Controller) PacketOut(dpid string, po *PacketOut) error {
 	if err != nil {
 		return err
 	}
-	return c.write(dp, po.Marshal(c.xid.Add(1)))
+	return c.write(dp, po.Marshal(c.xid.Add(1)).appendTo(nil))
 }
 
+// request sends m under a fresh xid and waits for the reply of type want.
 func (c *Controller) request(ctx context.Context, dp *Datapath, m *Message, want MsgType) (*Message, error) {
-	xid := c.xid.Add(1)
-	m.XID = xid
+	m.XID = c.xid.Add(1)
+	return c.exchange(ctx, dp, m.XID, want, func() error { return c.write(dp, m.appendTo(nil)) })
+}
+
+// exchange registers a pending reply under xid, calls send, which writes the
+// request carrying xid, and waits for the reply of type want. The reply is
+// registered before the request leaves, so a fast peer cannot answer first.
+func (c *Controller) exchange(ctx context.Context, dp *Datapath, xid uint32, want MsgType, send func() error) (*Message, error) {
 	ch := make(chan *Message, 1)
 	dp.pending.Store(xid, ch)
 	defer dp.pending.Delete(xid)
-	if err := c.write(dp, m); err != nil {
+	if err := send(); err != nil {
 		return nil, err
 	}
 	timer := time.NewTimer(c.timeout())
@@ -256,12 +264,12 @@ func (c *Controller) serve(conn *Conn) {
 		_ = conn.Close()
 		return
 	}
-	if err := conn.Write(&Message{Type: TypeHello, XID: c.xid.Add(1)}); err != nil {
+	if err := conn.Write((&Message{Type: TypeHello, XID: c.xid.Add(1)}).appendTo(nil)); err != nil {
 		_ = conn.Close()
 		return
 	}
 	frXID := c.xid.Add(1)
-	if err := conn.Write(&Message{Type: TypeFeaturesRequest, XID: frXID}); err != nil {
+	if err := conn.Write((&Message{Type: TypeFeaturesRequest, XID: frXID}).appendTo(nil)); err != nil {
 		_ = conn.Close()
 		return
 	}
@@ -314,7 +322,7 @@ func (c *Controller) serve(conn *Conn) {
 				}
 			}
 		case TypeEchoRequest:
-			_ = conn.Write(&Message{Type: TypeEchoReply, XID: m.XID, Body: m.Body})
+			_ = conn.Write((&Message{Type: TypeEchoReply, XID: m.XID, Body: m.Body}).appendTo(nil))
 		case TypeError:
 			e, _ := ParseError(m)
 			// Pipelined flow-mods do not wait for replies; an error carrying

@@ -70,15 +70,24 @@ type Message struct {
 	Body []byte
 }
 
-// Encode serializes the message with its header.
-func (m *Message) Encode() []byte {
-	buf := make([]byte, headerLen+len(m.Body))
-	buf[0] = Version
-	buf[1] = byte(m.Type)
-	binary.BigEndian.PutUint16(buf[2:4], uint16(headerLen+len(m.Body)))
-	binary.BigEndian.PutUint32(buf[4:8], m.XID)
-	copy(buf[headerLen:], m.Body)
-	return buf
+// appendTo appends the message, header and body, to b.
+func (m *Message) appendTo(b []byte) []byte {
+	start := len(b)
+	b = append(beginFrame(b, m.Type, m.XID), m.Body...)
+	endFrame(b, start)
+	return b
+}
+
+// beginFrame appends a header whose length endFrame fills in once the body
+// follows it, so a body is encoded straight into the wire buffer.
+func beginFrame(b []byte, t MsgType, xid uint32) []byte {
+	b = append(b, Version, byte(t), 0, 0)
+	return binary.BigEndian.AppendUint32(b, xid)
+}
+
+// endFrame sets the length of the frame that starts at b[start].
+func endFrame(b []byte, start int) {
+	binary.BigEndian.PutUint16(b[start+2:start+4], uint16(len(b)-start))
 }
 
 // --- body encoding helpers -------------------------------------------------
@@ -186,7 +195,20 @@ type FlowMod struct {
 
 // Marshal encodes the flow-mod into a message.
 func (f *FlowMod) Marshal(xid uint32) *Message {
-	var w writer
+	return &Message{Type: TypeFlowMod, XID: xid, Body: f.appendBody(nil)}
+}
+
+// appendTo appends the flow-mod as a complete message, header and body, to b.
+func (f *FlowMod) appendTo(b []byte, xid uint32) []byte {
+	start := len(b)
+	b = f.appendBody(beginFrame(b, TypeFlowMod, xid))
+	endFrame(b, start)
+	return b
+}
+
+// appendBody appends the flow-mod's body to b.
+func (f *FlowMod) appendBody(b []byte) []byte {
+	w := writer{b: b}
 	w.u8(byte(f.Cmd))
 	w.str(f.RuleID)
 	w.u16(f.Priority)
@@ -198,7 +220,7 @@ func (f *FlowMod) Marshal(xid uint32) *Message {
 	w.str(f.PushTag)
 	w.bool(f.PopTag)
 	w.bool(f.Drop)
-	return &Message{Type: TypeFlowMod, XID: xid, Body: w.b}
+	return w.b
 }
 
 // ParseFlowMod decodes a flow-mod body.

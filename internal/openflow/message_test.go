@@ -20,7 +20,7 @@ func readFrame(buf []byte) (*Message, int, error) {
 
 func TestHeaderRoundtrip(t *testing.T) {
 	m := &Message{Type: TypeHello, XID: 42, Body: []byte("hi")}
-	buf := m.Encode()
+	buf := m.appendTo(nil)
 	got, n, err := readFrame(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -37,16 +37,16 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := readFrame([]byte{1, 2}); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short buffer: %v", err)
 	}
-	bad := (&Message{Type: TypeHello}).Encode()
+	bad := (&Message{Type: TypeHello}).appendTo(nil)
 	bad[0] = 0x99
 	if _, _, err := readFrame(bad); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version: %v", err)
 	}
-	trunc := (&Message{Type: TypeHello, Body: []byte("aaaa")}).Encode()
+	trunc := (&Message{Type: TypeHello, Body: []byte("aaaa")}).appendTo(nil)
 	if _, _, err := readFrame(trunc[:9]); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated body: %v", err)
 	}
-	short := (&Message{Type: TypeHello}).Encode()
+	short := (&Message{Type: TypeHello}).appendTo(nil)
 	short[3] = headerLen - 1
 	if _, _, err := readFrame(short); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("declared length below the header: %v", err)
@@ -162,14 +162,15 @@ func TestFlowModRoundtripProperty(t *testing.T) {
 	}
 }
 
-// Property: reading Encode(m) back is the identity over the framing layer.
+// Property: reading an encoded message back is the identity over the framing
+// layer.
 func TestFramingRoundtripProperty(t *testing.T) {
 	f := func(typ uint8, xid uint32, body []byte) bool {
 		if len(body) > maxMsgLen-headerLen-1 {
 			return true
 		}
 		m := &Message{Type: MsgType(typ % 13), XID: xid, Body: body}
-		back, n, err := readFrame(m.Encode())
+		back, n, err := readFrame(m.appendTo(nil))
 		if err != nil || n != headerLen+len(body) {
 			return false
 		}

@@ -48,7 +48,7 @@ func (e *DeltaError) Error() string {
 
 // SendStats are one pipeline's cumulative counters.
 type SendStats struct {
-	// FlowMods counts flow-mods streamed.
+	// FlowMods counts flow-mods written.
 	FlowMods uint64
 	// Barriers counts barrier round-trips (1 per flush on the happy path;
 	// more only when the delta overran the in-flight window).
@@ -73,19 +73,22 @@ func (r *pipeRule) record(e *ErrorMsg) {
 }
 
 // Pipeline streams flow-mods to one datapath without per-message barriers:
-// the delta costs one barrier round-trip instead of one per rule. Flow-mods
-// are xid-tracked so asynchronous peer errors are still attributed to the
-// exact rule; Flush drains the channel with a single BarrierRequest and
-// reports every rejected rule as a DeltaError.
+// the delta costs one barrier round-trip instead of one per rule, and one
+// write. Send encodes each xid-tracked flow-mod into the pipeline's buffer;
+// Flush appends a single BarrierRequest and writes the whole buffer at once,
+// then reports every rejected rule as a DeltaError. Asynchronous peer errors
+// are still attributed to the exact rule through the xids.
 //
 // A Pipeline is owned by one delta; concurrent pipelines on the same
-// datapath are safe (xids are globally unique) but interleave their sends. A
-// single Pipeline must not be used from multiple goroutines concurrently.
+// datapath are safe (xids are globally unique, and each flush is one write
+// under the connection's write lock). A single Pipeline must not be used from
+// multiple goroutines concurrently.
 type Pipeline struct {
 	c      *Controller
 	dp     *Datapath
 	window int
 
+	buf         []byte   // encoded flow-mods not yet written
 	outstanding int      // flow-mods since the last barrier
 	xids        []uint32 // inflight registrations not yet cleared
 	stats       SendStats
@@ -108,14 +111,15 @@ func (c *Controller) Pipeline(dpid string) (*Pipeline, error) {
 	return &Pipeline{c: c, dp: dp, window: w}, nil
 }
 
-// Send streams one flow-mod without waiting for a reply. rule is the
-// attribution handle reported back if the peer rejects this message. When the
-// in-flight window is full an intermediate barrier drains the datapath first,
-// so Send may block for one round-trip; otherwise it returns as soon as the
-// message is written. ctx cancellation is honored between sends — a canceled
-// delta stops mid-stream.
+// Send queues one flow-mod for the next barrier's write. rule is the
+// attribution handle reported back if the peer rejects this message. When
+// the in-flight window is full an intermediate barrier writes and drains the
+// window first, so Send may block for one round-trip; otherwise it writes
+// nothing. On a canceled ctx Send returns its error and drops every queued
+// flow-mod unwritten: rules an earlier barrier wrote stay on the switch.
 func (p *Pipeline) Send(ctx context.Context, rule string, fm *FlowMod) error {
 	if err := ctx.Err(); err != nil {
+		p.reset()
 		return err
 	}
 	if p.outstanding >= p.window {
@@ -126,38 +130,52 @@ func (p *Pipeline) Send(ctx context.Context, rule string, fm *FlowMod) error {
 	xid := p.c.xid.Add(1)
 	p.dp.inflight.Store(xid, &pipeRule{p: p, rule: rule})
 	p.xids = append(p.xids, xid)
+	p.buf = fm.appendTo(p.buf, xid)
 	p.outstanding++
 	if hw := uint64(p.outstanding); hw > p.stats.WindowHighWater {
 		p.stats.WindowHighWater = hw
 	}
-	p.stats.FlowMods++
-	p.c.flowMods.Add(1)
-	if err := p.c.write(p.dp, fm.Marshal(xid)); err != nil {
-		return fmt.Errorf("openflow: pipeline send rule %s: %w", rule, err)
-	}
 	return nil
 }
 
-// barrier round-trips one BarrierRequest and clears the inflight window. The
-// barrier reply proves every earlier message was processed (the agent handles
-// its session sequentially), so any error for an earlier flow-mod has already
-// been recorded by the read loop when request returns.
+// barrier writes the queued flow-mods and one BarrierRequest in one write,
+// waits for the barrier's reply and clears the inflight window. The barrier
+// reply proves every earlier message was processed (the agent handles its
+// session sequentially), so any error for an earlier flow-mod has already
+// been recorded by the read loop when the reply arrives.
 func (p *Pipeline) barrier(ctx context.Context) error {
-	p.stats.Barriers++
-	p.c.barriers.Add(1)
-	_, err := p.c.request(ctx, p.dp, &Message{Type: TypeBarrierRequest}, TypeBarrierReply)
+	xid := p.c.xid.Add(1)
+	_, err := p.c.exchange(ctx, p.dp, xid, TypeBarrierReply, func() error {
+		p.buf = (&Message{Type: TypeBarrierRequest, XID: xid}).appendTo(p.buf)
+		p.stats.FlowMods += uint64(p.outstanding)
+		p.stats.Barriers++
+		p.c.flowMods.Add(uint64(p.outstanding))
+		p.c.barriers.Add(1)
+		return p.c.write(p.dp, p.buf)
+	})
+	p.reset()
+	return err
+}
+
+// reset forgets the window: its queued bytes and its xid registrations.
+func (p *Pipeline) reset() {
 	for _, xid := range p.xids {
 		p.dp.inflight.Delete(xid)
 	}
 	p.xids = p.xids[:0]
+	p.buf = p.buf[:0]
 	p.outstanding = 0
-	return err
 }
 
-// Flush issues the delta's barrier (if anything is in flight), waits for the
-// datapath to drain, and returns every rule the peer rejected as a
-// *DeltaError. A nil return guarantees all sent flow-mods are applied.
+// Flush writes the queued flow-mods with the delta's barrier (if anything is
+// queued), waits for the datapath to drain, and returns every rule the peer
+// rejected as a *DeltaError. A nil return guarantees all sent flow-mods are
+// applied. On a canceled ctx Flush returns its error and writes nothing.
 func (p *Pipeline) Flush(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		p.reset()
+		return err
+	}
 	if p.outstanding > 0 {
 		if err := p.barrier(ctx); err != nil {
 			return err

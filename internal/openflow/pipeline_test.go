@@ -7,8 +7,11 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/unify-repro/escape/internal/dataplane"
 )
 
 // fakeSwitch is a scriptable protocol endpoint: it completes the controller
@@ -38,7 +41,7 @@ func newFakeSwitch(t *testing.T, addr, dpid string) *fakeSwitch {
 		t.Fatal(err)
 	}
 	fs := &fakeSwitch{conn: NewConn(nc), dpid: dpid}
-	if err := fs.conn.Write(&Message{Type: TypeHello, XID: 1}); err != nil {
+	if err := fs.conn.Write((&Message{Type: TypeHello, XID: 1}).appendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = fs.conn.Close() })
@@ -56,7 +59,7 @@ func (fs *fakeSwitch) run() {
 		case TypeHello:
 		case TypeFeaturesRequest:
 			fr := &FeaturesReply{DatapathID: fs.dpid, NumTables: 1, Ports: []uint16{1, 2}}
-			_ = fs.conn.Write(fr.Marshal(m.XID))
+			_ = fs.conn.Write(fr.Marshal(m.XID).appendTo(nil))
 		case TypeFlowMod:
 			fs.mu.Lock()
 			fs.flowMods++
@@ -64,7 +67,7 @@ func (fs *fakeSwitch) run() {
 			if fs.rejectRule != nil {
 				if fm, err := ParseFlowMod(m); err == nil {
 					if e := fs.rejectRule(fm); e != nil {
-						_ = fs.conn.Write(e.Marshal(m.XID))
+						_ = fs.conn.Write(e.Marshal(m.XID).appendTo(nil))
 					}
 				}
 			}
@@ -76,15 +79,15 @@ func (fs *fakeSwitch) run() {
 				held = append(held, m.XID)
 				if len(held) == fs.holdBarriers {
 					for i := len(held) - 1; i >= 0; i-- {
-						_ = fs.conn.Write(&Message{Type: TypeBarrierReply, XID: held[i]})
+						_ = fs.conn.Write((&Message{Type: TypeBarrierReply, XID: held[i]}).appendTo(nil))
 					}
 					held = nil
 				}
 				continue
 			}
-			_ = fs.conn.Write(&Message{Type: TypeBarrierReply, XID: m.XID})
+			_ = fs.conn.Write((&Message{Type: TypeBarrierReply, XID: m.XID}).appendTo(nil))
 		case TypeEchoRequest:
-			_ = fs.conn.Write(&Message{Type: TypeEchoReply, XID: m.XID, Body: m.Body})
+			_ = fs.conn.Write((&Message{Type: TypeEchoReply, XID: m.XID, Body: m.Body}).appendTo(nil))
 		}
 	}
 }
@@ -282,7 +285,8 @@ func TestPipelineStalledSwitchTimesOut(t *testing.T) {
 	}
 }
 
-// Cancellation is honored between sends: a canceled delta stops mid-stream.
+// Cancellation is honored between sends: a canceled delta stops mid-stream,
+// and the flow-mods it had queued are never written.
 func TestPipelineCancelMidStream(t *testing.T) {
 	h := newHarness(t)
 	p, err := h.ctrl.Pipeline("sw1")
@@ -302,18 +306,36 @@ func TestPipelineCancelMidStream(t *testing.T) {
 	if err := p.Flush(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("flush after cancel: want context.Canceled, got %v", err)
 	}
+	// A barrier on the same session proves anything written was processed.
+	if err := h.ctrl.FlowMod(context.Background(), "sw1", addRule("after")); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.sw1.Table.Len(); got != 1 {
+		t.Fatalf("table: %d rules, want only the one programmed after the cancel", got)
+	}
 }
 
 // replyReadyCtx is a canceled context whose Done waits until a reply sits in
 // one of the datapath's pending channels, so the reply-versus-cancel select
 // of a request sees both cases ready — the race a switch answering at once
-// makes possible.
+// makes possible. Its Err reads nil until Done is called, so the flush gets
+// as far as writing its barrier: a context canceled while the request is in
+// flight.
 type replyReadyCtx struct {
 	context.Context
-	dp *Datapath
+	dp     *Datapath
+	waited *atomic.Bool
+}
+
+func (c replyReadyCtx) Err() error {
+	if !c.waited.Load() {
+		return nil
+	}
+	return c.Context.Err()
 }
 
 func (c replyReadyCtx) Done() <-chan struct{} {
+	defer c.waited.Store(true)
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		ready := false
 		c.dp.pending.Range(func(_, v any) bool {
@@ -342,8 +364,8 @@ func TestCanceledFlushFailsDespiteReadyReply(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	ctx := replyReadyCtx{Context: canceled, dp: dp}
 	for i := 0; i < 20; i++ {
+		ctx := replyReadyCtx{Context: canceled, dp: dp, waited: new(atomic.Bool)}
 		p, err := ctrl.Pipeline("fake1")
 		if err != nil {
 			t.Fatal(err)
@@ -396,5 +418,78 @@ func TestPipelineConcurrentDeltaStorm(t *testing.T) {
 	}
 	if got := h.sw1.Table.Len(); got != deltas*rules {
 		t.Fatalf("table: %d rules, want %d", got, deltas*rules)
+	}
+}
+
+// countingConn counts the writes made through it.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// A delta's flow-mods leave with their barrier in one write: Send writes
+// nothing, Flush writes once.
+func TestPipelineOneWritePerFlush(t *testing.T) {
+	sw := dataplane.NewSwitch(dataplane.NewEngine(), "sw1")
+	ctrl := NewController()
+	t.Cleanup(ctrl.Close)
+	ctrlSide, swSide := net.Pipe()
+	cc := &countingConn{Conn: ctrlSide}
+	go ctrl.serve(NewConn(cc))
+	ag := NewSwitchAgent("sw1", sw, []uint16{1, 2})
+	if err := ag.ConnectConn(swSide); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ag.Close)
+	if err := ctrl.WaitForSwitches(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ctrl.Pipeline("sw1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before := cc.writes.Load()
+	const n = 100
+	for i := 0; i < n; i++ {
+		r := fmt.Sprintf("r%d", i)
+		if err := p.Send(ctx, r, addRule(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cc.writes.Load() - before; got != 0 {
+		t.Fatalf("Send wrote %d times, want 0", got)
+	}
+	if err := p.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.writes.Load() - before; got != 1 {
+		t.Fatalf("a %d-rule delta took %d writes, want 1", n, got)
+	}
+	if got := sw.Table.Len(); got != n {
+		t.Fatalf("table: %d rules, want %d", got, n)
+	}
+	if st := p.Stats(); st.FlowMods != n || st.Barriers != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// Send encodes straight into the pipeline's buffer: what it allocates is the
+// rule's attribution entry and its inflight-map slot (3, measured with
+// go1.24), not a message, a body and an encoded copy per flow-mod.
+func TestPipelineSendAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned in plain builds only")
+	}
+	p := &Pipeline{c: NewController(), dp: &Datapath{ID: "sw1"}, window: 1 << 20}
+	fm := addRule("r1")
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(1000, func() { _ = p.Send(ctx, "r1", fm) }); n > 3 {
+		t.Errorf("Pipeline.Send: %v allocations, want at most 3", n)
 	}
 }
