@@ -202,9 +202,10 @@ func (l *flapLeaf) Remove(ctx context.Context, id string) error {
 
 // buildScenarioStack assembles the RO over cfg.Domains modeled leaves. Each
 // leaf's Programmer charges a pipelined southbound cost — one barrier RTT per
-// delta plus a small per-operation term — and records it, so the aggregated
-// southbound counters behave like the real adapters' without paying hundreds
-// of protocol servers in one process.
+// delta plus a small per-operation term — and records its operations (the
+// leaf times the delta), so the aggregated southbound counters behave like
+// the real adapters' without paying hundreds of protocol servers in one
+// process.
 func buildScenarioStack(cfg ScenarioConfig) (*core.ResourceOrchestrator, []*flapLeaf, error) {
 	ro := core.NewResourceOrchestrator(core.Config{
 		ID:          "scenario-ro",
@@ -220,10 +221,7 @@ func buildScenarioStack(cfg ScenarioConfig) (*core.ResourceOrchestrator, []*flap
 	leaves := make([]*flapLeaf, cfg.Domains)
 	for i := 0; i < cfg.Domains; i++ {
 		var lo *core.LocalOrchestrator
-		prog := core.ProgrammerFunc(func(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		prog := core.ProgrammerFunc(func(_ context.Context, delta *nffg.Delta, _ *nffg.NFFG) error {
 			addNF, delNF, addR, delR := delta.Counts()
 			ops := addNF + delNF + addR + delR
 			cost := barrierRTT + time.Duration(ops)*perOp
@@ -233,7 +231,6 @@ func buildScenarioStack(cfg ScenarioConfig) (*core.ResourceOrchestrator, []*flap
 			sb.AddBarriers(1)
 			sb.ObserveWindow(uint64(addR + delR))
 			sb.AddContainerOps(uint64(addNF + delNF))
-			sb.ObserveDelta(cost)
 			return nil
 		})
 		var err error

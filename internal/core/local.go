@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"github.com/unify-repro/escape/internal/domain"
 	"github.com/unify-repro/escape/internal/embed"
@@ -12,9 +13,9 @@ import (
 
 // Programmer is the technology-specific half of a leaf domain: it receives
 // configuration deltas (NF lifecycle + flowrule changes) and realizes them on
-// concrete infrastructure — OpenFlow flow-mods and NETCONF actions in the
-// Mininet domain, REST calls in OpenStack, LSI/container operations on the
-// Universal Node.
+// concrete infrastructure — OpenFlow flow-mods and a NETCONF edit-config in
+// the Mininet domain, REST calls in OpenStack, LSI/container operations on
+// the Universal Node.
 type Programmer interface {
 	// Commit applies a delta. cfg is the complete desired state for
 	// reference (e.g. to resolve ports). Commit must either fully apply the
@@ -87,19 +88,30 @@ func NewLocalOrchestrator(cfg LocalConfig) (*LocalOrchestrator, error) {
 	if cfg.Virtualizer == nil {
 		cfg.Virtualizer = SingleBiSBiS{NodeID: nffg.ID("bisbis@" + cfg.ID)}
 	}
-	if cfg.Programmer == nil {
-		cfg.Programmer = ProgrammerFunc(func(context.Context, *nffg.Delta, *nffg.NFFG) error { return nil })
-	}
 	if cfg.Capabilities == nil {
 		cfg.Capabilities = []domain.Capability{domain.CapCompute, domain.CapForwarding}
 	}
 	ro := NewResourceOrchestrator(Config{ID: cfg.ID, Virtualizer: cfg.Virtualizer, Mapper: cfg.Mapper})
-	ro.prog = cfg.Programmer
+	lo := &LocalOrchestrator{ro: ro, caps: cfg.Capabilities}
+	ro.prog = ProgrammerFunc(func(context.Context, *nffg.Delta, *nffg.NFFG) error { return nil })
+	if prog := cfg.Programmer; prog != nil {
+		// Every adapter's delta is checked and timed here, once: a delta
+		// whose context is done reaches no device, and each one that enters
+		// the Programmer is counted with its wall-clock.
+		ro.prog = ProgrammerFunc(func(ctx context.Context, delta *nffg.Delta, next *nffg.NFFG) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			start := time.Now()
+			defer func() { lo.southbound.ObserveDelta(time.Since(start)) }()
+			return prog.Commit(ctx, delta, next)
+		})
+	}
 	// The one terminal shard; its key is also what the leaf's ETag hashes. It
 	// answers for no nodes: the leaf has one shard, so its index stays empty
 	// and every request plans globally.
 	ro.dir.Store(newShardDirectory().with(&shard{key: "substrate", dov: cfg.Substrate.Copy().Seal()}, nil))
-	return &LocalOrchestrator{ro: ro, caps: cfg.Capabilities}, nil
+	return lo, nil
 }
 
 // ID implements unify.Layer.

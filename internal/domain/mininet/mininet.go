@@ -2,9 +2,9 @@
 // domain: an emulated SDN network whose NFs run as isolated Click processes,
 // "orchestrated by a dedicated ESCAPEv2 entity via NETCONF and OpenFlow
 // control channels". Both control channels are real protocol sessions over
-// loopback TCP — NF lifecycle travels as NETCONF actions, flowrules as
-// OpenFlow flow-mods — so swapping in external infrastructure means
-// re-pointing two addresses.
+// loopback TCP — a delta's NF lifecycle travels as one NETCONF edit-config,
+// its flowrules as OpenFlow flow-mods (see ofnet) — so swapping in external
+// infrastructure means re-pointing two addresses.
 package mininet
 
 import (
@@ -13,12 +13,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/dataplane"
 	"github.com/unify-repro/escape/internal/domain/emunet"
 	"github.com/unify-repro/escape/internal/domain/mininet/click"
+	"github.com/unify-repro/escape/internal/domain/ofnet"
 	"github.com/unify-repro/escape/internal/netconf"
 	"github.com/unify-repro/escape/internal/nffg"
 	"github.com/unify-repro/escape/internal/obs"
@@ -31,8 +31,7 @@ type Domain struct {
 	*core.LocalOrchestrator
 
 	net    *emunet.Net
-	ctrl   *openflow.Controller
-	agents []*openflow.SwitchAgent
+	fabric *ofnet.Fabric
 	ncSrv  *netconf.Server
 	ncAddr string
 
@@ -75,30 +74,8 @@ func New(cfg Config) (*Domain, error) {
 
 	// OpenFlow: the dedicated ESCAPE entity is the controller; every
 	// emulated switch runs an agent that dials it.
-	d.ctrl = openflow.NewController()
-	ofAddr, err := d.ctrl.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("mininet: controller: %w", err)
-	}
-	for _, swID := range net.SwitchIDs() {
-		sw, _ := net.Switch(swID)
-		var ports []uint16
-		for _, p := range cfg.Substrate.Infras.Get(swID).Ports {
-			var v int
-			if _, err := fmt.Sscanf(p.ID, "%d", &v); err == nil {
-				ports = append(ports, uint16(v))
-			}
-		}
-		ag := openflow.NewSwitchAgent(string(swID), sw, ports)
-		if err := ag.Connect(ofAddr); err != nil {
-			d.Close()
-			return nil, fmt.Errorf("mininet: agent %s: %w", swID, err)
-		}
-		d.agents = append(d.agents, ag)
-	}
-	if err := d.ctrl.WaitForSwitches(len(d.agents), 5*time.Second); err != nil {
-		d.Close()
-		return nil, fmt.Errorf("mininet: handshake: %w", err)
+	if d.fabric, err = ofnet.New("mininet", net, cfg.Substrate); err != nil {
+		return nil, err
 	}
 
 	// NETCONF: NF lifecycle endpoint of the domain.
@@ -141,45 +118,20 @@ func (d *Domain) Close() {
 	if d.ncSrv != nil {
 		d.ncSrv.Close()
 	}
-	for _, ag := range d.agents {
-		ag.Close()
-	}
-	if d.ctrl != nil {
-		d.ctrl.Close()
-	}
-}
-
-// ofOp pairs a flow-mod with the high-level rule it implements, so pipeline
-// errors attribute back to NFFG flowrule IDs.
-type ofOp struct {
-	rule string
-	fm   *openflow.FlowMod
+	d.fabric.Close()
 }
 
 // commit is the Programmer: deltas arrive from the local orchestrator and
-// leave as one coalesced NETCONF edit-config plus pipelined OpenFlow
-// flow-mods fanned out across datapaths in parallel — one barrier per
-// (datapath, phase) instead of one round-trip per rule.
-func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// leave as one coalesced NETCONF edit-config between two OpenFlow phases —
+// rule deletions before it (freeing match slots before rewrites), rule
+// installs after it, translated with the NF ports its reply allocated.
+func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) error {
 	sb := d.Southbound()
-	start := time.Now()
-	defer func() { sb.ObserveDelta(time.Since(start)) }()
-
-	// 1. Rule deletions (free match slots before rewrites), pipelined.
-	dels := map[nffg.ID][]ofOp{}
-	for _, infra := range sortedInfraKeys(delta.DelRules) {
-		for _, f := range delta.DelRules[infra] {
-			dels[infra] = append(dels[infra], ofOp{rule: f.ID, fm: &openflow.FlowMod{Cmd: openflow.FlowDelete, RuleID: f.ID}})
-		}
-	}
-	if err := d.fanOut(ctx, dels); err != nil {
+	if err := d.fabric.Program(ctx, sb, delta.DelRules, nil, nil); err != nil {
 		return err
 	}
 
-	// 2+3. NF lifecycle: all teardowns and starts of the delta coalesce into
+	// NF lifecycle: all teardowns and starts of the delta coalesce into
 	// a single edit-config RPC; port allocations ride back in its reply.
 	if len(delta.DelNFs) > 0 || len(delta.AddNFs) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -228,76 +180,7 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) 
 		d.mu.Unlock()
 	}
 
-	// 4. Rule installs: translate everything first (cheap, fail-fast), then
-	// fan the flow-mods out across datapaths.
-	adds := map[nffg.ID][]ofOp{}
-	for _, infra := range sortedInfraKeys(delta.AddRules) {
-		for _, f := range delta.AddRules[infra] {
-			r, err := emunet.TranslateRule(f, d.lookupNFPorts)
-			if err != nil {
-				return fmt.Errorf("mininet: translate rule %s: %w", f.ID, err)
-			}
-			adds[infra] = append(adds[infra], ofOp{rule: f.ID, fm: &openflow.FlowMod{
-				Cmd: openflow.FlowAdd, RuleID: r.ID, Priority: uint16(r.Priority),
-				InPort: uint16(r.Match.InPort), Tag: r.Match.Tag, AnyTag: r.Match.AnyTag,
-				MatchDst: string(r.Match.Dst),
-				OutPort:  uint16(r.Action.OutPort), PushTag: r.Action.PushTag, PopTag: r.Action.PopTag,
-			}})
-		}
-	}
-	return d.fanOut(ctx, adds)
-}
-
-// fanOut streams each datapath's flow-mods through its own pipeline, all
-// datapaths concurrently, one barrier per datapath on the happy path.
-func (d *Domain) fanOut(ctx context.Context, ops map[nffg.ID][]ofOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	sb := d.Southbound()
-	var wg sync.WaitGroup
-	errs := make([]error, 0, len(ops))
-	var errMu sync.Mutex
-	for infra, batch := range ops {
-		wg.Add(1)
-		go func(infra nffg.ID, batch []ofOp) {
-			defer wg.Done()
-			span, sctx := obs.StartSpan(ctx, "openflow.flush",
-				"datapath", string(infra), "flowmods", fmt.Sprint(len(batch)))
-			fail := func(err error) {
-				span.SetErr(err)
-				errMu.Lock()
-				errs = append(errs, err)
-				errMu.Unlock()
-			}
-			defer span.End()
-			p, err := d.ctrl.Pipeline(string(infra))
-			if err != nil {
-				fail(fmt.Errorf("mininet: datapath %s: %w", infra, err))
-				return
-			}
-			defer func() {
-				st := p.Stats()
-				sb.AddFlowMods(st.FlowMods)
-				sb.AddBarriers(st.Barriers)
-				sb.ObserveWindow(st.WindowHighWater)
-			}()
-			for _, op := range batch {
-				if err := p.Send(sctx, op.rule, op.fm); err != nil {
-					fail(fmt.Errorf("mininet: rule %s on %s: %w", op.rule, infra, err))
-					return
-				}
-			}
-			if err := p.Flush(sctx); err != nil {
-				fail(fmt.Errorf("mininet: datapath %s: %w", infra, err))
-			}
-		}(infra, batch)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return errs[0]
-	}
-	return nil
+	return d.fabric.Program(ctx, sb, nil, delta.AddRules, d.lookupNFPorts)
 }
 
 // editConfig sends one nf-delta as an edit-config RPC and returns the reply's
@@ -332,7 +215,7 @@ func (d *Domain) lookupNFPorts(nf nffg.ID) (map[string]int, error) {
 // Stats pulls flow statistics from a switch over the OpenFlow channel,
 // honoring the caller's deadline/cancellation.
 func (d *Domain) Stats(ctx context.Context, sw nffg.ID) (*openflow.StatsReply, error) {
-	return d.ctrl.Stats(ctx, string(sw))
+	return d.fabric.Stats(ctx, sw)
 }
 
 // --- NETCONF datastore (the domain-side agent) ------------------------------
@@ -345,19 +228,9 @@ type startNFReq struct {
 	Ports   []string `xml:"ports>port"`
 }
 
-type startNFReply struct {
-	XMLName xml.Name      `xml:"allocation"`
-	Ports   []portBinding `xml:"port"`
-}
-
 type portBinding struct {
 	ID         string `xml:"id,attr"`
 	SwitchPort int    `xml:"switch-port,attr"`
-}
-
-type stopNFReq struct {
-	XMLName xml.Name `xml:"nf"`
-	ID      string   `xml:"id"`
 }
 
 // nfDelta is the coalesced NF-lifecycle document a delta sends as one
@@ -438,44 +311,8 @@ func (ds *mnDatastore) startNF(req *startNFReq) (map[string]int, error) {
 	return ds.net.StartNF(nffg.ID(req.ID), nffg.ID(req.Host), req.Ports, nf)
 }
 
-// Call dispatches NF lifecycle actions (the single-NF path kept for external
-// tooling; orchestration deltas use the coalesced edit-config instead).
-func (ds *mnDatastore) Call(action string, body []byte) ([]byte, error) {
-	switch action {
-	case "start-nf":
-		var req startNFReq
-		if err := xml.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("mininet: start-nf body: %w", err)
-		}
-		ports, err := ds.startNF(&req)
-		if err != nil {
-			return nil, err
-		}
-		rep := startNFReply{}
-		for id, sp := range ports {
-			rep.Ports = append(rep.Ports, portBinding{ID: id, SwitchPort: sp})
-		}
-		return netconf.MarshalXML(rep)
-	case "stop-nf":
-		var req stopNFReq
-		if err := xml.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("mininet: stop-nf body: %w", err)
-		}
-		return nil, ds.net.StopNF(nffg.ID(req.ID))
-	default:
-		return nil, fmt.Errorf("mininet: unknown action %q", action)
-	}
-}
-
-func sortedInfraKeys(m map[nffg.ID][]*nffg.Flowrule) []nffg.ID {
-	out := make([]nffg.ID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+// Call answers every action with an error: NF lifecycle travels as one
+// nf-delta edit-config per delta, never as a NETCONF action.
+func (ds *mnDatastore) Call(action string, _ []byte) ([]byte, error) {
+	return nil, fmt.Errorf("mininet: unknown action %q", action)
 }

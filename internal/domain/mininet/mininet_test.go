@@ -308,18 +308,17 @@ func TestDeltaCoalescesNetconfRPCs(t *testing.T) {
 func TestMarshalXMLMatchesEncodingXML(t *testing.T) {
 	raw := netconf.RawBody{Inner: []byte(`<nf-delta><stops><id>old</id></stops></nf-delta>`)}
 	wire := map[string]any{
-		"hello":        &netconf.Hello{Capabilities: []string{netconf.BaseCapability, "urn:unify:virtualizer:1.0"}, SessionID: 9},
-		"get-config":   &netconf.RPC{MessageID: "1", GetConfig: &netconf.GetConfig{Source: "running"}},
-		"edit-config":  &netconf.RPC{MessageID: "2", EditConfig: &netconf.EditConfig{Target: "running", Config: raw}},
-		"action":       &netconf.RPC{MessageID: "3", Action: &netconf.Action{Name: "start-nf", Body: raw}},
-		"close":        &netconf.RPC{MessageID: "4", Close: &struct{}{}},
-		"reply ok":     &netconf.Reply{MessageID: "2", OK: &struct{}{}},
-		"reply data":   &netconf.Reply{MessageID: "3", Data: &raw},
-		"reply error":  &netconf.Reply{MessageID: "5", Error: &netconf.RPCError{Type: "application", Tag: "operation-failed", Message: "a < b & \"c\""}},
-		"nf-delta":     nfDelta{Stops: []string{"fw0"}, Starts: []startNFReq{{ID: "fw1", Host: "mn-s1", Type: "firewall", Ports: []string{"1", "2"}}}},
-		"allocations":  nfAllocations{NFs: []nfAllocation{{ID: "fw1", Ports: []portBinding{{ID: "1", SwitchPort: 5}, {ID: "2", SwitchPort: 6}}}}},
-		"start-nf rep": startNFReply{Ports: []portBinding{{ID: "1", SwitchPort: 7}}},
-		"empty delta":  nfDelta{},
+		"hello":       &netconf.Hello{Capabilities: []string{netconf.BaseCapability, "urn:unify:virtualizer:1.0"}, SessionID: 9},
+		"get-config":  &netconf.RPC{MessageID: "1", GetConfig: &netconf.GetConfig{Source: "running"}},
+		"edit-config": &netconf.RPC{MessageID: "2", EditConfig: &netconf.EditConfig{Target: "running", Config: raw}},
+		"action":      &netconf.RPC{MessageID: "3", Action: &netconf.Action{Name: "start-nf", Body: raw}},
+		"close":       &netconf.RPC{MessageID: "4", Close: &struct{}{}},
+		"reply ok":    &netconf.Reply{MessageID: "2", OK: &struct{}{}},
+		"reply data":  &netconf.Reply{MessageID: "3", Data: &raw},
+		"reply error": &netconf.Reply{MessageID: "5", Error: &netconf.RPCError{Type: "application", Tag: "operation-failed", Message: "a < b & \"c\""}},
+		"nf-delta":    nfDelta{Stops: []string{"fw0"}, Starts: []startNFReq{{ID: "fw1", Host: "mn-s1", Type: "firewall", Ports: []string{"1", "2"}}}},
+		"allocations": nfAllocations{NFs: []nfAllocation{{ID: "fw1", Ports: []portBinding{{ID: "1", SwitchPort: 5}, {ID: "2", SwitchPort: 6}}}}},
+		"empty delta": nfDelta{},
 	}
 	unencodable := struct {
 		XMLName xml.Name       `xml:"bad"`

@@ -73,9 +73,6 @@ func (d *Domain) Close() { d.cloud.Close() }
 
 // commit realizes a delta through the REST APIs.
 func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	for infra, rules := range delta.DelRules {
 		for _, f := range rules {
 			if err := d.do(ctx, http.MethodDelete, fmt.Sprintf("/restconf/config/flows/%s/%s", infra, f.ID), nil, http.StatusNoContent); err != nil {

@@ -113,6 +113,17 @@ func TestInstallBootsVMAndProgramsFabric(t *testing.T) {
 	}
 }
 
+// The leaf times every adapter's deltas, this one's REST calls included.
+func TestInstallRecordsSouthboundDelta(t *testing.T) {
+	d := newDomain(t)
+	if _, err := d.Install(context.Background(), request(t, "svc1", "dpi")); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.SouthboundStats(); st.Deltas != 1 || st.MeanDeltaLatency() <= 0 {
+		t.Fatalf("one install should record one timed delta: %+v", st)
+	}
+}
+
 func TestEndToEndTrafficThroughVM(t *testing.T) {
 	d := newDomain(t)
 	if _, err := d.Install(context.Background(), request(t, "svc1", "nat")); err != nil {

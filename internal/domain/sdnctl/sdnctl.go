@@ -8,24 +8,20 @@ package sdnctl
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/dataplane"
 	"github.com/unify-repro/escape/internal/domain"
 	"github.com/unify-repro/escape/internal/domain/emunet"
+	"github.com/unify-repro/escape/internal/domain/ofnet"
 	"github.com/unify-repro/escape/internal/nffg"
-	"github.com/unify-repro/escape/internal/obs"
-	"github.com/unify-repro/escape/internal/openflow"
 )
 
 // Domain is the legacy SDN domain: POX-like controller + adapter.
 type Domain struct {
 	*core.LocalOrchestrator
 	net    *emunet.Net
-	ctrl   *openflow.Controller
-	agents []*openflow.SwitchAgent
+	fabric *ofnet.Fabric
 }
 
 // Config assembles the domain.
@@ -61,30 +57,9 @@ func New(cfg Config) (*Domain, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sdnctl: build net: %w", err)
 	}
-	d := &Domain{net: net, ctrl: openflow.NewController()}
-	addr, err := d.ctrl.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("sdnctl: controller: %w", err)
-	}
-	for _, swID := range net.SwitchIDs() {
-		sw, _ := net.Switch(swID)
-		var ports []uint16
-		for _, p := range cfg.Substrate.Infras.Get(swID).Ports {
-			var v int
-			if _, err := fmt.Sscanf(p.ID, "%d", &v); err == nil {
-				ports = append(ports, uint16(v))
-			}
-		}
-		ag := openflow.NewSwitchAgent(string(swID), sw, ports)
-		if err := ag.Connect(addr); err != nil {
-			d.Close()
-			return nil, fmt.Errorf("sdnctl: agent %s: %w", swID, err)
-		}
-		d.agents = append(d.agents, ag)
-	}
-	if err := d.ctrl.WaitForSwitches(len(d.agents), 5*time.Second); err != nil {
-		d.Close()
-		return nil, fmt.Errorf("sdnctl: handshake: %w", err)
+	d := &Domain{net: net}
+	if d.fabric, err = ofnet.New("sdnctl", net, cfg.Substrate); err != nil {
+		return nil, err
 	}
 	lo, err := core.NewLocalOrchestrator(core.LocalConfig{
 		ID:           cfg.ID,
@@ -105,109 +80,16 @@ func New(cfg Config) (*Domain, error) {
 func (d *Domain) Net() *emunet.Net { return d.net }
 
 // Close stops the control plane.
-func (d *Domain) Close() {
-	for _, ag := range d.agents {
-		ag.Close()
-	}
-	if d.ctrl != nil {
-		d.ctrl.Close()
-	}
-}
+func (d *Domain) Close() { d.fabric.Close() }
 
-// ofOp pairs a flow-mod with the flowrule it implements for error
-// attribution.
-type ofOp struct {
-	rule string
-	fm   *openflow.FlowMod
-}
-
-// commit programs flowrules through the POX-like controller: the whole delta
-// is translated first (fail-fast, nothing sent on a bad rule), then each
-// datapath's flow-mods stream through one pipeline — deletes before adds —
-// with all datapaths in parallel and a single barrier per datapath closing
-// the delta. NF operations are rejected: this domain has no compute.
+// commit programs flowrules through the POX-like controller (see
+// ofnet.Fabric.Program). NF operations are rejected: this domain has no
+// compute.
 func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if len(delta.AddNFs) > 0 || len(delta.DelNFs) > 0 {
 		return fmt.Errorf("sdnctl: domain cannot host NFs")
 	}
-	sb := d.Southbound()
-	start := time.Now()
-	defer func() { sb.ObserveDelta(time.Since(start)) }()
-
-	// Translate everything up front; the send loop below cannot hit a
-	// translation error halfway through programming a datapath.
-	ops := map[nffg.ID][]ofOp{}
-	for infra, rules := range delta.DelRules {
-		for _, f := range rules {
-			ops[infra] = append(ops[infra], ofOp{rule: f.ID, fm: &openflow.FlowMod{Cmd: openflow.FlowDelete, RuleID: f.ID}})
-		}
-	}
-	for infra, rules := range delta.AddRules {
-		for _, f := range rules {
-			r, err := emunet.TranslateRule(f, func(nf nffg.ID) (map[string]int, error) {
-				return nil, fmt.Errorf("sdnctl: rule references NF %s in forwarding-only domain", nf)
-			})
-			if err != nil {
-				return err
-			}
-			ops[infra] = append(ops[infra], ofOp{rule: f.ID, fm: &openflow.FlowMod{
-				Cmd: openflow.FlowAdd, RuleID: r.ID, Priority: uint16(r.Priority),
-				InPort: uint16(r.Match.InPort), Tag: r.Match.Tag, AnyTag: r.Match.AnyTag,
-				MatchDst: string(r.Match.Dst),
-				OutPort:  uint16(r.Action.OutPort), PushTag: r.Action.PushTag, PopTag: r.Action.PopTag,
-			}})
-		}
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-
-	// Parallel per-datapath fan-out: deletes were appended before adds, so
-	// each datapath still frees match slots before rewrites.
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var errs []error
-	for infra, batch := range ops {
-		wg.Add(1)
-		go func(infra nffg.ID, batch []ofOp) {
-			defer wg.Done()
-			span, sctx := obs.StartSpan(ctx, "openflow.flush",
-				"datapath", string(infra), "flowmods", fmt.Sprint(len(batch)))
-			fail := func(err error) {
-				span.SetErr(err)
-				errMu.Lock()
-				errs = append(errs, err)
-				errMu.Unlock()
-			}
-			defer span.End()
-			p, err := d.ctrl.Pipeline(string(infra))
-			if err != nil {
-				fail(fmt.Errorf("sdnctl: datapath %s: %w", infra, err))
-				return
-			}
-			defer func() {
-				st := p.Stats()
-				sb.AddFlowMods(st.FlowMods)
-				sb.AddBarriers(st.Barriers)
-				sb.ObserveWindow(st.WindowHighWater)
-			}()
-			for _, op := range batch {
-				if err := p.Send(sctx, op.rule, op.fm); err != nil {
-					fail(fmt.Errorf("sdnctl: rule %s on %s: %w", op.rule, infra, err))
-					return
-				}
-			}
-			if err := p.Flush(sctx); err != nil {
-				fail(fmt.Errorf("sdnctl: datapath %s: %w", infra, err))
-			}
-		}(infra, batch)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return errs[0]
-	}
-	return nil
+	return d.fabric.Program(ctx, d.Southbound(), delta.DelRules, delta.AddRules, func(nf nffg.ID) (map[string]int, error) {
+		return nil, fmt.Errorf("rule references NF %s in forwarding-only domain", nf)
+	})
 }

@@ -3,10 +3,14 @@ package sdnctl
 import (
 	"context"
 	"errors"
-	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"github.com/unify-repro/escape/internal/core"
+	"github.com/unify-repro/escape/internal/domain/emunet"
+	"github.com/unify-repro/escape/internal/domain/mininet"
 	"github.com/unify-repro/escape/internal/nffg"
 	"github.com/unify-repro/escape/internal/unify"
 )
@@ -110,84 +114,169 @@ func TestForwardingOnlyView(t *testing.T) {
 	}
 }
 
-// countingCtx reports Canceled after its Err budget is spent: deterministic
-// mid-delta cancellation without racing a timer against the send loop.
-type countingCtx struct {
-	context.Context
-	mu     sync.Mutex
-	budget int
+// ofDomain is what the shared OpenFlow path tests use of a domain.
+type ofDomain interface {
+	Install(ctx context.Context, req *nffg.NFFG) (*unify.Receipt, error)
+	Remove(ctx context.Context, serviceID string) error
+	SouthboundStats() core.SouthboundStats
+	Net() *emunet.Net
 }
 
-func (c *countingCtx) Err() error {
+// ofDomains are the two domains that program their switches through
+// ofnet.Fabric, each with a request that puts rules on both its switches.
+var ofDomains = []struct {
+	name  string
+	build func(t *testing.T) (ofDomain, *nffg.NFFG)
+}{
+	{"sdn", func(t *testing.T) (ofDomain, *nffg.NFFG) {
+		req := nffg.NewBuilder("svc").SAP("b-west").SAP("b-east").MustBuild()
+		if _, err := nffg.BuildChain(req, "t", 50, 0, "b-west", "b-east"); err != nil {
+			t.Fatal(err)
+		}
+		return newDomain(t), req
+	}},
+	{"mininet", func(t *testing.T) (ofDomain, *nffg.NFFG) {
+		res := nffg.Resources{CPU: 8, Mem: 4096, Storage: 8}
+		sub := nffg.NewBuilder("mn-sub").
+			BiSBiS("mn-s1", "mininet", 4, res, "firewall").
+			BiSBiS("mn-s2", "mininet", 4, res, "firewall").
+			SAP("sapA").SAP("sapB").
+			Link("u1", "sapA", "1", "mn-s1", "1", 100, 1).
+			Link("i1", "mn-s1", "2", "mn-s2", "1", 1000, 1).
+			Link("u2", "mn-s2", "2", "sapB", "1", 100, 1).
+			MustBuild()
+		d, err := mininet.New(mininet.Config{Substrate: sub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		req := nffg.NewBuilder("svc").
+			SAP("sapA").SAP("sapB").
+			NF("svc-nf", "firewall", 2, nffg.Resources{CPU: 2, Mem: 512, Storage: 2}).
+			Chain("svc", 10, 0, "sapA", "svc-nf", "sapB").
+			MustBuild()
+		return d, req
+	}},
+}
+
+// installedRules counts the rules on the domain's switches and the switches
+// that hold any.
+func installedRules(d ofDomain) (rules, switches int) {
+	for _, swID := range d.Net().SwitchIDs() {
+		sw, _ := d.Net().Switch(swID)
+		if n := sw.Table.Len(); n > 0 {
+			rules += n
+			switches++
+		}
+	}
+	return rules, switches
+}
+
+// sendCanceledCtx reports Canceled once Pipeline.Send has consulted it more
+// than budget times: a cancellation inside the flow-mod phase, after some
+// flow-mods were queued, without racing a timer against the send loop.
+type sendCanceledCtx struct {
+	context.Context
+	mu       sync.Mutex
+	budget   int
+	sendErrs int
+}
+
+func (c *sendCanceledCtx) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.budget <= 0 {
+	if calledFromSend() {
+		c.sendErrs++
+		c.budget--
+	}
+	if c.budget < 0 {
 		return context.Canceled
 	}
-	c.budget--
 	return nil
 }
 
-func TestCommitHonorsCancellationMidDelta(t *testing.T) {
-	d := newDomain(t)
-	// A delta large enough that cancellation must strike mid-stream: 100
-	// rules per switch, with an Err budget covering only the entry check and
-	// the first couple of sends.
-	delta := &nffg.Delta{AddRules: map[nffg.ID][]*nffg.Flowrule{}}
-	total := 0
-	for _, swID := range []nffg.ID{"sdn-s1", "sdn-s2"} {
-		for i := 0; i < 100; i++ {
-			delta.AddRules[swID] = append(delta.AddRules[swID], &nffg.Flowrule{
-				ID:     fmt.Sprintf("%s-r%d", swID, i),
-				Match:  nffg.Match{InPort: nffg.PortRef{Port: "1"}},
-				Action: nffg.Action{Output: nffg.PortRef{Port: "2"}},
-			})
-			total++
+// calledFromSend reports whether the caller of Err is Pipeline.Send.
+func calledFromSend() bool {
+	pcs := make([]uintptr, 4)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(3, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "openflow.(*Pipeline).Send") {
+			return true
+		}
+		if !more {
+			return false
 		}
 	}
-	ctx := &countingCtx{Context: context.Background(), budget: 3}
-	err := d.commit(ctx, delta, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	installed := 0
-	for _, swID := range d.Net().SwitchIDs() {
-		sw, _ := d.Net().Switch(swID)
-		installed += sw.Table.Len()
-	}
-	if installed >= total {
-		t.Fatalf("cancellation mid-delta should stop the stream: %d/%d rules landed", installed, total)
+}
+
+func TestCommitHonorsCancellationMidDelta(t *testing.T) {
+	for _, tc := range ofDomains {
+		t.Run(tc.name, func(t *testing.T) {
+			d, req := tc.build(t)
+			ctx := &sendCanceledCtx{Context: context.Background(), budget: 1}
+			if _, err := d.Install(ctx, req); !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			ctx.mu.Lock()
+			sends := ctx.sendErrs
+			ctx.mu.Unlock()
+			if sends < 2 {
+				t.Fatalf("cancellation must strike inside the flow-mod phase: Send checked the context %d times", sends)
+			}
+			// The same request on a fresh domain of the same kind, uncanceled.
+			full, fullReq := tc.build(t)
+			if _, err := full.Install(context.Background(), fullReq); err != nil {
+				t.Fatal(err)
+			}
+			landed, _ := installedRules(d)
+			total, _ := installedRules(full)
+			if landed >= total {
+				t.Fatalf("cancellation mid-delta should stop the stream: %d/%d rules landed", landed, total)
+			}
+		})
 	}
 }
 
 func TestCommitRecordsSouthboundStats(t *testing.T) {
-	d := newDomain(t)
-	req := nffg.NewBuilder("transit1").
-		SAP("b-west").SAP("b-east").
-		MustBuild()
-	if _, err := nffg.BuildChain(req, "t", 50, 0, "b-west", "b-east"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Install(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	st := d.SouthboundStats()
-	if st.Deltas != 1 {
-		t.Fatalf("deltas: %+v", st)
-	}
-	rules := 0
-	for _, swID := range d.Net().SwitchIDs() {
-		sw, _ := d.Net().Switch(swID)
-		rules += sw.Table.Len()
-	}
-	if st.FlowMods != uint64(rules) {
-		t.Fatalf("flow-mods %d, rules on switches %d", st.FlowMods, rules)
-	}
-	// One barrier per touched datapath, not per rule.
-	if st.Barriers == 0 || st.Barriers > 2 {
-		t.Fatalf("barriers: %d, want 1 per touched datapath (<=2)", st.Barriers)
-	}
-	if st.MeanDeltaLatency() <= 0 {
-		t.Fatalf("latency not recorded: %+v", st)
+	for _, tc := range ofDomains {
+		t.Run(tc.name, func(t *testing.T) {
+			d, req := tc.build(t)
+			if _, err := d.Install(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			rules, switches := installedRules(d)
+			if rules == 0 || switches != 2 {
+				t.Fatalf("%d rules on %d switches, want rules on both", rules, switches)
+			}
+			st := d.SouthboundStats()
+			if st.Deltas != 1 {
+				t.Fatalf("deltas: %+v", st)
+			}
+			if st.FlowMods != uint64(rules) {
+				t.Fatalf("flow-mods %d, rules on switches %d", st.FlowMods, rules)
+			}
+			// One barrier per touched datapath, not per rule.
+			if st.Barriers == 0 || st.Barriers > uint64(switches) {
+				t.Fatalf("barriers: %d, want 1 per touched datapath (<=%d)", st.Barriers, switches)
+			}
+			if st.MeanDeltaLatency() <= 0 {
+				t.Fatalf("latency not recorded: %+v", st)
+			}
+			// The removal deletes every rule, again one barrier per datapath.
+			if err := d.Remove(context.Background(), req.ID); err != nil {
+				t.Fatal(err)
+			}
+			if left, _ := installedRules(d); left != 0 {
+				t.Fatalf("%d rules left after removal", left)
+			}
+			st = d.SouthboundStats()
+			if st.Deltas != 2 || st.FlowMods != 2*uint64(rules) {
+				t.Fatalf("after removal: deltas %d, flow-mods %d, want 2 and %d", st.Deltas, st.FlowMods, 2*rules)
+			}
+			if st.Barriers > 2*uint64(switches) {
+				t.Fatalf("barriers after removal: %d, want <= %d", st.Barriers, 2*switches)
+			}
+		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/dataplane"
@@ -261,12 +260,7 @@ const containerConcurrency = 8
 // bounded worker pool — containers are independent of each other; only the
 // phase boundaries (teardowns before starts before rules) are ordered.
 func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	sb := d.Southbound()
-	start := time.Now()
-	defer func() { sb.ObserveDelta(time.Since(start)) }()
 
 	for infra, rules := range delta.DelRules {
 		sw, err := d.net.Switch(infra)

@@ -65,9 +65,6 @@ type Controller struct {
 	// RequestTimeout bounds every request/reply exchange and every message
 	// write (0 = DefaultRequestTimeout). Set before issuing requests.
 	RequestTimeout time.Duration
-	// Window bounds un-barriered in-flight flow-mods per Pipeline
-	// (0 = DefaultWindow). Set before opening pipelines.
-	Window int
 
 	// OnPacketIn, when set, receives table-miss notifications.
 	OnPacketIn func(dpid string, pi *PacketIn)

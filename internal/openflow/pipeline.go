@@ -8,11 +8,11 @@ import (
 	"sync"
 )
 
-// DefaultWindow is the in-flight window of a Pipeline when the controller's
-// Window is left zero: the number of flow-mods that may be streamed before an
-// intermediate barrier drains the datapath. Large enough that a 1000-rule
-// delta costs a single barrier round-trip, small enough to bound the error
-// attribution map and the unacknowledged byte backlog per datapath.
+// DefaultWindow is the in-flight window of every Pipeline: the number of
+// flow-mods that may be streamed before an intermediate barrier drains the
+// datapath. Large enough that a 1000-rule delta costs a single barrier
+// round-trip, small enough to bound the error attribution map and the
+// unacknowledged byte backlog per datapath.
 const DefaultWindow = 4096
 
 // RuleError attributes one peer-reported failure to the rule whose flow-mod
@@ -84,9 +84,8 @@ func (r *pipeRule) record(e *ErrorMsg) {
 // under the connection's write lock). A single Pipeline must not be used from
 // multiple goroutines concurrently.
 type Pipeline struct {
-	c      *Controller
-	dp     *Datapath
-	window int
+	c  *Controller
+	dp *Datapath
 
 	buf         []byte   // encoded flow-mods not yet written
 	outstanding int      // flow-mods since the last barrier
@@ -104,11 +103,7 @@ func (c *Controller) Pipeline(dpid string) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := c.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
-	return &Pipeline{c: c, dp: dp, window: w}, nil
+	return &Pipeline{c: c, dp: dp}, nil
 }
 
 // Send queues one flow-mod for the next barrier's write. rule is the
@@ -122,7 +117,7 @@ func (p *Pipeline) Send(ctx context.Context, rule string, fm *FlowMod) error {
 		p.reset()
 		return err
 	}
-	if p.outstanding >= p.window {
+	if p.outstanding >= DefaultWindow {
 		if err := p.barrier(ctx); err != nil {
 			return err
 		}

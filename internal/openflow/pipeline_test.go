@@ -142,13 +142,13 @@ func TestPipelineOneBarrierPerDelta(t *testing.T) {
 // the high-water mark never exceeds the window.
 func TestPipelineWindowOverflow(t *testing.T) {
 	h := newHarness(t)
-	h.ctrl.Window = 8
 	p, err := h.ctrl.Pipeline("sw1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for i := 0; i < 20; i++ {
+	const n = 2*DefaultWindow + 4
+	for i := 0; i < n; i++ {
 		if err := p.Send(ctx, fmt.Sprintf("r%d", i), addRule(fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -157,14 +157,15 @@ func TestPipelineWindowOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	// 20 sends at window 8: barriers before send 9 and 17, plus the flush.
+	// Two full windows and four more: a barrier before each window after
+	// the first, plus the flush's.
 	if st.Barriers != 3 {
 		t.Fatalf("barriers: %d, want 3", st.Barriers)
 	}
-	if st.WindowHighWater != 8 {
-		t.Fatalf("high water: %d, want 8", st.WindowHighWater)
+	if st.WindowHighWater != DefaultWindow {
+		t.Fatalf("high water: %d, want %d", st.WindowHighWater, DefaultWindow)
 	}
-	if h.sw1.Table.Len() != 20 {
+	if h.sw1.Table.Len() != n {
 		t.Fatalf("table: %d rules", h.sw1.Table.Len())
 	}
 }
@@ -486,7 +487,8 @@ func TestPipelineSendAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned in plain builds only")
 	}
-	p := &Pipeline{c: NewController(), dp: &Datapath{ID: "sw1"}, window: 1 << 20}
+	// The 1001 sends stay inside DefaultWindow, so no barrier runs.
+	p := &Pipeline{c: NewController(), dp: &Datapath{ID: "sw1"}}
 	fm := addRule("r1")
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(1000, func() { _ = p.Send(ctx, "r1", fm) }); n > 3 {
