@@ -135,12 +135,12 @@ type job struct {
 	// dispatched marks a job popped from its tenant queue (it counts against
 	// the tenant's in-flight cap until terminal). Guarded by Queue.mu.
 	dispatched bool
-	// trace/root/wait carry the job's span tree: root spans submit→terminal,
-	// wait spans submit→dispatch. All nil (and every use a no-op) when
-	// tracing is off.
-	trace *obs.Trace
-	root  *obs.Span
-	wait  *obs.Span
+	// root/wait are the job's open spans: root spans submit→terminal, wait
+	// spans submit→dispatch. Both are dropped once the root has recorded, so
+	// a finished job keeps only its TraceID and never pins a trace the
+	// Tracer has evicted. Nil (and every use a no-op) when tracing is off.
+	root *obs.Span
+	wait *obs.Span
 }
 
 // Options tune the queue.
@@ -613,7 +613,6 @@ func (q *Queue) Submit(ctx context.Context, req *nffg.NFFG) (Job, error) {
 		seq:    q.seq,
 		req:    req,
 		shards: shards,
-		trace:  trace,
 		snap: Job{
 			ID:        fmt.Sprintf("job-%d", q.seq),
 			ServiceID: req.ID,
@@ -624,7 +623,7 @@ func (q *Queue) Submit(ctx context.Context, req *nffg.NFFG) (Job, error) {
 		},
 		done: make(chan struct{}),
 	}
-	q.enqueueLocked(j, tq, false)
+	q.enqueueLocked(j, tq, trace, false)
 	q.journalLocked(j)
 	snap := j.snap
 	q.mu.Unlock()
@@ -633,18 +632,18 @@ func (q *Queue) Submit(ctx context.Context, req *nffg.NFFG) (Job, error) {
 }
 
 // enqueueLocked is the one way into a tenant's queue: it registers j as
-// queued, opens its job span (marked resumed for a job recovered from the
-// journal) and its admission.wait span, and counts the submission on the
-// queue's and the tenant's books. Callers hold q.mu.
-func (q *Queue) enqueueLocked(j *job, tq *tenantQueue, resumed bool) {
+// queued, opens its job span in trace (marked resumed for a job recovered
+// from the journal) and its admission.wait span, and counts the submission
+// on the queue's and the tenant's books. Callers hold q.mu.
+func (q *Queue) enqueueLocked(j *job, tq *tenantQueue, trace *obs.Trace, resumed bool) {
 	attrs := [...]string{"job", j.snap.ID, "service", j.snap.ServiceID, "tenant", j.snap.Tenant, "resumed", "true"}
 	n := len(attrs) - 2
 	if resumed {
 		n = len(attrs)
 	}
 	j.snap.State = StateQueued
-	j.root = j.trace.StartSpan(nil, "job", attrs[:n]...)
-	j.wait = j.trace.StartSpan(j.root, "admission.wait")
+	j.root = trace.StartSpan(nil, "job", attrs[:n]...)
+	j.wait = trace.StartSpan(j.root, "admission.wait")
 	q.jobs[j.snap.ID] = j
 	tq.push(j)
 	tq.stats.Submitted++
@@ -1314,12 +1313,12 @@ func (q *Queue) finishJob(j *job, receipt *unify.Receipt, err error, attempts in
 // queue's and the tenant's books off the state it leaves and onto the one it
 // enters, drops the request graph and shard set nothing reads any more, and
 // journals the terminal record. On a job's first terminal state it also ends
-// its spans, observes a deployment's end-to-end latency, frees its in-flight
-// slot, closes done and puts the job on the retention ring. A job with no
-// state yet is recovered history (Resume): it enters the books here, keeps
-// its recorded finish time, and is neither observed nor journaled — Resume
-// rewrites the journal once it has loaded every plan. Callers hold q.mu and
-// decide whether the move is legal.
+// and drops its spans, observes a deployment's end-to-end latency, frees its
+// in-flight slot, closes done and puts the job on the retention ring. A job
+// with no state yet is recovered history (Resume): it enters the books here,
+// keeps its recorded finish time, and is neither observed nor journaled —
+// Resume rewrites the journal once it has loaded every plan. Callers hold
+// q.mu and decide whether the move is legal.
 func (q *Queue) terminateLocked(j *job, to State, receipt *unify.Receipt, err error) {
 	from := j.snap.State
 	j.snap.State, j.snap.Receipt, j.snap.Error, j.err = to, receipt, "", err
@@ -1359,6 +1358,7 @@ func (q *Queue) terminateLocked(j *job, to State, receipt *unify.Receipt, err er
 	}
 	j.wait.End() // no-op unless the job dies still queued
 	j.root.EndWith(err)
+	j.root, j.wait = nil, nil
 	if from != "" && to == StateDeployed {
 		q.histE2E.Observe(j.snap.Finished.Sub(j.snap.Submitted))
 	}

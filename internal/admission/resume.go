@@ -170,9 +170,9 @@ func (q *Queue) Resume(plans []ResumePlan) (requeued, completed int) {
 			if q.sharder != nil && j.req != nil {
 				j.shards = q.sharder.ShardSet(j.req)
 			}
-			j.trace = q.opts.Tracer.Trace(rec.TraceID) // nil tracer → nil trace
-			j.snap.TraceID = j.trace.ID()
-			q.enqueueLocked(j, tq, true)
+			trace := q.opts.Tracer.Trace(rec.TraceID) // nil tracer → nil trace
+			j.snap.TraceID = trace.ID()
+			q.enqueueLocked(j, tq, trace, true)
 			requeued++
 			continue
 		}

@@ -1631,7 +1631,8 @@ func (ro *ResourceOrchestrator) Capabilities() []domain.Capability {
 // split turns a mapping over a DoV snapshot into per-child sub-requests: each
 // child receives the NFs placed on its nodes (pinned) plus the hop segments
 // that run inside it. Hop paths are cut at border SAPs and at links between
-// nodes of different children. A terminal shard has no children: nil.
+// nodes of different children. A terminal shard has no children: nil. The
+// sub-requests come back sealed.
 func (ro *ResourceOrchestrator) split(snap *nffg.NFFG, owner map[nffg.ID]string, serviceID string, mp *embed.Mapping) (map[string]*nffg.NFFG, error) {
 	if ro.prog != nil {
 		return nil, nil
@@ -1691,6 +1692,11 @@ func (ro *ResourceOrchestrator) split(snap *nffg.NFFG, owner map[nffg.ID]string,
 				return nil, err
 			}
 		}
+	}
+	// Nothing writes a sub-request once split: sealed, an in-process child
+	// plans on it without a defensive copy.
+	for _, sub := range subs {
+		sub.Seal()
 	}
 	return subs, nil
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"github.com/unify-repro/escape/internal/core"
@@ -124,7 +125,9 @@ func (d *Domain) Close() {
 // commit is the Programmer: deltas arrive from the local orchestrator and
 // leave as one coalesced NETCONF edit-config between two OpenFlow phases —
 // rule deletions before it (freeing match slots before rewrites), rule
-// installs after it, translated with the NF ports its reply allocated.
+// installs after it, translated with the NF ports its reply allocated. When
+// the installs fail (a canceled install, a refused flow-mod), undoAdds takes
+// back what the edit-config and the installs had changed.
 func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) error {
 	sb := d.Southbound()
 	if err := d.fabric.Program(ctx, sb, delta.DelRules, nil, nil); err != nil {
@@ -153,7 +156,7 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 			return err
 		}
 		ncSpan, _ := obs.StartSpan(ctx, "netconf.rpc",
-			"stops", fmt.Sprint(len(nd.Stops)), "starts", fmt.Sprint(len(nd.Starts)))
+			"stops", strconv.Itoa(len(nd.Stops)), "starts", strconv.Itoa(len(nd.Starts)))
 		data, err := d.editConfig(ctx, body)
 		sb.AddNetconfRPCs(1)
 		ncSpan.EndWith(err)
@@ -180,7 +183,51 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 		d.mu.Unlock()
 	}
 
-	return d.fabric.Program(ctx, sb, nil, delta.AddRules, d.lookupNFPorts)
+	if err := d.fabric.Program(ctx, sb, nil, delta.AddRules, d.lookupNFPorts); err != nil {
+		return d.undoAdds(ctx, sb, delta, err)
+	}
+	return nil
+}
+
+// undoAdds is the way out of a delta whose rule installs failed after its
+// edit-config was applied: it deletes the delta's add rules from every
+// datapath (a datapath may have flushed them before the failure; deleting an
+// absent rule is a no-op) and stops the NFs the delta started, so the core,
+// which records nothing for a failed delta, and the network agree and the
+// same request can be installed again. It runs on a context detached from
+// the failed one — a canceled install must still clean up — bounded by
+// netconf.DefaultRPCTimeout, and returns cause, annotated if the undo fails.
+func (d *Domain) undoAdds(ctx context.Context, sb *core.SouthboundRecorder, delta *nffg.Delta, cause error) error {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), netconf.DefaultRPCTimeout)
+	defer cancel()
+	var errs []error
+	if err := d.fabric.Program(ctx, sb, delta.AddRules, nil, nil); err != nil {
+		errs = append(errs, err)
+	}
+	if len(delta.AddNFs) > 0 {
+		nd := nfDelta{}
+		for _, nf := range delta.AddNFs {
+			nd.Stops = append(nd.Stops, string(nf.ID))
+		}
+		body, err := netconf.MarshalXML(nd)
+		if err == nil {
+			_, err = d.editConfig(ctx, body)
+			sb.AddNetconfRPCs(1)
+		}
+		if err != nil {
+			errs = append(errs, err)
+		} else {
+			d.mu.Lock()
+			for _, nf := range delta.AddNFs {
+				delete(d.nfPorts, nf.ID)
+			}
+			d.mu.Unlock()
+		}
+	}
+	if len(errs) > 0 {
+		return fmt.Errorf("%w (mininet: undo: %v)", cause, errors.Join(errs...))
+	}
+	return cause
 }
 
 // editConfig sends one nf-delta as an edit-config RPC and returns the reply's

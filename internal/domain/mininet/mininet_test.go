@@ -404,8 +404,9 @@ func checkNFsRecorded(t *testing.T, d *Domain) {
 }
 
 // Canceling a commit while its edit-config is in flight does not interrupt
-// the RPC: the reply's port allocations are recorded, and the session stays
-// usable for the next commit.
+// the RPC: the reply's port allocations are recorded, the rule installs then
+// fail on the canceled context, the undo's edit-config stops the NF on the
+// same session, and the session stays usable for the next commit.
 func TestCanceledCommitKeepsNetconfSession(t *testing.T) {
 	d := newDomain(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -419,10 +420,12 @@ func TestCanceledCommitKeepsNetconfSession(t *testing.T) {
 	if _, err := d.Install(ctx, request(t, "svc1", "firewall")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if got := d.SouthboundStats().NetconfRPCs; got != 1 {
-		t.Fatalf("the canceled commit should have sent its edit-config, recorded %d RPCs", got)
+	if got := d.SouthboundStats().NetconfRPCs; got != 2 {
+		t.Fatalf("the canceled commit should have sent its edit-config and its undo, recorded %d RPCs", got)
 	}
-	checkNFsRecorded(t, d)
+	if got := d.Net().RunningNFs(); len(got) != 0 {
+		t.Fatalf("NFs running after the canceled commit: %v", got)
+	}
 	if _, err := d.Install(context.Background(), request(t, "svc2", "firewall")); err != nil {
 		t.Fatalf("commit after a canceled one: %v", err)
 	}

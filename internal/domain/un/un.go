@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -274,7 +275,7 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 	// Container lifecycle phases (teardowns, then starts) under one span:
 	// the UN programs containers natively, so this is its southbound work.
 	cSpan, cctx := obs.StartSpan(ctx, "un.containers",
-		"stops", fmt.Sprint(len(delta.DelNFs)), "starts", fmt.Sprint(len(delta.AddNFs)))
+		"stops", strconv.Itoa(len(delta.DelNFs)), "starts", strconv.Itoa(len(delta.AddNFs)))
 	// Teardown phase: stop+remove each deleted NF, bounded-parallel.
 	err := forEachBounded(cctx, len(delta.DelNFs), func(i int) error {
 		id := delta.DelNFs[i]

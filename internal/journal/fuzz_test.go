@@ -13,12 +13,12 @@ import (
 // input, and the clean prefix must itself re-decode to the same records.
 func FuzzDecodeRecords(f *testing.F) {
 	// Seeds: a clean two-record log, its torn variants, and header edge cases.
-	a, err := EncodeRecord(Record{Kind: KindAttach, Shard: "dom1", Gen: 1, Epoch: 1,
+	a, err := encodeRecord(Record{Kind: KindAttach, Shard: "dom1", Gen: 1, Epoch: 1,
 		Attach: &AttachRecord{Child: "dom1", DovID: "mdo-dov", View: nffg.New("dom1")}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	b, err := EncodeRecord(Record{Kind: KindRelease, Shard: "dom1", Gen: 2, Epoch: 2,
+	b, err := encodeRecord(Record{Kind: KindRelease, Shard: "dom1", Gen: 2, Epoch: 2,
 		Release: &ReleaseRecord{ServiceIDs: []string{"svc1"}}})
 	if err != nil {
 		f.Fatal(err)

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -157,8 +158,13 @@ func (s *Store) shardLogFor(key string) (*shardLog, error) {
 
 func (s *Store) appendRecord(sl *shardLog, rec Record) error {
 	start := time.Now()
-	frame, err := EncodeRecord(rec)
-	if err != nil {
+	buf := framePool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledFrame {
+			framePool.Put(buf)
+		}
+	}()
+	if err := encodeFrame(buf, rec); err != nil {
 		s.appendErrs.Add(1)
 		return err
 	}
@@ -167,15 +173,16 @@ func (s *Store) appendRecord(sl *shardLog, rec Record) error {
 	// side of a roll the record lands on is then well defined.
 	sl.mu.Lock()
 	w := sl.wal
-	err = w.append(frame)
+	err := w.append(buf.Bytes()) // a plain write: the frame is dead after it
 	sl.mu.Unlock()
 	if err != nil {
 		s.appendErrs.Add(1)
 		return err
 	}
-	sl.bytes.Add(uint64(len(frame)))
+	n := uint64(buf.Len())
+	sl.bytes.Add(n)
 	s.appends.Add(1)
-	s.bytes.Add(uint64(len(frame)))
+	s.bytes.Add(n)
 	if s.opts.SyncEachRecord {
 		if err := w.sync(); err != nil {
 			s.syncErrs.Add(1)

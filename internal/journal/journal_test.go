@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -28,6 +29,45 @@ func mkGraph(t testing.TB, id string) *nffg.NFFG {
 	return g
 }
 
+// encodeRecord frames rec the way appendRecord does, into a fresh slice.
+func encodeRecord(rec Record) ([]byte, error) {
+	var buf bytes.Buffer
+	err := encodeFrame(&buf, rec)
+	return buf.Bytes(), err
+}
+
+// A frame encoded in place is byte-identical to the json.Marshal framing it
+// replaced, including a payload with characters Marshal escapes for HTML,
+// and a pooled buffer that held a longer frame leaves nothing behind.
+func TestEncodeFrameMatchesMarshal(t *testing.T) {
+	recs := []Record{
+		{Kind: KindAttach, Shard: "dom1", Gen: 1, Epoch: 1,
+			Attach: &AttachRecord{Child: "dom1", DovID: "mdo-dov", View: mkGraph(t, "dom1")}},
+		{Kind: KindRelease, Shard: "<s&1>", Gen: 2, Epoch: 7,
+			Release: &ReleaseRecord{ServiceIDs: []string{"svc1", "svc\u2028"}}},
+		{Kind: KindJob, Job: &JobRecord{ID: "job-3", ServiceID: "svc3", Tenant: "acme",
+			Priority: "high", State: "queued", Submitted: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)}},
+	}
+	var buf bytes.Buffer
+	for _, r := range recs {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
+		copy(want, frameMagic[:])
+		binary.LittleEndian.PutUint32(want[4:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(want[8:], crc32.ChecksumIEEE(payload))
+		want = append(want, payload...)
+		if err := encodeFrame(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s frame differs from json.Marshal framing:\ngot  %q\nwant %q", r.Kind, buf.Bytes(), want)
+		}
+	}
+}
+
 func TestRecordFramingRoundtrip(t *testing.T) {
 	recs := []Record{
 		{Kind: KindAttach, Shard: "dom1", Gen: 1, Epoch: 1,
@@ -39,7 +79,7 @@ func TestRecordFramingRoundtrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, r := range recs {
-		frame, err := EncodeRecord(r)
+		frame, err := encodeRecord(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +113,7 @@ func TestRecordFramingRoundtrip(t *testing.T) {
 // payload, even a single trailing byte — yields every record before it and a
 // non-nil error, never a panic and never garbage records.
 func TestDecodeTornTail(t *testing.T) {
-	full, err := EncodeRecord(Record{Kind: KindRelease, Shard: "s", Gen: 1, Epoch: 1,
+	full, err := encodeRecord(Record{Kind: KindRelease, Shard: "s", Gen: 1, Epoch: 1,
 		Release: &ReleaseRecord{ServiceIDs: []string{"svc"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -96,9 +136,9 @@ func TestDecodeTornTail(t *testing.T) {
 // TestDecodeCorruptFrame pins CRC detection: a payload bit-flip stops the
 // decode at the corrupt frame with the prior records intact.
 func TestDecodeCorruptFrame(t *testing.T) {
-	a, _ := EncodeRecord(Record{Kind: KindRelease, Shard: "s", Gen: 1, Epoch: 1,
+	a, _ := encodeRecord(Record{Kind: KindRelease, Shard: "s", Gen: 1, Epoch: 1,
 		Release: &ReleaseRecord{ServiceIDs: []string{"first"}}})
-	b, _ := EncodeRecord(Record{Kind: KindRelease, Shard: "s", Gen: 2, Epoch: 2,
+	b, _ := encodeRecord(Record{Kind: KindRelease, Shard: "s", Gen: 2, Epoch: 2,
 		Release: &ReleaseRecord{ServiceIDs: []string{"second"}}})
 	data := append(append([]byte(nil), a...), b...)
 	data[len(a)+frameHeaderSize+3] ^= 0xFF // flip a payload byte of the second frame
@@ -114,7 +154,7 @@ func TestDecodeCorruptFrame(t *testing.T) {
 // TestDecodeBadLength pins the bounds guard: an absurd length field is an
 // error, not an allocation of 2^60 bytes.
 func TestDecodeBadLength(t *testing.T) {
-	frame, _ := EncodeRecord(Record{Kind: KindRelease, Shard: "s", Gen: 1, Epoch: 1,
+	frame, _ := encodeRecord(Record{Kind: KindRelease, Shard: "s", Gen: 1, Epoch: 1,
 		Release: &ReleaseRecord{ServiceIDs: []string{"x"}}})
 	binary.LittleEndian.PutUint32(frame[4:8], 1<<31)
 	recs, clean, err := DecodeRecords(frame)

@@ -21,10 +21,12 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"time"
 
 	"github.com/unify-repro/escape/internal/embed"
@@ -157,18 +159,29 @@ const frameHeaderSize = 4 + 4 + 4 // magic + length + crc
 // corrupt length field, not a real record.
 const maxFrameSize = 1 << 28 // 256 MiB
 
-// EncodeRecord frames one record for appending to a log.
-func EncodeRecord(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encode %s record: %w", rec.Kind, err)
+// framePool recycles the buffers appendRecord encodes frames into: a frame
+// is dead once its log's write returns. Buffers past maxPooledFrame (a
+// record carrying a large graph) are left to the collector.
+var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledFrame = 64 << 10
+
+// encodeFrame encodes rec into buf as one log frame. The JSON payload —
+// the bytes json.Marshal would produce — is encoded once, straight behind
+// the reserved header, which is then filled in place.
+func encodeFrame(buf *bytes.Buffer, rec Record) error {
+	buf.Reset()
+	buf.Write(frameMagic[:])
+	buf.Write(make([]byte, frameHeaderSize-len(frameMagic)))
+	if err := json.NewEncoder(buf).Encode(rec); err != nil {
+		return fmt.Errorf("journal: encode %s record: %w", rec.Kind, err)
 	}
-	buf := make([]byte, frameHeaderSize+len(payload))
-	copy(buf, frameMagic[:])
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(payload))
-	copy(buf[frameHeaderSize:], payload)
-	return buf, nil
+	buf.Truncate(buf.Len() - 1) // Encode ends the value with a newline
+	frame := buf.Bytes()
+	payload := frame[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(payload))
+	return nil
 }
 
 // DecodeRecords parses a log image into records. It returns the records of

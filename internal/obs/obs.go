@@ -14,29 +14,38 @@
 // indices. Every helper is nil-safe: with no trace on the context, StartSpan
 // returns a nil *Span whose methods are no-ops, so instrumented code paths
 // cost two words when tracing is off.
+//
+// Tracing is on by default, so a span keeps facts, not machinery: its
+// attributes are key/value pairs stored once, its start a nanosecond stamp,
+// and a span on a one-trace context is itself the value its children read.
+// A finished span is one flat record in its trace's buffer; only Snapshot
+// builds SpanData and its attrs object.
 package obs
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // SpanID identifies a span within one trace (allocated per trace, starting
 // at 1; 0 means "no parent").
-type SpanID uint64
+type SpanID uint32
 
-// SpanData is one recorded span.
+// SpanData is one recorded span, as Snapshot renders it.
 type SpanData struct {
 	ID       SpanID            `json:"id"`
 	Parent   SpanID            `json:"parent,omitempty"`
 	Name     string            `json:"name"`
-	Attrs    map[string]string `json:"attrs,omitempty"` // shared with the span: read-only
+	Attrs    map[string]string `json:"attrs,omitempty"`
 	Start    time.Time         `json:"start"`
 	Duration time.Duration     `json:"duration_ns"`
 	Err      string            `json:"err,omitempty"`
@@ -69,14 +78,30 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// clockBase anchors span timestamps: a span's start is the monotonic
+// nanoseconds since clockBase, and Snapshot turns it back into a wall time.
+var clockBase = time.Now()
+
+func stamp() int64 { return int64(time.Since(clockBase)) }
+
+// record is one finished span as its trace's buffer keeps it: flat, with the
+// attribute pairs shared with the span that recorded it.
+type record struct {
+	id, parent SpanID
+	start, dur int64 // nanoseconds since clockBase; duration
+	name       string
+	attrs      []string // key/value pairs, read-only
+	err        string
+}
+
 // Trace is a bounded, concurrency-safe span buffer for one job.
 type Trace struct {
-	id string
+	id     string
+	tracer *Tracer // keeps the size hint for the buffer; nil outside a Tracer
 
 	mu      sync.Mutex
 	next    SpanID
-	spans   []SpanData
-	limit   int
+	spans   []record
 	dropped uint64
 }
 
@@ -96,12 +121,31 @@ func (t *Trace) alloc() SpanID {
 	return id
 }
 
-func (t *Trace) record(d SpanData) {
+// record appends r to the buffer, or counts it dropped once the buffer is
+// full. The buffer's first allocation takes the size of the tracer's last
+// finished trace. trim marks a job's root span: the job's work on this trace
+// is done, and the trace may be retained long after it, so the buffer is cut
+// to its exact size, and that size becomes the tracer's hint.
+func (t *Trace) record(r record, trim bool) {
 	t.mu.Lock()
-	if len(t.spans) >= t.limit {
+	switch n := len(t.spans); {
+	case n >= DefaultSpanLimit:
 		t.dropped++
-	} else {
-		t.spans = append(t.spans, d)
+	case trim:
+		if cap(t.spans) != n+1 {
+			spans := make([]record, n, n+1)
+			copy(spans, t.spans)
+			t.spans = spans
+		}
+		t.spans = append(t.spans, r)
+		if t.tracer != nil {
+			t.tracer.sizeHint.Store(int32(n + 1))
+		}
+	case t.spans == nil && t.tracer != nil:
+		t.spans = make([]record, 0, max(t.tracer.sizeHint.Load(), 1))
+		fallthrough
+	default:
+		t.spans = append(t.spans, r)
 	}
 	t.mu.Unlock()
 }
@@ -112,14 +156,26 @@ func (t *Trace) Snapshot() TraceData {
 		return TraceData{}
 	}
 	t.mu.Lock()
-	out := TraceData{ID: t.id, Dropped: t.dropped, Spans: append([]SpanData(nil), t.spans...)}
+	recs := slices.Clone(t.spans)
+	out := TraceData{ID: t.id, Dropped: t.dropped, Spans: make([]SpanData, len(recs))}
 	t.mu.Unlock()
-	sort.Slice(out.Spans, func(i, j int) bool {
-		if !out.Spans[i].Start.Equal(out.Spans[j].Start) {
-			return out.Spans[i].Start.Before(out.Spans[j].Start)
+	slices.SortFunc(recs, func(a, b record) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return out.Spans[i].ID < out.Spans[j].ID
+		return cmp.Compare(a.id, b.id)
 	})
+	for i, r := range recs {
+		d := SpanData{ID: r.id, Parent: r.parent, Name: r.name, Start: clockBase.Add(time.Duration(r.start)),
+			Duration: time.Duration(r.dur), Err: r.err}
+		if len(r.attrs) > 0 {
+			d.Attrs = make(map[string]string, len(r.attrs)/2)
+			for k := 0; k < len(r.attrs); k += 2 {
+				d.Attrs[r.attrs[k]] = r.attrs[k+1]
+			}
+		}
+		out.Spans[i] = d
+	}
 	return out
 }
 
@@ -130,8 +186,9 @@ func (t *Trace) StartSpan(parent *Span, name string, attrs ...string) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{name: name, start: time.Now(), attrs: attrPairs(attrs)}
-	s.refs = []spanRef{{t: t, id: t.alloc(), parent: parent.idIn(t)}}
+	s := newSpan(name, attrs)
+	s.ref = spanRef{t: t, id: t.alloc(), parent: parent.idIn(t)}
+	s.root = parent == nil
 	return s
 }
 
@@ -141,7 +198,14 @@ type Tracer struct {
 	mu     sync.Mutex
 	cap    int
 	traces map[string]*Trace
-	order  []string
+	// ring holds the retained IDs in arrival order; once it holds cap of
+	// them, ring[oldest] is the next to be evicted and its slot the next
+	// new ID's.
+	ring   []string
+	oldest int
+	// sizeHint is the span count of the last trace whose root span ended:
+	// a new trace's buffer starts at that size.
+	sizeHint atomic.Int32
 }
 
 // NewTracer creates a tracer retaining up to capacity traces
@@ -167,13 +231,15 @@ func (tr *Tracer) Trace(id string) *Trace {
 	if t, ok := tr.traces[id]; ok {
 		return t
 	}
-	t := &Trace{id: id, limit: DefaultSpanLimit}
+	t := &Trace{id: id, tracer: tr}
 	tr.traces[id] = t
-	tr.order = append(tr.order, id)
-	for len(tr.order) > tr.cap {
-		delete(tr.traces, tr.order[0])
-		tr.order = tr.order[1:]
+	if len(tr.ring) < tr.cap {
+		tr.ring = append(tr.ring, id)
+		return t
 	}
+	delete(tr.traces, tr.ring[tr.oldest])
+	tr.ring[tr.oldest] = id
+	tr.oldest = (tr.oldest + 1) % tr.cap
 	return t
 }
 
@@ -199,23 +265,39 @@ type spanRef struct {
 // batch-level stage like a group commit belongs to every member's trace).
 // All methods are nil-safe.
 type Span struct {
+	ref   spanRef    // the span's (first) trace
+	more  *[]spanRef // a batch-level span's other traces; a pointer keeps the handle at 96 B
 	name  string
-	start time.Time
-	refs  []spanRef
-	attrs map[string]string // set at start, never written after
+	attrs []string // key/value pairs, set at start, never written after
+	start int64    // nanoseconds since clockBase
+	err   atomic.Pointer[error]
+	ended atomic.Bool
+	root  bool // a job's root span (Trace.StartSpan with no parent)
+}
 
-	mu    sync.Mutex
-	err   error
-	ended bool
+// newSpan opens a span with no trace yet. It keeps its own copy of the
+// attribute pairs (an odd trailing key is dropped), so the caller's
+// variadic slice stays on its stack.
+func newSpan(name string, attrs []string) *Span {
+	s := &Span{name: name, start: stamp()}
+	if n := len(attrs) &^ 1; n > 0 {
+		s.attrs = slices.Clone(attrs[:n])
+	}
+	return s
 }
 
 func (s *Span) idIn(t *Trace) SpanID {
 	if s == nil {
 		return 0
 	}
-	for _, r := range s.refs {
-		if r.t == t {
-			return r.id
+	if s.ref.t == t {
+		return s.ref.id
+	}
+	if s.more != nil {
+		for _, r := range *s.more {
+			if r.t == t {
+				return r.id
+			}
 		}
 	}
 	return 0
@@ -226,9 +308,7 @@ func (s *Span) SetErr(err error) {
 	if s == nil || err == nil {
 		return
 	}
-	s.mu.Lock()
-	s.err = err
-	s.mu.Unlock()
+	s.err.Store(&err)
 }
 
 // End closes the span and records it into every referenced trace. Safe to
@@ -237,22 +317,20 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
+	if s.ended.Swap(true) {
 		return
 	}
-	s.ended = true
-	// The attrs map is never written after start, so every record shares it.
-	d := SpanData{Name: s.name, Start: s.start, Duration: time.Since(s.start), Attrs: s.attrs}
-	if s.err != nil {
-		d.Err = s.err.Error()
+	r := record{name: s.name, attrs: s.attrs, start: s.start, dur: stamp() - s.start}
+	if err := s.err.Load(); err != nil {
+		r.err = (*err).Error()
 	}
-	refs := s.refs
-	s.mu.Unlock()
-	for _, r := range refs {
-		d.ID, d.Parent = r.id, r.parent
-		r.t.record(d)
+	r.id, r.parent = s.ref.id, s.ref.parent
+	s.ref.t.record(r, s.root)
+	if s.more != nil {
+		for _, ref := range *s.more {
+			r.id, r.parent = ref.id, ref.parent
+			ref.t.record(r, false)
+		}
 	}
 }
 
@@ -262,28 +340,46 @@ func (s *Span) EndWith(err error) {
 	s.End()
 }
 
-func attrPairs(kv []string) map[string]string {
-	if len(kv) < 2 {
-		return nil
-	}
-	m := make(map[string]string, len(kv)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		m[kv[i]] = kv[i+1]
-	}
-	return m
-}
-
 // --- context plumbing --------------------------------------------------------
 
+// ctxKey keys a context's trace scope. The value is one of:
+//
+//   - *Trace: one trace, and new spans are its roots (WithTrace);
+//   - *Span: one trace, the span's first, and new spans nest under the span;
+//   - *traceSet: a batch's positional scope.
 type ctxKey struct{}
 
-// traceSet is the positional trace set riding the context: traces[i] belongs
-// to request i of the current batch scope (nil entries are placeholders so
-// positions stay aligned), parents[i] is the span new child spans of trace i
-// nest under.
+// position is one request's place in a trace scope: the trace new spans
+// record into and the span they nest under (0: none). A nil trace is a
+// placeholder that keeps the positions aligned.
+type position struct {
+	t      *Trace
+	parent SpanID
+}
+
+// traceSet is the positional scope of a batch: pos[i] belongs to request i
+// of the current batch.
 type traceSet struct {
-	traces  []*Trace
-	parents []SpanID
+	pos []position
+}
+
+// scope reads the context's trace scope: one position (a set of one counts
+// as one), or a batch's set. Both are zero on a traceless context.
+func scope(ctx context.Context) (one position, set []position) {
+	switch v := ctx.Value(ctxKey{}).(type) {
+	case *Trace:
+		return position{t: v}, nil
+	case *Span:
+		return position{t: v.ref.t, parent: v.ref.id}, nil
+	case *traceSet:
+		if v != nil && len(v.pos) == 1 {
+			return v.pos[0], nil
+		}
+		if v != nil {
+			return position{}, v.pos
+		}
+	}
+	return position{}, nil
 }
 
 // WithTrace attaches a single trace (batch of one) with no parent span.
@@ -291,7 +387,7 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 	if t == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, &traceSet{traces: []*Trace{t}, parents: []SpanID{0}})
+	return context.WithValue(ctx, ctxKey{}, t)
 }
 
 // ContextWithSpans attaches the traces of the given spans positionally:
@@ -299,14 +395,19 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 // everything recorded through the returned context. Nil spans keep their
 // position as placeholders (a batch member without tracing).
 func ContextWithSpans(ctx context.Context, spans ...*Span) context.Context {
-	ts := &traceSet{traces: make([]*Trace, len(spans)), parents: make([]SpanID, len(spans))}
+	if len(spans) == 1 {
+		if spans[0] == nil {
+			return ctx
+		}
+		return context.WithValue(ctx, ctxKey{}, spans[0])
+	}
+	ts := &traceSet{pos: make([]position, len(spans))}
 	any := false
 	for i, s := range spans {
-		if s == nil || len(s.refs) == 0 {
+		if s == nil {
 			continue
 		}
-		ts.traces[i] = s.refs[0].t
-		ts.parents[i] = s.refs[0].id
+		ts.pos[i] = position{t: s.ref.t, parent: s.ref.id}
 		any = true
 	}
 	if !any {
@@ -315,28 +416,25 @@ func ContextWithSpans(ctx context.Context, spans ...*Span) context.Context {
 	return context.WithValue(ctx, ctxKey{}, ts)
 }
 
-func setFrom(ctx context.Context) *traceSet {
-	ts, _ := ctx.Value(ctxKey{}).(*traceSet)
-	return ts
-}
-
 // Narrow re-scopes the positional trace set to the given indices (a shard
 // group's members within the batch). If the context's set does not align
 // with the caller's batch (different length), the context is returned
 // unchanged — better a coarse span than a misattributed one.
 func Narrow(ctx context.Context, size int, idxs []int) context.Context {
-	ts := setFrom(ctx)
-	if ts == nil || len(ts.traces) != size {
+	one, set := scope(ctx)
+	if one.t != nil {
+		set = []position{one}
+	}
+	if set == nil || len(set) != size {
 		return ctx
 	}
-	sub := &traceSet{traces: make([]*Trace, len(idxs)), parents: make([]SpanID, len(idxs))}
+	sub := &traceSet{pos: make([]position, len(idxs))}
 	any := false
 	for i, idx := range idxs {
-		if idx < 0 || idx >= len(ts.traces) || ts.traces[idx] == nil {
+		if idx < 0 || idx >= len(set) || set[idx].t == nil {
 			continue
 		}
-		sub.traces[i] = ts.traces[idx]
-		sub.parents[i] = ts.parents[idx]
+		sub.pos[i] = set[idx]
 		any = true
 	}
 	if !any {
@@ -347,13 +445,13 @@ func Narrow(ctx context.Context, size int, idxs []int) context.Context {
 
 // TraceFrom returns the first trace on the context, or nil.
 func TraceFrom(ctx context.Context) *Trace {
-	ts := setFrom(ctx)
-	if ts == nil {
-		return nil
+	one, set := scope(ctx)
+	if one.t != nil {
+		return one.t
 	}
-	for _, t := range ts.traces {
-		if t != nil {
-			return t
+	for _, p := range set {
+		if p.t != nil {
+			return p.t
 		}
 	}
 	return nil
@@ -366,27 +464,41 @@ func TraceIDFrom(ctx context.Context) string {
 
 // StartSpan opens a span named name in every trace on the context and
 // returns the span plus a context under which further spans nest inside it.
-// With no traces on the context it returns (nil, ctx) — all span methods
-// tolerate nil.
+// On a one-trace scope the span itself is that context's value. With no
+// traces on the context it returns (nil, ctx) — all span methods tolerate
+// nil.
 func StartSpan(ctx context.Context, name string, attrs ...string) (*Span, context.Context) {
-	ts := setFrom(ctx)
-	if ts == nil {
+	one, set := scope(ctx)
+	if one.t != nil {
+		s := newSpan(name, attrs)
+		s.ref = spanRef{t: one.t, id: one.t.alloc(), parent: one.parent}
+		return s, context.WithValue(ctx, ctxKey{}, s)
+	}
+	if set == nil {
 		return nil, ctx
 	}
-	s := &Span{name: name, start: time.Now(), attrs: attrPairs(attrs)}
-	child := &traceSet{traces: ts.traces, parents: make([]SpanID, len(ts.traces))}
-	for i, t := range ts.traces {
-		if t == nil {
+	var s *Span
+	child := make([]position, len(set))
+	for i, p := range set {
+		if p.t == nil {
 			continue
 		}
-		id := t.alloc()
-		s.refs = append(s.refs, spanRef{t: t, id: id, parent: ts.parents[i]})
-		child.parents[i] = id
+		r := spanRef{t: p.t, id: p.t.alloc(), parent: p.parent}
+		switch {
+		case s == nil:
+			s = newSpan(name, attrs)
+			s.ref = r
+		case s.more == nil:
+			s.more = &[]spanRef{r}
+		default:
+			*s.more = append(*s.more, r)
+		}
+		child[i] = position{t: p.t, parent: r.id}
 	}
-	if len(s.refs) == 0 {
+	if s == nil {
 		return nil, ctx
 	}
-	return s, context.WithValue(ctx, ctxKey{}, child)
+	return s, context.WithValue(ctx, ctxKey{}, &traceSet{pos: child})
 }
 
 // --- tree rendering ----------------------------------------------------------

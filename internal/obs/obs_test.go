@@ -2,7 +2,11 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -225,5 +229,133 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if c := h.Snapshot().Count; c != 8000 {
 		t.Errorf("count = %d, want 8000", c)
+	}
+}
+
+func TestTracerEvictionRing(t *testing.T) {
+	tr := NewTracer(3)
+	for i := 0; i < 10; i++ {
+		tr.Trace(strconv.Itoa(i))
+	}
+	for i := 0; i < 10; i++ {
+		if got, want := tr.Lookup(strconv.Itoa(i)) != nil, i >= 7; got != want {
+			t.Errorf("trace %d retained = %v, want %v", i, got, want)
+		}
+	}
+	if len(tr.ring) != 3 || len(tr.traces) != 3 {
+		t.Errorf("ring %d, map %d entries; want 3 and 3", len(tr.ring), len(tr.traces))
+	}
+	// Adopting a retained ID neither duplicates nor reorders it: 7 is still
+	// the oldest and goes first.
+	tr.Trace("7")
+	tr.Trace("10")
+	if tr.Lookup("7") != nil || tr.Lookup("8") == nil || tr.Lookup("10") == nil {
+		t.Error("eviction after a re-adopted ID does not follow arrival order")
+	}
+}
+
+// A job's root span cuts its trace's buffer to its exact size, so a
+// retained trace holds no spare capacity.
+func TestRootSpanTrimsBuffer(t *testing.T) {
+	trace := NewTracer(0).Trace("trim")
+	root := trace.StartSpan(nil, "job")
+	ctx := ContextWithSpans(context.Background(), root)
+	for i := 0; i < 5; i++ {
+		s, _ := StartSpan(ctx, "work")
+		s.End()
+	}
+	if cap(trace.spans) == len(trace.spans)+1 {
+		t.Fatal("test needs a buffer with spare capacity before the root ends")
+	}
+	root.End()
+	if len(trace.spans) != 6 || cap(trace.spans) != 6 {
+		t.Errorf("after the root span: len %d cap %d, want 6 and 6", len(trace.spans), cap(trace.spans))
+	}
+}
+
+// spanLoop returns one operation of the span cost pins: open and end a span
+// with one attribute on a one-trace context, under a job's root span. Every
+// spansPerTrace spans it ends the root and starts a fresh trace, so the
+// trace's buffer and the trace itself are part of the cost.
+func spanLoop() func() {
+	const spansPerTrace = 64
+	tr := NewTracer(1)
+	var root *Span
+	var ctx context.Context
+	n := spansPerTrace
+	return func() {
+		if n == spansPerTrace {
+			root.End()
+			root = tr.Trace("").StartSpan(nil, "job")
+			ctx, n = ContextWithSpans(context.Background(), root), 0
+		}
+		n++
+		s, _ := StartSpan(ctx, "deploy.child", "child", "leaf1")
+		s.End()
+	}
+}
+
+// Tracing is always on, so a span's cost is pinned: its handle, its
+// attribute pairs and the context value its children read — at most 3
+// allocations — and at most 400 B with its share of the trace's buffer.
+func TestSpanCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned in plain builds only")
+	}
+	op := spanLoop()
+	if n := testing.AllocsPerRun(100, op); n > 3 {
+		t.Errorf("StartSpan+End: %v allocations, want at most 3", n)
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		op := spanLoop()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
+	if r.N > 0 && r.AllocedBytesPerOp() > 400 {
+		t.Errorf("StartSpan+End: %d B per span, want at most 400", r.AllocedBytesPerOp())
+	}
+	t.Logf("StartSpan+End: %d allocs, %d B, %v per span", r.AllocsPerOp(), r.AllocedBytesPerOp(), time.Duration(r.NsPerOp()))
+}
+
+// Snapshot's JSON and TreeLines are a wire contract (GET
+// /v1/unify/trace/{id}, unifyctl trace): the golden files pin them, byte for
+// byte, for a span tree recorded out of order, with a start-time tie, an
+// error, an orphan, a repeated attribute key and dropped spans. They were
+// produced by the span storage that kept an attribute map per span.
+func TestSnapshotGolden(t *testing.T) {
+	defer func(base time.Time) { clockBase = base }(clockBase)
+	clockBase = time.Date(2026, 10, 19, 12, 0, 0, 0, time.UTC)
+	trace := &Trace{id: "0123456789abcdef", dropped: 3}
+	add := func(id, parent SpanID, name string, start, dur time.Duration, err string, kv ...string) {
+		trace.record(record{id: id, parent: parent, name: name, attrs: kv, start: int64(start), dur: int64(dur), err: err}, false)
+	}
+	add(6, 4, "deploy.child", 2100*time.Microsecond, 900*time.Microsecond, "", "child", "leaf0")
+	add(2, 1, "admission.wait", 10*time.Microsecond, 1200*time.Microsecond, "")
+	add(5, 4, "deploy.child", 2100*time.Microsecond, 1500*time.Microsecond, "", "child", "leaf1")
+	add(4, 1, "orchestrator.commit", 1300*time.Microsecond, 2*time.Millisecond, "", "shards", "2")
+	add(3, 1, "orchestrator.map", 1300*time.Microsecond, 3100*time.Microsecond, `no fit: "fw1"`, "attempt", "1")
+	add(9, 8, "openflow.flush", 2500*time.Microsecond, 333*time.Nanosecond, "", "datapath", "s1", "flowmods", "4")
+	add(7, 5, "local.program", 2200*time.Microsecond, 700*time.Microsecond, "", "domain", "d1", "domain", "d2")
+	add(1, 0, "job", 0, 12345678*time.Nanosecond, "", "job", "job-7", "service", "svc-a", "tenant", "acme", "resumed", "true")
+
+	td := trace.Snapshot()
+	js, err := json.Marshal(td)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := strings.Join(TreeLines(td), "\n") + "\n"
+	for _, c := range []struct{ file, got string }{
+		{"golden_trace.json", string(js) + "\n"},
+		{"golden_trace.tree", tree},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.got != string(want) {
+			t.Errorf("%s differs:\ngot  %s\nwant %s", c.file, c.got, want)
+		}
 	}
 }

@@ -271,9 +271,15 @@ func ParseFeaturesReply(m *Message) (*FeaturesReply, error) {
 	}
 	r := reader{b: m.Body}
 	f := &FeaturesReply{DatapathID: r.str(), NumTables: r.u8()}
+	// The count is the peer's word: stop at the first element the body does
+	// not hold rather than append zeros up to it.
 	n := int(r.u16())
 	for i := 0; i < n; i++ {
-		f.Ports = append(f.Ports, r.u16())
+		p := r.u16()
+		if r.err != nil {
+			break
+		}
+		f.Ports = append(f.Ports, p)
 	}
 	return f, r.err
 }
@@ -387,13 +393,23 @@ func ParseStatsReply(m *Message) (*StatsReply, error) {
 	}
 	r := reader{b: m.Body}
 	s := &StatsReply{}
+	// Counts are the peer's word: each loop stops at the first element the
+	// body does not hold (and a short read leaves every later count 0).
 	np := int(r.u16())
 	for i := 0; i < np; i++ {
-		s.Ports = append(s.Ports, PortStat{Port: r.u16(), RxPk: r.u64(), TxPk: r.u64()})
+		p := PortStat{Port: r.u16(), RxPk: r.u64(), TxPk: r.u64()}
+		if r.err != nil {
+			break
+		}
+		s.Ports = append(s.Ports, p)
 	}
 	nf := int(r.u16())
 	for i := 0; i < nf; i++ {
-		s.Flows = append(s.Flows, FlowStat{RuleID: r.str(), Packets: r.u64(), Bytes: r.u64()})
+		f := FlowStat{RuleID: r.str(), Packets: r.u64(), Bytes: r.u64()}
+		if r.err != nil {
+			break
+		}
+		s.Flows = append(s.Flows, f)
 	}
 	return s, r.err
 }

@@ -143,6 +143,34 @@ func TestParseTruncatedBodies(t *testing.T) {
 	}
 }
 
+// A peer's element count is not trusted: a body that declares 65 535
+// elements and holds none parses to ErrTruncated and no elements, not to
+// 65 535 zero entries.
+func TestParseCountsPastTheBody(t *testing.T) {
+	sr := &Message{Type: TypeStatsReply, Body: []byte{0xff, 0xff}}
+	s, err := ParseStatsReply(sr)
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("stats reply with count ff ff and no ports: err %v, want ErrTruncated", err)
+	}
+	if len(s.Ports) != 0 || len(s.Flows) != 0 {
+		t.Errorf("stats reply: %d ports, %d flows past a 2-byte body", len(s.Ports), len(s.Flows))
+	}
+	// Datapath ID "" (length 0), one table, 65 535 ports declared, none sent.
+	fr := &Message{Type: TypeFeaturesReply, Body: []byte{0, 0, 1, 0xff, 0xff}}
+	f, err := ParseFeaturesReply(fr)
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("features reply with count ff ff and no ports: err %v, want ErrTruncated", err)
+	}
+	if len(f.Ports) != 0 {
+		t.Errorf("features reply: %d ports past a 5-byte body", len(f.Ports))
+	}
+	// One whole port and half of a second: the whole one survives.
+	fr.Body = []byte{0, 0, 1, 0, 3, 0, 7, 0}
+	if f, err = ParseFeaturesReply(fr); !errors.Is(err, ErrTruncated) || len(f.Ports) != 1 || f.Ports[0] != 7 {
+		t.Errorf("features reply cut inside its second port: %v %v, want [7] and ErrTruncated", f.Ports, err)
+	}
+}
+
 // Property: FlowMod marshal/parse is the identity for arbitrary field values.
 func TestFlowModRoundtripProperty(t *testing.T) {
 	f := func(cmd uint8, rule, tag, push string, prio, in, out uint16, anyTag, pop, drop bool) bool {
@@ -218,13 +246,19 @@ func FuzzReadMessage(f *testing.F) {
 					t.Fatalf("flow-mod round trip: got %+v, want %+v", back, fm)
 				}
 			case TypeFeaturesReply:
-				_, _ = ParseFeaturesReply(m)
+				// A port takes 2 bytes of the body.
+				if f, _ := ParseFeaturesReply(m); 2*len(f.Ports) > len(m.Body) {
+					t.Fatalf("features reply of %d bytes parsed to %d ports", len(m.Body), len(f.Ports))
+				}
 			case TypePacketIn:
 				_, _ = ParsePacketIn(m)
 			case TypePacketOut:
 				_, _ = ParsePacketOut(m)
 			case TypeStatsReply:
-				_, _ = ParseStatsReply(m)
+				// A port stat takes 18 bytes of the body, a flow stat at least 18.
+				if s, _ := ParseStatsReply(m); 18*(len(s.Ports)+len(s.Flows)) > len(m.Body) {
+					t.Fatalf("stats reply of %d bytes parsed to %d ports and %d flows", len(m.Body), len(s.Ports), len(s.Flows))
+				}
 			case TypeError:
 				_, _ = ParseError(m)
 			}

@@ -181,7 +181,8 @@ func (o *Orchestrator) deploy(ctx context.Context, g *nffg.NFFG) (*unify.Receipt
 	if err != nil {
 		return nil, err
 	}
-	return o.south.Install(ctx, pinned)
+	// Sealed: the layer below plans on the graph without copying it.
+	return o.south.Install(ctx, pinned.Seal())
 }
 
 // premap decides NF pins against the view. Single-node views delegate
