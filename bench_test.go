@@ -1,10 +1,11 @@
 package escape
 
-// Benchmark harness for the per-experiment index in DESIGN.md. Each family
-// regenerates one experiment of EXPERIMENTS.md:
+// Benchmark harness, one family per experiment (the root package's
+// bench_*_test.go files):
 //
 //	E1  BenchmarkE1ViewComputation, BenchmarkE1DomainAggregation
-//	E2  BenchmarkE2ChainDeployment, BenchmarkE2MapperVsBaselines
+//	E2  BenchmarkE2ChainDeployment, BenchmarkE2MapperVsBaselines,
+//	    BenchmarkE2BacktrackAblation
 //	E3  BenchmarkE3RecursionDepth
 //	E4  BenchmarkE4Decomposition
 //	E5  BenchmarkE5Netconf, BenchmarkE5OpenFlow, BenchmarkE5UNFastPath
@@ -15,10 +16,14 @@ package escape
 //	E10 BenchmarkE10FairAdmission
 //	E11 BenchmarkE11SouthboundPipeline
 //	E12 BenchmarkE12ObsOverhead
+//	E13 BenchmarkE13Recovery
+//	E14 BenchmarkE14Failover
+//	E15 BenchmarkE15RemoteView
 //
 // Domain-specific results (acceptance ratios, footprints, backtracks) are
 // emitted with b.ReportMetric, so `go test -bench . -benchmem` prints the
-// table rows directly.
+// table rows directly. The acceptance curves of E2 and E4 are pinned, cell
+// by cell, by TestPaperAcceptanceCurves.
 
 import (
 	"context"
@@ -96,6 +101,86 @@ func chainReqN(id string, sapA, sapB nffg.ID, k int, bw float64) *nffg.NFFG {
 	nodes = append(nodes, sapB)
 	b.Chain(id, bw, 0, nodes...)
 	return b.MustBuild()
+}
+
+// fillResult sums what fill's accepted requests cost the substrate.
+type fillResult struct {
+	accepted   int
+	footprint  float64 // summed mapping footprints
+	backtracks int
+}
+
+// fill offers req(0) … req(load-1) to m one at a time on sub, applying each
+// accepted mapping before the next request is mapped: the fill-to-saturation
+// loop behind the acceptance experiments (E2, E4).
+func fill(m *embed.Mapper, sub *nffg.NFFG, load int, req func(j int) *nffg.NFFG) fillResult {
+	var r fillResult
+	for j := 0; j < load; j++ {
+		mp, err := m.Map(sub, req(j))
+		if err != nil {
+			continue
+		}
+		next, err := embed.Apply(sub, mp)
+		if err != nil {
+			continue
+		}
+		sub = next
+		r.accepted++
+		r.footprint += mp.Footprint
+		r.backtracks += mp.Backtracks
+	}
+	return r
+}
+
+// e2Request is E2's j-th request on syntheticDov(12, 8): a 2-NF, 150 Mbit
+// chain between the j-th pair of its 8 SAPs.
+func e2Request(j int) *nffg.NFFG {
+	sapA, sapB := sapPair(j, 8)
+	return chainReqN(fmt.Sprintf("l%d", j), sapA, sapB, 2, 150)
+}
+
+// e4Substrate is E4's substrate: an 8-node ring over 8 domains that also
+// runs the secure-gw monolith natively. One 10-CPU monolith fragments a
+// 16-CPU node (6 CPU stranded); 5-CPU components pack three per node. That
+// fragmentation gap is exactly Sahhaf et al.'s motivation.
+func e4Substrate() *nffg.NFFG {
+	sub := syntheticDov(8, 8)
+	for _, id := range sub.InfraIDs() {
+		i := sub.Infras.Get(id)
+		i.Supported = append(i.Supported, "secure-gw")
+	}
+	return sub
+}
+
+// e4Request is E4's j-th request: one 10-CPU secure-gw between the j-th
+// pair of e4Substrate's SAPs.
+func e4Request(j int) *nffg.NFFG {
+	id := fmt.Sprintf("gw%d", j)
+	sapA, sapB := sapPair(j, 8)
+	return nffg.NewBuilder(id).
+		SAP(sapA).SAP(sapB).
+		NF(nffg.ID(id+"-gw"), "secure-gw", 2, nffg.Resources{CPU: 10, Mem: 8192, Storage: 32}).
+		Chain(id, 20, 0, sapA, nffg.ID(id+"-gw"), sapB).
+		MustBuild()
+}
+
+// secureGWRules decomposes E4's secure-gw into a 5-CPU firewall and a 5-CPU
+// compressor in series.
+func secureGWRules() *decomp.Rules {
+	rules := decomp.NewRules()
+	if err := rules.Add("secure-gw", decomp.Decomposition{
+		Name: "split",
+		Components: []decomp.Component{
+			{Suffix: "fw", FunctionalType: "firewall", Ports: 2, Demand: nffg.Resources{CPU: 5, Mem: 4096, Storage: 16}},
+			{Suffix: "enc", FunctionalType: "compress", Ports: 2, Demand: nffg.Resources{CPU: 5, Mem: 4096, Storage: 16}},
+		},
+		Internal: []decomp.InternalLink{{SrcComp: "fw", SrcPort: "2", DstComp: "enc", DstPort: "1", Bandwidth: 10}},
+		PortMaps: []decomp.PortMap{{Outer: "1", Comp: "fw", Inner: "1"}, {Outer: "2", Comp: "enc", Inner: "2"}},
+		Cost:     1,
+	}); err != nil {
+		panic(err)
+	}
+	return rules
 }
 
 // --- E1: joint domain abstraction -------------------------------------------
@@ -192,66 +277,37 @@ func BenchmarkE2ChainDeployment(b *testing.B) {
 // of demo claim (ii). Requests use distinct SAP pairs round-robin.
 func BenchmarkE2MapperVsBaselines(b *testing.B) {
 	algs := []*embed.Mapper{embed.NewDefault(), embed.NewFirstFit(), embed.NewRandom(7)}
-	const nodes, doms, load = 12, 8, 40
+	const load = 40
 	for _, alg := range algs {
 		b.Run(alg.Name(), func(b *testing.B) {
-			var accepted, total, footprint, backtracks float64
+			var sum fillResult
 			for i := 0; i < b.N; i++ {
-				sub := syntheticDov(nodes, doms)
-				for j := 0; j < load; j++ {
-					sapA, sapB := sapPair(j, doms)
-					req := chainReqN(fmt.Sprintf("l%d", j), sapA, sapB, 2, 150)
-					total++
-					mp, err := alg.Map(sub, req)
-					if err != nil {
-						continue
-					}
-					cfg, err := embed.Apply(sub, mp)
-					if err != nil {
-						continue
-					}
-					sub = cfg
-					accepted++
-					footprint += mp.Footprint
-					backtracks += float64(mp.Backtracks)
-				}
+				r := fill(alg, syntheticDov(12, 8), load, e2Request)
+				sum.accepted += r.accepted
+				sum.footprint += r.footprint
+				sum.backtracks += r.backtracks
 			}
-			b.ReportMetric(accepted/total*100, "accept_%")
-			if accepted > 0 {
-				b.ReportMetric(footprint/accepted, "footprint/chain")
+			b.ReportMetric(float64(sum.accepted)/float64(load*b.N)*100, "accept_%")
+			if sum.accepted > 0 {
+				b.ReportMetric(sum.footprint/float64(sum.accepted), "footprint/chain")
 			}
-			b.ReportMetric(backtracks/float64(b.N), "backtracks/run")
+			b.ReportMetric(float64(sum.backtracks)/float64(b.N), "backtracks/run")
 		})
 	}
 }
 
-// BenchmarkE2BacktrackAblation sweeps the mapper's backtracking budget: the
-// design-choice ablation DESIGN.md calls out (0 = pure greedy).
+// BenchmarkE2BacktrackAblation sweeps the mapper's backtracking budget, the
+// mapper's main design choice (0 = pure greedy).
 func BenchmarkE2BacktrackAblation(b *testing.B) {
-	const nodes, doms, load = 12, 8, 40
+	const load = 40
 	for _, budget := range []int{0, 8, 32, 128, 512} {
 		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
 			alg := embed.New(embed.Options{MaxBacktrack: budget, KPaths: 3})
-			var accepted, total float64
+			accepted := 0
 			for i := 0; i < b.N; i++ {
-				sub := syntheticDov(nodes, doms)
-				for j := 0; j < load; j++ {
-					sapA, sapB := sapPair(j, doms)
-					req := chainReqN(fmt.Sprintf("l%d", j), sapA, sapB, 2, 150)
-					total++
-					mp, err := alg.Map(sub, req)
-					if err != nil {
-						continue
-					}
-					cfg, err := embed.Apply(sub, mp)
-					if err != nil {
-						continue
-					}
-					sub = cfg
-					accepted++
-				}
+				accepted += fill(alg, syntheticDov(12, 8), load, e2Request).accepted
 			}
-			b.ReportMetric(accepted/total*100, "accept_%")
+			b.ReportMetric(float64(accepted)/float64(load*b.N)*100, "accept_%")
 		})
 	}
 }
@@ -306,63 +362,18 @@ func BenchmarkE3RecursionDepth(b *testing.B) {
 // BenchmarkE4Decomposition reproduces the shape of Sahhaf et al.: acceptance
 // ratio with decomposition on/off when monolithic NFs stop fitting.
 func BenchmarkE4Decomposition(b *testing.B) {
-	rules := decomp.NewRules()
-	if err := rules.Add("secure-gw", decomp.Decomposition{
-		Name: "split",
-		Components: []decomp.Component{
-			{Suffix: "fw", FunctionalType: "firewall", Ports: 2, Demand: nffg.Resources{CPU: 5, Mem: 4096, Storage: 16}},
-			{Suffix: "enc", FunctionalType: "compress", Ports: 2, Demand: nffg.Resources{CPU: 5, Mem: 4096, Storage: 16}},
-		},
-		Internal: []decomp.InternalLink{{SrcComp: "fw", SrcPort: "2", DstComp: "enc", DstPort: "1", Bandwidth: 10}},
-		PortMaps: []decomp.PortMap{{Outer: "1", Comp: "fw", Inner: "1"}, {Outer: "2", Comp: "enc", Inner: "2"}},
-		Cost:     1,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	// The substrate supports the monolith natively, but one 10-CPU monolith
-	// fragments a 16-CPU node (6 CPU stranded); 5-CPU components pack three
-	// per node. That fragmentation gap is exactly [2]'s motivation.
-	mkSub := func() *nffg.NFFG {
-		sub := syntheticDov(8, 8)
-		for _, id := range sub.InfraIDs() {
-			i := sub.Infras.Get(id)
-			i.Supported = append(i.Supported, "secure-gw")
-		}
-		return sub
-	}
-	mkReq := func(j int) *nffg.NFFG {
-		id := fmt.Sprintf("gw%d", j)
-		sapA, sapB := sapPair(j, 8)
-		return nffg.NewBuilder(id).
-			SAP(sapA).SAP(sapB).
-			NF(nffg.ID(id+"-gw"), "secure-gw", 2, nffg.Resources{CPU: 10, Mem: 8192, Storage: 32}).
-			Chain(id, 20, 0, sapA, nffg.ID(id+"-gw"), sapB).
-			MustBuild()
-	}
+	const load = 16
 	for _, cfg := range []struct {
 		name  string
 		rules *decomp.Rules
-	}{{"monolithic", nil}, {"decomposed", rules}} {
+	}{{"monolithic", nil}, {"decomposed", secureGWRules()}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			alg := embed.New(embed.Options{MaxBacktrack: 64, Decomp: cfg.rules})
-			var accepted, total float64
+			accepted := 0
 			for i := 0; i < b.N; i++ {
-				sub := mkSub()
-				for j := 0; j < 16; j++ {
-					total++
-					mp, err := alg.Map(sub, mkReq(j))
-					if err != nil {
-						continue
-					}
-					cfgG, err := embed.Apply(sub, mp)
-					if err != nil {
-						continue
-					}
-					sub = cfgG
-					accepted++
-				}
+				accepted += fill(alg, e4Substrate(), load, e4Request).accepted
 			}
-			b.ReportMetric(accepted/total*100, "accept_%")
+			b.ReportMetric(float64(accepted)/float64(load*b.N)*100, "accept_%")
 		})
 	}
 }

@@ -31,7 +31,7 @@ var allowlist = map[string]string{
 	"internal/obs.MetricNames":                     "TestMetricsCompleteness, a CI step, reads the registered names",
 	"internal/api.Client.ViewCacheStats":           "the gated E15 benchmark reads the remote view cache through it",
 	"internal/dataplane.FlowTable.LookupBatchInto": "BenchmarkE5 measures batched against per-packet lookups through it",
-	"internal/service.Orchestrator.Migrate":        "make-before-break Update (ROADMAP item 7) is to call it; fig1_migration_test covers it",
+	"internal/service.Orchestrator.Migrate":        "make-before-break Update (ROADMAP item 14) is to call it; fig1_migration_test covers it",
 }
 
 // stdlibMethods are method names a standard-library interface calls.

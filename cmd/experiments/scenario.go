@@ -9,8 +9,8 @@ package main
 // domain. Results are written as a JSON artifact for the BENCH_*/benchcheck
 // CI pipeline:
 //
-//	go run ./cmd/experiments -run scenario -domains 100 -saps 10 -services 400
-//	go run ./cmd/experiments -run scenario -out BENCH_SCENARIO_SLO.json
+//	go run ./cmd/experiments -domains 100 -saps 10 -services 400
+//	go run ./cmd/experiments -out BENCH_SCENARIO_SLO.json
 //
 // With -flaps N the run appends a domain-flap phase: a fleet controller
 // probes every member, N victim domains are killed one after another under

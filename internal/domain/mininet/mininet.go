@@ -126,8 +126,8 @@ func (d *Domain) Close() {
 // leave as one coalesced NETCONF edit-config between two OpenFlow phases —
 // rule deletions before it (freeing match slots before rewrites), rule
 // installs after it, translated with the NF ports its reply allocated. When
-// the installs fail (a canceled install, a refused flow-mod), undoAdds takes
-// back what the edit-config and the installs had changed.
+// the installs fail (a canceled install, a refused flow-mod), the fabric
+// takes its rules back and undoStarts stops the NFs the edit-config started.
 func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) error {
 	sb := d.Southbound()
 	if err := d.fabric.Program(ctx, sb, delta.DelRules, nil, nil); err != nil {
@@ -184,49 +184,41 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 	}
 
 	if err := d.fabric.Program(ctx, sb, nil, delta.AddRules, d.lookupNFPorts); err != nil {
-		return d.undoAdds(ctx, sb, delta, err)
+		return d.undoStarts(ctx, sb, delta, err)
 	}
 	return nil
 }
 
-// undoAdds is the way out of a delta whose rule installs failed after its
-// edit-config was applied: it deletes the delta's add rules from every
-// datapath (a datapath may have flushed them before the failure; deleting an
-// absent rule is a no-op) and stops the NFs the delta started, so the core,
-// which records nothing for a failed delta, and the network agree and the
-// same request can be installed again. It runs on a context detached from
-// the failed one — a canceled install must still clean up — bounded by
-// netconf.DefaultRPCTimeout, and returns cause, annotated if the undo fails.
-func (d *Domain) undoAdds(ctx context.Context, sb *core.SouthboundRecorder, delta *nffg.Delta, cause error) error {
+// undoStarts is the way out of a delta whose rule installs failed after its
+// edit-config was applied (the fabric has taken the rules back): it stops
+// the NFs the delta started, so the core, which records nothing for a failed
+// delta, and the network agree and the same request can be installed again.
+// It runs on a context detached from the failed one — a canceled install
+// must still clean up — bounded by netconf.DefaultRPCTimeout, and returns
+// cause, annotated if the undo fails.
+func (d *Domain) undoStarts(ctx context.Context, sb *core.SouthboundRecorder, delta *nffg.Delta, cause error) error {
+	if len(delta.AddNFs) == 0 {
+		return cause
+	}
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), netconf.DefaultRPCTimeout)
 	defer cancel()
-	var errs []error
-	if err := d.fabric.Program(ctx, sb, delta.AddRules, nil, nil); err != nil {
-		errs = append(errs, err)
+	nd := nfDelta{}
+	for _, nf := range delta.AddNFs {
+		nd.Stops = append(nd.Stops, string(nf.ID))
 	}
-	if len(delta.AddNFs) > 0 {
-		nd := nfDelta{}
-		for _, nf := range delta.AddNFs {
-			nd.Stops = append(nd.Stops, string(nf.ID))
-		}
-		body, err := netconf.MarshalXML(nd)
-		if err == nil {
-			_, err = d.editConfig(ctx, body)
-			sb.AddNetconfRPCs(1)
-		}
-		if err != nil {
-			errs = append(errs, err)
-		} else {
-			d.mu.Lock()
-			for _, nf := range delta.AddNFs {
-				delete(d.nfPorts, nf.ID)
-			}
-			d.mu.Unlock()
-		}
+	body, err := netconf.MarshalXML(nd)
+	if err == nil {
+		_, err = d.editConfig(ctx, body)
+		sb.AddNetconfRPCs(1)
 	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%w (mininet: undo: %v)", cause, errors.Join(errs...))
+	if err != nil {
+		return fmt.Errorf("%w (mininet: undo: %v)", cause, err)
 	}
+	d.mu.Lock()
+	for _, nf := range delta.AddNFs {
+		delete(d.nfPorts, nf.ID)
+	}
+	d.mu.Unlock()
 	return cause
 }
 

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
+	"time"
 
 	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/dataplane"
@@ -71,11 +74,16 @@ func (d *Domain) Cloud() *Cloud { return d.cloud }
 // Close stops the cloud API.
 func (d *Domain) Close() { d.cloud.Close() }
 
-// commit realizes a delta through the REST APIs.
+// undoTimeout bounds the calls that take back a failed delta's additions.
+const undoTimeout = 5 * time.Second
+
+// commit realizes a delta through the REST APIs: its deletions first, then
+// its additions. When an addition fails (a canceled delta, a refused call),
+// undoAdds takes back whatever of them the cloud may have applied.
 func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) error {
 	for infra, rules := range delta.DelRules {
 		for _, f := range rules {
-			if err := d.do(ctx, http.MethodDelete, fmt.Sprintf("/restconf/config/flows/%s/%s", infra, f.ID), nil, http.StatusNoContent); err != nil {
+			if err := d.do(ctx, http.MethodDelete, flowPath(infra, f.ID), nil, http.StatusNoContent); err != nil {
 				return fmt.Errorf("openstack: del flow %s: %w", f.ID, err)
 			}
 		}
@@ -85,6 +93,14 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) 
 			return fmt.Errorf("openstack: delete server %s: %w", id, err)
 		}
 	}
+	if err := d.add(ctx, delta); err != nil {
+		return d.undoAdds(ctx, delta, err)
+	}
+	return nil
+}
+
+// add boots the delta's servers and puts its flows.
+func (d *Domain) add(ctx context.Context, delta *nffg.Delta) error {
 	for _, nf := range delta.AddNFs {
 		var portIDs []string
 		for _, p := range nf.Ports {
@@ -115,7 +131,7 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) 
 				PushTag:  f.Action.PushTag,
 				PopTag:   f.Action.PopTag,
 			}
-			if err := d.do(ctx, http.MethodPut, fmt.Sprintf("/restconf/config/flows/%s/%s", infra, f.ID), fr, http.StatusOK); err != nil {
+			if err := d.do(ctx, http.MethodPut, flowPath(infra, f.ID), fr, http.StatusOK); err != nil {
 				return fmt.Errorf("openstack: put flow %s: %w", f.ID, err)
 			}
 		}
@@ -123,10 +139,44 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) 
 	return nil
 }
 
+// undoAdds deletes the delta's flows and servers after add failed, a 404
+// counting as never applied, so the core, which records nothing for a
+// failed delta, and the cloud agree and the same request can be installed
+// again. It runs on a context detached from the failed one — a canceled
+// install must still clean up — bounded by undoTimeout, and returns cause,
+// annotated if the undo fails.
+func (d *Domain) undoAdds(ctx context.Context, delta *nffg.Delta, cause error) error {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), undoTimeout)
+	defer cancel()
+	var errs []error
+	for infra, rules := range delta.AddRules {
+		for _, f := range rules {
+			if err := d.do(ctx, http.MethodDelete, flowPath(infra, f.ID), nil, http.StatusNoContent, http.StatusNotFound); err != nil {
+				errs = append(errs, err)
+			}
+		}
+	}
+	for _, nf := range delta.AddNFs {
+		if err := d.do(ctx, http.MethodDelete, "/v2.1/servers/"+string(nf.ID), nil, http.StatusNoContent, http.StatusNotFound); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if len(errs) > 0 {
+		return fmt.Errorf("%w (openstack: undo: %v)", cause, errors.Join(errs...))
+	}
+	return cause
+}
+
+// flowPath is the ODL REST path of one flow on one switch.
+func flowPath(infra nffg.ID, rule string) string {
+	return fmt.Sprintf("/restconf/config/flows/%s/%s", infra, rule)
+}
+
 // do makes one REST call under the delta's ctx, so a canceled delta stops at
-// its next call. The response body is drained before Close: a drained body
-// hands the keep-alive connection back to the pool for the next call.
-func (d *Domain) do(ctx context.Context, method, path string, body any, wantStatus int) error {
+// its next call, and fails unless the response has one of the want statuses.
+// The response body is drained before Close: a drained body hands the
+// keep-alive connection back to the pool for the next call.
+func (d *Domain) do(ctx context.Context, method, path string, body any, want ...int) error {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -150,9 +200,9 @@ func (d *Domain) do(ctx context.Context, method, path string, body any, wantStat
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.StatusCode != wantStatus {
+	if !slices.Contains(want, resp.StatusCode) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s %s: status %d (want %d): %s", method, path, resp.StatusCode, wantStatus, msg)
+		return fmt.Errorf("%s %s: status %d (want %d): %s", method, path, resp.StatusCode, want[0], msg)
 	}
 	return nil
 }

@@ -209,12 +209,13 @@ func TestFlavorSelection(t *testing.T) {
 	}
 }
 
-// countingTransport counts the connections it dials and the calls that got
-// a response; after is called once each round trip has returned.
+// countingTransport counts the connections it dials, the calls that got a
+// response and, among them, the POSTs and PUTs; after is called once each
+// round trip has returned.
 type countingTransport struct {
-	base         *http.Transport
-	dials, calls atomic.Int32
-	after        func()
+	base                 *http.Transport
+	dials, calls, writes atomic.Int32
+	after                func()
 }
 
 func newCountingTransport() *countingTransport {
@@ -231,6 +232,9 @@ func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error
 	resp, err := ct.base.RoundTrip(req)
 	if err == nil {
 		ct.calls.Add(1)
+		if req.Method == http.MethodPost || req.Method == http.MethodPut {
+			ct.writes.Add(1)
+		}
 	}
 	if ct.after != nil {
 		ct.after()
@@ -264,7 +268,8 @@ func TestRESTCallsReuseOneConnection(t *testing.T) {
 
 // TestCanceledDeltaStopsBetweenCalls: a ctx canceled after the first REST
 // call of a delta fails the install with the context error before the next
-// call, and the leaf records no service.
+// call, the leaf records no service, the adapter deletes the server that
+// first call booted, and the same request then installs.
 func TestCanceledDeltaStopsBetweenCalls(t *testing.T) {
 	d := newDomain(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -273,14 +278,21 @@ func TestCanceledDeltaStopsBetweenCalls(t *testing.T) {
 	t.Cleanup(ct.base.CloseIdleConnections)
 	ct.after = cancel
 	d.client = &http.Client{Transport: ct}
-	_, err := d.Install(ctx, request(t, "svc1", "dpi"))
+	req := request(t, "svc1", "dpi")
+	_, err := d.Install(ctx, req)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("install under a canceled delta: %v", err)
 	}
-	if n := ct.calls.Load(); n != 1 {
-		t.Fatalf("the delta made %d REST calls, want it stopped after 1", n)
+	if n := ct.writes.Load(); n != 1 {
+		t.Fatalf("the delta made %d boot/put calls, want it stopped after 1", n)
 	}
 	if got := d.Services(); len(got) != 0 {
 		t.Fatalf("canceled install recorded services %v", got)
+	}
+	if got := d.Cloud().Servers(); len(got) != 0 {
+		t.Fatalf("canceled install left servers %v", got)
+	}
+	if _, err := d.Install(context.Background(), req); err != nil {
+		t.Fatalf("retry of the canceled install: %v", err)
 	}
 }
