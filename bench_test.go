@@ -1223,6 +1223,13 @@ func BenchmarkE9ReadPath(b *testing.B) {
 // commit concurrently. groups/batch > 1 is the narrowing win: the batch does
 // not serialize through one exclusive global group (or admission's global
 // gate). ms/batch tracks the wall-clock effect, which scales with real cores.
+//
+// The transit case routes at the domain level: unpinned chains from domain c
+// to domain c+2 of a ring, installed one at a time, whose shard set is the
+// border path c, c+1, c+2. Each plans once on the domains its path crosses:
+// escalations/install 0 and mappasses/install 1 (an estimate of the SAP
+// anchors alone misses c+1, fails its plan and escalates every request to a
+// full-DoV pass: 1 and 2).
 func BenchmarkE9GlobalNarrowing(b *testing.B) {
 	const domains = 8
 	if runtime.GOMAXPROCS(0) < domains {
@@ -1261,6 +1268,79 @@ func BenchmarkE9GlobalNarrowing(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/batch")
 		b.ReportMetric(float64(st.MapAttempts-before.MapAttempts)/installs, "mappasses/install")
 	})
+	b.Run(fmt.Sprintf("transit/reqs=%d", domains), func(b *testing.B) {
+		ro := benchE9TransitRO(b, domains)
+		ctx := context.Background()
+		before := ro.PipelineStats()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ids := make([]string, domains)
+			for c := range ids {
+				ids[c] = fmt.Sprintf("e9t-%d-%d", i, c)
+				in := nffg.ID(fmt.Sprintf("u%d-in", c))
+				out := nffg.ID(fmt.Sprintf("u%d-out", (c+2)%domains))
+				if _, err := ro.Install(ctx, benchE9Chain(ids[c], in, out)); err != nil {
+					b.Fatal(c, err)
+				}
+			}
+			b.StopTimer()
+			for _, id := range ids {
+				if err := ro.Remove(ctx, id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		st := ro.PipelineStats()
+		installs := float64(st.Installs - before.Installs)
+		b.ReportMetric(float64(st.Escalations-before.Escalations)/installs, "escalations/install")
+		b.ReportMetric(float64(st.MapAttempts-before.MapAttempts)/installs, "mappasses/install")
+	})
+}
+
+// benchE9TransitRO builds a ring of domains d0..d<n-1> under one resource
+// orchestrator: each is one BiS-BiS with a user SAP pair u<i>-in/u<i>-out,
+// and border SAP x<i> joins d<i> to d<i+1>.
+func benchE9TransitRO(b *testing.B, domains int) *core.ResourceOrchestrator {
+	b.Helper()
+	ro := core.NewResourceOrchestrator(core.Config{ID: "ro"})
+	for i := 0; i < domains; i++ {
+		name := fmt.Sprintf("d%d", i)
+		node := nffg.ID(name + "-n")
+		left := nffg.ID(fmt.Sprintf("x%d", (i+domains-1)%domains))
+		right := nffg.ID(fmt.Sprintf("x%d", i))
+		in := nffg.ID(fmt.Sprintf("u%d-in", i))
+		out := nffg.ID(fmt.Sprintf("u%d-out", i))
+		sub := nffg.NewBuilder(name).
+			BiSBiS(node, name, 4, nffg.Resources{CPU: 1 << 20, Mem: 1 << 30, Storage: 1 << 20},
+				"firewall", "dpi", "nat").
+			SAP(left).SAP(right).SAP(in).SAP(out).
+			Link("l", left, "1", node, "1", 1e6, 1).
+			Link("r", node, "2", right, "1", 1e6, 1).
+			Link("i", in, "1", node, "3", 1e6, 1).
+			Link("o", node, "4", out, "1", 1e6, 1).
+			MustBuild()
+		lo, err := core.NewLocalOrchestrator(core.LocalConfig{ID: name, Substrate: sub})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ro.Attach(context.Background(), lo); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ro
+}
+
+// benchE9Chain builds an unpinned firewall -> dpi -> nat chain from in to out.
+func benchE9Chain(id string, in, out nffg.ID) *nffg.NFFG {
+	bl := nffg.NewBuilder(id).SAP(in).SAP(out)
+	nodes := []nffg.ID{in}
+	for k, typ := range []string{"firewall", "dpi", "nat"} {
+		nf := nffg.ID(fmt.Sprintf("%s-nf%d", id, k))
+		bl.NF(nf, typ, 2, nffg.Resources{CPU: 2, Mem: 512, Storage: 1})
+		nodes = append(nodes, nf)
+	}
+	return bl.Chain(id, 1, 0, append(nodes, out)...).MustBuild()
 }
 
 // --- E10: multi-tenant weighted-fair admission ----------------------------------

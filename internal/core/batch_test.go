@@ -247,11 +247,10 @@ func TestRunGroupExits(t *testing.T) {
 	}, {
 		name: "escalated then accepted",
 		run: func(t *testing.T) (*ResourceOrchestrator, context.Context, []*nffg.NFFG) {
-			// The estimate {d0,d2,d3} misses the transit shard d1.
-			ro, _ := lineRO(t, 4, 0, nil)
-			req := chainReq(t, "esc", "sap1", "b2", "fw")
-			req.NFs.Get("esc-nf").Host = "bisbis@d2"
-			return ro, context.Background(), []*nffg.NFFG{req}
+			// The estimate {d0,d1} misses d3, the one domain that supports
+			// the NF's type.
+			ro, _ := borderNet{n: 4, extra: map[int]string{3: "ids"}}.build(t)
+			return ro, context.Background(), []*nffg.NFFG{chainReq(t, "esc", "u0", "u1", "ids")}
 		},
 		err: []error{nil}, attempts: []int{2},
 		counts: counts{mapAttempts: 2, escalations: 1, batches: 1, batchedReqs: 1, multiShard: 1},

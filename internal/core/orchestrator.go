@@ -532,22 +532,26 @@ func (ro *ResourceOrchestrator) viewFromCut(graphs []*nffg.NFFG, vec genVec) (*n
 }
 
 // ShardSet implements unify.Sharder: it estimates, without mapping, which DoV
-// shards a request's embedding may touch, by looking every endpoint and pin
-// up in the directory's reverse index (node -> owning shards, see
-// shardDirectory — no shard graph is read and no lock taken). Requests with
-// unpinned NFs narrow to the shards of their SAP anchors: the scoped plan can
-// only place within that cut, and a plan that legitimately needs more (a
-// detour, a placement elsewhere) escalates once to a full-DoV pass. nil means the set
-// could not be narrowed at all (unknown endpoint or pin, a view node spanning
-// every shard, no SAP anchors): the request must be planned globally.
+// shards a request's embedding may touch. Every SAP endpoint and NF pin is
+// looked up in the directory's reverse index (node -> owning shards, see
+// shardDirectory — no shard graph is read and no lock taken); the shards found
+// are the anchors. Routing is domain level first: when the anchors are more
+// than one shard, the set adds the shards on one shortest border-graph path
+// from the first anchor to each other one (two shards border iff they export
+// the same SAP), so an unpinned chain plans on the domains its path crosses.
+// A plan the narrowed set cannot hold — a host with the CPU or the NF type
+// only off the path, an anchor the border graph cannot reach — escalates once
+// to a full-DoV pass. nil means the set could not be narrowed at all (unknown
+// endpoint or pin, a view node spanning every shard, no SAP anchors): the
+// request must be planned globally.
 func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 	if req == nil {
 		return nil
 	}
-	idx := ro.dir.Load().index
+	dir := ro.dir.Load()
 	set := map[string]bool{}
 	for sapID := range req.SAPs.All() {
-		keys := idx[sapID]
+		keys := dir.index[sapID]
 		if len(keys) == 0 {
 			return nil // unknown endpoint: let the global plan reject it
 		}
@@ -561,9 +565,9 @@ func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 			if req.SAPs.Len() == 0 {
 				return nil // no anchor to narrow by
 			}
-			continue // unpinned: bounded by the SAP-anchored cut + escalation
+			continue // unpinned: placed on the anchors' border paths, or escalated
 		}
-		keys := idx[host]
+		keys := dir.index[host]
 		if len(keys) == 0 {
 			return nil // unknown pin: let the global plan reject it
 		}
@@ -574,7 +578,11 @@ func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 	if len(set) == 0 {
 		return nil
 	}
-	return sortedKeys(set)
+	anchors := sortedKeys(set)
+	if len(anchors) == 1 {
+		return anchors
+	}
+	return dir.borderPath(anchors)
 }
 
 // plan runs the CPU-bound embedding of one request against an immutable DoV

@@ -201,22 +201,25 @@ func (ro *ResourceOrchestrator) mergedCut(graphs []*nffg.NFFG, vec genVec) (*nff
 
 // shardContribution computes the node identifiers one shard's graph answers
 // for on the read/estimate path: its DoV infra nodes, its (border) SAPs, and
-// the virtualizer view nodes its infras aggregate into. Commits never change
-// this membership — embeddings add NFs and flowrules, not infras or SAPs —
-// so Attach computes it once, on the merged graph it publishes, and the
-// directory derives the reverse index from it (see shardDirectory).
+// the virtualizer view nodes its infras aggregate into. A node maps to true
+// iff it is a SAP: only a SAP two shards both export makes them neighbours in
+// the border graph — a view node such as SingleBiSBiS's sits in every shard
+// and borders nothing. Commits never change this membership — embeddings add
+// NFs and flowrules, not infras or SAPs — so Attach computes it once, on the
+// merged graph it publishes, and the directory derives the reverse index and
+// the border graph from it (see shardDirectory).
 func (ro *ResourceOrchestrator) shardContribution(g *nffg.NFFG) map[nffg.ID]bool {
 	out := make(map[nffg.ID]bool, g.Infras.Len()+g.SAPs.Len())
 	for id := range g.Infras.All() {
-		out[id] = true
-	}
-	for id := range g.SAPs.All() {
-		out[id] = true
+		out[id] = false
 	}
 	if v, err := ro.virt.View(g); err == nil {
 		for id := range v.Infras.All() {
-			out[id] = true
+			out[id] = false
 		}
+	}
+	for id := range g.SAPs.All() {
+		out[id] = true
 	}
 	return out
 }

@@ -89,7 +89,7 @@ type shardDirectory struct {
 	shards   map[string]*shard
 	keys     []string                    // sorted shard keys
 	children map[string]member           // child ID -> member
-	nodes    map[string]map[nffg.ID]bool // shard key -> nodes it answers for (see shardContribution)
+	nodes    map[string]map[nffg.ID]bool // shard key -> nodes it answers for, true for SAPs (see shardContribution)
 	// floors holds the final generation of every shard a detach dropped, so
 	// a re-attach of the key resumes counting instead of restarting at zero:
 	// per-shard journal records must stay gen-monotone (see journal replay).
@@ -103,6 +103,7 @@ type shardDirectory struct {
 	domains map[string][]string  // shard key -> sorted child IDs
 	owner   map[nffg.ID]string   // DoV infra -> child ID that exported it
 	index   map[nffg.ID][]string // node -> sorted shard keys (what ShardSet reads)
+	borders map[string][]string  // shard key -> sorted keys of the shards it shares a SAP with
 }
 
 func newShardDirectory() *shardDirectory { return (&shardDirectory{}).fork() }
@@ -167,13 +168,14 @@ func (d *shardDirectory) without(child string) *shardDirectory {
 	return c
 }
 
-// derive rebuilds the owner map, the per-shard child lists and the reverse
-// index from the members and node sets, and lifts the tombstones of nodes a
-// shard answers for again.
+// derive rebuilds the owner map, the per-shard child lists, the reverse index
+// and the border graph from the members and node sets, and lifts the
+// tombstones of nodes a shard answers for again.
 func (d *shardDirectory) derive() {
 	d.domains = map[string][]string{}
 	d.owner = map[nffg.ID]string{}
 	d.index = map[nffg.ID][]string{}
+	d.borders = map[string][]string{}
 	for id, m := range d.children {
 		d.domains[m.key] = append(d.domains[m.key], id)
 		for _, inf := range m.infras {
@@ -184,11 +186,57 @@ func (d *shardDirectory) derive() {
 		slices.Sort(ids)
 	}
 	for _, key := range d.keys { // in key order: every index entry is sorted
-		for node := range d.nodes[key] {
+		for node, sap := range d.nodes[key] {
+			if sap { // a SAP an earlier shard exports too borders the two
+				for _, k := range d.index[node] {
+					if d.nodes[k][node] {
+						d.borders[k] = append(d.borders[k], key)
+						d.borders[key] = append(d.borders[key], k)
+					}
+				}
+			}
 			d.index[node] = append(d.index[node], key)
 		}
 	}
+	for key, ns := range d.borders { // two shards may share several SAPs
+		slices.Sort(ns)
+		d.borders[key] = slices.Compact(ns)
+	}
 	maps.DeleteFunc(d.departed, func(node nffg.ID, _ string) bool { return len(d.index[node]) > 0 })
+}
+
+// borderPath returns anchors (sorted, at least two) widened by one shortest
+// path over the border graph from the first anchor to each other one: a
+// breadth-first search that visits neighbours in key order, so the set is
+// deterministic. An anchor the border graph cannot reach adds only itself;
+// the plan on the narrowed set then fails and escalates. The result is
+// sorted.
+func (d *shardDirectory) borderPath(anchors []string) []string {
+	parent := map[string]string{anchors[0]: ""}
+	missing := len(anchors) - 1
+	for queue := anchors[:1:1]; len(queue) > 0 && missing > 0; queue = queue[1:] {
+		for _, next := range d.borders[queue[0]] {
+			if _, seen := parent[next]; seen {
+				continue
+			}
+			parent[next] = queue[0]
+			queue = append(queue, next)
+			if _, ok := slices.BinarySearch(anchors, next); ok {
+				missing--
+			}
+		}
+	}
+	set := slices.Clone(anchors)
+	for _, a := range anchors[1:] {
+		if _, reached := parent[a]; !reached {
+			continue
+		}
+		for k := parent[a]; k != anchors[0]; k = parent[k] {
+			set = append(set, k)
+		}
+	}
+	slices.Sort(set)
+	return slices.Compact(set)
 }
 
 // cloneMap returns a writable copy of m (never nil).

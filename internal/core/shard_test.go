@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -16,8 +17,8 @@ import (
 
 // TestShardSetEstimation pins the shard-set estimator: single-domain chains
 // narrow to one shard, border SAPs widen to their neighbors, unpinned NFs
-// narrow to their SAP anchors via the reverse index, and unknown endpoints
-// fall back to the global (nil) set.
+// narrow to their SAP anchors and the border path between them, and unknown
+// endpoints fall back to the global (nil) set.
 func TestShardSetEstimation(t *testing.T) {
 	ro, _ := lineRO(t, 4, 0, nil)
 
@@ -35,10 +36,10 @@ func TestShardSetEstimation(t *testing.T) {
 		t.Fatalf("outer chain: %v, want %v", got, want)
 	}
 
-	// Unpinned NF: the reverse index narrows it to the SAP anchors (sap1 in
-	// d0, sap2 in d3); a plan that needs the transit shards escalates.
+	// Unpinned NF: the SAP anchors (sap1 in d0, sap2 in d3) and the transit
+	// shards of the border path between them.
 	req3 := chainReq(t, "est3", "sap1", "sap2", "fw")
-	if got, want := ro.ShardSet(req3), []string{"d0", "d3"}; !reflect.DeepEqual(got, want) {
+	if got, want := ro.ShardSet(req3), []string{"d0", "d1", "d2", "d3"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("unpinned: %v, want %v", got, want)
 	}
 
@@ -50,20 +51,24 @@ func TestShardSetEstimation(t *testing.T) {
 	}
 }
 
-// TestUnpinnedNarrowedEscalation: an unpinned chain whose SAP anchors miss
-// the transit shards plans on the narrowed cut, fails there (no path), and
-// must escalate to a full-DoV plan and deploy.
+// TestUnpinnedNarrowedEscalation: an unpinned chain whose NF type only an
+// off-path domain supports plans on the narrowed cut, fails there (no host),
+// and must escalate to a full-DoV plan and deploy there.
 func TestUnpinnedNarrowedEscalation(t *testing.T) {
-	ro, _ := lineRO(t, 4, 0, nil)
-	req := chainReq(t, "unp", "sap1", "sap2", "fw")
-	if set := ro.ShardSet(req); len(set) != 2 {
+	ro, los := borderNet{n: 4, extra: map[int]string{3: "ids"}}.build(t)
+	req := chainReq(t, "unp", "u0", "u1", "ids")
+	if set := ro.ShardSet(req); !reflect.DeepEqual(set, []string{"d0", "d1"}) {
 		t.Fatalf("estimate should narrow to the SAP anchors: %v", set)
 	}
-	if _, err := ro.Install(context.Background(), req); err != nil {
+	out := ro.InstallBatch(context.Background(), []*nffg.NFFG{req}, unify.BatchObserver{})
+	if err := out[0].Err; err != nil {
 		t.Fatalf("escalated unpinned install failed: %v", err)
 	}
-	if st := ro.PipelineStats(); st.Escalations == 0 {
-		t.Fatalf("install did not escalate: %+v", st)
+	if st := ro.PipelineStats(); st.Escalations == 0 || out[0].Attempts != 2 {
+		t.Fatalf("install did not escalate: %d attempts, %+v", out[0].Attempts, st)
+	}
+	if len(los[3].Services()) != 1 {
+		t.Fatal("the NF should run on d3, the one domain that supports it")
 	}
 	if err := ro.Remove(context.Background(), "unp"); err != nil {
 		t.Fatal(err)
@@ -157,35 +162,35 @@ func TestSingleShardDegenerate(t *testing.T) {
 	}
 }
 
-// TestScopedPlanEscalation: a request whose estimated shard set misses a
-// transit shard (the path must detour through it) fails its scoped plan and
-// must be escalated to a full-DoV plan — and succeed — instead of being
-// rejected.
+// TestScopedPlanEscalation: a request whose border path runs only through
+// domains without the CPU fails its scoped plan and must be escalated to a
+// full-DoV plan — and succeed — instead of being rejected.
 func TestScopedPlanEscalation(t *testing.T) {
-	ro, los := lineRO(t, 4, 0, nil)
-	// sap1 lives in d0, the NF is pinned into d2: the estimate is {d0,d2,d3}
-	// (b2 stitches d2/d3) but the path must transit d1.
-	req := chainReq(t, "esc", "sap1", "b2", "fw")
-	req.NFs.Get("esc-nf").Host = "bisbis@d2"
-	if set := ro.ShardSet(req); len(set) == 0 || len(set) >= 4 {
-		t.Fatalf("estimate should be narrow but non-empty: %v", set)
+	ro, los := borderNet{n: 6, ring: true, cpu: map[int]float64{0: 1, 1: 1, 2: 1}}.build(t)
+	// u0 lives in d0 and u2 in d2: the estimate is the short arc {d0,d1,d2},
+	// but the NF fits only on the other arc.
+	req := chainReq(t, "esc", "u0", "u2", "fw")
+	set := ro.ShardSet(req)
+	if !reflect.DeepEqual(set, []string{"d0", "d1", "d2"}) {
+		t.Fatalf("estimate should be the short arc: %v", set)
 	}
-	if _, err := ro.Install(context.Background(), req); err != nil {
+	out := ro.InstallBatch(context.Background(), []*nffg.NFFG{req}, unify.BatchObserver{})
+	if err := out[0].Err; err != nil {
 		t.Fatalf("escalated install failed: %v", err)
 	}
-	if st := ro.PipelineStats(); st.Escalations == 0 {
-		t.Fatalf("install did not escalate: %+v", st)
+	if st := ro.PipelineStats(); st.Escalations == 0 || out[0].Attempts != 2 {
+		t.Fatalf("install did not escalate: %d attempts, %+v", out[0].Attempts, st)
 	}
-	// The transit shard d1 carried flowrules even though the estimate missed
-	// it: the commit touched it.
+	// A domain the estimate missed received a sub-service: the commit
+	// touched it.
 	found := false
 	for _, lo := range los {
-		if len(lo.Services()) > 0 && lo.ID() == "d1" {
+		if len(lo.Services()) > 0 && !slices.Contains(set, lo.ID()) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("transit domain d1 received no sub-service")
+		t.Fatal("no domain outside the estimate received a sub-service")
 	}
 	if err := ro.Remove(context.Background(), "esc"); err != nil {
 		t.Fatal(err)

@@ -347,9 +347,10 @@ func TestMarshalXMLMatchesEncodingXML(t *testing.T) {
 }
 
 // proxyNetconf points the domain's NETCONF session at a proxy to its server.
-// The proxy calls hold with each client chunk that carries an edit-config
-// and forwards the chunk when hold returns.
-func proxyNetconf(t *testing.T, d *Domain, hold func()) {
+// The proxy calls hold with its end of the client's connection for each
+// client chunk that carries an edit-config, and forwards the chunk when hold
+// returns true; when hold returns false it drops the chunk and the session.
+func proxyNetconf(t *testing.T, d *Domain, hold func(cli net.Conn) bool) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -374,8 +375,8 @@ func proxyNetconf(t *testing.T, d *Domain, hold func()) {
 			if err != nil {
 				return
 			}
-			if bytes.Contains(buf[:n], []byte("edit-config")) {
-				hold()
+			if bytes.Contains(buf[:n], []byte("edit-config")) && !hold(cli) {
+				return
 			}
 			if _, err := srv.Write(buf[:n]); err != nil {
 				return
@@ -411,11 +412,12 @@ func TestCanceledCommitKeepsNetconfSession(t *testing.T) {
 	d := newDomain(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	proxyNetconf(t, d, func() {
+	proxyNetconf(t, d, func(net.Conn) bool {
 		cancel()
 		// Hold the request a moment, so that anything the cancellation
 		// would set off has run before the reply can arrive.
 		time.Sleep(20 * time.Millisecond)
+		return true
 	})
 	if _, err := d.Install(ctx, request(t, "svc1", "firewall")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -438,7 +440,12 @@ func TestTimedOutCommitRedialsNetconf(t *testing.T) {
 	d := newDomain(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	proxyNetconf(t, d, func() { <-ctx.Done() })
+	// The edit-config never reaches the device: the proxy holds it until
+	// the client, past its deadline, has closed the session.
+	proxyNetconf(t, d, func(cli net.Conn) bool {
+		_, _ = io.Copy(io.Discard, cli)
+		return false
+	})
 	if _, err := d.Install(ctx, request(t, "svc1", "firewall")); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/dataplane"
@@ -292,7 +293,9 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 		cSpan.EndWith(err)
 		return err
 	}
-	// Start phase: create+start each added NF, bounded-parallel.
+	// Start phase: create+start each added NF, bounded-parallel. created
+	// marks the containers this delta made, for undoAdds.
+	created := make([]bool, len(delta.AddNFs))
 	err = forEachBounded(cctx, len(delta.AddNFs), func(i int) error {
 		nf := delta.AddNFs[i]
 		image := "nf/" + nf.FunctionalType + ":latest"
@@ -300,6 +303,7 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 		if _, err := d.rt.Create(string(nf.ID), image, nf.Host); err != nil {
 			return fmt.Errorf("un: create %s: %w", nf.ID, err)
 		}
+		created[i] = true
 		var ports []string
 		for _, p := range nf.Ports {
 			ports = append(ports, p.ID)
@@ -310,12 +314,20 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 		return nil
 	})
 	cSpan.EndWith(err)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err == nil {
+		err = d.installRules(delta)
+	}
 	if err != nil {
-		return err
+		return d.undoAdds(ctx, delta, created, err)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	return nil
+}
+
+// installRules translates the delta's added flowrules onto the LSIs.
+func (d *Domain) installRules(delta *nffg.Delta) error {
 	for infra, rules := range delta.AddRules {
 		sw, err := d.net.Switch(infra)
 		if err != nil {
@@ -336,6 +348,51 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 		}
 	}
 	return nil
+}
+
+// undoTimeout bounds the undo of a failed delta's additions.
+const undoTimeout = 5 * time.Second
+
+// undoAdds takes back what a failed delta added: its rules, and the
+// containers it created (stopped first when running), so the runtime and the
+// core, which records nothing for a failed delta, agree and the same request
+// can be installed again. It runs on a context detached from the failed one
+// — a canceled install must still clean up — bounded by undoTimeout, and
+// returns cause, annotated if the undo fails.
+func (d *Domain) undoAdds(ctx context.Context, delta *nffg.Delta, created []bool, cause error) error {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), undoTimeout)
+	defer cancel()
+	for infra, rules := range delta.AddRules {
+		if sw, err := d.net.Switch(infra); err == nil {
+			for _, f := range rules {
+				sw.Table.Remove(f.ID)
+			}
+		}
+	}
+	var errs []error
+	for i, nf := range delta.AddNFs {
+		if !created[i] {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			errs = append(errs, err)
+			break
+		}
+		id := string(nf.ID)
+		if c, err := d.rt.Get(id); err == nil && c.State == StateRunning {
+			if err := d.rt.Stop(id); err != nil {
+				errs = append(errs, err)
+				continue
+			}
+		}
+		if err := d.rt.Remove(id); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if len(errs) > 0 {
+		return fmt.Errorf("%w (un: undo: %v)", cause, errors.Join(errs...))
+	}
+	return cause
 }
 
 // forEachBounded runs fn(0..n-1) across at most containerConcurrency workers,

@@ -170,3 +170,44 @@ func TestAccelerationReducesLatency(t *testing.T) {
 		t.Fatalf("accelerated LSI should be faster: %g vs %g", fast, slow)
 	}
 }
+
+// A delta whose container fails to start is undone: the containers it
+// created are stopped and removed, its rules leave the LSI, and the same
+// request installs once the runtime works again.
+func TestFailedStartIsUndone(t *testing.T) {
+	d := newUN(t, false)
+	rt := d.Runtime()
+	const image = "nf/dpi:latest"
+	rt.mu.Lock()
+	good := rt.images[image]
+	rt.images[image] = Image{Name: image, NFType: "no-such-type"} // Create succeeds, Start fails
+	rt.mu.Unlock()
+	req := nffg.NewBuilder("svc1").
+		SAP("sapU").SAP("sapV").
+		NF("svc1-fw", "firewall", 2, res(2, 2048)).
+		NF("svc1-dpi", "dpi", 2, res(2, 2048)).
+		Chain("svc1", 100, 0, "sapU", "svc1-fw", "svc1-dpi", "sapV").
+		MustBuild()
+	if _, err := d.Install(context.Background(), req); err == nil || !strings.Contains(err.Error(), "start svc1-dpi") {
+		t.Fatalf("want the start of svc1-dpi to fail the install, got %v", err)
+	}
+	if cs := rt.List(); len(cs) != 0 {
+		t.Fatalf("containers left after the failed install: %+v", cs)
+	}
+	if nfs := d.Net().RunningNFs(); len(nfs) != 0 {
+		t.Fatalf("NFs running after the failed install: %v", nfs)
+	}
+	if sw, _ := d.Net().Switch("un-lsi0"); sw.Table.Len() != 0 {
+		t.Fatalf("%d rules left on the LSI", sw.Table.Len())
+	}
+
+	rt.mu.Lock()
+	rt.images[image] = good
+	rt.mu.Unlock()
+	if _, err := d.Install(context.Background(), req.Copy()); err != nil {
+		t.Fatalf("retry of the failed install: %v", err)
+	}
+	if cs := rt.List(); len(cs) != 2 || cs[0].State != StateRunning || cs[1].State != StateRunning {
+		t.Fatalf("containers after the retry: %+v", cs)
+	}
+}

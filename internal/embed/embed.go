@@ -283,6 +283,9 @@ func (m *Mapper) mapOne(sub, req *nffg.NFFG, scope map[nffg.ID]map[nffg.ID]bool)
 		if nf.Host == "" {
 			continue
 		}
+		if infra, ok := sub.Infras.Lookup(nf.Host); ok && len(infra.Supported) > 0 && !infra.SupportsNF(nf.FunctionalType) {
+			return nil, fmt.Errorf("%w: pinned NF %s (%s) is not supported on %s", ErrNoCandidates, id, nf.FunctionalType, nf.Host)
+		}
 		rem, ok := st.free[nf.Host].Sub(nf.Demand)
 		if !ok {
 			return nil, fmt.Errorf("%w: pinned NF %s does not fit on %s", ErrNoCandidates, id, nf.Host)

@@ -188,6 +188,17 @@ func TestMapPinnedOversized(t *testing.T) {
 	}
 }
 
+// A pin does not waive the host's NF types: the mapping would not validate.
+func TestMapPinnedUnsupportedType(t *testing.T) {
+	sub := lineSubstrate(t)
+	req := chainRequest(t, 1, 10, 0)
+	req.NFs.Get("nf1").FunctionalType = "exotic-type"
+	req.NFs.Get("nf1").Host = "bb2"
+	if _, err := NewDefault().Map(sub, req); !errors.Is(err, ErrUnmappable) {
+		t.Fatalf("an NF pinned to a host that lacks its type must fail: %v", err)
+	}
+}
+
 // worstFit ranks the emptiest host first (load balancing): the ranking that
 // walks greedy placement into a dead end backtracking must recover from.
 func worstFit(nf *nffg.NF, cands []Candidate) []nffg.ID {
