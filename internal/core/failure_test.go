@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestROManySequentialServices(t *testing.T) {
 		t.Fatalf("NFs leaked into DoV: %v", dov.NFIDs())
 	}
 	for _, id := range dov.InfraIDs() {
-		if len(dov.Infras.Get(id).Flowrules) != 0 {
+		if len(slices.Collect(dov.Infras.Get(id).Flowrules())) != 0 {
 			t.Fatalf("rules leaked on %s", id)
 		}
 	}

@@ -95,9 +95,9 @@ func graphState(g *nffg.NFFG) (map[nffg.ID]nffg.ID, map[nffg.ID]string) {
 	}
 	rules := map[nffg.ID]string{}
 	for id, infra := range g.Infras.All() {
-		if len(infra.Flowrules) > 0 {
+		if len(slices.Collect(infra.Flowrules())) > 0 {
 			table := map[nffg.Match]string{}
-			for _, f := range infra.Flowrules {
+			for f := range infra.Flowrules() {
 				table[f.Match] = f.ID
 			}
 			rules[id] = fmt.Sprint(slices.Sorted(maps.Values(table)))

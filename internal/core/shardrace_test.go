@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -287,7 +288,7 @@ func TestShardRaceOverlapping(t *testing.T) {
 		if err != nil || b != a {
 			t.Fatalf("capacity drift on %s: %+v != %+v (%v)", id, b, a, err)
 		}
-		if n := len(final.Infras.Get(id).Flowrules); n != 0 {
+		if n := len(slices.Collect(final.Infras.Get(id).Flowrules())); n != 0 {
 			t.Fatalf("%d flowrules leaked on %s", n, id)
 		}
 	}

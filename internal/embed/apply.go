@@ -407,14 +407,9 @@ func linkPortOn(g *nffg.NFFG, linkID string, node nffg.ID, src bool) (string, er
 }
 
 func installRule(g *nffg.NFFG, node nffg.ID, f *nffg.Flowrule) error {
-	infra, ok := g.Infras.Lookup(node)
-	if !ok {
-		return fmt.Errorf("embed: rule target %s is not an infra node", node)
+	err := g.AddFlowrule(node, f)
+	if errors.Is(err, nffg.ErrMatchTaken) {
+		return fmt.Errorf("%w: %w", ErrConflict, err)
 	}
-	for _, existing := range infra.Flowrules {
-		if existing.Match == f.Match {
-			return fmt.Errorf("%w: %s on %s collides with rule %s", ErrConflict, f.ID, node, existing.ID)
-		}
-	}
-	return g.AddFlowrule(node, f)
+	return err
 }

@@ -36,7 +36,7 @@ func TestApplyPlacesAndPrograms(t *testing.T) {
 	// Flowtables non-empty on hosts along the chain.
 	totalRules := 0
 	for _, id := range cfg.InfraIDs() {
-		totalRules += len(cfg.Infras.Get(id).Flowrules)
+		totalRules += len(slices.Collect(cfg.Infras.Get(id).Flowrules()))
 	}
 	if totalRules == 0 {
 		t.Fatal("no flowrules generated")
@@ -76,7 +76,7 @@ func TestApplyThenRelease(t *testing.T) {
 	}
 	// All rules gone, bandwidth restored, NFs gone, hops gone.
 	for _, id := range cfg.InfraIDs() {
-		if len(cfg.Infras.Get(id).Flowrules) != 0 {
+		if len(slices.Collect(cfg.Infras.Get(id).Flowrules())) != 0 {
 			t.Fatalf("rules remain on %s", id)
 		}
 	}
@@ -121,7 +121,7 @@ func TestApplyTagDiscipline(t *testing.T) {
 	// Multi-node hops must push a tag at ingress and pop at egress.
 	push, pop := 0, 0
 	for _, id := range cfg.InfraIDs() {
-		for _, f := range cfg.Infras.Get(id).Flowrules {
+		for f := range cfg.Infras.Get(id).Flowrules() {
 			if f.Action.PushTag != "" {
 				push++
 			}
@@ -173,7 +173,7 @@ func TestApplyColocatedNFs(t *testing.T) {
 	}
 	// The internal hop's rule connects two NF ports directly.
 	found := false
-	for _, f := range cfg.Infras.Get("bb1").Flowrules {
+	for f := range cfg.Infras.Get("bb1").Flowrules() {
 		if f.Match.InPort.IsNF() && f.Action.Output.IsNF() {
 			found = true
 		}

@@ -258,20 +258,24 @@ func (m *Mapper) mapOne(sub, req *nffg.NFFG, scope map[nffg.ID]map[nffg.ID]bool)
 			}
 		}
 	}
-	// Free capacity is what AvailableResources reports for every infra — the
-	// demands come off in NF-ID order, the lowest oversubscribed infra is the
-	// error — from one sort of the substrate's NFs instead of one per infra.
+	// Free capacity is what AvailableResources reports for every infra, and
+	// the lowest oversubscribed infra is the error, from one pass over the
+	// substrate's NFs in no order: demands are never negative, so an infra
+	// goes negative somewhere in AvailableResources' subtraction exactly when
+	// it ends negative. (The sums are exact for whole quantities; others may
+	// round differently from AvailableResources' NF-ID order.)
 	for id, infra := range sub.Infras.All() {
 		st.free[id] = infra.Capacity
 	}
-	var over nffg.ID
-	for _, id := range sub.NFIDs() {
-		nf := sub.NFs.Get(id)
+	for _, nf := range sub.NFs.All() {
 		if avail, hosted := st.free[nf.Host]; hosted {
-			var fits bool
-			if st.free[nf.Host], fits = avail.Sub(nf.Demand); !fits && (over == "" || nf.Host < over) {
-				over = nf.Host
-			}
+			st.free[nf.Host], _ = avail.Sub(nf.Demand)
+		}
+	}
+	var over nffg.ID
+	for id, avail := range st.free {
+		if !avail.Fits(nffg.Resources{}) && (over == "" || id < over) {
+			over = id
 		}
 	}
 	if over != "" {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +114,34 @@ func TestMapRejectsOversized(t *testing.T) {
 	_, err := NewDefault().Map(sub, req)
 	if !errors.Is(err, ErrUnmappable) {
 		t.Fatalf("oversized NF must fail: %v", err)
+	}
+}
+
+// The mapper sums a substrate's demands in no particular order; the
+// oversubscription error must still name the lowest oversubscribed infra,
+// whatever order the NFs were added in.
+func TestMapOversubscribedErrorIgnoresNFOrder(t *testing.T) {
+	placed := []*nffg.NF{
+		{ID: "a", Host: "bb3", Demand: res(6, 1)},
+		{ID: "b", Host: "bb3", Demand: res(6, 1)},
+		{ID: "c", Host: "bb2", Demand: res(5, 1)},
+		{ID: "d", Host: "bb2", Demand: res(4, 1)},
+		{ID: "e", Host: "bb1", Demand: res(8, 1)},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		sub := lineSubstrate(t)
+		for _, k := range rng.Perm(len(placed)) {
+			nf := *placed[k]
+			nf.FunctionalType, nf.Status = "fw", nffg.StatusMapped
+			if err := sub.AddNF(&nf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := NewDefault().Map(sub, chainRequest(t, 1, 10, 0))
+		if err == nil || !strings.HasSuffix(err.Error(), "infra bb2 oversubscribed") {
+			t.Fatalf("round %d: error %v, want bb2 oversubscribed", round, err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package embed
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/unify-repro/escape/internal/nffg"
@@ -213,7 +214,7 @@ func TestApplyScopedRoundTrip(t *testing.T) {
 	}
 	fullRules := 0
 	for _, id := range ref.InfraIDs() {
-		fullRules += len(ref.Infras.Get(id).Flowrules)
+		fullRules += len(slices.Collect(ref.Infras.Get(id).Flowrules()))
 	}
 
 	origA, origB := encodeCanonical(t, shardA), encodeCanonical(t, shardB)
@@ -243,7 +244,7 @@ func TestApplyScopedRoundTrip(t *testing.T) {
 	scopedRules := 0
 	for _, g := range []*nffg.NFFG{shardA, shardB} {
 		for _, id := range g.InfraIDs() {
-			scopedRules += len(g.Infras.Get(id).Flowrules)
+			scopedRules += len(slices.Collect(g.Infras.Get(id).Flowrules()))
 		}
 	}
 	if scopedRules != fullRules {

@@ -100,10 +100,11 @@ func BenchmarkMerge(b *testing.B) {
 
 // shardGraph builds a sealed graph shaped like a resident-laden DoV shard:
 // three BiS-BiS in a line, 100 SAPs on them and 32 two-NF services placed
-// and chained, plus one more service committed as a fork of that, so that
-// the graph is a generation on an overlay, as a shard's snapshot is between
-// folds.
-func shardGraph() *NFFG {
+// and chained, 22 rules on each BiS-BiS, plus one more service committed as
+// a fork of that, so that the graph is a generation on an overlay, as a
+// shard's snapshot is between folds. With rules above 22, n1's flowtable is
+// filled up to that many rules before the fork.
+func shardGraph(rules int) *NFFG {
 	g := New("shard")
 	must := func(err error) {
 		if err != nil {
@@ -141,28 +142,38 @@ func shardGraph() *NFFG {
 	for s := 0; s < 32; s++ {
 		service(s)
 	}
+	for k := 22; k < rules; k++ {
+		must(g.AddFlowrule("n1", &Flowrule{ID: fmt.Sprintf("fill%d", k), Match: Match{InPort: InfraPort("out"), Tag: fmt.Sprint(k)},
+			Action: Action{Output: InfraPort("in")}, HopID: fmt.Sprintf("fill-h%d", k)}))
+	}
 	g = g.Seal().Fork()
 	service(32)
 	return g.Seal()
 }
 
 // BenchmarkFork measures one commit's generation on a shard-shaped graph:
-// fork the sealed snapshot, place one NF and add one flowrule for it. The
-// fork shares the node maps' base and copies only their overlays (see
-// Table), so allocs/op does not grow with the residents.
+// fork the sealed snapshot, place one NF and add one flowrule for it on n1,
+// which holds 22 rules or, as ring16's MdO BiS-BiS does, 96. The fork shares
+// the node maps' base and the flowtable's and copies only their overlays
+// (see Table and edgeList), so neither allocs/op nor B/op grows with the
+// residents or the table.
 func BenchmarkFork(b *testing.B) {
-	g := shardGraph()
-	nf := &NF{ID: "new-nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "n1", Status: StatusMapped}
-	rule := &Flowrule{ID: "new-rule", Match: Match{InPort: InfraPort("in"), Tag: "new"}, Action: Action{Output: NFPort("new-nf", "1")}}
-	b.ReportAllocs()
-	for b.Loop() {
-		next := g.Fork()
-		if err := next.AddNF(nf); err != nil {
-			b.Fatal(err)
-		}
-		if err := next.AddFlowrule("n1", rule); err != nil {
-			b.Fatal(err)
-		}
+	for _, rules := range []int{22, 96} {
+		g := shardGraph(rules)
+		nf := &NF{ID: "new-nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "n1", Status: StatusMapped}
+		rule := &Flowrule{ID: "new-rule", Match: Match{InPort: InfraPort("in"), Tag: "new"}, Action: Action{Output: NFPort("new-nf", "1")}}
+		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				next := g.Fork()
+				if err := next.AddNF(nf); err != nil {
+					b.Fatal(err)
+				}
+				if err := next.AddFlowrule("n1", rule); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

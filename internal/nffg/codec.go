@@ -19,7 +19,7 @@ type wire struct {
 	ID      string         `json:"id" xml:"id,attr"`
 	Name    string         `json:"name,omitempty" xml:"name,attr,omitempty"`
 	Version int            `json:"version" xml:"version,attr"`
-	Infras  []*Infra       `json:"infras,omitempty" xml:"nodes>infra,omitempty"`
+	Infras  []wireInfra    `json:"infras,omitempty" xml:"nodes>infra,omitempty"`
 	NFs     []*NF          `json:"nfs,omitempty" xml:"nodes>nf,omitempty"`
 	SAPs    []*SAP         `json:"saps,omitempty" xml:"nodes>sap,omitempty"`
 	Links   []*Link        `json:"links,omitempty" xml:"links>link,omitempty"`
@@ -27,10 +27,21 @@ type wire struct {
 	Reqs    []*Requirement `json:"requirements,omitempty" xml:"requirements>requirement,omitempty"`
 }
 
+// wireInfra is an infra on the wire: Infra's exported fields, then its
+// flowtable.
+type wireInfra struct {
+	*Infra
+	Flowrules []*Flowrule `json:"flowrules,omitempty" xml:"flowtable>flowrule,omitempty"`
+}
+
 func (g *NFFG) toWire() *wire {
 	w := &wire{ID: g.ID, Name: g.Name, Version: g.Version, Links: g.links.flat(), Hops: g.hops.flat(), Reqs: g.reqs.flat()}
+	if g.Infras.Len() > 0 {
+		w.Infras = make([]wireInfra, 0, g.Infras.Len())
+	}
 	for _, id := range g.InfraIDs() {
-		w.Infras = append(w.Infras, g.Infras.Get(id))
+		i := g.Infras.Get(id)
+		w.Infras = append(w.Infras, wireInfra{Infra: i, Flowrules: i.rules.flat()})
 	}
 	for _, id := range g.NFIDs() {
 		w.NFs = append(w.NFs, g.NFs.Get(id))
@@ -43,15 +54,17 @@ func (g *NFFG) toWire() *wire {
 
 func fromWire(w *wire) (*NFFG, error) {
 	// Every graph method takes its nodes and edges to be non-nil.
-	if slices.Contains(w.Infras, nil) || slices.Contains(w.NFs, nil) || slices.Contains(w.SAPs, nil) ||
+	if slices.ContainsFunc(w.Infras, func(i wireInfra) bool { return i.Infra == nil || slices.Contains(i.Flowrules, nil) }) ||
+		slices.Contains(w.NFs, nil) || slices.Contains(w.SAPs, nil) ||
 		slices.Contains(w.Links, nil) || slices.Contains(w.Hops, nil) || slices.Contains(w.Reqs, nil) {
 		return nil, errors.New("nffg: null node or edge entry")
 	}
 	g := New(w.ID)
 	g.Name = w.Name
 	g.Version = w.Version
-	for _, i := range w.Infras {
-		if err := g.AddInfra(i); err != nil {
+	for _, wi := range w.Infras {
+		wi.rules = edgeList[Flowrule]{tail: wi.Flowrules}
+		if err := g.AddInfra(wi.Infra); err != nil {
 			return nil, err
 		}
 	}
@@ -153,7 +166,7 @@ func (g *NFFG) Render() string {
 		for _, nf := range g.NFsOn(id) {
 			fmt.Fprintf(&b, "    NF %s (%s) status=%s\n", nf.ID, nf.FunctionalType, nf.Status)
 		}
-		for _, f := range i.Flowrules {
+		for f := range i.Flowrules() {
 			fmt.Fprintf(&b, "    rule %s: %s\n", f.ID, f.String())
 		}
 	}

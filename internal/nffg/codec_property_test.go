@@ -146,7 +146,7 @@ func TestCopyIsolationProperty(t *testing.T) {
 			for _, p := range i.Ports {
 				p.ID = "mutated"
 			}
-			for _, f := range i.Flowrules {
+			for f := range i.Flowrules() {
 				f.Action.PopTag = !f.Action.PopTag
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -48,7 +49,7 @@ func referenceDiff(oldG, newG *NFFG) (*Delta, error) {
 	}
 	sort.Slice(d.DelNFs, func(i, j int) bool { return d.DelNFs[i] < d.DelNFs[j] })
 	for _, id := range newG.InfraIDs() {
-		oldTable, newTable := changedRules(oldG.Infras.Get(id).Flowrules, newG.Infras.Get(id).Flowrules)
+		oldTable, newTable := changedRules(slices.Collect(oldG.Infras.Get(id).Flowrules()), slices.Collect(newG.Infras.Get(id).Flowrules()))
 		if len(oldTable)+len(newTable) == 0 {
 			continue
 		}
@@ -80,6 +81,14 @@ func referenceDiff(oldG, newG *NFFG) (*Delta, error) {
 		}
 	}
 	return d, nil
+}
+
+func indexRules(rules []*Flowrule) map[Match]*Flowrule {
+	m := make(map[Match]*Flowrule, len(rules))
+	for _, f := range rules {
+		m[f.Match] = f
+	}
+	return m
 }
 
 // randomConfigured is a random domain graph with mapped NFs and flowrules.
@@ -134,7 +143,7 @@ func mutateRandomly(rng *rand.Rand, g *NFFG) {
 			g.RemoveFlowrulesByHop(fmt.Sprintf("h%d", rng.Intn(4)))
 		case 6: // replace a rule's action
 			id := infra()
-			if rules := g.Infras.Get(id).Flowrules; len(rules) > 0 {
+			if rules := slices.Collect(g.Infras.Get(id).Flowrules()); len(rules) > 0 {
 				old := rules[rng.Intn(len(rules))]
 				repl := *old
 				repl.Action.PushTag = "x"

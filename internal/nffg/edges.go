@@ -208,3 +208,66 @@ func (l *edgeList[T]) fork(sealed bool) edgeList[T] {
 	}
 	return edgeList[T]{tail: slices.Clone(l.tail), b: b}
 }
+
+// appendChanges appends to ra the entries of a, and to rb those of b, in
+// which two generations of one list differ, each in list order, and reports
+// whether it could tell them apart without reading the whole lists: when a
+// and b read one base (one is a fork of the other, or both of one base),
+// the entries at the base slots either replaced, less a slot both hold
+// under one pointer, then their tails less the prefix the tails share.
+// Otherwise it appends nothing and reports false.
+func appendChanges[T any](ra, rb []*T, a, b *edgeList[T]) (_, _ []*T, ok bool) {
+	base := b.base()
+	if base == nil {
+		base = a.base()
+	}
+	if base == nil {
+		base = a.tail // two flat lists read one base only if they are one
+	}
+	ao, at, aok := a.overlayOn(base)
+	bo, bt, bok := b.overlayOn(base)
+	if !aok || !bok {
+		return ra, rb, false
+	}
+	for len(ao) > 0 || len(bo) > 0 {
+		var av, bv *T
+		switch {
+		case len(bo) == 0 || len(ao) > 0 && ao[0].at < bo[0].at:
+			av, bv = ao[0].v[0], base[ao[0].at]
+			ao = ao[1:]
+		case len(ao) == 0 || bo[0].at < ao[0].at:
+			av, bv = base[bo[0].at], bo[0].v[0]
+			bo = bo[1:]
+		default:
+			av, bv = ao[0].v[0], bo[0].v[0]
+			ao, bo = ao[1:], bo[1:]
+		}
+		if av == bv {
+			continue
+		}
+		if av != nil {
+			ra = append(ra, av)
+		}
+		if bv != nil {
+			rb = append(rb, bv)
+		}
+	}
+	same := 0
+	for same < len(at) && same < len(bt) && at[same] == bt[same] {
+		same++
+	}
+	return append(ra, at[same:]...), append(rb, bt[same:]...), true
+}
+
+// overlayOn returns the base slots l replaced and the entries it appended,
+// if l reads base: as a generation on it, or as the flat list base is.
+func (l *edgeList[T]) overlayOn(base []*T) (over []edgeSlot[T], tail []*T, ok bool) {
+	same := func(s []*T) bool { return len(s) == len(base) && (len(s) == 0 || &s[0] == &base[0]) }
+	switch {
+	case l.b != nil && same(l.b.base):
+		return l.b.over, l.tail, true
+	case l.b == nil && same(l.tail):
+		return nil, nil, true
+	}
+	return nil, nil, false
+}

@@ -9,6 +9,10 @@ var (
 	ReferenceMerge = referenceMerge
 )
 
+// setRules replaces i's flowtable with rules, as a decoded graph may hold
+// them: AddFlowrule refuses a second rule of one Match.
+func setRules(i *Infra, rules ...*Flowrule) { i.rules = edgeList[Flowrule]{tail: rules} }
+
 // referenceMerge is Merge as it was before it shared sealed sources: every
 // entity of other is deep-copied into g, in sorted ID order.
 func referenceMerge(g, other *NFFG) error {

@@ -153,7 +153,7 @@ func runForkProgram(t *testing.T, src *nffg.NFFG, prog []byte) {
 					d.AddNFs[0].ID = ids[(k/2)%len(ids)]
 				}
 			}
-			if rules := ln.copy.Infras.Get(infra).Flowrules; len(rules) > 0 {
+			if rules := slices.Collect(ln.copy.Infras.Get(infra).Flowrules()); len(rules) > 0 {
 				d.DelRules = map[nffg.ID][]*nffg.Flowrule{infra: {rules[k%len(rules)]}}
 			}
 			both(func(g *nffg.NFFG) error { return g.Apply(d) })
@@ -270,6 +270,13 @@ func FuzzForkIsolation(f *testing.F) {
 	// from there and replaces, edits and adds on overlays of its own.
 	f.Add([]byte{2, 0, 2, 2, 2, 4, 2, 6, 2, 8, 2, 10, 2, 12, 2, 14, 13, 0, 13, 2, 5, 0, 11, 0,
 		1, 0, 11, 0, 12, 2, 5, 2, 13, 4, 10, 1, 5, 1, 4, 3, 14, 1, 12, 3, 11, 1})
+	// Long enough to share a flowtable: nine rules on n1 make its table of
+	// eleven long enough to share; behind a seal, the fork appends, removes
+	// a base chain's rule and applies a rule delete and add on an overlay;
+	// the next seal's fork copies that overlay, and the other lane forks
+	// from there and writes the table again.
+	f.Add([]byte{3, 0, 3, 6, 3, 12, 3, 18, 3, 24, 3, 30, 3, 36, 3, 42, 3, 48, 11, 0, 3, 54, 4, 2, 6, 0,
+		11, 0, 10, 1, 3, 61, 4, 6, 6, 1})
 	src := forkSubstrate(f)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 64 {

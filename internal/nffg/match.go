@@ -2,7 +2,6 @@ package nffg
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -29,7 +28,15 @@ func (p PortRef) String() string {
 	if p.NF == "" {
 		return p.Port
 	}
-	return fmt.Sprintf("nf:%s:%s", p.NF, p.Port)
+	return string(p.appendString(nil))
+}
+
+// appendString appends the String form to b.
+func (p PortRef) appendString(b []byte) []byte {
+	if p.NF != "" {
+		b = append(append(append(b, "nf:"...), p.NF...), ':')
+	}
+	return append(b, p.Port...)
 }
 
 // ParsePortRef parses the String form back into a PortRef.
@@ -120,24 +127,33 @@ func (f *Flowrule) Equal(o *Flowrule) bool {
 		f.Bandwidth == o.Bandwidth && f.Delay == o.Delay && f.HopID == o.HopID
 }
 
+// ErrMatchTaken is the ErrDuplicateID AddFlowrule returns for a rule whose
+// Match a rule of the table already owns.
+var ErrMatchTaken = fmt.Errorf("%w", ErrDuplicateID)
+
 // AddFlowrule appends a rule to an infra's flowtable, validating that the
 // referenced ports exist (infra ports on the node, NF ports on NFs mapped to
-// the node).
+// the node). The graph keeps f and never writes it: a caller that changes a
+// rule adds a new one.
 func (g *NFFG) AddFlowrule(infra ID, f *Flowrule) error {
 	g.mustMutable("AddFlowrule")
 	i, ok := g.Infras.Lookup(infra)
 	if !ok {
 		return fmt.Errorf("%w: infra %s", ErrNotFound, infra)
 	}
-	for _, existing := range i.Flowrules {
-		if existing.ID == f.ID && f.ID != "" {
-			return fmt.Errorf("%w: flowrule %s on %s", ErrDuplicateID, f.ID, infra)
-		}
-		// A BiS-BiS flowtable is keyed by match: two rules owning the same
-		// traffic would be ambiguous.
+	// A BiS-BiS flowtable is keyed by match: two rules owning the same
+	// traffic would be ambiguous. That conflict wins over a duplicate ID.
+	var sameID *Flowrule
+	for existing := range i.Flowrules() {
 		if existing.Match == f.Match {
-			return fmt.Errorf("%w: flowrule %s duplicates match of %s on %s", ErrDuplicateID, f.ID, existing.ID, infra)
+			return fmt.Errorf("%w: flowrule %s duplicates match of %s on %s", ErrMatchTaken, f.ID, existing.ID, infra)
 		}
+		if sameID == nil && existing.ID == f.ID && f.ID != "" {
+			sameID = existing
+		}
+	}
+	if sameID != nil {
+		return fmt.Errorf("%w: flowrule %s on %s", ErrDuplicateID, f.ID, infra)
 	}
 	if err := g.checkRulePort(i, f.Match.InPort); err != nil {
 		return fmt.Errorf("flowrule %s match: %w", f.ID, err)
@@ -145,8 +161,7 @@ func (g *NFFG) AddFlowrule(infra ID, f *Flowrule) error {
 	if err := g.checkRulePort(i, f.Action.Output); err != nil {
 		return fmt.Errorf("flowrule %s action: %w", f.ID, err)
 	}
-	i = g.mutInfra(infra)
-	i.Flowrules = append(i.Flowrules, f)
+	g.mutInfra(infra).rules.add(f)
 	return nil
 }
 
@@ -157,11 +172,14 @@ func (g *NFFG) RemoveFlowrulesByHop(hopID string) int {
 	ofHop := func(f *Flowrule) bool { return f.HopID == hopID }
 	n := 0
 	for id, i := range g.Infras.All() {
-		if slices.ContainsFunc(i.Flowrules, ofHop) {
-			i = g.mutInfra(id)
-			n += len(i.Flowrules)
-			i.Flowrules = slices.DeleteFunc(i.Flowrules, ofHop)
-			n -= len(i.Flowrules)
+		for f := range i.Flowrules() {
+			if ofHop(f) {
+				i = g.mutInfra(id)
+				n += i.rules.len()
+				i.rules.deleteFunc(ofHop)
+				n -= i.rules.len()
+				break
+			}
 		}
 	}
 	return n

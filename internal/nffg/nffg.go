@@ -14,8 +14,10 @@
 // maps are Tables (Get, Lookup, Len and All read; Set and Delete write). The
 // edge lists are unexported: Links, Hops and Reqs yield them in order,
 // LinkByID and HopByID look one entry up, and only the mutators (Add*,
-// Record*, Remove*, MutLink, EditLinks, Merge) change them. That is what
-// lets generations share both copy-on-write (see Fork), and what lets the
+// Record*, Remove*, MutLink, EditLinks, Merge) change them. So is an
+// infra's flowtable: Infra.Flowrules yields it in order, and only
+// AddFlowrule, RemoveFlowrulesByHop and Apply change it. That is what lets
+// generations share all of them copy-on-write (see Fork), and what lets the
 // compiled topology trust its links (see InfraTopo). A field written
 // through an entity pointer is written on every generation that shares the
 // entity, so a caller that does that writes on a Copy. A link is the
@@ -142,10 +144,18 @@ type Infra struct {
 	// Supported lists the NF functional types this node can execute; empty
 	// means forwarding-only (e.g. a legacy OpenFlow switch).
 	Supported []string `json:"supported,omitempty" xml:"supported>type,omitempty"`
-	// Flowrules is the BiS-BiS flowtable steering traffic among infra and NF
-	// ports.
-	Flowrules []*Flowrule `json:"flowrules,omitempty" xml:"flowtable>flowrule,omitempty"`
+	// rules is the BiS-BiS flowtable steering traffic among infra and NF
+	// ports, read through Flowrules and written only through the graph's
+	// mutators (AddFlowrule, RemoveFlowrulesByHop, Apply), so that
+	// generations share it copy-on-write as they share the edge lists. The
+	// codec puts it on the wire after the fields above (see wireInfra).
+	rules edgeList[Flowrule]
 }
+
+// Flowrules yields the flowtable in order: the rules in the order they were
+// added, less the removed ones. Generations and Deltas share a rule (see
+// Fork and Diff), so a caller writes a yielded rule only on a Copy.
+func (i *Infra) Flowrules() iter.Seq[*Flowrule] { return i.rules.all() }
 
 // Port returns the infra port with the given ID, or nil.
 func (i *Infra) Port(id string) *Port {

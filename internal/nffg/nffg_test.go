@@ -2,6 +2,7 @@ package nffg
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,7 +163,7 @@ func TestRemoveFlowrulesByHop(t *testing.T) {
 	if n := g.RemoveFlowrulesByHop("h1"); n != 2 {
 		t.Fatalf("want 2 removed, got %d", n)
 	}
-	if len(g.Infras.Get("bb1").Flowrules) != 1 || len(g.Infras.Get("bb2").Flowrules) != 0 {
+	if len(slices.Collect(g.Infras.Get("bb1").Flowrules())) != 1 || len(slices.Collect(g.Infras.Get("bb2").Flowrules())) != 0 {
 		t.Fatal("wrong rules left behind")
 	}
 }
@@ -231,10 +232,10 @@ func TestCopyIsDeep(t *testing.T) {
 	g := twoNodeGraph(t)
 	_ = g.AddFlowrule("bb1", &Flowrule{ID: "r", Match: Match{InPort: InfraPort("1")}, Action: Action{Output: InfraPort("2")}})
 	c := g.Copy()
-	c.Infras.Get("bb1").Flowrules[0].Action.Output = InfraPort("3")
+	slices.Collect(c.Infras.Get("bb1").Flowrules())[0].Action.Output = InfraPort("3")
 	c.NFs.Get("fw").Host = "bb2"
 	c.links.flat()[0].Bandwidth = 1
-	if g.Infras.Get("bb1").Flowrules[0].Action.Output != InfraPort("2") {
+	if slices.Collect(g.Infras.Get("bb1").Flowrules())[0].Action.Output != InfraPort("2") {
 		t.Fatal("flowrule mutation leaked")
 	}
 	if g.NFs.Get("fw").Host != "bb1" {

@@ -1,10 +1,12 @@
 package nffg
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync/atomic"
 
 	"github.com/unify-repro/escape/internal/topo"
@@ -41,14 +43,7 @@ func copyInfra(i *Infra) *Infra {
 	c := *i
 	c.Ports = copyPorts(i.Ports)
 	c.Supported = append([]string(nil), i.Supported...)
-	c.Flowrules = nil
-	if len(i.Flowrules) > 0 {
-		c.Flowrules = make([]*Flowrule, 0, len(i.Flowrules))
-	}
-	for _, f := range i.Flowrules {
-		cf := *f
-		c.Flowrules = append(c.Flowrules, &cf)
-	}
+	c.rules = i.rules.clone(func(f *Flowrule) *Flowrule { cf := *f; return &cf })
 	return &c
 }
 
@@ -114,12 +109,14 @@ func own[T any](g *NFFG, p *T) *T {
 	return &c
 }
 
-// mutInfra returns infra id for writing (nil if absent). A clone gets its
-// own flowtable slice; the rules themselves are never written in place.
+// mutInfra returns infra id for writing (nil if absent). A clone shares the
+// flowtable of the infra it copies, which no generation writes from then on,
+// so it takes the next generation of the list (see edgeList.fork) and writes
+// only its own overlay; the rules themselves are never written in place.
 func (g *NFFG) mutInfra(id ID) *Infra {
 	i := g.Infras.Get(id)
 	if c := own(g, i); c != i {
-		c.Flowrules = slices.Clone(i.Flowrules)
+		c.rules = i.rules.fork(true)
 		g.Infras.Set(id, c)
 		return c
 	}
@@ -248,7 +245,7 @@ func (g *NFFG) Validate() error {
 			return err
 		}
 		i := g.Infras.Get(id)
-		for _, f := range i.Flowrules {
+		for f := range i.Flowrules() {
 			if err := g.checkRulePort(i, f.Match.InPort); err != nil {
 				return fmt.Errorf("infra %s flowrule %s: %w", id, f.ID, err)
 			}
@@ -527,43 +524,22 @@ func Diff(oldG, newG *NFFG) (*Delta, error) {
 			d.DelNFs = append(d.DelNFs, id)
 		}
 	}
-	sort.Slice(d.AddNFs, func(i, j int) bool { return d.AddNFs[i].ID < d.AddNFs[j].ID })
-	sort.Slice(d.DelNFs, func(i, j int) bool { return d.DelNFs[i] < d.DelNFs[j] })
+	slices.SortFunc(d.AddNFs, func(a, b *NF) int { return cmp.Compare(a.ID, b.ID) })
+	slices.Sort(d.DelNFs)
 	// Flowtables, per infra, keyed by Match.
 	for id := range changedIDs(&oldG.Infras, &newG.Infras) {
-		i := newG.Infras.Get(id)
-		if oldG.Infras.Get(id) == i {
+		old, i := oldG.Infras.Get(id), newG.Infras.Get(id)
+		if old == i {
 			continue
 		}
-		oldTable, newTable := changedRules(oldG.Infras.Get(id).Flowrules, i.Flowrules)
-		if len(oldTable)+len(newTable) == 0 {
-			continue
+		add, del := diffFlowtables(&old.rules, &i.rules)
+		if len(add) > 0 {
+			sortRules(add)
+			d.AddRules[id] = add
 		}
-		oldRules := indexRules(oldTable)
-		newRules := indexRules(newTable)
-		for k, nf := range newRules {
-			if of, ok := oldRules[k]; !ok || !of.Equal(nf) {
-				cf := *nf
-				d.AddRules[id] = append(d.AddRules[id], &cf)
-				if ok {
-					cof := *of
-					d.DelRules[id] = append(d.DelRules[id], &cof)
-				}
-			}
-		}
-		for k, of := range oldRules {
-			if _, ok := newRules[k]; !ok {
-				cof := *of
-				d.DelRules[id] = append(d.DelRules[id], &cof)
-			}
-		}
-		sortRules(d.AddRules[id])
-		sortRules(d.DelRules[id])
-		if len(d.AddRules[id]) == 0 {
-			delete(d.AddRules, id)
-		}
-		if len(d.DelRules[id]) == 0 {
-			delete(d.DelRules, id)
+		if len(del) > 0 {
+			sortRules(del)
+			d.DelRules[id] = del
 		}
 	}
 	return d, nil
@@ -589,7 +565,7 @@ func (g *NFFG) Apply(d *Delta) error {
 		for _, f := range rules {
 			drop[f.Match] = true
 		}
-		i.Flowrules = slices.DeleteFunc(i.Flowrules, func(f *Flowrule) bool { return drop[f.Match] })
+		i.rules.deleteFunc(func(f *Flowrule) bool { return drop[f.Match] })
 	}
 	for _, nf := range d.AddNFs {
 		if existing := g.mutNF(nf.ID); existing != nil {
@@ -628,7 +604,7 @@ func ruleIDExists(i *Infra, id string) bool {
 	if id == "" {
 		return false
 	}
-	for _, f := range i.Flowrules {
+	for f := range i.Flowrules() {
 		if f.ID == id {
 			return true
 		}
@@ -636,13 +612,87 @@ func ruleIDExists(i *Infra, id string) bool {
 	return false
 }
 
-// changedRules narrows two flowtables to the part a Match-keyed diff can tell
-// apart. An install appends a few rules to a table and a remove takes a few
-// out, so most of a table reads the same rule for rule from the front and
-// from the back, and indexing that part (every table, both sides, on every
-// install and remove) finds nothing. It is cut off — unless a Match of what is
-// left also occurs in what would be cut, where the index lets the last rule
-// of a Match stand for the others and the whole tables have to be indexed.
+// diffFlowtables returns the rules to add and to delete to turn the
+// flowtable oldL into newL, keyed by Match: where a Match occurs more than
+// once, its last rule stands for it, and a Match whose rule is not Equal on
+// both sides deletes the old rule and adds the new one. The rules are the
+// tables' own: a Delta shares them with its graphs.
+//
+// An install adds a few rules to a table and a remove takes a few out, so
+// the comparison reads only the rules the two tables differ in: when one
+// table is a fork of the other, or both of one base, those their overlays
+// hold (see appendChanges), unless a Match of them also occurs in the rest
+// of the table; otherwise the whole tables, less what changedRules cuts off.
+// What is left is a few rules, so each looks its Match up by a scan.
+func diffFlowtables(oldL, newL *edgeList[Flowrule]) (add, del []*Flowrule) {
+	var oldBuf, newBuf [16]*Flowrule // room for a commit's few rules
+	oldRest, newRest, ok := appendChanges(oldBuf[:0], newBuf[:0], oldL, newL)
+	if !ok || matchesOutside(oldL, oldRest, oldRest) || matchesOutside(oldL, oldRest, newRest) {
+		oldRest, newRest = changedRules(slices.AppendSeq(oldRest[:0], oldL.all()), slices.AppendSeq(newRest[:0], newL.all()))
+	}
+	for j, nf := range newRest {
+		if !lastOfMatch(newRest, j) {
+			continue
+		}
+		if of := lastRule(oldRest, nf.Match); of == nil || !of.Equal(nf) {
+			add = append(add, nf)
+			if of != nil {
+				del = append(del, of)
+			}
+		}
+	}
+	for j, of := range oldRest {
+		if lastOfMatch(oldRest, j) && lastRule(newRest, of.Match) == nil {
+			del = append(del, of)
+		}
+	}
+	return add, del
+}
+
+// matchesOutside reports whether a Match of some rule of rs occurs in table
+// more often than in part, a part of table.
+func matchesOutside(table *edgeList[Flowrule], part, rs []*Flowrule) bool {
+	for _, f := range rs {
+		n := 0
+		for r := range table.all() {
+			if r.Match == f.Match {
+				n++
+			}
+		}
+		for _, r := range part {
+			if r.Match == f.Match {
+				n--
+			}
+		}
+		if n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// lastOfMatch reports whether rs[j] is the last rule of its Match in rs.
+func lastOfMatch(rs []*Flowrule, j int) bool {
+	return !slices.ContainsFunc(rs[j+1:], func(f *Flowrule) bool { return f.Match == rs[j].Match })
+}
+
+// lastRule returns the last rule of m in rs, or nil.
+func lastRule(rs []*Flowrule, m Match) *Flowrule {
+	for j := len(rs) - 1; j >= 0; j-- {
+		if rs[j].Match == m {
+			return rs[j]
+		}
+	}
+	return nil
+}
+
+// changedRules narrows two whole flowtables to the part a Match-keyed diff
+// can tell apart. An install appends a few rules to a table and a remove
+// takes a few out, so most of a table reads the same rule for rule from the
+// front and from the back, and comparing that part finds nothing. It is cut
+// off — unless a Match of what is left also occurs in what would be cut,
+// where the last rule of a Match stands for the others and the whole tables
+// have to be compared.
 func changedRules(oldTable, newTable []*Flowrule) ([]*Flowrule, []*Flowrule) {
 	front := 0
 	for front < len(oldTable) && front < len(newTable) && oldTable[front].Equal(newTable[front]) {
@@ -664,20 +714,14 @@ func changedRules(oldTable, newTable []*Flowrule) ([]*Flowrule, []*Flowrule) {
 	return oldRest, newRest
 }
 
-func indexRules(rules []*Flowrule) map[Match]*Flowrule {
-	m := make(map[Match]*Flowrule, len(rules))
-	for _, f := range rules {
-		m[f.Match] = f
-	}
-	return m
-}
-
+// sortRules orders a Delta's rules by in-port, as PortRef.String renders
+// it, then by tag.
 func sortRules(rs []*Flowrule) {
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if a.Match.InPort != b.Match.InPort {
-			return a.Match.InPort.String() < b.Match.InPort.String()
+	slices.SortFunc(rs, func(a, b *Flowrule) int {
+		if a.Match.InPort == b.Match.InPort {
+			return strings.Compare(a.Match.Tag, b.Match.Tag)
 		}
-		return a.Match.Tag < b.Match.Tag
+		var ab, bb [64]byte
+		return bytes.Compare(a.Match.InPort.appendString(ab[:0]), b.Match.InPort.appendString(bb[:0]))
 	})
 }
