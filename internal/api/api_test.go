@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -24,13 +25,19 @@ func res(cpu, mem float64) nffg.Resources { return nffg.Resources{CPU: cpu, Mem:
 
 func leaf(t testing.TB, id string) *core.LocalOrchestrator {
 	t.Helper()
+	return programmedLeaf(t, id, nil)
+}
+
+// programmedLeaf is leaf with its devices programmed by prog.
+func programmedLeaf(t testing.TB, id string, prog core.Programmer) *core.LocalOrchestrator {
+	t.Helper()
 	sub := nffg.NewBuilder(id+"-sub").
 		BiSBiS(nffg.ID(id+"-n1"), id, 4, res(8, 4096), "fw", "nat").
 		SAP("sapA").SAP("sapB").
 		Link("u1", "sapA", "1", nffg.ID(id+"-n1"), "1", 100, 1).
 		Link("u2", nffg.ID(id+"-n1"), "2", "sapB", "1", 100, 1).
 		MustBuild()
-	lo, err := core.NewLocalOrchestrator(core.LocalConfig{ID: id, Substrate: sub})
+	lo, err := core.NewLocalOrchestrator(core.LocalConfig{ID: id, Substrate: sub, Programmer: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +135,38 @@ func TestErrorMapping(t *testing.T) {
 	// Unknown service -> ErrUnknownService.
 	if err := cli.Remove(context.Background(), "ghost"); !errors.Is(err, unify.ErrUnknownService) {
 		t.Fatalf("unknown mapping: %v", err)
+	}
+}
+
+// TestChildRefusalKeepsItsWireCode: an orchestrator wraps a child's refusal
+// beside unify.ErrRejected, so errors.Is finds the child's cause in process,
+// here a device refusal that wraps unify.ErrBusy. On the wire the refusal
+// still reads rejected: errorTable lists ErrRejected before ErrBusy, and the
+// first row that matches decides.
+func TestChildRefusalKeepsItsWireCode(t *testing.T) {
+	ctx := context.Background()
+	child := programmedLeaf(t, "child", core.ProgrammerFunc(func(context.Context, *nffg.Delta, *nffg.NFFG) error {
+		return fmt.Errorf("device: %w", unify.ErrBusy)
+	}))
+	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})
+	if err := ro.Attach(ctx, child); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ro.Install(ctx, sg(t, "svc1")); !errors.Is(err, unify.ErrRejected) || !errors.Is(err, unify.ErrBusy) {
+		t.Fatalf("in process: %v", err)
+	}
+	srv := NewServer(ro, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	cli, err := Dial("mdo", "http://"+addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Install(ctx, sg(t, "svc2")); !errors.Is(err, unify.ErrRejected) || errors.Is(err, unify.ErrBusy) {
+		t.Fatalf("over HTTP: %v", err)
 	}
 }
 

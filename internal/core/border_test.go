@@ -178,7 +178,7 @@ func TestShardedMatchesFlat(t *testing.T) {
 			return "accepted"
 		case !strings.Contains(err.Error(), "rejected: child "):
 			return "rejected"
-		case strings.Contains(err.Error(), embed.ErrConflict.Error()):
+		case errors.Is(err, embed.ErrConflict):
 			return "refused"
 		}
 		t.Fatalf("seed %d: a child refused the plan for a reason other than a flowrule conflict: %v", seed, err)

@@ -18,10 +18,11 @@ import (
 // the Universal Node.
 type Programmer interface {
 	// Commit applies a delta. cfg is the complete desired state for
-	// reference (e.g. to resolve ports). Commit must either fully apply the
-	// delta or leave the infrastructure unchanged. ctx carries the caller's
-	// deadline/cancellation; a Programmer observing ctx done should stop and
-	// report ctx.Err() without applying the delta.
+	// reference (e.g. to resolve ports). A failed Commit may leave part of
+	// its additions applied; the leaf takes them back with a removal delta,
+	// so deletions tolerate absence: deleting an NF or a rule the devices do
+	// not hold succeeds. ctx carries the caller's deadline/cancellation; a
+	// Programmer observing ctx done should stop and report ctx.Err().
 	Commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) error
 }
 
@@ -95,16 +96,21 @@ func NewLocalOrchestrator(cfg LocalConfig) (*LocalOrchestrator, error) {
 	lo := &LocalOrchestrator{ro: ro, caps: cfg.Capabilities}
 	ro.prog = ProgrammerFunc(func(context.Context, *nffg.Delta, *nffg.NFFG) error { return nil })
 	if prog := cfg.Programmer; prog != nil {
-		// Every adapter's delta is checked and timed here, once: a delta
-		// whose context is done reaches no device, and each one that enters
-		// the Programmer is counted with its wall-clock.
+		// Every adapter's delta is checked, timed and, when it fails, undone
+		// here, once: a delta whose context is done reaches no device, each
+		// one that enters the Programmer is counted with its wall-clock, and
+		// a failed one's additions are taken back (see undo).
 		ro.prog = ProgrammerFunc(func(ctx context.Context, delta *nffg.Delta, next *nffg.NFFG) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			start := time.Now()
-			defer func() { lo.southbound.ObserveDelta(time.Since(start)) }()
-			return prog.Commit(ctx, delta, next)
+			err := prog.Commit(ctx, delta, next)
+			lo.southbound.ObserveDelta(time.Since(start))
+			if err != nil && (len(delta.AddNFs) > 0 || len(delta.AddRules) > 0) {
+				return undo(ctx, prog, delta, next, err)
+			}
+			return err
 		})
 	}
 	// The one terminal shard; its key is also what the leaf's ETag hashes. It
@@ -112,6 +118,32 @@ func NewLocalOrchestrator(cfg LocalConfig) (*LocalOrchestrator, error) {
 	// and every request plans globally.
 	ro.dir.Store(newShardDirectory().with(&shard{key: "substrate", dov: cfg.Substrate.Copy().Seal()}, nil))
 	return lo, nil
+}
+
+// undoTimeout bounds the undo of a failed delta.
+const undoTimeout = 5 * time.Second
+
+// undo takes back whatever a failed delta may have applied of its additions
+// — the devices may have run part of it, or all of it with the answer lost —
+// by committing their removal through the same Programmer, so the devices
+// and the leaf, which records nothing for a failed delta, agree and the same
+// request can be installed again. A failed delta's deletions stay as the
+// devices left them. The removal runs on a context detached from the failed
+// one (a canceled install must still clean up), bounded by undoTimeout; its
+// cfg is the failed delta's, which holds everything it removes. It is not
+// counted as a delta, though the operations it sends are. undo returns
+// cause, annotated if the removal fails too.
+func undo(ctx context.Context, prog Programmer, delta *nffg.Delta, cfg *nffg.NFFG, cause error) error {
+	back := &nffg.Delta{DelRules: delta.AddRules, DelNFs: make([]nffg.ID, len(delta.AddNFs))}
+	for i, nf := range delta.AddNFs {
+		back.DelNFs[i] = nf.ID
+	}
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), undoTimeout)
+	defer cancel()
+	if err := prog.Commit(ctx, back, cfg); err != nil {
+		return fmt.Errorf("%w (undo: %v)", cause, err)
+	}
+	return cause
 }
 
 // ID implements unify.Layer.

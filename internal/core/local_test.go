@@ -18,15 +18,19 @@ import (
 
 // deviceModel is a programmer that keeps its own model of the devices: the
 // placed NFs (NF -> host) and each infra's flowtable (match -> rule ID),
-// changed only by the deltas it accepts. Deltas carrying an NF with the
-// refuse prefix are refused unapplied.
+// changed only by the deltas it applies. A delta carrying an NF with the
+// refuse prefix is applied in part — its deletions, the rules of its first
+// infra in ID order and the NFs before the refused one — and then refused.
+// Only the delta right after it, the leaf's undo, may delete what the
+// model does not hold, and only what the refused delta added.
 type deviceModel struct {
 	t      testing.TB
 	refuse string
 
-	mu    sync.Mutex
-	nfs   map[nffg.ID]nffg.ID
-	rules map[nffg.ID]map[nffg.Match]string
+	mu      sync.Mutex
+	nfs     map[nffg.ID]nffg.ID
+	rules   map[nffg.ID]map[nffg.Match]string
+	refused *nffg.Delta // the last delta, if it was refused
 }
 
 func newDeviceModel(t testing.TB, refuse string) *deviceModel {
@@ -34,40 +38,50 @@ func newDeviceModel(t testing.TB, refuse string) *deviceModel {
 }
 
 func (m *deviceModel) Commit(_ context.Context, d *nffg.Delta, _ *nffg.NFFG) error {
-	for _, nf := range d.AddNFs {
-		if strings.HasPrefix(string(nf.ID), m.refuse) {
-			return errors.New("device refused the delta")
-		}
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	undone := m.refused
+	if undone == nil {
+		undone = &nffg.Delta{}
+	}
+	m.refused = nil
 	for _, id := range d.DelNFs {
-		if _, ok := m.nfs[id]; !ok {
+		_, held := m.nfs[id]
+		if !held && !slices.ContainsFunc(undone.AddNFs, func(nf *nffg.NF) bool { return nf.ID == id }) {
 			m.t.Errorf("delta deletes NF %s the devices do not run", id)
 		}
 		delete(m.nfs, id)
 	}
 	for infra, rules := range d.DelRules {
 		for _, f := range rules {
-			if _, ok := m.rules[infra][f.Match]; !ok {
+			_, held := m.rules[infra][f.Match]
+			if !held && !slices.ContainsFunc(undone.AddRules[infra], func(a *nffg.Flowrule) bool { return a.Match == f.Match }) {
 				m.t.Errorf("delta deletes rule %s on %s the devices do not hold", f.ID, infra)
 			}
 			delete(m.rules[infra], f.Match)
 		}
 	}
+	refuse := slices.ContainsFunc(d.AddNFs, func(nf *nffg.NF) bool { return strings.HasPrefix(string(nf.ID), m.refuse) })
+	for _, infra := range slices.Sorted(maps.Keys(d.AddRules)) {
+		if m.rules[infra] == nil {
+			m.rules[infra] = map[nffg.Match]string{}
+		}
+		for _, f := range d.AddRules[infra] {
+			m.rules[infra][f.Match] = f.ID
+		}
+		if refuse {
+			break
+		}
+	}
 	for _, nf := range d.AddNFs {
+		if strings.HasPrefix(string(nf.ID), m.refuse) {
+			m.refused = d
+			return errors.New("device refused the delta")
+		}
 		if _, ok := m.nfs[nf.ID]; ok {
 			m.t.Errorf("delta adds NF %s the devices already run", nf.ID)
 		}
 		m.nfs[nf.ID] = nf.Host
-	}
-	for infra, rules := range d.AddRules {
-		if m.rules[infra] == nil {
-			m.rules[infra] = map[nffg.Match]string{}
-		}
-		for _, f := range rules {
-			m.rules[infra][f.Match] = f.ID
-		}
 	}
 	return nil
 }
@@ -257,6 +271,79 @@ func TestLeafInstallCanceledInsideCommit(t *testing.T) {
 	if nfs, _ := graphState(lo.Internal()); len(nfs) != 0 {
 		t.Fatalf("canceled install published NFs %v", nfs)
 	}
+}
+
+// TestLeafUndoesAFailedDelta: when a Programmer fails a delta, the leaf
+// commits the removal of its additions through the same Programmer, so
+// devices that applied part of the delta hold what they held before; the
+// undo is not counted as a delta. A failed delta that only deletes gets no
+// undo, and an undo that fails too is named in the returned error, which
+// still wraps the Programmer's cause.
+func TestLeafUndoesAFailedDelta(t *testing.T) {
+	ctx := context.Background()
+	u0, v0, _ := slotSAPs(0, 0)
+	u1, v1, _ := slotSAPs(0, 1)
+	errDevice := errors.New("device refused the delta")
+	t.Run("partial additions are taken back", func(t *testing.T) {
+		dev := newDeviceModel(t, "bad")
+		lo := slotLeaf(t, 1, dev)
+		if _, err := lo.Install(ctx, chainReq(t, "ok", u0, v0, "fw")); err != nil {
+			t.Fatal(err)
+		}
+		before := lo.SouthboundStats().Deltas
+		if _, err := lo.Install(ctx, chainReq(t, "bad", u1, v1, "fw")); !errors.Is(err, unify.ErrRejected) {
+			t.Fatalf("refused install: %v", err)
+		}
+		if got := lo.SouthboundStats().Deltas - before; got != 1 {
+			t.Errorf("the refused install counted %d deltas, want 1: its undo is not one", got)
+		}
+		gotNFs, gotRules := dev.state()
+		wantNFs, wantRules := graphState(lo.Internal())
+		if len(wantNFs) != 1 || !maps.Equal(gotNFs, wantNFs) || !maps.Equal(gotRules, wantRules) {
+			t.Errorf("devices hold NFs %v, rules %v; substrate NFs %v, rules %v", gotNFs, gotRules, wantNFs, wantRules)
+		}
+		if _, err := lo.Install(ctx, chainReq(t, "again", u1, v1, "fw")); err != nil {
+			t.Fatalf("install after a refused one: %v", err)
+		}
+	})
+	t.Run("a failed removal is not undone", func(t *testing.T) {
+		dev := newDeviceModel(t, "bad")
+		var commits atomic.Int32
+		var failRemoves atomic.Bool
+		lo := slotLeaf(t, 1, ProgrammerFunc(func(ctx context.Context, d *nffg.Delta, cfg *nffg.NFFG) error {
+			commits.Add(1)
+			if failRemoves.Load() && len(d.AddNFs) == 0 && len(d.AddRules) == 0 {
+				return errDevice
+			}
+			return dev.Commit(ctx, d, cfg)
+		}))
+		if _, err := lo.Install(ctx, chainReq(t, "ok", u0, v0, "fw")); err != nil {
+			t.Fatal(err)
+		}
+		failRemoves.Store(true)
+		before := commits.Load()
+		if err := lo.Remove(ctx, "ok"); !errors.Is(err, errDevice) {
+			t.Fatalf("refused remove: %v", err)
+		}
+		if got := commits.Load() - before; got != 1 {
+			t.Errorf("the refused remove reached the Programmer %d times, want 1", got)
+		}
+		if got := lo.Services(); !slices.Equal(got, []string{"ok"}) {
+			t.Errorf("services after a refused remove: %v", got)
+		}
+	})
+	t.Run("a failed undo is named", func(t *testing.T) {
+		lo := slotLeaf(t, 1, ProgrammerFunc(func(_ context.Context, d *nffg.Delta, _ *nffg.NFFG) error {
+			if len(d.AddNFs) == 0 && len(d.AddRules) == 0 {
+				return errors.New("link lost")
+			}
+			return errDevice
+		}))
+		_, err := lo.Install(ctx, chainReq(t, "ok", u0, v0, "fw"))
+		if !errors.Is(err, unify.ErrRejected) || !errors.Is(err, errDevice) || !strings.Contains(err.Error(), "undo: link lost") {
+			t.Fatalf("install whose undo failed: %v", err)
+		}
+	})
 }
 
 // TestLeafTrafficStaysPerRequest: a leaf is an orchestrator underneath, but

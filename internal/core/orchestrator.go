@@ -596,7 +596,7 @@ func (ro *ResourceOrchestrator) plan(snap *nffg.NFFG, req *nffg.NFFG) (*embed.Ma
 	}
 	mapping, err := ro.mapper.MapScoped(snap, work, scope)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", unify.ErrRejected, err)
+		return nil, fmt.Errorf("%w: %w", unify.ErrRejected, err)
 	}
 	return mapping, nil
 }
@@ -1051,7 +1051,7 @@ func (bc *batchRun) planGroup(gctx context.Context, idx []int, keys []string, at
 			subs, err = ro.split(base, dir.owner, req.ID, mapping)
 		}
 		if err != nil {
-			pb.errs[j] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
+			pb.errs[j] = fmt.Errorf("%w: %w", unify.ErrRejected, err)
 			continue
 		}
 		touched, home := touchedShards(mapping, dir, shs[0].key)
@@ -1059,7 +1059,7 @@ func (bc *batchRun) planGroup(gctx context.Context, idx []int, keys []string, at
 			cur = base.Fork()
 		}
 		if err := placed.ApplyTo(cur); err != nil {
-			pb.errs[j] = fmt.Errorf("%w: %v", unify.ErrRejected, err)
+			pb.errs[j] = fmt.Errorf("%w: %w", unify.ErrRejected, err)
 			// The ApplyTo failed partway and may have left cur inconsistent:
 			// rebuild it by replaying the accepted mappings on a fresh fork
 			// (deterministic — they applied cleanly before).
@@ -1137,7 +1137,7 @@ func (bc *batchRun) commitGroup(gctx context.Context, pb *plannedBatch) (raced b
 			// request was not rejected on its merits.
 			return false, fmt.Errorf("core %s: programming canceled: %w", ro.id, err)
 		}
-		return false, fmt.Errorf("%w: programming failed: %v", unify.ErrRejected, err)
+		return false, fmt.Errorf("%w: programming failed: %w", unify.ErrRejected, err)
 	}
 	// Record each committed mapping in the service table before the shard
 	// locks drop: the checkpointer reads shard graphs first and the table
@@ -1387,7 +1387,8 @@ func (ro *ResourceOrchestrator) deployChildren(ctx context.Context, children []s
 
 // pickRootCause selects the error to surface from a fan-out: the first
 // non-cancellation child error (the root cause) if any, wrapped in
-// ErrRejected. A purely-canceled fan-out keeps the context error identity
+// ErrRejected beside it, so errors.Is still finds the child's cause. A
+// purely-canceled fan-out keeps the context error identity
 // (errors.Is(err, context.Canceled) holds) instead of claiming rejection.
 func pickRootCause(children []string, errs []error) error {
 	var first error
@@ -1404,7 +1405,7 @@ func pickRootCause(children []string, errs []error) error {
 			return err
 		}
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("%w: child %s rejected: %v", unify.ErrRejected, children[i], err)
+			return fmt.Errorf("%w: child %s rejected: %w", unify.ErrRejected, children[i], err)
 		}
 	}
 	return first

@@ -83,10 +83,10 @@ func (s *SouthboundStats) Merge(o SouthboundStats) {
 // delta is being applied. Safe for concurrent use (parallel per-datapath
 // fan-out records from many goroutines).
 type SouthboundRecorder struct {
-	deltas, flowMods, barriers, windowHW atomic.Uint64
-	netconfRPCs, containerOps            atomic.Uint64
-	latencyTotal, latencyMax             atomic.Uint64
-	deltaHist                            obs.Histogram
+	flowMods, barriers, windowHW atomic.Uint64
+	netconfRPCs, containerOps    atomic.Uint64
+	latencyMax                   atomic.Uint64
+	deltaHist                    obs.Histogram // also the delta count and latency sum
 }
 
 // AddFlowMods counts n flow-mods sent.
@@ -113,10 +113,8 @@ func (r *SouthboundRecorder) ObserveWindow(hw uint64) {
 
 // ObserveDelta records one completed delta and its southbound wall-clock.
 func (r *SouthboundRecorder) ObserveDelta(d time.Duration) {
-	r.deltas.Add(1)
 	r.deltaHist.Observe(d)
 	ns := uint64(d.Nanoseconds())
-	r.latencyTotal.Add(ns)
 	for {
 		cur := r.latencyMax.Load()
 		if ns <= cur || r.latencyMax.CompareAndSwap(cur, ns) {
@@ -127,16 +125,17 @@ func (r *SouthboundRecorder) ObserveDelta(d time.Duration) {
 
 // Snapshot returns the current counters.
 func (r *SouthboundRecorder) Snapshot() SouthboundStats {
+	hist := r.deltaHist.Snapshot()
 	return SouthboundStats{
-		Deltas:          r.deltas.Load(),
+		Deltas:          hist.Count,
 		FlowMods:        r.flowMods.Load(),
 		Barriers:        r.barriers.Load(),
 		WindowHighWater: r.windowHW.Load(),
 		NetconfRPCs:     r.netconfRPCs.Load(),
 		ContainerOps:    r.containerOps.Load(),
-		LatencyTotalNS:  r.latencyTotal.Load(),
+		LatencyTotalNS:  hist.SumNS,
 		LatencyMaxNS:    r.latencyMax.Load(),
-		DeltaLatency:    r.deltaHist.Snapshot(),
+		DeltaLatency:    hist,
 	}
 }
 

@@ -59,14 +59,10 @@ func expandPins(virt Virtualizer, snap, req *nffg.NFFG) (*nffg.NFFG, map[nffg.ID
 		if len(expanded) == 0 {
 			return nil, nil, fmt.Errorf("%w: NF %s pinned to unknown view node %s", unify.ErrRejected, id, nf.Host)
 		}
-		if req.Sealed() {
-			if work == req {
-				work = req.Fork()
-			}
-			pinned := *nf
-			nf = &pinned
-			work.NFs.Set(id, nf)
+		if work == req {
+			work = req.Fork()
 		}
+		nf = work.MutNF(id)
 		if len(expanded) == 1 {
 			nf.Host = expanded[0]
 		} else {

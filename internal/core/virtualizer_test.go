@@ -94,7 +94,9 @@ func TestSingleBiSBiSView(t *testing.T) {
 
 func TestSingleBiSBiSAccountsDeployedNFs(t *testing.T) {
 	dov := twoDomainDov(t)
-	dov.NFs.Set("x", &nffg.NF{ID: "x", FunctionalType: "fw", Ports: []*nffg.Port{{ID: "1"}}, Demand: res(3, 1024), Host: "a1", Status: nffg.StatusDeployed})
+	if err := dov.AddNF(&nffg.NF{ID: "x", FunctionalType: "fw", Ports: []*nffg.Port{{ID: "1"}}, Demand: res(3, 1024), Host: "a1", Status: nffg.StatusDeployed}); err != nil {
+		t.Fatal(err)
+	}
 	v, err := SingleBiSBiS{}.View(dov)
 	if err != nil {
 		t.Fatal(err)

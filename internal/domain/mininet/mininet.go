@@ -125,9 +125,7 @@ func (d *Domain) Close() {
 // commit is the Programmer: deltas arrive from the local orchestrator and
 // leave as one coalesced NETCONF edit-config between two OpenFlow phases —
 // rule deletions before it (freeing match slots before rewrites), rule
-// installs after it, translated with the NF ports its reply allocated. When
-// the installs fail (a canceled install, a refused flow-mod), the fabric
-// takes its rules back and undoStarts stops the NFs the edit-config started.
+// installs after it, translated with the NF ports its reply allocated.
 func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) error {
 	sb := d.Southbound()
 	if err := d.fabric.Program(ctx, sb, delta.DelRules, nil, nil); err != nil {
@@ -183,43 +181,7 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 		d.mu.Unlock()
 	}
 
-	if err := d.fabric.Program(ctx, sb, nil, delta.AddRules, d.lookupNFPorts); err != nil {
-		return d.undoStarts(ctx, sb, delta, err)
-	}
-	return nil
-}
-
-// undoStarts is the way out of a delta whose rule installs failed after its
-// edit-config was applied (the fabric has taken the rules back): it stops
-// the NFs the delta started, so the core, which records nothing for a failed
-// delta, and the network agree and the same request can be installed again.
-// It runs on a context detached from the failed one — a canceled install
-// must still clean up — bounded by netconf.DefaultRPCTimeout, and returns
-// cause, annotated if the undo fails.
-func (d *Domain) undoStarts(ctx context.Context, sb *core.SouthboundRecorder, delta *nffg.Delta, cause error) error {
-	if len(delta.AddNFs) == 0 {
-		return cause
-	}
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), netconf.DefaultRPCTimeout)
-	defer cancel()
-	nd := nfDelta{}
-	for _, nf := range delta.AddNFs {
-		nd.Stops = append(nd.Stops, string(nf.ID))
-	}
-	body, err := netconf.MarshalXML(nd)
-	if err == nil {
-		_, err = d.editConfig(ctx, body)
-		sb.AddNetconfRPCs(1)
-	}
-	if err != nil {
-		return fmt.Errorf("%w (mininet: undo: %v)", cause, err)
-	}
-	d.mu.Lock()
-	for _, nf := range delta.AddNFs {
-		delete(d.nfPorts, nf.ID)
-	}
-	d.mu.Unlock()
-	return cause
+	return d.fabric.Program(ctx, sb, nil, delta.AddRules, d.lookupNFPorts)
 }
 
 // editConfig sends one nf-delta as an edit-config RPC and returns the reply's
@@ -308,14 +270,15 @@ func (ds *mnDatastore) GetConfig() ([]byte, error) {
 
 // EditConfig applies a coalesced nf-delta document — every stop and start of
 // one orchestration delta in a single RPC — and returns the port allocations
-// of started NFs in the reply.
+// of started NFs in the reply. Stopping an NF that does not run succeeds: an
+// undo stops what a failed delta may not have started.
 func (ds *mnDatastore) EditConfig(config []byte) ([]byte, error) {
 	var nd nfDelta
 	if err := xml.Unmarshal(config, &nd); err != nil {
 		return nil, fmt.Errorf("mininet: edit-config expects an nf-delta document: %w", err)
 	}
 	for _, id := range nd.Stops {
-		if err := ds.net.StopNF(nffg.ID(id)); err != nil {
+		if err := ds.net.StopNF(nffg.ID(id)); err != nil && !errors.Is(err, emunet.ErrUnknownNF) {
 			return nil, fmt.Errorf("mininet: stop %s: %w", id, err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -346,11 +347,20 @@ func TestMarshalXMLMatchesEncodingXML(t *testing.T) {
 	}
 }
 
+// editFate is what proxyNetconf does with an edit-config.
+type editFate int
+
+const (
+	forwardEdit editFate = iota // forward it and its reply
+	dropEdit                    // drop it and the session
+	loseReply                   // forward it; drop every reply from then on
+)
+
 // proxyNetconf points the domain's NETCONF session at a proxy to its server.
 // The proxy calls hold with its end of the client's connection for each
-// client chunk that carries an edit-config, and forwards the chunk when hold
-// returns true; when hold returns false it drops the chunk and the session.
-func proxyNetconf(t *testing.T, d *Domain, hold func(cli net.Conn) bool) {
+// client chunk that carries an edit-config, and does with the chunk what
+// hold returns.
+func proxyNetconf(t *testing.T, d *Domain, hold func(cli net.Conn) editFate) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -368,15 +378,34 @@ func proxyNetconf(t *testing.T, d *Domain, hold func(cli net.Conn) bool) {
 			return
 		}
 		defer srv.Close()
-		go func() { _, _ = io.Copy(cli, srv) }()
+		var mute atomic.Bool
+		go func() {
+			buf := make([]byte, 64<<10)
+			for {
+				n, err := srv.Read(buf)
+				if err != nil {
+					return
+				}
+				if !mute.Load() {
+					if _, err := cli.Write(buf[:n]); err != nil {
+						return
+					}
+				}
+			}
+		}()
 		buf := make([]byte, 64<<10)
 		for {
 			n, err := cli.Read(buf)
 			if err != nil {
 				return
 			}
-			if bytes.Contains(buf[:n], []byte("edit-config")) && !hold(cli) {
-				return
+			if bytes.Contains(buf[:n], []byte("edit-config")) {
+				switch hold(cli) {
+				case dropEdit:
+					return
+				case loseReply:
+					mute.Store(true)
+				}
 			}
 			if _, err := srv.Write(buf[:n]); err != nil {
 				return
@@ -412,12 +441,12 @@ func TestCanceledCommitKeepsNetconfSession(t *testing.T) {
 	d := newDomain(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	proxyNetconf(t, d, func(net.Conn) bool {
+	proxyNetconf(t, d, func(net.Conn) editFate {
 		cancel()
 		// Hold the request a moment, so that anything the cancellation
 		// would set off has run before the reply can arrive.
 		time.Sleep(20 * time.Millisecond)
-		return true
+		return forwardEdit
 	})
 	if _, err := d.Install(ctx, request(t, "svc1", "firewall")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -435,22 +464,26 @@ func TestCanceledCommitKeepsNetconfSession(t *testing.T) {
 }
 
 // An edit-config that outlives its commit's deadline fails the commit and
-// closes its session; the next commit dials a new one.
+// closes its session; the leaf's undo, which stops the NF the edit-config
+// would have started, and the next commit each dial a new one.
 func TestTimedOutCommitRedialsNetconf(t *testing.T) {
 	d := newDomain(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
 	// The edit-config never reaches the device: the proxy holds it until
 	// the client, past its deadline, has closed the session.
-	proxyNetconf(t, d, func(cli net.Conn) bool {
+	proxyNetconf(t, d, func(cli net.Conn) editFate {
 		_, _ = io.Copy(io.Discard, cli)
-		return false
+		return dropEdit
 	})
 	if _, err := d.Install(ctx, request(t, "svc1", "firewall")); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
-	if got := d.SouthboundStats().NetconfRPCs; got != 1 {
-		t.Fatalf("the timed-out commit should have sent its edit-config, recorded %d RPCs", got)
+	if got := d.SouthboundStats().NetconfRPCs; got != 2 {
+		t.Fatalf("the timed-out commit should have sent its edit-config and its undo, recorded %d RPCs", got)
+	}
+	if got := d.Net().RunningNFs(); slices.Contains(got, "svc1-nf") {
+		t.Fatalf("NF of the timed-out commit running: %v", got)
 	}
 	if _, err := d.Install(context.Background(), request(t, "svc2", "firewall")); err != nil {
 		t.Fatalf("commit after a timed-out one: %v", err)
@@ -458,4 +491,27 @@ func TestTimedOutCommitRedialsNetconf(t *testing.T) {
 	if got := d.Net().RunningNFs(); !slices.Contains(got, "svc2-nf") {
 		t.Fatalf("running NFs: %v", got)
 	}
+}
+
+// An edit-config the device applies but whose reply is lost fails its
+// commit at the deadline with the NF running and no ports recorded for it;
+// the leaf's undo stops that NF, so the same request installs again.
+func TestLostEditConfigReplyIsUndone(t *testing.T) {
+	d := newDomain(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	proxyNetconf(t, d, func(net.Conn) editFate { return loseReply })
+	if _, err := d.Install(ctx, request(t, "svc1", "firewall")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if got := d.Net().RunningNFs(); len(got) != 0 {
+		t.Fatalf("NFs running after the failed install: %v", got)
+	}
+	if _, err := d.Install(context.Background(), request(t, "svc1", "firewall")); err != nil {
+		t.Fatalf("the same request after a lost reply: %v", err)
+	}
+	if got := d.Net().RunningNFs(); !slices.Contains(got, "svc1-nf") {
+		t.Fatalf("running NFs: %v", got)
+	}
+	checkNFsRecorded(t, d)
 }

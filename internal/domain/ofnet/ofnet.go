@@ -73,17 +73,20 @@ func (f *Fabric) Close() {
 // through nfPorts, so a rule that cannot be translated fails the call before
 // anything is sent. Then each touched datapath gets one goroutine and one
 // pipeline: its deletions stream before its additions (freeing match slots
-// before rewrites), closed by a single barrier. When that fails (a canceled
-// context, a refused flow-mod), Program takes its additions back before it
-// returns the error: a datapath may have flushed some of them, and the
-// caller records nothing for a failed delta. Flow-mods, barriers and the
-// window high-water are recorded into sb.
+// before rewrites), closed by a single barrier. A failed call may leave
+// some additions flushed; deleting a rule a datapath never got is a no-op,
+// so the leaf's undo takes them back with a second call. Flow-mods,
+// barriers and the window high-water are recorded into sb.
 func (f *Fabric) Program(ctx context.Context, sb *core.SouthboundRecorder, del, add map[nffg.ID][]*nffg.Flowrule, nfPorts func(nffg.ID) (map[string]int, error)) error {
 	if len(del) == 0 && len(add) == 0 {
 		return nil
 	}
 	ops := make(map[nffg.ID][]*openflow.FlowMod, len(del)+len(add))
-	appendDeletes(ops, del)
+	for infra, rules := range del {
+		for _, fr := range rules {
+			ops[infra] = append(ops[infra], &openflow.FlowMod{Cmd: openflow.FlowDelete, RuleID: fr.ID})
+		}
+	}
 	for infra, rules := range add {
 		for _, fr := range rules {
 			r, err := emunet.TranslateRule(fr, nfPorts)
@@ -98,34 +101,7 @@ func (f *Fabric) Program(ctx context.Context, sb *core.SouthboundRecorder, del, 
 			})
 		}
 	}
-	err := f.fanOut(ctx, sb, ops)
-	if err != nil && len(add) > 0 {
-		if uerr := f.undo(ctx, sb, add); uerr != nil {
-			return fmt.Errorf("%w (%s: undo: %v)", err, f.name, uerr)
-		}
-	}
-	return err
-}
-
-// undo deletes add's rules from their datapaths, on a context detached from
-// the failed program's (a canceled install must still clean up) and bounded
-// by openflow.DefaultRequestTimeout. Deleting a rule a datapath never got is
-// a no-op.
-func (f *Fabric) undo(ctx context.Context, sb *core.SouthboundRecorder, add map[nffg.ID][]*nffg.Flowrule) error {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), openflow.DefaultRequestTimeout)
-	defer cancel()
-	ops := make(map[nffg.ID][]*openflow.FlowMod, len(add))
-	appendDeletes(ops, add)
 	return f.fanOut(ctx, sb, ops)
-}
-
-// appendDeletes appends one delete flow-mod per rule to its datapath's ops.
-func appendDeletes(ops map[nffg.ID][]*openflow.FlowMod, rules map[nffg.ID][]*nffg.Flowrule) {
-	for infra, rs := range rules {
-		for _, r := range rs {
-			ops[infra] = append(ops[infra], &openflow.FlowMod{Cmd: openflow.FlowDelete, RuleID: r.ID})
-		}
-	}
 }
 
 // fanOut flushes each datapath's flow-mods on a goroutine of its own and

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"slices"
 	"strings"
-	"time"
 
 	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/dataplane"
@@ -74,33 +72,22 @@ func (d *Domain) Cloud() *Cloud { return d.cloud }
 // Close stops the cloud API.
 func (d *Domain) Close() { d.cloud.Close() }
 
-// undoTimeout bounds the calls that take back a failed delta's additions.
-const undoTimeout = 5 * time.Second
-
 // commit realizes a delta through the REST APIs: its deletions first, then
-// its additions. When an addition fails (a canceled delta, a refused call),
-// undoAdds takes back whatever of them the cloud may have applied.
+// its additions. A DELETE answered 404 counts as done: an undo deletes what
+// a failed delta may never have created.
 func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, cfg *nffg.NFFG) error {
 	for infra, rules := range delta.DelRules {
 		for _, f := range rules {
-			if err := d.do(ctx, http.MethodDelete, flowPath(infra, f.ID), nil, http.StatusNoContent); err != nil {
+			if err := d.do(ctx, http.MethodDelete, flowPath(infra, f.ID), nil, http.StatusNoContent, http.StatusNotFound); err != nil {
 				return fmt.Errorf("openstack: del flow %s: %w", f.ID, err)
 			}
 		}
 	}
 	for _, id := range delta.DelNFs {
-		if err := d.do(ctx, http.MethodDelete, "/v2.1/servers/"+string(id), nil, http.StatusNoContent); err != nil {
+		if err := d.do(ctx, http.MethodDelete, "/v2.1/servers/"+string(id), nil, http.StatusNoContent, http.StatusNotFound); err != nil {
 			return fmt.Errorf("openstack: delete server %s: %w", id, err)
 		}
 	}
-	if err := d.add(ctx, delta); err != nil {
-		return d.undoAdds(ctx, delta, err)
-	}
-	return nil
-}
-
-// add boots the delta's servers and puts its flows.
-func (d *Domain) add(ctx context.Context, delta *nffg.Delta) error {
 	for _, nf := range delta.AddNFs {
 		var portIDs []string
 		for _, p := range nf.Ports {
@@ -137,34 +124,6 @@ func (d *Domain) add(ctx context.Context, delta *nffg.Delta) error {
 		}
 	}
 	return nil
-}
-
-// undoAdds deletes the delta's flows and servers after add failed, a 404
-// counting as never applied, so the core, which records nothing for a
-// failed delta, and the cloud agree and the same request can be installed
-// again. It runs on a context detached from the failed one — a canceled
-// install must still clean up — bounded by undoTimeout, and returns cause,
-// annotated if the undo fails.
-func (d *Domain) undoAdds(ctx context.Context, delta *nffg.Delta, cause error) error {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), undoTimeout)
-	defer cancel()
-	var errs []error
-	for infra, rules := range delta.AddRules {
-		for _, f := range rules {
-			if err := d.do(ctx, http.MethodDelete, flowPath(infra, f.ID), nil, http.StatusNoContent, http.StatusNotFound); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	for _, nf := range delta.AddNFs {
-		if err := d.do(ctx, http.MethodDelete, "/v2.1/servers/"+string(nf.ID), nil, http.StatusNoContent, http.StatusNotFound); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%w (openstack: undo: %v)", cause, errors.Join(errs...))
-	}
-	return cause
 }
 
 // flowPath is the ODL REST path of one flow on one switch.

@@ -268,7 +268,7 @@ func TestRESTCallsReuseOneConnection(t *testing.T) {
 
 // TestCanceledDeltaStopsBetweenCalls: a ctx canceled after the first REST
 // call of a delta fails the install with the context error before the next
-// call, the leaf records no service, the adapter deletes the server that
+// call, the leaf records no service, the leaf's undo deletes the server that
 // first call booted, and the same request then installs.
 func TestCanceledDeltaStopsBetweenCalls(t *testing.T) {
 	d := newDomain(t)

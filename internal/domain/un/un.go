@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/unify-repro/escape/internal/core"
 	"github.com/unify-repro/escape/internal/dataplane"
@@ -260,7 +259,9 @@ const containerConcurrency = 8
 // commit realizes deltas natively: container lifecycle + direct LSI table
 // programming. Lifecycle operations of one delta run concurrently under a
 // bounded worker pool — containers are independent of each other; only the
-// phase boundaries (teardowns before starts before rules) are ordered.
+// phase boundaries (teardowns before starts before rules) are ordered. A
+// teardown skips what is already gone: an undo tears down containers a
+// failed delta may never have created or started.
 func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) error {
 	sb := d.Southbound()
 
@@ -281,10 +282,14 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 	err := forEachBounded(cctx, len(delta.DelNFs), func(i int) error {
 		id := delta.DelNFs[i]
 		sb.AddContainerOps(2) // stop + remove
-		if err := d.rt.Stop(string(id)); err != nil {
+		err := d.rt.Stop(string(id))
+		if errors.Is(err, ErrNoContainer) {
+			return nil
+		}
+		if err != nil && !errors.Is(err, ErrBadState) {
 			return fmt.Errorf("un: stop %s: %w", id, err)
 		}
-		if err := d.rt.Remove(string(id)); err != nil {
+		if err := d.rt.Remove(string(id)); err != nil && !errors.Is(err, ErrNoContainer) {
 			return fmt.Errorf("un: remove %s: %w", id, err)
 		}
 		return nil
@@ -293,9 +298,7 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 		cSpan.EndWith(err)
 		return err
 	}
-	// Start phase: create+start each added NF, bounded-parallel. created
-	// marks the containers this delta made, for undoAdds.
-	created := make([]bool, len(delta.AddNFs))
+	// Start phase: create+start each added NF, bounded-parallel.
 	err = forEachBounded(cctx, len(delta.AddNFs), func(i int) error {
 		nf := delta.AddNFs[i]
 		image := "nf/" + nf.FunctionalType + ":latest"
@@ -303,7 +306,6 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 		if _, err := d.rt.Create(string(nf.ID), image, nf.Host); err != nil {
 			return fmt.Errorf("un: create %s: %w", nf.ID, err)
 		}
-		created[i] = true
 		var ports []string
 		for _, p := range nf.Ports {
 			ports = append(ports, p.ID)
@@ -317,13 +319,10 @@ func (d *Domain) commit(ctx context.Context, delta *nffg.Delta, _ *nffg.NFFG) er
 	if err == nil {
 		err = ctx.Err()
 	}
-	if err == nil {
-		err = d.installRules(delta)
-	}
 	if err != nil {
-		return d.undoAdds(ctx, delta, created, err)
+		return err
 	}
-	return nil
+	return d.installRules(delta)
 }
 
 // installRules translates the delta's added flowrules onto the LSIs.
@@ -348,51 +347,6 @@ func (d *Domain) installRules(delta *nffg.Delta) error {
 		}
 	}
 	return nil
-}
-
-// undoTimeout bounds the undo of a failed delta's additions.
-const undoTimeout = 5 * time.Second
-
-// undoAdds takes back what a failed delta added: its rules, and the
-// containers it created (stopped first when running), so the runtime and the
-// core, which records nothing for a failed delta, agree and the same request
-// can be installed again. It runs on a context detached from the failed one
-// — a canceled install must still clean up — bounded by undoTimeout, and
-// returns cause, annotated if the undo fails.
-func (d *Domain) undoAdds(ctx context.Context, delta *nffg.Delta, created []bool, cause error) error {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), undoTimeout)
-	defer cancel()
-	for infra, rules := range delta.AddRules {
-		if sw, err := d.net.Switch(infra); err == nil {
-			for _, f := range rules {
-				sw.Table.Remove(f.ID)
-			}
-		}
-	}
-	var errs []error
-	for i, nf := range delta.AddNFs {
-		if !created[i] {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			errs = append(errs, err)
-			break
-		}
-		id := string(nf.ID)
-		if c, err := d.rt.Get(id); err == nil && c.State == StateRunning {
-			if err := d.rt.Stop(id); err != nil {
-				errs = append(errs, err)
-				continue
-			}
-		}
-		if err := d.rt.Remove(id); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("%w (un: undo: %v)", cause, errors.Join(errs...))
-	}
-	return cause
 }
 
 // forEachBounded runs fn(0..n-1) across at most containerConcurrency workers,

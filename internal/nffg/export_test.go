@@ -27,17 +27,17 @@ func referenceMerge(g, other *NFFG) error {
 		}
 	}
 	for _, id := range other.InfraIDs() {
-		g.Infras.Set(id, copyInfra(other.Infras.Get(id)))
+		g.Infras.set(id, copyInfra(other.Infras.Get(id)))
 	}
 	for _, id := range other.NFIDs() {
-		g.NFs.Set(id, copyNF(other.NFs.Get(id)))
+		g.NFs.set(id, copyNF(other.NFs.Get(id)))
 	}
 	for _, id := range other.SAPIDs() {
 		if _, ok := g.SAPs.Lookup(id); ok {
 			continue // shared SAP: stitching point
 		}
 		p := *other.SAPs.Get(id).Port
-		g.SAPs.Set(id, &SAP{ID: id, Name: other.SAPs.Get(id).Name, Port: &p})
+		g.SAPs.set(id, &SAP{ID: id, Name: other.SAPs.Get(id).Name, Port: &p})
 	}
 	for l := range other.Links() {
 		cl := *l

@@ -331,7 +331,7 @@ func (g *NFFG) AddInfra(i *Infra) error {
 	if g.hasNode(i.ID) {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, i.ID)
 	}
-	g.Infras.Set(i.ID, i)
+	g.Infras.set(i.ID, i)
 	return nil
 }
 
@@ -344,7 +344,7 @@ func (g *NFFG) AddNF(n *NF) error {
 	if n.Status == "" {
 		n.Status = StatusPlanned
 	}
-	g.NFs.Set(n.ID, n)
+	g.NFs.set(n.ID, n)
 	return nil
 }
 
@@ -358,7 +358,7 @@ func (g *NFFG) AddSAP(s *SAP) error {
 	if s.Port == nil {
 		s.Port = &Port{ID: "1"}
 	}
-	g.SAPs.Set(s.ID, s)
+	g.SAPs.set(s.ID, s)
 	return nil
 }
 
@@ -368,7 +368,7 @@ func (g *NFFG) RemoveNF(id ID) error {
 	if _, ok := g.NFs.Lookup(id); !ok {
 		return fmt.Errorf("%w: NF %s", ErrNotFound, id)
 	}
-	g.NFs.Delete(id)
+	g.NFs.delete(id)
 	g.hops.deleteFunc(func(h *SGHop) bool { return h.SrcNode == id || h.DstNode == id })
 	return nil
 }

@@ -24,14 +24,14 @@ func (g *NFFG) Copy() *NFFG {
 	c.Version = g.Version
 	c.shape.Store(g.shape.Load())
 	for id, i := range g.Infras.All() {
-		c.Infras.Set(id, copyInfra(i))
+		c.Infras.set(id, copyInfra(i))
 	}
 	for id, n := range g.NFs.All() {
-		c.NFs.Set(id, copyNF(n))
+		c.NFs.set(id, copyNF(n))
 	}
 	for id, s := range g.SAPs.All() {
 		p := *s.Port
-		c.SAPs.Set(id, &SAP{ID: s.ID, Name: s.Name, Port: &p})
+		c.SAPs.set(id, &SAP{ID: s.ID, Name: s.Name, Port: &p})
 	}
 	c.links = g.links.clone(func(l *Link) *Link { cl := *l; return &cl })
 	c.hops = g.hops.clone(func(h *SGHop) *SGHop { ch := *h; return &ch })
@@ -117,17 +117,19 @@ func (g *NFFG) mutInfra(id ID) *Infra {
 	i := g.Infras.Get(id)
 	if c := own(g, i); c != i {
 		c.rules = i.rules.fork(true)
-		g.Infras.Set(id, c)
+		g.Infras.set(id, c)
 		return c
 	}
 	return i
 }
 
-// mutNF returns NF id for writing (nil if absent).
-func (g *NFFG) mutNF(id ID) *NF {
+// MutNF returns NF id for writing any field but its ID (nil if absent): on
+// a fork, the fork's own clone.
+func (g *NFFG) MutNF(id ID) *NF {
+	g.mustMutable("MutNF")
 	n := own(g, g.NFs.Get(id))
 	if n != nil {
-		g.NFs.Set(id, n)
+		g.NFs.set(id, n)
 	}
 	return n
 }
@@ -268,19 +270,17 @@ func (g *NFFG) Validate() error {
 // topo.Graph for path computation. Link IDs are preserved.
 //
 // The graph's shape is compiled once and kept: Copy and Fork hand it to the
-// next snapshot, so what a call normally costs is checking that the shape
-// still holds g's nodes and filling one bandwidth vector from the links.
-// The links are trusted, not checked: the mutators that change more than a
-// link's Bandwidth (AddLink, EditLinks, Merge) drop the shape, and no caller
-// writes any other field of a link through its pointer, on any graph, a Copy
-// included. Race and nffg_sealcheck builds check that rule here and panic on
-// a breach. The node check is not optional — the node maps are exported
-// tables, and a caller that sets or deletes a SAP on a copy must get the
-// graph it now describes.
+// next snapshot, so what a call normally costs is filling one bandwidth
+// vector from the links. The shape is trusted, not checked: the mutators
+// that add nodes or change more than a link's Bandwidth (AddInfra, AddSAP,
+// AddLink, EditLinks, Merge) drop it, the node tables are written only
+// through them, and no caller writes any other field of a link through its
+// pointer, on any graph, a Copy included. Race and nffg_sealcheck builds
+// check that rule here and panic on a breach.
 func (g *NFFG) InfraTopo() *topo.Graph {
-	if s := g.shape.Load(); s != nil && g.hasShape(s) {
-		if sealCheckEnabled && !g.linksFit(s) {
-			panic("nffg: a link of graph " + g.ID + " was written outside EditLinks (see InfraTopo)")
+	if s := g.shape.Load(); s != nil {
+		if sealCheckEnabled && (!g.nodesFit(s) || !g.linksFit(s)) {
+			panic("nffg: graph " + g.ID + " changed under its compiled shape (see InfraTopo)")
 		}
 		bw := make([]float64, 0, g.links.len())
 		for _, run := range g.links.runs() {
@@ -312,16 +312,35 @@ func (g *NFFG) InfraTopo() *topo.Graph {
 // AdoptShape hands g the compiled topology from carries, as Copy does for a
 // copy, so a graph rebuilt over the same infrastructure — a DoV cut merged
 // again after a commit moved only reservations — skips recompiling it. The
-// shape is adopted only if it holds g's links, in g's order: this is the one
-// place a shape meets links it was not compiled from, so it checks them
-// here, once, and InfraTopo then checks only the nodes.
+// shape is adopted only if it holds g's nodes and g's links, in g's order:
+// this is the one place a shape meets a graph it was not compiled from, so
+// it checks them here, once, and InfraTopo then trusts it.
 func (g *NFFG) AdoptShape(from *NFFG) {
 	if from == nil {
 		return
 	}
-	if s := from.shape.Load(); s != nil && g.linksFit(s) {
+	if s := from.shape.Load(); s != nil && g.nodesFit(s) && g.linksFit(s) {
 		g.shape.Store(s)
 	}
+}
+
+// nodesFit reports whether s holds g's nodes and no others. It allocates
+// nothing.
+func (g *NFFG) nodesFit(s *topo.Structure) bool {
+	if s.NumNodes() != g.Infras.Len()+g.SAPs.Len() {
+		return false
+	}
+	for id := range g.Infras.All() {
+		if !s.HasNode(topo.NodeID(id)) {
+			return false
+		}
+	}
+	for id := range g.SAPs.All() {
+		if !s.HasNode(topo.NodeID(id)) {
+			return false
+		}
+	}
+	return true
 }
 
 // linksFit reports whether s holds g's links, in g's order, Bandwidth aside.
@@ -337,26 +356,6 @@ func (g *NFFG) linksFit(s *topo.Structure) bool {
 			return false
 		}
 		i++
-	}
-	return true
-}
-
-// hasShape reports whether s holds g's nodes and as many links as g: what
-// compiling g now would produce, since the mutators that change links drop
-// the shape (see InfraTopo). It allocates nothing.
-func (g *NFFG) hasShape(s *topo.Structure) bool {
-	if s.NumNodes() != g.Infras.Len()+g.SAPs.Len() || s.NumLinks() != g.links.len() {
-		return false
-	}
-	for id := range g.Infras.All() {
-		if !s.HasNode(topo.NodeID(id)) {
-			return false
-		}
-	}
-	for id := range g.SAPs.All() {
-		if !s.HasNode(topo.NodeID(id)) {
-			return false
-		}
 	}
 	return true
 }
@@ -410,13 +409,13 @@ func (g *NFFG) Merge(other *NFFG) error {
 		if !share {
 			i = copyInfra(i)
 		}
-		g.Infras.Set(id, i)
+		g.Infras.set(id, i)
 	}
 	for id, n := range other.NFs.All() {
 		if !share {
 			n = copyNF(n)
 		}
-		g.NFs.Set(id, n)
+		g.NFs.set(id, n)
 	}
 	for id, s := range other.SAPs.All() {
 		if _, ok := g.SAPs.Lookup(id); ok {
@@ -426,7 +425,7 @@ func (g *NFFG) Merge(other *NFFG) error {
 			p := *s.Port
 			s = &SAP{ID: id, Name: s.Name, Port: &p}
 		}
-		g.SAPs.Set(id, s)
+		g.SAPs.set(id, s)
 	}
 	for l := range other.Links() {
 		renamed := g.LinkByID(l.ID) != nil
@@ -551,7 +550,7 @@ func Diff(oldG, newG *NFFG) (*Delta, error) {
 func (g *NFFG) Apply(d *Delta) error {
 	g.mustMutable("Apply")
 	for _, id := range d.DelNFs {
-		if nf := g.mutNF(id); nf != nil {
+		if nf := g.MutNF(id); nf != nil {
 			nf.Host = ""
 			nf.Status = StatusStopped
 		}
@@ -568,14 +567,14 @@ func (g *NFFG) Apply(d *Delta) error {
 		i.rules.deleteFunc(func(f *Flowrule) bool { return drop[f.Match] })
 	}
 	for _, nf := range d.AddNFs {
-		if existing := g.mutNF(nf.ID); existing != nil {
+		if existing := g.MutNF(nf.ID); existing != nil {
 			existing.Host = nf.Host
 			existing.Status = StatusMapped
 			existing.Demand = nf.Demand
 		} else {
 			c := copyNF(nf)
 			c.Status = StatusMapped
-			g.NFs.Set(nf.ID, c)
+			g.NFs.set(nf.ID, c)
 		}
 	}
 	for infra, rules := range d.AddRules {

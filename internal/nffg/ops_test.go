@@ -36,7 +36,7 @@ func TestDiffEmpty(t *testing.T) {
 func TestDiffAddNFAndRules(t *testing.T) {
 	oldG := substrate()
 	newG := oldG.Copy()
-	newG.NFs.Set("fw1", &NF{ID: "fw1", FunctionalType: "fw", Ports: []*Port{{ID: "1"}, {ID: "2"}}, Demand: Resources{CPU: 1}, Host: "a", Status: StatusMapped})
+	newG.NFs.set("fw1", &NF{ID: "fw1", FunctionalType: "fw", Ports: []*Port{{ID: "1"}, {ID: "2"}}, Demand: Resources{CPU: 1}, Host: "a", Status: StatusMapped})
 	if err := newG.AddFlowrule("a", &Flowrule{ID: "r1", Match: Match{InPort: InfraPort("1"), Tag: "c"}, Action: Action{Output: NFPort("fw1", "1")}, HopID: "h1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDiffAddNFAndRules(t *testing.T) {
 
 func TestDiffMigration(t *testing.T) {
 	oldG := substrate()
-	oldG.NFs.Set("nf", &NF{ID: "nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "a", Status: StatusDeployed})
+	oldG.NFs.set("nf", &NF{ID: "nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "a", Status: StatusDeployed})
 	newG := oldG.Copy()
 	newG.NFs.Get("nf").Host = "b"
 	d, err := Diff(oldG, newG)
@@ -163,7 +163,7 @@ func TestDiffTopologyMismatch(t *testing.T) {
 
 func TestDeltaRemoveNF(t *testing.T) {
 	oldG := substrate()
-	oldG.NFs.Set("nf", &NF{ID: "nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "a", Status: StatusDeployed})
+	oldG.NFs.set("nf", &NF{ID: "nf", FunctionalType: "fw", Ports: []*Port{{ID: "1"}}, Host: "a", Status: StatusDeployed})
 	newG := oldG.Copy()
 	newG.NFs.Get("nf").Host = ""
 	d, err := Diff(oldG, newG)
@@ -190,7 +190,7 @@ func randomConfig(rng *rand.Rand, base *NFFG) *NFFG {
 	for i := 0; i < nNF; i++ {
 		id := ID(fmt.Sprintf("nf%d", i))
 		host := hosts[rng.Intn(len(hosts))]
-		g.NFs.Set(id, &NF{ID: id, FunctionalType: "fw", Ports: []*Port{{ID: "1"}, {ID: "2"}}, Demand: Resources{CPU: 1}, Host: host, Status: StatusMapped})
+		g.NFs.set(id, &NF{ID: id, FunctionalType: "fw", Ports: []*Port{{ID: "1"}, {ID: "2"}}, Demand: Resources{CPU: 1}, Host: host, Status: StatusMapped})
 	}
 	nRules := rng.Intn(5)
 	for i := 0; i < nRules; i++ {

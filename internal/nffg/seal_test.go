@@ -45,6 +45,7 @@ func TestSealBlocksMutators(t *testing.T) {
 		"RemoveNF":             func() { _ = g.RemoveNF("nf1") },
 		"RemoveFlowrulesByHop": func() { _ = g.RemoveFlowrulesByHop("h1") },
 		"MutLink":              func() { _ = g.MutLink("l1") },
+		"MutNF":                func() { _ = g.MutNF("nf1") },
 		"Merge":                func() { _ = g.Merge(New("other")) },
 		"Apply":                func() { _ = g.Apply(&Delta{}) },
 		"NextVersion":          func() { _ = g.NextVersion() },

@@ -24,9 +24,10 @@ const foldShare = 4
 // when the overlay outgrows a fixed share of the base (see foldShare) the
 // fork folds both into a fresh flat map, which its own forks then share.
 //
-// All, Get, Lookup and Len read; Set and Delete write this generation only.
-// A table is used in place, through its graph: a copied Table value shares
-// its maps with the one it was copied from.
+// All, Get, Lookup and Len read; set and delete write this generation only,
+// and only the graph's mutators call them, so a graph knows every change to
+// its nodes. A table is used in place, through its graph: a copied Table
+// value shares its maps with the one it was copied from.
 type Table[T any] struct {
 	base map[ID]*T // nil on a flat table
 	own  map[ID]*T // flat: every entry; otherwise what differs from base
@@ -80,10 +81,10 @@ func (t *Table[T]) All() iter.Seq2[ID, *T] {
 	}
 }
 
-// Set adds or replaces the entry with the given ID. v must not be nil.
-func (t *Table[T]) Set(id ID, v *T) {
+// set adds or replaces the entry with the given ID. v must not be nil.
+func (t *Table[T]) set(id ID, v *T) {
 	if v == nil {
-		panic("nffg: Table.Set of a nil entry " + string(id))
+		panic("nffg: Table.set of a nil entry " + string(id))
 	}
 	if t.base != nil {
 		if _, ok := t.Lookup(id); !ok {
@@ -96,8 +97,8 @@ func (t *Table[T]) Set(id ID, v *T) {
 	t.own[id] = v
 }
 
-// Delete removes the entry with the given ID, if there is one.
-func (t *Table[T]) Delete(id ID) {
+// delete removes the entry with the given ID, if there is one.
+func (t *Table[T]) delete(id ID) {
 	if t.base == nil {
 		delete(t.own, id)
 		return

@@ -58,7 +58,7 @@ func TestTableMatchesReference(t *testing.T) {
 		root := &tableVersion{t: &Table[int]{}, ref: map[ID]*int{}}
 		for _, id := range universe[:rng.Intn(len(universe))] {
 			v := new(int)
-			root.t.Set(id, v)
+			root.t.set(id, v)
 			root.ref[id] = v
 		}
 		versions := []*tableVersion{root}
@@ -79,11 +79,11 @@ func TestTableMatchesReference(t *testing.T) {
 					op = "Set"
 					v := new(int)
 					*v = step
-					ver.t.Set(id, v)
+					ver.t.set(id, v)
 					ver.ref[id] = v
 				} else {
 					op = "Delete"
-					ver.t.Delete(id)
+					ver.t.delete(id)
 					delete(ver.ref, id)
 				}
 			case r < 18:
